@@ -90,7 +90,6 @@ from .morphisms import (
     GeneratorAssignment,
     IsomorphismPair,
     RelationReport,
-    StepTarget,
     canonical_assignment,
     check_relations,
     extend,

@@ -76,9 +76,6 @@ class AlgebraElement:
             acc[key] = c if cur is None else cur + c
         return AlgebraElement(spec, acc)
 
-    def is_structurally_zero(self) -> bool:
-        return not self.terms
-
     # -- linear structure ---------------------------------------------------
 
     def _require_same(self, other: "AlgebraElement"):

@@ -3,9 +3,10 @@
 Every verification and construction in the package is reachable through a
 subcommand.  Exit status encodes the verdict: 0 for success or a true
 verdict, 1 for a false verdict or a reported violation, 2 for usage,
-parse, or configuration errors.  Output ordering is deterministic (elements
-print in their canonical degree-lexicographic term order), so runs on
-identical inputs are textually identical.
+parse, or configuration errors, and 3 for an unexpected failure such as
+running out of memory, reported in one line on stderr.  Output ordering
+is deterministic (elements print in their canonical degree-lexicographic
+term order), so runs on identical inputs are textually identical.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from . import algebra, analysis, expr, morphisms, steprep
 from .analysis import HypothesisViolationError
-from .steprep import CharacterTwist, LevelError
+from .steprep import CharacterTwist
 from .system import (
     ConfigurationError,
     SpecFormatError,
@@ -192,14 +193,11 @@ def _emit_family(family, reporter: Reporter, command: str) -> None:
 def _cmd_eval(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
     element = _parse_element(spec, args.expression)
+    twist = None
     try:
         if args.lambda_values is not None:
             twist = _parse_character(spec, args.lambda_values)
-            family = steprep.evaluate_twisted(element, twist, args.level)
-        else:
-            family = steprep.evaluate(element, args.level)
-    except LevelError as err:
-        raise UsageError(str(err)) from None
+        family = steprep.evaluate(element, args.level, twist=twist)
     except (ValueError, TypeError) as err:
         raise UsageError(str(err)) from None
     _emit_family(family, reporter, "eval")
@@ -244,7 +242,7 @@ def _cmd_witness(args, reporter: Reporter) -> int:
         reporter.emit(f"no witness: {err}", command="witness", witness=None)
         return 1
     plain_zero = steprep.evaluate(element).is_zero()
-    twisted_zero = steprep.evaluate_twisted(element, twist).is_zero()
+    twisted_zero = steprep.evaluate(element, twist=twist).is_zero()
     verdict = plain_zero and not twisted_zero
     reporter.emit(
         f"witness fibers: {_fiber_text(s)} {_fiber_text(t)}",
@@ -510,9 +508,10 @@ def _cmd_selftest(args, reporter: Reporter) -> int:
     e24 = parse_spec_text(BUILTIN_SPECS["e24"])
     element, twist = analysis.nonsimplicity_witness(e24, (2, 0), (0, 1))
     total += 1
-    ok = steprep.evaluate(element).is_zero() and not steprep.evaluate_twisted(
-        element, twist
-    ).is_zero()
+    ok = (
+        steprep.evaluate(element).is_zero()
+        and not steprep.evaluate(element, twist=twist).is_zero()
+    )
     failures += not ok
     reporter.emit(
         f"{'ok' if ok else 'FAIL'} e24: witness separates representations",
@@ -636,6 +635,13 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except MemoryError:
+        print("error: out of memory; try a smaller input or level", file=sys.stderr)
+        return 3
+    except Exception as err:
+        # exit 1 means a false verdict, so a bug must not end there
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

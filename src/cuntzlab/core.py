@@ -194,19 +194,3 @@ def trace(spec: SystemSpec, s: CoreElement):
     for i in range(len(s.matrix)):
         acc = acc + s.matrix[i][i]
     return acc * Fraction(1, spec.dim(s.fiber))
-
-
-def format_core(s: CoreElement, print_scalar=str) -> str:
-    """Row-major dense text for small fibers, sparse triplets above 64x64."""
-    n = len(s.matrix)
-    if n <= 64:
-        lines = []
-        for row in s.matrix:
-            lines.append(" ".join(print_scalar(x) for x in row))
-        return "\n".join(lines)
-    lines = []
-    for i, row in enumerate(s.matrix):
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                lines.append(f"{i} {j} {print_scalar(v)}")
-    return f"{n} {n} {len(lines)}\n" + "\n".join(lines)

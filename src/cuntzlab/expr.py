@@ -248,13 +248,28 @@ class _Parser:
             self.at += 1
             negate = tok[0] == "-"
         elem = self._term(negate=negate)
-        while True:
+        if self.peek()[0] not in ("+", "-"):
+            return elem
+        # merge every term into one map and build the element once; adding
+        # element by element would re-sort the growing sum for each term
+        acc = {(t.left, t.right): t.coeff for t in elem.terms}
+        while self.peek()[0] in ("+", "-"):
             tok = self.peek()
-            if tok[0] not in ("+", "-"):
-                break
             self.at += 1
-            elem = elem + self._term(negate=tok[0] == "-")
-        return elem
+            for t in self._term(negate=tok[0] == "-").terms:
+                key = (t.left, t.right)
+                cur = acc.get(key)
+                if cur is None:
+                    acc[key] = t.coeff
+                    continue
+                total = cur + t.coeff
+                # drop cancelled terms as each partial sum did, so a float
+                # residue below tolerance is discarded the same way
+                if total.is_zero():
+                    del acc[key]
+                else:
+                    acc[key] = total
+        return AlgebraElement(self.spec, acc)
 
     def parse(self) -> AlgebraElement:
         elem = self._expr()

@@ -150,8 +150,3 @@ def sparse_equal(a: dict, b: dict) -> bool:
         elif not (va - vb).is_zero():
             return False
     return True
-
-
-def sparse_identity(n: int, field) -> dict:
-    one = field.one
-    return {(i, i): one for i in range(n)}

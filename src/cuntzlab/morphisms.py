@@ -11,8 +11,6 @@ explicit isomorphism that absorbs one generator dimension into another
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from . import algebra
 from .algebra import AlgebraElement
@@ -23,7 +21,6 @@ from .system import (
     add_fibers,
     same_system,
 )
-from .steprep import UnsupportedRepresentationError, _require_untwisted
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +32,11 @@ class AlgebraTarget:
     """Images live in the dense *-algebra of ``spec``.
 
     Equality is exact normal-form equality, so relation reports against this
-    target are conclusive in both directions.
+    target decide the relations exactly.
     """
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
-
-    conclusive = True
 
     def identity(self) -> AlgebraElement:
         return algebra.identity(self.spec)
@@ -71,133 +66,6 @@ class AlgebraTarget:
         return self.spec.field.coerce(coeff)
 
 
-class StepTarget:
-    """Images are formal words in the step isometries of an untwisted spec.
-
-    Elements are tuples of ``(coeff, word)`` pairs where a word is a tuple of
-    ``(BasisMonomial, star)`` atoms read left to right.  Equality is decided
-    by evaluating both sides at finitely many probe levels: a disagreement is
-    a conclusive refutation, while agreement only certifies the probed
-    levels.  Reports built against this target are evidence, not proof.
-    """
-
-    conclusive = False
-
-    def __init__(self, spec: SystemSpec, probe_multipliers=(1, 2)):
-        _require_untwisted(spec)
-        if not probe_multipliers:
-            raise ValueError("at least one probe multiplier is required")
-        self.spec = spec
-        self.probe_multipliers = tuple(int(p) for p in probe_multipliers)
-        if any(p < 1 for p in self.probe_multipliers):
-            raise ValueError("probe multipliers are positive integers")
-
-    def identity(self):
-        return ((self.spec.field.one, ()),)
-
-    def zero(self):
-        return ()
-
-    def generator(self, x: BasisMonomial):
-        self.spec.check_fiber(x.fiber)
-        if not 0 <= x.index < self.spec.dim(x.fiber):
-            raise ValueError(f"index {x.index} out of range for fiber {x.fiber}")
-        return ((self.spec.field.one, ((x, False),)),)
-
-    @staticmethod
-    def _word_key(word):
-        return (len(word), tuple((m.fiber, m.index, s) for m, s in word))
-
-    def _merge(self, pairs):
-        acc = {}
-        for coeff, word in pairs:
-            cur = acc.get(word)
-            acc[word] = coeff if cur is None else cur + coeff
-        return tuple(
-            (c, w)
-            for w, c in sorted(acc.items(), key=lambda kv: self._word_key(kv[0]))
-            if not c.is_zero()
-        )
-
-    def multiply(self, a, b):
-        return self._merge(
-            (ca * cb, wa + wb) for ca, wa in a for cb, wb in b
-        )
-
-    def add(self, a, b):
-        return self._merge(list(a) + list(b))
-
-    def scale(self, coeff, a):
-        c = self.spec.field.coerce(coeff)
-        return self._merge((c * ca, wa) for ca, wa in a)
-
-    def adjoint(self, a):
-        return self._merge(
-            (c.conj(), tuple((m, not s) for m, s in reversed(w))) for c, w in a
-        )
-
-    def coerce(self, coeff):
-        return self.spec.field.coerce(coeff)
-
-    def _word_level(self, word) -> int:
-        # Walking atoms right to left, a star atom divides the running level
-        # by its fiber dimension and a plain atom multiplies it.  The base
-        # level must clear every intermediate denominator.
-        need = 1
-        running = Fraction(1)
-        for mono, star in reversed(word):
-            d = self.spec.dim(mono.fiber)
-            running = running / d if star else running * d
-            need = lcm(need, running.denominator)
-        return need
-
-    def _apply_word(self, word, column: int, level: int):
-        # Returns (row, level_out) or None when a star atom annihilates the
-        # basis vector.  Levels stay integral by choice of the probe level.
-        idx, lv = column, level
-        for mono, star in reversed(word):
-            d = self.spec.dim(mono.fiber)
-            if star:
-                base = lv // d
-                lo = mono.index * base
-                if not lo <= idx < lo + base:
-                    return None
-                idx -= lo
-                lv = base
-            else:
-                idx = mono.index * lv + idx
-                lv = lv * d
-        return idx, lv
-
-    def _evaluate(self, elem, level: int):
-        blocks: dict = {}
-        for coeff, word in elem:
-            for col in range(level):
-                hit = self._apply_word(word, col, level)
-                if hit is None:
-                    continue
-                row, lv = hit
-                block = blocks.setdefault(lv, {})
-                key = (row, col)
-                cur = block.get(key)
-                block[key] = coeff if cur is None else cur + coeff
-        return blocks
-
-    def equal(self, a, b) -> bool:
-        diff = self.add(a, self.scale(-1, b))
-        if not diff:
-            return True
-        base = 1
-        for _, word in diff:
-            base = lcm(base, self._word_level(word))
-        for mult in self.probe_multipliers:
-            blocks = self._evaluate(diff, base * mult)
-            for block in blocks.values():
-                if any(not c.is_zero() for c in block.values()):
-                    return False
-        return True
-
-
 # ---------------------------------------------------------------------------
 # Assignments and relation checking.
 
@@ -207,18 +75,15 @@ class RelationReport:
     """Outcome of checking the defining relations for an assignment.
 
     ``violations`` names every failed instance; ``ok`` is their absence.
-    ``conclusive`` is False when equality was only sampled at probe levels.
     """
 
     ok: bool
     violations: tuple
     checked: int
-    conclusive: bool
 
     def describe(self) -> str:
         head = "ok" if self.ok else f"{len(self.violations)} violation(s)"
-        tail = "" if self.conclusive else " (probe-level evidence)"
-        lines = [f"relations: {head} out of {self.checked} checked{tail}"]
+        lines = [f"relations: {head} out of {self.checked} checked"]
         lines.extend("  " + v for v in self.violations)
         return "\n".join(lines)
 
@@ -332,8 +197,7 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
                             f"commutation: U({a},{i}) U({b},{j}) != "
                             f"ratio * U({b},{p}) U({a},{q})"
                         )
-    conclusive = bool(getattr(tgt, "conclusive", True))
-    return RelationReport(not violations, tuple(violations), checked, conclusive)
+    return RelationReport(not violations, tuple(violations), checked)
 
 
 def _require_verified(assignment: GeneratorAssignment):
@@ -477,10 +341,10 @@ def verify_roundtrip(pair: IsomorphismPair) -> bool:
     assignments break the generator relations cannot consist of mutually
     inverse *-homomorphisms, so it verifies as False without attempting the
     composition; the named failures stay available on the reports.  A pair
-    whose relations cannot be checked conclusively (non-algebra-valued
-    targets) is refused.  The True answer states that composing the maps in
-    both orders fixes every generator isometry, which pins the composites
-    down as identity maps on the whole algebra.
+    whose targets are not ``AlgebraTarget`` instances is refused.  The True
+    answer states that composing the maps in both orders fixes every
+    generator isometry, which pins the composites down as identity maps on
+    the whole algebra.
     """
     for assignment in (pair.forward, pair.backward):
         if not isinstance(assignment.target, AlgebraTarget):

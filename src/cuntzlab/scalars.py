@@ -76,10 +76,6 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _euler_phi(q: int) -> int:
-    return len(cyclotomic_polynomial(q)) - 1
-
-
 # ---------------------------------------------------------------------------
 # scalar value types
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ distinct output levels are reported as separate blocks of an
 would need irrational refinement factors.  "Every block zero" is the family's
 (sound) zero test.  Equality of step operators at one level only certifies
 equality on that level's subspace.
+
+``evaluate`` is the one step evaluator.  Given a ``CharacterTwist`` it
+evaluates the twisted representation instead, in which the generators of
+fiber r are scaled by the character's value on r: each term x y* of degree g
+then carries the character's phase on g, and the entries live in the common
+field of the spec and the character.  ``evaluate_twisted`` is the same call
+with the twist first.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .system import BasisMonomial, FiberVector, SystemSpec, same_system
+from .scalars import common_field, field_of
+from .system import BasisMonomial, SystemSpec, sub_degree
 
 
 class UnsupportedRepresentationError(ValueError):
@@ -41,10 +49,14 @@ class LevelError(ValueError):
     """Raised when a base level misses a required divisor."""
 
     def __init__(self, base_level: int, minimal: int):
-        super().__init__(
-            f"base level {base_level} is not divisible by {minimal}; "
-            f"the minimal valid base level is {minimal}"
-        )
+        if base_level < 1:
+            message = f"base level must be a positive integer, got {base_level}"
+        else:
+            message = (
+                f"base level {base_level} is not divisible by {minimal}; "
+                f"the minimal valid base level is {minimal}"
+            )
+        super().__init__(message)
         self.minimal = minimal
 
 
@@ -58,9 +70,6 @@ class StepOperator:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.entries.values())
-
-    def nnz(self) -> int:
-        return sum(1 for v in self.entries.values() if not v.is_zero())
 
     def conj_transpose(self) -> "StepOperator":
         return StepOperator(
@@ -86,34 +95,6 @@ class StepOperator:
             and self.level_out == other.level_out
             and linalg.sparse_equal(self.entries, other.entries)
         )
-
-    def apply(self, vector: "StepVector") -> "StepVector":
-        if vector.level != self.level_in:
-            raise ValueError(
-                f"vector lives at level {vector.level}, operator expects "
-                f"{self.level_in}"
-            )
-        out = [None] * self.level_out
-        for (r, c), v in self.entries.items():
-            contrib = v * vector.coeffs[c]
-            out[r] = contrib if out[r] is None else out[r] + contrib
-        zero = _zero_like(vector.coeffs)
-        coeffs = tuple(c if c is not None else zero for c in out)
-        return StepVector(self.level_out, coeffs, vector.norm_divisor)
-
-    def serialize(self, print_scalar=repr) -> str:
-        """Triplet text form: 'N_out N_in nnz' header then 'row col scalar' lines."""
-        items = sorted(
-            ((r, c, v) for (r, c), v in self.entries.items() if not v.is_zero())
-        )
-        lines = [f"{self.level_out} {self.level_in} {len(items)}"]
-        lines.extend(f"{r} {c} {print_scalar(v)}" for r, c, v in items)
-        return "\n".join(lines)
-
-
-def _zero_like(coeffs):
-    # all vectors carry at least one coefficient; reuse its field zero
-    return coeffs[0] - coeffs[0]
 
 
 @dataclass(frozen=True)
@@ -197,9 +178,22 @@ def minimal_level(a) -> int:
     return out
 
 
-def evaluate(a, base_level: int | None = None) -> OperatorFamily:
-    """Evaluate an algebra element on V_(base_level), blocks keyed by output level."""
+def evaluate(
+    a, base_level: int | None = None, twist: CharacterTwist | None = None
+) -> OperatorFamily:
+    """Evaluate an algebra element on V_(base_level), blocks keyed by output level.
+
+    With a ``twist`` the generators are scaled by the character, so each term
+    x y* of degree g is multiplied by ``twist.phase(g)`` in the common field
+    of the spec and the character.
+    """
     spec = a.spec
+    if twist is not None:
+        if len(twist.values) != spec.k:
+            raise ValueError("character length does not match the generator count")
+        field = spec.field
+        for v in twist.values:
+            field = common_field(field, field_of(v))
     _require_untwisted(spec)
     required = minimal_level(a)
     if base_level is None:
@@ -208,6 +202,10 @@ def evaluate(a, base_level: int | None = None) -> OperatorFamily:
         raise LevelError(base_level, required)
     blocks: dict[int, dict] = {}
     for t in a.terms:
+        coeff = t.coeff
+        if twist is not None:
+            phase = twist.phase(sub_degree(t.left.fiber, t.right.fiber))
+            coeff = field.coerce(phase) * field.coerce(coeff)
         dim_t = spec.dim(t.right.fiber)
         stripe = base_level // dim_t
         level_out = stripe * spec.dim(t.left.fiber)
@@ -217,7 +215,7 @@ def evaluate(a, base_level: int | None = None) -> OperatorFamily:
         for u in range(stripe):
             key = (row0 + u, col0 + u)
             cur = entries.get(key)
-            entries[key] = t.coeff if cur is None else cur + t.coeff
+            entries[key] = coeff if cur is None else cur + coeff
     out = {
         lv: StepOperator(base_level, lv, {k: v for k, v in e.items() if not v.is_zero()})
         for lv, e in blocks.items()
@@ -268,93 +266,5 @@ class CharacterTwist:
 def evaluate_twisted(
     a, twist: CharacterTwist, base_level: int | None = None
 ) -> OperatorFamily:
-    """Like ``evaluate`` but through the character-scaled generators."""
-    spec = a.spec
-    if len(twist.values) != spec.k:
-        raise ValueError("character length does not match the generator count")
-    from .scalars import common_field, field_of
-    from .system import sub_degree
-
-    field = spec.field
-    for v in twist.values:
-        field = common_field(field, field_of(v))
-
-    plain = evaluate(a, base_level)
-    blocks: dict[int, dict] = {}
-    for t in a.terms:
-        dim_t = spec.dim(t.right.fiber)
-        stripe = plain.base_level // dim_t
-        level_out = stripe * spec.dim(t.left.fiber)
-        entries = blocks.setdefault(level_out, {})
-        phase = field.coerce(twist.phase(sub_degree(t.left.fiber, t.right.fiber)))
-        coeff = phase * field.coerce(t.coeff)
-        row0 = t.left.index * stripe
-        col0 = t.right.index * stripe
-        for u in range(stripe):
-            key = (row0 + u, col0 + u)
-            cur = entries.get(key)
-            entries[key] = coeff if cur is None else cur + coeff
-    out = {
-        lv: StepOperator(
-            plain.base_level, lv, {k: v for k, v in e.items() if not v.is_zero()}
-        )
-        for lv, e in blocks.items()
-    }
-    return OperatorFamily(plain.base_level, out)
-
-
-# ---------------------------------------------------------------------------
-# step vectors and refinement
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StepVector:
-    """A vector at one level; the represented function is coeffs / sqrt(norm_divisor).
-
-    Refinement duplicates coefficients and multiplies the divisor instead of
-    introducing irrational scalars, so repeated refinement stays exact.
-    """
-
-    level: int
-    coeffs: tuple
-    norm_divisor: int = 1
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-
-def basis_step_vector(spec: SystemSpec, level: int, index: int) -> StepVector:
-    coeffs = [spec.field.zero] * level
-    coeffs[index] = spec.field.one
-    return StepVector(level, tuple(coeffs))
-
-
-def refine_vector(v: StepVector, factor: int) -> StepVector:
-    """Rewrite v on the level*factor grid; represents the same function."""
-    if factor < 1:
-        raise ValueError("refinement factor must be >= 1")
-    coeffs = tuple(c for c in v.coeffs for _ in range(factor))
-    return StepVector(v.level * factor, coeffs, v.norm_divisor * factor)
-
-
-def inner_step(v: StepVector, w: StepVector):
-    """<v, w> as an exact scalar; defined when norm divisors make it exact."""
-    if v.level != w.level:
-        raise ValueError("refine to a common level before comparing")
-    prod = v.norm_divisor * w.norm_divisor
-    root = math.isqrt(prod)
-    if root * root != prod:
-        raise ValueError(
-            "inner product would be irrational; refine both vectors from a "
-            "common starting level"
-        )
-    acc = None
-    for a, b in zip(v.coeffs, w.coeffs):
-        term = a * b.conj()
-        acc = term if acc is None else acc + term
-    if root == 1:
-        return acc
-    from fractions import Fraction
-
-    return acc * Fraction(1, root)
+    """``evaluate`` through the character-scaled generators."""
+    return evaluate(a, base_level, twist=twist)

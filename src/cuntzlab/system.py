@@ -170,11 +170,6 @@ class SystemSpec:
             raise ValueError(f"{s!r} is not an N^{self.k} element")
         return tuple(s)
 
-    def check_degree(self, g) -> Degree:
-        if len(g) != self.k or any(not isinstance(c, int) for c in g):
-            raise ValueError(f"{g!r} is not a Z^{self.k} element")
-        return tuple(g)
-
     def unit_fiber(self, slot: int) -> Fiber:
         """The fiber with a single 1 at the given 0-based generator slot."""
         if not 0 <= slot < self.k:
@@ -428,11 +423,6 @@ def parse_spec_text(text: str) -> SystemSpec:
         return SystemSpec(dims, theta=theta, scalar_mode=scalar_mode)
     except ConfigurationError as exc:
         raise SpecFormatError(values.get("theta", values["dims"])[0], str(exc)) from None
-
-
-def load_spec(path) -> SystemSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_spec_text(handle.read())
 
 
 def spec_text(spec: SystemSpec) -> str:

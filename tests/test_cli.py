@@ -429,6 +429,29 @@ def test_bad_level_rejected(capsys, spec_path):
     )
     assert code == 2
     assert err.startswith("error:")
+    code, _, err = run_cli(
+        capsys, ["eval", "--spec", spec_path("e23"), "--level", "0", "I"]
+    )
+    assert code == 2
+    assert err == "error: base level must be a positive integer, got 0\n"
+
+
+def test_unexpected_errors_exit_three(capsys, spec_path, monkeypatch):
+    # exit 1 is the false verdict, so a crash must not end there
+    cases = [
+        (MemoryError(), "error: out of memory"),
+        (RuntimeError("boom"), "internal error: RuntimeError: boom"),
+    ]
+    for exc, message in cases:
+        def crash(args, reporter, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_normalize", crash)
+        code, out, err = run_cli(capsys, ["normalize", "--spec", spec_path("e23"), "I"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(message)
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bad_lambda_count(capsys, spec_path):

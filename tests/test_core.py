@@ -11,7 +11,6 @@ from cuntzlab.core import (
     corner_shift,
     embed,
     embed_to,
-    format_core,
     from_algebra,
     identity_core,
     multiply_core,
@@ -198,19 +197,3 @@ class TestTrace:
     def test_rank_one_value(self, e23):
         u = rank_one_core(e23, e23.monomial((0, 1), 1), e23.monomial((0, 1), 1))
         assert trace(e23, u) == scalars.RATIONAL.coerce(Fraction(1, 3))
-
-
-class TestFormatting:
-    def test_dense(self, e23):
-        s = core_element(e23, (1, 0), [[1, 0], [0, 1]])
-        lines = format_core(s, print_scalar=lambda v: str(v.re)).splitlines()
-        assert lines == ["1 0", "0 1"]
-
-    def test_sparse_above_threshold(self):
-        from cuntzlab.system import SystemSpec
-
-        spec = SystemSpec((3,))
-        s = identity_core(spec, (4,))  # 81x81
-        text = format_core(s, print_scalar=lambda v: str(v.re))
-        head = text.splitlines()[0].split()
-        assert head == ["81", "81", "81"]

@@ -113,6 +113,37 @@ class TestParseElement:
         assert abs(a.terms[0].coeff.value - 1e-3) < 1e-15
 
 
+    def test_long_sum_matches_from_terms(self, e23):
+        # all 1296 basis pairs x y* of fiber (4,4), plus one term that merges
+        # with the first and one that cancels the second
+        fiber = (4, 4)
+        n = e23.dim(fiber)
+        triples, parts = [], []
+        for j in range(n):
+            coeff = Fraction(j % 7 - 3, 1 + j % 4)
+            triples.append((coeff, e23.monomial(fiber, j), e23.monomial(fiber, 5 * j % n)))
+        triples.append((Fraction(2), triples[0][1], triples[0][2]))
+        triples.append((-triples[1][0], triples[1][1], triples[1][2]))
+        for coeff, x, y in triples:
+            sign = "-" if coeff < 0 else "+"
+            parts.append(f"{sign} {abs(coeff)}*e(4,4;{x.index})*e(4,4;{y.index})'")
+        parsed = parse_element(e23, " ".join(parts))
+        assert parsed == algebra.AlgebraElement.from_terms(e23, triples)
+        assert len(parsed.terms) == n - 1 - sum(1 for j in range(n) if j % 7 == 3)
+
+    def test_sum_drops_cancelled_terms_as_stepwise_addition(self, flspec):
+        # the partial sum cancels below the float tolerance; the residue is
+        # dropped before the last term is added, exactly as adding the terms
+        # one element at a time does
+        terms = ["e(1,0;0)", "-0.9999999999999*e(1,0;0)", "+e(1,0;0)", "+2*e(0,1;1)"]
+        stepwise = algebra.zero(flspec)
+        for t in terms:
+            stepwise = stepwise + parse_element(flspec, t)
+        parsed = parse_element(flspec, " ".join(terms))
+        assert parsed == stepwise
+        assert {t.left.fiber: t.coeff.value for t in parsed.terms} == {(1, 0): 1, (0, 1): 2}
+
+
 class TestParseScalar:
     def test_forms(self, e23):
         assert parse_scalar(e23, "3/2") == scalars.RationalComplex(Fraction(3, 2))

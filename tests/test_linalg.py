@@ -119,7 +119,3 @@ class TestSparse:
         one = RATIONAL.one
         assert linalg.sparse_equal({(0, 0): one, (1, 1): RATIONAL.zero}, {(0, 0): one})
         assert not linalg.sparse_equal({(0, 0): one}, {(0, 1): one})
-
-    def test_identity(self):
-        ident = linalg.sparse_identity(3, RATIONAL)
-        assert ident == {(j, j): RATIONAL.one for j in range(3)}

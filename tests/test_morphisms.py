@@ -8,7 +8,7 @@ from cuntzlab import algebra, scalars
 from cuntzlab.morphisms import (
     AlgebraTarget,
     GeneratorAssignment,
-    StepTarget,
+    IsomorphismPair,
     canonical_assignment,
     check_relations,
     extend,
@@ -38,7 +38,6 @@ class TestRelationChecking:
         assignment = canonical_assignment(e23)
         report = assignment.report()
         assert report.ok
-        assert report.conclusive
         # per slot: isometry+orthogonality pairs, one range sum, then the
         # cross-slot commutation instances
         assert report.checked == (4 + 1) + (9 + 1) + 6
@@ -249,52 +248,6 @@ class TestFactorIso:
             factor_iso(0, 3)
 
 
-class TestStepTarget:
-    def test_canonical_relations_probe(self, e23):
-        target = StepTarget(e23)
-        images = {}
-        for a in (1, 2):
-            for i in range(e23.gen_dims[a - 1]):
-                images[a, i] = target.generator(
-                    e23.monomial(e23.unit_fiber(a - 1), i)
-                )
-        assignment = GeneratorAssignment(e23, target, images)
-        report = assignment.report()
-        assert report.ok
-        assert not report.conclusive  # probe evidence, not proof
-
-    def test_corrupted_image_detected(self, e23):
-        target = StepTarget(e23)
-        images = {}
-        for a in (1, 2):
-            for i in range(e23.gen_dims[a - 1]):
-                images[a, i] = target.generator(
-                    e23.monomial(e23.unit_fiber(a - 1), i)
-                )
-        images[2, 2] = images[2, 1]
-        report = GeneratorAssignment(e23, target, images).report()
-        assert not report.ok
-        assert any("orthogonality" in v for v in report.violations)
-
-    def test_extension_matches_generator_word(self, e23):
-        target = StepTarget(e23)
-        images = {}
-        for a in (1, 2):
-            for i in range(e23.gen_dims[a - 1]):
-                images[a, i] = target.generator(
-                    e23.monomial(e23.unit_fiber(a - 1), i)
-                )
-        assignment = GeneratorAssignment(e23, target, images)
-        x = e23.monomial((1, 1), 4)
-        word = extend(e23, assignment, x)
-        assert target.equal(word, target.generator(x))
-        assert not target.equal(word, target.generator(e23.monomial((1, 1), 3)))
-
-    def test_twisted_spec_rejected(self, tw23):
-        with pytest.raises(Exception):
-            StepTarget(tw23)
-
-
 class TestSerialization:
     def test_format_golden(self, e23):
         text = format_assignment(canonical_assignment(e23))
@@ -331,16 +284,14 @@ class TestSerialization:
         assert parsed.report().ok
 
     def test_non_algebra_target_refused(self, e23):
-        target = StepTarget(e23)
-        images = {}
-        for a in (1, 2):
-            for i in range(e23.gen_dims[a - 1]):
-                images[a, i] = target.generator(
-                    e23.monomial(e23.unit_fiber(a - 1), i)
-                )
-        assignment = GeneratorAssignment(e23, target, images)
+        # any target other than AlgebraTarget has no text form and no
+        # round-trip check; a stand-in object is enough to show the refusal
+        images = dict(canonical_assignment(e23).images)
+        assignment = GeneratorAssignment(e23, object(), images)
         with pytest.raises(TypeError):
             format_assignment(assignment)
+        with pytest.raises(TypeError):
+            verify_roundtrip(IsomorphismPair(assignment, assignment))
 
 
 class TestCrossSystemAssignments:

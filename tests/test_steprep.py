@@ -5,29 +5,35 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlab import algebra, steprep
-from cuntzlab.scalars import RATIONAL, FloatComplex, RationalComplex
+from cuntzlab import algebra
+from cuntzlab.algebra import AlgebraElement
+from cuntzlab.scalars import (
+    RATIONAL,
+    FloatComplex,
+    RationalComplex,
+    common_field,
+    cyclotomic_field,
+    field_of,
+)
 from cuntzlab.steprep import (
     CharacterTwist,
     LevelError,
+    OperatorFamily,
     StepOperator,
     UnsupportedRepresentationError,
-    basis_step_vector,
     evaluate,
     evaluate_twisted,
     generator_operator,
-    inner_step,
     minimal_level,
-    refine_vector,
     vector_operator,
 )
-from cuntzlab.linalg import sparse_identity
+from cuntzlab.system import sub_degree
 
 from conftest import random_element
 
 
 def _identity_op(spec, level):
-    return StepOperator(level, level, sparse_identity(level, spec.field))
+    return generator_operator(spec, spec.identity_monomial, level)
 
 
 class TestGeneratorOperator:
@@ -50,7 +56,7 @@ class TestGeneratorOperator:
             for k, v in op.compose(op.conj_transpose()).entries.items():
                 acc[k] = acc.get(k, RATIONAL.zero) + v
         acc = {k: v for k, v in acc.items() if not v.is_zero()}
-        assert acc == sparse_identity(level * e23.dim(fiber), RATIONAL)
+        assert acc == _identity_op(e23, level * e23.dim(fiber)).entries
 
     def test_product_homomorphism(self, e23):
         x = e23.monomial((1, 0), 0)
@@ -100,6 +106,12 @@ class TestEvaluate:
         with pytest.raises(LevelError) as exc:
             evaluate(a, 4)
         assert exc.value.minimal == 3
+        assert "not divisible by 3" in str(exc.value)
+        for bad in (0, -3):
+            with pytest.raises(LevelError) as exc:
+                evaluate(a, bad)
+            assert exc.value.minimal == 3
+            assert str(exc.value) == f"base level must be a positive integer, got {bad}"
 
     def test_homomorphism_on_samples(self, e23, rng):
         for _ in range(8):
@@ -213,49 +225,43 @@ class TestCharacterTwist:
         level = minimal_level(a)
         assert evaluate_twisted(a, tw, level).equal(evaluate(a, level))
 
+    def test_twisted_spec_rejected(self, tw23):
+        tw = CharacterTwist([RationalComplex(0, 1), RationalComplex(1)])
+        a = algebra.identity(tw23)
+        with pytest.raises(UnsupportedRepresentationError):
+            evaluate(a, twist=tw)
+        with pytest.raises(UnsupportedRepresentationError):
+            evaluate_twisted(a, tw)
 
-class TestStepVectors:
-    def test_basis_vector(self, e23):
-        v = basis_step_vector(e23, 3, 1)
-        assert v.level == 3
-        assert v.coeffs[1].is_one() and v.coeffs[0].is_zero()
-
-    def test_refinement_preserves_inner(self, e23):
-        v = basis_step_vector(e23, 2, 0)
-        w = basis_step_vector(e23, 2, 1)
-        before_vv = inner_step(v, v)
-        before_vw = inner_step(v, w)
-        v4, w4 = refine_vector(v, 3), refine_vector(w, 3)
-        # coefficients triple but the norm divisor compensates
-        assert inner_step(v4, v4) == before_vv
-        assert inner_step(v4, w4) == before_vw
-
-    def test_inner_needs_common_level(self, e23):
-        v = basis_step_vector(e23, 2, 0)
-        w = basis_step_vector(e23, 4, 0)
-        with pytest.raises(ValueError):
-            inner_step(v, w)
-
-    def test_conjugate_linear_second_slot(self, e23):
-        lam = RationalComplex(0, 1)
-        v = basis_step_vector(e23, 2, 0)
-        w = steprep.StepVector(2, tuple(lam * c for c in v.coeffs))
-        assert inner_step(v, w) == lam.conj() * inner_step(v, v)
-
-    def test_operator_apply(self, e23):
-        op = generator_operator(e23, e23.monomial((1, 0), 1), 2)
-        v = basis_step_vector(e23, 2, 0)
-        out = op.apply(v)
-        assert out.level == 4
-        assert [c.is_zero() for c in out.coeffs] == [True, True, False, True]
+    def test_matches_termwise_phases(self, e23, rng):
+        k8 = cyclotomic_field(8)
+        characters = [
+            CharacterTwist([RationalComplex(-1), RationalComplex(1)]),
+            CharacterTwist([RationalComplex(0, 1), RationalComplex(0, -1)]),
+            CharacterTwist([k8.zeta_power(1), k8.zeta_power(3)]),
+        ]
+        for _ in range(5):
+            a = random_element(e23, rng, nterms=4)
+            for mult in (1, 2, 6):
+                level = minimal_level(a) * mult
+                for tw in characters:
+                    assert evaluate(a, level, twist=tw).equal(_termwise(a, level, tw))
 
 
-class TestSerialization:
-    def test_golden(self, e23):
-        op = generator_operator(e23, e23.monomial((1, 0), 1), 2)
-        one = repr(RATIONAL.one)
-        assert op.serialize().splitlines() == ["4 2 2", f"2 0 {one}", f"3 1 {one}"]
-
-    def test_zero_block(self, e23):
-        op = StepOperator(3, 3, {})
-        assert op.serialize() == "3 3 0"
+def _termwise(a, level, twist):
+    """The twisted evaluation as a blockwise sum of phase(deg t) * evaluate(t)."""
+    field = a.spec.field
+    for v in twist.values:
+        field = common_field(field, field_of(v))
+    blocks = {}
+    for t in a.terms:
+        single = AlgebraElement(a.spec, {(t.left, t.right): t.coeff})
+        phase = field.coerce(twist.phase(sub_degree(t.left.fiber, t.right.fiber)))
+        for lv, op in evaluate(single, level).blocks.items():
+            acc = blocks.setdefault(lv, {})
+            for key, v in op.entries.items():
+                v = phase * field.coerce(v)
+                acc[key] = v if key not in acc else acc[key] + v
+    return OperatorFamily(
+        level, {lv: StepOperator(level, lv, e) for lv, e in blocks.items()}
+    )
