@@ -24,10 +24,8 @@ from typing import Iterable, NamedTuple
 from .system import (
     BasisMonomial,
     Degree,
-    Fiber,
     FiberVector,
     SystemSpec,
-    add_fibers,
     max_fiber,
     same_system,
     sub_degree,
@@ -169,12 +167,7 @@ def vector_element(spec, v: FiberVector) -> AlgebraElement:
     """i(v) = sum_j v_j e(fiber;j)."""
     e = spec.identity_monomial
     return AlgebraElement.from_terms(
-        spec,
-        (
-            (c, BasisMonomial(v.fiber, j), e)
-            for j, c in enumerate(v.coeffs)
-            if not c.is_zero()
-        ),
+        spec, ((c, BasisMonomial(v.fiber, j), e) for j, c in v.entries.items())
     )
 
 
@@ -185,12 +178,8 @@ def vector_projection(spec, v: FiberVector) -> AlgebraElement:
         raise ValueError("cannot project along the zero vector")
     inv = norm.inv()
     acc: dict = {}
-    for j, a in enumerate(v.coeffs):
-        if a.is_zero():
-            continue
-        for l, b in enumerate(v.coeffs):
-            if b.is_zero():
-                continue
+    for j, a in v.entries.items():
+        for l, b in v.entries.items():
             acc[(BasisMonomial(v.fiber, j), BasisMonomial(v.fiber, l))] = (
                 inv * a * b.conj()
             )

@@ -13,6 +13,7 @@ relation m = l^a, n = l^b and the algebra is a matrix-circle tensor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,17 +47,103 @@ def fiber_of(x) -> Fiber:
 # ---------------------------------------------------------------------------
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 prime bases.
+
+    Deterministic for n < 3.3 * 10^24; above that a strong probable-prime
+    test.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(root, k) with root^k == n and k as large as possible."""
+    for k in range(n.bit_length(), 1, -1):
+        x = 1 << -(-n.bit_length() // k)  # Newton from above: floor(n^(1/k))
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
+        if x**k == n:
+            return x, k
+    return n, 1
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of a composite n with no factor in _MR_BASES."""
+    for c in itertools.count(1):
+        y, m, g, r, q = 2, 128, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            # the batched product overshot: redo the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, primes ascending.
+
+    Strips the Miller-Rabin bases by division, then splits what is left by
+    perfect-power roots and Pollard-Brent, so a large prime costs a few
+    modular exponentiations rather than sqrt(n) trial divisions.
+    """
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for p in _MR_BASES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    pending = [(n, 1)] if n > 1 else []
+    while pending:
+        m, mult = pending.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + mult
+            continue
+        root, k = _perfect_power(m)
+        if k > 1:
+            pending.append((root, mult * k))
+            continue
+        d = _pollard_brent(m)
+        pending += [(d, mult), (m // d, mult)]
+    return dict(sorted(out.items()))
 
 
 def prime_exponent_matrix(gen_dims) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -291,8 +378,13 @@ def annihilation_instance(spec: SystemSpec, pairs, shift_fiber=None) -> Annihila
 def _orthogonality_step(spec: SystemSpec, v: FiberVector, f: BasisMonomial, g: BasisMonomial):
     """One induction step: extend v so it kills the scheduled pair (f, g).
 
-    Swaps the pair if needed so the extension fiber is the strictly larger
-    one; equal dimensions violate the construction's hypothesis.
+    Swaps the pair if needed so the extension fiber t is the strictly larger
+    one; equal dimensions violate the construction's hypothesis.  The
+    constraint sums over the basis w of v's fiber r, but a w contributes
+    only when both coefficients v[j1] and v[j2] it reads are nonzero, where
+    j1 = (g.index * dim_r + w) // dim_t.  So the loop runs over the support
+    of v, and for each support index j1 over the window of dim_t values of w
+    that reach it: the cost is support * dim_t, whatever dim_r is.
     """
     s, t = f.fiber, g.fiber
     if spec.dim(s) == spec.dim(t):
@@ -314,14 +406,15 @@ def _orthogonality_step(spec: SystemSpec, v: FiberVector, f: BasisMonomial, g: B
     )
     # constraint[h][g'] accumulates <g.w, v.g'> <v.h, f.w> over w in B_r
     constraint = [[field.zero] * dim_t for _ in range(dim_s)]
-    for w in range(dim_r):
-        m1 = g.index * dim_r + w
-        j1, l1 = divmod(m1, dim_t)
-        m2 = f.index * dim_r + w
-        j2, l2 = divmod(m2, dim_s)
-        c = v.coeffs[j1].conj() * v.coeffs[j2]
-        if not c.is_zero():
-            constraint[l2][l1] = constraint[l2][l1] + phase * c
+    g_off, f_off = g.index * dim_r, f.index * dim_r
+    for j1, a in v.entries.items():
+        start = j1 * dim_t - g_off  # (g_off + w) // dim_t == j1 on this window
+        a = a.conj()
+        for w in range(max(0, start), min(dim_r, start + dim_t)):
+            j2, l2 = divmod(f_off + w, dim_s)
+            b = v.entries.get(j2)
+            if b is not None:
+                constraint[l2][w - start] += phase * (a * b)
     # v' must be orthogonal to every row: sum_j v'_j conj(row_j) = 0
     rows = [[x.conj() for x in row] for row in constraint]
     kernel = linalg.nullspace(rows, dim_t, field)
@@ -329,8 +422,7 @@ def _orthogonality_step(spec: SystemSpec, v: FiberVector, f: BasisMonomial, g: B
         raise HypothesisViolationError(
             f"no orthogonal extension exists for pair ({f!r}, {g!r})"
         )
-    v_next = FiberVector(t, tuple(kernel[0]))
-    return spec.mul_vectors(v, v_next)
+    return spec.mul_vectors(v, spec.vector(t, kernel[0]))
 
 
 def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> FiberVector:
@@ -391,6 +483,15 @@ def annihilation_residues(
     The inner factors i(fw)* (x y*) i(f'w) are tiny; when all of them vanish
     the residue is structurally zero and no outer product is formed.
 
+    The pair element x y* is never evaluated at the base level, which is an
+    lcm of fiber dimensions and can be astronomically large.  Each of its
+    terms is one diagonal run at that level, so it is applied column by
+    column to the sparse operator i(f'w): an entry in row i lands in the
+    term's run only when i falls in the run's column window, and then moves
+    to the matching row of the run.  The cost is terms times the support of
+    w times small levels; the base level stays an integer that is never
+    enumerated.
+
     Twisted specs have no step model; the returned list then holds booleans
     from an exact normal-form check of the expanded product instead.
     """
@@ -407,11 +508,8 @@ def annihilation_residues(
     lifted = add_fibers(c, w.fiber)
     dim_lift = spec.dim(lifted)
     required = 1
-    pair_fibers = []
-    for x, y in instance.pairs:
-        fx, fy = fiber_of(x), fiber_of(y)
-        pair_fibers.append((fx, fy))
-        required = math.lcm(required, dim_lift * spec.dim(fy))
+    for _, y in instance.pairs:
+        required = math.lcm(required, dim_lift * spec.dim(fiber_of(y)))
     if base_level is None:
         base_level = required
     if base_level < 1 or base_level % required != 0:
@@ -429,27 +527,32 @@ def annihilation_residues(
         return column_cache[key]
 
     out = []
-    for (x, y), (fx, fy) in zip(instance.pairs, pair_fibers):
-        mid_ops = list(
-            steprep.evaluate(_pair_element(spec, x, y), base_level).blocks.values()
-        )
+    for x, y in instance.pairs:
+        stripe = base_level // spec.dim(fiber_of(y))
+        level_out = stripe * spec.dim(fiber_of(x))
+        # each term e(x;j) e(y;l)* is the run taking rows [l*stripe, (l+1)*stripe)
+        # of V_(base_level) to rows [j*stripe, (j+1)*stripe) of V_(level_out)
+        runs: dict = {}
+        for t in _pair_element(spec, x, y).terms:
+            runs.setdefault(t.right.index, []).append((t.left.index * stripe, t.coeff))
         k_in = base_level // dim_lift
-        k_out = base_level * spec.dim(fx) // (spec.dim(fy) * dim_lift)
-        level_out = k_out * dim_lift
-        if not mid_ops:
-            out.append(
-                steprep.OperatorFamily(
-                    base_level,
-                    {level_out: steprep.StepOperator(base_level, level_out, {})},
-                )
-            )
-            continue
-        mid = mid_ops[0]
+        k_out = level_out // dim_lift
+        # applied[fj] = (x y*) o i(f_j w), one column entry at a time
+        applied = []
+        for fj in range(len(shifted)):
+            moved: dict = {}
+            for (i, col), a in column(fj, k_in).entries.items():
+                window, offset = divmod(i, stripe)
+                for row0, coeff in runs.get(window, ()):
+                    key = (row0 + offset, col)
+                    cur = moved.get(key)
+                    moved[key] = coeff * a if cur is None else cur + coeff * a
+            applied.append(steprep.StepOperator(k_in, level_out, moved))
         inner = {}
         for fi in range(len(shifted)):
             left = column(fi, k_out).conj_transpose()
             for fj in range(len(shifted)):
-                op = left.compose(mid).compose(column(fj, k_in))
+                op = left.compose(applied[fj])
                 if not op.is_zero():
                     inner[fi, fj] = op
         entries: dict = {}

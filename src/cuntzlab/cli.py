@@ -285,7 +285,7 @@ def _cmd_kill(args, reporter: Reporter) -> int:
         return 1
     except ValueError as err:
         raise UsageError(str(err)) from None
-    support = sum(1 for c in vector.coeffs if not c.is_zero())
+    support = len(vector.entries)
     reporter.emit(
         f"shift fiber: {_fiber_text(instance.shift_fiber)}",
         command="kill",

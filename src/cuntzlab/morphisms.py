@@ -81,12 +81,6 @@ class RelationReport:
     violations: tuple
     checked: int
 
-    def describe(self) -> str:
-        head = "ok" if self.ok else f"{len(self.violations)} violation(s)"
-        lines = [f"relations: {head} out of {self.checked} checked"]
-        lines.extend("  " + v for v in self.violations)
-        return "\n".join(lines)
-
 
 class GeneratorAssignment:
     """A choice of target image for every generator isometry.

@@ -162,9 +162,7 @@ def vector_operator(spec: SystemSpec, v, level: int) -> StepOperator:
     if level < 1:
         raise ValueError("levels are positive integers")
     entries = {}
-    for idx, coeff in enumerate(v.coeffs):
-        if coeff.is_zero():
-            continue
+    for idx, coeff in v.entries.items():
         for t in range(level):
             entries[(idx * level + t, t)] = coeff
     return StepOperator(level, level * spec.dim(v.fiber), entries)

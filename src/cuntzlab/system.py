@@ -24,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import (
-    FLOAT,
-    RATIONAL,
-    Scalar,
-    ScalarField,
-    field_named,
-)
+from .scalars import RATIONAL, Scalar, ScalarField, field_named
 
 Fiber = tuple[int, ...]
 Degree = tuple[int, ...]
@@ -60,18 +54,45 @@ class BasisMonomial:
         return f"e({coords};{self.index})"
 
 
-@dataclass(frozen=True)
 class FiberVector:
-    """A vector in one fiber: an explicit scalar coefficient per basis slot."""
+    """A vector in one fiber, stored by its support.
 
-    fiber: Fiber
-    coeffs: tuple
+    ``entries`` maps a basis index to its coefficient and holds only nonzero
+    coefficients, so every operation costs the size of the support, not the
+    fiber dimension ``dim``, which the annihilation construction drives to
+    astronomical sizes.  ``coeffs`` materializes the dense coefficient tuple
+    on demand; it costs ``dim`` and is meant for small fibers.  Two vectors
+    are equal when they share the fiber and the nonzero coefficients.
+    """
+
+    __slots__ = ("fiber", "dim", "entries", "_zero")
+
+    def __init__(self, fiber: Fiber, dim: int, entries: dict, zero: Scalar):
+        self.fiber = fiber
+        self.dim = dim
+        self.entries = {j: c for j, c in entries.items() if not c.is_zero()}
+        self._zero = zero
+
+    @property
+    def coeffs(self) -> tuple:
+        out = [self._zero] * self.dim
+        for j, c in self.entries.items():
+            out[j] = c
+        return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.entries
+
+    def __eq__(self, other):
+        if not isinstance(other, FiberVector):
+            return NotImplemented
+        return self.fiber == other.fiber and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.fiber, frozenset(self.entries.items())))
 
     def __repr__(self):
-        return f"FiberVector({self.fiber}, {list(self.coeffs)})"
+        return f"FiberVector({self.fiber}, {dict(sorted(self.entries.items()))})"
 
 
 def add_fibers(s: Fiber, t: Fiber) -> Fiber:
@@ -194,19 +215,20 @@ class SystemSpec:
         return BasisMonomial((0,) * self.k, 0)
 
     def vector(self, fiber, coeffs) -> FiberVector:
+        """The vector with the given dense list of coefficients."""
         fiber = self.check_fiber(fiber)
-        coeffs = tuple(self.field.coerce(c) for c in coeffs)
+        coeffs = [self.field.coerce(c) for c in coeffs]
         if len(coeffs) != self.dim(fiber):
             raise ValueError(
                 f"fiber {fiber} has dimension {self.dim(fiber)}, "
                 f"got {len(coeffs)} coefficients"
             )
-        return FiberVector(fiber, coeffs)
+        return FiberVector(fiber, len(coeffs), dict(enumerate(coeffs)), self.field.zero)
 
     def unit_vector(self, x: BasisMonomial) -> FiberVector:
-        coeffs = [self.field.zero] * self.dim(x.fiber)
-        coeffs[x.index] = self.field.one
-        return FiberVector(x.fiber, tuple(coeffs))
+        return FiberVector(
+            x.fiber, self.dim(x.fiber), {x.index: self.field.one}, self.field.zero
+        )
 
     # -- multiplication ----------------------------------------------------
 
@@ -245,24 +267,24 @@ class SystemSpec:
     def mul_vectors(self, v: FiberVector, w: FiberVector) -> FiberVector:
         """Lexicographic product of two fiber vectors (a twisted tensor)."""
         phase = self.multiplier(v.fiber, w.fiber)
-        dim_w = self.dim(w.fiber)
-        out = [self.field.zero] * (self.dim(v.fiber) * dim_w)
-        for j, a in enumerate(v.coeffs):
-            if a.is_zero():
-                continue
-            for l, b in enumerate(w.coeffs):
-                if b.is_zero():
-                    continue
-                out[j * dim_w + l] = phase * a * b
-        return FiberVector(add_fibers(v.fiber, w.fiber), tuple(out))
+        dim_w = w.dim
+        out = {
+            j * dim_w + l: phase * a * b
+            for j, a in v.entries.items()
+            for l, b in w.entries.items()
+        }
+        return FiberVector(
+            add_fibers(v.fiber, w.fiber), v.dim * dim_w, out, self.field.zero
+        )
 
     def inner(self, v: FiberVector, w: FiberVector) -> Scalar:
         """<v, w> = sum v_j * conj(w_j); conjugate-linear in the second slot."""
         if v.fiber != w.fiber:
             raise ValueError("inner product needs vectors in the same fiber")
         out = self.field.zero
-        for a, b in zip(v.coeffs, w.coeffs):
-            if not (a.is_zero() or b.is_zero()):
+        for j, a in v.entries.items():
+            b = w.entries.get(j)
+            if b is not None:
                 out = out + a * b.conj()
         return out
 

@@ -1,6 +1,7 @@
 """Classification and the compression-annihilation construction."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cuntzlab import algebra, analysis, scalars, steprep
 from cuntzlab.analysis import (
     AnnihilationInstance,
     HypothesisViolationError,
+    _factorize,
     annihilating_vector,
     annihilation_instance,
     annihilation_residues,
@@ -41,6 +43,24 @@ class TestPrimeExponents:
 
     def test_dimension_one(self):
         assert prime_exponent_matrix((1, 5)) == ((5,), ((0, 1),))
+
+
+class TestFactorize:
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        cases = [1, 2, 4, 10**18 + 3, 2**79, 3**50, 41**14]
+        cases += [rng.randrange(2, 10**24) for _ in range(12)]
+        for _ in range(4):
+            # semiprimes and prime powers with factors far past trial division
+            p = sympy.nextprime(rng.randrange(10**5, 10**6))
+            q = sympy.nextprime(rng.randrange(10**8, 10**12))
+            cases += [p * q, p**2 * q, q**2, p**3, sympy.nextprime(rng.randrange(10**23, 10**24))]
+        for n in cases:
+            assert _factorize(n) == sympy.factorint(n), n
+
+    def test_primes_ascending(self):
+        assert list(_factorize(2**3 * 3 * 101**2 * 1000003)) == [2, 3, 101, 1000003]
 
 
 class TestCommonPowerBase:

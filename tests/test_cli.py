@@ -17,6 +17,7 @@ SPEC_TEXTS = {
     "e23": "k = 2\ndims = 2 3\n",
     "e24": "k = 2\ndims = 2 4\n",
     "e26": "k = 2\ndims = 2 6\n",
+    "e2p": "k = 2\ndims = 2 1000000000000000003\n",
     "tw14": "k = 2\ndims = 1 1\ntheta = 0 0 1/4 0\nscalars = cyclotomic:4\n",
 }
 
@@ -191,6 +192,13 @@ def test_classify_tensor_circle(capsys, spec_path):
     assert out == "TensorCircle(2)\n"
 
 
+def test_classify_large_prime_dimension(capsys, spec_path):
+    # 10^18 + 3 is prime; trial division up to its square root never ends
+    code, out, _ = run_cli(capsys, ["classify", "--spec", spec_path("e2p")])
+    assert code == 0
+    assert out == "SimplePurelyInfinite\n"
+
+
 def test_classify_unknown_exits_one(capsys, spec_path):
     code, out, _ = run_cli(capsys, ["classify", "--spec", spec_path("tw14")])
     assert code == 1
@@ -226,6 +234,32 @@ def test_kill_report(capsys, spec_path):
     assert lines_of(out) == [
         "shift fiber: (1,1)",
         "vector fiber: (0,6), support 1 of 729",
+        "compressed pair: zero",
+    ]
+
+
+def test_kill_deep_construction(capsys, spec_path):
+    # 36 orthogonality steps, each extending by a fiber of dimension 9: the
+    # vector lives in a fiber of dimension 3^72 with a single nonzero entry
+    code, out, _ = run_cli(
+        capsys, ["kill", "--spec", spec_path("e23"), "e(2,0;0)", "e(0,2;0)"]
+    )
+    assert code == 0
+    assert lines_of(out) == [
+        "shift fiber: (2,2)",
+        f"vector fiber: (0,72), support 1 of {3**72}",
+        "compressed pair: zero",
+    ]
+
+
+def test_kill_dims_two_four(capsys, spec_path):
+    code, out, _ = run_cli(
+        capsys, ["kill", "--spec", spec_path("e24"), "e(1,0;0)", "e(0,1;0)"]
+    )
+    assert code == 0
+    assert lines_of(out) == [
+        "shift fiber: (1,1)",
+        "vector fiber: (0,8), support 1 of 65536",
         "compressed pair: zero",
     ]
 

@@ -1,15 +1,11 @@
 """The step-function model: exact sparse operators on refinement levels."""
 
-import math
-from fractions import Fraction
-
 import pytest
 
 from cuntzlab import algebra
 from cuntzlab.algebra import AlgebraElement
 from cuntzlab.scalars import (
     RATIONAL,
-    FloatComplex,
     RationalComplex,
     common_field,
     cyclotomic_field,
