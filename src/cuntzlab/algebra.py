@@ -11,10 +11,20 @@ most dim(s) surviving terms along a stride.  Zero and equality testing go
 through ``normal_form``: per degree g = p(x) - p(y), every term is raised to
 the common bidegree (c, c - g), c the coordinatewise max of the left fibers,
 using xy* = sum_f (x.f)(y.f)* over the basis of the missing fiber.  The
-resulting matrix of coefficients vanishes exactly when the element is zero,
+coefficients at that bidegree vanish exactly when the element is zero,
 because the monomials at one bidegree are linearly independent whenever the
 system admits a nontrivial Cuntz representation - which every twisted
 lexicographic system does, and those are the only systems the engine builds.
+
+Their dim(c) x dim(c - g) block grows like m^s and is never built.  A
+raised term is one diagonal run: x.f has index x.index * fill + f, fill the
+dimension of the missing fiber.  The runs of a degree are grouped by offset
+col - row, and a sweep over the sorted endpoints of each offset sums the
+runs covering each piece between consecutive endpoints.  On one offset the
+runs of one left fiber are the disjoint [j*fill, (j+1)*fill), so at most F
+runs cover a piece, F the number of left fibers in the degree.  R terms
+cost O(R log R + R*F) scalar operations and O(R) memory, whatever the fiber
+dimensions; ``expand_normal_form`` costs one term per entry it emits.
 """
 
 from __future__ import annotations
@@ -250,10 +260,14 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 class NormalForm:
-    """Canonical matrix data of an element: per degree g a block (c, matrix)
-    with matrix[j][l] the coefficient of e(c;j) e(c-g;l)'.
+    """Canonical run data of an element: per degree g a block (c, runs).
 
-    All-zero blocks are dropped, so the element is zero in the algebra
+    A run ``(row0, col0, length, coeff)`` puts ``coeff`` on the entries
+    e(c;row0+f) e(c-g;col0+f)' for f < length; entries no run covers are
+    zero.  Runs are sorted by (row0, col0), never overlap and hold nonzero
+    coefficients only, each the sum from the field's zero, in term order, of
+    the raised terms covering it (bit for bit the entry's value on floats).
+    Blocks without runs are dropped, so the element is zero in the algebra
     exactly when ``blocks`` is empty.
     """
 
@@ -261,7 +275,7 @@ class NormalForm:
 
     def __init__(self, spec: SystemSpec, blocks: dict):
         self.spec = spec
-        self.blocks = blocks  # degree -> (c, tuple of row tuples)
+        self.blocks = blocks  # degree -> (c, tuple of runs)
 
     def is_zero(self) -> bool:
         return not self.blocks
@@ -274,9 +288,24 @@ class NormalForm:
         return f"NormalForm<degrees: {keys or '0 (empty)'}>"
 
 
+def _sweep(segments: list, offset: int, zero) -> list:
+    """Nonzero runs of one diagonal from its raised terms (start, end, coeff)
+    in term order: each piece between endpoints sums the terms covering it."""
+    points = sorted({p for start, end, _ in segments for p in (start, end)})
+    where = {p: i for i, p in enumerate(points)}
+    sums = [zero] * (len(points) - 1)
+    for start, end, coeff in segments:
+        for i in range(where[start], where[end]):
+            sums[i] = sums[i] + coeff
+    return [
+        (points[i], points[i] + offset, points[i + 1] - points[i], v)
+        for i, v in enumerate(sums)
+        if not v.is_zero()
+    ]
+
+
 def normal_form(a: AlgebraElement) -> NormalForm:
     spec = a.spec
-    field = spec.field
     by_degree: dict[Degree, list[Term]] = {}
     for t in a.terms:
         by_degree.setdefault(sub_degree(t.left.fiber, t.right.fiber), []).append(t)
@@ -286,40 +315,38 @@ def normal_form(a: AlgebraElement) -> NormalForm:
         c = terms[0].left.fiber
         for t in terms[1:]:
             c = max_fiber(c, t.left.fiber)
-        c_right = sub_degree(c, degree)  # in N^k since c >= every left fiber
-        rows, cols = spec.dim(c), spec.dim(tuple(c_right))
-        matrix = [[field.zero] * cols for _ in range(rows)]
+        by_offset: dict[int, list] = {}
+        raising: dict = {}  # (left fiber, right fiber) -> (fill, phase)
         for t in terms:
-            raise_by = sub_degree(c, t.left.fiber)
-            fill = spec.dim(tuple(raise_by))
-            phase = (
-                spec.multiplier(t.left.fiber, tuple(raise_by))
-                * spec.multiplier(t.right.fiber, tuple(raise_by)).conj()
-            )
-            coeff = t.coeff * phase
+            key = (t.left.fiber, t.right.fiber)
+            if key not in raising:
+                r = sub_degree(c, t.left.fiber)
+                phase = spec.multiplier(key[0], r) * spec.multiplier(key[1], r).conj()
+                raising[key] = (spec.dim(r), phase)
+            fill, phase = raising[key]
             row0 = t.left.index * fill
-            col0 = t.right.index * fill
-            for f in range(fill):
-                row, col = row0 + f, col0 + f
-                matrix[row][col] = matrix[row][col] + coeff
-        if any(not x.is_zero() for row in matrix for x in row):
-            blocks[degree] = (c, tuple(tuple(row) for row in matrix))
+            # untwisted phases are the field's one
+            coeff = t.coeff * phase if spec.is_twisted else t.coeff
+            by_offset.setdefault(t.right.index * fill - row0, []).append(
+                (row0, row0 + fill, coeff)
+            )
+        runs = [run for d, segs in by_offset.items() for run in _sweep(segs, d, spec.field.zero)]
+        if runs:
+            blocks[degree] = (c, tuple(sorted(runs)))
     return NormalForm(spec, blocks)
 
 
 def expand_normal_form(nf: NormalForm) -> AlgebraElement:
-    """Rebuild an element from its normal form blocks."""
-    spec = nf.spec
+    """Rebuild an element from its normal form runs, one term per entry."""
     triples = []
-    for degree, (c, matrix) in nf.blocks.items():
-        c_right = tuple(sub_degree(c, degree))
-        for j, row in enumerate(matrix):
-            for l, coeff in enumerate(row):
-                if not coeff.is_zero():
-                    triples.append(
-                        (coeff, BasisMonomial(c, j), BasisMonomial(c_right, l))
-                    )
-    return AlgebraElement.from_terms(spec, triples)
+    for degree, (c, runs) in nf.blocks.items():
+        c_right = sub_degree(c, degree)
+        for row0, col0, length, coeff in runs:
+            for f in range(length):
+                triples.append(
+                    (coeff, BasisMonomial(c, row0 + f), BasisMonomial(c_right, col0 + f))
+                )
+    return AlgebraElement.from_terms(nf.spec, triples)
 
 
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:

@@ -113,19 +113,22 @@ def to_algebra(spec: SystemSpec, s: CoreElement) -> algebra.AlgebraElement:
 
 
 def from_algebra(a: algebra.AlgebraElement) -> CoreElement:
-    """Core matrix of a degree-zero element (its normal-form block)."""
+    """Core matrix of a degree-zero element (its normal-form runs)."""
     spec = a.spec
     for t in a.terms:
         if t.left.fiber != t.right.fiber:
             raise ValueError(
                 f"element has a nonzero-degree term {t.left!r}{t.right!r}'"
             )
-    nf = algebra.normal_form(a)
-    block = nf.block((0,) * spec.k)
+    block = algebra.normal_form(a).block((0,) * spec.k)
     if block is None:
         return zero_core(spec, (0,) * spec.k)
-    c, matrix = block
-    return CoreElement(c, matrix)
+    c, runs = block
+    rows = [list(r) for r in zero_core(spec, c).matrix]
+    for row0, col0, length, coeff in runs:
+        for f in range(length):
+            rows[row0 + f][col0 + f] = coeff
+    return CoreElement(c, tuple(tuple(r) for r in rows))
 
 
 def multiply_core(spec: SystemSpec, a: CoreElement, b: CoreElement) -> CoreElement:

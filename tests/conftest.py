@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cuntzlab import algebra, scalars
-from cuntzlab.system import SystemSpec, parse_spec_text
+from cuntzlab.system import SystemSpec, parse_spec_text, sub_degree
 
 
 @pytest.fixture
@@ -73,3 +73,19 @@ def random_element(spec, rng, nterms=3, max_sum=2):
             random_coeff(spec, rng),
         )
     return acc
+
+
+def dense_block(nf, degree):
+    """One normal-form block as a dense matrix expanded from its runs.
+
+    Cells that no run covers are zero; overlapping runs fail the test.
+    """
+    spec = nf.spec
+    c, runs = nf.block(degree)
+    rows = [[None] * spec.dim(sub_degree(c, degree)) for _ in range(spec.dim(c))]
+    for row0, col0, length, coeff in runs:
+        for f in range(length):
+            assert rows[row0 + f][col0 + f] is None, "runs overlap"
+            rows[row0 + f][col0 + f] = coeff
+    zero = spec.field.zero
+    return [[zero if x is None else x for x in row] for row in rows]

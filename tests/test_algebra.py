@@ -1,11 +1,10 @@
 """The spanned *-algebra: products, normal forms, expectation, shifts."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
-from cuntzlab import algebra, scalars, steprep
+from cuntzlab import scalars, steprep
 from cuntzlab.algebra import (
     adjoint,
     equals,
@@ -23,9 +22,8 @@ from cuntzlab.algebra import (
     zero,
 )
 from cuntzlab.linalg import is_positive_semidefinite
-from cuntzlab.system import BasisMonomial, SystemSpec
 
-from conftest import random_element, random_monomial
+from conftest import dense_block, random_element, random_monomial
 
 
 def _cuntz_sum(spec, fiber):
@@ -144,10 +142,11 @@ class TestNormalForm:
         nf = normal_form(a)
         assert not nf.is_zero()
         assert set(nf.blocks) == {(2, 0), (0, 1)}
-        c, matrix = nf.block((2, 0))
+        c, runs = nf.block((2, 0))
         assert c == (2, 0)
-        assert matrix[0][0].is_one()
-        assert sum(1 for row in matrix for v in row if not v.is_zero()) == 1
+        ((row0, col0, length, coeff),) = runs
+        assert (row0, col0, length) == (0, 0, 1)
+        assert coeff.is_one()
 
     def test_raising_merges_terms(self, e23):
         # x x* at fiber (1,0) raised into the (1,1) block stays diagonal
@@ -210,9 +209,9 @@ class TestGaugeExpectation:
             nf = normal_form(gauge_expectation(multiply(a.adjoint(), a)))
             if nf.is_zero():
                 continue
-            ((degree, (_, matrix)),) = nf.blocks.items()
+            ((degree, _),) = nf.blocks.items()
             assert degree == (0,) * e23.k
-            assert is_positive_semidefinite([list(r) for r in matrix], e23.field)
+            assert is_positive_semidefinite(dense_block(nf, degree), e23.field)
 
     def test_contractive_on_monomials(self, e23):
         # expectation of a nonzero-degree monomial pair is zero

@@ -2,13 +2,11 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from cuntzlab import algebra, analysis, scalars, steprep
+from cuntzlab import algebra, scalars, steprep
 from cuntzlab.analysis import (
-    AnnihilationInstance,
     HypothesisViolationError,
     _factorize,
     annihilating_vector,

@@ -74,6 +74,14 @@ def test_normalize_raises_to_common_fiber(capsys, spec_path):
     )
 
 
+def test_normalize_deep_single_term(capsys, spec_path):
+    # fiber (5,5) has dimension 7776; its degree block would hold 6*10^7 cells
+    term = "e(5,5;0)*e(5,5;0)'"
+    code, out, _ = run_cli(capsys, ["normalize", "--spec", spec_path("e23"), term])
+    assert code == 0
+    assert out == term + "\n"
+
+
 # --- equals ----------------------------------------------------------------
 
 
@@ -88,6 +96,14 @@ def test_equals_cuntz_sum_is_identity(capsys, spec_path):
             "I",
         ],
     )
+    assert code == 0
+    assert out == "true\n"
+
+
+def test_equals_deep_cuntz_sum_is_identity(capsys, spec_path):
+    # the 2592 range projections of fiber (5,4) sum to the identity
+    total = " + ".join(f"e(5,4;{j})*e(5,4;{j})'" for j in range(2 ** 5 * 3 ** 4))
+    code, out, _ = run_cli(capsys, ["equals", "--spec", spec_path("e23"), total, "I"])
     assert code == 0
     assert out == "true\n"
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlab import algebra, core, scalars
+from cuntzlab import algebra, scalars
 from cuntzlab.core import (
     core_element,
     core_equal,

@@ -12,7 +12,7 @@ from cuntzlab.expr import (
     parse_element,
     parse_scalar,
 )
-from cuntzlab.system import SystemSpec, parse_spec_text
+from cuntzlab.system import parse_spec_text
 
 from conftest import random_element
 

@@ -1,13 +1,15 @@
-"""Every name a package module imports at top level is used in that module.
+"""Every name a module imports at top level is used in that module.
 
-No linter runs on this package, so an import left behind by a refactor would
-otherwise go unnoticed.  ``__init__.py`` is skipped: it imports to re-export.
+No linter runs on this package or its tests, so an import left behind by a
+refactor would otherwise go unnoticed.  The package's ``__init__.py`` is
+skipped: it imports to re-export.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuntzlab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "cuntzlab"
 
 
 def _unused_imports(tree):
@@ -27,12 +29,20 @@ def _unused_imports(tree):
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-def test_no_unused_top_level_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+def _unused_by_file(paths):
+    assert paths
     unused = {}
-    for path in modules:
+    for path in paths:
         names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
         if names:
             unused[path.name] = names
-    assert unused == {}
+    return unused
+
+
+def test_no_unused_top_level_imports():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert _unused_by_file(modules) == {}
+
+
+def test_no_unused_imports_in_tests():
+    assert _unused_by_file(sorted(TESTS.glob("*.py"))) == {}

@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from cuntzlab import linalg
 from cuntzlab.scalars import RATIONAL, RationalComplex, cyclotomic_field
 

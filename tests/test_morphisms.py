@@ -1,16 +1,13 @@
 """Generator assignments, induced maps, and the factorization isomorphisms."""
 
-import random
-
 import pytest
 
-from cuntzlab import algebra, scalars
+from cuntzlab import algebra
 from cuntzlab.morphisms import (
     AlgebraTarget,
     GeneratorAssignment,
     IsomorphismPair,
     canonical_assignment,
-    check_relations,
     extend,
     factor_iso,
     format_assignment,

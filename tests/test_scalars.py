@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlab import scalars
 from cuntzlab.scalars import (
     FLOAT,
     RATIONAL,
