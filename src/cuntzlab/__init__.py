@@ -78,7 +78,6 @@ from .analysis import (
     HypothesisViolationError,
     annihilating_vector,
     annihilation_instance,
-    annihilation_residues,
     classify,
     dimension_injective,
     nonsimplicity_witness,
@@ -86,7 +85,6 @@ from .analysis import (
     verify_annihilation,
 )
 from .morphisms import (
-    AlgebraTarget,
     GeneratorAssignment,
     IsomorphismPair,
     RelationReport,

@@ -216,7 +216,6 @@ def rewrite_pair(
     omega(s,t) * conj(omega(t,s)).
     """
     s, t = x_prime.fiber, y_prime.fiber
-    field = spec.field
     if s == t:
         if x_prime.index != y_prime.index:
             return zero(spec)
@@ -224,11 +223,11 @@ def rewrite_pair(
     dim_s, dim_t = spec.dim(s), spec.dim(t)
     phase = spec.multiplier(s, t) * spec.multiplier(t, s).conj()
     base = y_prime.index * dim_s - x_prime.index * dim_t
-    acc: dict = {}
-    for lx in range(dim_s):
-        ly = base + lx
-        if 0 <= ly < dim_t:
-            acc[(BasisMonomial(s, lx), BasisMonomial(t, ly))] = phase
+    # survivors are the lx with 0 <= base + lx < dim_t
+    acc = {
+        (BasisMonomial(s, lx), BasisMonomial(t, base + lx)): phase
+        for lx in range(max(0, -base), min(dim_s, dim_t - base))
+    }
     return AlgebraElement(spec, acc)
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import algebra, linalg
+from . import algebra, linalg, steprep
 from .scalars import cyclotomic_field
 from .system import (
     BasisMonomial,
@@ -443,16 +443,15 @@ def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> Fib
     return v
 
 
-def _pair_element(spec: SystemSpec, x, y) -> algebra.AlgebraElement:
+def _element_of(spec: SystemSpec, x) -> algebra.AlgebraElement:
+    """i(x) for a basis monomial or a fiber vector x."""
     if isinstance(x, BasisMonomial):
-        left = algebra.isometry(spec, x)
-    else:
-        left = algebra.vector_element(spec, x)
-    if isinstance(y, BasisMonomial):
-        right = algebra.isometry(spec, y)
-    else:
-        right = algebra.vector_element(spec, y)
-    return algebra.multiply(left, right.adjoint())
+        return algebra.isometry(spec, x)
+    return algebra.vector_element(spec, x)
+
+
+def _pair_element(spec: SystemSpec, x, y) -> algebra.AlgebraElement:
+    return algebra.multiply(_element_of(spec, x), _element_of(spec, y).adjoint())
 
 
 def compressed_pair_element(
@@ -460,8 +459,8 @@ def compressed_pair_element(
 ) -> algebra.AlgebraElement:
     """alpha_c(Q) (x_i y_i*) alpha_c(Q) as an explicit algebra element.
 
-    Term count grows with the square of the vector's support; meant for
-    small instances and for cross-checking the operator route.
+    Term count grows with the square of the vector's support; the tests'
+    reference for ``verify_annihilation``, which never expands it.
     """
     q_proj = algebra.vector_projection(spec, w)
     compress = algebra.shift_endomorphism(q_proj, instance.shift_fiber)
@@ -471,122 +470,72 @@ def compressed_pair_element(
     )
 
 
-def annihilation_residues(
-    spec: SystemSpec, instance: AnnihilationInstance, w: FiberVector, base_level=None
-):
-    """Per pair, the evaluated compression alpha_c(Q) (x y*) alpha_c(Q).
+def verify_annihilation(
+    spec: SystemSpec, instance: AnnihilationInstance, w: FiberVector
+) -> bool:
+    """True when alpha_c(Q) (x y*) alpha_c(Q) = 0 for every pair (x, y).
 
-    Q is the rank-one projection along w.  Evaluation distributes over the
-    sandwich alpha_c(Q) = sum_f i(fw) i(fw)* / <w,w>, so each residue is
-    assembled from compositions of small step operators instead of the
-    expanded product, whose term count is quadratic in the vector support.
-    The inner factors i(fw)* (x y*) i(f'w) are tiny; when all of them vanish
-    the residue is structurally zero and no outer product is formed.
+    Q is the rank-one projection along w and c the shift fiber.  With
+    V = i(w), alpha_c(V) = sum_f i(f) V i(f)* over the basis f of c
+    satisfies alpha_c(V)* alpha_c(V) = <w,w> 1: it is sqrt<w,w> times an
+    isometry, and alpha_c(Q) = alpha_c(V) alpha_c(V)* / <w,w>.  So the
+    compression vanishes exactly when alpha_c(V)* (x y*) alpha_c(V) does.
+    The pieces i(f) V of alpha_c(V) have orthogonal ranges, so that in turn
+    vanishes exactly when every inner factor (i(f) V)* (x y*) (i(f') V)
+    does, and no outer product is ever formed.
 
-    The pair element x y* is never evaluated at the base level, which is an
-    lcm of fiber dimensions and can be astronomically large.  Each of its
-    terms is one diagonal run at that level, so it is applied column by
-    column to the sparse operator i(f'w): an entry in row i lands in the
-    term's run only when i falls in the run's column window, and then moves
-    to the matching row of the run.  The cost is terms times the support of
-    w times small levels; the base level stays an integer that is never
-    enumerated.
+    Untwisted specs decide the inner factors in the step model.  The pair
+    element x y* is never evaluated at its level dim(c + p(w)) * dim(y),
+    which can be astronomically large.  Each of its terms is one diagonal
+    run at that level, so it is applied column by column to the sparse
+    operator i(f' w): an entry in row i lands in the term's run only when i
+    falls in the run's column window, and then moves to the matching row of
+    the run.  The cost is dim(c) times the support of w times the terms of
+    x y* and the small levels dim(x) and dim(y); the level of x y* stays an
+    integer that is never enumerated.
 
-    Twisted specs have no step model; the returned list then holds booleans
-    from an exact normal-form check of the expanded product instead.
+    Twisted specs have no step model; they decide by the normal form of
+    alpha_c(V)* (x y*) alpha_c(V), multiplied out as (alpha_c(V)* i(x))
+    (alpha_c(V)* i(y))*.  alpha_c(V) has one term per support entry of w
+    and basis vector of c, where alpha_c(Q) has the square of the support.
+    Unless p(x) or p(y) is c + p(w) itself, the right monomials of both
+    factors lie in that fiber, so their product pairs terms one to one
+    instead of expanding the survivors of two different fibers.
     """
-    from . import steprep
-
-    if spec.is_twisted:
-        out = []
-        for i in range(len(instance.pairs)):
-            elem = compressed_pair_element(spec, instance, w, i)
-            out.append(algebra.normal_form(elem).is_zero())
-        return out
-
     c = instance.shift_fiber
-    lifted = add_fibers(c, w.fiber)
-    dim_lift = spec.dim(lifted)
-    required = 1
-    for _, y in instance.pairs:
-        required = math.lcm(required, dim_lift * spec.dim(fiber_of(y)))
-    if base_level is None:
-        base_level = required
-    if base_level < 1 or base_level % required != 0:
-        raise steprep.LevelError(base_level, required)
+    if spec.is_twisted:
+        adj = algebra.shift_endomorphism(algebra.vector_element(spec, w), c).adjoint()
+        for x, y in instance.pairs:
+            left = algebra.multiply(adj, _element_of(spec, x))
+            right = algebra.multiply(adj, _element_of(spec, y))
+            if not algebra.normal_form(algebra.multiply(left, right.adjoint())).is_zero():
+                return False
+        return True
 
-    norm = spec.inner(w, w)
-    inv_norm_sq = (norm * norm).inv()
-    shifted = [spec.mul_vectors(spec.unit_vector(f), w) for f in spec.basis(c)]
-    column_cache: dict = {}
-
-    def column(f_idx: int, level: int):
-        key = (f_idx, level)
-        if key not in column_cache:
-            column_cache[key] = steprep.vector_operator(spec, shifted[f_idx], level)
-        return column_cache[key]
-
-    out = []
+    stripe = spec.dim(add_fibers(c, w.fiber))
+    pieces = [spec.mul_vectors(spec.unit_vector(f), w) for f in spec.basis(c)]
     for x, y in instance.pairs:
-        stripe = base_level // spec.dim(fiber_of(y))
-        level_out = stripe * spec.dim(fiber_of(x))
-        # each term e(x;j) e(y;l)* is the run taking rows [l*stripe, (l+1)*stripe)
-        # of V_(base_level) to rows [j*stripe, (j+1)*stripe) of V_(level_out)
+        # i(f w) maps V_(dim y) into V_(stripe * dim y); each term
+        # e(x;j) e(y;l)* is the run taking its rows [l*stripe, (l+1)*stripe)
+        # to rows [j*stripe, (j+1)*stripe) of V_(stripe * dim x)
+        k_in, k_out = spec.dim(fiber_of(y)), spec.dim(fiber_of(x))
         runs: dict = {}
         for t in _pair_element(spec, x, y).terms:
             runs.setdefault(t.right.index, []).append((t.left.index * stripe, t.coeff))
-        k_in = base_level // dim_lift
-        k_out = level_out // dim_lift
-        # applied[fj] = (x y*) o i(f_j w), one column entry at a time
+        # applied[f'] = (x y*) o i(f' w), one column entry at a time
         applied = []
-        for fj in range(len(shifted)):
+        for piece in pieces:
             moved: dict = {}
-            for (i, col), a in column(fj, k_in).entries.items():
+            for (i, col), a in steprep.vector_operator(spec, piece, k_in).entries.items():
                 window, offset = divmod(i, stripe)
                 for row0, coeff in runs.get(window, ()):
                     key = (row0 + offset, col)
                     cur = moved.get(key)
                     moved[key] = coeff * a if cur is None else cur + coeff * a
-            applied.append(steprep.StepOperator(k_in, level_out, moved))
-        inner = {}
-        for fi in range(len(shifted)):
-            left = column(fi, k_out).conj_transpose()
-            for fj in range(len(shifted)):
-                op = left.compose(applied[fj])
-                if not op.is_zero():
-                    inner[fi, fj] = op
-        entries: dict = {}
-        for (fi, fj), op in inner.items():
-            scaled = steprep.StepOperator(
-                op.level_in,
-                op.level_out,
-                {k: v * inv_norm_sq for k, v in op.entries.items()},
-            )
-            piece = column(fi, k_out).compose(scaled).compose(
-                column(fj, k_in).conj_transpose()
-            )
-            for k, v in piece.entries.items():
-                cur = entries.get(k)
-                entries[k] = v if cur is None else cur + v
-        entries = {k: v for k, v in entries.items() if not v.is_zero()}
-        out.append(
-            steprep.OperatorFamily(
-                base_level,
-                {level_out: steprep.StepOperator(base_level, level_out, entries)},
-            )
-        )
-    return out
-
-
-def verify_annihilation(
-    spec: SystemSpec, instance: AnnihilationInstance, w: FiberVector, base_level=None
-) -> bool:
-    results = annihilation_residues(spec, instance, w, base_level)
-    for r in results:
-        if r is True:
-            continue
-        if r is False:
-            return False
-        if not r.is_zero():
-            return False
+            applied.append(steprep.StepOperator(k_in, stripe * k_out, moved))
+        for piece in pieces:
+            left = steprep.vector_operator(spec, piece, k_out).conj_transpose()
+            for op in applied:
+                if not left.compose(op).is_zero():
+                    return False
     return True

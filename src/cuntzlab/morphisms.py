@@ -1,11 +1,11 @@
 """Generator assignments and induced *-homomorphisms.
 
-A representation of the algebra in another algebra (or in concrete step
-operators) is pinned down by where the generator isometries go.  This module
-checks the defining relations for a proposed assignment, extends verified
-assignments to arbitrary basis monomials and algebra elements, and builds the
-explicit isomorphism that absorbs one generator dimension into another
-(``factor_iso``) together with a round-trip verifier.
+A representation of the algebra in another algebra is pinned down by where
+the generator isometries go.  This module checks the defining relations for a
+proposed assignment, extends verified assignments to arbitrary basis
+monomials and algebra elements, and builds the explicit isomorphism that
+absorbs one generator dimension into another (``factor_iso``) together with
+a round-trip verifier.
 """
 
 from __future__ import annotations
@@ -21,49 +21,6 @@ from .system import (
     add_fibers,
     same_system,
 )
-
-
-# ---------------------------------------------------------------------------
-# Targets.  A target bundles the ambient arithmetic the generator images live
-# in: identity/zero, product, sum, scaling, adjoint and an equality test.
-
-
-class AlgebraTarget:
-    """Images live in the dense *-algebra of ``spec``.
-
-    Equality is exact normal-form equality, so relation reports against this
-    target decide the relations exactly.
-    """
-
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
-
-    def identity(self) -> AlgebraElement:
-        return algebra.identity(self.spec)
-
-    def zero(self) -> AlgebraElement:
-        return algebra.zero(self.spec)
-
-    def generator(self, x: BasisMonomial) -> AlgebraElement:
-        return algebra.isometry(self.spec, x)
-
-    def multiply(self, a, b):
-        return algebra.multiply(a, b)
-
-    def add(self, a, b):
-        return a + b
-
-    def scale(self, coeff, a):
-        return a.scaled(coeff)
-
-    def adjoint(self, a):
-        return a.adjoint()
-
-    def equal(self, a, b) -> bool:
-        return algebra.equals(a, b)
-
-    def coerce(self, coeff):
-        return self.spec.field.coerce(coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +42,14 @@ class RelationReport:
 class GeneratorAssignment:
     """A choice of target image for every generator isometry.
 
-    ``images`` maps ``(a, i)`` to a target element, where ``a`` is the
-    1-based generator slot and ``0 <= i < m_a`` indexes its basis.  The
-    relation report is computed lazily and cached; extension to monomials
-    refuses to run until the report is clean.
+    ``images`` maps ``(a, i)`` to an element of the algebra of the
+    ``target`` spec, where ``a`` is the 1-based generator slot and
+    ``0 <= i < m_a`` indexes its basis.  The relation report is computed
+    lazily and cached; extension to monomials refuses to run until the
+    report is clean.
     """
 
-    def __init__(self, source: SystemSpec, target, images: dict):
+    def __init__(self, source: SystemSpec, target: SystemSpec, images: dict):
         expected = {
             (a, i)
             for a in range(1, source.k + 1)
@@ -126,13 +84,12 @@ class GeneratorAssignment:
 
 def canonical_assignment(spec: SystemSpec) -> GeneratorAssignment:
     """The identity assignment of a spec onto its own algebra."""
-    target = AlgebraTarget(spec)
     images = {
-        (a, i): target.generator(spec.monomial(spec.unit_fiber(a - 1), i))
+        (a, i): algebra.isometry(spec, spec.monomial(spec.unit_fiber(a - 1), i))
         for a in range(1, spec.k + 1)
         for i in range(spec.gen_dims[a - 1])
     }
-    return GeneratorAssignment(spec, target, images)
+    return GeneratorAssignment(spec, spec, images)
 
 
 def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> RelationReport:
@@ -144,9 +101,8 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
     scalar ratio a twisted source imposes.  Violations are report entries,
     not exceptions.
     """
-    tgt = assignment.target
-    one = tgt.identity()
-    nothing = tgt.zero()
+    one = algebra.identity(assignment.target)
+    nothing = algebra.zero(assignment.target)
     violations = []
     checked = 0
     for a in range(1, spec.k + 1):
@@ -155,19 +111,19 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
         for i in range(d_a):
             for j in range(d_a):
                 checked += 1
-                prod = tgt.multiply(tgt.adjoint(us[i]), us[j])
+                prod = algebra.multiply(us[i].adjoint(), us[j])
                 if i == j:
-                    if not tgt.equal(prod, one):
+                    if not algebra.equals(prod, one):
                         violations.append(f"isometry: U({a},{i})' U({a},{i}) != I")
-                elif not tgt.equal(prod, nothing):
+                elif not algebra.equals(prod, nothing):
                     violations.append(
                         f"orthogonality: U({a},{i})' U({a},{j}) != 0"
                     )
         total = nothing
         for i in range(d_a):
-            total = tgt.add(total, tgt.multiply(us[i], tgt.adjoint(us[i])))
+            total = total + algebra.multiply(us[i], us[i].adjoint())
         checked += 1
-        if not tgt.equal(total, one):
+        if not algebra.equals(total, one):
             violations.append(f"range sum: sum_i U({a},i) U({a},i)' != I")
     for a in range(1, spec.k + 1):
         e_a = spec.unit_fiber(a - 1)
@@ -183,10 +139,9 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
                     # mixed fiber; the reversed order reaches the same slot
                     # as p*d_a + q.
                     p, q = divmod(i * d_b + j, d_a)
-                    lhs = tgt.multiply(assignment.image(a, i), assignment.image(b, j))
-                    rhs = tgt.multiply(assignment.image(b, p), assignment.image(a, q))
-                    rhs = tgt.scale(tgt.coerce(ratio), rhs)
-                    if not tgt.equal(lhs, rhs):
+                    lhs = algebra.multiply(assignment.image(a, i), assignment.image(b, j))
+                    rhs = algebra.multiply(assignment.image(b, p), assignment.image(a, q))
+                    if not algebra.equals(lhs, rhs.scaled(ratio)):
                         violations.append(
                             f"commutation: U({a},{i}) U({b},{j}) != "
                             f"ratio * U({b},{p}) U({a},{q})"
@@ -228,7 +183,7 @@ def extend(spec: SystemSpec, assignment: GeneratorAssignment, x: BasisMonomial, 
         raise ValueError("monomial does not belong to the assignment's source")
     _require_verified(assignment)
     digits = _ordered_digits(spec, x, order)
-    out = assignment.target.identity()
+    out = algebra.identity(assignment.target)
     if spec.is_twisted:
         phase = spec.field.one
         fiber = (0,) * spec.k
@@ -236,14 +191,12 @@ def extend(spec: SystemSpec, assignment: GeneratorAssignment, x: BasisMonomial, 
             e_a = spec.unit_fiber(slot0)
             phase = phase * spec.multiplier(fiber, e_a)
             fiber = add_fibers(fiber, e_a)
-            out = assignment.target.multiply(out, assignment.image(slot0 + 1, digit))
+            out = algebra.multiply(out, assignment.image(slot0 + 1, digit))
         if not phase == spec.field.one:
-            out = assignment.target.scale(
-                assignment.target.coerce(phase.conj()), out
-            )
+            out = out.scaled(phase.conj())
         return out
     for slot0, digit in digits:
-        out = assignment.target.multiply(out, assignment.image(slot0 + 1, digit))
+        out = algebra.multiply(out, assignment.image(slot0 + 1, digit))
     return out
 
 
@@ -252,13 +205,11 @@ def map_element(assignment: GeneratorAssignment, element: AlgebraElement, order=
     _require_verified(assignment)
     if not same_system(element.spec, assignment.source):
         raise ValueError("element does not belong to the assignment's source")
-    tgt = assignment.target
-    out = tgt.zero()
+    out = algebra.zero(assignment.target)
     for term in element.terms:
         left = extend(assignment.source, assignment, term.left, order)
         right = extend(assignment.source, assignment, term.right, order)
-        word = tgt.multiply(left, tgt.adjoint(right))
-        out = tgt.add(out, tgt.scale(tgt.coerce(term.coeff), word))
+        out = out + algebra.multiply(left, right.adjoint()).scaled(term.coeff)
     return out
 
 
@@ -279,14 +230,6 @@ class IsomorphismPair:
     forward: GeneratorAssignment
     backward: GeneratorAssignment
 
-    @property
-    def source(self) -> SystemSpec:
-        return self.forward.source
-
-    @property
-    def destination(self) -> SystemSpec:
-        return self.backward.source
-
 
 def factor_iso(m: int, n: int) -> IsomorphismPair:
     """Isomorphism pair between the (m, m*n) and (m, n) systems.
@@ -303,28 +246,25 @@ def factor_iso(m: int, n: int) -> IsomorphismPair:
         raise ValueError("generator dimensions are positive integers")
     big = SystemSpec((m, m * n))
     small = SystemSpec((m, n))
-    fwd_target = AlgebraTarget(small)
     fwd_images = {}
     for i in range(m):
-        fwd_images[1, i] = fwd_target.generator(small.monomial((1, 0), i))
+        fwd_images[1, i] = algebra.isometry(small, small.monomial((1, 0), i))
     for x in range(m * n):
-        fwd_images[2, x] = fwd_target.generator(small.monomial((1, 1), x))
-    bwd_target = AlgebraTarget(big)
+        fwd_images[2, x] = algebra.isometry(small, small.monomial((1, 1), x))
     bwd_images = {}
     for i in range(m):
-        bwd_images[1, i] = bwd_target.generator(big.monomial((1, 0), i))
+        bwd_images[1, i] = algebra.isometry(big, big.monomial((1, 0), i))
     for j in range(n):
-        acc = bwd_target.zero()
+        acc = algebra.zero(big)
         for l in range(m):
-            word = bwd_target.multiply(
-                bwd_target.generator(big.monomial((0, 1), j * m + l)),
-                bwd_target.adjoint(bwd_target.generator(big.monomial((1, 0), l))),
+            acc = acc + algebra.multiply(
+                algebra.isometry(big, big.monomial((0, 1), j * m + l)),
+                algebra.isometry(big, big.monomial((1, 0), l)).adjoint(),
             )
-            acc = bwd_target.add(acc, word)
         bwd_images[2, j] = acc
     return IsomorphismPair(
-        GeneratorAssignment(big, fwd_target, fwd_images),
-        GeneratorAssignment(small, bwd_target, bwd_images),
+        GeneratorAssignment(big, small, fwd_images),
+        GeneratorAssignment(small, big, bwd_images),
     )
 
 
@@ -334,17 +274,12 @@ def verify_roundtrip(pair: IsomorphismPair) -> bool:
     Relation reports for both assignments are computed first.  A pair whose
     assignments break the generator relations cannot consist of mutually
     inverse *-homomorphisms, so it verifies as False without attempting the
-    composition; the named failures stay available on the reports.  A pair
-    whose targets are not ``AlgebraTarget`` instances is refused.  The True
+    composition; the named failures stay available on the reports.  The True
     answer states that composing the maps in both orders fixes every
     generator isometry, which pins the composites down as identity maps on
     the whole algebra.
     """
     for assignment in (pair.forward, pair.backward):
-        if not isinstance(assignment.target, AlgebraTarget):
-            raise TypeError(
-                "round-trip verification needs algebra-valued assignments"
-            )
         if not assignment.report().ok:
             return False
     big = pair.forward.source
@@ -369,11 +304,9 @@ def verify_roundtrip(pair: IsomorphismPair) -> bool:
 
 
 def format_assignment(assignment: GeneratorAssignment) -> str:
-    """Render an algebra-valued assignment as ``(a,i) = <expression>`` lines."""
+    """Render an assignment as ``(a,i) = <expression>`` lines."""
     from . import expr
 
-    if not isinstance(assignment.target, AlgebraTarget):
-        raise TypeError("only algebra-valued assignments have a text form")
     lines = []
     for a in range(1, assignment.source.k + 1):
         for i in range(assignment.source.gen_dims[a - 1]):
@@ -385,7 +318,7 @@ def format_assignment(assignment: GeneratorAssignment) -> str:
 def parse_assignment(
     source: SystemSpec, target_spec: SystemSpec, text: str
 ) -> GeneratorAssignment:
-    """Parse ``(a,i) = <expression>`` lines into an algebra-valued assignment.
+    """Parse ``(a,i) = <expression>`` lines into an assignment.
 
     Expressions are parsed against ``target_spec``.  Every generator of the
     source must receive exactly one line; duplicates and malformed left-hand
@@ -393,7 +326,6 @@ def parse_assignment(
     """
     from . import expr
 
-    target = AlgebraTarget(target_spec)
     images: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -415,4 +347,4 @@ def parse_assignment(
         if key in images:
             raise ConfigurationError(f"line {lineno}: duplicate image for {key}")
         images[key] = expr.parse_element(target_spec, body.strip())
-    return GeneratorAssignment(source, target, images)
+    return GeneratorAssignment(source, target_spec, images)

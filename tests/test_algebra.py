@@ -50,11 +50,31 @@ class TestRewritePair:
         assert rewrite_pair(e23, x, x).terms == identity(e23).terms
 
     def test_matches_product_of_isometries(self, e23, rng):
-        for _ in range(20):
-            xp = random_monomial(e23, rng)
-            yp = random_monomial(e23, rng)
+        m = e23.monomial
+        # window edges of base = y'.index*dim_s - x'.index*dim_t, for x' in
+        # fiber s and y' in fiber t: below zero, at least dim_t, and
+        # dim_s > dim_t with the window cut at either end
+        pairs = [
+            (m((0, 1), 1), m((1, 0), 0)),  # base -2
+            (m((0, 1), 0), m((1, 0), 1)),  # base 3 >= dim_t
+            (m((2, 0), 3), m((0, 1), 2)),  # base -1, dim_s 4 > dim_t 3
+            (m((2, 0), 0), m((0, 1), 0)),  # base 0, cut at dim_t
+            (m((2, 0), 3), m((0, 1), 0)),  # base -9, no survivor
+        ]
+        pairs += [(random_monomial(e23, rng), random_monomial(e23, rng)) for _ in range(20)]
+        for xp, yp in pairs:
+            out = rewrite_pair(e23, yp, xp)
             direct = multiply(isometry(e23, yp).adjoint(), isometry(e23, xp))
-            assert equals(direct, rewrite_pair(e23, yp, xp))
+            assert equals(direct, out)
+            if xp.fiber != yp.fiber:
+                # the survivors by their definition: index(x'.y) == index(y'.x)
+                survivors = {
+                    (x, y)
+                    for x in e23.basis(xp.fiber)
+                    for y in e23.basis(yp.fiber)
+                    if e23.mul_basis(xp, y)[1] == e23.mul_basis(yp, x)[1]
+                }
+                assert {(t.left, t.right) for t in out.terms} == survivors
 
 
 class TestCuntzRelations:

@@ -1,6 +1,5 @@
 """Classification and the compression-annihilation construction."""
 
-import math
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from cuntzlab.analysis import (
     _factorize,
     annihilating_vector,
     annihilation_instance,
-    annihilation_residues,
     classify,
     common_power_base,
     compressed_pair_element,
@@ -269,9 +267,7 @@ class TestAnnihilationConstruction:
                 (0, 6),
                 [e23.field.one if j == m else e23.field.zero for j in range(729)],
             )
-            residues = annihilation_residues(e23, inst, w)
-            assert len(residues) == 1
-            assert residues[0].is_zero() == (m not in bad)
+            assert verify_annihilation(e23, inst, w) == (m not in bad)
 
     def test_residues_match_window_oracle_shallow(self, e23):
         # shallow enough to sweep every index
@@ -283,33 +279,29 @@ class TestAnnihilationConstruction:
             w = e23.vector(
                 (0, 2), [e23.field.one if j == m else e23.field.zero for j in range(9)]
             )
-            assert annihilation_residues(e23, inst, w)[0].is_zero() == (m not in bad)
-
-    def test_residue_agrees_with_expanded_element(self, e23, rng):
-        # dual route: sparse operator assembly vs evaluating the fully
-        # expanded product, at a common base level
-        inst = annihilation_instance(
-            e23, [(e23.monomial((1, 0), 0), e23.monomial((0, 1), 0))]
-        )
-        for m in (0, 4):
-            w = e23.vector(
-                (0, 2), [e23.field.one if j == m else e23.field.zero for j in range(9)]
-            )
-            elem = compressed_pair_element(e23, inst, w, 0)
-            lifted_dim = e23.dim((1, 3)) * e23.dim((0, 1))
-            base = math.lcm(steprep.minimal_level(elem), lifted_dim)
-            direct = steprep.evaluate(elem, base)
-            assembled = annihilation_residues(e23, inst, w, base_level=base)[0]
-            assert assembled.equal(direct)
+            assert verify_annihilation(e23, inst, w) == (m not in bad)
 
     def test_twisted_route_returns_booleans(self, tw23):
         inst = annihilation_instance(
             tw23, [(tw23.monomial((1, 0), 0), tw23.monomial((0, 1), 0))]
         )
         w = annihilating_vector(tw23, inst)
-        out = annihilation_residues(tw23, inst, w)
-        assert out == [True]
-        assert verify_annihilation(tw23, inst, w)
+        assert verify_annihilation(tw23, inst, w) is True
+
+    def test_every_pair_is_checked(self, e23, tw23):
+        # e((0,2);4) kills the first pair but not the second, so the
+        # two-pair instance must fail on its second pair
+        for spec in (e23, tw23):
+            first = (spec.monomial((1, 0), 0), spec.monomial((0, 1), 0))
+            second = (spec.identity_monomial, spec.monomial((0, 1), 0))
+            w = spec.unit_vector(spec.monomial((0, 2), 4))
+            both = annihilation_instance(spec, [first, second], (1, 1))
+            for i, expected in enumerate((True, False)):
+                alone = annihilation_instance(spec, [both.pairs[i]], (1, 1))
+                assert verify_annihilation(spec, alone, w) is expected
+                elem = compressed_pair_element(spec, both, w, i)
+                assert algebra.normal_form(elem).is_zero() is expected
+            assert verify_annihilation(spec, both, w) is False
 
     def test_vector_element_pairs(self, e23):
         # pairs may mix monomials with fiber vectors

@@ -82,6 +82,17 @@ def test_normalize_deep_single_term(capsys, spec_path):
     assert out == term + "\n"
 
 
+def test_normalize_adjoint_against_deep_fiber(capsys, spec_path):
+    # i((0,1);0)* i((40,0);0) has 3 survivors in a window of 2^40 indices
+    code, out, _ = run_cli(
+        capsys, ["normalize", "--spec", spec_path("e23"), "e(0,1;0)' * e(40,0;0)"]
+    )
+    assert code == 0
+    assert out == (
+        "e(40,0;0)*e(0,1;0)' + e(40,0;1)*e(0,1;1)' + e(40,0;2)*e(0,1;2)'\n"
+    )
+
+
 # --- equals ----------------------------------------------------------------
 
 
