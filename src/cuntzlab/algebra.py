@@ -18,19 +18,19 @@ lexicographic system does, and those are the only systems the engine builds.
 
 Their dim(c) x dim(c - g) block grows like m^s and is never built.  A
 raised term is one diagonal run: x.f has index x.index * fill + f, fill the
-dimension of the missing fiber.  The runs of a degree are grouped by offset
-col - row, and a sweep over the sorted endpoints of each offset sums the
-runs covering each piece between consecutive endpoints.  On one offset the
-runs of one left fiber are the disjoint [j*fill, (j+1)*fill), so at most F
-runs cover a piece, F the number of left fibers in the degree.  R terms
-cost O(R log R + R*F) scalar operations and O(R) memory, whatever the fiber
-dimensions; ``expand_normal_form`` costs one term per entry it emits.
+dimension of the missing fiber, and ``runs.sweep`` sums the runs of a
+degree diagonal by diagonal.  On one diagonal the runs of one left fiber
+are the disjoint [j*fill, (j+1)*fill), so at most F runs cover a piece, F
+the number of left fibers in the degree.  R terms cost O(R log R + R*F)
+scalar operations and O(R) memory, whatever the fiber dimensions;
+``expand_normal_form`` costs one term per entry it emits.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+from .runs import sweep
 from .system import (
     BasisMonomial,
     Degree,
@@ -234,7 +234,7 @@ def rewrite_pair(
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._require_same(b)
     spec = a.spec
-    field = spec.field
+    twisted = spec.is_twisted
     acc: dict = {}
     rewrite_cache: dict = {}
     for ta in a.terms:
@@ -247,7 +247,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             for tm in mid.terms:
                 ph_l, x = spec.mul_basis(ta.left, tm.left)
                 ph_r, y = spec.mul_basis(tb.right, tm.right)
-                coeff = c_ab * tm.coeff * ph_l * ph_r.conj()
+                # untwisted rewrite coefficients and phases are the field's one
+                coeff = c_ab * tm.coeff * ph_l * ph_r.conj() if twisted else c_ab
                 cur = acc.get((x, y))
                 acc[(x, y)] = coeff if cur is None else cur + coeff
     return AlgebraElement(spec, acc)
@@ -261,13 +262,10 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 class NormalForm:
     """Canonical run data of an element: per degree g a block (c, runs).
 
-    A run ``(row0, col0, length, coeff)`` puts ``coeff`` on the entries
-    e(c;row0+f) e(c-g;col0+f)' for f < length; entries no run covers are
-    zero.  Runs are sorted by (row0, col0), never overlap and hold nonzero
-    coefficients only, each the sum from the field's zero, in term order, of
-    the raised terms covering it (bit for bit the entry's value on floats).
-    Blocks without runs are dropped, so the element is zero in the algebra
-    exactly when ``blocks`` is empty.
+    The runs are the sweep (see ``runs``) of the raised terms, in term
+    order; a run ``(row0, col0, length, coeff)`` puts ``coeff`` on the
+    entries e(c;row0+f) e(c-g;col0+f)' for f < length.  Blocks without runs
+    are dropped, so the element is zero exactly when ``blocks`` is empty.
     """
 
     __slots__ = ("spec", "blocks")
@@ -287,22 +285,6 @@ class NormalForm:
         return f"NormalForm<degrees: {keys or '0 (empty)'}>"
 
 
-def _sweep(segments: list, offset: int, zero) -> list:
-    """Nonzero runs of one diagonal from its raised terms (start, end, coeff)
-    in term order: each piece between endpoints sums the terms covering it."""
-    points = sorted({p for start, end, _ in segments for p in (start, end)})
-    where = {p: i for i, p in enumerate(points)}
-    sums = [zero] * (len(points) - 1)
-    for start, end, coeff in segments:
-        for i in range(where[start], where[end]):
-            sums[i] = sums[i] + coeff
-    return [
-        (points[i], points[i] + offset, points[i + 1] - points[i], v)
-        for i, v in enumerate(sums)
-        if not v.is_zero()
-    ]
-
-
 def normal_form(a: AlgebraElement) -> NormalForm:
     spec = a.spec
     by_degree: dict[Degree, list[Term]] = {}
@@ -314,7 +296,7 @@ def normal_form(a: AlgebraElement) -> NormalForm:
         c = terms[0].left.fiber
         for t in terms[1:]:
             c = max_fiber(c, t.left.fiber)
-        by_offset: dict[int, list] = {}
+        raised = []
         raising: dict = {}  # (left fiber, right fiber) -> (fill, phase)
         for t in terms:
             key = (t.left.fiber, t.right.fiber)
@@ -326,12 +308,10 @@ def normal_form(a: AlgebraElement) -> NormalForm:
             row0 = t.left.index * fill
             # untwisted phases are the field's one
             coeff = t.coeff * phase if spec.is_twisted else t.coeff
-            by_offset.setdefault(t.right.index * fill - row0, []).append(
-                (row0, row0 + fill, coeff)
-            )
-        runs = [run for d, segs in by_offset.items() for run in _sweep(segs, d, spec.field.zero)]
+            raised.append((row0, t.right.index * fill, fill, coeff))
+        runs = sweep(raised)
         if runs:
-            blocks[degree] = (c, tuple(sorted(runs)))
+            blocks[degree] = (c, runs)
     return NormalForm(spec, blocks)
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import algebra, linalg, steprep
+from . import algebra, linalg, runs, steprep
 from .scalars import cyclotomic_field
 from .system import (
     BasisMonomial,
@@ -450,26 +450,6 @@ def _element_of(spec: SystemSpec, x) -> algebra.AlgebraElement:
     return algebra.vector_element(spec, x)
 
 
-def _pair_element(spec: SystemSpec, x, y) -> algebra.AlgebraElement:
-    return algebra.multiply(_element_of(spec, x), _element_of(spec, y).adjoint())
-
-
-def compressed_pair_element(
-    spec: SystemSpec, instance: AnnihilationInstance, w: FiberVector, index: int
-) -> algebra.AlgebraElement:
-    """alpha_c(Q) (x_i y_i*) alpha_c(Q) as an explicit algebra element.
-
-    Term count grows with the square of the vector's support; the tests'
-    reference for ``verify_annihilation``, which never expands it.
-    """
-    q_proj = algebra.vector_projection(spec, w)
-    compress = algebra.shift_endomorphism(q_proj, instance.shift_fiber)
-    x, y = instance.pairs[index]
-    return algebra.multiply(
-        algebra.multiply(compress, _pair_element(spec, x, y)), compress
-    )
-
-
 def verify_annihilation(
     spec: SystemSpec, instance: AnnihilationInstance, w: FiberVector
 ) -> bool:
@@ -484,15 +464,13 @@ def verify_annihilation(
     vanishes exactly when every inner factor (i(f) V)* (x y*) (i(f') V)
     does, and no outer product is ever formed.
 
-    Untwisted specs decide the inner factors in the step model.  The pair
-    element x y* is never evaluated at its level dim(c + p(w)) * dim(y),
-    which can be astronomically large.  Each of its terms is one diagonal
-    run at that level, so it is applied column by column to the sparse
-    operator i(f' w): an entry in row i lands in the term's run only when i
-    falls in the run's column window, and then moves to the matching row of
-    the run.  The cost is dim(c) times the support of w times the terms of
-    x y* and the small levels dim(x) and dim(y); the level of x y* stays an
-    integer that is never enumerated.
+    Untwisted specs decide the inner factors in the step model.  i(f' w)
+    maps V_(dim y) into V_(stripe * dim y), stripe = dim(c + p(w)), which can
+    be astronomically large; but there each term e(x;j) e(y;l)* of x y* is
+    the one run (j*stripe, l*stripe, stripe), and i(f' w) is one run per
+    support index of w.  The inner factors are composed run by run, so the
+    cost follows dim(c), the support of w and the terms of x y*, never the
+    level.
 
     Twisted specs have no step model; they decide by the normal form of
     alpha_c(V)* (x y*) alpha_c(V), multiplied out as (alpha_c(V)* i(x))
@@ -515,27 +493,14 @@ def verify_annihilation(
     stripe = spec.dim(add_fibers(c, w.fiber))
     pieces = [spec.mul_vectors(spec.unit_vector(f), w) for f in spec.basis(c)]
     for x, y in instance.pairs:
-        # i(f w) maps V_(dim y) into V_(stripe * dim y); each term
-        # e(x;j) e(y;l)* is the run taking its rows [l*stripe, (l+1)*stripe)
-        # to rows [j*stripe, (j+1)*stripe) of V_(stripe * dim x)
         k_in, k_out = spec.dim(fiber_of(y)), spec.dim(fiber_of(x))
-        runs: dict = {}
-        for t in _pair_element(spec, x, y).terms:
-            runs.setdefault(t.right.index, []).append((t.left.index * stripe, t.coeff))
-        # applied[f'] = (x y*) o i(f' w), one column entry at a time
-        applied = []
-        for piece in pieces:
-            moved: dict = {}
-            for (i, col), a in steprep.vector_operator(spec, piece, k_in).entries.items():
-                window, offset = divmod(i, stripe)
-                for row0, coeff in runs.get(window, ()):
-                    key = (row0 + offset, col)
-                    cur = moved.get(key)
-                    moved[key] = coeff * a if cur is None else cur + coeff * a
-            applied.append(steprep.StepOperator(k_in, stripe * k_out, moved))
+        terms = algebra.multiply(_element_of(spec, x), _element_of(spec, y).adjoint()).terms
+        pair = steprep.StepOperator(stripe * k_in, stripe * k_out, runs=runs.sweep(
+            [(t.left.index * stripe, t.right.index * stripe, stripe, t.coeff) for t in terms]
+        ))
+        applied = [pair.compose(steprep.vector_operator(spec, p, k_in)) for p in pieces]
         for piece in pieces:
             left = steprep.vector_operator(spec, piece, k_out).conj_transpose()
-            for op in applied:
-                if not left.compose(op).is_zero():
-                    return False
+            if any(not left.compose(op).is_zero() for op in applied):
+                return False
     return True

@@ -165,9 +165,7 @@ def _emit_family(family, reporter: Reporter, command: str) -> None:
     for level_out in sorted(family.blocks):
         block = family.blocks[level_out]
         entries = sorted(
-            (r, c, expr.format_scalar(v))
-            for (r, c), v in block.entries.items()
-            if not v.is_zero()
+            (r, c, expr.format_scalar(v)) for (r, c), v in block.entries.items()
         )
         if not entries:
             reporter.emit(

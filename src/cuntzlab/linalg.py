@@ -118,7 +118,9 @@ def is_positive_semidefinite(matrix, field) -> bool:
 
 # -- sparse maps ---------------------------------------------------------
 #
-# Sparse matrices are dicts {(row, col): scalar} with implied zeros.
+# Sparse matrices are dicts {(row, col): scalar} with implied zeros.  Step
+# operators compose by runs; this dict product is the reference that tests
+# compare them against.
 
 
 def sparse_matmul(a: dict, b: dict) -> dict:
@@ -132,21 +134,3 @@ def sparse_matmul(a: dict, b: dict) -> dict:
             cur = out.get(key)
             out[key] = va * vb if cur is None else cur + va * vb
     return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def sparse_conj_transpose(a: dict) -> dict:
-    return {(c, r): v.conj() for (r, c), v in a.items()}
-
-
-def sparse_equal(a: dict, b: dict) -> bool:
-    for key in a.keys() | b.keys():
-        va, vb = a.get(key), b.get(key)
-        if va is None:
-            if not vb.is_zero():
-                return False
-        elif vb is None:
-            if not va.is_zero():
-                return False
-        elif not (va - vb).is_zero():
-            return False
-    return True

@@ -23,6 +23,12 @@ would need irrational refinement factors.  "Every block zero" is the family's
 (sound) zero test.  Equality of step operators at one level only certifies
 equality on that level's subspace.
 
+Operators hold diagonal runs (see ``runs``).  At base level N a term x y*
+is the one run (x.index*stripe, y.index*stripe, stripe), stripe = N/dim(t),
+so ``evaluate`` costs per term, not per stripe entry, and a zero test costs
+the same at every level.  ``StepOperator.entries`` expands the runs into one
+dict entry per cell, which does cost the level, for printing.
+
 ``evaluate`` is the one step evaluator.  Given a ``CharacterTwist`` it
 evaluates the twisted representation instead, in which the generators of
 fiber r are scaled by the character's value on r: each term x y* of degree g
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import linalg
+from . import runs as run_ops
 from .scalars import common_field, field_of
 from .system import BasisMonomial, SystemSpec, sub_degree
 
@@ -60,20 +66,34 @@ class LevelError(ValueError):
         self.minimal = minimal
 
 
-@dataclass(frozen=True)
 class StepOperator:
-    """A sparse matrix V_(level_in) -> V_(level_out); entries {(row, col): scalar}."""
+    """A sparse matrix V_(level_in) -> V_(level_out) held as swept runs.
 
-    level_in: int
-    level_out: int
-    entries: dict
+    ``StepOperator(level_in, level_out, entries)`` takes a dict
+    {(row, col): scalar}; the kernels pass ``runs=`` already swept.
+    Composition intersects runs pairwise, and two runs meet in at most one.
+    """
+
+    __slots__ = ("level_in", "level_out", "runs")
+
+    def __init__(self, level_in: int, level_out: int, entries=None, *, runs=None):
+        self.level_in = level_in
+        self.level_out = level_out
+        if runs is None:
+            runs = run_ops.sweep([(r, c, 1, v) for (r, c), v in entries.items()])
+        self.runs = runs
+
+    @property
+    def entries(self) -> dict:
+        """{(row, col): scalar}, one key per cell the runs cover."""
+        return {(r + u, c + u): v for r, c, n, v in self.runs for u in range(n)}
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.entries.values())
+        return not self.runs
 
     def conj_transpose(self) -> "StepOperator":
         return StepOperator(
-            self.level_out, self.level_in, linalg.sparse_conj_transpose(self.entries)
+            self.level_out, self.level_in, runs=tuple(sorted(map(run_ops.adjoint, self.runs)))
         )
 
     def compose(self, other: "StepOperator") -> "StepOperator":
@@ -83,17 +103,16 @@ class StepOperator:
                 f"cannot compose: inner levels differ "
                 f"({other.level_out} vs {self.level_in})"
             )
-        return StepOperator(
-            other.level_in,
-            self.level_out,
-            linalg.sparse_matmul(self.entries, other.entries),
-        )
+        products = (run_ops.compose(a, b) for b in other.runs for a in self.runs)
+        pieces = [run for run in products if run is not None]
+        return StepOperator(other.level_in, self.level_out, runs=run_ops.sweep(pieces))
 
     def equal(self, other: "StepOperator") -> bool:
+        """Same levels, and the sweep of the difference is empty."""
         return (
             self.level_in == other.level_in
             and self.level_out == other.level_out
-            and linalg.sparse_equal(self.entries, other.entries)
+            and not run_ops.sweep([*self.runs, *((r, c, n, -v) for r, c, n, v in other.runs)])
         )
 
 
@@ -123,11 +142,8 @@ class OperatorFamily:
             return False
         for lv in self.blocks.keys() | other.blocks.keys():
             a, b = self.blocks.get(lv), other.blocks.get(lv)
-            if a is None:
-                if not b.is_zero():
-                    return False
-            elif b is None:
-                if not a.is_zero():
+            if a is None or b is None:
+                if not (a or b).is_zero():
                     return False
             elif not a.equal(b):
                 return False
@@ -147,25 +163,22 @@ def generator_operator(spec: SystemSpec, x: BasisMonomial, level: int) -> StepOp
     spec.monomial(x.fiber, x.index)
     if level < 1:
         raise ValueError("levels are positive integers")
-    one = spec.field.one
-    entries = {(x.index * level + i, i): one for i in range(level)}
-    return StepOperator(level, level * spec.dim(x.fiber), entries)
+    run = (x.index * level, 0, level, spec.field.one)
+    return StepOperator(level, level * spec.dim(x.fiber), runs=(run,))
 
 
 def vector_operator(spec: SystemSpec, v, level: int) -> StepOperator:
     """The isometry of a fiber vector at a given level.
 
     Linear extension of generator_operator: column t holds the vector's
-    coefficients in the stripe pattern index*level + t.
+    coefficients in the stripe pattern index*level + t, one run per support
+    index.
     """
     _require_untwisted(spec)
     if level < 1:
         raise ValueError("levels are positive integers")
-    entries = {}
-    for idx, coeff in v.entries.items():
-        for t in range(level):
-            entries[(idx * level + t, t)] = coeff
-    return StepOperator(level, level * spec.dim(v.fiber), entries)
+    runs = tuple(sorted((idx * level, 0, level, c) for idx, c in v.entries.items()))
+    return StepOperator(level, level * spec.dim(v.fiber), runs=runs)
 
 
 def minimal_level(a) -> int:
@@ -198,25 +211,19 @@ def evaluate(
         base_level = required
     if base_level < 1 or base_level % required != 0:
         raise LevelError(base_level, required)
-    blocks: dict[int, dict] = {}
+    by_level: dict[int, list] = {}
     for t in a.terms:
         coeff = t.coeff
         if twist is not None:
             phase = twist.phase(sub_degree(t.left.fiber, t.right.fiber))
             coeff = field.coerce(phase) * field.coerce(coeff)
-        dim_t = spec.dim(t.right.fiber)
-        stripe = base_level // dim_t
-        level_out = stripe * spec.dim(t.left.fiber)
-        entries = blocks.setdefault(level_out, {})
-        row0 = t.left.index * stripe
-        col0 = t.right.index * stripe
-        for u in range(stripe):
-            key = (row0 + u, col0 + u)
-            cur = entries.get(key)
-            entries[key] = coeff if cur is None else cur + coeff
+        stripe = base_level // spec.dim(t.right.fiber)
+        by_level.setdefault(stripe * spec.dim(t.left.fiber), []).append(
+            (t.left.index * stripe, t.right.index * stripe, stripe, coeff)
+        )
     out = {
-        lv: StepOperator(base_level, lv, {k: v for k, v in e.items() if not v.is_zero()})
-        for lv, e in blocks.items()
+        lv: StepOperator(base_level, lv, runs=run_ops.sweep(pieces))
+        for lv, pieces in by_level.items()
     }
     return OperatorFamily(base_level, out)
 

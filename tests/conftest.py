@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cuntzlab import algebra, scalars
-from cuntzlab.system import SystemSpec, parse_spec_text, sub_degree
+from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text, sub_degree
 
 
 @pytest.fixture
@@ -89,3 +89,28 @@ def dense_block(nf, degree):
             rows[row0 + f][col0 + f] = coeff
     zero = spec.field.zero
     return [[zero if x is None else x for x in row] for row in rows]
+
+
+def compressed_pair_element(spec, instance, w, index):
+    """alpha_c(Q) (x y*) alpha_c(Q) for the pair at ``index``, expanded.
+
+    The tests' reference for ``analysis.verify_annihilation``.  Q is the
+    projection along w and self-adjoint, so this is (alpha_c(Q) i(x))
+    (alpha_c(Q) i(y))*.  The right monomials of both factors lie in the
+    fiber c + p(w), so their product pairs terms through that one fiber
+    instead of expanding the rewrite survivors of two different fibers.
+    """
+    compress = algebra.shift_endomorphism(
+        algebra.vector_projection(spec, w), instance.shift_fiber
+    )
+    x, y = instance.pairs[index]
+    left = algebra.multiply(compress, _isometry_of(spec, x))
+    right = algebra.multiply(compress, _isometry_of(spec, y))
+    return algebra.multiply(left, right.adjoint())
+
+
+def _isometry_of(spec, x):
+    """i(x) for a basis monomial or a fiber vector x."""
+    if isinstance(x, BasisMonomial):
+        return algebra.isometry(spec, x)
+    return algebra.vector_element(spec, x)

@@ -1,11 +1,15 @@
 """The spanned *-algebra: products, normal forms, expectation, shifts."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzlab import scalars, steprep
 from cuntzlab.algebra import (
+    AlgebraElement,
     adjoint,
     equals,
     expand_normal_form,
@@ -22,6 +26,7 @@ from cuntzlab.algebra import (
     zero,
 )
 from cuntzlab.linalg import is_positive_semidefinite
+from cuntzlab.system import SystemSpec, parse_spec_text
 
 from conftest import dense_block, random_element, random_monomial
 
@@ -311,3 +316,46 @@ class TestAgainstStepModel:
                 assert same_eval
             elif not same_eval:
                 assert not equals(a, b)
+
+
+def four_factor_multiply(a, b):
+    """``multiply`` with every scalar factor of a survivor: both term
+    coefficients, the rewrite coefficient and the two basis phases."""
+    spec = a.spec
+    acc = {}
+    for ta in a.terms:
+        for tb in b.terms:
+            for tm in rewrite_pair(spec, ta.right, tb.left).terms:
+                ph_l, x = spec.mul_basis(ta.left, tm.left)
+                ph_r, y = spec.mul_basis(tb.right, tm.right)
+                coeff = ta.coeff * tb.coeff * tm.coeff * ph_l * ph_r.conj()
+                cur = acc.get((x, y))
+                acc[(x, y)] = coeff if cur is None else cur + coeff
+    return AlgebraElement(spec, acc)
+
+
+PRODUCT_SPECS = {
+    "e23": SystemSpec((2, 3)),
+    "e32": SystemSpec((3, 2)),
+    "q23": SystemSpec((2, 3), scalar_mode="cyclotomic:8"),
+    "f23": SystemSpec((2, 3), scalar_mode="float"),
+    "tw23": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n"),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PRODUCT_SPECS)), st.integers(0, 10**6), st.booleans())
+def test_product_matches_four_factor_product(name, seed, adjoint_right):
+    # untwisted specs skip the three factors that are the field's one
+    spec = PRODUCT_SPECS[name]
+    rng = random.Random(seed)
+    a = random_element(spec, rng, nterms=rng.randint(1, 4))
+    b = random_element(spec, rng, nterms=rng.randint(1, 4))
+    if adjoint_right:
+        b = b.adjoint()
+    got, want = multiply(a, b), four_factor_multiply(a, b)
+    if spec.field is scalars.FLOAT:
+        key = lambda e: [(t.left, t.right, repr(t.coeff.value)) for t in e.terms]
+        assert key(got) == key(want)
+    else:
+        assert got == want

@@ -12,13 +12,14 @@ from cuntzlab.analysis import (
     annihilation_instance,
     classify,
     common_power_base,
-    compressed_pair_element,
     dimension_injective,
     nonsimplicity_witness,
     prime_exponent_matrix,
     verify_annihilation,
 )
 from cuntzlab.system import SystemSpec, parse_spec_text
+
+from conftest import compressed_pair_element
 
 
 class TestPrimeExponents:

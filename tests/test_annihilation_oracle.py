@@ -21,6 +21,8 @@ from cuntzlab.system import (
     sub_degree,
 )
 
+from conftest import compressed_pair_element
+
 SPECS = {
     "e23": SystemSpec((2, 3)),
     "e32": SystemSpec((3, 2)),
@@ -29,11 +31,8 @@ SPECS = {
     "tw23": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n"),
 }
 FIBERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-# the dense route costs the final vector dimension; the normal-form
-# cross-check of a perturbed vector expands a product whose term count grows
-# with the square of the vector's support, so it runs only on small vectors
+# the dense route costs the final vector dimension
 DENSE_LIMIT = 4096
-PERTURB_LIMIT = 27
 
 
 def dense_orthogonality_step(spec, fiber, coeffs, f, g):
@@ -108,10 +107,8 @@ def _outcome(build):
 
 def _agrees_with_normal_form(spec, instance, w):
     """verify_annihilation(w) against the normal form of the expanded
-    compression; None when w is too large to expand."""
-    if w.dim > PERTURB_LIMIT:
-        return None
-    expanded = analysis.compressed_pair_element(spec, instance, w, 0)
+    compression."""
+    expanded = compressed_pair_element(spec, instance, w, 0)
     verdict = algebra.normal_form(expanded).is_zero()
     assert analysis.verify_annihilation(spec, instance, w) == verdict
     return verdict
@@ -126,7 +123,7 @@ def _check_instance(spec, instance, perturb_index):
     assert sparse.coeffs == dense.coeffs
     assert not sparse.is_zero()
     assert analysis.verify_annihilation(spec, instance, sparse)
-    expanded = analysis.compressed_pair_element(spec, instance, sparse, 0)
+    expanded = compressed_pair_element(spec, instance, sparse, 0)
     assert algebra.normal_form(expanded).is_zero()
     j = perturb_index % sparse.dim
     perturbed = spec.vector(

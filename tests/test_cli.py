@@ -193,6 +193,18 @@ def test_eval_twisted_detects_witness(capsys, spec_path):
     ]
 
 
+def test_eval_at_a_level_no_entry_list_could_hold(capsys, spec_path):
+    # the 1296 range projections of fiber (4,4) minus I, at 10^30 times the
+    # minimal level: evaluation is one run per term, whatever the level
+    total = " + ".join(f"e(4,4;{j})*e(4,4;{j})'" for j in range(2 ** 4 * 3 ** 4))
+    level = str(2 ** 4 * 3 ** 4 * 10 ** 30)
+    code, out, _ = run_cli(
+        capsys, ["eval", "--spec", spec_path("e23"), "--level", level, total + " - I"]
+    )
+    assert code == 0
+    assert lines_of(out) == [f"base level: {level}", f"level {level} -> {level}: zero", "zero"]
+
+
 def test_eval_defaults_to_minimal_level(capsys, spec_path):
     code, out, _ = run_cli(capsys, ["eval", "--spec", spec_path("e23"), "e(0,1;0)'"])
     assert code == 1

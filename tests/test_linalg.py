@@ -107,13 +107,3 @@ class TestSparse:
         prod = linalg.sparse_matmul(a, b)
         prod = {k: v for k, v in prod.items() if not v.is_zero()}
         assert prod == {(0, 0): RATIONAL.coerce(Fraction(4)), (1, 0): one}
-
-    def test_conj_transpose(self):
-        i = RationalComplex(0, 1)
-        a = {(0, 1): i}
-        assert linalg.sparse_conj_transpose(a) == {(1, 0): -i}
-
-    def test_sparse_equal_ignores_zeros(self):
-        one = RATIONAL.one
-        assert linalg.sparse_equal({(0, 0): one, (1, 1): RATIONAL.zero}, {(0, 0): one})
-        assert not linalg.sparse_equal({(0, 0): one}, {(0, 1): one})

@@ -174,6 +174,25 @@ class TestEvaluate:
         assert not algebra.normal_form(a).is_zero()
 
 
+class TestLevelIndependence:
+    def test_zero_test_at_a_huge_level(self, e23):
+        # one run per term: the fiber-(4,4) Cuntz sum minus I is decided at
+        # 10^30 times its minimal level, where a stripe has 10^30 cells
+        basis = e23.basis((4, 4))
+        one, e = e23.field.one, e23.identity_monomial
+        triples = [(one, x, x) for x in basis] + [(-one, e, e)]
+        diff = AlgebraElement.from_terms(e23, triples)
+        delta = RationalComplex(1, 1)
+        perturbed = AlgebraElement.from_terms(e23, triples + [(delta, basis[77], basis[77])])
+        level = minimal_level(diff) * 10**30
+        assert evaluate(diff, level).is_zero()
+        family = evaluate(perturbed, level)
+        assert not family.is_zero()
+        (op,) = family.blocks.values()
+        stripe = level // len(basis)
+        assert op.runs == ((77 * stripe, 77 * stripe, stripe, delta),)
+
+
 def _merge(x, y):
     out = dict(x)
     for k, v in y.items():
