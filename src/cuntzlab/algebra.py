@@ -355,13 +355,15 @@ def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
     """sum over the basis f of the fiber s of  i(f) a i(f)*."""
     spec = a.spec
     s = spec.check_fiber(s)
+    twisted = spec.is_twisted
     acc: dict = {}
     for f in range(spec.dim(s)):
         fmon = BasisMonomial(s, f)
         for t in a.terms:
             ph_l, x = spec.mul_basis(fmon, t.left)
             ph_r, y = spec.mul_basis(fmon, t.right)
-            coeff = t.coeff * ph_l * ph_r.conj()
+            # untwisted phases are the field's one
+            coeff = t.coeff * ph_l * ph_r.conj() if twisted else t.coeff
             cur = acc.get((x, y))
             acc[(x, y)] = coeff if cur is None else cur + coeff
     return AlgebraElement(spec, acc)

@@ -373,16 +373,18 @@ def _term_pieces(coeff, mon: str):
     leads with a minus: the overall sign moves out to the joining +/-.
     """
     if isinstance(coeff, scalars.RationalComplex):
-        if coeff.im == 0:
-            yield coeff.re < 0, _real_piece(_format_fraction(abs(coeff.re)), mon)
+        re_part, im_part = coeff.re, coeff.im
+        if im_part == 0:
+            yield re_part < 0, _real_piece(_format_fraction(abs(re_part)), mon)
         else:
-            negative = coeff.re < 0 or (coeff.re == 0 and coeff.im < 0)
-            c = -coeff if negative else coeff
+            negative = re_part < 0 or (re_part == 0 and im_part < 0)
+            if negative:
+                re_part, im_part = -re_part, -im_part
             body = _complex_body(
-                _format_fraction(c.re),
-                _format_fraction(abs(c.im)),
-                c.re == 0,
-                c.im < 0,
+                _format_fraction(re_part),
+                _format_fraction(abs(im_part)),
+                re_part == 0,
+                im_part < 0,
             )
             yield negative, f"({body})*{mon}"
         return
@@ -439,13 +441,14 @@ def format_element(a: AlgebraElement) -> str:
 def format_scalar(value) -> str:
     """Canonical text for a bare scalar, parseable by parse_scalar."""
     if isinstance(value, scalars.RationalComplex):
-        if value.im == 0:
-            return _format_fraction(value.re)
+        re_part, im_part = value.re, value.im
+        if im_part == 0:
+            return _format_fraction(re_part)
         return _complex_body(
-            _format_fraction(value.re),
-            _format_fraction(abs(value.im)),
-            value.re == 0,
-            value.im < 0,
+            _format_fraction(re_part),
+            _format_fraction(abs(im_part)),
+            re_part == 0,
+            im_part < 0,
         )
     if isinstance(value, scalars.FloatComplex):
         re_part, im_part = value.value.real, value.value.imag

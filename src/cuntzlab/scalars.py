@@ -2,7 +2,7 @@
 
 Three coefficient domains are supported, selected per system:
 
-* rational     -- Gaussian rationals a + b*i with a, b exact ``Fraction``s.
+* rational     -- Gaussian rationals a + b*i with a, b exact rationals.
                   Suitable for untwisted systems; zero tests are exact.
 * cyclotomic:q -- the field Q(zeta_q), elements stored as length-phi(q)
                   rational vectors reduced modulo the q-th cyclotomic
@@ -10,6 +10,16 @@ Three coefficient domains are supported, selected per system:
                   Required for systems twisted by rational angles.
 * float        -- complex floating point, zero tested against a 1e-9
                   tolerance.  The only choice for irrational twist angles.
+
+The exact values live on plain integers: a Gaussian rational is the triple
+(re_num, im_num, den) and a cyclotomic value a vector of integer numerators
+over one common denominator, in both cases with den > 0 and in lowest terms
+(one ``math.gcd`` after each operation), so every value has one
+representation and equality compares integers.  The ``Fraction`` views
+``re``, ``im`` and ``coeffs`` are derived on demand for printing.  Each
+field's ``zero`` and ``one`` are shared constants, and a cyclotomic field
+keeps its roots of unity, so the engine never rebuilds them.  ``SystemSpec``
+caches fiber dimensions per fiber and multipliers per fiber pair on top.
 
 Scalars of the same field combine with the usual operators; ints and
 Fractions lift automatically.  Cross-field arithmetic is an error unless
@@ -81,35 +91,70 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class RationalComplex:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+class RationalComplex:
+    """A Gaussian rational (re_num + im_num*i) / den on plain integers.
+
+    ``den > 0`` and gcd(re_num, im_num, den) == 1, so each value has exactly
+    one triple and ``==`` compares triples.  ``re`` and ``im`` are derived
+    ``Fraction``s for printing and for callers outside the arithmetic.
+    Values are immutable: the fields share their constants.
+    """
+
+    __slots__ = ("re_num", "im_num", "den")
 
     def __init__(self, re, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        re = _as_fraction(re)
+        im = _as_fraction(im)
+        d_re, d_im = re.denominator, im.denominator
+        # both parts are reduced, so over their lcm the triple is too
+        den = d_re * d_im // math.gcd(d_re, d_im)
+        self.re_num = re.numerator * (den // d_re)
+        self.im_num = im.numerator * (den // d_im)
+        self.den = den
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     def _lift(self, other):
         if isinstance(other, RationalComplex):
             return other
-        if isinstance(other, (int, Fraction)):
-            return RationalComplex(other)
+        if isinstance(other, int):
+            return _rational(int(other), 0, 1)
+        if isinstance(other, Fraction):
+            return _rational(other.numerator, 0, other.denominator)
         return None
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = other if other.__class__ is RationalComplex else self._lift(other)
         if o is None:
             return NotImplemented
-        return RationalComplex(self.re + o.re, self.im + o.im)
+        d, f = self.den, o.den
+        if d == f:
+            return _rational(self.re_num + o.re_num, self.im_num + o.im_num, d)
+        return _rational(
+            self.re_num * f + o.re_num * d, self.im_num * f + o.im_num * d, d * f
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = other if other.__class__ is RationalComplex else self._lift(other)
         if o is None:
             return NotImplemented
-        return RationalComplex(self.re - o.re, self.im - o.im)
+        d, f = self.den, o.den
+        if d == f:
+            return _rational(self.re_num - o.re_num, self.im_num - o.im_num, d)
+        return _rational(
+            self.re_num * f - o.re_num * d, self.im_num * f - o.im_num * d, d * f
+        )
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -118,17 +163,16 @@ class RationalComplex:
         return o - self
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = other if other.__class__ is RationalComplex else self._lift(other)
         if o is None:
             return NotImplemented
-        return RationalComplex(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        a, b, c, e = self.re_num, self.im_num, o.re_num, o.im_num
+        return _rational(a * c - b * e, a * e + b * c, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
+        return _rational(-self.re_num, -self.im_num, self.den)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -137,46 +181,78 @@ class RationalComplex:
         return self * o.inv()
 
     def conj(self) -> "RationalComplex":
-        return RationalComplex(self.re, -self.im)
+        return _rational(self.re_num, -self.im_num, self.den)
 
     def inv(self) -> "RationalComplex":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.re_num, self.im_num, self.den
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero scalar")
-        return RationalComplex(self.re / n, -self.im / n)
+        # 1 / ((a + bi)/d) = d (a - bi) / (a^2 + b^2)
+        return _rational(d * a, -d * b, n)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.re_num == 0 and self.im_num == 0
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self.re_num == 1 and self.im_num == 0 and self.den == 1
 
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (
+            self.re_num == o.re_num and self.im_num == o.im_num and self.den == o.den
+        )
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        return complex(self.re_num / self.den, self.im_num / self.den)
 
     def __repr__(self):
         return f"RationalComplex({self.re}, {self.im})"
 
 
-class Cyclotomic:
-    """An element of Q(zeta_q) in the power basis 1, zeta, ..., zeta^(phi-1)."""
+def _rational(re_num: int, im_num: int, den: int) -> RationalComplex:
+    """The private constructor: integers with den > 0, reduced by one gcd."""
+    g = math.gcd(re_num, im_num, den)
+    if g != 1:
+        re_num //= g
+        im_num //= g
+        den //= g
+    z = _new(RationalComplex)
+    z.re_num = re_num
+    z.im_num = im_num
+    z.den = den
+    return z
 
-    __slots__ = ("field", "coeffs")
+
+class Cyclotomic:
+    """An element of Q(zeta_q) in the power basis 1, zeta, ..., zeta^(phi-1).
+
+    Stored as integer numerators ``nums`` over one common denominator
+    ``den > 0`` with gcd(*nums, den) == 1, so each value has exactly one
+    representation.  ``coeffs`` derives the ``Fraction`` coefficients.
+    """
+
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: "CyclotomicField", coeffs):
-        self.field = field
-        self.coeffs = tuple(_as_fraction(c) for c in coeffs)
-        if len(self.coeffs) != field.phi:
+        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        if len(coeffs) != field.phi:
             raise ValueError("coefficient vector has the wrong length")
+        # reduced coefficients over their lcm leave the vector reduced
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self.field = field
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def _lift(self, other):
         if isinstance(other, Cyclotomic):
@@ -187,14 +263,19 @@ class Cyclotomic:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(_as_fraction(other))
+            return self.field.from_fraction(other)
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        d, f = self.den, o.den
+        if d == f:
+            return _cyclotomic(self.field, [a + b for a, b in zip(self.nums, o.nums)], d)
+        return _cyclotomic(
+            self.field, [a * f + b * d for a, b in zip(self.nums, o.nums)], d * f
+        )
 
     __radd__ = __add__
 
@@ -202,7 +283,12 @@ class Cyclotomic:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        d, f = self.den, o.den
+        if d == f:
+            return _cyclotomic(self.field, [a - b for a, b in zip(self.nums, o.nums)], d)
+        return _cyclotomic(
+            self.field, [a * f - b * d for a, b in zip(self.nums, o.nums)], d * f
+        )
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -214,28 +300,27 @@ class Cyclotomic:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        phi = self.field.phi
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
+        field = self.field
+        phi = field.phi
+        conv = [0] * (2 * phi - 1)
+        other_nums = [(j, b) for j, b in enumerate(o.nums) if b]
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:phi])
-        table = self.field.power_table
+                for j, b in other_nums:
+                    conv[i + j] += a * b
+        out = conv[:phi]
+        reduction = field.reduction
         for m in range(phi, len(conv)):
             c = conv[m]
             if c:
-                red = table[m]
-                for i, r in enumerate(red):
-                    if r:
-                        out[i] += c * r
-        return Cyclotomic(self.field, out)
+                for i, r in reduction[m]:
+                    out[i] += c * r
+        return _cyclotomic(field, out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Cyclotomic(self.field, [-a for a in self.coeffs])
+        return _cyclotomic(self.field, [-a for a in self.nums], self.den)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -243,47 +328,46 @@ class Cyclotomic:
             return NotImplemented
         return self * o.inv()
 
-    def conj(self) -> "Cyclotomic":
-        # zeta^k |-> zeta^(q-k)
-        q = self.field.order
-        out = [Fraction(0)] * self.field.phi
-        table = self.field.power_table
-        for k, c in enumerate(self.coeffs):
+    def _galois(self, k: int) -> "Cyclotomic":
+        # the automorphism zeta |-> zeta^k, for k coprime to q
+        field = self.field
+        q = field.order
+        out = [0] * field.phi
+        reduction = field.reduction
+        for j, c in enumerate(self.nums):
             if c:
-                red = table[(q - k) % q]
-                for i, r in enumerate(red):
-                    if r:
-                        out[i] += c * r
-        return Cyclotomic(self.field, out)
+                for i, r in reduction[j * k % q]:
+                    out[i] += c * r
+        return _cyclotomic(field, out, self.den)
+
+    def conj(self) -> "Cyclotomic":
+        return self._galois(-1)
 
     def inv(self) -> "Cyclotomic":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        # extended Euclid against the (irreducible) cyclotomic polynomial
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.field.order)]
-        r0, s0 = modulus, []
-        r1, s1 = list(self.coeffs), [Fraction(1)]
-        while True:
-            r1t = _poly_trim(r1)
-            if len(r1t) == 1:
-                inv_lead = 1 / r1t[0]
-                coeffs = [c * inv_lead for c in s1]
-                coeffs += [Fraction(0)] * (self.field.phi - len(coeffs))
-                return Cyclotomic(self.field, coeffs[: self.field.phi])
-            quot, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1))
-            if not _poly_trim(r1):
-                raise ArithmeticError("cyclotomic polynomial split unexpectedly")
+        # the product of the other Galois conjugates over the norm, which
+        # is the product of all of them and a nonzero rational
+        q = self.field.order
+        rest = self.field.one
+        for k in range(2, q):
+            if math.gcd(k, q) == 1:
+                rest = rest * self._galois(k)
+        norm = self * rest
+        n = norm.nums[0]
+        sign = 1 if n > 0 else -1
+        return _cyclotomic(
+            self.field, [sign * norm.den * c for c in rest.nums], sign * n * rest.den
+        )
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def __eq__(self, other):
         try:
@@ -292,59 +376,35 @@ class Cyclotomic:
             return NotImplemented
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.nums == o.nums
 
     def __hash__(self):
         return hash((self.field.order, self.coeffs))
 
     def to_complex(self) -> complex:
-        q = self.field.order
+        q, den = self.field.order, self.den
         return sum(
-            float(c) * cmath.exp(2j * math.pi * k / q)
-            for k, c in enumerate(self.coeffs)
-            if c
+            n / den * cmath.exp(2j * math.pi * k / q)
+            for k, n in enumerate(self.nums)
+            if n
         ) + 0j
 
     def __repr__(self):
         return f"Cyclotomic(q={self.field.order}, {list(self.coeffs)})"
 
 
-def _poly_trim(p):
-    i = len(p)
-    while i > 0 and p[i - 1] == 0:
-        i -= 1
-    return p[:i]
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    b = _poly_trim(list(b))
-    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            quot[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return quot, _poly_trim(a)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _cyclotomic(field: "CyclotomicField", nums, den: int) -> Cyclotomic:
+    """The private constructor: integer numerators over den > 0, reduced by
+    one gcd."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    z = _new(Cyclotomic)
+    z.field = field
+    z.nums = tuple(nums)
+    z.den = den
+    return z
 
 
 class FloatComplex:
@@ -441,20 +501,17 @@ class RationalField:
     """Constructor object for Gaussian rational scalars."""
 
     name = "rational"
-
-    @property
-    def zero(self):
-        return RationalComplex(0)
-
-    @property
-    def one(self):
-        return RationalComplex(1)
+    zero = _rational(0, 0, 1)
+    one = _rational(1, 0, 1)
+    # exp(2*pi*i*k/4) for k = 0..3
+    _quarter_turns = (one, _rational(0, 1, 1), _rational(-1, 0, 1), _rational(0, -1, 1))
 
     def from_fraction(self, fr) -> RationalComplex:
-        return RationalComplex(_as_fraction(fr))
+        fr = _as_fraction(fr)
+        return _rational(fr.numerator, 0, fr.denominator)
 
     def from_pair(self, re, im) -> RationalComplex:
-        return RationalComplex(_as_fraction(re), _as_fraction(im))
+        return RationalComplex(re, im)
 
     def root_of_unity(self, exponent: Fraction) -> RationalComplex:
         """exp(2*pi*i*exponent); exponent denominator must divide 4."""
@@ -464,21 +521,15 @@ class RationalField:
                 "rational scalars only contain 4th roots of unity; "
                 f"exp(2*pi*i*{exponent}) needs a cyclotomic or float field"
             )
-        quarter = exponent * 4  # 0..3
-        return {
-            0: RationalComplex(1),
-            1: RationalComplex(0, 1),
-            2: RationalComplex(-1),
-            3: RationalComplex(0, -1),
-        }[int(quarter)]
+        return self._quarter_turns[int(exponent * 4)]
 
     def coerce(self, s) -> RationalComplex:
         if isinstance(s, RationalComplex):
             return s
         if isinstance(s, (int, Fraction)):
-            return RationalComplex(_as_fraction(s))
+            return self.from_fraction(s)
         if isinstance(s, Cyclotomic) and s.is_rational():
-            return RationalComplex(s.coeffs[0])
+            return _rational(s.nums[0], 0, s.den)
         raise TypeError(f"cannot coerce {s!r} into the rational scalar field")
 
     def __eq__(self, other):
@@ -501,8 +552,8 @@ class CyclotomicField:
         poly = cyclotomic_polynomial(order)
         self.phi = len(poly) - 1
         self.name = f"cyclotomic:{order}"
-        # power_table[m] = integer coefficients of x^m reduced mod Phi_q,
-        # for every exponent reachable by products and conjugation
+        # table[m] = integer coefficients of x^m reduced mod Phi_q, for
+        # every exponent reachable by products and Galois automorphisms
         limit = max(order, 2 * self.phi - 1)
         table = []
         cur = [0] * self.phi
@@ -516,24 +567,20 @@ class CyclotomicField:
                 nxt = [nxt[i] + lead * top[i] for i in range(self.phi)]
             table.append(tuple(nxt))
             cur = nxt
-        self.power_table = tuple(table)
-
-    @property
-    def zero(self):
-        return Cyclotomic(self, [0] * self.phi)
-
-    @property
-    def one(self):
-        return self.from_fraction(Fraction(1))
+        # reduction[m] = the nonzero (index, coefficient) pairs of table[m]
+        self.reduction = tuple(
+            tuple((i, r) for i, r in enumerate(row) if r) for row in table
+        )
+        self._zeta = tuple(_cyclotomic(self, table[k], 1) for k in range(order))
+        self.zero = _cyclotomic(self, [0] * self.phi, 1)
+        self.one = self._zeta[0]
 
     def from_fraction(self, fr) -> Cyclotomic:
-        coeffs = [Fraction(0)] * self.phi
-        coeffs[0] = _as_fraction(fr)
-        return Cyclotomic(self, coeffs)
+        fr = _as_fraction(fr)
+        return _cyclotomic(self, [fr.numerator] + [0] * (self.phi - 1), fr.denominator)
 
     def zeta_power(self, k: int) -> Cyclotomic:
-        red = self.power_table[k % self.order]
-        return Cyclotomic(self, [Fraction(c) for c in red])
+        return self._zeta[k % self.order]
 
     def from_pair(self, re, im) -> Cyclotomic:
         im = _as_fraction(im)
@@ -559,17 +606,19 @@ class CyclotomicField:
             if s.field.order == self.order:
                 return s
             if self.order % s.field.order == 0:
+                # zeta_r^k = zeta_q^(k*q/r)
                 step = self.order // s.field.order
-                out = self.zero
-                for k, c in enumerate(s.coeffs):
+                out = [0] * self.phi
+                for k, c in enumerate(s.nums):
                     if c:
-                        out = out + self.zeta_power(k * step) * c
-                return out
+                        for i, r in self.reduction[k * step]:
+                            out[i] += c * r
+                return _cyclotomic(self, out, s.den)
             raise TypeError(
                 f"cannot embed Q(zeta_{s.field.order}) into Q(zeta_{self.order})"
             )
         if isinstance(s, (int, Fraction)):
-            return self.from_fraction(_as_fraction(s))
+            return self.from_fraction(s)
         if isinstance(s, RationalComplex):
             return self.from_pair(s.re, s.im)
         raise TypeError(f"cannot coerce {s!r} into {self.name}")

@@ -175,21 +175,35 @@ class SystemSpec:
                             )
 
         self._untwisted: SystemSpec | None = None
+        # filled on first use, keyed by fibers that passed check_fiber
+        self._dims: dict[Fiber, int] = {}
+        self._phases: dict[tuple[Fiber, Fiber], Scalar] = {}
 
     # -- derived structure ------------------------------------------------
 
     def dim(self, s: Fiber) -> int:
         """Dimension of the fiber over s: prod_a m_a^(s_a)."""
-        self.check_fiber(s)
-        out = 1
-        for m, e in zip(self.gen_dims, s):
-            out *= m**e
+        return self._dim(self.check_fiber(s))
+
+    def _dim(self, s: Fiber) -> int:
+        # s has passed check_fiber: (1.0, 0) hashes like (1, 0), so a cache
+        # consulted before the check would let it through
+        out = self._dims.get(s)
+        if out is None:
+            out = 1
+            for m, e in zip(self.gen_dims, s):
+                out *= m**e
+            self._dims[s] = out
         return out
 
     def check_fiber(self, s) -> Fiber:
-        if len(s) != self.k or any((not isinstance(c, int)) or c < 0 for c in s):
-            raise ValueError(f"{s!r} is not an N^{self.k} element")
-        return tuple(s)
+        if len(s) == self.k:
+            for c in s:
+                if not isinstance(c, int) or c < 0:
+                    break
+            else:
+                return tuple(s)
+        raise ValueError(f"{s!r} is not an N^{self.k} element")
 
     def unit_fiber(self, slot: int) -> Fiber:
         """The fiber with a single 1 at the given 0-based generator slot."""
@@ -247,21 +261,26 @@ class SystemSpec:
 
     def multiplier(self, s: Fiber, t: Fiber) -> Scalar:
         """omega(s, t) = exp(2*pi*i * <theta s, t>) in the scalar field."""
-        s = self.check_fiber(s)
-        t = self.check_fiber(t)
+        return self._phase(self.check_fiber(s), self.check_fiber(t))
+
+    def _phase(self, s: Fiber, t: Fiber) -> Scalar:
+        # s and t have passed check_fiber; see _dim
         if not self.is_twisted:
             return self.field.one
-        pairing = self._theta_pairing(s, t)
-        return self.field.root_of_unity(
-            pairing if isinstance(pairing, float) else pairing % 1
-        )
+        out = self._phases.get((s, t))
+        if out is None:
+            pairing = self._theta_pairing(s, t)
+            out = self._phases[(s, t)] = self.field.root_of_unity(
+                pairing if isinstance(pairing, float) else pairing % 1
+            )
+        return out
 
     def mul_basis(self, x: BasisMonomial, y: BasisMonomial) -> tuple[Scalar, BasisMonomial]:
         """Product of basis vectors: a phase and the resulting monomial."""
-        phase = self.multiplier(x.fiber, y.fiber)
-        dim_t = self.dim(y.fiber)
-        return phase, BasisMonomial(
-            add_fibers(x.fiber, y.fiber), x.index * dim_t + y.index
+        s = self.check_fiber(x.fiber)
+        t = self.check_fiber(y.fiber)
+        return self._phase(s, t), BasisMonomial(
+            add_fibers(s, t), x.index * self._dim(t) + y.index
         )
 
     def mul_vectors(self, v: FiberVector, w: FiberVector) -> FiberVector:

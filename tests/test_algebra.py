@@ -26,9 +26,9 @@ from cuntzlab.algebra import (
     zero,
 )
 from cuntzlab.linalg import is_positive_semidefinite
-from cuntzlab.system import SystemSpec, parse_spec_text
+from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text
 
-from conftest import dense_block, random_element, random_monomial
+from conftest import dense_block, random_element, random_fiber, random_monomial
 
 
 def _cuntz_sum(spec, fiber):
@@ -354,6 +354,38 @@ def test_product_matches_four_factor_product(name, seed, adjoint_right):
     if adjoint_right:
         b = b.adjoint()
     got, want = multiply(a, b), four_factor_multiply(a, b)
+    if spec.field is scalars.FLOAT:
+        key = lambda e: [(t.left, t.right, repr(t.coeff.value)) for t in e.terms]
+        assert key(got) == key(want)
+    else:
+        assert got == want
+
+
+def four_factor_shift(a, s):
+    """``shift_endomorphism`` with the term coefficient and both phases on
+    every term."""
+    spec = a.spec
+    acc = {}
+    for f in range(spec.dim(s)):
+        fmon = BasisMonomial(s, f)
+        for t in a.terms:
+            ph_l, x = spec.mul_basis(fmon, t.left)
+            ph_r, y = spec.mul_basis(fmon, t.right)
+            coeff = t.coeff * ph_l * ph_r.conj()
+            cur = acc.get((x, y))
+            acc[(x, y)] = coeff if cur is None else cur + coeff
+    return AlgebraElement(spec, acc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PRODUCT_SPECS)), st.integers(0, 10**6))
+def test_shift_matches_four_factor_shift(name, seed):
+    # untwisted specs skip the two phases, which are the field's one
+    spec = PRODUCT_SPECS[name]
+    rng = random.Random(seed)
+    a = random_element(spec, rng, nterms=rng.randint(1, 4))
+    s = random_fiber(spec, rng)
+    got, want = shift_endomorphism(a, s), four_factor_shift(a, s)
     if spec.field is scalars.FLOAT:
         key = lambda e: [(t.left, t.right, repr(t.coeff.value)) for t in e.terms]
         assert key(got) == key(want)

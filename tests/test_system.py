@@ -126,6 +126,28 @@ class TestMultiplier:
         assert (z * z.conj()).is_one()
 
 
+@pytest.mark.parametrize("name", ["e23", "tw23"])
+def test_caches_keep_validation(name, request):
+    # (1.0, 0) hashes and compares equal to (1, 0): a cache consulted before
+    # check_fiber would answer for it
+    spec = request.getfixturevalue(name)
+    assert spec.dim((1, 0)) == 2
+    phase = spec.multiplier((1, 0), (0, 1))
+    assert spec.multiplier((1, 0), (0, 1)) == phase
+    for bad in [(1.0, 0), (-1, 0), (1,)]:
+        with pytest.raises(ValueError):
+            spec.dim(bad)
+    with pytest.raises(ValueError):
+        spec.multiplier((1.0, 0), (0, 1))
+    with pytest.raises(ValueError):
+        spec.multiplier((1, 0), (0, 1.0))
+    with pytest.raises(ValueError):
+        spec.mul_basis(BasisMonomial((1.0, 0), 0), BasisMonomial((0, 1), 0))
+    with pytest.raises(ValueError):
+        spec.mul_basis(BasisMonomial((1, 0), 0), BasisMonomial((0, 1.0), 0))
+    assert spec.dim((1, 0)) == 2 and spec.multiplier((1, 0), (0, 1)) == phase
+
+
 class TestInnerProduct:
     def test_orthonormal_basis(self, e23):
         v = e23.unit_vector(e23.monomial((0, 1), 0))
