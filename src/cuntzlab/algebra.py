@@ -36,6 +36,7 @@ from .system import (
     Degree,
     FiberVector,
     SystemSpec,
+    add_fibers,
     max_fiber,
     same_system,
     sub_degree,
@@ -70,6 +71,14 @@ class AlgebraElement:
         ]
         terms.sort(key=_term_sort_key)
         self.terms = tuple(terms)
+
+    @classmethod
+    def _canonical(cls, spec: SystemSpec, terms: list) -> "AlgebraElement":
+        """An element of terms that are already merged, nonzero and sorted."""
+        out = cls.__new__(cls)
+        out.spec = spec
+        out.terms = tuple(terms)
+        return out
 
     # -- construction -----------------------------------------------------
 
@@ -205,6 +214,34 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
+_UNSEEN = object()
+
+
+def _window(spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial):
+    """The survivors of i(y')* i(x') as one window, or None if there are none.
+
+    With s the fiber of x' and t that of y', the survivors are the pairs
+    (e(s;lx), e(t;base+lx)) for lo <= lx < hi, each with the coefficient
+    ``phase``; the window is returned as (s, t, dim_s, dim_t, base, lo, hi,
+    phase).  Equal fibers leave <x'|y'> times the identity, returned as the
+    one-survivor window of the zero fiber with the field's one.
+    """
+    s, t = x_prime.fiber, y_prime.fiber
+    if s == t:
+        if x_prime.index != y_prime.index:
+            return None
+        e = spec.identity_monomial.fiber
+        return e, e, 1, 1, 0, 0, 1, spec.field.one
+    dim_s, dim_t = spec.dim(s), spec.dim(t)
+    base = y_prime.index * dim_s - x_prime.index * dim_t
+    # survivors are the lx with 0 <= base + lx < dim_t
+    lo, hi = max(0, -base), min(dim_s, dim_t - base)
+    if lo >= hi:
+        return None
+    phase = spec.multiplier(s, t) * spec.multiplier(t, s).conj()
+    return s, t, dim_s, dim_t, base, lo, hi, phase
+
+
 def rewrite_pair(
     spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial
 ) -> AlgebraElement:
@@ -213,45 +250,87 @@ def rewrite_pair(
     When the fibers agree this collapses to <x'|y'> times the identity.
     Otherwise the surviving terms are exactly the basis pairs (x, y) with
     index(x'.y) == index(y'.x), each carrying the phase
-    omega(s,t) * conj(omega(t,s)).
+    omega(s,t) * conj(omega(t,s)); they form one window (see ``_window``).
     """
-    s, t = x_prime.fiber, y_prime.fiber
-    if s == t:
-        if x_prime.index != y_prime.index:
-            return zero(spec)
-        return identity(spec)
-    dim_s, dim_t = spec.dim(s), spec.dim(t)
-    phase = spec.multiplier(s, t) * spec.multiplier(t, s).conj()
-    base = y_prime.index * dim_s - x_prime.index * dim_t
-    # survivors are the lx with 0 <= base + lx < dim_t
+    window = _window(spec, y_prime, x_prime)
+    if window is None:
+        return zero(spec)
+    s, t, _, _, base, lo, hi, phase = window
     acc = {
         (BasisMonomial(s, lx), BasisMonomial(t, base + lx)): phase
-        for lx in range(max(0, -base), min(dim_s, dim_t - base))
+        for lx in range(lo, hi)
     }
     return AlgebraElement(spec, acc)
 
 
+def _keyed_element(spec: SystemSpec, acc: dict) -> AlgebraElement:
+    """The element of {(degree, left fiber, left index, right fiber, right
+    index): coeff}; the keys sort in the canonical term order, since the
+    degree and the left fiber fix the right fiber.  Terms share their
+    monomials, one per distinct (fiber, index)."""
+    monomials: dict = {}
+    terms = []
+    for (_, fx, ix, fy, iy), c in sorted(acc.items()):
+        if c.is_zero():
+            continue
+        x = monomials.get((fx, ix))
+        if x is None:
+            x = monomials[(fx, ix)] = BasisMonomial(fx, ix)
+        y = monomials.get((fy, iy))
+        if y is None:
+            y = monomials[(fy, iy)] = BasisMonomial(fy, iy)
+        terms.append(Term(c, x, y))
+    return AlgebraElement._canonical(spec, terms)
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The product a*b, one survivor window per pair of terms.
+
+    A term pair (c_a x y_a*) (c_b x_b y*) contributes the survivors of
+    i(y_a)* i(x_b), mapped to e(x.s; x.index*dim_s + lx) e(y.t;
+    y.index*dim_t + base + lx)' with the phases omega(x, s) and
+    conj(omega(y, t)); fibers and phases are looked up once per fiber
+    quadruple and the survivors cost index arithmetic only.
+    """
     a._require_same(b)
     spec = a.spec
+    # the caches below are keyed by fibers, which must be checked first
+    for t in a.terms + b.terms:
+        spec.check_fiber(t.left.fiber)
+        spec.check_fiber(t.right.fiber)
     twisted = spec.is_twisted
+    windows: dict = {}
+    outer: dict = {}  # (x fiber, s, y fiber, t) -> (degree, x.s, y.t, phases)
     acc: dict = {}
-    rewrite_cache: dict = {}
-    for ta in a.terms:
-        for tb in b.terms:
-            key = (ta.right, tb.left)
-            mid = rewrite_cache.get(key)
-            if mid is None:
-                mid = rewrite_cache[key] = rewrite_pair(spec, ta.right, tb.left)
-            c_ab = ta.coeff * tb.coeff
-            for tm in mid.terms:
-                ph_l, x = spec.mul_basis(ta.left, tm.left)
-                ph_r, y = spec.mul_basis(tb.right, tm.right)
-                # untwisted rewrite coefficients and phases are the field's one
-                coeff = c_ab * tm.coeff * ph_l * ph_r.conj() if twisted else c_ab
-                cur = acc.get((x, y))
-                acc[(x, y)] = coeff if cur is None else cur + coeff
-    return AlgebraElement(spec, acc)
+    for ca, x, ya in a.terms:
+        for cb, xb, y in b.terms:
+            key = (ya.fiber, ya.index, xb.fiber, xb.index)
+            window = windows.get(key, _UNSEEN)
+            if window is _UNSEEN:
+                window = windows[key] = _window(spec, ya, xb)
+            if window is None:
+                continue
+            s, t, dim_s, dim_t, base, lo, hi, phase = window
+            quad = (x.fiber, s, y.fiber, t)
+            fibers = outer.get(quad)
+            if fibers is None:
+                fx, fy = add_fibers(x.fiber, s), add_fibers(y.fiber, t)
+                phases = (
+                    (spec.multiplier(x.fiber, s), spec.multiplier(y.fiber, t).conj())
+                    if twisted
+                    else None
+                )
+                fibers = outer[quad] = (sub_degree(fx, fy), fx, fy, phases)
+            g, fx, fy, phases = fibers
+            # untwisted rewrite coefficients and phases are the field's one
+            coeff = ca * cb * phase * phases[0] * phases[1] if twisted else ca * cb
+            i0 = x.index * dim_s
+            j0 = y.index * dim_t + base
+            for lx in range(lo, hi):
+                k = (g, fx, i0 + lx, fy, j0 + lx)
+                cur = acc.get(k)
+                acc[k] = coeff if cur is None else cur + coeff
+    return _keyed_element(spec, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +431,30 @@ def gauge_expectation(a: AlgebraElement) -> AlgebraElement:
 
 
 def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
-    """sum over the basis f of the fiber s of  i(f) a i(f)*."""
+    """sum over the basis f of the fiber s of  i(f) a i(f)*.
+
+    A term c x y* becomes the terms c' (f.x)(f.y)*, where f.x has index
+    f*dim(x) + x.index and c' = c omega(s, x) conj(omega(s, y)) is the same
+    for every f; fibers and phases are computed once per term.  The images
+    of one term step by dim(x) on the left and dim(y) on the right, so they
+    are strided, not a diagonal run of consecutive indices, and each is
+    stored as its own term: a shift by s costs dim(s) terms per term.
+    Distinct (f, term) pairs give distinct monomial pairs, so nothing
+    merges.
+    """
     spec = a.spec
     s = spec.check_fiber(s)
     twisted = spec.is_twisted
+    n = spec.dim(s)
     acc: dict = {}
-    for f in range(spec.dim(s)):
-        fmon = BasisMonomial(s, f)
-        for t in a.terms:
-            ph_l, x = spec.mul_basis(fmon, t.left)
-            ph_r, y = spec.mul_basis(fmon, t.right)
-            # untwisted phases are the field's one
-            coeff = t.coeff * ph_l * ph_r.conj() if twisted else t.coeff
-            cur = acc.get((x, y))
-            acc[(x, y)] = coeff if cur is None else cur + coeff
-    return AlgebraElement(spec, acc)
+    for t in a.terms:
+        x, y = t.left, t.right
+        ph_l, ph_r = spec.multiplier(s, x.fiber), spec.multiplier(s, y.fiber)
+        # untwisted phases are the field's one
+        coeff = t.coeff * ph_l * ph_r.conj() if twisted else t.coeff
+        fx, fy = add_fibers(s, x.fiber), add_fibers(s, y.fiber)
+        g = sub_degree(fx, fy)
+        dim_x, dim_y = spec.dim(x.fiber), spec.dim(y.fiber)
+        for f in range(n):
+            acc[(g, fx, f * dim_x + x.index, fy, f * dim_y + y.index)] = coeff
+    return _keyed_element(spec, acc)

@@ -12,6 +12,7 @@ term order), so runs on identical inputs are textually identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -532,7 +533,13 @@ def _cmd_selftest(args, reporter: Reporter) -> int:
 # argument surface
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Each subcommand names its handler; ``main`` looks the name up when it
+    runs, so a module-level handler replaced after the first call is used.
+    """
     parser = argparse.ArgumentParser(
         prog="cuntzlab",
         description="Exact computer algebra for product-system Cuntz algebras.",
@@ -552,24 +559,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="canonical normal form of an expression")
     common(p)
     p.add_argument("expression")
-    p.set_defaults(handler=_cmd_normalize)
+    p.set_defaults(handler="_cmd_normalize")
 
     p = sub.add_parser("equals", help="decide equality of two expressions")
     common(p)
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=_cmd_equals)
+    p.set_defaults(handler="_cmd_equals")
 
     p = sub.add_parser("expect", help="gauge-invariant expectation of an expression")
     common(p)
     p.add_argument("expression")
-    p.set_defaults(handler=_cmd_expect)
+    p.set_defaults(handler="_cmd_expect")
 
     p = sub.add_parser("alpha", help="apply the shift endomorphism for a fiber")
     common(p)
     p.add_argument("fiber", help="comma-separated fiber, e.g. 1,0")
     p.add_argument("expression")
-    p.set_defaults(handler=_cmd_alpha)
+    p.set_defaults(handler="_cmd_alpha")
 
     p = sub.add_parser("eval", help="evaluate in the step representation")
     common(p)
@@ -581,28 +588,28 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated modulus-one scalars twisting the generators",
     )
     p.add_argument("expression")
-    p.set_defaults(handler=_cmd_eval)
+    p.set_defaults(handler="_cmd_eval")
 
     p = sub.add_parser("classify", help="simplicity classification of a spec")
     common(p)
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler="_cmd_classify")
 
     p = sub.add_parser("witness", help="nonsimplicity witness for a spec")
     common(p)
-    p.set_defaults(handler=_cmd_witness)
+    p.set_defaults(handler="_cmd_witness")
 
     p = sub.add_parser("kill", help="annihilate a monomial pair by compression")
     common(p)
     p.add_argument("x", help="left generator monomial, e.g. 'e(1,0;0)'")
     p.add_argument("y", help="right generator monomial")
     p.add_argument("--shift", default=None, help="shift fiber (default: as summed)")
-    p.set_defaults(handler=_cmd_kill)
+    p.set_defaults(handler="_cmd_kill")
 
     p = sub.add_parser("iso", help="dimension-absorbing isomorphism round trip")
     common(p, spec=False)
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_iso)
+    p.set_defaults(handler="_cmd_iso")
 
     p = sub.add_parser("relations", help="check a generator assignment file")
     common(p)
@@ -610,11 +617,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--target", default=None, help="target spec path (default: --spec)"
     )
     p.add_argument("assignment", help="file of '(a,i) = <expression>' lines")
-    p.set_defaults(handler=_cmd_relations)
+    p.set_defaults(handler="_cmd_relations")
 
     p = sub.add_parser("selftest", help="run the built-in verification battery")
     common(p, spec=False)
-    p.set_defaults(handler=_cmd_selftest)
+    p.set_defaults(handler="_cmd_selftest")
 
     return parser
 
@@ -627,7 +634,7 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     reporter = Reporter(args.format)
     try:
-        return args.handler(args, reporter)
+        return globals()[args.handler](args, reporter)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

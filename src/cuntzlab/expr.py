@@ -19,6 +19,7 @@ syntax errors, the set of token kinds that would have been accepted.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -337,6 +338,13 @@ def _format_fraction(f: Fraction) -> str:
     return str(f)
 
 
+def _format_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms, as ``str(Fraction(num, den))``."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _format_float(x: float) -> str:
     return repr(x)
 
@@ -373,18 +381,18 @@ def _term_pieces(coeff, mon: str):
     leads with a minus: the overall sign moves out to the joining +/-.
     """
     if isinstance(coeff, scalars.RationalComplex):
-        re_part, im_part = coeff.re, coeff.im
-        if im_part == 0:
-            yield re_part < 0, _real_piece(_format_fraction(abs(re_part)), mon)
+        re_num, im_num, den = coeff.re_num, coeff.im_num, coeff.den
+        if im_num == 0:
+            yield re_num < 0, _real_piece(_format_ratio(abs(re_num), den), mon)
         else:
-            negative = re_part < 0 or (re_part == 0 and im_part < 0)
+            negative = re_num < 0 or (re_num == 0 and im_num < 0)
             if negative:
-                re_part, im_part = -re_part, -im_part
+                re_num, im_num = -re_num, -im_num
             body = _complex_body(
-                _format_fraction(re_part),
-                _format_fraction(abs(im_part)),
-                re_part == 0,
-                im_part < 0,
+                _format_ratio(re_num, den),
+                _format_ratio(abs(im_num), den),
+                re_num == 0,
+                im_num < 0,
             )
             yield negative, f"({body})*{mon}"
         return
@@ -441,14 +449,14 @@ def format_element(a: AlgebraElement) -> str:
 def format_scalar(value) -> str:
     """Canonical text for a bare scalar, parseable by parse_scalar."""
     if isinstance(value, scalars.RationalComplex):
-        re_part, im_part = value.re, value.im
-        if im_part == 0:
-            return _format_fraction(re_part)
+        re_num, im_num, den = value.re_num, value.im_num, value.den
+        if im_num == 0:
+            return _format_ratio(re_num, den)
         return _complex_body(
-            _format_fraction(re_part),
-            _format_fraction(abs(im_part)),
-            re_part == 0,
-            im_part < 0,
+            _format_ratio(re_num, den),
+            _format_ratio(abs(im_num), den),
+            re_num == 0,
+            im_num < 0,
         )
     if isinstance(value, scalars.FloatComplex):
         re_part, im_part = value.value.real, value.value.imag

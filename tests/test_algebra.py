@@ -28,7 +28,13 @@ from cuntzlab.algebra import (
 from cuntzlab.linalg import is_positive_semidefinite
 from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text
 
-from conftest import dense_block, random_element, random_fiber, random_monomial
+from conftest import (
+    dense_block,
+    random_coeff,
+    random_element,
+    random_fiber,
+    random_monomial,
+)
 
 
 def _cuntz_sum(spec, fiber):
@@ -340,25 +346,52 @@ PRODUCT_SPECS = {
     "q23": SystemSpec((2, 3), scalar_mode="cyclotomic:8"),
     "f23": SystemSpec((2, 3), scalar_mode="float"),
     "tw23": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n"),
+    # an irrational angle: every phase is an inexact float
+    "twf23": parse_spec_text(
+        "k = 2\ndims = 2 3\ntheta = 0 0.3183098861837907 0.1 0\nscalars = float\n"
+    ),
 }
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(sorted(PRODUCT_SPECS)), st.integers(0, 10**6), st.booleans())
-def test_product_matches_four_factor_product(name, seed, adjoint_right):
-    # untwisted specs skip the three factors that are the field's one
+def pooled_element(spec, rng, nterms, max_sum):
+    """A random element whose terms draw both monomials from a pool of two,
+    so left and right monomials repeat across terms."""
+    pool = [random_monomial(spec, rng, max_sum) for _ in range(2)]
+    acc = zero(spec)
+    for _ in range(nterms):
+        acc = acc + monomial_pair(
+            spec, rng.choice(pool), rng.choice(pool), random_coeff(spec, rng)
+        )
+    return acc
+
+
+def same_product(got, want):
+    # float coefficients must agree to the bit, not within tolerance
+    if got.spec.field is scalars.FLOAT:
+        key = lambda e: [(t.left, t.right, repr(t.coeff.value)) for t in e.terms]
+        return key(got) == key(want)
+    return got == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(PRODUCT_SPECS)),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.integers(2, 3),
+    st.booleans(),
+)
+def test_product_matches_four_factor_product(name, seed, adjoint_right, max_sum, pooled):
+    # untwisted specs skip the three factors that are the field's one; fiber
+    # sums up to 3 cut survivor windows at either end or leave them empty
     spec = PRODUCT_SPECS[name]
     rng = random.Random(seed)
-    a = random_element(spec, rng, nterms=rng.randint(1, 4))
-    b = random_element(spec, rng, nterms=rng.randint(1, 4))
+    make = pooled_element if pooled else random_element
+    a = make(spec, rng, rng.randint(1, 4), max_sum)
+    b = make(spec, rng, rng.randint(1, 4), max_sum)
     if adjoint_right:
         b = b.adjoint()
-    got, want = multiply(a, b), four_factor_multiply(a, b)
-    if spec.field is scalars.FLOAT:
-        key = lambda e: [(t.left, t.right, repr(t.coeff.value)) for t in e.terms]
-        assert key(got) == key(want)
-    else:
-        assert got == want
+    assert same_product(multiply(a, b), four_factor_multiply(a, b))
 
 
 def four_factor_shift(a, s):
@@ -385,9 +418,92 @@ def test_shift_matches_four_factor_shift(name, seed):
     rng = random.Random(seed)
     a = random_element(spec, rng, nterms=rng.randint(1, 4))
     s = random_fiber(spec, rng)
-    got, want = shift_endomorphism(a, s), four_factor_shift(a, s)
-    if spec.field is scalars.FLOAT:
-        key = lambda e: [(t.left, t.right, repr(t.coeff.value)) for t in e.terms]
-        assert key(got) == key(want)
-    else:
-        assert got == want
+    assert same_product(shift_endomorphism(a, s), four_factor_shift(a, s))
+
+
+def _pair(spec, x, y):
+    return AlgebraElement(spec, {(x, y): spec.field.one})
+
+
+def _malformed_products(spec, bad):
+    """(label, a, b) whose product meets the malformed fiber ``bad`` in the
+    left or the right factor on each rewrite path; were ``bad`` the valid
+    (1, 0), each path would be taken as labelled."""
+    B = BasisMonomial
+    yield "identity, left", _pair(spec, B(bad, 0), B((1, 0), 1)), _pair(
+        spec, B((1, 0), 1), B((0, 1), 2)
+    )
+    yield "identity, right", _pair(spec, B((0, 1), 0), B((1, 0), 1)), _pair(
+        spec, B((1, 0), 1), B(bad, 0)
+    )
+    # i(y')* i(x') with y' = e(bad;1), x' = e(0,1;0): base 3 >= dim 2
+    yield "empty window, left", _pair(spec, B((0, 1), 0), B(bad, 1)), _pair(
+        spec, B((0, 1), 0), B((0, 1), 1)
+    )
+    # y' = e(0,1;2), x' = e(bad;0): base 4 >= dim 3
+    yield "empty window, right", _pair(spec, B((0, 1), 0), B((0, 1), 2)), _pair(
+        spec, B(bad, 0), B((1, 0), 0)
+    )
+    # y' = e(0,1;2), x' = e(1,0;1): base 1, survivors lx = 0, 1
+    yield "window, left", _pair(spec, B(bad, 1), B((0, 1), 2)), _pair(
+        spec, B((1, 0), 1), B((0, 1), 0)
+    )
+    yield "window, right", _pair(spec, B((0, 1), 1), B((0, 1), 2)), _pair(
+        spec, B((1, 0), 1), B(bad, 0)
+    )
+    # a valid (1, 0) term first, so fiber-keyed lookups have seen (1, 0)
+    two = AlgebraElement(
+        spec,
+        {
+            (B((1, 0), 0), B((0, 1), 2)): spec.field.one,
+            (B(bad, 1), B((0, 1), 2)): spec.field.one,
+        },
+    )
+    yield "window after a valid term, left", two, _pair(spec, B((1, 0), 1), B((0, 1), 0))
+    two = AlgebraElement(
+        spec,
+        {
+            (B((0, 1), 0), B((1, 0), 0)): spec.field.one,
+            (B((0, 1), 0), B(bad, 1)): spec.field.one,
+        },
+    )
+    yield "identity after a valid term, right", _pair(spec, B((0, 1), 1), B((0, 1), 0)), two
+
+
+MALFORMED_FIBERS = [(1.0, 0), (-1, 0)]
+
+
+@pytest.mark.parametrize("name", ["e23", "tw23"])
+@pytest.mark.parametrize("bad", MALFORMED_FIBERS, ids=repr)
+def test_multiply_rejects_malformed_fibers(name, bad):
+    # (1.0, 0) hashes and compares like (1, 0), so only a check of every
+    # term's fibers, not a cache miss, can reject it
+    spec = PRODUCT_SPECS[name]
+    for label, a, b in _malformed_products(spec, bad):
+        if "after a valid term" in label and bad == (1.0, 0):
+            first = (a if label.endswith("left") else b).terms[0]
+            assert all(type(c) is int for c in first.left.fiber + first.right.fiber)
+        with pytest.raises(ValueError):
+            multiply(a, b)
+        with pytest.raises(ValueError):
+            four_factor_multiply(a, b)
+
+
+@pytest.mark.parametrize("name", ["e23", "tw23"])
+@pytest.mark.parametrize("bad", MALFORMED_FIBERS, ids=repr)
+def test_shift_rejects_malformed_fibers(name, bad):
+    spec = PRODUCT_SPECS[name]
+    B = BasisMonomial
+    one = spec.field.one
+    elements = [
+        _pair(spec, B(bad, 0), B((0, 1), 0)),
+        _pair(spec, B((0, 1), 0), B(bad, 1)),
+        AlgebraElement(
+            spec,
+            {(B((1, 0), 0), B((0, 1), 0)): one, (B(bad, 1), B((0, 1), 0)): one},
+        ),
+    ]
+    for a in elements:
+        for s in [(1, 0), (0, 0)]:
+            with pytest.raises(ValueError):
+                shift_endomorphism(a, s)

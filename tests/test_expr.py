@@ -3,10 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzlab import algebra, scalars
 from cuntzlab.expr import (
     ExpressionError,
+    _complex_body,
+    _format_fraction,
+    _real_piece,
+    _term_pieces,
     format_element,
     format_scalar,
     parse_element,
@@ -235,3 +241,50 @@ class TestRoundTrips:
 
     def test_zero_round_trip(self, e23):
         assert format_element(parse_element(e23, "0")) == "0"
+
+
+# The Gaussian-rational printer as it read when ``re`` and ``im`` were its
+# inputs, kept verbatim as the oracle for the printer on integer triples.
+
+
+def fraction_term_pieces(coeff, mon: str):
+    re_part, im_part = coeff.re, coeff.im
+    if im_part == 0:
+        yield re_part < 0, _real_piece(_format_fraction(abs(re_part)), mon)
+    else:
+        negative = re_part < 0 or (re_part == 0 and im_part < 0)
+        if negative:
+            re_part, im_part = -re_part, -im_part
+        body = _complex_body(
+            _format_fraction(re_part),
+            _format_fraction(abs(im_part)),
+            re_part == 0,
+            im_part < 0,
+        )
+        yield negative, f"({body})*{mon}"
+
+
+def fraction_format_scalar(value) -> str:
+    re_part, im_part = value.re, value.im
+    if im_part == 0:
+        return _format_fraction(re_part)
+    return _complex_body(
+        _format_fraction(re_part),
+        _format_fraction(abs(im_part)),
+        re_part == 0,
+        im_part < 0,
+    )
+
+
+_numerators = st.one_of(st.integers(-12, 12), st.integers(-(10**30), 10**30))
+_denominators = st.one_of(st.integers(1, 12), st.integers(1, 10**30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_numerators, _denominators, _numerators, _denominators)
+def test_gaussian_printing_matches_fraction_printing(a, b, c, d):
+    value = scalars.RationalComplex(Fraction(a, b), Fraction(c, d))
+    assert list(_term_pieces(value, "e(1,0;0)")) == list(
+        fraction_term_pieces(value, "e(1,0;0)")
+    )
+    assert format_scalar(value) == fraction_format_scalar(value)
