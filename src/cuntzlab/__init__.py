@@ -16,7 +16,6 @@ from .system import (
     SpecFormatError,
     SystemSpec,
     parse_spec_text,
-    spec_text,
 )
 from .scalars import (
     FLOAT,
@@ -43,7 +42,6 @@ from .algebra import (
     rewrite_pair,
     shift_endomorphism,
     vector_element,
-    vector_projection,
     zero,
 )
 from .steprep import (
@@ -64,13 +62,9 @@ from .core import (
     corner_shift,
     embed,
     embed_to,
-    from_algebra,
-    identity_core,
     multiply_core,
-    rank_one_core,
     to_algebra,
     trace,
-    zero_core,
 )
 from .analysis import (
     AnnihilationInstance,
@@ -92,7 +86,6 @@ from .morphisms import (
     check_relations,
     extend,
     factor_iso,
-    format_assignment,
     map_element,
     parse_assignment,
     verify_roundtrip,

@@ -146,14 +146,6 @@ class AlgebraElement:
             return NotImplemented
         return same_system(self.spec, other.spec) and self.terms == other.terms
 
-    def degrees(self) -> list[Degree]:
-        seen = []
-        for t in self.terms:
-            g = sub_degree(t.left.fiber, t.right.fiber)
-            if g not in seen:
-                seen.append(g)
-        return seen
-
     def __repr__(self):
         if not self.terms:
             return "AlgebraElement<0>"
@@ -188,21 +180,6 @@ def vector_element(spec, v: FiberVector) -> AlgebraElement:
     return AlgebraElement.from_terms(
         spec, ((c, BasisMonomial(v.fiber, j), e) for j, c in v.entries.items())
     )
-
-
-def vector_projection(spec, v: FiberVector) -> AlgebraElement:
-    """The rank-one projection i(v) i(v)* / <v, v> (v need not be a unit)."""
-    norm = spec.inner(v, v)
-    if norm.is_zero():
-        raise ValueError("cannot project along the zero vector")
-    inv = norm.inv()
-    acc: dict = {}
-    for j, a in v.entries.items():
-        for l, b in v.entries.items():
-            acc[(BasisMonomial(v.fiber, j), BasisMonomial(v.fiber, l))] = (
-                inv * a * b.conj()
-            )
-    return AlgebraElement(spec, acc)
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

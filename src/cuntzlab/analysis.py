@@ -229,23 +229,6 @@ class Classification:
             return f"TensorCircle({self.power_base[0]})"
         return self.kind
 
-    def describe(self) -> str:
-        lines = [self.verdict()]
-        lines.append("dims: " + " ".join(str(m) for m in self.gen_dims))
-        lines.append("twisted: " + ("yes" if self.twisted else "no"))
-        for p, row in zip(self.primes, self.exponent_matrix):
-            lines.append(f"exponents of {p}: " + " ".join(str(v) for v in row))
-        lines.append(f"rank: {self.rank} of {len(self.gen_dims)}")
-        if self.kernel is not None:
-            lines.append("kernel: (" + ", ".join(str(v) for v in self.kernel) + ")")
-        if self.witness is not None:
-            s, t = self.witness
-            lines.append(f"witness: s={s} t={t}")
-        if self.power_base is not None:
-            l, a, b = self.power_base
-            lines.append(f"power-base: l={l} a={a} b={b}")
-        return "\n".join(lines)
-
 
 def classify(spec: SystemSpec) -> Classification:
     """Decide simplicity from the generator dimensions and the twist.

@@ -11,27 +11,64 @@ of fibers forms a directed system.
 the left by the rank-one projection of the distinguished unit vector
 (fiber r, basis index 0).  On algebra elements it agrees with conjugation
 by that unit's isometry, twisted or not.
+
+The matrix is held as swept diagonal runs (see ``runs``).  Both maps send a
+run to a run: S (x) 1_t takes the run (j, l, L) to (j*d, l*d, L*d), d =
+dim(t), and the corner shift keeps every run in the (0, 0) block.  So an
+embedding, a product and a trace cost the runs, not the fiber dimension,
+which grows like m^s along the directed system.  ``CoreElement.matrix``
+expands the runs into dense rows, which does cost dim^2, for small fibers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from . import algebra
+from . import runs as run_ops
+from .scalars import field_of
 from .system import BasisMonomial, Fiber, SystemSpec, add_fibers, max_fiber, sub_degree
 
 
-@dataclass(frozen=True)
 class CoreElement:
-    fiber: Fiber
-    matrix: tuple  # tuple of row tuples, square, dim(fiber) x dim(fiber)
+    """A dim x dim matrix over the basis of ``fiber``, held as swept runs.
+
+    ``CoreElement(fiber, rows)`` takes dense rows of field scalars; the
+    kernels pass ``dim=``, ``runs=`` (already swept) and the field's
+    ``zero=`` instead.
+    """
+
+    __slots__ = ("fiber", "dim", "runs", "zero")
+
+    def __init__(self, fiber: Fiber, rows=None, *, dim=None, runs=None, zero=None):
+        if runs is None:
+            dim, zero = len(rows), field_of(rows[0][0]).zero
+            cells = [
+                (j, l, 1, v)
+                for j, row in enumerate(rows)
+                for l, v in enumerate(row)
+                if not v.is_zero()
+            ]
+            runs = run_ops.sweep(cells)
+        self.fiber = fiber
+        self.dim = dim
+        self.runs = runs
+        self.zero = zero
+
+    @property
+    def matrix(self) -> tuple:
+        """Dense rows, one tuple per row; this costs dim^2."""
+        rows = [[self.zero] * self.dim for _ in range(self.dim)]
+        for row0, col0, length, coeff in self.runs:
+            for u in range(length):
+                rows[row0 + u][col0 + u] = coeff
+        return tuple(map(tuple, rows))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.matrix for x in row)
+        return not self.runs
 
     def __repr__(self):
-        n = len(self.matrix)
-        return f"CoreElement(fiber={self.fiber}, {n}x{n})"
+        return f"CoreElement(fiber={self.fiber}, {self.dim}x{self.dim})"
 
 
 def core_element(spec: SystemSpec, fiber, rows) -> CoreElement:
@@ -41,53 +78,15 @@ def core_element(spec: SystemSpec, fiber, rows) -> CoreElement:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"fiber {fiber} needs a {n}x{n} matrix")
     field = spec.field
-    return CoreElement(
-        fiber, tuple(tuple(field.coerce(x) for x in r) for r in rows)
-    )
-
-
-def zero_core(spec: SystemSpec, fiber) -> CoreElement:
-    n = spec.dim(spec.check_fiber(fiber))
-    z = spec.field.zero
-    return CoreElement(tuple(fiber), tuple(tuple(z for _ in range(n)) for _ in range(n)))
-
-
-def identity_core(spec: SystemSpec, fiber) -> CoreElement:
-    n = spec.dim(spec.check_fiber(fiber))
-    z, o = spec.field.zero, spec.field.one
-    return CoreElement(
-        tuple(fiber),
-        tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)),
-    )
-
-
-def rank_one_core(spec: SystemSpec, x: BasisMonomial, y: BasisMonomial) -> CoreElement:
-    """The matrix unit |x><y| (both monomials in the same fiber)."""
-    if x.fiber != y.fiber:
-        raise ValueError("rank-one core elements pair monomials of one fiber")
-    n = spec.dim(x.fiber)
-    z, o = spec.field.zero, spec.field.one
-    rows = [[z] * n for _ in range(n)]
-    rows[x.index][y.index] = o
-    return CoreElement(x.fiber, tuple(tuple(r) for r in rows))
+    return CoreElement(fiber, [[field.coerce(x) for x in r] for r in rows])
 
 
 def embed(spec: SystemSpec, s: CoreElement, t) -> CoreElement:
     """Tensor with the identity of fiber t: S |-> S (x) 1_t."""
     t = spec.check_fiber(t)
-    dim_t = spec.dim(t)
-    n = len(s.matrix)
-    z = spec.field.zero
-    size = n * dim_t
-    rows = [[z] * size for _ in range(size)]
-    for j in range(n):
-        for l in range(n):
-            v = s.matrix[j][l]
-            if v.is_zero():
-                continue
-            for q in range(dim_t):
-                rows[j * dim_t + q][l * dim_t + q] = v
-    return CoreElement(add_fibers(s.fiber, t), tuple(tuple(r) for r in rows))
+    d = spec.dim(t)
+    runs = tuple((j * d, l * d, n * d, v) for j, l, n, v in s.runs)
+    return CoreElement(add_fibers(s.fiber, t), dim=s.dim * d, runs=runs, zero=s.zero)
 
 
 def embed_to(spec: SystemSpec, s: CoreElement, fiber) -> CoreElement:
@@ -102,33 +101,8 @@ def embed_to(spec: SystemSpec, s: CoreElement, fiber) -> CoreElement:
 
 
 def to_algebra(spec: SystemSpec, s: CoreElement) -> algebra.AlgebraElement:
-    triples = []
-    for j, row in enumerate(s.matrix):
-        for l, v in enumerate(row):
-            if not v.is_zero():
-                triples.append(
-                    (v, BasisMonomial(s.fiber, j), BasisMonomial(s.fiber, l))
-                )
-    return algebra.AlgebraElement.from_terms(spec, triples)
-
-
-def from_algebra(a: algebra.AlgebraElement) -> CoreElement:
-    """Core matrix of a degree-zero element (its normal-form runs)."""
-    spec = a.spec
-    for t in a.terms:
-        if t.left.fiber != t.right.fiber:
-            raise ValueError(
-                f"element has a nonzero-degree term {t.left!r}{t.right!r}'"
-            )
-    block = algebra.normal_form(a).block((0,) * spec.k)
-    if block is None:
-        return zero_core(spec, (0,) * spec.k)
-    c, runs = block
-    rows = [list(r) for r in zero_core(spec, c).matrix]
-    for row0, col0, length, coeff in runs:
-        for f in range(length):
-            rows[row0 + f][col0 + f] = coeff
-    return CoreElement(c, tuple(tuple(r) for r in rows))
+    blocks = {(0,) * spec.k: (s.fiber, s.runs)} if s.runs else {}
+    return algebra.expand_normal_form(algebra.NormalForm(spec, blocks))
 
 
 def multiply_core(spec: SystemSpec, a: CoreElement, b: CoreElement) -> CoreElement:
@@ -136,32 +110,13 @@ def multiply_core(spec: SystemSpec, a: CoreElement, b: CoreElement) -> CoreEleme
     fiber = max_fiber(a.fiber, b.fiber)
     a = embed_to(spec, a, fiber)
     b = embed_to(spec, b, fiber)
-    n = len(a.matrix)
-    z = spec.field.zero
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = z
-            for l in range(n):
-                x = a.matrix[i][l]
-                if x.is_zero():
-                    continue
-                y = b.matrix[l][j]
-                if not y.is_zero():
-                    acc = acc + x * y
-            row.append(acc)
-        rows.append(tuple(row))
-    return CoreElement(fiber, tuple(rows))
+    runs = run_ops.product(a.runs, b.runs)
+    return CoreElement(fiber, dim=a.dim, runs=runs, zero=a.zero)
 
 
 def core_equal(spec: SystemSpec, a: CoreElement, b: CoreElement) -> bool:
     fiber = max_fiber(a.fiber, b.fiber)
-    a = embed_to(spec, a, fiber)
-    b = embed_to(spec, b, fiber)
-    return all(
-        (x - y).is_zero() for ra, rb in zip(a.matrix, b.matrix) for x, y in zip(ra, rb)
-    )
+    return run_ops.equal(embed_to(spec, a, fiber).runs, embed_to(spec, b, fiber).runs)
 
 
 def twisted_unit(spec: SystemSpec, s) -> BasisMonomial:
@@ -174,26 +129,19 @@ def twisted_unit(spec: SystemSpec, s) -> BasisMonomial:
 
 
 def corner_shift(spec: SystemSpec, s: CoreElement, r) -> CoreElement:
-    """Left-tensor by the rank-one projection of the fiber-r unit."""
+    """Left-tensor by the rank-one projection of the fiber-r unit.
+
+    The image is the block (0, 0) of the deeper fiber, so the runs stay.
+    """
     r = spec.check_fiber(r)
-    dim_r = spec.dim(r)
-    n = len(s.matrix)
-    z = spec.field.zero
-    size = dim_r * n
-    rows = [[z] * size for _ in range(size)]
-    for q in range(n):
-        for p in range(n):
-            v = s.matrix[q][p]
-            if not v.is_zero():
-                rows[q][p] = v  # block (j=0, l=0); all other blocks vanish
-    return CoreElement(add_fibers(r, s.fiber), tuple(tuple(row) for row in rows))
+    fiber = add_fibers(r, s.fiber)
+    return CoreElement(fiber, dim=spec.dim(r) * s.dim, runs=s.runs, zero=s.zero)
 
 
 def trace(spec: SystemSpec, s: CoreElement):
     """Matrix trace divided by the fiber dimension (the normalized trace)."""
-    from fractions import Fraction
-
     acc = spec.field.zero
-    for i in range(len(s.matrix)):
-        acc = acc + s.matrix[i][i]
-    return acc * Fraction(1, spec.dim(s.fiber))
+    for row0, col0, length, coeff in s.runs:
+        if row0 == col0:
+            acc = acc + coeff * length
+    return acc * Fraction(1, s.dim)

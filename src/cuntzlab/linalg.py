@@ -84,38 +84,6 @@ def integer_kernel_vector(int_rows, ncols: int):
     return tuple(ints)
 
 
-def is_positive_semidefinite(matrix, field) -> bool:
-    """Exact PSD test for a Hermitian matrix by symmetric pivoting.
-
-    Supports Gaussian-rational entries, where every pivot of a Hermitian
-    matrix is an exact rational; requires matrix[i][j] == conj(matrix[j][i]).
-    """
-    from .scalars import RationalComplex
-
-    n = len(matrix)
-    work = [[matrix[i][j] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        d = work[k][k]
-        if not isinstance(d, RationalComplex):
-            raise TypeError("exact PSD pivoting needs rational scalars")
-        if d.im != 0 or d.re < 0:
-            return False
-        if d.is_zero():
-            # a PSD matrix with zero diagonal entry has a zero row/column
-            if any(not work[k][j].is_zero() for j in range(k, n)):
-                return False
-            continue
-        inv = d.inv()
-        for i in range(k + 1, n):
-            if work[i][k].is_zero():
-                continue
-            f = work[i][k] * inv
-            for j in range(k + 1, n):
-                work[i][j] = work[i][j] - f * work[k][j]
-            work[i][k] = field.zero
-    return True
-
-
 # -- sparse maps ---------------------------------------------------------
 #
 # Sparse matrices are dicts {(row, col): scalar} with implied zeros.  Step

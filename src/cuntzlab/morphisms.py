@@ -303,18 +303,6 @@ def verify_roundtrip(pair: IsomorphismPair) -> bool:
 # Plain-text serialization: one "(a,i) = <expression>" line per generator.
 
 
-def format_assignment(assignment: GeneratorAssignment) -> str:
-    """Render an assignment as ``(a,i) = <expression>`` lines."""
-    from . import expr
-
-    lines = []
-    for a in range(1, assignment.source.k + 1):
-        for i in range(assignment.source.gen_dims[a - 1]):
-            body = expr.format_element(assignment.image(a, i))
-            lines.append(f"({a},{i}) = {body}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_assignment(
     source: SystemSpec, target_spec: SystemSpec, text: str
 ) -> GeneratorAssignment:

@@ -1,9 +1,10 @@
-"""Diagonal runs: the sparse format of normal forms and step operators.
+"""Diagonal runs: the sparse format of normal forms, step operators and cores.
 
 A run ``(row0, col0, length, coeff)`` puts ``coeff`` on the matrix entries
 (row0 + u, col0 + u) for u < length; entries no run covers are zero.  A
-raised normal-form term and a term evaluated at a step level are each one
-run, so their cost follows the terms, never the block size or the level.
+raised normal-form term, a term evaluated at a step level and a core matrix
+unit tensored with an identity are each one run, so their cost follows the
+terms, never the block size, the level or the fiber dimension.
 Runs are *swept* when they are nonzero, disjoint and sorted by (row0,
 col0); a sum of runs is zero exactly when its sweep is empty.
 """
@@ -56,6 +57,21 @@ def compose(a: tuple, b: tuple) -> tuple | None:
     if lo >= hi:
         return None
     return (row_a + lo - col_a, col_b + lo - row_b, hi - lo, coeff_a * coeff_b)
+
+
+def product(a: tuple, b: tuple) -> tuple:
+    """The swept runs of the matrix product a b of two run tuples.
+
+    Each pair of runs composes to at most one run, so the cost is the
+    number of run pairs plus the sweep, whatever the run lengths.
+    """
+    pieces = (compose(x, y) for y in b for x in a)
+    return sweep([run for run in pieces if run is not None])
+
+
+def equal(a: tuple, b: tuple) -> bool:
+    """Whether two run tuples hold the same matrix: a - b sweeps to nothing."""
+    return not sweep([*a, *((r, c, n, -v) for r, c, n, v in b)])
 
 
 def adjoint(run: tuple) -> tuple:

@@ -103,16 +103,15 @@ class StepOperator:
                 f"cannot compose: inner levels differ "
                 f"({other.level_out} vs {self.level_in})"
             )
-        products = (run_ops.compose(a, b) for b in other.runs for a in self.runs)
-        pieces = [run for run in products if run is not None]
-        return StepOperator(other.level_in, self.level_out, runs=run_ops.sweep(pieces))
+        runs = run_ops.product(self.runs, other.runs)
+        return StepOperator(other.level_in, self.level_out, runs=runs)
 
     def equal(self, other: "StepOperator") -> bool:
         """Same levels, and the sweep of the difference is empty."""
         return (
             self.level_in == other.level_in
             and self.level_out == other.level_out
-            and not run_ops.sweep([*self.runs, *((r, c, n, -v) for r, c, n, v in other.runs)])
+            and run_ops.equal(self.runs, other.runs)
         )
 
 

@@ -464,14 +464,3 @@ def parse_spec_text(text: str) -> SystemSpec:
         return SystemSpec(dims, theta=theta, scalar_mode=scalar_mode)
     except ConfigurationError as exc:
         raise SpecFormatError(values.get("theta", values["dims"])[0], str(exc)) from None
-
-
-def spec_text(spec: SystemSpec) -> str:
-    """Render a SystemSpec back into the description file format."""
-    lines = [f"k = {spec.k}", "dims = " + " ".join(str(m) for m in spec.gen_dims)]
-    if spec.theta is not None:
-        flat = " ".join(str(x) for row in spec.theta for x in row)
-        lines.append(f"theta = {flat}")
-    if spec.scalar_mode != "rational":
-        lines.append(f"scalars = {spec.scalar_mode}")
-    return "\n".join(lines) + "\n"

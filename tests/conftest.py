@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlab import algebra, scalars
+from cuntzlab import algebra, expr, scalars
 from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text, sub_degree
 
 
@@ -91,6 +91,62 @@ def dense_block(nf, degree):
     return [[zero if x is None else x for x in row] for row in rows]
 
 
+def is_positive_semidefinite(matrix, field) -> bool:
+    """Exact PSD test for a Hermitian matrix by symmetric pivoting.
+
+    Supports Gaussian-rational entries, where every pivot of a Hermitian
+    matrix is an exact rational; requires matrix[i][j] == conj(matrix[j][i]).
+    """
+    n = len(matrix)
+    work = [[matrix[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        d = work[k][k]
+        if not isinstance(d, scalars.RationalComplex):
+            raise TypeError("exact PSD pivoting needs rational scalars")
+        if d.im != 0 or d.re < 0:
+            return False
+        if d.is_zero():
+            # a PSD matrix with zero diagonal entry has a zero row/column
+            if any(not work[k][j].is_zero() for j in range(k, n)):
+                return False
+            continue
+        inv = d.inv()
+        for i in range(k + 1, n):
+            if work[i][k].is_zero():
+                continue
+            f = work[i][k] * inv
+            for j in range(k + 1, n):
+                work[i][j] = work[i][j] - f * work[k][j]
+            work[i][k] = field.zero
+    return True
+
+
+def format_assignment(assignment) -> str:
+    """Render an assignment as the ``(a,i) = <expression>`` lines that
+    ``morphisms.parse_assignment`` and the ``relations`` command read."""
+    lines = []
+    for a in range(1, assignment.source.k + 1):
+        for i in range(assignment.source.gen_dims[a - 1]):
+            body = expr.format_element(assignment.image(a, i))
+            lines.append(f"({a},{i}) = {body}")
+    return "\n".join(lines) + "\n"
+
+
+def vector_projection(spec, v):
+    """The rank-one projection i(v) i(v)* / <v, v> (v need not be a unit)."""
+    norm = spec.inner(v, v)
+    if norm.is_zero():
+        raise ValueError("cannot project along the zero vector")
+    inv = norm.inv()
+    acc: dict = {}
+    for j, a in v.entries.items():
+        for l, b in v.entries.items():
+            acc[(BasisMonomial(v.fiber, j), BasisMonomial(v.fiber, l))] = (
+                inv * a * b.conj()
+            )
+    return algebra.AlgebraElement(spec, acc)
+
+
 def compressed_pair_element(spec, instance, w, index):
     """alpha_c(Q) (x y*) alpha_c(Q) for the pair at ``index``, expanded.
 
@@ -101,7 +157,7 @@ def compressed_pair_element(spec, instance, w, index):
     instead of expanding the rewrite survivors of two different fibers.
     """
     compress = algebra.shift_endomorphism(
-        algebra.vector_projection(spec, w), instance.shift_fiber
+        vector_projection(spec, w), instance.shift_fiber
     )
     x, y = instance.pairs[index]
     left = algebra.multiply(compress, _isometry_of(spec, x))

@@ -123,10 +123,9 @@ def test_criterion_03_commutation_twist():
     ).conj()
     residual_f = algebra.multiply(Uf, Vf) - algebra.multiply(Vf, Uf).scaled(lam_f)
     worst = 0.0
-    for _, (_, matrix) in algebra.normal_form(residual_f).blocks.items():
-        for row in matrix:
-            for value in row:
-                worst = max(worst, abs(value.value))
+    for _, (_, runs) in algebra.normal_form(residual_f).blocks.items():
+        for *_, coeff in runs:
+            worst = max(worst, abs(coeff.value))
     assert worst < 1e-9
     _within(t0, 1.0)
 

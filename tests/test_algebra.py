@@ -22,18 +22,18 @@ from cuntzlab.algebra import (
     rewrite_pair,
     shift_endomorphism,
     vector_element,
-    vector_projection,
     zero,
 )
-from cuntzlab.linalg import is_positive_semidefinite
 from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text
 
 from conftest import (
     dense_block,
+    is_positive_semidefinite,
     random_coeff,
     random_element,
     random_fiber,
     random_monomial,
+    vector_projection,
 )
 
 

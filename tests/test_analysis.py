@@ -144,11 +144,6 @@ class TestClassify:
         assert out.kind == "NonSimple"
         assert out.witness is not None
 
-    def test_describe_mentions_evidence(self, e24):
-        text = classify(e24).describe()
-        assert "TensorCircle(2)" in text.splitlines()[0]
-        assert any("witness" in line for line in text.splitlines())
-
 
 class TestNonsimplicityWitness:
     def test_separating_character(self, e24):

@@ -12,6 +12,8 @@ import pytest
 from cuntzlab import cli, morphisms
 from cuntzlab.system import SystemSpec
 
+from conftest import format_assignment
+
 
 SPEC_TEXTS = {
     "e23": "k = 2\ndims = 2 3\n",
@@ -345,7 +347,7 @@ def test_iso_rejects_nonpositive(capsys):
 
 def test_relations_accepts_canonical_assignment(capsys, spec_path, tmp_path):
     spec = SystemSpec((2, 3))
-    text = morphisms.format_assignment(morphisms.canonical_assignment(spec))
+    text = format_assignment(morphisms.canonical_assignment(spec))
     assignment = tmp_path / "canonical.txt"
     assignment.write_text(text, encoding="utf-8")
     code, out, _ = run_cli(
@@ -379,7 +381,7 @@ def test_relations_reports_violations(capsys, spec_path, tmp_path):
 def test_relations_cross_system(capsys, spec_path, tmp_path):
     # images of the (2,3)-system generators inside the (2,6)-system algebra
     pair = morphisms.factor_iso(2, 3)
-    text = morphisms.format_assignment(pair.backward)
+    text = format_assignment(pair.backward)
     assignment = tmp_path / "backward.txt"
     assignment.write_text(text, encoding="utf-8")
     code, out, _ = run_cli(

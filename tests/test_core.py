@@ -1,24 +1,22 @@
 """Matrix core: embeddings, products, corner shifts, normalized trace."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from cuntzlab import algebra, scalars
 from cuntzlab.core import (
+    CoreElement,
     core_element,
     core_equal,
     corner_shift,
     embed,
     embed_to,
-    from_algebra,
-    identity_core,
     multiply_core,
-    rank_one_core,
     to_algebra,
     trace,
     twisted_unit,
-    zero_core,
 )
 
 from conftest import random_coeff
@@ -31,6 +29,22 @@ def _random_core(spec, rng, fiber):
     )
 
 
+def _indicator(spec, fiber, cells):
+    """The core with 1 on the (row, col) ``cells`` and 0 elsewhere."""
+    n = spec.dim(fiber)
+    return core_element(spec, fiber, [[int((r, c) in cells) for c in range(n)] for r in range(n)])
+
+
+def _identity(spec, fiber):
+    return _indicator(spec, fiber, {(i, i) for i in range(spec.dim(fiber))})
+
+
+def _from_algebra(spec, a):
+    """The core of a degree-zero element: the runs of its one normal-form block."""
+    c, runs = algebra.normal_form(a).block((0,) * spec.k)
+    return CoreElement(c, dim=spec.dim(c), runs=runs, zero=spec.field.zero)
+
+
 class TestConstruction:
     def test_shape_validation(self, e23):
         with pytest.raises(ValueError):
@@ -39,16 +53,16 @@ class TestConstruction:
         assert ok.matrix[1][0] == scalars.RationalComplex(3)
 
     def test_zero_identity(self, e23):
-        assert zero_core(e23, (1, 1)).is_zero()
-        ident = identity_core(e23, (1, 0))
+        zero = _indicator(e23, (1, 1), set())
+        assert zero.is_zero() and zero.runs == ()
+        ident = _identity(e23, (1, 0))
         assert ident.matrix[0][0].is_one() and ident.matrix[0][1].is_zero()
 
     def test_rank_one(self, e23):
-        u = rank_one_core(e23, e23.monomial((0, 1), 1), e23.monomial((0, 1), 2))
+        u = _indicator(e23, (0, 1), {(1, 2)})
         assert u.matrix[1][2].is_one()
         assert sum(1 for row in u.matrix for v in row if not v.is_zero()) == 1
-        with pytest.raises(ValueError):
-            rank_one_core(e23, e23.monomial((1, 0), 0), e23.monomial((0, 1), 0))
+        assert u.runs == ((1, 2, 1, e23.field.one),)
 
 
 class TestEmbedding:
@@ -67,7 +81,7 @@ class TestEmbedding:
         assert nonzero == expected
 
     def test_embed_to_requires_domination(self, e23):
-        s = identity_core(e23, (1, 0))
+        s = _identity(e23, (1, 0))
         assert embed_to(e23, s, (1, 0)) is s
         with pytest.raises(ValueError):
             embed_to(e23, s, (0, 1))
@@ -94,29 +108,37 @@ class TestEmbedding:
         rhs = multiply_core(e23, embed(e23, a, (0, 1)), embed(e23, b, (0, 1)))
         assert core_equal(e23, lhs, rhs)
 
+    def test_deep_embedding_costs_the_runs(self, e23):
+        # fiber (41, 0) has dimension 2^41: no dense matrix of it fits in
+        # memory, but the embedding is the same three runs, scaled
+        a = core_element(e23, (1, 0), [[1, 2], [0, 3]])
+        t0 = time.process_time()
+        deep = embed(e23, a, (40, 0))
+        assert deep.dim == 2**41 and len(deep.runs) == 3
+        assert core_equal(e23, deep, a)
+        assert not core_equal(e23, deep, _identity(e23, (1, 0)))
+        assert trace(e23, deep) == trace(e23, a)
+        square = multiply_core(e23, deep, a)
+        assert square.fiber == (41, 0)
+        assert core_equal(e23, square, multiply_core(e23, a, a))
+        assert time.process_time() - t0 < 1.0
+
 
 class TestAlgebraRoundTrip:
     def test_round_trip(self, e23, rng):
+        # the degree-zero normal-form block of to_algebra(a) holds a's runs
         a = _random_core(e23, rng, (1, 1))
-        back = from_algebra(to_algebra(e23, a))
+        back = _from_algebra(e23, to_algebra(e23, a))
         assert core_equal(e23, a, back)
-
-    def test_from_algebra_rejects_degree(self, e23):
-        a = algebra.isometry(e23, e23.monomial((1, 0), 0))
-        with pytest.raises(ValueError):
-            from_algebra(a)
 
     def test_from_algebra_merges_fibers(self, e23):
         # terms at fibers (1,0) and (0,1) meet in the (1,1) matrix algebra
         x = e23.monomial((1, 0), 0)
         y = e23.monomial((0, 1), 2)
         a = algebra.monomial_pair(e23, x, x) + algebra.monomial_pair(e23, y, y)
-        out = from_algebra(a)
+        out = _from_algebra(e23, a)
         assert out.fiber == (1, 1)
         assert algebra.equals(to_algebra(e23, out), a)
-
-    def test_zero_element(self, e23):
-        assert from_algebra(algebra.zero(e23)).is_zero()
 
 
 class TestMultiplication:
@@ -141,7 +163,7 @@ class TestMultiplication:
 
     def test_identity_neutral(self, e23, rng):
         a = _random_core(e23, rng, (1, 0))
-        assert core_equal(e23, multiply_core(e23, a, identity_core(e23, (0, 1))), a)
+        assert core_equal(e23, multiply_core(e23, a, _identity(e23, (0, 1))), a)
 
 
 class TestCornerShift:
@@ -180,8 +202,8 @@ class TestCornerShift:
 
 class TestTrace:
     def test_normalized(self, e23):
-        assert trace(e23, identity_core(e23, (1, 1))).is_one()
-        assert trace(e23, zero_core(e23, (1, 0))).is_zero()
+        assert trace(e23, _identity(e23, (1, 1))).is_one()
+        assert trace(e23, _indicator(e23, (1, 0), set())).is_zero()
 
     def test_embedding_invariant(self, e23, rng):
         a = _random_core(e23, rng, (1, 0))
@@ -195,5 +217,5 @@ class TestTrace:
         assert (lhs - rhs).is_zero()
 
     def test_rank_one_value(self, e23):
-        u = rank_one_core(e23, e23.monomial((0, 1), 1), e23.monomial((0, 1), 1))
+        u = _indicator(e23, (0, 1), {(1, 1)})
         assert trace(e23, u) == scalars.RATIONAL.coerce(Fraction(1, 3))

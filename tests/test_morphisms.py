@@ -9,14 +9,13 @@ from cuntzlab.morphisms import (
     canonical_assignment,
     extend,
     factor_iso,
-    format_assignment,
     map_element,
     parse_assignment,
     verify_roundtrip,
 )
 from cuntzlab.system import ConfigurationError, SystemSpec
 
-from conftest import random_element, random_monomial
+from conftest import format_assignment, random_element, random_monomial
 
 
 def _swap_images(assignment, key_a, key_b):

@@ -13,8 +13,6 @@ from cuntzlab.system import (
     add_fibers,
     max_fiber,
     parse_spec_text,
-    same_system,
-    spec_text,
     sub_degree,
 )
 
@@ -230,9 +228,6 @@ class TestSpecFiles:
     def test_comments_and_blank_lines(self):
         spec = parse_spec_text("# example\n\nk = 1\ndims = 5\n")
         assert spec.gen_dims == (5,)
-
-    def test_round_trip(self, tw23):
-        assert same_system(parse_spec_text(spec_text(tw23)), tw23)
 
     def test_error_carries_line_number(self):
         with pytest.raises(SpecFormatError) as exc:
