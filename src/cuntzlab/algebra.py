@@ -23,7 +23,13 @@ degree diagonal by diagonal.  On one diagonal the runs of one left fiber
 are the disjoint [j*fill, (j+1)*fill), so at most F runs cover a piece, F
 the number of left fibers in the degree.  R terms cost O(R log R + R*F)
 scalar operations and O(R) memory, whatever the fiber dimensions;
-``expand_normal_form`` costs one term per entry it emits.
+``expand_normal_form`` costs one term per entry it emits.  The degree, the
+fill and the phase of a raised term are looked up once per fiber pair.
+
+``equals(a, b)`` decides a = b in O_E exactly on the exact fields.  It
+merges the terms of a and of -b in one dict and raises and sweeps them as
+``normal_form(a - b)`` would, without building a - b as an element; the
+Cuntz relation checks of ``morphisms`` rest on this verdict.
 """
 
 from __future__ import annotations
@@ -341,34 +347,49 @@ class NormalForm:
         return f"NormalForm<degrees: {keys or '0 (empty)'}>"
 
 
-def normal_form(a: AlgebraElement) -> NormalForm:
-    spec = a.spec
-    by_degree: dict[Degree, list[Term]] = {}
-    for t in a.terms:
-        by_degree.setdefault(sub_degree(t.left.fiber, t.right.fiber), []).append(t)
+def _raised_blocks(spec: SystemSpec, terms) -> dict:
+    """The nonzero blocks {degree: (c, runs)} of the (coeff, left, right)
+    terms, in degree order.
 
+    Terms are grouped by fiber pair in order of first appearance, so the
+    degree, the fill and the phase are looked up once per pair, and c is
+    the max over the distinct left fibers of a degree (one degree and one
+    left fiber fix the right fiber).  Within a fiber pair the raised runs
+    keep the input order.
+    """
+    pairs: dict = {}  # (left fiber, right fiber) -> terms
+    for t in terms:
+        pairs.setdefault((t[1].fiber, t[2].fiber), []).append(t)
+    by_degree: dict = {}
+    for key in pairs:
+        by_degree.setdefault(sub_degree(*key), []).append(key)
+    twisted = spec.is_twisted
     blocks: dict = {}
-    for degree, terms in sorted(by_degree.items()):
-        c = terms[0].left.fiber
-        for t in terms[1:]:
-            c = max_fiber(c, t.left.fiber)
+    for degree in sorted(by_degree):
+        keys = by_degree[degree]
+        c = keys[0][0]
+        for fx, _ in keys[1:]:
+            c = max_fiber(c, fx)
         raised = []
-        raising: dict = {}  # (left fiber, right fiber) -> (fill, phase)
-        for t in terms:
-            key = (t.left.fiber, t.right.fiber)
-            if key not in raising:
-                r = sub_degree(c, t.left.fiber)
-                phase = spec.multiplier(key[0], r) * spec.multiplier(key[1], r).conj()
-                raising[key] = (spec.dim(r), phase)
-            fill, phase = raising[key]
-            row0 = t.left.index * fill
+        for fx, fy in keys:
+            r = sub_degree(c, fx)
+            fill = spec.dim(r)
             # untwisted phases are the field's one
-            coeff = t.coeff * phase if spec.is_twisted else t.coeff
-            raised.append((row0, t.right.index * fill, fill, coeff))
+            phase = spec.multiplier(fx, r) * spec.multiplier(fy, r).conj() if twisted else None
+            raised += [
+                (x.index * fill, y.index * fill, fill, coeff * phase if twisted else coeff)
+                for coeff, x, y in pairs[fx, fy]
+            ]
         runs = sweep(raised)
         if runs:
             blocks[degree] = (c, runs)
-    return NormalForm(spec, blocks)
+    return blocks
+
+
+def normal_form(a: AlgebraElement) -> NormalForm:
+    # the canonical term order keeps the terms of one fiber pair together,
+    # so the runs of each degree are raised in term order
+    return NormalForm(a.spec, _raised_blocks(a.spec, a.terms))
 
 
 def expand_normal_form(nf: NormalForm) -> AlgebraElement:
@@ -385,11 +406,22 @@ def expand_normal_form(nf: NormalForm) -> AlgebraElement:
 
 
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
-    """Equality in the algebra: structural fast path, then normal form."""
+    """Equality in the algebra: structural fast path, then normal form.
+
+    The terms of a and the negated terms of b merge in one dict, zeros are
+    pruned, and the rest are raised and swept as ``normal_form`` would do
+    with a - b, without building a - b as an element.
+    """
     a._require_same(b)
     if a.terms == b.terms:
         return True
-    return normal_form(a - b).is_zero()
+    acc = {(t.left, t.right): t.coeff for t in a.terms}
+    for t in b.terms:
+        key = (t.left, t.right)
+        cur = acc.get(key)
+        acc[key] = -t.coeff if cur is None else cur - t.coeff
+    merged = ((c, x, y) for (x, y), c in acc.items() if not c.is_zero())
+    return not _raised_blocks(a.spec, merged)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ term order), so runs on identical inputs are textually identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -271,6 +272,19 @@ def _cmd_witness(args, reporter: Reporter) -> int:
     return 0 if verdict else 1
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Convert ints to text in full, past the interpreter's 4300-digit limit,
+    and restore the limit afterwards: the fiber dimensions of an
+    annihilating vector can be that long."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_kill(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
     x = _parse_generator(spec, args.x)
@@ -290,14 +304,16 @@ def _cmd_kill(args, reporter: Reporter) -> int:
         command="kill",
         shift=list(instance.shift_fiber),
     )
-    reporter.emit(
-        f"vector fiber: {_fiber_text(vector.fiber)}, support {support} of "
-        f"{spec.dim(vector.fiber)}",
-        command="kill",
-        vector_fiber=list(vector.fiber),
-        support=support,
-        dimension=spec.dim(vector.fiber),
-    )
+    dimension = spec.dim(vector.fiber)
+    with _all_digits():
+        reporter.emit(
+            f"vector fiber: {_fiber_text(vector.fiber)}, support {support} of "
+            f"{dimension}",
+            command="kill",
+            vector_fiber=list(vector.fiber),
+            support=support,
+            dimension=dimension,
+        )
     verdict = analysis.verify_annihilation(spec, instance, vector)
     reporter.emit(
         "compressed pair: " + ("zero" if verdict else "nonzero"),

@@ -23,8 +23,8 @@ caches fiber dimensions per fiber and multipliers per fiber pair on top.
 
 Scalars of the same field combine with the usual operators; ints and
 Fractions lift automatically.  Cross-field arithmetic is an error unless
-the values are first moved with ``coerce``/``promote_pair``, which walk the
-lattice rational -> cyclotomic(q) -> cyclotomic(q*r) -> float.
+the values are first moved with ``coerce`` into their ``common_field`` in
+the lattice rational -> cyclotomic(q) -> cyclotomic(q*r) -> float.
 """
 
 from __future__ import annotations
@@ -732,8 +732,3 @@ def common_field(a: ScalarField, b: ScalarField) -> ScalarField:
     # order already granted it
     lcm = a.order * b.order // math.gcd(a.order, b.order)
     return cyclotomic_field(lcm)
-
-
-def promote_pair(x: Scalar, y: Scalar) -> tuple[Scalar, Scalar]:
-    f = common_field(field_of(x), field_of(y))
-    return f.coerce(x), f.coerce(y)

@@ -6,11 +6,12 @@ pytest tmp_path, since ``--spec`` only accepts file paths.
 """
 
 import json
+import sys
 
 import pytest
 
-from cuntzlab import cli, morphisms
-from cuntzlab.system import SystemSpec
+from cuntzlab import analysis, cli, morphisms
+from cuntzlab.system import FiberVector, SystemSpec
 
 from conftest import format_assignment
 
@@ -314,6 +315,36 @@ def test_kill_explicit_shift_matches_default(capsys, spec_path):
     )
     assert code == 0
     assert out == default_out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_kill_prints_dimensions_past_the_digit_limit(capsys, spec_path, monkeypatch, fmt):
+    # the real construction (--shift 3,3) takes about a minute; the stub
+    # returns a support-1 vector whose fiber dimension 3^9100 has 4342 digits
+    spec = SystemSpec((2, 3))
+    fiber = (0, 9100)
+    vector = FiberVector(fiber, spec.dim(fiber), {0: spec.field.one}, spec.field.zero)
+    monkeypatch.setattr(analysis, "annihilating_vector", lambda spec, instance: vector)
+    monkeypatch.setattr(analysis, "verify_annihilation", lambda spec, instance, w: True)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(
+        capsys,
+        ["kill", "--spec", spec_path("e23"), "--format", fmt, "e(1,0;0)", "e(0,1;0)"],
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(3**9100)
+        assert len(digits) > 4300
+        if fmt == "text":
+            assert lines_of(out)[1] == f"vector fiber: (0,9100), support 1 of {digits}"
+        else:
+            record = json.loads(lines_of(out)[1])
+            assert record["dimension"] == 3**9100
+            assert (record["support"], record["vector_fiber"]) == (1, [0, 9100])
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_kill_reports_hypothesis_violation(capsys, spec_path):

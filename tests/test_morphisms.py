@@ -7,6 +7,7 @@ from cuntzlab.morphisms import (
     GeneratorAssignment,
     IsomorphismPair,
     canonical_assignment,
+    check_relations,
     extend,
     factor_iso,
     map_element,
@@ -68,6 +69,25 @@ class TestRelationChecking:
         assert any("orthogonality" in v for v in report.violations)
         with pytest.raises(ValueError):
             extend(e23, broken, e23.monomial((0, 1), 0))
+
+    def test_slot_products_linear_in_slot_size(self, monkeypatch):
+        # a slot of d images costs d isometry products and d range-sum
+        # products (d^2 + d before); each commutation instance costs two
+        multiply = algebra.multiply
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return multiply(a, b)
+
+        pair = factor_iso(8, 8)
+        monkeypatch.setattr(algebra, "multiply", counted)
+        for assignment, (d_1, d_2) in ((pair.forward, (8, 64)), (pair.backward, (8, 8))):
+            calls.clear()
+            report = check_relations(assignment.source, assignment)
+            assert report.ok
+            assert report.checked == d_1 * d_1 + 1 + d_2 * d_2 + 1 + d_1 * d_2
+            assert len(calls) == 2 * d_1 + 2 * d_2 + 2 * d_1 * d_2
 
     def test_commutation_pairing(self, e23):
         # U(1,i) U(2,j) must equal U(2,p) U(1,q) with (p,q) = divmod(i*3+j, 2)

@@ -15,8 +15,13 @@ from cuntzlab.scalars import (
     cyclotomic_polynomial,
     field_named,
     field_of,
-    promote_pair,
 )
+
+
+def promote_pair(x, y):
+    """Both values moved into their common field."""
+    f = common_field(field_of(x), field_of(y))
+    return f.coerce(x), f.coerce(y)
 
 
 class TestRationalComplex:

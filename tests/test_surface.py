@@ -10,12 +10,16 @@ only they reach is library surface kept for its tests, which belongs in
 ``tests/``.  Reach is transitive: a name that only unreached definitions
 name is unreached too.  Names are matched as whole identifiers in the
 text, so a call, an import, an attribute access and a string that names a
-traced function all count.  Dunder methods are called by the language: they
-are not checked, and their text counts as part of their class.
+traced function all count.  In the package, comments and docstrings do not
+count: prose that names a definition does not reach it.  Dunder methods are
+called by the language: they are not checked, and their text counts as part
+of their class.
 """
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -35,6 +39,32 @@ def _dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _code_only(text):
+    """The lines of ``text`` with comments and docstrings blanked out."""
+    tree = ast.parse(text)
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTIONS)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                if isinstance(first.value.value, str):
+                    docstrings.add((first.lineno, first.col_offset))
+    lines = text.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        prose = tok.type == tokenize.COMMENT or (
+            tok.type == tokenize.STRING and tok.start in docstrings
+        )
+        if not prose:
+            continue
+        (row, col), (end_row, end_col) = tok.start, tok.end
+        for r in range(row, end_row + 1):
+            line = lines[r - 1]
+            lo = col if r == row else 0
+            hi = end_col if r == end_row else len(line)
+            lines[r - 1] = line[:lo] + " " * (hi - lo) + line[hi:]
+    return lines
+
+
 def _span(node):
     """The line numbers of a definition, decorators included."""
     first = min([node.lineno] + [d.lineno for d in node.decorator_list])
@@ -48,7 +78,7 @@ def _definitions(text, module):
     triple for each top-level def, class and method, where a class's text
     leaves out its methods, and the module text outside every definition.
     """
-    lines = text.splitlines()
+    lines = _code_only(text)
     joined = lambda numbers: "\n".join(lines[i - 1] for i in sorted(numbers))  # noqa: E731
     out = []
     rest = set(range(1, len(lines) + 1))
@@ -121,6 +151,22 @@ def test_unreached_names_are_found():
     ]
     # a dunder method's text counts only while its class is reached
     assert "m.packed" in _unreached(definitions, [rest, "used()"])
+
+
+def test_prose_does_not_reach():
+    package = (
+        '"""The module uses ``described``."""\n\n'
+        "def used():\n"
+        '    """Calls nothing, but names described and commented."""\n'
+        "    # commented() would be reached by this comment\n"
+        '    return "quoted"\n\n'
+        "def described():\n    pass\n\n"
+        "def commented():\n    pass\n\n"
+        "def quoted():\n    pass\n"
+    )
+    definitions, rest = _definitions(package, "m")
+    # a string that is not a docstring still names a definition
+    assert _unreached(definitions, [rest, "used()"]) == ["m.commented", "m.described"]
 
 
 def test_every_definition_is_reached():
