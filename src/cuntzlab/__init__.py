@@ -74,8 +74,8 @@ from .analysis import (
     annihilation_instance,
     classify,
     dimension_injective,
+    exponent_matrix,
     nonsimplicity_witness,
-    prime_exponent_matrix,
     verify_annihilation,
 )
 from .morphisms import (

@@ -2,18 +2,19 @@
 and the orthogonal-compression construction behind them.
 
 The dimension function d(s) = prod m_a^(s_a) is injective on N^k exactly
-when the prime-exponent matrix of the generator dimensions has rank k (a
-generator of dimension one is a zero column).  Injectivity forces every
-twisted lexicographic system's algebra to be simple and purely infinite;
-a dimension collision (s, t) yields the witness b = i(s,0) - i(t,0) that
-the distinguished representation kills but a character-twisted companion
-does not.  For two generators the collision is always a perfect-power
-relation m = l^a, n = l^b and the algebra is a matrix-circle tensor.
+when the exponent matrix of the generator dimensions over their coprime
+base has rank k (a generator of dimension one is a zero column).  The base
+is built with gcds alone, so no dimension is ever factored.  Injectivity
+forces every twisted lexicographic system's algebra to be simple and
+purely infinite; a dimension collision (s, t) yields the witness
+b = i(s,0) - i(t,0) that the distinguished representation kills but a
+character-twisted companion does not.  For two generators the collision
+is always a perfect-power relation m = l^a, n = l^b and the algebra is a
+matrix-circle tensor.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,113 +48,56 @@ def fiber_of(x) -> Fiber:
 # ---------------------------------------------------------------------------
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+def _strip(n: int, b: int) -> tuple[int, int]:
+    """(e, n // b^e) for the largest e with b^e | n, where b > 1.
 
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first 13 prime bases.
-
-    Deterministic for n < 3.3 * 10^24; above that a strong probable-prime
-    test.
+    Dividing by b, b^2, b^4, ... takes log e steps rather than e.
     """
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
+    if n % b:
+        return 0, n
+    e, n = _strip(n // b, b * b)
+    if n % b:
+        return 2 * e + 1, n
+    return 2 * e + 2, n // b
+
+
+def _coprime_base(nums) -> tuple[int, ...]:
+    """Pairwise coprime integers > 1, ascending, of which every member of
+    nums is a product of powers.
+
+    A member with a common factor g with the base gives way, together with
+    that base member, to g and the two of them stripped of g.  The product
+    of all members falls at every split, so this ends; it takes gcds alone,
+    never a factorization.
+    """
+    base: list[int] = []
+    pending = [n for n in nums if n > 1]
+    while pending:
+        x = pending.pop()
+        for b in base:
+            g = math.gcd(x, b)
+            if g > 1:
+                base.remove(b)
+                pending += [c for c in (g, _strip(x, g)[1], _strip(b, g)[1]) if c > 1]
                 break
         else:
-            return False
-    return True
+            base.append(x)
+    return tuple(sorted(base))
 
 
-def _perfect_power(n: int) -> tuple[int, int]:
-    """(root, k) with root^k == n and k as large as possible."""
-    for k in range(n.bit_length(), 1, -1):
-        x = 1 << -(-n.bit_length() // k)  # Newton from above: floor(n^(1/k))
-        while True:
-            y = ((k - 1) * x + n // x ** (k - 1)) // k
-            if y >= x:
-                break
-            x = y
-        if x**k == n:
-            return x, k
-    return n, 1
+def exponent_matrix(gen_dims) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(base, rows): rows[i][a] = multiplicity of base[i] in gen_dims[a],
+    over the coprime base of the generator dimensions.
 
-
-def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of a composite n with no factor in _MR_BASES."""
-    for c in itertools.count(1):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            # the batched product overshot: redo the last batch one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} of n >= 1, primes ascending.
-
-    Strips the Miller-Rabin bases by division, then splits what is left by
-    perfect-power roots and Pollard-Brent, so a large prime costs a few
-    modular exponentiations rather than sqrt(n) trial divisions.
+    It decides what the prime-exponent matrix would.  Let P be the prime
+    exponent matrix, B this one, and V the prime exponents of the base
+    members.  Then P = V.B, and V's columns have disjoint nonzero supports
+    (the members are pairwise coprime and > 1), so ker P = ker B.  The two
+    matrices therefore have the same row space and the same reduced row
+    echelon form: rank, kernel vector, witness and power base are unchanged.
     """
-    out: dict[int, int] = {}
-    for p in _MR_BASES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    pending = [(n, 1)] if n > 1 else []
-    while pending:
-        m, mult = pending.pop()
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + mult
-            continue
-        root, k = _perfect_power(m)
-        if k > 1:
-            pending.append((root, mult * k))
-            continue
-        d = _pollard_brent(m)
-        pending += [(d, mult), (m // d, mult)]
-    return dict(sorted(out.items()))
-
-
-def prime_exponent_matrix(gen_dims) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(primes, rows): rows[i][a] = multiplicity of primes[i] in gen_dims[a]."""
-    factored = [_factorize(m) for m in gen_dims]
-    primes = tuple(sorted({p for f in factored for p in f}))
-    rows = tuple(
-        tuple(f.get(p, 0) for f in factored) for p in primes
-    )
-    return primes, rows
+    base = _coprime_base(gen_dims)
+    return base, tuple(tuple(_strip(m, b)[0] for m in gen_dims) for b in base)
 
 
 def dimension_injective(spec: SystemSpec):
@@ -165,7 +109,7 @@ def dimension_injective(spec: SystemSpec):
         if m == 1:
             e_a = tuple(1 if i == a else 0 for i in range(spec.k))
             return False, (e_a, tuple(2 * c for c in e_a))
-    _, rows = prime_exponent_matrix(spec.gen_dims)
+    _, rows = exponent_matrix(spec.gen_dims)
     kernel = linalg.integer_kernel_vector(rows, spec.k)
     if kernel is None:
         return True, None
@@ -178,26 +122,20 @@ def common_power_base(m: int, n: int):
     """(l, a, b) with m = l^a, n = l^b, gcd(a, b) = 1, or None.
 
     None exactly when log_m(n) is irrational.  l is the largest possible
-    base (any other common base is a power of it).
+    base (any other common base is a power of it); given gcd(a, b) = 1 it
+    is unique, l = m^(1/a).  It exists exactly when the coprime base of
+    (m, n) is the one member l, with exponent row (a, b): the refinement
+    of two powers of l makes only powers of l, and a lone member l^h needs
+    h | gcd(a, b) = 1.  Conversely, a lone member c makes m and n powers
+    of c, so l exists and c = l.
     """
     if m < 2 or n < 2:
         return None
-    fm, fn = _factorize(m), _factorize(n)
-    if set(fm) != set(fn):
+    base, rows = exponent_matrix((m, n))
+    if len(base) != 1:
         return None
-    primes = sorted(fm)
-    p0 = primes[0]
-    g = math.gcd(fm[p0], fn[p0])
-    a, b = fm[p0] // g, fn[p0] // g
-    for p in primes:
-        if fm[p] * b != fn[p] * a:
-            return None
-    l = 1
-    for p in primes:
-        l *= p ** (fm[p] // a)
-    if l**a != m or l**b != n:
-        return None
-    return l, a, b
+    (a, b), = rows
+    return base[0], a, b
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +148,16 @@ class Classification:
     """Verdict plus the evidence that produced it.
 
     kind is one of 'SimplePurelyInfinite', 'TensorCircle', 'NonSimple',
-    'Unknown'.  TensorCircle carries power_base = (l, a, b); every
-    non-injective verdict carries the witness fiber pair.
+    'Unknown'.  base and exponent_matrix are the coprime base of gen_dims
+    and the exponents over it; rank is the matrix's rank and kernel its
+    primitive kernel vector.  TensorCircle carries power_base = (l, a, b);
+    every non-injective verdict carries the witness fiber pair.
     """
 
     kind: str
     gen_dims: tuple
     twisted: bool
-    primes: tuple
+    base: tuple
     exponent_matrix: tuple
     rank: int
     kernel: tuple | None
@@ -239,7 +179,7 @@ def classify(spec: SystemSpec) -> Classification:
     generators give plain NonSimple.  Twisted collisions are undecided here
     and report Unknown.  Every non-injective verdict carries a witness pair.
     """
-    primes, rows = prime_exponent_matrix(spec.gen_dims)
+    base, rows = exponent_matrix(spec.gen_dims)
     from .scalars import RATIONAL
 
     rat_rows = [
@@ -254,7 +194,7 @@ def classify(spec: SystemSpec) -> Classification:
     common = dict(
         gen_dims=spec.gen_dims,
         twisted=spec.is_twisted,
-        primes=primes,
+        base=base,
         exponent_matrix=rows,
         rank=rank,
         kernel=kernel,
@@ -275,9 +215,9 @@ def classify(spec: SystemSpec) -> Classification:
         if n == 1:
             common["power_base"] = (m, 1, 0)
             return Classification(kind="TensorCircle", **common)
-        base = common_power_base(m, n)
-        if base is not None:
-            common["power_base"] = base
+        power_base = common_power_base(m, n)
+        if power_base is not None:
+            common["power_base"] = power_base
             return Classification(kind="TensorCircle", **common)
     return Classification(kind="NonSimple", **common)
 

@@ -510,9 +510,6 @@ class RationalField:
         fr = _as_fraction(fr)
         return _rational(fr.numerator, 0, fr.denominator)
 
-    def from_pair(self, re, im) -> RationalComplex:
-        return RationalComplex(re, im)
-
     def root_of_unity(self, exponent: Fraction) -> RationalComplex:
         """exp(2*pi*i*exponent); exponent denominator must divide 4."""
         exponent = _as_fraction(exponent) % 1
@@ -648,11 +645,6 @@ class FloatField:
         if isinstance(fr, float):
             return FloatComplex(fr)
         return FloatComplex(float(_as_fraction(fr)))
-
-    def from_pair(self, re, im) -> FloatComplex:
-        re = float(re) if not isinstance(re, Fraction) else float(re)
-        im = float(im) if not isinstance(im, Fraction) else float(im)
-        return FloatComplex(complex(re, im))
 
     def root_of_unity(self, exponent) -> FloatComplex:
         if isinstance(exponent, Fraction):

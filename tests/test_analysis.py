@@ -1,20 +1,20 @@
 """Classification and the compression-annihilation construction."""
 
+import math
 import random
 
 import pytest
 
-from cuntzlab import algebra, scalars, steprep
+from cuntzlab import algebra, linalg, scalars, steprep
 from cuntzlab.analysis import (
     HypothesisViolationError,
-    _factorize,
     annihilating_vector,
     annihilation_instance,
     classify,
     common_power_base,
     dimension_injective,
+    exponent_matrix,
     nonsimplicity_witness,
-    prime_exponent_matrix,
     verify_annihilation,
 )
 from cuntzlab.system import SystemSpec, parse_spec_text
@@ -22,42 +22,159 @@ from cuntzlab.system import SystemSpec, parse_spec_text
 from conftest import compressed_pair_element
 
 
-class TestPrimeExponents:
+# nextprime(10^19) and nextprime(10^20): no factorizer splits their product
+# quickly, so classification must not need its prime factors
+P19 = 10000000000000000051
+P20 = 100000000000000000039
+PRIMES = (2, 3, 5, 7, 11, 13, 101, 1000003, P19, P20)
+
+
+class TestExponentMatrix:
     def test_coprime_dims(self):
-        primes, rows = prime_exponent_matrix((2, 3))
-        assert primes == (2, 3)
+        base, rows = exponent_matrix((2, 3))
+        assert base == (2, 3)
         assert rows == ((1, 0), (0, 1))
 
     def test_power_collision(self):
-        primes, rows = prime_exponent_matrix((4, 8))
-        assert primes == (2,)
+        base, rows = exponent_matrix((4, 8))
+        assert base == (2,)
         assert rows == ((2, 3),)
 
     def test_mixed(self):
-        primes, rows = prime_exponent_matrix((12, 18))
-        assert primes == (2, 3)
+        base, rows = exponent_matrix((12, 18))
+        assert base == (2, 3)
         assert rows == ((2, 1), (1, 2))
 
     def test_dimension_one(self):
-        assert prime_exponent_matrix((1, 5)) == ((5,), ((0, 1),))
+        assert exponent_matrix((1, 5)) == ((5,), ((0, 1),))
+
+    def test_base_need_not_be_prime(self):
+        assert exponent_matrix((6, 36)) == ((6,), ((1, 2),))
 
 
-class TestFactorize:
-    def test_matches_sympy(self):
-        sympy = pytest.importorskip("sympy")
+def _random_factored(rng):
+    """Generator dimensions as {prime: exponent} dicts, built rather than
+    factored: dimension one, perfect powers, and powers of an earlier
+    dimension, which share its factors."""
+    pool = rng.sample(PRIMES, rng.randint(1, 4))
+    factored = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.1:
+            f = {}
+        elif roll < 0.4 and factored:
+            f = dict(rng.choice(factored))
+        else:
+            f = {p: e for p in pool if (e := rng.randint(0, 3))}
+        j = rng.choice((1, 1, 1, 2, 3, 6))
+        factored.append({p: e * j for p, e in f.items()})
+    return factored
+
+
+def _prime_power_base(fm, fn):
+    """common_power_base from known prime exponents."""
+    if not fm or set(fm) != set(fn):
+        return None
+    p0 = min(fm)
+    g = math.gcd(fm[p0], fn[p0])
+    a, b = fm[p0] // g, fn[p0] // g
+    if any(fm[p] * b != fn[p] * a for p in fm):
+        return None
+    return math.prod(p ** (fm[p] // a) for p in fm), a, b
+
+
+def _rank(rows):
+    return linalg.rank(
+        [[scalars.RATIONAL.from_fraction(v) for v in row] for row in rows],
+        scalars.RATIONAL,
+    )
+
+
+class TestExponentMatrixAgainstPrimes:
+    """The coprime-base matrix decides what the prime-exponent matrix does."""
+
+    FIXED = [
+        [{}],
+        [{}, {}],
+        [{2: 1, 3: 1}, {2: 2, 3: 2}],  # (6, 36)
+        [{2: 2, 3: 1}, {2: 1, 3: 2}],  # (12, 18)
+        [{2: 2}, {2: 3}],  # (4, 8)
+        [{2: 6}, {3: 4}, {2: 3, 3: 2}],  # (64, 81, 72)
+        [{2: 4}, {2: 6}],  # (16, 64)
+        [{999983: 1}, {999983: 2}],  # the largest prime below 10^6 and its square
+        [{P19: 1, P20: 1}, {P19: 1}],
+        [{P19: 1, P20: 1}, {P19: 2, P20: 2}],
+        [{P19: 1, P20: 1}, {P19: 3, P20: 3}, {}],
+        [{2: 14000}, {2: 1}],  # thousands of digits, long runs of one factor
+        [{2: 3000, 3: 1}, {2: 1, 3: 2000}, {2: 1000, 3: 1000}, {5: 4000}],
+    ]
+
+    def cases(self):
         rng = random.Random(20261018)
-        cases = [1, 2, 4, 10**18 + 3, 2**79, 3**50, 41**14]
-        cases += [rng.randrange(2, 10**24) for _ in range(12)]
-        for _ in range(4):
-            # semiprimes and prime powers with factors far past trial division
-            p = sympy.nextprime(rng.randrange(10**5, 10**6))
-            q = sympy.nextprime(rng.randrange(10**8, 10**12))
-            cases += [p * q, p**2 * q, q**2, p**3, sympy.nextprime(rng.randrange(10**23, 10**24))]
-        for n in cases:
-            assert _factorize(n) == sympy.factorint(n), n
+        return self.FIXED + [_random_factored(rng) for _ in range(1200)]
 
-    def test_primes_ascending(self):
-        assert list(_factorize(2**3 * 3 * 101**2 * 1000003)) == [2, 3, 101, 1000003]
+    def test_matches_prime_matrix(self):
+        for factored in self.cases():
+            dims = tuple(math.prod(p**e for p, e in f.items()) for f in factored)
+            k = len(dims)
+            primes = sorted({p for f in factored for p in f})
+            prime_rows = [[f.get(p, 0) for f in factored] for p in primes]
+
+            base, rows = exponent_matrix(dims)
+            assert all(b > 1 for b in base), dims
+            assert all(math.gcd(x, y) == 1 for i, x in enumerate(base) for y in base[i + 1 :]), dims
+            assert tuple(
+                math.prod(b**row[a] for b, row in zip(base, rows)) for a in range(k)
+            ) == dims
+            assert _rank(rows) == _rank(prime_rows), dims
+            kernel = linalg.integer_kernel_vector(prime_rows, k)
+            assert linalg.integer_kernel_vector(rows, k) == kernel, dims
+
+            spec = SystemSpec(dims)
+            if 1 in dims:
+                e_a = tuple(int(a == dims.index(1)) for a in range(k))
+                witness = (e_a, tuple(2 * c for c in e_a))
+            elif kernel is not None:
+                witness = (
+                    tuple(max(v, 0) for v in kernel),
+                    tuple(max(-v, 0) for v in kernel),
+                )
+            else:
+                witness = None
+            injective = witness is None
+            assert dimension_injective(spec) == (injective, witness), dims
+
+            power_base = None
+            if k == 2 and not injective and dims != (1, 1):
+                m, n = dims
+                if m == 1:
+                    power_base = (n, 0, 1)
+                elif n == 1:
+                    power_base = (m, 1, 0)
+                else:
+                    power_base = _prime_power_base(*factored)
+                    assert common_power_base(m, n) == power_base, dims
+            if injective:
+                kind = "SimplePurelyInfinite"
+            else:
+                kind = "TensorCircle" if power_base else "NonSimple"
+
+            c = classify(spec)
+            assert (c.kind, c.rank, c.witness, c.power_base) == (
+                kind, _rank(prime_rows), witness, power_base,
+            ), dims
+            assert c.kernel == (None if injective else kernel), dims
+            assert (c.base, c.exponent_matrix) == (base, rows)
+
+    def test_every_pair_below_200(self):
+        sympy = pytest.importorskip("sympy")
+        for m in range(1, 200):
+            fm = sympy.factorint(m)
+            for n in range(1, 200):
+                fn = sympy.factorint(n)
+                assert common_power_base(m, n) == (
+                    _prime_power_base(fm, fn) if m > 1 and n > 1 else None
+                ), (m, n)
 
 
 class TestCommonPowerBase:
@@ -66,6 +183,8 @@ class TestCommonPowerBase:
         assert common_power_base(16, 64) == (4, 2, 3)
         assert common_power_base(6, 36) == (6, 1, 2)
         assert common_power_base(8, 8) == (8, 1, 1)
+        assert common_power_base(36, 216) == (6, 2, 3)
+        assert common_power_base(P19 * P20, (P19 * P20) ** 3) == (P19 * P20, 1, 3)
 
     def test_no_common_base(self):
         assert common_power_base(2, 3) is None

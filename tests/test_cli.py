@@ -16,12 +16,17 @@ from cuntzlab.system import FiberVector, SystemSpec
 from conftest import format_assignment
 
 
+# nextprime(10^19) * nextprime(10^20): a semiprime no factorizer splits quickly
+PQ = 10000000000000000051 * 100000000000000000039
+
 SPEC_TEXTS = {
     "e23": "k = 2\ndims = 2 3\n",
     "e24": "k = 2\ndims = 2 4\n",
     "e26": "k = 2\ndims = 2 6\n",
     "e2p": "k = 2\ndims = 2 1000000000000000003\n",
     "tw14": "k = 2\ndims = 1 1\ntheta = 0 0 1/4 0\nscalars = cyclotomic:4\n",
+    "epq": f"k = 2\ndims = {PQ} 10000000000000000051\n",
+    "epq2": f"k = 2\ndims = {PQ} {PQ**2}\n",
 }
 
 
@@ -235,10 +240,24 @@ def test_classify_tensor_circle(capsys, spec_path):
 
 
 def test_classify_large_prime_dimension(capsys, spec_path):
-    # 10^18 + 3 is prime; trial division up to its square root never ends
+    # 10^18 + 3 is prime; classification must not depend on factoring it
     code, out, _ = run_cli(capsys, ["classify", "--spec", spec_path("e2p")])
     assert code == 0
     assert out == "SimplePurelyInfinite\n"
+
+
+def test_classify_semiprime_dimensions(capsys, spec_path):
+    code, out, _ = run_cli(capsys, ["classify", "--spec", spec_path("epq")])
+    assert (code, out) == (0, "SimplePurelyInfinite\n")
+    code, out, _ = run_cli(capsys, ["classify", "--spec", spec_path("epq2")])
+    assert (code, out) == (0, f"TensorCircle({PQ})\n")
+
+
+def test_witness_semiprime_dimensions(capsys, spec_path):
+    code, out, _ = run_cli(capsys, ["witness", "--spec", spec_path("epq2")])
+    assert code == 0
+    assert lines_of(out)[0] == "witness fibers: (2,0) (0,1)"
+    assert lines_of(out)[-1] == "witness verified: true"
 
 
 def test_classify_unknown_exits_one(capsys, spec_path):
