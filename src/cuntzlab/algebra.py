@@ -7,7 +7,14 @@ pairs back into the spanning family:
     i(y')* i(x')  =  sum_{x in B_s, y in B_t} <x'.y, y'.x> i(x) i(y)*
 
 (s the fiber of x', t the fiber of y'), which for basis monomials leaves at
-most dim(s) surviving terms along a stride.  Zero and equality testing go
+most dim(s) surviving terms along a stride.  ``multiply`` finds them as one
+window of index arithmetic per pair of inner monomials; the degree, the
+product fibers and the phases of a fiber quadruple (x fiber, s, y fiber, t)
+are cached on the spec, so products on one spec compute them once.  On the
+exact fields the rewrite phase and the two basis phases fold into one
+factor, so a term pair costs at most two field multiplications; on float
+they stay three factors in a fixed order, so a product keeps its rounding
+whether the cache was cold or warm.  Zero and equality testing go
 through ``normal_form``: per degree g = p(x) - p(y), every term is raised to
 the common bidegree (c, c - g), c the coordinatewise max of the left fibers,
 using xy* = sum_f (x.f)(y.f)* over the basis of the missing fiber.  The
@@ -37,6 +44,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .runs import sweep
+from .scalars import FLOAT
 from .system import (
     BasisMonomial,
     Degree,
@@ -204,25 +212,33 @@ def _window(spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial):
     """The survivors of i(y')* i(x') as one window, or None if there are none.
 
     With s the fiber of x' and t that of y', the survivors are the pairs
-    (e(s;lx), e(t;base+lx)) for lo <= lx < hi, each with the coefficient
-    ``phase``; the window is returned as (s, t, dim_s, dim_t, base, lo, hi,
-    phase).  Equal fibers leave <x'|y'> times the identity, returned as the
-    one-survivor window of the zero fiber with the field's one.
+    (e(s;lx), e(t;base+lx)) for lo <= lx < hi; the window is returned as
+    (s, t, dim_s, dim_t, base, lo, hi).  It is index arithmetic only: every
+    survivor carries the phase ``_rewrite_phase(spec, s, t)``, which depends
+    on the fibers alone.  Equal fibers leave <x'|y'> times the identity,
+    returned as the one-survivor window of the zero fiber.
     """
     s, t = x_prime.fiber, y_prime.fiber
     if s == t:
         if x_prime.index != y_prime.index:
             return None
         e = spec.identity_monomial.fiber
-        return e, e, 1, 1, 0, 0, 1, spec.field.one
+        return e, e, 1, 1, 0, 0, 1
     dim_s, dim_t = spec.dim(s), spec.dim(t)
     base = y_prime.index * dim_s - x_prime.index * dim_t
     # survivors are the lx with 0 <= base + lx < dim_t
     lo, hi = max(0, -base), min(dim_s, dim_t - base)
     if lo >= hi:
         return None
-    phase = spec.multiplier(s, t) * spec.multiplier(t, s).conj()
-    return s, t, dim_s, dim_t, base, lo, hi, phase
+    return s, t, dim_s, dim_t, base, lo, hi
+
+
+def _rewrite_phase(spec: SystemSpec, s, t):
+    """omega(s,t) * conj(omega(t,s)), the coefficient of each survivor of a
+    window over the fibers (s, t); the field's one for the identity window."""
+    if s == t:
+        return spec.field.one
+    return spec.multiplier(s, t) * spec.multiplier(t, s).conj()
 
 
 def rewrite_pair(
@@ -238,12 +254,37 @@ def rewrite_pair(
     window = _window(spec, y_prime, x_prime)
     if window is None:
         return zero(spec)
-    s, t, _, _, base, lo, hi, phase = window
+    s, t, _, _, base, lo, hi = window
+    phase = _rewrite_phase(spec, s, t)
     acc = {
         (BasisMonomial(s, lx), BasisMonomial(t, base + lx)): phase
         for lx in range(lo, hi)
     }
     return AlgebraElement(spec, acc)
+
+
+def _fiber_quad(spec: SystemSpec, xf, s, yf, t):
+    """(degree, x.s, y.t, factors) of the fiber quadruple (x fiber, s,
+    y fiber, t) of ``multiply``, whose fibers have passed check_fiber.
+
+    ``factors`` are the scalars that multiply a term coefficient c_a*c_b:
+    none when untwisted; on an exact field the one product of the rewrite
+    phase, omega(x, s) and conj(omega(y, t)), or none when that is one; on
+    float the three of them in that order, so float products keep their
+    rounding.
+    """
+    fx, fy = add_fibers(xf, s), add_fibers(yf, t)
+    factors = ()
+    if spec.is_twisted:
+        factors = (
+            _rewrite_phase(spec, s, t),
+            spec.multiplier(xf, s),
+            spec.multiplier(yf, t).conj(),
+        )
+        if spec.field != FLOAT:
+            folded = factors[0] * factors[1] * factors[2]
+            factors = () if folded.is_one() else (folded,)
+    return sub_degree(fx, fy), fx, fy, factors
 
 
 def _keyed_element(spec: SystemSpec, acc: dict) -> AlgebraElement:
@@ -271,19 +312,23 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
     A term pair (c_a x y_a*) (c_b x_b y*) contributes the survivors of
     i(y_a)* i(x_b), mapped to e(x.s; x.index*dim_s + lx) e(y.t;
-    y.index*dim_t + base + lx)' with the phases omega(x, s) and
-    conj(omega(y, t)); fibers and phases are looked up once per fiber
-    quadruple and the survivors cost index arithmetic only.
+    y.index*dim_t + base + lx)' with the coefficient c_a*c_b times the
+    rewrite phase, omega(x, s) and conj(omega(y, t)).  Windows are computed
+    once per pair of inner monomials; the degree, the fibers x.s and y.t
+    and the phases once per fiber quadruple (x fiber, s, y fiber, t), in
+    the spec's ``fiber_quads`` cache, so later products on the spec reuse
+    them.  On exact fields the three phases are folded into one factor, so
+    a term pair costs at most two field multiplications; the survivors
+    cost index arithmetic only.
     """
     a._require_same(b)
     spec = a.spec
-    # the caches below are keyed by fibers, which must be checked first
+    # the cache below is keyed by fibers, which must be checked first
     for t in a.terms + b.terms:
         spec.check_fiber(t.left.fiber)
         spec.check_fiber(t.right.fiber)
-    twisted = spec.is_twisted
+    quads = spec.fiber_quads
     windows: dict = {}
-    outer: dict = {}  # (x fiber, s, y fiber, t) -> (degree, x.s, y.t, phases)
     acc: dict = {}
     for ca, x, ya in a.terms:
         for cb, xb, y in b.terms:
@@ -293,20 +338,15 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 window = windows[key] = _window(spec, ya, xb)
             if window is None:
                 continue
-            s, t, dim_s, dim_t, base, lo, hi, phase = window
+            s, t, dim_s, dim_t, base, lo, hi = window
             quad = (x.fiber, s, y.fiber, t)
-            fibers = outer.get(quad)
-            if fibers is None:
-                fx, fy = add_fibers(x.fiber, s), add_fibers(y.fiber, t)
-                phases = (
-                    (spec.multiplier(x.fiber, s), spec.multiplier(y.fiber, t).conj())
-                    if twisted
-                    else None
-                )
-                fibers = outer[quad] = (sub_degree(fx, fy), fx, fy, phases)
-            g, fx, fy, phases = fibers
-            # untwisted rewrite coefficients and phases are the field's one
-            coeff = ca * cb * phase * phases[0] * phases[1] if twisted else ca * cb
+            data = quads.get(quad)
+            if data is None:
+                data = quads[quad] = _fiber_quad(spec, *quad)
+            g, fx, fy, factors = data
+            coeff = ca * cb
+            for f in factors:
+                coeff = coeff * f
             i0 = x.index * dim_s
             j0 = y.index * dim_t + base
             for lx in range(lo, hi):

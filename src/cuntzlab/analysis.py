@@ -100,42 +100,30 @@ def exponent_matrix(gen_dims) -> tuple[tuple[int, ...], tuple[tuple[int, ...], .
     return base, tuple(tuple(_strip(m, b)[0] for m in gen_dims) for b in base)
 
 
+def _collision(gen_dims, kernel):
+    """The fiber pair s != t of equal dimension that ``dimension_injective``
+    reports, or None: (e_a, 2e_a) for the first dimension-one generator,
+    else the positive and negative parts of the primitive kernel vector."""
+    for a, m in enumerate(gen_dims):
+        if m == 1:
+            e_a = tuple(1 if i == a else 0 for i in range(len(gen_dims)))
+            return e_a, tuple(2 * c for c in e_a)
+    if kernel is None:
+        return None
+    return tuple(max(v, 0) for v in kernel), tuple(max(-v, 0) for v in kernel)
+
+
 def dimension_injective(spec: SystemSpec):
     """(True, None) if d is injective on N^k, else (False, (s, t)) with
     s != t of equal dimension, derived from the primitive kernel vector
     (first nonzero entry positive) or (e_a, 2e_a) for a dimension-one
     generator."""
-    for a, m in enumerate(spec.gen_dims):
-        if m == 1:
-            e_a = tuple(1 if i == a else 0 for i in range(spec.k))
-            return False, (e_a, tuple(2 * c for c in e_a))
-    _, rows = exponent_matrix(spec.gen_dims)
-    kernel = linalg.integer_kernel_vector(rows, spec.k)
-    if kernel is None:
-        return True, None
-    s = tuple(max(v, 0) for v in kernel)
-    t = tuple(max(-v, 0) for v in kernel)
-    return False, (s, t)
-
-
-def common_power_base(m: int, n: int):
-    """(l, a, b) with m = l^a, n = l^b, gcd(a, b) = 1, or None.
-
-    None exactly when log_m(n) is irrational.  l is the largest possible
-    base (any other common base is a power of it); given gcd(a, b) = 1 it
-    is unique, l = m^(1/a).  It exists exactly when the coprime base of
-    (m, n) is the one member l, with exponent row (a, b): the refinement
-    of two powers of l makes only powers of l, and a lone member l^h needs
-    h | gcd(a, b) = 1.  Conversely, a lone member c makes m and n powers
-    of c, so l exists and c = l.
-    """
-    if m < 2 or n < 2:
-        return None
-    base, rows = exponent_matrix((m, n))
-    if len(base) != 1:
-        return None
-    (a, b), = rows
-    return base[0], a, b
+    kernel = None
+    if 1 not in spec.gen_dims:
+        _, rows = exponent_matrix(spec.gen_dims)
+        kernel = linalg.integer_kernel_vector(rows, spec.k)
+    witness = _collision(spec.gen_dims, kernel)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +166,16 @@ def classify(spec: SystemSpec) -> Classification:
     tensor continuous circle functions), except that two dimension-one
     generators give plain NonSimple.  Twisted collisions are undecided here
     and report Unknown.  Every non-injective verdict carries a witness pair.
+
+    For two generators m, n > 1 the power base is (l, a, b) with m = l^a,
+    n = l^b, gcd(a, b) = 1, and l as large as possible; it exists exactly
+    when log_m(n) is rational.  It is the lone member l of the coprime base
+    with its exponent row (a, b): two powers of l refine only to powers of
+    l, and a lone member l^h needs h | gcd(a, b) = 1.  Conversely, a lone
+    member c makes m and n powers of c, so l exists and c = l.
     """
+    # one matrix and at most one kernel serve the rank, the witness and the
+    # power base; the rows have full rank k exactly when there is no kernel
     base, rows = exponent_matrix(spec.gen_dims)
     from .scalars import RATIONAL
 
@@ -186,10 +183,11 @@ def classify(spec: SystemSpec) -> Classification:
         [RATIONAL.from_fraction(Fraction(v)) for v in row] for row in rows
     ]
     rank = linalg.rank(rat_rows, RATIONAL)
-    injective, witness = dimension_injective(spec)
     kernel = None
-    if not injective:
+    if rank < spec.k:
         kernel = linalg.integer_kernel_vector(rows, spec.k)
+    witness = _collision(spec.gen_dims, kernel)
+    injective = witness is None
 
     common = dict(
         gen_dims=spec.gen_dims,
@@ -215,9 +213,9 @@ def classify(spec: SystemSpec) -> Classification:
         if n == 1:
             common["power_base"] = (m, 1, 0)
             return Classification(kind="TensorCircle", **common)
-        power_base = common_power_base(m, n)
-        if power_base is not None:
-            common["power_base"] = power_base
+        if len(base) == 1:
+            (a, b), = rows
+            common["power_base"] = (base[0], a, b)
             return Classification(kind="TensorCircle", **common)
     return Classification(kind="NonSimple", **common)
 

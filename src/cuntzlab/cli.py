@@ -227,15 +227,15 @@ def _cmd_classify(args, reporter: Reporter) -> int:
 
 def _cmd_witness(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
-    result = analysis.classify(spec)
-    if result.witness is None:
+    injective, witness = analysis.dimension_injective(spec)
+    if injective:
         reporter.emit(
             "no witness: the dimension function is injective",
             command="witness",
             witness=None,
         )
         return 1
-    s, t = result.witness
+    s, t = witness
     try:
         element, twist = analysis.nonsimplicity_witness(spec, s, t)
     except ValueError as err:

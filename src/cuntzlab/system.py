@@ -118,6 +118,13 @@ class SystemSpec:
     ``theta``      -- optional k x k matrix of Fractions/floats; None means
                       untwisted.
     ``scalar_mode``-- 'rational', 'cyclotomic:<q>' or 'float'.
+
+    A spec caches what it derives from fibers, filled on first use and
+    never evicted, so each cache grows with the distinct keys used on the
+    spec: ``_dims`` holds one dimension per fiber, ``_phases`` one
+    multiplier per fiber pair, and ``fiber_quads`` one entry per fiber
+    quadruple (x fiber, s, y fiber, t) that ``algebra.multiply`` met, with
+    the degree, the product fibers and the phase factors of its survivors.
     """
 
     def __init__(self, gen_dims, theta=None, scalar_mode: str = "rational"):
@@ -178,6 +185,7 @@ class SystemSpec:
         # filled on first use, keyed by fibers that passed check_fiber
         self._dims: dict[Fiber, int] = {}
         self._phases: dict[tuple[Fiber, Fiber], Scalar] = {}
+        self.fiber_quads: dict[tuple[Fiber, Fiber, Fiber, Fiber], tuple] = {}
 
     # -- derived structure ------------------------------------------------
 

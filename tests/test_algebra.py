@@ -346,6 +346,9 @@ PRODUCT_SPECS = {
     "q23": SystemSpec((2, 3), scalar_mode="cyclotomic:8"),
     "f23": SystemSpec((2, 3), scalar_mode="float"),
     "tw23": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n"),
+    "tw23q8": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 3/8 0 0\nscalars = cyclotomic:8\n"),
+    # the rotation algebra: dimension-one fibers, UV = zeta_4 VU
+    "rot11": parse_spec_text("k = 2\ndims = 1 1\ntheta = 0 0 1/4 0\nscalars = cyclotomic:4\n"),
     # an irrational angle: every phase is an inexact float
     "twf23": parse_spec_text(
         "k = 2\ndims = 2 3\ntheta = 0 0.3183098861837907 0.1 0\nscalars = float\n"
@@ -473,12 +476,32 @@ def _malformed_products(spec, bad):
 MALFORMED_FIBERS = [(1.0, 0), (-1, 0)]
 
 
+def _fresh(spec):
+    """An equal spec with empty caches."""
+    return SystemSpec(spec.gen_dims, spec.theta, spec.scalar_mode)
+
+
 @pytest.mark.parametrize("name", ["e23", "tw23"])
 @pytest.mark.parametrize("bad", MALFORMED_FIBERS, ids=repr)
 def test_multiply_rejects_malformed_fibers(name, bad):
+    _assert_multiply_rejects(PRODUCT_SPECS[name], bad)
+
+
+@pytest.mark.parametrize("name", ["e23", "tw23"])
+@pytest.mark.parametrize("bad", MALFORMED_FIBERS, ids=repr)
+def test_multiply_rejects_malformed_fibers_on_warm_cache(name, bad):
+    # the spec's fiber quadruple cache already holds the (1, 0) quadruples
+    # that each malformed product would look up
+    spec = _fresh(PRODUCT_SPECS[name])
+    for _, a, b in _malformed_products(spec, (1, 0)):
+        multiply(a, b)
+    assert any((1, 0) in quad for quad in spec.fiber_quads)
+    _assert_multiply_rejects(spec, bad)
+
+
+def _assert_multiply_rejects(spec, bad):
     # (1.0, 0) hashes and compares like (1, 0), so only a check of every
     # term's fibers, not a cache miss, can reject it
-    spec = PRODUCT_SPECS[name]
     for label, a, b in _malformed_products(spec, bad):
         if "after a valid term" in label and bad == (1.0, 0):
             first = (a if label.endswith("left") else b).terms[0]
@@ -487,6 +510,67 @@ def test_multiply_rejects_malformed_fibers(name, bad):
             multiply(a, b)
         with pytest.raises(ValueError):
             four_factor_multiply(a, b)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PRODUCT_SPECS)), st.integers(0, 10**6))
+def test_product_same_on_cold_and_warm_cache(name, seed):
+    # a spec's fiber quadruple cache is filled by earlier products; what
+    # it holds must not change a later product, to the bit on float
+    cold, warm = _fresh(PRODUCT_SPECS[name]), _fresh(PRODUCT_SPECS[name])
+    rng = random.Random(seed)
+    a = random_element(cold, rng, rng.randint(1, 4), 3)
+    b = random_element(cold, rng, rng.randint(1, 4), 3)
+
+    def on_warm(e, coeff=lambda t: t.coeff):
+        return AlgebraElement(warm, {(t.left, t.right): coeff(t) for t in e.terms})
+
+    # unrelated products, the last on the monomials of a and b with other
+    # coefficients, so it fills every quadruple that a*b looks up
+    for _ in range(3):
+        multiply(random_element(warm, rng, 4, 3), random_element(warm, rng, 4, 3))
+    multiply(on_warm(a, lambda t: t.coeff * 3), on_warm(b, lambda t: -t.coeff))
+    seen = set(warm.fiber_quads)
+    want = multiply(a, b)
+    assert set(cold.fiber_quads) <= seen
+    assert same_product(multiply(on_warm(a), on_warm(b)), want)
+
+
+def _windowed_pairs(a, b):
+    return sum(
+        1 for ta in a.terms for tb in b.terms if rewrite_pair(a.spec, ta.right, tb.left).terms
+    )
+
+
+@pytest.mark.parametrize("name", ["tw23", "tw23q8"])
+def test_warm_twisted_product_work(name, monkeypatch):
+    # a repeated product looks up no phase and spends at most two field
+    # multiplications per term pair with survivors: c_a*c_b and the one
+    # folded phase of its fiber quadruple
+    spec = _fresh(PRODUCT_SPECS[name])
+    rng = random.Random(20261018)
+    a = random_element(spec, rng, nterms=8, max_sum=3)
+    b = random_element(spec, rng, nterms=8, max_sum=3).adjoint()
+    pairs = _windowed_pairs(a, b)
+    assert pairs >= 8
+    want = multiply(a, b)
+    counts = {"phases": 0, "muls": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(SystemSpec, "multiplier", counted("phases", SystemSpec.multiplier))
+    monkeypatch.setattr(SystemSpec, "_phase", counted("phases", SystemSpec._phase))
+    mul = counted("muls", scalars.Cyclotomic.__mul__)
+    monkeypatch.setattr(scalars.Cyclotomic, "__mul__", mul)
+    monkeypatch.setattr(scalars.Cyclotomic, "__rmul__", mul)
+    assert multiply(a, b) == want
+    assert counts["phases"] == 0
+    assert 0 < counts["muls"] <= 2 * pairs
 
 
 @pytest.mark.parametrize("name", ["e23", "tw23"])

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from cuntzlab import algebra, linalg, scalars, steprep
+from cuntzlab import algebra, analysis, linalg, scalars, steprep
 from cuntzlab.analysis import (
     HypothesisViolationError,
     annihilating_vector,
     annihilation_instance,
     classify,
-    common_power_base,
     dimension_injective,
     exponent_matrix,
     nonsimplicity_witness,
@@ -81,6 +80,14 @@ def _prime_power_base(fm, fn):
     if any(fm[p] * b != fn[p] * a for p in fm):
         return None
     return math.prod(p ** (fm[p] // a) for p in fm), a, b
+
+
+def common_power_base(m, n):
+    """(l, a, b) with m = l^a, n = l^b, gcd(a, b) = 1 and l largest, or None,
+    as ``classify`` reports it for the untwisted system (m, n)."""
+    if m < 2 or n < 2:
+        return None
+    return classify(SystemSpec((m, n))).power_base
 
 
 def _rank(rows):
@@ -262,6 +269,31 @@ class TestClassify:
         out = classify(SystemSpec((2, 4, 3)))
         assert out.kind == "NonSimple"
         assert out.witness is not None
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 3), (2, 4), (6, 36), (4, 6), (1, 5), (1, 1), (2, 4, 3)]
+    )
+    def test_builds_matrix_and_kernel_once(self, monkeypatch, dims):
+        calls = {"matrix": 0, "kernel": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            analysis, "exponent_matrix", counted("matrix", analysis.exponent_matrix)
+        )
+        monkeypatch.setattr(
+            linalg,
+            "integer_kernel_vector",
+            counted("kernel", linalg.integer_kernel_vector),
+        )
+        out = classify(SystemSpec(dims))
+        assert calls["matrix"] == 1
+        assert calls["kernel"] == (0 if out.witness is None else 1)
 
 
 class TestNonsimplicityWitness:
