@@ -47,7 +47,6 @@ from .runs import sweep
 from .scalars import FLOAT
 from .system import (
     BasisMonomial,
-    Degree,
     FiberVector,
     SystemSpec,
     add_fibers,
@@ -378,9 +377,6 @@ class NormalForm:
 
     def is_zero(self) -> bool:
         return not self.blocks
-
-    def block(self, degree: Degree):
-        return self.blocks.get(tuple(degree))
 
     def __repr__(self):
         keys = ", ".join(str(k) for k in sorted(self.blocks))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import algebra, linalg, runs, steprep
+from . import algebra, linalg, steprep
 from .scalars import cyclotomic_field
 from .system import (
     BasisMonomial,
@@ -387,11 +387,11 @@ def verify_annihilation(
 
     Untwisted specs decide the inner factors in the step model.  i(f' w)
     maps V_(dim y) into V_(stripe * dim y), stripe = dim(c + p(w)), which can
-    be astronomically large; but there each term e(x;j) e(y;l)* of x y* is
-    the one run (j*stripe, l*stripe, stripe), and i(f' w) is one run per
-    support index of w.  The inner factors are composed run by run, so the
-    cost follows dim(c), the support of w and the terms of x y*, never the
-    level.
+    be astronomically large; but ``evaluate`` at that level makes each
+    term e(x;j) e(y;l)* of x y* the one run (j*stripe, l*stripe, stripe),
+    and i(f' w) is one run per support index of w.  The inner factors are
+    composed run by run, so the cost follows dim(c), the support of w and
+    the terms of x y*, never the level.
 
     Twisted specs have no step model; they decide by the normal form of
     alpha_c(V)* (x y*) alpha_c(V), multiplied out as (alpha_c(V)* i(x))
@@ -415,10 +415,10 @@ def verify_annihilation(
     pieces = [spec.mul_vectors(spec.unit_vector(f), w) for f in spec.basis(c)]
     for x, y in instance.pairs:
         k_in, k_out = spec.dim(fiber_of(y)), spec.dim(fiber_of(x))
-        terms = algebra.multiply(_element_of(spec, x), _element_of(spec, y).adjoint()).terms
-        pair = steprep.StepOperator(stripe * k_in, stripe * k_out, runs=runs.sweep(
-            [(t.left.index * stripe, t.right.index * stripe, stripe, t.coeff) for t in terms]
-        ))
+        xy = algebra.multiply(_element_of(spec, x), _element_of(spec, y).adjoint())
+        if not xy.terms:
+            continue
+        pair = steprep.evaluate(xy, stripe * k_in).single()
         applied = [pair.compose(steprep.vector_operator(spec, p, k_in)) for p in pieces]
         for piece in pieces:
             left = steprep.vector_operator(spec, piece, k_out).conj_transpose()

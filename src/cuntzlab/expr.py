@@ -177,7 +177,7 @@ class _Parser:
         value = scalars.RationalComplex(re_part, im_part)
         try:
             return self.spec.field.coerce(value)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ExpressionError(pos, f"scalar not representable: {err}") from None
 
     # -- structure -----------------------------------------------------------
@@ -334,19 +334,11 @@ def parse_scalar(spec: SystemSpec, text: str):
 # The output re-parses to a structurally identical element.
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def _format_ratio(num: int, den: int) -> str:
     """num/den (den > 0) in lowest terms, as ``str(Fraction(num, den))``."""
     g = math.gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _format_float(x: float) -> str:
-    return repr(x)
 
 
 def _monomial_text(term) -> str:
@@ -363,15 +355,49 @@ def _monomial_text(term) -> str:
     return gen(left) + "*" + gen(right) + "'"
 
 
-def _real_piece(mag_text: str, mon: str) -> str:
-    return mon if mag_text == "1" else f"{mag_text}*{mon}"
+def _signed_sum(pieces) -> str:
+    """Join (negative, body) pieces as "a - b + c"; "0" when there are none."""
+    out = []
+    for negative, body in pieces:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
 
 
-def _complex_body(re_text: str, im_text: str, re_zero: bool, im_neg: bool) -> str:
-    # inner text of "(a+bi)"; callers pass magnitudes plus the sign flag
-    if re_zero:
-        return ("-" if im_neg else "") + im_text + "i"
-    return re_text + ("-" if im_neg else "+") + im_text + "i"
+def _complex_parts(value):
+    """(re, im, part) of a Gaussian or float value, None of a cyclotomic one.
+
+    ``part`` prints one part: a numerator over the common denominator in
+    lowest terms, or a float by ``repr``.
+    """
+    if isinstance(value, scalars.RationalComplex):
+        den = value.den
+        return value.re_num, value.im_num, lambda num: _format_ratio(num, den)
+    if isinstance(value, scalars.FloatComplex):
+        return value.value.real, value.value.imag, repr
+    if isinstance(value, scalars.Cyclotomic):
+        return None
+    raise TypeError(f"cannot print scalar of type {type(value).__name__}")
+
+
+def _complex_body(re_part, im_part, part) -> str:
+    # inner text of "(a+bi)"; a zero real part is left out
+    tail = part(abs(im_part)) + "i"
+    if re_part == 0:
+        return ("-" if im_part < 0 else "") + tail
+    return part(re_part) + ("-" if im_part < 0 else "+") + tail
+
+
+def _cyclotomic_pieces(value):
+    """(negative, magnitude text, root text) per nonzero power of the root;
+    the root text is None for power 0."""
+    for power, coeff in enumerate(value.coeffs):
+        if coeff != 0:
+            root = f"zeta({value.field.order})^{power}" if power else None
+            yield coeff < 0, str(abs(coeff)), root
 
 
 def _term_pieces(coeff, mon: str):
@@ -380,113 +406,41 @@ def _term_pieces(coeff, mon: str):
     Complex coefficients are sign-normalized so the parenthesized body never
     leads with a minus: the overall sign moves out to the joining +/-.
     """
-    if isinstance(coeff, scalars.RationalComplex):
-        re_num, im_num, den = coeff.re_num, coeff.im_num, coeff.den
-        if im_num == 0:
-            yield re_num < 0, _real_piece(_format_ratio(abs(re_num), den), mon)
-        else:
-            negative = re_num < 0 or (re_num == 0 and im_num < 0)
-            if negative:
-                re_num, im_num = -re_num, -im_num
-            body = _complex_body(
-                _format_ratio(re_num, den),
-                _format_ratio(abs(im_num), den),
-                re_num == 0,
-                im_num < 0,
-            )
-            yield negative, f"({body})*{mon}"
-        return
-    if isinstance(coeff, scalars.Cyclotomic):
-        q = coeff.field.order
-        for power, part in enumerate(coeff.coeffs):
-            if part == 0:
-                continue
-            if power == 0:
-                yield part < 0, _real_piece(_format_fraction(abs(part)), mon)
-                continue
-            root = f"zeta({q})^{power}"
-            mag = abs(part)
-            if mag == 1:
-                yield part < 0, f"{root}*{mon}"
-            else:
-                yield part < 0, f"{_format_fraction(mag)}*({root}*{mon})"
-        return
-    if isinstance(coeff, scalars.FloatComplex):
-        re_part, im_part = coeff.value.real, coeff.value.imag
-        if im_part == 0:
-            yield re_part < 0, _real_piece(_format_float(abs(re_part)), mon)
-        else:
+    parts = _complex_parts(coeff)
+    if parts is None:
+        pieces = _cyclotomic_pieces(coeff)
+    else:
+        re_part, im_part, part = parts
+        if im_part != 0:
             negative = re_part < 0 or (re_part == 0 and im_part < 0)
             if negative:
                 re_part, im_part = -re_part, -im_part
-            body = _complex_body(
-                _format_float(re_part),
-                _format_float(abs(im_part)),
-                re_part == 0,
-                im_part < 0,
-            )
-            yield negative, f"({body})*{mon}"
-        return
-    raise TypeError(f"cannot print coefficient of type {type(coeff).__name__}")
+            yield negative, f"({_complex_body(re_part, im_part, part)})*{mon}"
+            return
+        pieces = [(re_part < 0, part(abs(re_part)), None)]
+    for negative, mag, root in pieces:
+        if root is None:
+            yield negative, mon if mag == "1" else f"{mag}*{mon}"
+        else:
+            yield negative, f"{root}*{mon}" if mag == "1" else f"{mag}*({root}*{mon})"
 
 
 def format_element(a: AlgebraElement) -> str:
     """Canonical text for an element; re-parses to the same canonical form."""
-    if not a.terms:
-        return "0"
-    pieces = []
-    for term in a.terms:
-        pieces.extend(_term_pieces(term.coeff, _monomial_text(term)))
-    out = []
-    for i, (negative, body) in enumerate(pieces):
-        if i == 0:
-            out.append("-" + body if negative else body)
-        else:
-            out.append((" - " if negative else " + ") + body)
-    return "".join(out)
+    return _signed_sum(
+        piece
+        for term in a.terms
+        for piece in _term_pieces(term.coeff, _monomial_text(term))
+    )
 
 
 def format_scalar(value) -> str:
     """Canonical text for a bare scalar, parseable by parse_scalar."""
-    if isinstance(value, scalars.RationalComplex):
-        re_num, im_num, den = value.re_num, value.im_num, value.den
-        if im_num == 0:
-            return _format_ratio(re_num, den)
-        return _complex_body(
-            _format_ratio(re_num, den),
-            _format_ratio(abs(im_num), den),
-            re_num == 0,
-            im_num < 0,
+    parts = _complex_parts(value)
+    if parts is None:
+        return _signed_sum(
+            (negative, mag if root is None else root if mag == "1" else f"{mag}*{root}")
+            for negative, mag, root in _cyclotomic_pieces(value)
         )
-    if isinstance(value, scalars.FloatComplex):
-        re_part, im_part = value.value.real, value.value.imag
-        if im_part == 0:
-            return _format_float(re_part)
-        return _complex_body(
-            _format_float(re_part),
-            _format_float(abs(im_part)),
-            re_part == 0,
-            im_part < 0,
-        )
-    if isinstance(value, scalars.Cyclotomic):
-        parts = []
-        for power, part in enumerate(value.coeffs):
-            if part == 0:
-                continue
-            if power == 0:
-                parts.append((part < 0, _format_fraction(abs(part))))
-            else:
-                root = f"zeta({value.field.order})^{power}"
-                mag = abs(part)
-                body = root if mag == 1 else f"{_format_fraction(mag)}*{root}"
-                parts.append((part < 0, body))
-        if not parts:
-            return "0"
-        out = []
-        for i, (negative, body) in enumerate(parts):
-            if i == 0:
-                out.append("-" + body if negative else body)
-            else:
-                out.append((" - " if negative else " + ") + body)
-        return "".join(out)
-    raise TypeError(f"cannot print scalar of type {type(value).__name__}")
+    re_part, im_part, part = parts
+    return part(re_part) if im_part == 0 else _complex_body(re_part, im_part, part)

@@ -215,15 +215,15 @@ def extend(spec: SystemSpec, assignment: GeneratorAssignment, x: BasisMonomial, 
     return out
 
 
-def map_element(assignment: GeneratorAssignment, element: AlgebraElement, order=None):
+def map_element(assignment: GeneratorAssignment, element: AlgebraElement):
     """Image of an algebra element under the induced *-homomorphism."""
     _require_verified(assignment)
     if not same_system(element.spec, assignment.source):
         raise ValueError("element does not belong to the assignment's source")
     out = algebra.zero(assignment.target)
     for term in element.terms:
-        left = extend(assignment.source, assignment, term.left, order)
-        right = extend(assignment.source, assignment, term.right, order)
+        left = extend(assignment.source, assignment, term.left)
+        right = extend(assignment.source, assignment, term.right)
         out = out + algebra.multiply(left, right.adjoint()).scaled(term.coeff)
     return out
 
@@ -297,20 +297,14 @@ def verify_roundtrip(pair: IsomorphismPair) -> bool:
     for assignment in (pair.forward, pair.backward):
         if not assignment.report().ok:
             return False
-    big = pair.forward.source
-    small = pair.backward.source
-    for a in range(1, big.k + 1):
-        for i in range(big.gen_dims[a - 1]):
-            image = map_element(pair.backward, pair.forward.image(a, i))
-            fixed = algebra.isometry(big, big.monomial(big.unit_fiber(a - 1), i))
-            if not algebra.equals(image, fixed):
-                return False
-    for a in range(1, small.k + 1):
-        for i in range(small.gen_dims[a - 1]):
-            image = map_element(pair.forward, pair.backward.image(a, i))
-            fixed = algebra.isometry(small, small.monomial(small.unit_fiber(a - 1), i))
-            if not algebra.equals(image, fixed):
-                return False
+    for there, back in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
+        spec = there.source
+        for a in range(1, spec.k + 1):
+            for i in range(spec.gen_dims[a - 1]):
+                image = map_element(back, there.image(a, i))
+                fixed = algebra.isometry(spec, spec.monomial(spec.unit_fiber(a - 1), i))
+                if not algebra.equals(image, fixed):
+                    return False
     return True
 
 

@@ -21,6 +21,7 @@ Scalar mode choices and their constraints:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,6 +151,10 @@ class SystemSpec:
                         raise ConfigurationError(
                             f"theta entries must be numbers, got {entry!r}"
                         )
+                    if isinstance(entry, float) and not math.isfinite(entry):
+                        raise ConfigurationError(
+                            f"theta entries must be finite, got {entry!r}"
+                        )
         self.theta = theta
 
         trivial = theta is None or all(
@@ -181,7 +186,6 @@ class SystemSpec:
                                 f"the cyclotomic order {q}"
                             )
 
-        self._untwisted: SystemSpec | None = None
         # filled on first use, keyed by fibers that passed check_fiber
         self._dims: dict[Fiber, int] = {}
         self._phases: dict[tuple[Fiber, Fiber], Scalar] = {}
@@ -304,17 +308,6 @@ class SystemSpec:
             add_fibers(v.fiber, w.fiber), v.dim * dim_w, out, self.field.zero
         )
 
-    def inner(self, v: FiberVector, w: FiberVector) -> Scalar:
-        """<v, w> = sum v_j * conj(w_j); conjugate-linear in the second slot."""
-        if v.fiber != w.fiber:
-            raise ValueError("inner product needs vectors in the same fiber")
-        out = self.field.zero
-        for j, a in v.entries.items():
-            b = w.entries.get(j)
-            if b is not None:
-                out = out + a * b.conj()
-        return out
-
     # -- factoring ----------------------------------------------------------
 
     def factor_monomial_sequence(
@@ -362,15 +355,7 @@ class SystemSpec:
         sequence = [a for a in order for _ in range(x.fiber[a])]
         return self.factor_monomial_sequence(x, sequence)
 
-    # -- variants and identity ----------------------------------------------
-
-    def untwisted(self) -> "SystemSpec":
-        """The same dimensions with the trivial multiplier (rational mode)."""
-        if not self.is_twisted and self.field is RATIONAL:
-            return self
-        if self._untwisted is None:
-            self._untwisted = SystemSpec(self.gen_dims)
-        return self._untwisted
+    # -- identity ---------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, SystemSpec):

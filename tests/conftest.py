@@ -81,7 +81,7 @@ def dense_block(nf, degree):
     Cells that no run covers are zero; overlapping runs fail the test.
     """
     spec = nf.spec
-    c, runs = nf.block(degree)
+    c, runs = nf.blocks[degree]
     rows = [[None] * spec.dim(sub_degree(c, degree)) for _ in range(spec.dim(c))]
     for row0, col0, length, coeff in runs:
         for f in range(length):
@@ -132,9 +132,21 @@ def format_assignment(assignment) -> str:
     return "\n".join(lines) + "\n"
 
 
+def inner(spec, v, w):
+    """<v, w> = sum v_j * conj(w_j); conjugate-linear in the second slot."""
+    if v.fiber != w.fiber:
+        raise ValueError("inner product needs vectors in the same fiber")
+    out = spec.field.zero
+    for j, a in v.entries.items():
+        b = w.entries.get(j)
+        if b is not None:
+            out = out + a * b.conj()
+    return out
+
+
 def vector_projection(spec, v):
     """The rank-one projection i(v) i(v)* / <v, v> (v need not be a unit)."""
-    norm = spec.inner(v, v)
+    norm = inner(spec, v, v)
     if norm.is_zero():
         raise ValueError("cannot project along the zero vector")
     inv = norm.inv()

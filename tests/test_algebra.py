@@ -173,7 +173,7 @@ class TestNormalForm:
         nf = normal_form(a)
         assert not nf.is_zero()
         assert set(nf.blocks) == {(2, 0), (0, 1)}
-        c, runs = nf.block((2, 0))
+        c, runs = nf.blocks.get((2, 0))
         assert c == (2, 0)
         ((row0, col0, length, coeff),) = runs
         assert (row0, col0, length) == (0, 0, 1)

@@ -456,3 +456,11 @@ class TestAnnihilationConstruction:
         inst = annihilation_instance(e23, [(v, e23.monomial((0, 1), 1))])
         w = annihilating_vector(e23, inst)
         assert verify_annihilation(e23, inst, w)
+
+    def test_zero_vector_pair_is_annihilated(self, e23):
+        # x y* = 0 compresses to zero; its step operator has no output
+        # level to compose with
+        zero = e23.vector((1, 0), [e23.field.zero, e23.field.zero])
+        inst = annihilation_instance(e23, [(zero, e23.monomial((0, 1), 0))])
+        w = annihilating_vector(e23, inst)
+        assert verify_annihilation(e23, inst, w) is True

@@ -452,13 +452,128 @@ def test_relations_cross_system(capsys, spec_path, tmp_path):
 # --- selftest --------------------------------------------------------------
 
 
+SELFTEST_TEXT = """\
+ok e23: cuntz sums
+ok e23: isometry relations
+ok e23: normal form round trip
+ok e23: printer round trip
+ok e23: alpha unital
+ok e23: classify -> SimplePurelyInfinite
+ok e24: cuntz sums
+ok e24: isometry relations
+ok e24: normal form round trip
+ok e24: printer round trip
+ok e24: alpha unital
+ok e24: classify -> TensorCircle(2)
+ok e48: cuntz sums
+ok e48: isometry relations
+ok e48: normal form round trip
+ok e48: printer round trip
+ok e48: alpha unital
+ok e48: classify -> TensorCircle(2)
+ok e15: cuntz sums
+ok e15: isometry relations
+ok e15: normal form round trip
+ok e15: printer round trip
+ok e15: alpha unital
+ok e15: classify -> TensorCircle(5)
+ok tw14: cuntz sums
+ok tw14: isometry relations
+ok tw14: normal form round trip
+ok tw14: printer round trip
+ok tw14: alpha unital
+ok tw14: classify -> Unknown
+ok tw14: UV = zeta*VU
+ok e24: witness separates representations
+selftest: 32 of 32 checks passed
+"""
+
+SELFTEST_JSON = """\
+{"check": "cuntz sums", "command": "selftest", "ok": true, "spec": "e23"}
+{"check": "isometry relations", "command": "selftest", "ok": true, "spec": "e23"}
+{"check": "normal form round trip", "command": "selftest", "ok": true, "spec": "e23"}
+{"check": "printer round trip", "command": "selftest", "ok": true, "spec": "e23"}
+{"check": "alpha unital", "command": "selftest", "ok": true, "spec": "e23"}
+{"check": "classify", "command": "selftest", "ok": true, "spec": "e23"}
+{"check": "cuntz sums", "command": "selftest", "ok": true, "spec": "e24"}
+{"check": "isometry relations", "command": "selftest", "ok": true, "spec": "e24"}
+{"check": "normal form round trip", "command": "selftest", "ok": true, "spec": "e24"}
+{"check": "printer round trip", "command": "selftest", "ok": true, "spec": "e24"}
+{"check": "alpha unital", "command": "selftest", "ok": true, "spec": "e24"}
+{"check": "classify", "command": "selftest", "ok": true, "spec": "e24"}
+{"check": "cuntz sums", "command": "selftest", "ok": true, "spec": "e48"}
+{"check": "isometry relations", "command": "selftest", "ok": true, "spec": "e48"}
+{"check": "normal form round trip", "command": "selftest", "ok": true, "spec": "e48"}
+{"check": "printer round trip", "command": "selftest", "ok": true, "spec": "e48"}
+{"check": "alpha unital", "command": "selftest", "ok": true, "spec": "e48"}
+{"check": "classify", "command": "selftest", "ok": true, "spec": "e48"}
+{"check": "cuntz sums", "command": "selftest", "ok": true, "spec": "e15"}
+{"check": "isometry relations", "command": "selftest", "ok": true, "spec": "e15"}
+{"check": "normal form round trip", "command": "selftest", "ok": true, "spec": "e15"}
+{"check": "printer round trip", "command": "selftest", "ok": true, "spec": "e15"}
+{"check": "alpha unital", "command": "selftest", "ok": true, "spec": "e15"}
+{"check": "classify", "command": "selftest", "ok": true, "spec": "e15"}
+{"check": "cuntz sums", "command": "selftest", "ok": true, "spec": "tw14"}
+{"check": "isometry relations", "command": "selftest", "ok": true, "spec": "tw14"}
+{"check": "normal form round trip", "command": "selftest", "ok": true, "spec": "tw14"}
+{"check": "printer round trip", "command": "selftest", "ok": true, "spec": "tw14"}
+{"check": "alpha unital", "command": "selftest", "ok": true, "spec": "tw14"}
+{"check": "classify", "command": "selftest", "ok": true, "spec": "tw14"}
+{"check": "twist phase", "command": "selftest", "ok": true, "spec": "tw14"}
+{"check": "witness", "command": "selftest", "ok": true, "spec": "e24"}
+{"command": "selftest", "passed": 32, "total": 32}
+"""
+
+
 def test_selftest_battery(capsys):
     code, out, _ = run_cli(capsys, ["selftest"])
     assert code == 0
+    assert out == SELFTEST_TEXT
+    assert len(lines_of(out)) == 33
+
+
+def test_selftest_battery_json_lines(capsys):
+    code, out, _ = run_cli(capsys, ["selftest", "--format", "json-lines"])
+    assert code == 0
+    assert out == SELFTEST_JSON
+
+
+def test_selftest_reports_failures(capsys, monkeypatch):
+    # the checks that decide by algebra.equals fail; the printer round trip
+    # compares elements structurally, and classify and the witness do not
+    # call equals, so those eleven still pass
+    monkeypatch.setattr(cli.algebra, "equals", lambda a, b: False)
+    code, out, _ = run_cli(capsys, ["selftest"])
+    assert code == 1
+    failing = {
+        "cuntz sums",
+        "isometry relations",
+        "normal form round trip",
+        "alpha unital",
+        "UV = zeta*VU",
+    }
+    want = [
+        "FAIL" + row[2:] if row.split(": ", 1)[1] in failing else row
+        for row in lines_of(SELFTEST_TEXT)[:-1]
+    ]
+    assert lines_of(out) == want + ["selftest: 11 of 32 checks passed"]
+
+
+def test_selftest_twist_phase_is_a_known_answer(capsys, monkeypatch):
+    # a builtin whose twist gives UV = zeta_4^3 VU still satisfies its own
+    # relations, phases included; only the hard-coded zeta_4 catches it
+    monkeypatch.setitem(
+        cli.BUILTIN_SPECS,
+        "tw14",
+        "k = 2\ndims = 1 1\ntheta = 0 0 3/4 0\nscalars = cyclotomic:4\n",
+    )
+    code, out, _ = run_cli(capsys, ["selftest"])
+    assert code == 1
     rows = lines_of(out)
-    assert rows[-1] == "selftest: 32 of 32 checks passed"
-    assert len(rows) == 33
-    assert all(row.startswith("ok ") for row in rows[:-1])
+    assert [row for row in rows if not row.startswith("ok ")] == [
+        "FAIL tw14: UV = zeta*VU",
+        "selftest: 31 of 32 checks passed",
+    ]
 
 
 # --- output format ---------------------------------------------------------
@@ -536,6 +651,48 @@ def test_bad_spec_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["classify", "--spec", str(path)])
     assert code == 2
     assert err.startswith("error: bad spec file")
+
+
+@pytest.mark.parametrize("scalars", ["rational", "cyclotomic:4", "float"])
+def test_non_finite_theta_exits_two(capsys, tmp_path, scalars):
+    path = tmp_path / "inf.spec"
+    path.write_text(
+        f"k = 2\ndims = 2 3\ntheta = 0 1e400 0 0\nscalars = {scalars}\n",
+        encoding="utf-8",
+    )
+    for argv in (["classify"], ["normalize", "I"]):
+        code, out, err = run_cli(capsys, [argv[0], "--spec", str(path), *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: bad spec file {str(path)!r}: line 3: theta entries must be "
+            "finite, got inf\n"
+        )
+
+
+def test_float_overflow_in_a_scalar_exits_two(capsys, tmp_path):
+    spec = tmp_path / "float.spec"
+    spec.write_text("k = 2\ndims = 2 3\nscalars = float\n", encoding="utf-8")
+    assignment = tmp_path / "big.assign"
+    assignment.write_text(
+        "(1,0) = 1e400*e(1,0;0)\n(1,1) = e(1,0;1)\n"
+        "(2,0) = e(0,1;0)\n(2,1) = e(0,1;1)\n(2,2) = e(0,1;2)\n",
+        encoding="utf-8",
+    )
+    reason = "scalar not representable: integer division result too large for a float"
+    cases = [
+        (["normalize", "1e400*I"], f"error: in '1e400*I': position 0: {reason}\n"),
+        (
+            ["eval", "--lambda", "1e400,1", "I"],
+            f"error: bad character value '1e400': position 0: {reason}\n",
+        ),
+        (["relations", str(assignment)], f"error: position 0: {reason}\n"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, [argv[0], "--spec", str(spec), *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert err == message
 
 
 def test_bad_expression_reports_position(capsys, spec_path):

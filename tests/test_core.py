@@ -41,7 +41,7 @@ def _identity(spec, fiber):
 
 def _from_algebra(spec, a):
     """The core of a degree-zero element: the runs of its one normal-form block."""
-    c, runs = algebra.normal_form(a).block((0,) * spec.k)
+    c, runs = algebra.normal_form(a).blocks.get((0,) * spec.k)
     return CoreElement(c, dim=spec.dim(c), runs=runs, zero=spec.field.zero)
 
 

@@ -76,7 +76,7 @@ def assert_matches_dense(a):
     assert runs.is_zero() == dense.is_zero()
     assert set(runs.blocks) == set(dense.blocks)
     for degree, (c, matrix) in dense.blocks.items():
-        c_runs, block_runs = runs.block(degree)
+        c_runs, block_runs = runs.blocks[degree]
         assert c_runs == c
         assert list(block_runs) == sorted(block_runs, key=lambda r: r[:2])
         assert all(length > 0 and not coeff.is_zero() for _, _, length, coeff in block_runs)

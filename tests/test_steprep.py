@@ -25,7 +25,7 @@ from cuntzlab.steprep import (
 )
 from cuntzlab.system import sub_degree
 
-from conftest import random_element
+from conftest import inner, random_element
 
 
 def _identity_op(spec, level):
@@ -84,7 +84,7 @@ class TestVectorOperator:
         v = e23.vector((1, 0), [RationalComplex(1), RationalComplex(1, 1)])
         op = vector_operator(e23, v, 4)
         gram = op.conj_transpose().compose(op)
-        norm = e23.inner(v, v)
+        norm = inner(e23, v, v)
         expected = {(j, j): norm for j in range(4)}
         assert gram.entries == expected
 

@@ -1,26 +1,32 @@
 """Every function, class and method the package defines is reached.
 
 A top-level function or class of ``src/cuntzlab``, or a method of such a
-class, must be named again outside its own definition by code that runs
+class, must be referred to outside its own definition by code that runs
 for a user or for the paper's checks: another live definition or the
 top-level code of a package module, the benchmark (``bench/*.py``), or the
 acceptance battery (``tests/test_acceptance.py``).  The re-exports of
 ``__init__.py`` do not count, and neither do the unit tests: a name that
 only they reach is library surface kept for its tests, which belongs in
 ``tests/``.  Reach is transitive: a name that only unreached definitions
-name is unreached too.  Names are matched as whole identifiers in the
-text, so a call, an import, an attribute access and a string that names a
-traced function all count.  In the package, comments and docstrings do not
-count: prose that names a definition does not reach it.  Dunder methods are
-called by the language: they are not checked, and their text counts as part
-of their class.
+refer to is unreached too.
+
+References are read from the syntax tree, not from the text:
+
+- a method is reached by an attribute access ``.name``, or by a string
+  that is wholly a dotted name, which is how the benchmark's span table
+  names methods (``"SystemSpec.mul_vectors"``);
+- a function or class is reached by those, by a name that is read, or by
+  an import;
+- prose reaches nothing: comments, docstrings and strings that are not a
+  dotted name, such as error messages, and neither do local variables
+  that happen to share a definition's name.
+
+Dunder methods are called by the language: they are not checked, and
+their references count as part of their class.
 """
 
 import ast
-import io
 import re
-import tokenize
-from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -29,91 +35,83 @@ PACKAGE = ROOT / "src" / "cuntzlab"
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _identifiers(text):
-    return re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _code_only(text):
-    """The lines of ``text`` with comments and docstrings blanked out."""
-    tree = ast.parse(text)
-    docstrings = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTIONS)) and node.body:
-            first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
-                if isinstance(first.value.value, str):
-                    docstrings.add((first.lineno, first.col_offset))
-    lines = text.splitlines()
-    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-        prose = tok.type == tokenize.COMMENT or (
-            tok.type == tokenize.STRING and tok.start in docstrings
-        )
-        if not prose:
-            continue
-        (row, col), (end_row, end_col) = tok.start, tok.end
-        for r in range(row, end_row + 1):
-            line = lines[r - 1]
-            lo = col if r == row else 0
-            hi = end_col if r == end_row else len(line)
-            lines[r - 1] = line[:lo] + " " * (hi - lo) + line[hi:]
-    return lines
+def _references(nodes):
+    """``(named, attributes)`` referred to anywhere under ``nodes``.
 
-
-def _span(node):
-    """The line numbers of a definition, decorators included."""
-    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    return set(range(first, node.end_lineno + 1))
+    ``named`` holds names that are read or imported; ``attributes`` holds
+    attribute names and the parts of strings that are wholly a dotted name.
+    """
+    named, attributes = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                named.add(sub.id)
+            elif isinstance(sub, ast.alias):
+                named.update(sub.name.split("."))
+            elif isinstance(sub, ast.Attribute):
+                attributes.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                if DOTTED.fullmatch(sub.value):
+                    attributes.update(sub.value.split("."))
+    return named, attributes
 
 
 def _definitions(text, module):
     """The module split into definitions and the rest.
 
-    Returns ``(definitions, rest)``: a (qualified name, bare name, text)
-    triple for each top-level def, class and method, where a class's text
-    leaves out its methods, and the module text outside every definition.
+    Returns ``(definitions, rest)``: a (qualified name, bare name, is
+    method, references) quadruple for each top-level def, class and
+    method, where a class's references leave out those of its checked
+    methods, and the references of the module outside every definition.
     """
-    lines = _code_only(text)
-    joined = lambda numbers: "\n".join(lines[i - 1] for i in sorted(numbers))  # noqa: E731
     out = []
-    rest = set(range(1, len(lines) + 1))
+    rest = []
     for node in ast.parse(text).body:
         if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            rest.append(node)
             continue
-        span = _span(node)
-        rest -= span
-        for item in node.body if isinstance(node, ast.ClassDef) else ():
-            # dunder methods run whenever their class does
+        if isinstance(node, FUNCTIONS):
+            out.append((f"{module}.{node.name}", node.name, False, _references([node])))
+            continue
+        # dunder methods run whenever their class does
+        own = [*node.decorator_list, *node.bases, *node.keywords]
+        for item in node.body:
             if isinstance(item, FUNCTIONS) and not _dunder(item.name):
-                span -= _span(item)
-                out.append((f"{module}.{node.name}.{item.name}", item.name, joined(_span(item))))
-        if not _dunder(node.name):
-            out.append((f"{module}.{node.name}", node.name, joined(span)))
-    return out, joined(rest)
+                qualified = f"{module}.{node.name}.{item.name}"
+                out.append((qualified, item.name, True, _references([item])))
+            else:
+                own.append(item)
+        out.append((f"{module}.{node.name}", node.name, False, _references(own)))
+    return out, _references(rest)
 
 
 def _unreached(definitions, sources):
-    """Qualified names that no reached text names outside their own definition.
+    """Qualified names that no reached code refers to outside their own
+    definition.
 
-    ``sources`` always count; a definition's text counts while its name is
-    reached.  Names drop out until none does, so the answer is transitive.
+    ``sources`` are ``(named, attributes)`` pairs that always count; a
+    definition's references count while it is reached.  Names drop out
+    until none does, so the answer is transitive.
     """
     dead = set()
     while True:
-        seen = Counter()
-        for text in sources:
-            seen.update(_identifiers(text))
-        live = [(q, n, t) for q, n, t in definitions if q not in dead]
-        for _, _, text in live:
-            seen.update(_identifiers(text))
-        # each live definition names itself once, in its def or class line
-        own = Counter(n for _, n, _ in live)
-        newly = {q for q, n, _ in live if seen[n] <= own[n]}
+        live = [d for d in definitions if d[0] not in dead]
+        newly = set()
+        for qualified, name, method, _ in live:
+            refs = list(sources) + [r for q, _, _, r in live if q != qualified]
+            reached = any(
+                name in attributes or (not method and name in named)
+                for named, attributes in refs
+            )
+            if not reached:
+                newly.add(qualified)
         if not newly:
             return sorted(dead)
         dead |= newly
@@ -130,6 +128,10 @@ def _package():
     return definitions, rest
 
 
+def _code(text):
+    return _references([ast.parse(text)])
+
+
 def test_unreached_names_are_found():
     package = (
         "def used():\n    helper()\n\ndef helper():\n    pass\n\n"
@@ -138,19 +140,25 @@ def test_unreached_names_are_found():
         "def packed():\n    pass\n"
     )
     definitions, rest = _definitions(package, "m")
-    assert rest.strip() == ""
-    assert _unreached(definitions, [rest, "used(); Box().lid()"]) == [
+    assert rest == (set(), set())
+    assert _unreached(definitions, [rest, _code("used(); Box().lid()")]) == [
         "m.helper_of_orphan",
         "m.orphan",
     ]
     # a method is reached by its own name, not by its class's
-    assert _unreached(definitions, [rest, "used(); Box()"]) == [
+    assert _unreached(definitions, [rest, _code("used(); Box()")]) == [
         "m.Box.lid",
         "m.helper_of_orphan",
         "m.orphan",
     ]
-    # a dunder method's text counts only while its class is reached
-    assert "m.packed" in _unreached(definitions, [rest, "used()"])
+    # a dunder method's references count only while its class is reached
+    assert "m.packed" in _unreached(definitions, [rest, _code("used()")])
+
+
+def test_recursion_does_not_reach():
+    package = "def loop(n):\n    return loop(n - 1)\n"
+    definitions, rest = _definitions(package, "m")
+    assert _unreached(definitions, [rest]) == ["m.loop"]
 
 
 def test_prose_does_not_reach():
@@ -165,13 +173,37 @@ def test_prose_does_not_reach():
         "def quoted():\n    pass\n"
     )
     definitions, rest = _definitions(package, "m")
-    # a string that is not a docstring still names a definition
-    assert _unreached(definitions, [rest, "used()"]) == ["m.commented", "m.described"]
+    # a string that is wholly a name still names a definition
+    assert _unreached(definitions, [rest, _code("used()")]) == ["m.commented", "m.described"]
+
+
+def test_messages_and_local_variables_do_not_reach_methods():
+    package = (
+        "class Spec:\n"
+        "    def inner(self):\n        pass\n\n"
+        "    def block(self):\n        pass\n\n"
+        "    def traced(self):\n        pass\n\n"
+        "    def called(self):\n        pass\n\n"
+        "def emit(spec):\n"
+        "    block = spec.called()\n"
+        "    raise ValueError(f'inner product of {block} is undefined')\n\n"
+        "SPANS = ['Spec.traced']\n"
+    )
+    definitions, rest = _definitions(package, "m")
+    # a local named ``block`` and a message containing "inner" reach
+    # neither method; the attribute access and the span string do
+    assert _unreached(definitions, [rest, _code("emit(None)")]) == [
+        "m.Spec.block",
+        "m.Spec.inner",
+    ]
+    # a name that is only stored to does not reach a function either
+    definitions, rest = _definitions("def f():\n    pass\n\nf = 1\n", "m")
+    assert _unreached(definitions, [rest]) == ["m.f"]
 
 
 def test_every_definition_is_reached():
     definitions, rest = _package()
     assert definitions
     callers = sorted((ROOT / "bench").glob("*.py")) + [TESTS / "test_acceptance.py"]
-    sources = rest + [p.read_text(encoding="utf-8") for p in callers]
+    sources = rest + [_code(p.read_text(encoding="utf-8")) for p in callers]
     assert _unreached(definitions, sources) == []
