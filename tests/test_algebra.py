@@ -573,6 +573,36 @@ def test_warm_twisted_product_work(name, monkeypatch):
     assert 0 < counts["muls"] <= 2 * pairs
 
 
+@pytest.mark.parametrize("name", ["tw23", "tw23q8"])
+def test_raising_skips_unit_phases(name, monkeypatch):
+    # raising makes one phase product per fiber pair and scales a term only
+    # when its pair's phase is not one: in degree (1,0), c = (1,1) raises
+    # ((1,1),(0,1)) by r = 0 (phase one) and ((1,0),(0,0)) by r = (0,1),
+    # whose phase omega((1,0),(0,1)) is a nontrivial root of unity
+    spec = PRODUCT_SPECS[name]
+    B, one = BasisMonomial, spec.field.one
+    acc = {(B((1, 1), j), B((1, 1), j)): one for j in range(6)}
+    acc.update({(B((1, 1), j), B((0, 1), j)): one for j in range(3)})
+    acc[B((1, 0), 1), B((0, 0), 0)] = one
+    a = AlgebraElement(spec, acc)
+    phase = spec.multiplier((1, 0), (0, 1))
+    assert not phase.is_one()
+    muls = []
+    real_mul = scalars.Cyclotomic.__mul__
+
+    def counted(x, y):
+        muls.append(1)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(scalars.Cyclotomic, "__mul__", counted)
+    monkeypatch.setattr(scalars.Cyclotomic, "__rmul__", counted)
+    nf = normal_form(a)
+    assert len(muls) == 3 + 1  # three fiber pairs, one term with a phase
+    c, runs = nf.blocks[(1, 0)]
+    assert c == (1, 1)
+    assert (3, 0, 3, phase) in runs
+
+
 @pytest.mark.parametrize("name", ["e23", "tw23"])
 @pytest.mark.parametrize("bad", MALFORMED_FIBERS, ids=repr)
 def test_shift_rejects_malformed_fibers(name, bad):

@@ -695,6 +695,44 @@ def test_float_overflow_in_a_scalar_exits_two(capsys, tmp_path):
         assert err == message
 
 
+def test_long_literal_exits_two(capsys, spec_path):
+    # the value is bounded at the token, before it is built: a huge
+    # exponent is refused at once, and no int() conversion overflows
+    limit = sys.get_int_max_str_digits()
+    for text, position in [
+        ("1" + "0" * limit + "*I", 0),
+        ("e(1,0;0) - 1.5e999999*I", 11),
+        ("2*e(1,0;0)*(1e-" + str(limit) + ")", 12),
+    ]:
+        code, out, err = run_cli(capsys, ["normalize", "--spec", spec_path("e23"), text])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: in {text!r}: position {position}: number exceeds {limit} "
+            "digits in lowest terms\n"
+        )
+
+
+def test_non_finite_result_exits_two(capsys, tmp_path):
+    # float products overflow to inf and inf - inf is nan; neither has text
+    spec = tmp_path / "float.spec"
+    spec.write_text("k = 2\ndims = 2 3\nscalars = float\n", encoding="utf-8")
+    cases = [
+        (["normalize", "(1e308*I)*(1e308*I) - (1e308*I)*(1e308*I)"], "real nan, imaginary 0.0"),
+        (["normalize", "(1e308i*I)*(1e308*I) - (1e308*I)*(1e308i*I)"], "real 0.0, imaginary nan"),
+        (["expect", "1e200*(1e200*e(1,0;0)*e(1,0;0)')"], "real inf, imaginary 0.0"),
+        (["eval", "1e200*(1e200*e(1,0;0))"], "real inf, imaginary 0.0"),
+    ]
+    for argv, part in cases:
+        code, out, err = run_cli(capsys, [argv[0], "--spec", str(spec), *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: the result has a coefficient with a non-finite part ({part}): "
+            "float arithmetic overflowed\n"
+        )
+
+
 def test_bad_expression_reports_position(capsys, spec_path):
     code, _, err = run_cli(
         capsys, ["normalize", "--spec", spec_path("e23"), "e(1,0;7)"]

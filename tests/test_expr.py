@@ -1,5 +1,6 @@
 """Expression parsing and canonical printing."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,61 @@ class TestParseElement:
         parsed = parse_element(flspec, " ".join(terms))
         assert parsed == stepwise
         assert {t.left.fiber: t.coeff.value for t in parsed.terms} == {(1, 0): 1, (0, 1): 2}
+
+
+    def test_cuntz_sum_parse_work(self, e23, monkeypatch):
+        # a printed term "(c)*e(x)*e(x)'" costs one product, e(x) times
+        # e(x)'; its coefficient folds into the term and builds no element
+        coeff = scalars.RationalComplex(Fraction(-3, 4), Fraction(2, 3))
+        basis = e23.basis((2, 1))
+        text = format_element(
+            algebra.AlgebraElement.from_terms(e23, [(coeff, x, x) for x in basis])
+        )
+        assert text.count("(3/4-2/3i)*e(2,1;") == len(basis) == 12
+        counts = {"multiply": 0, "identity": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(algebra, "multiply", counted("multiply", algebra.multiply))
+        monkeypatch.setattr(algebra, "identity", counted("identity", algebra.identity))
+        parsed = parse_element(e23, text)
+        assert counts == {"multiply": len(basis), "identity": 0}
+        assert parsed.terms == tuple(
+            algebra.Term(coeff, x, x) for x in basis
+        )
+
+    def test_long_literals_are_bounded(self, e23):
+        limit = sys.get_int_max_str_digits()
+        one = algebra.identity(e23)
+        # the value counts, not the text: leading zeros and a zero mantissa
+        assert parse_element(e23, "0" * (2 * limit) + "1*I") == one
+        assert parse_element(e23, "0.0e99999999999*I") == algebra.zero(e23)
+        # at the limit: 10**(limit-1) and 1/(2*10**(limit-1)) have limit digits
+        big = parse_element(e23, f"1e{limit - 1}*I").terms[0].coeff
+        assert big == scalars.RationalComplex(10 ** (limit - 1))
+        small = parse_element(e23, f"5e-{limit}*I").terms[0].coeff
+        assert small == scalars.RationalComplex(Fraction(1, 2 * 10 ** (limit - 1)))
+        for text, position in [
+            (f"1e{limit}*I", 0),
+            (f"I + 1e-{limit}*I", 4),
+            ("(2+1" + "0" * limit + "i)*I", 3),
+            ("3/1" + "0" * limit + "*I", 2),
+            ("e(1" + "0" * limit + ",0;0)", 2),
+            ("e(1,0;1" + "0" * limit + ")", 6),
+            ("zeta(1" + "0" * limit + ")*I", 5),
+            ("1.5e" + "9" * (limit + 1) + "*I", 0),
+        ]:
+            with pytest.raises(ExpressionError) as exc:
+                parse_element(e23, text)
+            assert exc.value.position == position
+            assert str(exc.value).endswith(
+                f"number exceeds {limit} digits in lowest terms"
+            )
 
 
 class TestParseScalar:
