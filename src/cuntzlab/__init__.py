@@ -41,7 +41,6 @@ from .algebra import (
     normal_form,
     rewrite_pair,
     shift_endomorphism,
-    vector_element,
     zero,
 )
 from .steprep import (

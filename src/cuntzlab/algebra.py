@@ -47,7 +47,6 @@ from .runs import sweep
 from .scalars import FLOAT
 from .system import (
     BasisMonomial,
-    FiberVector,
     SystemSpec,
     add_fibers,
     max_fiber,
@@ -187,14 +186,6 @@ def monomial_pair(spec, x: BasisMonomial, y: BasisMonomial, coeff=1) -> AlgebraE
 def isometry(spec, x: BasisMonomial) -> AlgebraElement:
     """The generator element i(x) = e(x) * identity'."""
     return monomial_pair(spec, x, spec.identity_monomial)
-
-
-def vector_element(spec, v: FiberVector) -> AlgebraElement:
-    """i(v) = sum_j v_j e(fiber;j)."""
-    e = spec.identity_monomial
-    return AlgebraElement.from_terms(
-        spec, ((c, BasisMonomial(v.fiber, j), e) for j, c in v.entries.items())
-    )
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

@@ -28,6 +28,7 @@ from .system import (
     SystemSpec,
     add_fibers,
     is_nonnegative,
+    max_fiber,
     sub_degree,
 )
 from .steprep import CharacterTwist
@@ -364,13 +365,6 @@ def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> Fib
     return v
 
 
-def _element_of(spec: SystemSpec, x) -> algebra.AlgebraElement:
-    """i(x) for a basis monomial or a fiber vector x."""
-    if isinstance(x, BasisMonomial):
-        return algebra.isometry(spec, x)
-    return algebra.vector_element(spec, x)
-
-
 def verify_annihilation(
     spec: SystemSpec, instance: AnnihilationInstance, w: FiberVector
 ) -> bool:
@@ -380,48 +374,46 @@ def verify_annihilation(
     V = i(w), alpha_c(V) = sum_f i(f) V i(f)* over the basis f of c
     satisfies alpha_c(V)* alpha_c(V) = <w,w> 1: it is sqrt<w,w> times an
     isometry, and alpha_c(Q) = alpha_c(V) alpha_c(V)* / <w,w>.  So the
-    compression vanishes exactly when alpha_c(V)* (x y*) alpha_c(V) does.
-    The pieces i(f) V of alpha_c(V) have orthogonal ranges, so that in turn
-    vanishes exactly when every inner factor (i(f) V)* (x y*) (i(f') V)
-    does, and no outer product is ever formed.
+    compression vanishes exactly when alpha_c(V)* (x y*) alpha_c(V) does,
+    and, the i(f) having orthogonal ranges, exactly when every inner factor
+    V* i(f)* i(x) i(y)* i(f') V does.
 
-    Untwisted specs decide the inner factors in the step model.  i(f' w)
-    maps V_(dim y) into V_(stripe * dim y), stripe = dim(c + p(w)), which can
-    be astronomically large; but ``evaluate`` at that level makes each
-    term e(x;j) e(y;l)* of x y* the one run (j*stripe, l*stripe, stripe),
-    and i(f' w) is one run per support index of w.  The inner factors are
-    composed run by run, so the cost follows dim(c), the support of w and
-    the terms of x y*, never the level.
+    Only the schedule's pairs contribute.  i(f)* i(x) is nonzero only when
+    f = e_j f1 with x_j != 0 and f1 in B(c - p(x)); it is then a unit times
+    x_j i(f1)*, and V* i(f1)* is a unit times i(f1 w)*.  So for nonzero x
+    and y the compression vanishes exactly when i(f1 w)* i(g1 w) = 0 for
+    every f1 in B(c - p(x)) and g1 in B(c - p(y)): dim(c - p(x)) *
+    dim(c - p(y)) products, not dim(c)^2.
 
-    Twisted specs have no step model; they decide by the normal form of
-    alpha_c(V)* (x y*) alpha_c(V), multiplied out as (alpha_c(V)* i(x))
-    (alpha_c(V)* i(y))*.  alpha_c(V) has one term per support entry of w
-    and basis vector of c, where alpha_c(Q) has the square of the support.
-    Unless p(x) or p(y) is c + p(w) itself, the right monomials of both
-    factors lie in that fiber, so their product pairs terms one to one
-    instead of expanding the survivors of two different fibers.
+    Each product is decided in the step model, twisted specs included.
+    With a = c - p(x), b = c - p(y) and m = max(a, b), the product
+    i(u)* i(v) of u = f1 w and v = g1 w is a sum of terms of the one fiber
+    pair (m - a, m - b).  At base level dim(m - b) each such term is its
+    own run, so the product is zero exactly when the composition S_u* S_v
+    of the vector isometries is.  On a twisted spec the generators of
+    fiber r act as T = S (x) lambda_r, lambda being the twisted regular
+    representation of Z^k by unitaries, and T_u* T_v = S_u* S_v (x)
+    lambda_p(u)* lambda_p(v) is zero exactly when S_u* S_v is: the twist
+    never enters.  A composition costs the square of the support of w,
+    never dim(c) or a level.
     """
     c = instance.shift_fiber
-    if spec.is_twisted:
-        adj = algebra.shift_endomorphism(algebra.vector_element(spec, w), c).adjoint()
-        for x, y in instance.pairs:
-            left = algebra.multiply(adj, _element_of(spec, x))
-            right = algebra.multiply(adj, _element_of(spec, y))
-            if not algebra.normal_form(algebra.multiply(left, right.adjoint())).is_zero():
-                return False
-        return True
-
-    stripe = spec.dim(add_fibers(c, w.fiber))
-    pieces = [spec.mul_vectors(spec.unit_vector(f), w) for f in spec.basis(c)]
     for x, y in instance.pairs:
-        k_in, k_out = spec.dim(fiber_of(y)), spec.dim(fiber_of(x))
-        xy = algebra.multiply(_element_of(spec, x), _element_of(spec, y).adjoint())
-        if not xy.terms:
-            continue
-        pair = steprep.evaluate(xy, stripe * k_in).single()
-        applied = [pair.compose(steprep.vector_operator(spec, p, k_in)) for p in pieces]
-        for piece in pieces:
-            left = steprep.vector_operator(spec, piece, k_out).conj_transpose()
-            if any(not left.compose(op).is_zero() for op in applied):
+        if any(isinstance(z, FiberVector) and z.is_zero() for z in (x, y)):
+            continue  # x y* = 0
+        a, b = sub_degree(c, fiber_of(x)), sub_degree(c, fiber_of(y))
+        m = max_fiber(a, b)
+        level_out, level_in = spec.dim(sub_degree(m, a)), spec.dim(sub_degree(m, b))
+        lefts = [
+            steprep.vector_operator(
+                spec, spec.mul_vectors(spec.unit_vector(f), w), level_out
+            ).conj_transpose()
+            for f in spec.basis(a)
+        ]
+        for g in spec.basis(b):
+            right = steprep.vector_operator(
+                spec, spec.mul_vectors(spec.unit_vector(g), w), level_in
+            )
+            if any(not left.compose(right).is_zero() for left in lefts):
                 return False
     return True

@@ -604,7 +604,7 @@ def main(argv=None) -> int:
     reporter = Reporter(args.format)
     try:
         return globals()[args.handler](args, reporter)
-    except (UsageError, expr.NonFiniteError) as err:
+    except (UsageError, expr.UnprintableError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -28,7 +28,9 @@ fiber (3,4) on e23, coefficients included, parses in about 26 ms: some
 40 us per printed term (CPU, Python 3.11 on a shared 2-vCPU host).
 
 The printer writes every value it is given except a float with an inf or
-nan part, which no text denotes; it raises ``NonFiniteError`` instead.
+nan part, which no text denotes, and an exact value whose numerator or
+denominator exceeds the digit limit, which no literal may; it raises
+``UnprintableError`` instead.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class ExpressionError(ValueError):
         super().__init__(text)
 
 
-class NonFiniteError(ValueError):
-    """A float value the printer cannot write: a part is inf or nan."""
+class UnprintableError(ValueError):
+    """A value whose text would not parse: inf, nan, or past the digit limit."""
 
 
 # One regex split finds every token; whitespace and characters no token can
@@ -484,7 +486,13 @@ def _format_ratio(num: int, den: int) -> str:
     """num/den (den > 0) in lowest terms, as ``str(Fraction(num, den))``."""
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past sys.get_int_max_str_digits(), as the parser bounds literals
+        raise UnprintableError(
+            f"the result has a coefficient that exceeds {sys.get_int_max_str_digits()} "
+            "digits in lowest terms, the limit for a number in expression text"
+        ) from None
 
 
 def _monomial_text(term) -> str:
@@ -525,7 +533,7 @@ def _complex_parts(value):
     if isinstance(value, scalars.FloatComplex):
         z = value.value
         if not cmath.isfinite(z):
-            raise NonFiniteError(
+            raise UnprintableError(
                 "the result has a coefficient with a non-finite part (real "
                 f"{z.real!r}, imaginary {z.imag!r}): float arithmetic overflowed"
             )
@@ -546,10 +554,10 @@ def _complex_body(re_part, im_part, part) -> str:
 def _cyclotomic_pieces(value):
     """(negative, magnitude text, root text) per nonzero power of the root;
     the root text is None for power 0."""
-    for power, coeff in enumerate(value.coeffs):
-        if coeff != 0:
+    for power, num in enumerate(value.nums):
+        if num != 0:
             root = f"zeta({value.field.order})^{power}" if power else None
-            yield coeff < 0, str(abs(coeff)), root
+            yield num < 0, _format_ratio(abs(num), value.den), root
 
 
 def _term_pieces(coeff, mon: str):

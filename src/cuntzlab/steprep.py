@@ -10,8 +10,9 @@ so every operator built from the generators has entries that are exact
 scalars (0/1 patterns times coefficients) as long as adjoints only ever land
 on integral levels.  ``evaluate`` therefore demands a base level divisible by
 each term's right-fiber dimension and reports the minimal valid choice when
-refused.  Twisted systems have no step model; evaluation on them is
-rejected.
+refused.  On a twisted system a generator of fiber r acts as S (x) lambda_r,
+with lambda_r unitary; ``evaluate`` and ``generator_operator`` refuse it,
+and ``vector_operator`` gives the factor S.
 
 A term x y* with fibers (s, t) maps V_N into V_{N*dim(s)/dim(t)}.  Terms
 whose dimension ratios agree land on the same output level and are summed as
@@ -48,7 +49,7 @@ from .system import BasisMonomial, SystemSpec, sub_degree
 
 
 class UnsupportedRepresentationError(ValueError):
-    """Raised when asking for the step model of a twisted system."""
+    """Raised when evaluating an element or a generator of a twisted system."""
 
 
 class LevelError(ValueError):
@@ -167,13 +168,14 @@ def generator_operator(spec: SystemSpec, x: BasisMonomial, level: int) -> StepOp
 
 
 def vector_operator(spec: SystemSpec, v, level: int) -> StepOperator:
-    """The isometry of a fiber vector at a given level.
+    """The isometry S_v of a fiber vector at a given level.
 
     Linear extension of generator_operator: column t holds the vector's
     coefficients in the stripe pattern index*level + t, one run per support
-    index.
+    index.  On a twisted system i(v) acts as T_v = S_v (x) lambda_r for v in
+    fiber r, with lambda_r unitary, so T_u* T_v = S_u* S_v (x) lambda_r*
+    lambda_s is zero exactly when S_u* S_v is.
     """
-    _require_untwisted(spec)
     if level < 1:
         raise ValueError("levels are positive integers")
     runs = tuple(sorted((idx * level, 0, level, c) for idx, c in v.entries.items()))

@@ -181,4 +181,12 @@ def _isometry_of(spec, x):
     """i(x) for a basis monomial or a fiber vector x."""
     if isinstance(x, BasisMonomial):
         return algebra.isometry(spec, x)
-    return algebra.vector_element(spec, x)
+    return vector_element(spec, x)
+
+
+def vector_element(spec, v):
+    """i(v) = sum_j v_j e(fiber;j)."""
+    e = spec.identity_monomial
+    return algebra.AlgebraElement.from_terms(
+        spec, ((c, BasisMonomial(v.fiber, j), e) for j, c in v.entries.items())
+    )

@@ -21,7 +21,6 @@ from cuntzlab.algebra import (
     normal_form,
     rewrite_pair,
     shift_endomorphism,
-    vector_element,
     zero,
 )
 from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text
@@ -33,6 +32,7 @@ from conftest import (
     random_element,
     random_fiber,
     random_monomial,
+    vector_element,
     vector_projection,
 )
 

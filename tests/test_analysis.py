@@ -401,6 +401,32 @@ class TestAnnihilationConstruction:
         elem = compressed_pair_element(e23, inst, w, 0)
         assert algebra.normal_form(elem).is_zero()
 
+    def test_check_composes_only_the_schedule(self, e23, tw23, monkeypatch):
+        # kill e(3,0;0) e(0,3;0) has c = (3,3): the check pairs B(0,3) with
+        # B(3,0), 27 * 8 compositions, where B(c) x B(c) has 216^2 pairs
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check must not build algebra elements")
+
+        compose = steprep.StepOperator.compose
+        for spec in (e23, tw23):
+            inst = annihilation_instance(
+                spec, [(spec.monomial((3, 0), 0), spec.monomial((0, 3), 0))]
+            )
+            w = annihilating_vector(spec, inst)
+            calls = []
+
+            def counted(self, other):
+                calls.append(other)
+                return compose(self, other)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(steprep.StepOperator, "compose", counted)
+                patch.setattr(algebra, "multiply", refuse)
+                patch.setattr(algebra, "normal_form", refuse)
+                patch.setattr(steprep, "evaluate", refuse)
+                assert verify_annihilation(spec, inst, w) is True
+            assert len(calls) == 27 * 8
+
     def test_window_oracle_frozen_set(self):
         assert _window_oracle_bad_indices(6) == {0, 1, 727, 728}
 

@@ -15,6 +15,7 @@ from cuntzlab import algebra, analysis, linalg
 from cuntzlab.analysis import HypothesisViolationError
 from cuntzlab.system import (
     BasisMonomial,
+    FiberVector,
     SystemSpec,
     add_fibers,
     parse_spec_text,
@@ -209,6 +210,74 @@ def test_step_matches_dense_on_wide_supports(name, fr, fs, ft, i, j, data):
         assert sparse.coeffs == dense.coeffs
 
 
+CHECK_SPECS = {
+    "e23": SPECS["e23"],
+    "e32": SPECS["e32"],
+    # 2 and 4 share a factor, so the levels follow fibers, not dimensions
+    "e24": SPECS["e24"],
+    "tw23": SPECS["tw23"],
+    # every theta entry nonzero, so omega(r, r) is a nontrivial phase
+    "q8": parse_spec_text(
+        "k = 2\ndims = 2 3\ntheta = 1/8 3/8 5/8 1/4\nscalars = cyclotomic:8\n"
+    ),
+}
+SMALL_FIBERS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+SHIFT_EXTRAS = [(0, 0), (0, 0), (1, 0), (0, 1)]
+
+
+def _drawn_vector(spec, data, fiber):
+    """A nonzero vector of any support in the fiber."""
+    dim = spec.dim(fiber)
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any))
+    return spec.vector(fiber, coeffs)
+
+
+def _drawn_pair_member(spec, data, fiber):
+    if data.draw(st.booleans()):
+        return _monomial(spec, fiber, data.draw(st.integers(0, 10**6)))
+    return _drawn_vector(spec, data, fiber)
+
+
+def test_restricted_check_matches_normal_form():
+    # the check composes only the schedule's pairs in the step model, on
+    # twisted specs too; the expanded compression's normal form decides
+    # independently, for any w and for shifts above the minimal one
+    verdicts = []
+
+    @settings(ORACLE, max_examples=200)
+    @given(
+        st.sampled_from(sorted(CHECK_SPECS)),
+        st.sampled_from(FIBERS[:5]),
+        st.sampled_from(FIBERS[:5]),
+        st.sampled_from(SHIFT_EXTRAS),
+        st.sampled_from(["drawn", "constructed", "perturbed"]),
+        st.data(),
+    )
+    def check(name, fx, fy, extra, kind, data):
+        spec = CHECK_SPECS[name]
+        assume(fx != fy)
+        x, y = _drawn_pair_member(spec, data, fx), _drawn_pair_member(spec, data, fy)
+        shift = add_fibers(tuple(max(a, b) for a, b in zip(fx, fy)), extra)
+        instance = analysis.annihilation_instance(spec, [(x, y)], shift)
+        if kind == "drawn":
+            w = _drawn_vector(spec, data, data.draw(st.sampled_from(SMALL_FIBERS)))
+        else:
+            assume(0 < _dense_size(spec, instance) <= DENSE_LIMIT)
+            w = analysis.annihilating_vector(spec, instance)
+            if kind == "perturbed":
+                j = data.draw(st.integers(0, 10**6)) % w.dim
+                entries = dict(w.entries)
+                entries[j] = entries.get(j, spec.field.zero) + spec.field.one
+                w = spec.vector(w.fiber, [entries.get(i, spec.field.zero) for i in range(w.dim)])
+        # the expanded compression has about this many term products
+        support = lambda v: len(v.entries) if isinstance(v, FiberVector) else 1
+        assume(spec.dim(shift) * support(w) ** 2 * support(x) * support(y) <= 1000)
+        verdicts.append(_agrees_with_normal_form(spec, instance, w))
+
+    check()
+    assert set(verdicts) == {True, False}
+
+
 def test_dense_reference_on_known_instances():
     spec = SPECS["e23"]
     instance = analysis.annihilation_instance(
@@ -229,8 +298,8 @@ def test_dense_reference_on_known_instances():
 
 def test_twisted_verification_of_a_large_compression():
     # on tw23 the expanded compression of a non-annihilating vector of
-    # dimension 27 has degree blocks of about 1.3*10^8 cells; the verdict
-    # comes from its normal-form runs
+    # dimension 27 has degree blocks of about 1.3*10^8 cells; the check
+    # never forms it and composes the schedule's three pairs of isometries
     spec = SPECS["tw23"]
     instance = analysis.annihilation_instance(
         spec, [(spec.identity_monomial, spec.monomial((0, 1), 0))]

@@ -733,6 +733,24 @@ def test_non_finite_result_exits_two(capsys, tmp_path):
         )
 
 
+def test_result_past_the_digit_limit_exits_two(capsys, spec_path):
+    # each literal parses, but their product has 6001 digits, which the
+    # printer may not write because the parser would refuse it
+    limit = sys.get_int_max_str_digits()
+    text = "(1e3000)*(1e3000)*I"
+    for name, command in [
+        ("e23", "normalize"), ("e23", "expect"), ("e23", "eval"),
+        ("tw14", "normalize"), ("tw14", "expect"),
+    ]:
+        code, out, err = run_cli(capsys, [command, "--spec", spec_path(name), text])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: the result has a coefficient that exceeds {limit} digits "
+            "in lowest terms, the limit for a number in expression text\n"
+        )
+
+
 def test_bad_expression_reports_position(capsys, spec_path):
     code, _, err = run_cli(
         capsys, ["normalize", "--spec", spec_path("e23"), "e(1,0;7)"]
