@@ -232,6 +232,10 @@ def _drawn_vector(spec, data, fiber):
     return spec.vector(fiber, coeffs)
 
 
+def _support(x):
+    return len(x.entries) if isinstance(x, FiberVector) else 1
+
+
 def _drawn_pair_member(spec, data, fiber):
     if data.draw(st.booleans()):
         return _monomial(spec, fiber, data.draw(st.integers(0, 10**6)))
@@ -268,10 +272,9 @@ def test_restricted_check_matches_normal_form():
                 j = data.draw(st.integers(0, 10**6)) % w.dim
                 entries = dict(w.entries)
                 entries[j] = entries.get(j, spec.field.zero) + spec.field.one
-                w = spec.vector(w.fiber, [entries.get(i, spec.field.zero) for i in range(w.dim)])
+                w = FiberVector(w.fiber, w.dim, entries, spec.field.zero)
         # the expanded compression has about this many term products
-        support = lambda v: len(v.entries) if isinstance(v, FiberVector) else 1
-        assume(spec.dim(shift) * support(w) ** 2 * support(x) * support(y) <= 1000)
+        assume(spec.dim(shift) * _support(w) ** 2 * _support(x) * _support(y) <= 1000)
         verdicts.append(_agrees_with_normal_form(spec, instance, w))
 
     check()
