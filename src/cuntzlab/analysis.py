@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import algebra, linalg, steprep
+from . import algebra, linalg, runs, steprep
 from .scalars import cyclotomic_field
 from .system import (
     BasisMonomial,
@@ -302,49 +302,83 @@ def _orthogonality_step(spec: SystemSpec, v: FiberVector, f: BasisMonomial, g: B
 
     Swaps the pair if needed so the extension fiber t is the strictly larger
     one; equal dimensions violate the construction's hypothesis.  The
-    constraint sums over the basis w of v's fiber r, but a w contributes
-    only when both coefficients v[j1] and v[j2] it reads are nonzero, where
-    j1 = (g.index * dim_r + w) // dim_t.  So the loop runs over the support
-    of v, and for each support index j1 over the window of dim_t values of w
-    that reach it: the cost is support * dim_t, whatever dim_r is.
+    extension v' of fiber t must be orthogonal to every row of a dim s x
+    dim t matrix whose cell (l2, l1) sums v_j1 conj(v_j2) over the basis w
+    of v's fiber r, where j1, l1 = divmod(g.index dim r + w, dim t) and
+    j2, l2 = divmod(f.index dim r + w, dim s), times one multiplier phase
+    that is left out: a nonzero factor of the whole matrix leaves its kernel
+    alone.
+
+    On the window of w where j1 and j2 stay fixed, l1 and l2 step together,
+    so each support pair (j1, j2) of v adds one diagonal run, and
+    ``runs.sweep`` sums the runs.  A support-1 vector gives at most one run,
+    a partial permutation, whose kernel vector is the unit vector at the
+    first column the run leaves uncovered.  The start vector has support 1,
+    so every constructed vector has support 1, and a step costs support^2,
+    never dim t.  Wider vectors, which only direct callers pass, go through
+    ``_first_kernel_vector``.
     """
-    s, t = f.fiber, g.fiber
-    if spec.dim(s) == spec.dim(t):
+    dim_s, dim_t = spec._dim(f.fiber), spec._dim(g.fiber)
+    if dim_s == dim_t:
         raise HypothesisViolationError(
-            f"scheduled pair ({f!r}, {g!r}) has fibers of equal dimension "
-            f"{spec.dim(s)}"
+            f"scheduled pair ({f!r}, {g!r}) has fibers of equal dimension {dim_s}"
         )
-    if spec.dim(s) > spec.dim(t):
-        f, g = g, f
-        s, t = t, s
-    r = v.fiber
-    dim_s, dim_t, dim_r = spec.dim(s), spec.dim(t), spec.dim(r)
-    field = spec.field
-    phase = (
-        spec.multiplier(t, r)
-        * spec.multiplier(r, t).conj()
-        * spec.multiplier(r, s)
-        * spec.multiplier(s, r).conj()
-    )
-    # constraint[h][g'] accumulates <g.w, v.g'> <v.h, f.w> over w in B_r
-    constraint = [[field.zero] * dim_t for _ in range(dim_s)]
+    if dim_s > dim_t:
+        f, g, dim_s, dim_t = g, f, dim_t, dim_s
+    dim_r, field = v.dim, spec.field
     g_off, f_off = g.index * dim_r, f.index * dim_r
+    pieces = []
     for j1, a in v.entries.items():
-        start = j1 * dim_t - g_off  # (g_off + w) // dim_t == j1 on this window
-        a = a.conj()
-        for w in range(max(0, start), min(dim_r, start + dim_t)):
-            j2, l2 = divmod(f_off + w, dim_s)
-            b = v.entries.get(j2)
-            if b is not None:
-                constraint[l2][w - start] += phase * (a * b)
-    # v' must be orthogonal to every row: sum_j v'_j conj(row_j) = 0
-    rows = [[x.conj() for x in row] for row in constraint]
-    kernel = linalg.nullspace(rows, dim_t, field)
-    if not kernel:
-        raise HypothesisViolationError(
-            f"no orthogonal extension exists for pair ({f!r}, {g!r})"
-        )
-    return spec.mul_vectors(v, spec.vector(t, kernel[0]))
+        for j2, b in v.entries.items():
+            lo = max(0, j1 * dim_t - g_off, j2 * dim_s - f_off)
+            hi = min(dim_r, (j1 + 1) * dim_t - g_off, (j2 + 1) * dim_s - f_off)
+            if lo < hi:
+                row0, col0 = f_off + lo - j2 * dim_s, g_off + lo - j1 * dim_t
+                pieces.append((row0, col0, hi - lo, a * b.conj()))
+    rows = runs.sweep(pieces)
+    if len(rows) > 1:
+        kernel = _first_kernel_vector(rows, field)
+    else:
+        # a run from column 0 covers the columns below its length
+        kernel = {rows[0][2] if rows and rows[0][1] == 0 else 0: field.one}
+    return spec.mul_vectors(v, FiberVector(g.fiber, dim_t, kernel, field.zero))
+
+
+def _first_kernel_vector(rows, field) -> dict:
+    """The support of the vector ``linalg.nullspace`` lists first for the
+    matrix of the swept runs ``rows``: 1 at the first non-pivot column, 0 at
+    the other free columns, which makes it unique.
+
+    A {col: coeff} row is reduced by the pivot rows at its least column
+    until no pivot row holds that column, then kept there with its leading 1
+    implicit: an echelon form with the pivot columns of the reduced one.
+    Back substitution solves for the pivots left of the free column; those
+    right of it are zero.
+    """
+    cells: dict[int, dict] = {}
+    for row0, col0, length, coeff in rows:
+        for u in range(length):
+            cells.setdefault(row0 + u, {})[col0 + u] = coeff
+    pivots: dict[int, dict] = {}
+    for row in cells.values():
+        while row:
+            col = min(row)
+            lead = row.pop(col)
+            if col not in pivots:
+                inv = lead.inv()
+                pivots[col] = {c: x * inv for c, x in row.items()}
+                break
+            for c, x in pivots[col].items():
+                y = row.pop(c, field.zero) - lead * x
+                if not y.is_zero():
+                    row[c] = y
+    free = next(c for c in range(len(pivots) + 1) if c not in pivots)
+    kernel = {free: field.one}
+    for col in sorted((c for c in pivots if c < free), reverse=True):
+        total = sum((x * kernel[c] for c, x in pivots[col].items() if c in kernel), field.zero)
+        if not total.is_zero():
+            kernel[col] = -total
+    return kernel
 
 
 def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> FiberVector:
@@ -355,7 +389,7 @@ def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> Fib
     of the trivial fiber.  w is returned unnormalized with exact entries.
     """
     c = instance.shift_fiber
-    v = spec.vector((0,) * spec.k, [spec.field.one])
+    v = spec.unit_vector(spec.identity_monomial)
     for x, y in instance.pairs:
         s_i = sub_degree(c, fiber_of(x))
         t_i = sub_degree(c, fiber_of(y))
@@ -405,15 +439,22 @@ def verify_annihilation(
         m = max_fiber(a, b)
         level_out, level_in = spec.dim(sub_degree(m, a)), spec.dim(sub_degree(m, b))
         lefts = [
-            steprep.vector_operator(
-                spec, spec.mul_vectors(spec.unit_vector(f), w), level_out
-            ).conj_transpose()
-            for f in spec.basis(a)
+            steprep.vector_operator(spec, piece, level_out).conj_transpose()
+            for piece in _pieces(spec, a, w)
         ]
-        for g in spec.basis(b):
-            right = steprep.vector_operator(
-                spec, spec.mul_vectors(spec.unit_vector(g), w), level_in
-            )
+        for piece in _pieces(spec, b, w):
+            right = steprep.vector_operator(spec, piece, level_in)
             if any(not left.compose(right).is_zero() for left in lefts):
                 return False
     return True
+
+
+def _pieces(spec: SystemSpec, a: Fiber, w: FiberVector):
+    """f1 w for f1 = e(a;0), e(a;1), ..., built from the support of w: index
+    f1 dim(w) + j and coefficient omega(a, r) w_j, one phase for them all."""
+    dim_w, zero = w.dim, spec.field.zero
+    phase = spec.multiplier(a, w.fiber)
+    scaled = [(j, phase * c) for j, c in w.entries.items()]
+    fiber, dim_a = add_fibers(a, w.fiber), spec.dim(a)
+    for i in range(dim_a):
+        yield FiberVector(fiber, dim_a * dim_w, {i * dim_w + j: c for j, c in scaled}, zero)

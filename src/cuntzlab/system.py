@@ -240,17 +240,6 @@ class SystemSpec:
     def identity_monomial(self) -> BasisMonomial:
         return BasisMonomial((0,) * self.k, 0)
 
-    def vector(self, fiber, coeffs) -> FiberVector:
-        """The vector with the given dense list of coefficients."""
-        fiber = self.check_fiber(fiber)
-        coeffs = [self.field.coerce(c) for c in coeffs]
-        if len(coeffs) != self.dim(fiber):
-            raise ValueError(
-                f"fiber {fiber} has dimension {self.dim(fiber)}, "
-                f"got {len(coeffs)} coefficients"
-            )
-        return FiberVector(fiber, len(coeffs), dict(enumerate(coeffs)), self.field.zero)
-
     def unit_vector(self, x: BasisMonomial) -> FiberVector:
         return FiberVector(
             x.fiber, self.dim(x.fiber), {x.index: self.field.one}, self.field.zero

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from cuntzlab import algebra, expr, scalars
-from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text, sub_degree
+from cuntzlab.system import (
+    BasisMonomial,
+    FiberVector,
+    SystemSpec,
+    parse_spec_text,
+    sub_degree,
+)
 
 
 @pytest.fixture
@@ -182,6 +188,18 @@ def _isometry_of(spec, x):
     if isinstance(x, BasisMonomial):
         return algebra.isometry(spec, x)
     return vector_element(spec, x)
+
+
+def dense_vector(spec, fiber, coeffs):
+    """The vector of ``fiber`` with the given dense list of coefficients."""
+    fiber = spec.check_fiber(fiber)
+    coeffs = [spec.field.coerce(c) for c in coeffs]
+    if len(coeffs) != spec.dim(fiber):
+        raise ValueError(
+            f"fiber {fiber} has dimension {spec.dim(fiber)}, "
+            f"got {len(coeffs)} coefficients"
+        )
+    return FiberVector(fiber, len(coeffs), dict(enumerate(coeffs)), spec.field.zero)
 
 
 def vector_element(spec, v):

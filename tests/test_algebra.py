@@ -27,6 +27,7 @@ from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text
 
 from conftest import (
     dense_block,
+    dense_vector,
     is_positive_semidefinite,
     random_coeff,
     random_element,
@@ -286,7 +287,7 @@ class TestShiftEndomorphism:
 
 class TestVectorElements:
     def test_vector_element_linearity(self, e23):
-        v = e23.vector((1, 0), [scalars.RationalComplex(2), scalars.RationalComplex(0, 1)])
+        v = dense_vector(e23, (1, 0), [scalars.RationalComplex(2), scalars.RationalComplex(0, 1)])
         elem = vector_element(e23, v)
         manual = isometry(e23, e23.monomial((1, 0), 0)).scaled(
             scalars.RationalComplex(2)
@@ -294,12 +295,12 @@ class TestVectorElements:
         assert elem.terms == manual.terms
 
     def test_vector_projection(self, e23):
-        v = e23.vector((1, 0), [scalars.RationalComplex(1), scalars.RationalComplex(1)])
+        v = dense_vector(e23, (1, 0), [scalars.RationalComplex(1), scalars.RationalComplex(1)])
         p = vector_projection(e23, v)
         assert equals(multiply(p, p), p)
         assert equals(p.adjoint(), p)
         with pytest.raises(ValueError):
-            vector_projection(e23, e23.vector((1, 0), [scalars.RATIONAL.zero] * 2))
+            vector_projection(e23, dense_vector(e23, (1, 0), [scalars.RATIONAL.zero] * 2))
 
 
 class TestAgainstStepModel:

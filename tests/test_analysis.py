@@ -18,7 +18,7 @@ from cuntzlab.analysis import (
 )
 from cuntzlab.system import SystemSpec, parse_spec_text
 
-from conftest import compressed_pair_element
+from conftest import compressed_pair_element, dense_vector
 
 
 # nextprime(10^19) and nextprime(10^20): no factorizer splits their product
@@ -427,6 +427,38 @@ class TestAnnihilationConstruction:
                 assert verify_annihilation(spec, inst, w) is True
             assert len(calls) == 27 * 8
 
+    def test_construction_steps_keep_support_one(self, e23, tw23, monkeypatch):
+        # each step meets a support-1 vector, whose constraint is one run:
+        # the kernel vector is read off it, with no row reduction, and the
+        # extended vector has support 1 again
+        def refuse(*args, **kwargs):
+            raise AssertionError("the construction must not reduce a matrix or build algebra elements")
+
+        step = analysis._orthogonality_step
+        for spec in (e23, tw23):
+            inst = annihilation_instance(
+                spec, [(spec.monomial((3, 0), 0), spec.monomial((0, 3), 0))]
+            )
+            produced = []
+
+            def recorded(*args):
+                produced.append(step(*args))
+                return produced[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_orthogonality_step", recorded)
+                for module, name in (
+                    (linalg, "nullspace"),
+                    (linalg, "_rref"),
+                    (algebra, "multiply"),
+                    (algebra, "normal_form"),
+                ):
+                    patch.setattr(module, name, refuse)
+                w = annihilating_vector(spec, inst)
+                assert verify_annihilation(spec, inst, w) is True
+            assert len(produced) == 27 * 8
+            assert [len(v.entries) for v in produced] == [1] * len(produced)
+
     def test_window_oracle_frozen_set(self):
         assert _window_oracle_bad_indices(6) == {0, 1, 727, 728}
 
@@ -436,7 +468,8 @@ class TestAnnihilationConstruction:
         )
         bad = _window_oracle_bad_indices(6)
         for m in (0, 1, 243, 364, 727):
-            w = e23.vector(
+            w = dense_vector(
+                e23,
                 (0, 6),
                 [e23.field.one if j == m else e23.field.zero for j in range(729)],
             )
@@ -449,8 +482,8 @@ class TestAnnihilationConstruction:
         )
         bad = _window_oracle_bad_indices(2)
         for m in range(9):
-            w = e23.vector(
-                (0, 2), [e23.field.one if j == m else e23.field.zero for j in range(9)]
+            w = dense_vector(
+                e23, (0, 2), [e23.field.one if j == m else e23.field.zero for j in range(9)]
             )
             assert verify_annihilation(e23, inst, w) == (m not in bad)
 
@@ -478,7 +511,7 @@ class TestAnnihilationConstruction:
 
     def test_vector_element_pairs(self, e23):
         # pairs may mix monomials with fiber vectors
-        v = e23.vector((1, 0), [e23.field.one, e23.field.one])
+        v = dense_vector(e23, (1, 0), [e23.field.one, e23.field.one])
         inst = annihilation_instance(e23, [(v, e23.monomial((0, 1), 1))])
         w = annihilating_vector(e23, inst)
         assert verify_annihilation(e23, inst, w)
@@ -486,7 +519,7 @@ class TestAnnihilationConstruction:
     def test_zero_vector_pair_is_annihilated(self, e23):
         # x y* = 0 compresses to zero; its step operator has no output
         # level to compose with
-        zero = e23.vector((1, 0), [e23.field.zero, e23.field.zero])
+        zero = dense_vector(e23, (1, 0), [e23.field.zero, e23.field.zero])
         inst = annihilation_instance(e23, [(zero, e23.monomial((0, 1), 0))])
         w = annihilating_vector(e23, inst)
         assert verify_annihilation(e23, inst, w) is True

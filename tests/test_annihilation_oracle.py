@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cuntzlab import algebra, analysis, linalg
 from cuntzlab.analysis import HypothesisViolationError
+from cuntzlab.scalars import RationalComplex
 from cuntzlab.system import (
     BasisMonomial,
     FiberVector,
@@ -22,7 +23,7 @@ from cuntzlab.system import (
     sub_degree,
 )
 
-from conftest import compressed_pair_element
+from conftest import compressed_pair_element, dense_vector
 
 SPECS = {
     "e23": SystemSpec((2, 3)),
@@ -31,6 +32,8 @@ SPECS = {
     "e34": SystemSpec((3, 4)),
     "tw23": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n"),
 }
+# every theta entry nonzero, so omega(r, r) is a nontrivial phase
+Q8 = parse_spec_text("k = 2\ndims = 2 3\ntheta = 1/8 3/8 5/8 1/4\nscalars = cyclotomic:8\n")
 FIBERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 # the dense route costs the final vector dimension
 DENSE_LIMIT = 4096
@@ -83,7 +86,7 @@ def dense_annihilating_vector(spec, instance):
         for f in spec.basis(s_i):
             for g in spec.basis(t_i):
                 fiber, coeffs = dense_orthogonality_step(spec, fiber, coeffs, f, g)
-    return spec.vector(fiber, coeffs)
+    return dense_vector(spec, fiber, coeffs)
 
 
 def _dense_size(spec, instance):
@@ -127,7 +130,8 @@ def _check_instance(spec, instance, perturb_index):
     expanded = compressed_pair_element(spec, instance, sparse, 0)
     assert algebra.normal_form(expanded).is_zero()
     j = perturb_index % sparse.dim
-    perturbed = spec.vector(
+    perturbed = dense_vector(
+        spec,
         sparse.fiber,
         [c + spec.field.one if i == j else c for i, c in enumerate(sparse.coeffs)],
     )
@@ -177,37 +181,79 @@ def test_monomial_pairs_match_dense(name, fx, fy, i, j, perturb):
 )
 def test_vector_pairs_match_dense(coeffs, fy, j, vector_left, perturb):
     spec = SPECS["e23"]
-    v = spec.vector((1, 0), coeffs)
+    v = dense_vector(spec, (1, 0), coeffs)
     y = _monomial(spec, fy, j)
     pair = (v, y) if vector_left else (y, v)
     _check_instance(spec, analysis.annihilation_instance(spec, [pair]), perturb)
 
 
-@ORACLE
-@given(
-    st.sampled_from(sorted(SPECS)),
-    st.sampled_from(FIBERS),
-    st.sampled_from(FIBERS),
-    st.sampled_from(FIBERS),
-    st.integers(0, 10**6),
-    st.integers(0, 10**6),
-    st.data(),
-)
-def test_step_matches_dense_on_wide_supports(name, fr, fs, ft, i, j, data):
+def test_step_matches_dense_on_wide_supports(monkeypatch):
     # the construction itself only ever meets vectors of support 1, so the
-    # windows of several support indices are exercised on vectors drawn here
-    spec = SPECS[name]
-    assume(spec.dim(fs) != spec.dim(ft))
-    coeffs = data.draw(
-        st.lists(st.integers(-2, 2), min_size=spec.dim(fr), max_size=spec.dim(fr)).filter(any)
+    # windows of several support indices and the elimination of their
+    # constraint rows are exercised on vectors drawn here: Gaussian entries
+    # make rows whose leading entry is not one, and fibers r wider than t
+    # make rows that share a leading column, so elimination scales,
+    # subtracts and back-substitutes
+    shapes = set()
+    eliminate = analysis._first_kernel_vector
+
+    def recorded(rows, field):
+        shapes.update(_row_shapes(rows))
+        return eliminate(rows, field)
+
+    specs = {**SPECS, "q8": Q8}
+    gaussian = st.builds(RationalComplex, st.integers(-2, 2), st.integers(-2, 2))
+
+    @settings(ORACLE, max_examples=60)
+    @given(
+        st.sampled_from(sorted(specs)),
+        st.sampled_from(FIBERS + [(2, 1), (1, 2)]),
+        st.sampled_from(FIBERS),
+        st.sampled_from(FIBERS),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.data(),
     )
-    v = spec.vector(fr, coeffs)
-    f, g = _monomial(spec, fs, i), _monomial(spec, ft, j)
-    sparse = _outcome(lambda: analysis._orthogonality_step(spec, v, f, g))
-    dense = _outcome(lambda: spec.vector(*dense_orthogonality_step(spec, fr, v.coeffs, f, g)))
-    assert sparse == dense
-    if sparse is not HypothesisViolationError:
-        assert sparse.coeffs == dense.coeffs
+    def check(name, fr, fs, ft, i, j, data):
+        spec = specs[name]
+        assume(spec.dim(fs) != spec.dim(ft))
+        dim = spec.dim(fr)
+        coeffs = data.draw(
+            st.lists(gaussian, min_size=dim, max_size=dim).filter(
+                lambda cs: not all(c.is_zero() for c in cs)
+            )
+        )
+        v = dense_vector(spec, fr, coeffs)
+        f, g = _monomial(spec, fs, i), _monomial(spec, ft, j)
+        sparse = _outcome(lambda: analysis._orthogonality_step(spec, v, f, g))
+        dense = _outcome(
+            lambda: dense_vector(spec, *dense_orthogonality_step(spec, fr, v.coeffs, f, g))
+        )
+        assert sparse == dense
+        if sparse is not HypothesisViolationError:
+            assert sparse.coeffs == dense.coeffs
+
+    monkeypatch.setattr(analysis, "_first_kernel_vector", recorded)
+    check()
+    assert shapes == {"scaled", "reduced"}
+
+
+def _row_shapes(rows):
+    """Which of two shapes the matrix of the swept runs ``rows`` has: a row
+    of two or more entries whose leading entry is not one, which elimination
+    scales, and two rows with the same leading column, one of which it
+    subtracts from the other."""
+    cells = {}
+    for row0, col0, length, coeff in rows:
+        for u in range(length):
+            cells.setdefault(row0 + u, {})[col0 + u] = coeff
+    shapes = set()
+    if any(len(row) > 1 and not row[min(row)].is_one() for row in cells.values()):
+        shapes.add("scaled")
+    leads = [min(row) for row in cells.values()]
+    if len(set(leads)) < len(leads):
+        shapes.add("reduced")
+    return shapes
 
 
 CHECK_SPECS = {
@@ -216,10 +262,7 @@ CHECK_SPECS = {
     # 2 and 4 share a factor, so the levels follow fibers, not dimensions
     "e24": SPECS["e24"],
     "tw23": SPECS["tw23"],
-    # every theta entry nonzero, so omega(r, r) is a nontrivial phase
-    "q8": parse_spec_text(
-        "k = 2\ndims = 2 3\ntheta = 1/8 3/8 5/8 1/4\nscalars = cyclotomic:8\n"
-    ),
+    "q8": Q8,
 }
 SMALL_FIBERS = [(0, 0), (1, 0), (0, 1), (1, 1)]
 SHIFT_EXTRAS = [(0, 0), (0, 0), (1, 0), (0, 1)]
@@ -229,7 +272,7 @@ def _drawn_vector(spec, data, fiber):
     """A nonzero vector of any support in the fiber."""
     dim = spec.dim(fiber)
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any))
-    return spec.vector(fiber, coeffs)
+    return dense_vector(spec, fiber, coeffs)
 
 
 def _support(x):
@@ -294,7 +337,7 @@ def test_dense_reference_on_known_instances():
         spec, [(spec.identity_monomial, spec.monomial((1, 0), 1))]
     )
     w = dense_annihilating_vector(spec, instance)
-    perturbed = spec.vector(w.fiber, [c + spec.field.one for c in w.coeffs])
+    perturbed = dense_vector(spec, w.fiber, [c + spec.field.one for c in w.coeffs])
     assert _agrees_with_normal_form(spec, instance, w) is True
     assert _agrees_with_normal_form(spec, instance, perturbed) is False
 
@@ -311,7 +354,7 @@ def test_twisted_verification_of_a_large_compression():
     assert w.dim == 27
     assert analysis.verify_annihilation(spec, instance, w) is True
     one = spec.field.one
-    perturbed = spec.vector(
-        w.fiber, [c + one if i in (0, 5) else c for i, c in enumerate(w.coeffs)]
+    perturbed = dense_vector(
+        spec, w.fiber, [c + one if i in (0, 5) else c for i, c in enumerate(w.coeffs)]
     )
     assert analysis.verify_annihilation(spec, instance, perturbed) is False

@@ -6,7 +6,10 @@ pytest tmp_path, since ``--spec`` only accepts file paths.
 """
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -336,10 +339,33 @@ def test_kill_explicit_shift_matches_default(capsys, spec_path):
     assert out == default_out
 
 
+def test_kill_wide_shift(capsys, spec_path):
+    # 108 * 72 orthogonality steps, each on a support-1 vector; the vector's
+    # fiber dimension has 15812 digits, past the interpreter's 4300-digit limit
+    code, out, err = run_cli(
+        capsys,
+        ["kill", "--spec", spec_path("e23"), "--shift", "3,3", "e(1,0;0)", "e(0,1;0)"],
+    )
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        dimension = str(3**23328 * 2**15552)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(dimension) == 15812
+    assert lines_of(out) == [
+        "shift fiber: (3,3)",
+        f"vector fiber: (15552,23328), support 1 of {dimension}",
+        "compressed pair: zero",
+    ]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json-lines"])
 def test_kill_prints_dimensions_past_the_digit_limit(capsys, spec_path, monkeypatch, fmt):
-    # the real construction (--shift 3,3) takes about a minute; the stub
-    # returns a support-1 vector whose fiber dimension 3^9100 has 4342 digits
+    # the stub returns a support-1 vector whose fiber dimension 3^9100 has
+    # 4342 digits, in every output format; test_kill_wide_shift runs a real
+    # construction past the limit
     spec = SystemSpec((2, 3))
     fiber = (0, 9100)
     vector = FiberVector(fiber, spec.dim(fiber), {0: spec.field.one}, spec.field.zero)
@@ -530,6 +556,20 @@ def test_selftest_battery(capsys):
     assert code == 0
     assert out == SELFTEST_TEXT
     assert len(lines_of(out)) == 33
+
+
+def test_module_runs_the_cli():
+    # ``python -m cuntzlab`` is the same entry point as the console script
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "cuntzlab", "selftest"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "selftest: 32 of 32 checks passed" in lines_of(done.stdout)
 
 
 def test_selftest_battery_json_lines(capsys):

@@ -25,7 +25,7 @@ from cuntzlab.steprep import (
 )
 from cuntzlab.system import sub_degree
 
-from conftest import inner, random_element
+from conftest import dense_vector, inner, random_element
 
 
 def _identity_op(spec, level):
@@ -70,7 +70,7 @@ class TestGeneratorOperator:
 
 class TestVectorOperator:
     def test_matches_basis_expansion(self, e23):
-        v = e23.vector((1, 0), [RationalComplex(2), RationalComplex(0, 1)])
+        v = dense_vector(e23, (1, 0), [RationalComplex(2), RationalComplex(0, 1)])
         level = 3
         direct = vector_operator(e23, v, level)
         acc = {}
@@ -81,7 +81,7 @@ class TestVectorOperator:
         assert direct.entries == {k: v for k, v in acc.items() if not v.is_zero()}
 
     def test_isometry_up_to_norm(self, e23):
-        v = e23.vector((1, 0), [RationalComplex(1), RationalComplex(1, 1)])
+        v = dense_vector(e23, (1, 0), [RationalComplex(1), RationalComplex(1, 1)])
         op = vector_operator(e23, v, 4)
         gram = op.conj_transpose().compose(op)
         norm = inner(e23, v, v)

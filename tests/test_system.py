@@ -16,7 +16,7 @@ from cuntzlab.system import (
     sub_degree,
 )
 
-from conftest import inner, random_monomial
+from conftest import dense_vector, inner, random_monomial
 
 
 class TestDimensions:
@@ -155,11 +155,11 @@ class TestInnerProduct:
 
     def test_conjugate_linear_second_slot(self, e23):
         lam = scalars.RationalComplex(0, 1)
-        v = e23.vector((1, 0), [scalars.RationalComplex(1), scalars.RationalComplex(2)])
-        w = e23.vector((1, 0), [scalars.RationalComplex(1, 1), scalars.RationalComplex(0)])
-        scaled = e23.vector((1, 0), [lam * c for c in w.coeffs])
+        v = dense_vector(e23, (1, 0), [scalars.RationalComplex(1), scalars.RationalComplex(2)])
+        w = dense_vector(e23, (1, 0), [scalars.RationalComplex(1, 1), scalars.RationalComplex(0)])
+        scaled = dense_vector(e23, (1, 0), [lam * c for c in w.coeffs])
         assert inner(e23, v, scaled) == lam.conj() * inner(e23, v, w)
-        scaled_v = e23.vector((1, 0), [lam * c for c in v.coeffs])
+        scaled_v = dense_vector(e23, (1, 0), [lam * c for c in v.coeffs])
         assert inner(e23, scaled_v, w) == lam * inner(e23, v, w)
 
     def test_multiplicative_for_products(self, e23, rng):
