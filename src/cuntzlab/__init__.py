@@ -30,7 +30,6 @@ from .algebra import (
     AlgebraElement,
     NormalForm,
     Term,
-    adjoint,
     equals,
     expand_normal_form,
     gauge_expectation,
@@ -72,7 +71,6 @@ from .analysis import (
     annihilating_vector,
     annihilation_instance,
     classify,
-    dimension_injective,
     exponent_matrix,
     nonsimplicity_witness,
     verify_annihilation,

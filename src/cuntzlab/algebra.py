@@ -115,12 +115,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same(other)
-        acc = {(t.left, t.right): t.coeff for t in self.terms}
-        for t in other.terms:
-            key = (t.left, t.right)
-            cur = acc.get(key)
-            acc[key] = t.coeff if cur is None else cur + t.coeff
-        return AlgebraElement(self.spec, acc)
+        return AlgebraElement.from_terms(self.spec, self.terms + other.terms)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -186,10 +181,6 @@ def monomial_pair(spec, x: BasisMonomial, y: BasisMonomial, coeff=1) -> AlgebraE
 def isometry(spec, x: BasisMonomial) -> AlgebraElement:
     """The generator element i(x) = e(x) * identity'."""
     return monomial_pair(spec, x, spec.identity_monomial)
-
-
-def adjoint(a: AlgebraElement) -> AlgebraElement:
-    return a.adjoint()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra, linalg, runs, steprep
-from .scalars import cyclotomic_field
+from .scalars import RATIONAL, cyclotomic_field
 from .system import (
     BasisMonomial,
     Fiber,
@@ -101,10 +101,29 @@ def exponent_matrix(gen_dims) -> tuple[tuple[int, ...], tuple[tuple[int, ...], .
     return base, tuple(tuple(_strip(m, b)[0] for m in gen_dims) for b in base)
 
 
+def rank_and_kernel(rows, k: int) -> tuple[int, tuple[int, ...] | None]:
+    """(rank, kernel) of an integer matrix with k columns, from one
+    ``linalg.nullspace`` call: rank = k - nullity, and kernel is the first
+    kernel vector scaled to a primitive integer vector whose first nonzero
+    entry is positive, or None when the rank is k."""
+    basis = linalg.nullspace(
+        [[RATIONAL.from_fraction(Fraction(v)) for v in row] for row in rows], k, RATIONAL
+    )
+    if not basis:
+        return k, None
+    vec = [s.re for s in basis[0]]
+    denom = math.lcm(*(f.denominator for f in vec))
+    ints = [int(f * denom) for f in vec]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return k - len(basis), tuple(v // g for v in ints)
+
+
 def _collision(gen_dims, kernel):
-    """The fiber pair s != t of equal dimension that ``dimension_injective``
-    reports, or None: (e_a, 2e_a) for the first dimension-one generator,
-    else the positive and negative parts of the primitive kernel vector."""
+    """A fiber pair s != t of equal dimension, or None: (e_a, 2e_a) for the
+    first dimension-one generator, else the positive and negative parts of
+    the primitive kernel vector."""
     for a, m in enumerate(gen_dims):
         if m == 1:
             e_a = tuple(1 if i == a else 0 for i in range(len(gen_dims)))
@@ -112,19 +131,6 @@ def _collision(gen_dims, kernel):
     if kernel is None:
         return None
     return tuple(max(v, 0) for v in kernel), tuple(max(-v, 0) for v in kernel)
-
-
-def dimension_injective(spec: SystemSpec):
-    """(True, None) if d is injective on N^k, else (False, (s, t)) with
-    s != t of equal dimension, derived from the primitive kernel vector
-    (first nonzero entry positive) or (e_a, 2e_a) for a dimension-one
-    generator."""
-    kernel = None
-    if 1 not in spec.gen_dims:
-        _, rows = exponent_matrix(spec.gen_dims)
-        kernel = linalg.integer_kernel_vector(rows, spec.k)
-    witness = _collision(spec.gen_dims, kernel)
-    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +181,10 @@ def classify(spec: SystemSpec) -> Classification:
     l, and a lone member l^h needs h | gcd(a, b) = 1.  Conversely, a lone
     member c makes m and n powers of c, so l exists and c = l.
     """
-    # one matrix and at most one kernel serve the rank, the witness and the
-    # power base; the rows have full rank k exactly when there is no kernel
+    # one matrix and one reduction serve the rank, the witness and the
+    # power base
     base, rows = exponent_matrix(spec.gen_dims)
-    from .scalars import RATIONAL
-
-    rat_rows = [
-        [RATIONAL.from_fraction(Fraction(v)) for v in row] for row in rows
-    ]
-    rank = linalg.rank(rat_rows, RATIONAL)
-    kernel = None
-    if rank < spec.k:
-        kernel = linalg.integer_kernel_vector(rows, spec.k)
+    rank, kernel = rank_and_kernel(rows, spec.k)
     witness = _collision(spec.gen_dims, kernel)
     injective = witness is None
 

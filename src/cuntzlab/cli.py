@@ -231,8 +231,8 @@ def _cmd_classify(args, reporter: Reporter) -> int:
 
 def _cmd_witness(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
-    injective, witness = analysis.dimension_injective(spec)
-    if injective:
+    witness = analysis.classify(spec).witness
+    if witness is None:
         reporter.emit(
             "no witness: the dimension function is injective",
             command="witness",

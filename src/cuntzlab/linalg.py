@@ -3,12 +3,12 @@
 Matrices are lists of row lists of scalars.  Everything here relies only on
 field operations (add, mul, inv, conj, is_zero), so the same code serves the
 Gaussian-rational and cyclotomic domains exactly and the float domain up to
-its tolerance.
+its tolerance.  ``nullspace`` gives ``analysis.classify`` the rank and the
+kernel of the exponent matrix in one reduction.  ``sparse_matmul`` is the
+reference product that step-operator compositions are compared against.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def _rref(rows, field):
@@ -41,11 +41,6 @@ def _rref(rows, field):
     return mat, pivots
 
 
-def rank(rows, field) -> int:
-    _, pivots = _rref(rows, field)
-    return len(pivots)
-
-
 def nullspace(rows, ncols: int, field):
     """Basis of the right kernel, one vector per pivot-free column, in
     column order (so callers can deterministically take the first)."""
@@ -60,28 +55,6 @@ def nullspace(rows, ncols: int, field):
             vec[c] = -mat[r][f]
         basis.append(vec)
     return basis
-
-
-def integer_kernel_vector(int_rows, ncols: int):
-    """First kernel vector of an integer matrix, scaled to a primitive
-    integer vector whose first nonzero entry is positive; None if injective."""
-    from .scalars import RATIONAL
-
-    rows = [[RATIONAL.from_fraction(Fraction(x)) for x in row] for row in int_rows]
-    basis = nullspace(rows, ncols, RATIONAL)
-    if not basis:
-        return None
-    vec = [s.re for s in basis[0]]
-    import math
-
-    denom = math.lcm(*(f.denominator for f in vec))
-    ints = [int(f * denom) for f in vec]
-    g = math.gcd(*(abs(v) for v in ints))
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
 
 
 # -- sparse maps ---------------------------------------------------------

@@ -173,45 +173,31 @@ def _require_verified(assignment: GeneratorAssignment):
         )
 
 
-def _ordered_digits(spec: SystemSpec, x: BasisMonomial, order):
-    if order is None:
-        return spec.factor_monomial(x)
-    slots = tuple(int(a) for a in order)
-    if sorted(slots) != list(range(1, spec.k + 1)):
-        raise ValueError(
-            f"order must be a permutation of 1..{spec.k}, got {order!r}"
-        )
-    return spec.factor_monomial(x, tuple(a - 1 for a in slots))
-
-
 def extend(spec: SystemSpec, assignment: GeneratorAssignment, x: BasisMonomial, order=None):
     """Image of a basis monomial under the verified assignment.
 
     The monomial is peeled into generator digits along ``order`` (a 1-based
     permutation of the generator slots; default is slot order) and the digit
     images are multiplied left to right.  For a twisted source the peeled
-    product differs from ``x`` by the accumulated multiplier phase, so that
-    phase is conjugated back in; the result is therefore independent of the
-    chosen order.
+    product differs from ``x`` by the multiplier phase accumulated along the
+    digits, so that phase is conjugated back in; the result is therefore
+    independent of the chosen order.  On an untwisted source the phase stays
+    one and is never computed.
     """
     if not same_system(spec, assignment.source):
         raise ValueError("monomial does not belong to the assignment's source")
     _require_verified(assignment)
-    digits = _ordered_digits(spec, x, order)
+    slots = None if order is None else tuple(int(a) - 1 for a in order)
     out = algebra.identity(assignment.target)
-    if spec.is_twisted:
-        phase = spec.field.one
-        fiber = (0,) * spec.k
-        for slot0, digit in digits:
+    phase, fiber = spec.field.one, (0,) * spec.k
+    for slot0, digit in spec.factor_monomial(x, slots):
+        if spec.is_twisted:
             e_a = spec.unit_fiber(slot0)
             phase = phase * spec.multiplier(fiber, e_a)
             fiber = add_fibers(fiber, e_a)
-            out = algebra.multiply(out, assignment.image(slot0 + 1, digit))
-        if not phase == spec.field.one:
-            out = out.scaled(phase.conj())
-        return out
-    for slot0, digit in digits:
         out = algebra.multiply(out, assignment.image(slot0 + 1, digit))
+    if not phase == spec.field.one:
+        out = out.scaled(phase.conj())
     return out
 
 

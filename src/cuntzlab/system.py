@@ -122,10 +122,12 @@ class SystemSpec:
 
     A spec caches what it derives from fibers, filled on first use and
     never evicted, so each cache grows with the distinct keys used on the
-    spec: ``_dims`` holds one dimension per fiber, ``_phases`` one
-    multiplier per fiber pair, and ``fiber_quads`` one entry per fiber
-    quadruple (x fiber, s, y fiber, t) that ``algebra.multiply`` met, with
-    the degree, the product fibers and the phase factors of its survivors.
+    spec: ``_dims`` holds one dimension per fiber, and ``fiber_quads`` one
+    entry per fiber quadruple (x fiber, s, y fiber, t) that
+    ``algebra.multiply`` met, with the degree, the product fibers and the
+    phase factors of its survivors.  Multiplier phases are not cached: an
+    exact twisted spec keeps theta * q as integers, so a phase is one power
+    of zeta_q.
     """
 
     def __init__(self, gen_dims, theta=None, scalar_mode: str = "rational"):
@@ -165,6 +167,9 @@ class SystemSpec:
         )
         self.is_twisted = not trivial
 
+        # theta * q in integers on an exact twisted spec: its phases are
+        # powers of zeta_q
+        self._theta_q = None
         if self.is_twisted:
             if self.field is RATIONAL:
                 raise ConfigurationError(
@@ -185,10 +190,12 @@ class SystemSpec:
                                 f"theta entry {x} has denominator not dividing "
                                 f"the cyclotomic order {q}"
                             )
+                self._theta_q = tuple(
+                    tuple(int(Fraction(x) * q) for x in row) for row in self.theta
+                )
 
         # filled on first use, keyed by fibers that passed check_fiber
         self._dims: dict[Fiber, int] = {}
-        self._phases: dict[tuple[Fiber, Fiber], Scalar] = {}
         self.fiber_quads: dict[tuple[Fiber, Fiber, Fiber, Fiber], tuple] = {}
 
     # -- derived structure ------------------------------------------------
@@ -268,13 +275,14 @@ class SystemSpec:
         # s and t have passed check_fiber; see _dim
         if not self.is_twisted:
             return self.field.one
-        out = self._phases.get((s, t))
-        if out is None:
-            pairing = self._theta_pairing(s, t)
-            out = self._phases[(s, t)] = self.field.root_of_unity(
-                pairing if isinstance(pairing, float) else pairing % 1
+        if self._theta_q is not None:
+            return self.field.zeta_power(
+                sum(c * a * b for row, a in zip(self._theta_q, s) for c, b in zip(row, t))
             )
-        return out
+        pairing = self._theta_pairing(s, t)
+        return self.field.root_of_unity(
+            pairing if isinstance(pairing, float) else pairing % 1
+        )
 
     def mul_basis(self, x: BasisMonomial, y: BasisMonomial) -> tuple[Scalar, BasisMonomial]:
         """Product of basis vectors: a phase and the resulting monomial."""
@@ -299,50 +307,32 @@ class SystemSpec:
 
     # -- factoring ----------------------------------------------------------
 
-    def factor_monomial_sequence(
-        self, x: BasisMonomial, sequence
-    ) -> list[tuple[int, int]]:
-        """Peel ``x`` into generator digits along an explicit generator list.
+    def factor_monomial(self, x: BasisMonomial, order=None) -> list[tuple[int, int]]:
+        """Peel ``x`` into generator digits, grouped by ``order``.
 
-        ``sequence`` lists a generator index (0-based) once per unit of the
-        fiber coordinate; its multiset must equal the fiber of x.  Returns
-        [(generator, digit), ...] such that multiplying the corresponding
-        generator monomials left-to-right in the untwisted system gives x.
+        ``order`` is a permutation of range(k) (default ascending): every
+        occurrence of generator order[0] comes first, then order[1], and so
+        on.  Returns [(generator, digit), ...] such that multiplying the
+        corresponding generator monomials left to right in the untwisted
+        system gives x, whatever the order chosen.
         """
-        fiber = x.fiber
-        counts = [0] * self.k
-        for a in sequence:
-            if not 0 <= a < self.k:
-                raise ValueError(f"generator index {a} out of range")
-            counts[a] += 1
-        if tuple(counts) != fiber:
+        order = tuple(range(self.k)) if order is None else tuple(order)
+        if sorted(order) != list(range(self.k)):
+            # no tuple in the message: ``morphisms.extend`` passes its 1-based
+            # order shifted down by one
             raise ValueError(
-                f"sequence multiset {tuple(counts)} does not match fiber {fiber}"
+                f"a digit order must list each of the {self.k} generator slots once"
             )
-        remaining = list(fiber)
+        remaining = list(self.check_fiber(x.fiber))
         idx = x.index
         digits: list[tuple[int, int]] = []
-        for a in sequence:
-            remaining[a] -= 1
-            d = self.dim(tuple(remaining))
-            digits.append((a, idx // d))
-            idx %= d
+        for a in order:
+            for _ in range(x.fiber[a]):
+                remaining[a] -= 1
+                d = self._dim(tuple(remaining))
+                digits.append((a, idx // d))
+                idx %= d
         return digits
-
-    def factor_monomial(self, x: BasisMonomial, order=None) -> list[tuple[int, int]]:
-        """Digits of ``x`` with generator occurrences grouped by ``order``.
-
-        ``order`` is a permutation of range(k) (default ascending).  The
-        result multiplies back to x in the untwisted system regardless of
-        the order chosen.
-        """
-        if order is None:
-            order = tuple(range(self.k))
-        order = tuple(order)
-        if sorted(order) != list(range(self.k)):
-            raise ValueError(f"{order!r} is not a permutation of range({self.k})")
-        sequence = [a for a in order for _ in range(x.fiber[a])]
-        return self.factor_monomial_sequence(x, sequence)
 
     # -- identity ---------------------------------------------------------
 

@@ -11,9 +11,9 @@ from cuntzlab.analysis import (
     annihilating_vector,
     annihilation_instance,
     classify,
-    dimension_injective,
     exponent_matrix,
     nonsimplicity_witness,
+    rank_and_kernel,
     verify_annihilation,
 )
 from cuntzlab.system import SystemSpec, parse_spec_text
@@ -90,13 +90,6 @@ def common_power_base(m, n):
     return classify(SystemSpec((m, n))).power_base
 
 
-def _rank(rows):
-    return linalg.rank(
-        [[scalars.RATIONAL.from_fraction(v) for v in row] for row in rows],
-        scalars.RATIONAL,
-    )
-
-
 class TestExponentMatrixAgainstPrimes:
     """The coprime-base matrix decides what the prime-exponent matrix does."""
 
@@ -133,9 +126,8 @@ class TestExponentMatrixAgainstPrimes:
             assert tuple(
                 math.prod(b**row[a] for b, row in zip(base, rows)) for a in range(k)
             ) == dims
-            assert _rank(rows) == _rank(prime_rows), dims
-            kernel = linalg.integer_kernel_vector(prime_rows, k)
-            assert linalg.integer_kernel_vector(rows, k) == kernel, dims
+            rank, kernel = rank_and_kernel(prime_rows, k)
+            assert rank_and_kernel(rows, k) == (rank, kernel), dims
 
             spec = SystemSpec(dims)
             if 1 in dims:
@@ -149,7 +141,6 @@ class TestExponentMatrixAgainstPrimes:
             else:
                 witness = None
             injective = witness is None
-            assert dimension_injective(spec) == (injective, witness), dims
 
             power_base = None
             if k == 2 and not injective and dims != (1, 1):
@@ -168,7 +159,7 @@ class TestExponentMatrixAgainstPrimes:
 
             c = classify(spec)
             assert (c.kind, c.rank, c.witness, c.power_base) == (
-                kind, _rank(prime_rows), witness, power_base,
+                kind, rank, witness, power_base,
             ), dims
             assert c.kernel == (None if injective else kernel), dims
             assert (c.base, c.exponent_matrix) == (base, rows)
@@ -202,27 +193,23 @@ class TestCommonPowerBase:
 
 class TestDimensionInjective:
     def test_injective(self, e23):
-        ok, witness = dimension_injective(e23)
-        assert ok and witness is None
-        assert dimension_injective(SystemSpec((12, 18)))[0]
+        assert classify(e23).witness is None
+        assert classify(SystemSpec((12, 18))).witness is None
 
     def test_collision_witness(self, e24):
-        ok, (s, t) = dimension_injective(e24)
-        assert not ok
+        s, t = classify(e24).witness
         assert s == (2, 0) and t == (0, 1)
         assert e24.dim(s) == e24.dim(t)
 
     def test_dimension_one_generator(self):
         spec = SystemSpec((1, 5))
-        ok, (s, t) = dimension_injective(spec)
-        assert not ok
+        s, t = classify(spec).witness
         assert spec.dim(s) == spec.dim(t) == 1
         assert s != t
 
     def test_three_generators(self):
         spec = SystemSpec((2, 4, 3))
-        ok, (s, t) = dimension_injective(spec)
-        assert not ok
+        s, t = classify(spec).witness
         assert spec.dim(s) == spec.dim(t)
 
 
@@ -274,7 +261,7 @@ class TestClassify:
         "dims", [(2, 3), (2, 4), (6, 36), (4, 6), (1, 5), (1, 1), (2, 4, 3)]
     )
     def test_builds_matrix_and_kernel_once(self, monkeypatch, dims):
-        calls = {"matrix": 0, "kernel": 0}
+        calls = {"matrix": 0, "nullspace": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -286,14 +273,9 @@ class TestClassify:
         monkeypatch.setattr(
             analysis, "exponent_matrix", counted("matrix", analysis.exponent_matrix)
         )
-        monkeypatch.setattr(
-            linalg,
-            "integer_kernel_vector",
-            counted("kernel", linalg.integer_kernel_vector),
-        )
-        out = classify(SystemSpec(dims))
-        assert calls["matrix"] == 1
-        assert calls["kernel"] == (0 if out.witness is None else 1)
+        monkeypatch.setattr(linalg, "nullspace", counted("nullspace", linalg.nullspace))
+        classify(SystemSpec(dims))
+        assert calls == {"matrix": 1, "nullspace": 1}
 
 
 class TestNonsimplicityWitness:

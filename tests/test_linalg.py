@@ -1,8 +1,10 @@
-"""Exact linear algebra over the scalar fields."""
+"""Exact linear algebra over the scalar fields, and the integer rank and
+kernel that ``analysis.classify`` reads from one nullspace."""
 
 from fractions import Fraction
 
 from cuntzlab import linalg
+from cuntzlab.analysis import rank_and_kernel
 from cuntzlab.scalars import RATIONAL, RationalComplex, cyclotomic_field
 
 from conftest import is_positive_semidefinite
@@ -14,10 +16,9 @@ def _rows(field, data):
 
 class TestRankNullspace:
     def test_rank(self):
-        rows = _rows(RATIONAL, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert linalg.rank(rows, RATIONAL) == 2
-        assert linalg.rank(_rows(RATIONAL, [[1, 0], [0, 1]]), RATIONAL) == 2
-        assert linalg.rank([], RATIONAL) == 0
+        assert rank_and_kernel([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3)[0] == 2
+        assert rank_and_kernel([[1, 0], [0, 1]], 2)[0] == 2
+        assert rank_and_kernel([], 2) == (0, (1, 0))
 
     def test_nullspace_solves(self):
         data = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
@@ -58,21 +59,21 @@ class TestRankNullspace:
 class TestIntegerKernel:
     def test_primitive_vector(self):
         # 2a + b = 0, b + 2c = 0 -> (1, -2, 1)
-        assert linalg.integer_kernel_vector([[2, 1, 0], [0, 1, 2]], 3) == (1, -2, 1)
+        assert rank_and_kernel([[2, 1, 0], [0, 1, 2]], 3) == (2, (1, -2, 1))
 
     def test_injective(self):
-        assert linalg.integer_kernel_vector([[1, 0], [0, 1]], 2) is None
-        assert linalg.integer_kernel_vector([[1, 0], [0, 1], [2, 3]], 2) is None
+        assert rank_and_kernel([[1, 0], [0, 1]], 2) == (2, None)
+        assert rank_and_kernel([[1, 0], [0, 1], [2, 3]], 2) == (2, None)
 
     def test_sign_normalization(self):
-        v = linalg.integer_kernel_vector([[2, 1]], 2)
+        _, v = rank_and_kernel([[2, 1]], 2)
         assert v is not None
         assert v[0] > 0  # first nonzero entry positive
         assert 2 * v[0] + v[1] == 0
 
     def test_power_collision(self):
         # dims (4, 8): exponent row (2, 3) -> kernel (3, -2): 4^3 = 8^2
-        assert linalg.integer_kernel_vector([[2, 3]], 2) == (3, -2)
+        assert rank_and_kernel([[2, 3]], 2) == (1, (3, -2))
 
 
 class TestPositiveSemidefinite:

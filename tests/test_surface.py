@@ -15,8 +15,12 @@ References are read from the syntax tree, not from the text:
 - a method is reached by an attribute access ``.name``, or by a string
   that is wholly a dotted name, which is how the benchmark's span table
   names methods (``"SystemSpec.mul_vectors"``);
-- a function or class is reached by those, by a name that is read, or by
-  an import;
+- a function or class is reached by such a string, by a name that is read,
+  by an import, or by an attribute access on a name bound to its own module
+  (``algebra.multiply``, or ``run_ops.sweep`` after
+  ``from . import runs as run_ops``); an attribute access on anything else
+  reaches only methods, so ``a.adjoint()`` does not reach a module function
+  ``adjoint``;
 - prose reaches nothing: comments, docstrings and strings that are not a
   dotted name, such as error messages, and neither do local variables
   that happen to share a definition's name.
@@ -42,13 +46,30 @@ def _dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _references(nodes):
-    """``(named, attributes)`` referred to anywhere under ``nodes``.
+def _modules(tree):
+    """Names bound to a package module anywhere in ``tree``, mapped to the
+    module: ``from . import runs as run_ops`` binds ``run_ops`` to ``runs``,
+    and ``from cuntzlab import algebra`` binds ``algebra``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level and node.module is None) or node.module == "cuntzlab"
+        ):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = alias.name
+    return bound
+
+
+def _references(nodes, modules):
+    """``(named, attributes, qualified)`` referred to anywhere under
+    ``nodes``.
 
     ``named`` holds names that are read or imported; ``attributes`` holds
-    attribute names and the parts of strings that are wholly a dotted name.
+    attribute names; both hold the parts of strings that are wholly a dotted
+    name.  ``qualified`` holds a (module, attribute) pair for each attribute
+    access on a name that ``modules`` binds to a package module.
     """
-    named, attributes = set(), set()
+    named, attributes, qualified = set(), set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
@@ -57,10 +78,14 @@ def _references(nodes):
                 named.update(sub.name.split("."))
             elif isinstance(sub, ast.Attribute):
                 attributes.add(sub.attr)
+                if isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                    qualified.add((modules[sub.value.id], sub.attr))
             elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 if DOTTED.fullmatch(sub.value):
-                    attributes.update(sub.value.split("."))
-    return named, attributes
+                    parts = sub.value.split(".")
+                    named.update(parts)
+                    attributes.update(parts)
+    return named, attributes, qualified
 
 
 def _definitions(text, module):
@@ -73,30 +98,34 @@ def _definitions(text, module):
     """
     out = []
     rest = []
-    for node in ast.parse(text).body:
+    tree = ast.parse(text)
+    modules = _modules(tree)
+    for node in tree.body:
         if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             rest.append(node)
             continue
         if isinstance(node, FUNCTIONS):
-            out.append((f"{module}.{node.name}", node.name, False, _references([node])))
+            out.append(
+                (f"{module}.{node.name}", node.name, False, _references([node], modules))
+            )
             continue
         # dunder methods run whenever their class does
         own = [*node.decorator_list, *node.bases, *node.keywords]
         for item in node.body:
             if isinstance(item, FUNCTIONS) and not _dunder(item.name):
                 qualified = f"{module}.{node.name}.{item.name}"
-                out.append((qualified, item.name, True, _references([item])))
+                out.append((qualified, item.name, True, _references([item], modules)))
             else:
                 own.append(item)
-        out.append((f"{module}.{node.name}", node.name, False, _references(own)))
-    return out, _references(rest)
+        out.append((f"{module}.{node.name}", node.name, False, _references(own, modules)))
+    return out, _references(rest, modules)
 
 
 def _unreached(definitions, sources):
     """Qualified names that no reached code refers to outside their own
     definition.
 
-    ``sources`` are ``(named, attributes)`` pairs that always count; a
+    ``sources`` are ``_references`` triples that always count; a
     definition's references count while it is reached.  Names drop out
     until none does, so the answer is transitive.
     """
@@ -105,11 +134,14 @@ def _unreached(definitions, sources):
         live = [d for d in definitions if d[0] not in dead]
         newly = set()
         for qualified, name, method, _ in live:
+            module = qualified.split(".", 1)[0]
             refs = list(sources) + [r for q, _, _, r in live if q != qualified]
-            reached = any(
-                name in attributes or (not method and name in named)
-                for named, attributes in refs
-            )
+            if method:
+                reached = any(name in attributes for _, attributes, _ in refs)
+            else:
+                reached = any(
+                    name in named or (module, name) in pairs for named, _, pairs in refs
+                )
             if not reached:
                 newly.add(qualified)
         if not newly:
@@ -129,7 +161,8 @@ def _package():
 
 
 def _code(text):
-    return _references([ast.parse(text)])
+    tree = ast.parse(text)
+    return _references([tree], _modules(tree))
 
 
 def test_unreached_names_are_found():
@@ -140,7 +173,7 @@ def test_unreached_names_are_found():
         "def packed():\n    pass\n"
     )
     definitions, rest = _definitions(package, "m")
-    assert rest == (set(), set())
+    assert rest == (set(), set(), set())
     assert _unreached(definitions, [rest, _code("used(); Box().lid()")]) == [
         "m.helper_of_orphan",
         "m.orphan",
@@ -153,6 +186,35 @@ def test_unreached_names_are_found():
     ]
     # a dunder method's references count only while its class is reached
     assert "m.packed" in _unreached(definitions, [rest, _code("used()")])
+
+
+def test_attributes_reach_functions_only_through_their_module():
+    package = (
+        "class Element:\n    def adjoint(self):\n        return self\n\n"
+        "def adjoint(a):\n    return a.adjoint()\n\n"
+        "def multiply(a, b):\n    pass\n\n"
+        "def sweep(pieces):\n    pass\n"
+    )
+    definitions, rest = _definitions(package, "m")
+    # an element's .adjoint() reaches the method, not the module function
+    caller = "def run(a):\n    Element().adjoint()\n    a.multiply(a)\n"
+    assert _unreached(definitions, [rest, _code(caller + "run(1)")]) == [
+        "m.adjoint",
+        "m.multiply",
+        "m.sweep",
+    ]
+    # a name bound to the module reaches it, under its own name or an alias
+    caller = (
+        "from cuntzlab import m\nfrom . import m as ops\n"
+        "m.multiply(1, 2)\nops.sweep([])\n"
+    )
+    assert _unreached(definitions, [rest, _code(caller)]) == [
+        "m.Element",
+        "m.Element.adjoint",
+        "m.adjoint",
+    ]
+    # and a module of another name does not
+    assert "m.sweep" in _unreached(definitions, [rest, _code("from . import n\nn.sweep([])\n")])
 
 
 def test_recursion_does_not_reach():

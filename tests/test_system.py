@@ -202,13 +202,6 @@ class TestFactoring:
                 _, acc = e23.mul_basis(acc, e23.monomial(e23.unit_fiber(a), d))
             assert acc == x
 
-    def test_sequence_validation(self, e23):
-        x = e23.monomial((1, 1), 0)
-        with pytest.raises(ValueError):
-            e23.factor_monomial_sequence(x, [0, 0])
-        with pytest.raises(ValueError):
-            e23.factor_monomial(x, order=(0, 0))
-
 
 class TestSpecFiles:
     def test_parse_minimal(self):
