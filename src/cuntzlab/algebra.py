@@ -72,9 +72,17 @@ class AlgebraElement:
     Terms are kept merged, zero-pruned and canonically sorted (by degree,
     then left fiber, then indices), so ``==`` is structural identity of the
     canonical form.  Semantic equality in the algebra is ``equals``.
+
+    ``checked`` records that both fibers of every term have passed the
+    spec's ``check_fiber``; ``==`` ignores it.  ``AlgebraElement(...)`` and
+    ``from_terms`` start unchecked, and ``check_fibers`` checks each term
+    once and then sets the flag.  The package's own constructors set it:
+    ``multiply``, ``identity``, ``monomial_pair``, ``isometry`` and the
+    parser's elements, whose fibers are checked or built from checked
+    ones; ``scaled``, ``-a`` and ``adjoint`` keep it.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "terms", "checked")
 
     def __init__(self, spec: SystemSpec, term_map: dict):
         self.spec = spec
@@ -83,14 +91,33 @@ class AlgebraElement:
         ]
         terms.sort(key=_term_sort_key)
         self.terms = tuple(terms)
+        self.checked = False
 
     @classmethod
-    def _canonical(cls, spec: SystemSpec, terms: list) -> "AlgebraElement":
+    def _canonical(
+        cls, spec: SystemSpec, terms: list, checked: bool = False
+    ) -> "AlgebraElement":
         """An element of terms that are already merged, nonzero and sorted."""
         out = cls.__new__(cls)
         out.spec = spec
         out.terms = tuple(terms)
+        out.checked = checked
         return out
+
+    def check_fibers(self) -> None:
+        """Run ``check_fiber`` on both fibers of every term, once per element.
+
+        Every term is checked, never one per fiber pair: (1.0, 0) hashes and
+        compares like (1, 0), so a check made once per group would let it
+        through.  The flag is set only after every check has passed.
+        """
+        if self.checked:
+            return
+        check = self.spec.check_fiber
+        for t in self.terms:
+            check(t.left.fiber)
+            check(t.right.fiber)
+        self.checked = True
 
     # -- construction -----------------------------------------------------
 
@@ -123,8 +150,9 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(
-            self.spec, {(t.left, t.right): -t.coeff for t in self.terms}
+        # negation keeps the terms distinct, nonzero and in canonical order
+        return AlgebraElement._canonical(
+            self.spec, [Term(-c, x, y) for c, x, y in self.terms], self.checked
         )
 
     def scaled(self, coeff) -> "AlgebraElement":
@@ -132,7 +160,7 @@ class AlgebraElement:
         c = self.spec.field.coerce(coeff)
         terms = [Term(c * t.coeff, t.left, t.right) for t in self.terms]
         return AlgebraElement._canonical(
-            self.spec, [t for t in terms if not t.coeff.is_zero()]
+            self.spec, [t for t in terms if not t.coeff.is_zero()], self.checked
         )
 
     def __rmul__(self, other):
@@ -146,9 +174,11 @@ class AlgebraElement:
         return self.scaled(other)
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(
+        out = AlgebraElement(
             self.spec, {(t.right, t.left): t.coeff.conj() for t in self.terms}
         )
+        out.checked = self.checked
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -169,13 +199,15 @@ def zero(spec: SystemSpec) -> AlgebraElement:
 
 def identity(spec: SystemSpec) -> AlgebraElement:
     e = spec.identity_monomial
-    return AlgebraElement(spec, {(e, e): spec.field.one})
+    return AlgebraElement._canonical(spec, [Term(spec.field.one, e, e)], True)
 
 
 def monomial_pair(spec, x: BasisMonomial, y: BasisMonomial, coeff=1) -> AlgebraElement:
     spec.monomial(x.fiber, x.index)
     spec.monomial(y.fiber, y.index)
-    return AlgebraElement(spec, {(x, y): spec.field.coerce(coeff)})
+    out = AlgebraElement(spec, {(x, y): spec.field.coerce(coeff)})
+    out.checked = True
+    return out
 
 
 def isometry(spec, x: BasisMonomial) -> AlgebraElement:
@@ -199,7 +231,8 @@ def _window(spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial):
     (s, t, dim_s, dim_t, base, lo, hi).  It is index arithmetic only: every
     survivor carries the phase ``_rewrite_phase(spec, s, t)``, which depends
     on the fibers alone.  Equal fibers leave <x'|y'> times the identity,
-    returned as the one-survivor window of the zero fiber.
+    returned as the one-survivor window of the zero fiber.  Both fibers
+    must have passed check_fiber.
     """
     s, t = x_prime.fiber, y_prime.fiber
     if s == t:
@@ -207,7 +240,7 @@ def _window(spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial):
             return None
         e = spec.identity_monomial.fiber
         return e, e, 1, 1, 0, 0, 1
-    dim_s, dim_t = spec.dim(s), spec.dim(t)
+    dim_s, dim_t = spec._dim(s), spec._dim(t)
     base = y_prime.index * dim_s - x_prime.index * dim_t
     # survivors are the lx with 0 <= base + lx < dim_t
     lo, hi = max(0, -base), min(dim_s, dim_t - base)
@@ -234,6 +267,8 @@ def rewrite_pair(
     index(x'.y) == index(y'.x), each carrying the phase
     omega(s,t) * conj(omega(t,s)); they form one window (see ``_window``).
     """
+    spec.check_fiber(y_prime.fiber)
+    spec.check_fiber(x_prime.fiber)
     window = _window(spec, y_prime, x_prime)
     if window is None:
         return zero(spec)
@@ -274,7 +309,8 @@ def _keyed_element(spec: SystemSpec, acc: dict) -> AlgebraElement:
     """The element of {(degree, left fiber, left index, right fiber, right
     index): coeff}; the keys sort in the canonical term order, since the
     degree and the left fiber fix the right fiber.  Terms share their
-    monomials, one per distinct (fiber, index)."""
+    monomials, one per distinct (fiber, index).  The fibers must be built
+    from checked ones, so the element is checked."""
     monomials: dict = {}
     terms = []
     for (_, fx, ix, fy, iy), c in sorted(acc.items()):
@@ -287,7 +323,49 @@ def _keyed_element(spec: SystemSpec, acc: dict) -> AlgebraElement:
         if y is None:
             y = monomials[(fy, iy)] = BasisMonomial(fy, iy)
         terms.append(Term(c, x, y))
-    return AlgebraElement._canonical(spec, terms)
+    return AlgebraElement._canonical(spec, terms, True)
+
+
+def _fiber_data(spec: SystemSpec, x: BasisMonomial, y: BasisMonomial, window):
+    """(degree, x.s, y.t, factors) of a survivor window of x ... y*, from
+    the spec's ``fiber_quads`` cache."""
+    quad = (x.fiber, window[0], y.fiber, window[1])
+    data = spec.fiber_quads.get(quad)
+    if data is None:
+        data = spec.fiber_quads[quad] = _fiber_quad(spec, *quad)
+    return data
+
+
+def _term_product(spec: SystemSpec, ta: Term, tb: Term) -> AlgebraElement:
+    """The product of two one-term elements, whose fibers have passed
+    check_fiber.
+
+    Its survivors have distinct monomials and come in canonical order, so
+    it needs no dict and no sort; the coefficient is built as ``multiply``
+    builds it and pruned as ``_keyed_element`` prunes it.  The identity
+    window keeps the input monomials.
+    """
+    ca, x, ya = ta
+    cb, xb, y = tb
+    window = _window(spec, ya, xb)
+    if window is None:
+        return AlgebraElement._canonical(spec, [], True)
+    _, fx, fy, factors = _fiber_data(spec, x, y, window)
+    coeff = ca * cb
+    for f in factors:
+        coeff = coeff * f
+    if coeff.is_zero():
+        return AlgebraElement._canonical(spec, [], True)
+    s, t, dim_s, dim_t, base, lo, hi = window
+    if s == t:
+        return AlgebraElement._canonical(spec, [Term(coeff, x, y)], True)
+    i0 = x.index * dim_s
+    j0 = y.index * dim_t + base
+    terms = [
+        Term(coeff, BasisMonomial(fx, i0 + lx), BasisMonomial(fy, j0 + lx))
+        for lx in range(lo, hi)
+    ]
+    return AlgebraElement._canonical(spec, terms, True)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -302,15 +380,16 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     the spec's ``fiber_quads`` cache, so later products on the spec reuse
     them.  On exact fields the three phases are folded into one factor, so
     a term pair costs at most two field multiplications; the survivors
-    cost index arithmetic only.
+    cost index arithmetic only.  A product of two one-term elements skips
+    the dicts and the sort (see ``_term_product``).
     """
     a._require_same(b)
     spec = a.spec
-    # the cache below is keyed by fibers, which must be checked first
-    for t in a.terms + b.terms:
-        spec.check_fiber(t.left.fiber)
-        spec.check_fiber(t.right.fiber)
-    quads = spec.fiber_quads
+    # the caches below are keyed by fibers, which must be checked first
+    a.check_fibers()
+    b.check_fibers()
+    if len(a.terms) == 1 and len(b.terms) == 1:
+        return _term_product(spec, a.terms[0], b.terms[0])
     windows: dict = {}
     acc: dict = {}
     for ca, x, ya in a.terms:
@@ -322,11 +401,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             if window is None:
                 continue
             s, t, dim_s, dim_t, base, lo, hi = window
-            quad = (x.fiber, s, y.fiber, t)
-            data = quads.get(quad)
-            if data is None:
-                data = quads[quad] = _fiber_quad(spec, *quad)
-            g, fx, fy, factors = data
+            g, fx, fy, factors = _fiber_data(spec, x, y, window)
             coeff = ca * cb
             for f in factors:
                 coeff = coeff * f
@@ -476,17 +551,21 @@ def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
     """
     spec = a.spec
     s = spec.check_fiber(s)
+    a.check_fibers()
     twisted = spec.is_twisted
-    n = spec.dim(s)
+    n = spec._dim(s)
     acc: dict = {}
     for t in a.terms:
         x, y = t.left, t.right
-        ph_l, ph_r = spec.multiplier(s, x.fiber), spec.multiplier(s, y.fiber)
         # untwisted phases are the field's one
-        coeff = t.coeff * ph_l * ph_r.conj() if twisted else t.coeff
+        if twisted:
+            ph_l, ph_r = spec._phase(s, x.fiber), spec._phase(s, y.fiber)
+            coeff = t.coeff * ph_l * ph_r.conj()
+        else:
+            coeff = t.coeff
         fx, fy = add_fibers(s, x.fiber), add_fibers(s, y.fiber)
         g = sub_degree(fx, fy)
-        dim_x, dim_y = spec.dim(x.fiber), spec.dim(y.fiber)
+        dim_x, dim_y = spec._dim(x.fiber), spec._dim(y.fiber)
         for f in range(n):
             acc[(g, fx, f * dim_x + x.index, fy, f * dim_y + y.index)] = coeff
     return _keyed_element(spec, acc)

@@ -157,15 +157,16 @@ class _Parser:
                 raise self._too_long(tok)
         return int(text)
 
-    def _decimal(self, tok) -> Fraction:
-        """A decimal token's exact value, bounded like an int token before
-        it is built, so a long exponent costs nothing."""
+    def _decimal(self, tok) -> tuple[int, int]:
+        """A decimal token's exact value as (numerator, denominator) in
+        lowest terms, bounded like an int token before it is built, so a
+        long exponent costs nothing."""
         mantissa, _, exponent = tok[1].lower().partition("e")
         whole, _, frac = mantissa.partition(".")
         digits = (whole + frac).lstrip("0")
         stripped = digits.rstrip("0")
         if not stripped:
-            return Fraction(0)
+            return 0, 1
         limit = self.max_digits or math.inf
         magnitude = exponent.lstrip("+-").lstrip("0") or "0"
         if len(stripped) > limit or len(magnitude) > limit:
@@ -179,11 +180,12 @@ class _Parser:
         value = Fraction(int(stripped) * 10 ** max(shift, 0), 10 ** max(-shift, 0))
         if self.max_digits and value.denominator >= 10**self.max_digits:
             raise self._too_long(tok)
-        return value
+        return value.numerator, value.denominator
 
     # -- scalars -------------------------------------------------------------
 
-    def _rational(self) -> Fraction:
+    def _rational(self) -> tuple[int, int]:
+        """A rational literal as (numerator, denominator), denominator > 0."""
         tok = self.tokens[self.at]
         if tok[0] == "decimal":
             self.at += 1
@@ -194,12 +196,12 @@ class _Parser:
         num = self._int(tok)
         slash, den_tok = self.tokens[self.at], self.tokens[self.at + 1]
         if slash[0] != "/" or den_tok[0] != "int":
-            return Fraction(num)
+            return num, 1
         self.at += 2
         den = self._int(den_tok)
         if den == 0:
             raise ExpressionError(den_tok[2], "zero denominator")
-        return Fraction(num, den)
+        return num, den
 
     def _try_scalar(self, greedy_complex: bool = True, negate: bool = False):
         """Parse a scalar or return None with the position restored.
@@ -233,17 +235,16 @@ class _Parser:
             return -root if negate else root
         if tok[0] == "name" and tok[1] == "i":
             self.at += 1
-            unit = Fraction(-1) if negate else Fraction(1)
-            return self._coerce_complex(Fraction(0), unit, tok[2])
+            return self._coerce_complex((0, 1), (-1 if negate else 1, 1), tok[2])
         if tok[0] not in ("int", "decimal"):
             return None
         re_part = self._rational()
         if negate:
-            re_part = -re_part
+            re_part = (-re_part[0], re_part[1])
         nxt = self.tokens[self.at]
         if nxt[0] == "name" and nxt[1] == "i":
             self.at += 1
-            return self._coerce_complex(Fraction(0), re_part, tok[2])
+            return self._coerce_complex((0, 1), re_part, tok[2])
         if greedy_complex and nxt[0] in ("+", "-"):
             save = self.at
             self.at += 1
@@ -253,15 +254,17 @@ class _Parser:
                 if tail[0] == "name" and tail[1] == "i":
                     self.at += 1
                     if nxt[0] == "-":
-                        im_part = -im_part
+                        im_part = (-im_part[0], im_part[1])
                     return self._coerce_complex(re_part, im_part, tok[2])
             self.at = save
-        return self._coerce_complex(re_part, Fraction(0), tok[2])
+        return self._coerce_complex(re_part, (0, 1), tok[2])
 
-    def _coerce_complex(self, re_part: Fraction, im_part: Fraction, pos: int):
-        value = scalars.RationalComplex(re_part, im_part)
+    def _coerce_complex(self, re_part: tuple, im_part: tuple, pos: int):
+        """The field's value of re + im*i, each part a (numerator,
+        denominator) pair, handed to the field as integers."""
+        (a, b), (c, d) = re_part, im_part
         try:
-            return self.spec.field.coerce(value)
+            return self.spec.field.gaussian(a * d, c * b, b * d)
         except (TypeError, ValueError, OverflowError) as err:
             raise ExpressionError(pos, f"scalar not representable: {err}") from None
 
@@ -333,7 +336,7 @@ class _Parser:
                 term = Term(self.one.conj(), self.identity, mono)
             else:
                 term = Term(self.one, mono, self.identity)
-            return AlgebraElement._canonical(self.spec, [term])
+            return AlgebraElement._canonical(self.spec, [term], True)
         if tok[0] == "name" and tok[1] == "I":
             self.at += 1
             elem = algebra.identity(self.spec)
@@ -416,7 +419,10 @@ class _Parser:
                     del acc[key]
                 else:
                     acc[key] = total
-        return AlgebraElement(self.spec, acc)
+        # every term comes from a parsed element, and those are checked
+        out = AlgebraElement(self.spec, acc)
+        out.checked = True
+        return out
 
     def parse(self) -> AlgebraElement:
         elem = self._expr()

@@ -510,6 +510,10 @@ class RationalField:
         fr = _as_fraction(fr)
         return _rational(fr.numerator, 0, fr.denominator)
 
+    def gaussian(self, re_num: int, im_num: int, den: int) -> RationalComplex:
+        """(re_num + im_num*i) / den for integers with den > 0."""
+        return _rational(re_num, im_num, den)
+
     def root_of_unity(self, exponent: Fraction) -> RationalComplex:
         """exp(2*pi*i*exponent); exponent denominator must divide 4."""
         exponent = _as_fraction(exponent) % 1
@@ -579,16 +583,19 @@ class CyclotomicField:
     def zeta_power(self, k: int) -> Cyclotomic:
         return self._zeta[k % self.order]
 
-    def from_pair(self, re, im) -> Cyclotomic:
-        im = _as_fraction(im)
-        if im == 0:
-            return self.from_fraction(re)
+    def gaussian(self, re_num: int, im_num: int, den: int) -> Cyclotomic:
+        """(re_num + im_num*i) / den for integers with den > 0."""
+        if im_num == 0:
+            return _cyclotomic(self, [re_num] + [0] * (self.phi - 1), den)
         if self.order % 4 != 0:
             raise ValueError(
                 f"Q(zeta_{self.order}) does not contain i; cannot represent "
                 "an imaginary part exactly"
             )
-        return self.from_fraction(re) + self.zeta_power(self.order // 4) * im
+        i = self.zeta_power(self.order // 4)
+        nums = [im_num * c for c in i.nums]
+        nums[0] += re_num * i.den
+        return _cyclotomic(self, nums, den * i.den)
 
     def root_of_unity(self, exponent: Fraction) -> Cyclotomic:
         exponent = _as_fraction(exponent) % 1
@@ -617,7 +624,7 @@ class CyclotomicField:
         if isinstance(s, (int, Fraction)):
             return self.from_fraction(s)
         if isinstance(s, RationalComplex):
-            return self.from_pair(s.re, s.im)
+            return self.gaussian(s.re_num, s.im_num, s.den)
         raise TypeError(f"cannot coerce {s!r} into {self.name}")
 
     def __eq__(self, other):
@@ -645,6 +652,11 @@ class FloatField:
         if isinstance(fr, float):
             return FloatComplex(fr)
         return FloatComplex(float(_as_fraction(fr)))
+
+    def gaussian(self, re_num: int, im_num: int, den: int) -> FloatComplex:
+        """(re_num + im_num*i) / den for integers with den > 0, each part
+        rounded once, as ``RationalComplex.to_complex`` rounds it."""
+        return FloatComplex(complex(re_num / den, im_num / den))
 
     def root_of_unity(self, exponent) -> FloatComplex:
         if isinstance(exponent, Fraction):

@@ -27,8 +27,12 @@ equality on that level's subspace.
 Operators hold diagonal runs (see ``runs``).  At base level N a term x y*
 is the one run (x.index*stripe, y.index*stripe, stripe), stripe = N/dim(t),
 so ``evaluate`` costs per term, not per stripe entry, and a zero test costs
-the same at every level.  ``StepOperator.entries`` expands the runs into one
-dict entry per cell, which does cost the level, for printing.
+the same at every level.  The fibers of an element are checked once per
+element (see ``AlgebraElement.check_fibers``), so an element evaluated at
+several levels is checked on its first use only; the dimensions, the stripe
+and the twist phase are then read once per fiber pair.
+``StepOperator.entries`` expands the runs into one dict entry per cell,
+which does cost the level, for printing.
 
 ``evaluate`` is the one step evaluator.  Given a ``CharacterTwist`` it
 evaluates the twisted representation instead, in which the generators of
@@ -184,9 +188,11 @@ def vector_operator(spec: SystemSpec, v, level: int) -> StepOperator:
 
 def minimal_level(a) -> int:
     """Least base level at which every term's adjoint lands integrally."""
+    a.check_fibers()
+    dims = a.spec._dim
     out = 1
-    for t in a.terms:
-        out = math.lcm(out, a.spec.dim(t.right.fiber))
+    for fiber in {t.right.fiber for t in a.terms}:
+        out = math.lcm(out, dims(fiber))
     return out
 
 
@@ -213,15 +219,22 @@ def evaluate(
     if base_level < 1 or base_level % required != 0:
         raise LevelError(base_level, required)
     by_level: dict[int, list] = {}
-    for t in a.terms:
-        coeff = t.coeff
-        if twist is not None:
-            phase = twist.phase(sub_degree(t.left.fiber, t.right.fiber))
-            coeff = field.coerce(phase) * field.coerce(coeff)
-        stripe = base_level // spec.dim(t.right.fiber)
-        by_level.setdefault(stripe * spec.dim(t.left.fiber), []).append(
-            (t.left.index * stripe, t.right.index * stripe, stripe, coeff)
-        )
+    # (stripe, pieces of its output level, twist phase) per fiber pair; the
+    # pieces keep the term order, which the float sums of the sweep follow
+    pairs: dict = {}
+    for coeff, x, y in a.terms:
+        data = pairs.get((x.fiber, y.fiber))
+        if data is None:
+            stripe = base_level // spec._dim(y.fiber)
+            pieces = by_level.setdefault(stripe * spec._dim(x.fiber), [])
+            phase = None
+            if twist is not None:
+                phase = field.coerce(twist.phase(sub_degree(x.fiber, y.fiber)))
+            data = pairs[x.fiber, y.fiber] = (stripe, pieces, phase)
+        stripe, pieces, phase = data
+        if phase is not None:
+            coeff = phase * field.coerce(coeff)
+        pieces.append((x.index * stripe, y.index * stripe, stripe, coeff))
     out = {
         lv: StepOperator(base_level, lv, runs=run_ops.sweep(pieces))
         for lv, pieces in by_level.items()

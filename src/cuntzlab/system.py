@@ -232,16 +232,16 @@ class SystemSpec:
 
     def monomial(self, fiber, index: int) -> BasisMonomial:
         fiber = self.check_fiber(fiber)
-        if not 0 <= index < self.dim(fiber):
+        if not 0 <= index < self._dim(fiber):
             raise ValueError(
                 f"index {index} out of range for fiber {fiber} "
-                f"(dimension {self.dim(fiber)})"
+                f"(dimension {self._dim(fiber)})"
             )
         return BasisMonomial(fiber, index)
 
     def basis(self, fiber) -> list[BasisMonomial]:
         fiber = self.check_fiber(fiber)
-        return [BasisMonomial(fiber, j) for j in range(self.dim(fiber))]
+        return [BasisMonomial(fiber, j) for j in range(self._dim(fiber))]
 
     @property
     def identity_monomial(self) -> BasisMonomial:

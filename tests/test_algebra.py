@@ -1,5 +1,6 @@
 """The spanned *-algebra: products, normal forms, expectation, shifts."""
 
+import itertools
 import math
 import random
 
@@ -22,6 +23,7 @@ from cuntzlab.algebra import (
     shift_endomorphism,
     zero,
 )
+from cuntzlab.expr import parse_element
 from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text
 
 from conftest import (
@@ -621,3 +623,161 @@ def test_shift_rejects_malformed_fibers(name, bad):
         for s in [(1, 0), (0, 0)]:
             with pytest.raises(ValueError):
                 shift_endomorphism(a, s)
+
+
+def _valid_then_bad(spec, bad):
+    """An unchecked element whose second term has the malformed right fiber
+    ``bad``, after a valid term of the fiber pair ((0, 1), (1, 0)); and its
+    twin with (1, 0) in place of ``bad``, which for (1.0, 0) is equal."""
+    B, one = BasisMonomial, spec.field.one
+
+    def build(fiber):
+        return AlgebraElement(
+            spec, {(B((0, 1), 0), B((1, 0), 0)): one, (B((0, 1), 0), B(fiber, 1)): one}
+        )
+
+    a = build(bad)
+    first = a.terms[0].right.fiber
+    assert first == (1, 0) and all(type(c) is int for c in first)
+    return a, build((1, 0))
+
+
+def _fiber_checked_uses(spec):
+    """Calls that check an element's fibers: ``minimal_level``,
+    ``evaluate``, and ``multiply`` with the element on either side."""
+    probe = monomial_pair(spec, BasisMonomial((1, 0), 1), BasisMonomial((0, 1), 2))
+    return [
+        steprep.minimal_level,
+        steprep.evaluate,
+        lambda a: multiply(a, probe),
+        lambda a: multiply(probe, a),
+    ]
+
+
+@pytest.mark.parametrize("bad", MALFORMED_FIBERS, ids=repr)
+@pytest.mark.parametrize("twin_first", [False, True])
+def test_fiber_checks_reject_malformed_after_valid_term(bad, twin_first):
+    # every term is checked, so a malformed fiber that hashes like (1, 0)
+    # is caught after a valid term of its fiber pair, also once an equal
+    # element with valid fibers has passed; a failed check leaves the flag
+    spec = _fresh(PRODUCT_SPECS["e23"])
+    for use in _fiber_checked_uses(spec):
+        a, twin = _valid_then_bad(spec, bad)
+        assert (a == twin) == (bad == (1.0, 0))
+        if twin_first:
+            use(twin)
+            assert twin.checked
+        assert not a.checked
+        with pytest.raises(ValueError):
+            use(a)
+        assert not a.checked
+        with pytest.raises(ValueError):
+            use(a)
+
+
+def _count_fiber_checks(monkeypatch):
+    calls = []
+    real = SystemSpec.check_fiber
+
+    def counted(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(SystemSpec, "check_fiber", counted)
+    return calls
+
+
+def test_fibers_checked_once_per_element(monkeypatch):
+    spec = _fresh(PRODUCT_SPECS["e23"])
+    rng = random.Random(20261019)
+    built = random_element(spec, rng, nterms=5)
+    a = AlgebraElement(spec, {(t.left, t.right): t.coeff for t in built.terms})
+    b = AlgebraElement(spec, {(t.right, t.left): t.coeff for t in built.terms})
+    assert not a.checked and not b.checked
+    calls = _count_fiber_checks(monkeypatch)
+    steprep.evaluate(a)
+    assert len(calls) == 2 * len(a.terms)
+    del calls[:]
+    steprep.evaluate(a, 2 * steprep.minimal_level(a))
+    multiply(a, a)
+    assert calls == []
+    multiply(a, b)
+    assert len(calls) == 2 * len(b.terms)
+    del calls[:]
+    multiply(b, a)
+    assert calls == []
+
+
+def test_parsed_elements_multiply_without_fiber_checks(monkeypatch):
+    spec = _fresh(PRODUCT_SPECS["e23"])
+    a = parse_element(spec, "(1/2-3i)*e(1,0;1)*e(0,1;2)' + e(1,1;5)' - 2*I")
+    b = parse_element(spec, "e(0,1;2)*(e(1,0;0) + 3*e(0,1;1))'")
+    c = parse_element(spec, "e(0,1;2)")
+    assert a.checked and b.checked and c.checked
+    calls = _count_fiber_checks(monkeypatch)
+    multiply(a, b)
+    multiply(b, c.adjoint())
+    multiply(c, c)
+    assert calls == []
+
+
+def _inner_pairs(spec):
+    """The pairs (y', x') of monomials with fibers of sum at most 2, by the
+    survivors of i(y')* i(x'): a multiple of the identity, none, a window
+    cut at an end, or all dim(x') of them."""
+    fibers = [f for f in itertools.product(range(3), repeat=spec.k) if sum(f) <= 2]
+    monomials = [m for f in fibers for m in spec.basis(f)]
+    kinds = {"identity": [], "empty": [], "cut": [], "full": []}
+    for yp in monomials:
+        for xp in monomials:
+            terms = rewrite_pair(spec, yp, xp).terms
+            if not terms:
+                kind = "empty"
+            elif yp.fiber == xp.fiber:
+                kind = "identity"
+            else:
+                kind = "cut" if len(terms) < spec.dim(xp.fiber) else "full"
+            kinds[kind].append((yp, xp))
+    return {kind: pairs for kind, pairs in kinds.items() if pairs}
+
+
+INNER_PAIRS = {name: _inner_pairs(spec) for name, spec in PRODUCT_SPECS.items()}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PRODUCT_SPECS)), st.data())
+def test_one_term_product_matches_four_factor_product(name, data):
+    # a one-term by one-term product emits its survivors without a dict or
+    # a sort; it must still agree with the four-factor product, to the bit
+    # on float, on every window kind, through adjoints and unchecked
+    # elements, and prune a float coefficient below the zero tolerance
+    spec = PRODUCT_SPECS[name]
+    kind = data.draw(st.sampled_from(sorted(INNER_PAIRS[name])), label="kind")
+    y_prime, x_prime = data.draw(st.sampled_from(INNER_PAIRS[name][kind]), label="pair")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    x, y = random_monomial(spec, rng, 2), random_monomial(spec, rng, 2)
+    tiny = spec.field is scalars.FLOAT and data.draw(st.booleans(), label="tiny")
+
+    def coeff():
+        c = random_coeff(spec, rng)
+        while c.is_zero():
+            c = random_coeff(spec, rng)
+        return scalars.FloatComplex(c.value * 1e-6) if tiny else c
+
+    def pair(left, right, adjoint, checked):
+        if adjoint:
+            left, right = right, left
+        make = monomial_pair if checked else lambda s, l, r, c: AlgebraElement(s, {(l, r): c})
+        e = make(spec, left, right, coeff())
+        return e.adjoint() if adjoint else e
+
+    flags = [data.draw(st.booleans()) for _ in range(4)]
+    a = pair(x, y_prime, flags[0], flags[1])
+    b = pair(x_prime, y, flags[2], flags[3])
+    got = multiply(a, b)
+    assert got.checked
+    assert same_product(got, four_factor_multiply(a, b))
+    if tiny or kind == "empty":
+        assert got.terms == ()
+    else:
+        assert got.terms

@@ -127,7 +127,7 @@ class TestCyclotomic:
 
     def test_fraction_mixing(self):
         k4 = cyclotomic_field(4)
-        assert k4.zeta_power(1) * Fraction(2) == k4.from_pair(0, 2)
+        assert k4.zeta_power(1) * Fraction(2) == k4.gaussian(0, 2, 1)
 
 
 class TestRootOfUnity:
