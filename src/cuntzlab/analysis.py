@@ -170,16 +170,18 @@ def classify(spec: SystemSpec) -> Classification:
 
     Injective dimension function: simple and purely infinite.  Untwisted
     collisions with two generators: a TensorCircle verdict (matrix algebra
-    tensor continuous circle functions), except that two dimension-one
-    generators give plain NonSimple.  Twisted collisions are undecided here
+    tensor continuous circle functions) when the coprime base has one
+    member, else plain NonSimple.  Twisted collisions are undecided here
     and report Unknown.  Every non-injective verdict carries a witness pair.
 
-    For two generators m, n > 1 the power base is (l, a, b) with m = l^a,
-    n = l^b, gcd(a, b) = 1, and l as large as possible; it exists exactly
-    when log_m(n) is rational.  It is the lone member l of the coprime base
-    with its exponent row (a, b): two powers of l refine only to powers of
-    l, and a lone member l^h needs h | gcd(a, b) = 1.  Conversely, a lone
-    member c makes m and n powers of c, so l exists and c = l.
+    For two generators the power base is (l, a, b) with m = l^a, n = l^b,
+    gcd(a, b) = 1, and l as large as possible; for m, n > 1 it exists
+    exactly when log_m(n) is rational.  It is the lone member l of the
+    coprime base with its exponent row (a, b): two powers of l refine only
+    to powers of l, and a lone member l^h needs h | gcd(a, b) = 1.
+    Conversely, a lone member c makes m and n powers of c, so l exists and
+    c = l.  A dimension-one generator is a zero column, so (1, n) gives
+    (n, 0, 1), (m, 1) gives (m, 1, 0), and (1, 1) has no base: NonSimple.
     """
     # one matrix and one reduction serve the rank, the witness and the
     # power base
@@ -202,20 +204,10 @@ def classify(spec: SystemSpec) -> Classification:
         return Classification(kind="SimplePurelyInfinite", **common)
     if spec.is_twisted:
         return Classification(kind="Unknown", **common)
-    if spec.k == 2:
-        m, n = spec.gen_dims
-        if m == 1 and n == 1:
-            return Classification(kind="NonSimple", **common)
-        if m == 1:
-            common["power_base"] = (n, 0, 1)
-            return Classification(kind="TensorCircle", **common)
-        if n == 1:
-            common["power_base"] = (m, 1, 0)
-            return Classification(kind="TensorCircle", **common)
-        if len(base) == 1:
-            (a, b), = rows
-            common["power_base"] = (base[0], a, b)
-            return Classification(kind="TensorCircle", **common)
+    if spec.k == 2 and len(base) == 1:
+        (a, b), = rows
+        common["power_base"] = (base[0], a, b)
+        return Classification(kind="TensorCircle", **common)
     return Classification(kind="NonSimple", **common)
 
 

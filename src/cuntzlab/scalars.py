@@ -706,7 +706,7 @@ def field_named(name: str) -> ScalarField:
         return FLOAT
     if name.startswith("cyclotomic:"):
         tail = name.split(":", 1)[1]
-        if not tail.isdigit() or int(tail) < 1:
+        if not tail.isdecimal() or int(tail) < 1:
             raise ValueError(f"bad cyclotomic order in scalar mode {name!r}")
         return cyclotomic_field(int(tail))
     raise ValueError(f"unknown scalar mode {name!r}")

@@ -370,7 +370,7 @@ def _parse_number(token: str, line_number: int):
     try:
         if "/" in token:
             return Fraction(token)
-        if any(c in token for c in ".eE") and not token.lstrip("+-").isdigit():
+        if any(c in token for c in ".eE"):
             return float(token)
         return Fraction(int(token))
     except (ValueError, ZeroDivisionError):
@@ -399,7 +399,7 @@ def parse_spec_text(text: str) -> SystemSpec:
             raise SpecFormatError(last, f"missing required line '{required} = ...'")
 
     ln, raw_k = values["k"]
-    if not raw_k.lstrip("+-").isdigit() or int(raw_k) < 1:
+    if not raw_k.removeprefix("+").isdecimal() or int(raw_k) < 1:
         raise SpecFormatError(ln, f"k must be a positive integer, got {raw_k!r}")
     k = int(raw_k)
 
@@ -409,7 +409,7 @@ def parse_spec_text(text: str) -> SystemSpec:
         raise SpecFormatError(ln, f"expected {k} dimensions, got {len(tokens)}")
     dims = []
     for tok in tokens:
-        if not tok.isdigit() or int(tok) < 1:
+        if not tok.isdecimal() or int(tok) < 1:
             raise SpecFormatError(ln, f"bad dimension {tok!r}")
         dims.append(int(tok))
 

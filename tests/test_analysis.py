@@ -107,6 +107,8 @@ class TestExponentMatrixAgainstPrimes:
         [{P19: 1, P20: 1}, {P19: 3, P20: 3}, {}],
         [{2: 14000}, {2: 1}],  # thousands of digits, long runs of one factor
         [{2: 3000, 3: 1}, {2: 1, 3: 2000}, {2: 1000, 3: 1000}, {5: 4000}],
+        [{}, {2: 2, 3: 1}],  # (1, 12)
+        [{5: 3}, {}],  # (125, 1)
     ]
 
     def cases(self):
@@ -170,9 +172,20 @@ class TestExponentMatrixAgainstPrimes:
             fm = sympy.factorint(m)
             for n in range(1, 200):
                 fn = sympy.factorint(n)
-                assert common_power_base(m, n) == (
-                    _prime_power_base(fm, fn) if m > 1 and n > 1 else None
-                ), (m, n)
+                power_base = _prime_power_base(fm, fn) if m > 1 and n > 1 else None
+                assert common_power_base(m, n) == power_base, (m, n)
+                # a dimension-one generator is a zero column of the exponent
+                # matrix, so classify's power base reaches (1, n) and (m, 1)
+                if m == 1 and n > 1:
+                    power_base = (n, 0, 1)
+                elif n == 1 and m > 1:
+                    power_base = (m, 1, 0)
+                if power_base:
+                    kind = "TensorCircle"
+                else:
+                    kind = "NonSimple" if (m, n) == (1, 1) else "SimplePurelyInfinite"
+                c = classify(SystemSpec((m, n)))
+                assert (c.kind, c.power_base) == (kind, power_base), (m, n)
 
 
 class TestCommonPowerBase:

@@ -1,12 +1,18 @@
-"""Every name a module imports at top level is used in that module.
+"""Every name a module imports at top level is used in that module, and
+importing a module loads no package module above it.
 
 No linter runs on this package or its tests, so an import left behind by a
-refactor would otherwise go unnoticed.  The package's ``__init__.py`` is
-skipped: it imports to re-export.
+refactor would otherwise go unnoticed.  The package root imports nothing,
+so each name has one import path, in its module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "cuntzlab"
@@ -40,9 +46,27 @@ def _unused_by_file(paths):
 
 
 def test_no_unused_top_level_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert _unused_by_file(modules) == {}
+    assert _unused_by_file(sorted(PACKAGE.glob("*.py"))) == {}
 
 
 def test_no_unused_imports_in_tests():
     assert _unused_by_file(sorted(TESTS.glob("*.py"))) == {}
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("cuntzlab", ["cuntzlab"]),
+        ("cuntzlab.scalars", ["cuntzlab", "cuntzlab.scalars"]),
+    ],
+)
+def test_import_loads_no_higher_layer(module, loaded):
+    code = (
+        f"import sys, {module}\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'cuntzlab')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == loaded

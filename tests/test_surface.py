@@ -4,11 +4,11 @@ A top-level function or class of ``src/cuntzlab``, or a method of such a
 class, must be referred to outside its own definition by code that runs
 for a user or for the paper's checks: another live definition or the
 top-level code of a package module, the benchmark (``bench/*.py``), or the
-acceptance battery (``tests/test_acceptance.py``).  The re-exports of
-``__init__.py`` do not count, and neither do the unit tests: a name that
-only they reach is library surface kept for its tests, which belongs in
-``tests/``.  Reach is transitive: a name that only unreached definitions
-refer to is unreached too.
+acceptance battery (``tests/test_acceptance.py``).  The unit tests do
+not count: a name that only they reach is library surface kept for its
+tests, which belongs in ``tests/``.  The package root re-exports
+nothing, so it reaches nothing.  Reach is transitive: a name that only
+unreached definitions refer to is unreached too.
 
 References are read from the syntax tree, not from the text:
 
@@ -152,8 +152,6 @@ def _unreached(definitions, sources):
 def _package():
     definitions, rest = [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         found, top = _definitions(path.read_text(encoding="utf-8"), path.stem)
         definitions += found
         rest.append(top)

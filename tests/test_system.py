@@ -227,6 +227,20 @@ class TestSpecFiles:
             parse_spec_text("k = 2\ndims = 2 oops\n")
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("k = \u00b2\ndims = 2 3\n", "line 1: k must be a positive integer"),
+            ("k = --2\ndims = 2 3\n", "line 1: k must be a positive integer"),
+            ("k = 2\ndims = 2 \u00b3\n", "line 2: bad dimension"),
+            ("k = 1\ndims = 2\nscalars = cyclotomic:\u00b2\n", "line 3: bad cyclotomic order"),
+        ],
+    )
+    def test_malformed_integers_are_format_errors(self, text, message):
+        # str.isdigit accepts superscripts, which int() rejects
+        with pytest.raises(SpecFormatError, match=message):
+            parse_spec_text(text)
+
     def test_unknown_key(self):
         with pytest.raises(SpecFormatError):
             parse_spec_text("k = 1\ndims = 2\ncolor = blue\n")
