@@ -19,7 +19,27 @@ representation and equality compares integers.  The ``Fraction`` views
 ``re``, ``im`` and ``coeffs`` are derived on demand for printing.  Each
 field's ``zero`` and ``one`` are shared constants, and a cyclotomic field
 keeps its roots of unity, so the engine never rebuilds them.  ``SystemSpec``
-caches fiber dimensions per fiber and multipliers per fiber pair on top.
+caches fiber dimensions per fiber on top, but no multipliers: an exact
+twisted spec keeps theta * q as integers, so a phase is one power of zeta_q.
+``from_fraction`` and ``coerce`` return the shared constants for 0 and 1, and
+a product by an exact field's shared ``one`` returns the other factor.
+``FloatComplex`` takes no such shortcut, since a float product by 1+0j can
+flip the sign of a zero part.
+
+Each cyclotomic field multiplies numerator vectors with one function,
+``product``, built when the field is.  Up to ``KERNEL_MAX_PHI`` = 8, which
+covers orders 4, 8 and 12 and every order up to 30 of degree phi <= 8, it is
+straight-line code generated from the field's reduction table: the phi^2
+numerator products and their reduction, written out with no loop.  Above it
+the field keeps a loop over the nonzero numerators.  Measured on one shared
+2-vCPU host (Python 3.11; median of 7 timings of 100 products of values
+with small numerators, both paths on the same values), at phi = 8 the
+kernel took 3.7-4.8 us per product against 5.0-7.3 us for the loop on
+values with one or two nonzero coordinates, and 5.3-6.2 us against
+15.2-18.0 us on full ones.  At phi = 16 it took 9.2-10.2 us against
+6.3-8.0 us on one or two coordinates, whose zeros the loop skips, and
+15.9-16.9 us against 40.3-43.3 us on full ones.  So the kernel wins on every
+value up to phi = 8 and from phi = 16 only on dense ones.
 
 Scalars of the same field combine with the usual operators; ints and
 Fractions lift automatically.  Cross-field arithmetic is an error unless
@@ -32,9 +52,14 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 FLOAT_TOLERANCE = 1e-9
+
+# Fields of degree phi <= this multiply through a generated straight-line
+# kernel; larger ones keep the loop, which skips zero numerators and whose
+# cost does not grow as phi^2 on sparse values (see the module docstring).
+KERNEL_MAX_PHI = 8
 
 _TWO_PI = 2.0 * math.pi
 
@@ -84,6 +109,70 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     for d in _divisors(q)[:-1]:
         poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
+
+
+def _sparse_product(phi: int, reduction, a, b) -> list[int]:
+    """The product of two numerator tuples of Q(zeta_q), reduced modulo
+    Phi_q: a convolution over the nonzero numerators, then one reduction
+    pass, so its cost follows the supports of a and b."""
+    conv = [0] * (2 * phi - 1)
+    b_support = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_support:
+                conv[i + j] += x * y
+    out = conv[:phi]
+    for m in range(phi, len(conv)):
+        c = conv[m]
+        if c:
+            for i, r in reduction[m]:
+                out[i] += c * r
+    return out
+
+
+def _product_kernel(phi: int, reduction):
+    """The product of two numerator tuples of Q(zeta_q), reduced modulo
+    Phi_q, as one generated function without loops or calls.
+
+    Coordinate k is the sum of a_i*b_j over i + j = k plus, for each
+    m >= phi, reduction[m]'s coefficient at k times the sum over i + j = m.
+    A high sum that reduces to one coordinate is written out in place; one
+    that reduces to several is computed once into a local.  The source holds
+    integer literals and the numerator names only.
+    """
+
+    def pairs(m):
+        return [f"a{i}*b{m - i}" for i in range(max(0, m - phi + 1), min(m, phi - 1) + 1)]
+
+    rows = [[(1, p) for p in pairs(k)] for k in range(phi)]
+    body = []
+    for m in range(phi, 2 * phi - 1):
+        targets = reduction[m]
+        if len(targets) == 1:
+            terms = pairs(m)
+        else:
+            body.append(f"    t{m} = {' + '.join(pairs(m))}")
+            terms = [f"t{m}"]
+        for k, r in targets:
+            rows[k] += [(r, t) for t in terms]
+
+    def signed_sum(row):
+        text = "".join(
+            f" {'+' if r > 0 else '-'} {'' if abs(r) == 1 else f'{abs(r)}*'}{t}"
+            for r, t in row
+        )
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+    def unpack(x):
+        return f"    {''.join(f'{x}{i}, ' for i in range(phi))}= {x}"
+
+    returned = "".join(signed_sum(row) + ", " for row in rows)
+    source = "\n".join(
+        ["def product(a, b):", unpack("a"), unpack("b"), *body, f"    return ({returned})"]
+    )
+    namespace = {"__builtins__": {}}
+    exec(source, namespace)
+    return namespace["product"]
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +255,10 @@ class RationalComplex:
         o = other if other.__class__ is RationalComplex else self._lift(other)
         if o is None:
             return NotImplemented
+        if o is _RATIONAL_ONE:
+            return self
+        if self is _RATIONAL_ONE:
+            return o
         a, b, c, e = self.re_num, self.im_num, o.re_num, o.im_num
         return _rational(a * c - b * e, a * e + b * c, self.den * o.den)
 
@@ -229,6 +322,9 @@ def _rational(re_num: int, im_num: int, den: int) -> RationalComplex:
     return z
 
 
+_RATIONAL_ONE = _rational(1, 0, 1)
+
+
 class Cyclotomic:
     """An element of Q(zeta_q) in the power basis 1, zeta, ..., zeta^(phi-1).
 
@@ -267,9 +363,12 @@ class Cyclotomic:
         return None
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is Cyclotomic and other.field is self.field:
+            o = other
+        else:
+            o = self._lift(other)
+            if o is None:
+                return NotImplemented
         d, f = self.den, o.den
         if d == f:
             return _cyclotomic(self.field, [a + b for a, b in zip(self.nums, o.nums)], d)
@@ -280,9 +379,12 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is Cyclotomic and other.field is self.field:
+            o = other
+        else:
+            o = self._lift(other)
+            if o is None:
+                return NotImplemented
         d, f = self.den, o.den
         if d == f:
             return _cyclotomic(self.field, [a - b for a, b in zip(self.nums, o.nums)], d)
@@ -297,25 +399,19 @@ class Cyclotomic:
         return o - self
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
         field = self.field
-        phi = field.phi
-        conv = [0] * (2 * phi - 1)
-        other_nums = [(j, b) for j, b in enumerate(o.nums) if b]
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in other_nums:
-                    conv[i + j] += a * b
-        out = conv[:phi]
-        reduction = field.reduction
-        for m in range(phi, len(conv)):
-            c = conv[m]
-            if c:
-                for i, r in reduction[m]:
-                    out[i] += c * r
-        return _cyclotomic(field, out, self.den * o.den)
+        if other.__class__ is Cyclotomic and other.field is field:
+            o = other
+        else:
+            o = self._lift(other)
+            if o is None:
+                return NotImplemented
+        one = field.one
+        if o is one:
+            return self
+        if self is one:
+            return o
+        return _cyclotomic(field, field.product(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -502,13 +598,16 @@ class RationalField:
 
     name = "rational"
     zero = _rational(0, 0, 1)
-    one = _rational(1, 0, 1)
+    one = _RATIONAL_ONE
     # exp(2*pi*i*k/4) for k = 0..3
     _quarter_turns = (one, _rational(0, 1, 1), _rational(-1, 0, 1), _rational(0, -1, 1))
 
     def from_fraction(self, fr) -> RationalComplex:
         fr = _as_fraction(fr)
-        return _rational(fr.numerator, 0, fr.denominator)
+        n, d = fr.numerator, fr.denominator
+        if d == 1 and 0 <= n <= 1:
+            return self.one if n else self.zero
+        return _rational(n, 0, d)
 
     def gaussian(self, re_num: int, im_num: int, den: int) -> RationalComplex:
         """(re_num + im_num*i) / den for integers with den > 0."""
@@ -572,13 +671,21 @@ class CyclotomicField:
         self.reduction = tuple(
             tuple((i, r) for i, r in enumerate(row) if r) for row in table
         )
+        # product(a, b): the reduced product of two numerator tuples
+        if self.phi <= KERNEL_MAX_PHI:
+            self.product = _product_kernel(self.phi, self.reduction)
+        else:
+            self.product = partial(_sparse_product, self.phi, self.reduction)
         self._zeta = tuple(_cyclotomic(self, table[k], 1) for k in range(order))
         self.zero = _cyclotomic(self, [0] * self.phi, 1)
         self.one = self._zeta[0]
 
     def from_fraction(self, fr) -> Cyclotomic:
         fr = _as_fraction(fr)
-        return _cyclotomic(self, [fr.numerator] + [0] * (self.phi - 1), fr.denominator)
+        n, d = fr.numerator, fr.denominator
+        if d == 1 and 0 <= n <= 1:
+            return self.one if n else self.zero
+        return _cyclotomic(self, [n] + [0] * (self.phi - 1), d)
 
     def zeta_power(self, k: int) -> Cyclotomic:
         return self._zeta[k % self.order]

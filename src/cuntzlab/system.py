@@ -22,8 +22,8 @@ Scalar mode choices and their constraints:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalars import RATIONAL, Scalar, ScalarField, field_named
 
@@ -43,8 +43,7 @@ class ConfigurationError(ValueError):
     """Inconsistent system parameters (dims, theta, scalar mode)."""
 
 
-@dataclass(frozen=True)
-class BasisMonomial:
+class BasisMonomial(NamedTuple):
     """The index-th standard basis vector of the fiber over ``fiber``."""
 
     fiber: Fiber

@@ -7,6 +7,10 @@ Every operation on random values of the rational field and of
 cyclotomic:4, :8 and :12 (zero, ints, Fractions and large numerators
 included) must give the same outcome on both: the same value, with the same
 ``re``/``im``/``coeffs``, ``repr`` and ``hash``, or the same exception.
+Fewer examples cover the orders whose reduction rows have several terms
+(3, 5, 9), the orders at the straight-line kernel's cutoff (15, 16, 20,
+phi = 8) and one above it (32, phi = 16, the loop), and the kernel is
+checked against the loop on every order up to 30 it serves.
 sympy checks ``Cyclotomic.inv`` and ``CyclotomicField.coerce`` by a third
 route, polynomial arithmetic modulo the cyclotomic polynomial.
 """
@@ -345,7 +349,8 @@ class CyclotomicField:
 
 ORACLE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 FIELDS = ["rational", "cyclotomic:4", "cyclotomic:8", "cyclotomic:12"]
-ORACLE_FIELDS = {q: CyclotomicField(q) for q in (4, 8, 12)}
+WIDE_ORDERS = (3, 5, 9, 15, 16, 20, 32)
+ORACLE_FIELDS = {q: CyclotomicField(q) for q in (4, 8, 12, *WIDE_ORDERS)}
 
 numerators = st.one_of(
     st.just(0), st.integers(-12, 12), st.integers(-(10**40), 10**40)
@@ -457,6 +462,52 @@ def test_binary_operations_match_oracle(name, data):
         assert_same_outcome(outcome(op, b_new, a_new), outcome(op, b_old, a_old))
 
 
+@pytest.mark.parametrize("q", WIDE_ORDERS)
+@settings(ORACLE, max_examples=8)
+@given(data=st.data())
+def test_wide_orders_match_oracle(q, data):
+    name = f"cyclotomic:{q}"
+    (a_new, a_old), (b_new, b_old) = data.draw(values(name)), data.draw(values(name))
+    for op in UNARY:
+        assert_same_outcome(outcome(op, a_new), outcome(op, a_old))
+    for op in BINARY:
+        assert_same_outcome(outcome(op, a_new, b_new), outcome(op, a_old, b_old))
+
+
+KERNEL_ORDERS = [
+    q for q in range(1, 31)
+    if scalars.cyclotomic_field(q).phi <= scalars.KERNEL_MAX_PHI
+]
+
+
+@ORACLE
+@given(data=st.data())
+def test_kernel_matches_loop(data):
+    q = data.draw(st.sampled_from(KERNEL_ORDERS))
+    field = scalars.cyclotomic_field(q)
+    a, b = (tuple(data.draw(st.lists(numerators, min_size=field.phi, max_size=field.phi)))
+            for _ in range(2))
+    want = scalars._sparse_product(field.phi, field.reduction, a, b)
+    assert field.product(a, b) == tuple(want)
+
+
+def test_kernel_cutoff():
+    assert KERNEL_ORDERS == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 24, 30]
+    for q in (17, 32):
+        product = scalars.cyclotomic_field(q).product
+        assert product.func is scalars._sparse_product
+
+
+@pytest.mark.parametrize("q", KERNEL_ORDERS)
+def test_kernel_reads_only_numerators_and_integers(q):
+    phi = scalars.cyclotomic_field(q).phi
+    code = scalars.cyclotomic_field(q).product.__code__
+    assert code.co_names == () and code.co_argcount == 2
+    assert all(c is None or type(c) is int for c in code.co_consts)
+    allowed = {"a", "b"} | {f"{x}{i}" for x in "ab" for i in range(phi)}
+    assert set(code.co_varnames) <= allowed | {f"t{m}" for m in range(phi, 2 * phi - 1)}
+
+
 @ORACLE
 @given(data=st.data())
 def test_mixed_fields_match_oracle(data):
@@ -509,6 +560,16 @@ def test_field_constants_are_shared():
     k8 = scalars.cyclotomic_field(8)
     assert k8.one is k8.one and k8.zero is k8.zero
     assert k8.zeta_power(3) is k8.zeta_power(11)
+    # 0 and 1 come back as the shared constants, and a product by one
+    # returns the other factor itself
+    for field, x in ((scalars.RATIONAL, scalars.RationalComplex(Fraction(2, 3), 5)),
+                     (k8, k8.zeta_power(3) * 7)):
+        for value in (0, 1, Fraction(0), Fraction(1)):
+            shared = field.one if value else field.zero
+            assert field.from_fraction(value) is shared
+            assert field.coerce(value) is shared
+        assert x * field.one is x and field.one * x is x
+        assert x * 1 == x and 1 * x == x
 
 
 # ---------------------------------------------------------------------------
