@@ -21,10 +21,6 @@ field's ``zero`` and ``one`` are shared constants, and a cyclotomic field
 keeps its roots of unity, so the engine never rebuilds them.  ``SystemSpec``
 caches fiber dimensions per fiber on top, but no multipliers: an exact
 twisted spec keeps theta * q as integers, so a phase is one power of zeta_q.
-``from_fraction`` and ``coerce`` return the shared constants for 0 and 1, and
-a product by an exact field's shared ``one`` returns the other factor.
-``FloatComplex`` takes no such shortcut, since a float product by 1+0j can
-flip the sign of a zero part.
 
 Each cyclotomic field multiplies numerator vectors with one function,
 ``product``, built when the field is.  Up to ``KERNEL_MAX_PHI`` = 8, which
@@ -39,7 +35,9 @@ values with one or two nonzero coordinates, and 5.3-6.2 us against
 15.2-18.0 us on full ones.  At phi = 16 it took 9.2-10.2 us against
 6.3-8.0 us on one or two coordinates, whose zeros the loop skips, and
 15.9-16.9 us against 40.3-43.3 us on full ones.  So the kernel wins on every
-value up to phi = 8 and from phi = 16 only on dense ones.
+value up to phi = 8 and from phi = 16 only on dense ones.  The cutoff rests
+on these timings alone: the benchmark's twisted workload runs orders 4 and 8
+(phi 2 and 4), so no end-to-end run crosses it.
 
 Scalars of the same field combine with the usual operators; ints and
 Fractions lift automatically.  Cross-field arithmetic is an error unless
@@ -255,10 +253,6 @@ class RationalComplex:
         o = other if other.__class__ is RationalComplex else self._lift(other)
         if o is None:
             return NotImplemented
-        if o is _RATIONAL_ONE:
-            return self
-        if self is _RATIONAL_ONE:
-            return o
         a, b, c, e = self.re_num, self.im_num, o.re_num, o.im_num
         return _rational(a * c - b * e, a * e + b * c, self.den * o.den)
 
@@ -322,9 +316,6 @@ def _rational(re_num: int, im_num: int, den: int) -> RationalComplex:
     return z
 
 
-_RATIONAL_ONE = _rational(1, 0, 1)
-
-
 class Cyclotomic:
     """An element of Q(zeta_q) in the power basis 1, zeta, ..., zeta^(phi-1).
 
@@ -363,12 +354,9 @@ class Cyclotomic:
         return None
 
     def __add__(self, other):
-        if other.__class__ is Cyclotomic and other.field is self.field:
-            o = other
-        else:
-            o = self._lift(other)
-            if o is None:
-                return NotImplemented
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
         d, f = self.den, o.den
         if d == f:
             return _cyclotomic(self.field, [a + b for a, b in zip(self.nums, o.nums)], d)
@@ -379,12 +367,9 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is Cyclotomic and other.field is self.field:
-            o = other
-        else:
-            o = self._lift(other)
-            if o is None:
-                return NotImplemented
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
         d, f = self.den, o.den
         if d == f:
             return _cyclotomic(self.field, [a - b for a, b in zip(self.nums, o.nums)], d)
@@ -406,11 +391,6 @@ class Cyclotomic:
             o = self._lift(other)
             if o is None:
                 return NotImplemented
-        one = field.one
-        if o is one:
-            return self
-        if self is one:
-            return o
         return _cyclotomic(field, field.product(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
@@ -598,16 +578,13 @@ class RationalField:
 
     name = "rational"
     zero = _rational(0, 0, 1)
-    one = _RATIONAL_ONE
+    one = _rational(1, 0, 1)
     # exp(2*pi*i*k/4) for k = 0..3
     _quarter_turns = (one, _rational(0, 1, 1), _rational(-1, 0, 1), _rational(0, -1, 1))
 
     def from_fraction(self, fr) -> RationalComplex:
         fr = _as_fraction(fr)
-        n, d = fr.numerator, fr.denominator
-        if d == 1 and 0 <= n <= 1:
-            return self.one if n else self.zero
-        return _rational(n, 0, d)
+        return _rational(fr.numerator, 0, fr.denominator)
 
     def gaussian(self, re_num: int, im_num: int, den: int) -> RationalComplex:
         """(re_num + im_num*i) / den for integers with den > 0."""
@@ -682,10 +659,7 @@ class CyclotomicField:
 
     def from_fraction(self, fr) -> Cyclotomic:
         fr = _as_fraction(fr)
-        n, d = fr.numerator, fr.denominator
-        if d == 1 and 0 <= n <= 1:
-            return self.one if n else self.zero
-        return _cyclotomic(self, [n] + [0] * (self.phi - 1), d)
+        return _cyclotomic(self, [fr.numerator] + [0] * (self.phi - 1), fr.denominator)
 
     def zeta_power(self, k: int) -> Cyclotomic:
         return self._zeta[k % self.order]

@@ -39,6 +39,16 @@ class TestDimensions:
         with pytest.raises(ValueError):
             e23.monomial((-1, 0), 0)
 
+    def test_monomial_is_its_fiber_index_tuple(self):
+        # a NamedTuple: a dict keyed by monomials and one keyed by plain
+        # (fiber, index) pairs find each other's keys
+        x = BasisMonomial((1, 1), 5)
+        assert x == ((1, 1), 5) and hash(x) == hash(((1, 1), 5))
+        assert {((1, 1), 5): "pair"}[x] == "pair"
+        assert tuple(x) == ((1, 1), 5) and x[0] == x.fiber and len(x) == 2
+        assert BasisMonomial((0, 1), 2) < BasisMonomial((1, 0), 0)
+        assert repr(x) == "e(1,1;5)"
+
     def test_unit_fiber(self, e23):
         assert e23.unit_fiber(0) == (1, 0)
         assert e23.unit_fiber(1) == (0, 1)
