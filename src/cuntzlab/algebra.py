@@ -73,51 +73,40 @@ class AlgebraElement:
     then left fiber, then indices), so ``==`` is structural identity of the
     canonical form.  Semantic equality in the algebra is ``equals``.
 
-    ``checked`` records that both fibers of every term have passed the
-    spec's ``check_fiber``; ``==`` ignores it.  ``AlgebraElement(...)`` and
-    ``from_terms`` start unchecked, and ``check_fibers`` checks each term
-    once and then sets the flag.  The package's own constructors set it:
-    ``multiply``, ``identity``, ``monomial_pair``, ``isometry`` and the
-    parser's elements, whose fibers are checked or built from checked
-    ones; ``scaled``, ``-a`` and ``adjoint`` keep it.
+    An element is valid by construction: ``AlgebraElement(spec, term_map)``,
+    and ``from_terms`` through it, passes both monomials of every key to
+    ``spec.monomial``, so each fiber is in N^k and each index an int below
+    the fiber's dimension.  Every key is checked, never one per fiber:
+    (1.0, 0) hashes and compares like (1, 0).  The package's kernels build
+    their results from checked monomials with ``_canonical`` and
+    ``_from_map``, which check nothing, and no later operation checks again.
     """
 
-    __slots__ = ("spec", "terms", "checked")
+    __slots__ = ("spec", "terms")
 
     def __init__(self, spec: SystemSpec, term_map: dict):
+        monomial = spec.monomial
+        for x, y in term_map:
+            monomial(*x)
+            monomial(*y)
         self.spec = spec
-        terms = [
-            Term(c, x, y) for (x, y), c in term_map.items() if not c.is_zero()
-        ]
-        terms.sort(key=_term_sort_key)
-        self.terms = tuple(terms)
-        self.checked = False
+        self.terms = AlgebraElement._from_map(spec, term_map).terms
 
     @classmethod
-    def _canonical(
-        cls, spec: SystemSpec, terms: list, checked: bool = False
-    ) -> "AlgebraElement":
+    def _canonical(cls, spec: SystemSpec, terms) -> "AlgebraElement":
         """An element of terms that are already merged, nonzero and sorted."""
         out = cls.__new__(cls)
         out.spec = spec
         out.terms = tuple(terms)
-        out.checked = checked
         return out
 
-    def check_fibers(self) -> None:
-        """Run ``check_fiber`` on both fibers of every term, once per element.
-
-        Every term is checked, never one per fiber pair: (1.0, 0) hashes and
-        compares like (1, 0), so a check made once per group would let it
-        through.  The flag is set only after every check has passed.
-        """
-        if self.checked:
-            return
-        check = self.spec.check_fiber
-        for t in self.terms:
-            check(t.left.fiber)
-            check(t.right.fiber)
-        self.checked = True
+    @classmethod
+    def _from_map(cls, spec: SystemSpec, term_map: dict) -> "AlgebraElement":
+        """The element of a {(left, right): coeff} map whose monomials are
+        checked or built from checked ones: zeros pruned, terms sorted."""
+        terms = [Term(c, x, y) for (x, y), c in term_map.items() if not c.is_zero()]
+        terms.sort(key=_term_sort_key)
+        return cls._canonical(spec, terms)
 
     # -- construction -----------------------------------------------------
 
@@ -142,7 +131,11 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same(other)
-        return AlgebraElement.from_terms(self.spec, self.terms + other.terms)
+        acc = {(x, y): c for c, x, y in self.terms}
+        for c, x, y in other.terms:
+            cur = acc.get((x, y))
+            acc[x, y] = c if cur is None else cur + c
+        return AlgebraElement._from_map(self.spec, acc)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -152,7 +145,7 @@ class AlgebraElement:
     def __neg__(self):
         # negation keeps the terms distinct, nonzero and in canonical order
         return AlgebraElement._canonical(
-            self.spec, [Term(-c, x, y) for c, x, y in self.terms], self.checked
+            self.spec, [Term(-c, x, y) for c, x, y in self.terms]
         )
 
     def scaled(self, coeff) -> "AlgebraElement":
@@ -160,7 +153,7 @@ class AlgebraElement:
         c = self.spec.field.coerce(coeff)
         terms = [Term(c * t.coeff, t.left, t.right) for t in self.terms]
         return AlgebraElement._canonical(
-            self.spec, [t for t in terms if not t.coeff.is_zero()], self.checked
+            self.spec, [t for t in terms if not t.coeff.is_zero()]
         )
 
     def __rmul__(self, other):
@@ -174,11 +167,9 @@ class AlgebraElement:
         return self.scaled(other)
 
     def adjoint(self) -> "AlgebraElement":
-        out = AlgebraElement(
+        return AlgebraElement._from_map(
             self.spec, {(t.right, t.left): t.coeff.conj() for t in self.terms}
         )
-        out.checked = self.checked
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -194,20 +185,16 @@ class AlgebraElement:
 
 
 def zero(spec: SystemSpec) -> AlgebraElement:
-    return AlgebraElement(spec, {})
+    return AlgebraElement._canonical(spec, ())
 
 
 def identity(spec: SystemSpec) -> AlgebraElement:
     e = spec.identity_monomial
-    return AlgebraElement._canonical(spec, [Term(spec.field.one, e, e)], True)
+    return AlgebraElement._canonical(spec, [Term(spec.field.one, e, e)])
 
 
 def monomial_pair(spec, x: BasisMonomial, y: BasisMonomial, coeff=1) -> AlgebraElement:
-    spec.monomial(x.fiber, x.index)
-    spec.monomial(y.fiber, y.index)
-    out = AlgebraElement(spec, {(x, y): spec.field.coerce(coeff)})
-    out.checked = True
-    return out
+    return AlgebraElement(spec, {(x, y): spec.field.coerce(coeff)})
 
 
 def isometry(spec, x: BasisMonomial) -> AlgebraElement:
@@ -232,7 +219,7 @@ def _window(spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial):
     survivor carries the phase ``_rewrite_phase(spec, s, t)``, which depends
     on the fibers alone.  Equal fibers leave <x'|y'> times the identity,
     returned as the one-survivor window of the zero fiber.  Both fibers
-    must have passed check_fiber.
+    must be valid.
     """
     s, t = x_prime.fiber, y_prime.fiber
     if s == t:
@@ -265,25 +252,26 @@ def rewrite_pair(
     When the fibers agree this collapses to <x'|y'> times the identity.
     Otherwise the surviving terms are exactly the basis pairs (x, y) with
     index(x'.y) == index(y'.x), each carrying the phase
-    omega(s,t) * conj(omega(t,s)); they form one window (see ``_window``).
+    omega(s,t) * conj(omega(t,s)); they form one window (see ``_window``),
+    whose terms come in canonical order.
     """
-    spec.check_fiber(y_prime.fiber)
-    spec.check_fiber(x_prime.fiber)
+    spec.monomial(*y_prime)
+    spec.monomial(*x_prime)
     window = _window(spec, y_prime, x_prime)
     if window is None:
         return zero(spec)
     s, t, _, _, base, lo, hi = window
     phase = _rewrite_phase(spec, s, t)
-    acc = {
-        (BasisMonomial(s, lx), BasisMonomial(t, base + lx)): phase
+    terms = [
+        Term(phase, BasisMonomial(s, lx), BasisMonomial(t, base + lx))
         for lx in range(lo, hi)
-    }
-    return AlgebraElement(spec, acc)
+    ]
+    return AlgebraElement._canonical(spec, terms)
 
 
 def _fiber_quad(spec: SystemSpec, xf, s, yf, t):
     """(degree, x.s, y.t, factors) of the fiber quadruple (x fiber, s,
-    y fiber, t) of ``multiply``, whose fibers have passed check_fiber.
+    y fiber, t) of ``multiply``, whose fibers are valid.
 
     ``factors`` are the scalars that multiply a term coefficient c_a*c_b:
     none when untwisted; on an exact field the one product of the rewrite
@@ -309,8 +297,8 @@ def _keyed_element(spec: SystemSpec, acc: dict) -> AlgebraElement:
     """The element of {(degree, left fiber, left index, right fiber, right
     index): coeff}; the keys sort in the canonical term order, since the
     degree and the left fiber fix the right fiber.  Terms share their
-    monomials, one per distinct (fiber, index).  The fibers must be built
-    from checked ones, so the element is checked."""
+    monomials, one per distinct (fiber, index), which must be built from
+    checked ones."""
     monomials: dict = {}
     terms = []
     for (_, fx, ix, fy, iy), c in sorted(acc.items()):
@@ -323,7 +311,7 @@ def _keyed_element(spec: SystemSpec, acc: dict) -> AlgebraElement:
         if y is None:
             y = monomials[(fy, iy)] = BasisMonomial(fy, iy)
         terms.append(Term(c, x, y))
-    return AlgebraElement._canonical(spec, terms, True)
+    return AlgebraElement._canonical(spec, terms)
 
 
 def _fiber_data(spec: SystemSpec, x: BasisMonomial, y: BasisMonomial, window):
@@ -337,8 +325,7 @@ def _fiber_data(spec: SystemSpec, x: BasisMonomial, y: BasisMonomial, window):
 
 
 def _term_product(spec: SystemSpec, ta: Term, tb: Term) -> AlgebraElement:
-    """The product of two one-term elements, whose fibers have passed
-    check_fiber.
+    """The product of two one-term elements.
 
     Its survivors have distinct monomials and come in canonical order, so
     it needs no dict and no sort; the coefficient is built as ``multiply``
@@ -349,23 +336,23 @@ def _term_product(spec: SystemSpec, ta: Term, tb: Term) -> AlgebraElement:
     cb, xb, y = tb
     window = _window(spec, ya, xb)
     if window is None:
-        return AlgebraElement._canonical(spec, [], True)
+        return zero(spec)
     _, fx, fy, factors = _fiber_data(spec, x, y, window)
     coeff = ca * cb
     for f in factors:
         coeff = coeff * f
     if coeff.is_zero():
-        return AlgebraElement._canonical(spec, [], True)
+        return zero(spec)
     s, t, dim_s, dim_t, base, lo, hi = window
     if s == t:
-        return AlgebraElement._canonical(spec, [Term(coeff, x, y)], True)
+        return AlgebraElement._canonical(spec, [Term(coeff, x, y)])
     i0 = x.index * dim_s
     j0 = y.index * dim_t + base
     terms = [
         Term(coeff, BasisMonomial(fx, i0 + lx), BasisMonomial(fy, j0 + lx))
         for lx in range(lo, hi)
     ]
-    return AlgebraElement._canonical(spec, terms, True)
+    return AlgebraElement._canonical(spec, terms)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -385,9 +372,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """
     a._require_same(b)
     spec = a.spec
-    # the caches below are keyed by fibers, which must be checked first
-    a.check_fibers()
-    b.check_fibers()
     if len(a.terms) == 1 and len(b.terms) == 1:
         return _term_product(spec, a.terms[0], b.terms[0])
     windows: dict = {}
@@ -469,7 +453,7 @@ def _raised_blocks(spec: SystemSpec, terms) -> dict:
         raised = []
         for fx, fy in keys:
             r = sub_degree(c, fx)
-            fill = spec.dim(r)
+            fill = spec._dim(r)
             # untwisted phases are the field's one; an exact phase of one is
             # skipped too, while float keeps its product so values stay the same
             phase = spec.multiplier(fx, r) * spec.multiplier(fy, r).conj() if twisted else None
@@ -491,16 +475,15 @@ def normal_form(a: AlgebraElement) -> NormalForm:
 
 
 def expand_normal_form(nf: NormalForm) -> AlgebraElement:
-    """Rebuild an element from its normal form runs, one term per entry."""
-    triples = []
+    """Rebuild an element from its normal form runs, one term per entry;
+    swept runs are disjoint, so the entries are distinct."""
+    acc = {}
     for degree, (c, runs) in nf.blocks.items():
         c_right = sub_degree(c, degree)
         for row0, col0, length, coeff in runs:
             for f in range(length):
-                triples.append(
-                    (coeff, BasisMonomial(c, row0 + f), BasisMonomial(c_right, col0 + f))
-                )
-    return AlgebraElement.from_terms(nf.spec, triples)
+                acc[BasisMonomial(c, row0 + f), BasisMonomial(c_right, col0 + f)] = coeff
+    return AlgebraElement._from_map(nf.spec, acc)
 
 
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
@@ -529,12 +512,9 @@ def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
 
 def gauge_expectation(a: AlgebraElement) -> AlgebraElement:
     """Projection onto the degree-zero terms (the gauge-invariant part)."""
-    acc = {
-        (t.left, t.right): t.coeff
-        for t in a.terms
-        if t.left.fiber == t.right.fiber
-    }
-    return AlgebraElement(a.spec, acc)
+    return AlgebraElement._canonical(
+        a.spec, [t for t in a.terms if t.left.fiber == t.right.fiber]
+    )
 
 
 def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
@@ -551,7 +531,6 @@ def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
     """
     spec = a.spec
     s = spec.check_fiber(s)
-    a.check_fibers()
     twisted = spec.is_twisted
     n = spec._dim(s)
     acc: dict = {}

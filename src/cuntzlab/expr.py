@@ -336,7 +336,7 @@ class _Parser:
                 term = Term(self.one.conj(), self.identity, mono)
             else:
                 term = Term(self.one, mono, self.identity)
-            return AlgebraElement._canonical(self.spec, [term], True)
+            return AlgebraElement._canonical(self.spec, [term])
         if tok[0] == "name" and tok[1] == "I":
             self.at += 1
             elem = algebra.identity(self.spec)
@@ -419,10 +419,8 @@ class _Parser:
                     del acc[key]
                 else:
                     acc[key] = total
-        # every term comes from a parsed element, and those are checked
-        out = AlgebraElement(self.spec, acc)
-        out.checked = True
-        return out
+        # every term comes from a parsed element, whose monomials are checked
+        return AlgebraElement._from_map(self.spec, acc)
 
     def parse(self) -> AlgebraElement:
         elem = self._expr()

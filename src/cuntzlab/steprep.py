@@ -27,10 +27,9 @@ equality on that level's subspace.
 Operators hold diagonal runs (see ``runs``).  At base level N a term x y*
 is the one run (x.index*stripe, y.index*stripe, stripe), stripe = N/dim(t),
 so ``evaluate`` costs per term, not per stripe entry, and a zero test costs
-the same at every level.  The fibers of an element are checked once per
-element (see ``AlgebraElement.check_fibers``), so an element evaluated at
-several levels is checked on its first use only; the dimensions, the stripe
-and the twist phase are then read once per fiber pair.
+the same at every level.  An element's monomials were checked when it was
+built (see ``AlgebraElement``), so evaluation checks nothing; the
+dimensions, the stripe and the twist phase are read once per fiber pair.
 ``StepOperator.entries`` expands the runs into one dict entry per cell,
 which does cost the level, for printing.
 
@@ -188,7 +187,6 @@ def vector_operator(spec: SystemSpec, v, level: int) -> StepOperator:
 
 def minimal_level(a) -> int:
     """Least base level at which every term's adjoint lands integrally."""
-    a.check_fibers()
     dims = a.spec._dim
     out = 1
     for fiber in {t.right.fiber for t in a.terms}:

@@ -231,9 +231,10 @@ class SystemSpec:
 
     def monomial(self, fiber, index: int) -> BasisMonomial:
         fiber = self.check_fiber(fiber)
-        if not 0 <= index < self._dim(fiber):
+        # an int only, as in check_fiber: 1.0 hashes like 1
+        if not (isinstance(index, int) and 0 <= index < self._dim(fiber)):
             raise ValueError(
-                f"index {index} out of range for fiber {fiber} "
+                f"index {index!r} out of range for fiber {fiber} "
                 f"(dimension {self._dim(fiber)})"
             )
         return BasisMonomial(fiber, index)

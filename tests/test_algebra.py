@@ -55,6 +55,11 @@ class TestRewritePair:
             e23, e23.monomial((1, 0), 0), e23.monomial((0, 1), 1)
         ) + monomial_pair(e23, e23.monomial((1, 0), 1), e23.monomial((0, 1), 2))
         assert out.terms == expected.terms
+        # an index past its fiber's dimension is refused, on either side
+        with pytest.raises(ValueError):
+            rewrite_pair(e23, BasisMonomial((1, 0), 7), e23.monomial((0, 1), 0))
+        with pytest.raises(ValueError):
+            rewrite_pair(e23, e23.monomial((0, 1), 0), BasisMonomial((1, 0), 7))
 
     def test_same_fiber_collapse(self, e23):
         x = e23.monomial((1, 0), 0)
@@ -427,13 +432,14 @@ def test_shift_matches_four_factor_shift(name, seed):
 
 
 def _pair(spec, x, y):
-    return AlgebraElement(spec, {(x, y): spec.field.one})
+    return {(x, y): spec.field.one}
 
 
 def _malformed_products(spec, bad):
-    """(label, a, b) whose product meets the malformed fiber ``bad`` in the
-    left or the right factor on each rewrite path; were ``bad`` the valid
-    (1, 0), each path would be taken as labelled."""
+    """(label, a, b), the term maps of two factors whose product would meet
+    the malformed fiber ``bad`` in the left or the right factor on each
+    rewrite path; were ``bad`` the valid (1, 0), each path would be taken
+    as labelled."""
     B = BasisMonomial
     yield "identity, left", _pair(spec, B(bad, 0), B((1, 0), 1)), _pair(
         spec, B((1, 0), 1), B((0, 1), 2)
@@ -457,21 +463,10 @@ def _malformed_products(spec, bad):
         spec, B((1, 0), 1), B(bad, 0)
     )
     # a valid (1, 0) term first, so fiber-keyed lookups have seen (1, 0)
-    two = AlgebraElement(
-        spec,
-        {
-            (B((1, 0), 0), B((0, 1), 2)): spec.field.one,
-            (B(bad, 1), B((0, 1), 2)): spec.field.one,
-        },
-    )
+    one = spec.field.one
+    two = {(B((1, 0), 0), B((0, 1), 2)): one, (B(bad, 1), B((0, 1), 2)): one}
     yield "window after a valid term, left", two, _pair(spec, B((1, 0), 1), B((0, 1), 0))
-    two = AlgebraElement(
-        spec,
-        {
-            (B((0, 1), 0), B((1, 0), 0)): spec.field.one,
-            (B((0, 1), 0), B(bad, 1)): spec.field.one,
-        },
-    )
+    two = {(B((0, 1), 0), B((1, 0), 0)): one, (B((0, 1), 0), B(bad, 1)): one}
     yield "identity after a valid term, right", _pair(spec, B((0, 1), 1), B((0, 1), 0)), two
 
 
@@ -496,22 +491,29 @@ def test_multiply_rejects_malformed_fibers_on_warm_cache(name, bad):
     # that each malformed product would look up
     spec = _fresh(PRODUCT_SPECS[name])
     for _, a, b in _malformed_products(spec, (1, 0)):
-        multiply(a, b)
+        multiply(AlgebraElement(spec, a), AlgebraElement(spec, b))
     assert any((1, 0) in quad for quad in spec.fiber_quads)
     _assert_multiply_rejects(spec, bad)
 
 
-def _assert_multiply_rejects(spec, bad):
+def _assert_rejected(spec, term_map):
     # (1.0, 0) hashes and compares like (1, 0), so only a check of every
-    # term's fibers, not a cache miss, can reject it
+    # key, not a cache miss, can reject it
+    with pytest.raises(ValueError):
+        AlgebraElement(spec, term_map)
+    with pytest.raises(ValueError):
+        AlgebraElement.from_terms(spec, [(c, x, y) for (x, y), c in term_map.items()])
+
+
+def _assert_multiply_rejects(spec, bad):
+    # the factor that holds ``bad`` cannot be built, so no product meets it
     for label, a, b in _malformed_products(spec, bad):
+        bad_side, good_side = (a, b) if label.endswith("left") else (b, a)
         if "after a valid term" in label and bad == (1.0, 0):
-            first = (a if label.endswith("left") else b).terms[0]
-            assert all(type(c) is int for c in first.left.fiber + first.right.fiber)
-        with pytest.raises(ValueError):
-            multiply(a, b)
-        with pytest.raises(ValueError):
-            four_factor_multiply(a, b)
+            first = next(iter(bad_side))
+            assert all(type(c) is int for c in first[0].fiber + first[1].fiber)
+        AlgebraElement(spec, good_side)
+        _assert_rejected(spec, bad_side)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -608,47 +610,44 @@ def test_raising_skips_unit_phases(name, monkeypatch):
 @pytest.mark.parametrize("name", ["e23", "tw23"])
 @pytest.mark.parametrize("bad", MALFORMED_FIBERS, ids=repr)
 def test_shift_rejects_malformed_fibers(name, bad):
-    spec = PRODUCT_SPECS[name]
+    # an element with a malformed fiber cannot be built, and a malformed
+    # shift fiber is refused, also after the valid (1, 0) shift
+    spec = _fresh(PRODUCT_SPECS[name])
     B = BasisMonomial
     one = spec.field.one
-    elements = [
+    for term_map in [
         _pair(spec, B(bad, 0), B((0, 1), 0)),
         _pair(spec, B((0, 1), 0), B(bad, 1)),
-        AlgebraElement(
-            spec,
-            {(B((1, 0), 0), B((0, 1), 0)): one, (B(bad, 1), B((0, 1), 0)): one},
-        ),
-    ]
-    for a in elements:
-        for s in [(1, 0), (0, 0)]:
-            with pytest.raises(ValueError):
-                shift_endomorphism(a, s)
+        {(B((1, 0), 0), B((0, 1), 0)): one, (B(bad, 1), B((0, 1), 0)): one},
+    ]:
+        _assert_rejected(spec, term_map)
+    a = AlgebraElement(spec, {(B((1, 0), 0), B((0, 1), 0)): one, (B((1, 0), 1), B((0, 0), 0)): one})
+    shift_endomorphism(a, (1, 0))
+    with pytest.raises(ValueError):
+        shift_endomorphism(a, bad)
 
 
 def _valid_then_bad(spec, bad):
-    """An unchecked element whose second term has the malformed right fiber
-    ``bad``, after a valid term of the fiber pair ((0, 1), (1, 0)); and its
-    twin with (1, 0) in place of ``bad``, which for (1.0, 0) is equal."""
+    """The term map whose second key has the malformed right fiber ``bad``,
+    after a valid key of the fiber pair ((0, 1), (1, 0)); and its twin with
+    (1, 0) in place of ``bad``, which for (1.0, 0) is equal."""
     B, one = BasisMonomial, spec.field.one
 
     def build(fiber):
-        return AlgebraElement(
-            spec, {(B((0, 1), 0), B((1, 0), 0)): one, (B((0, 1), 0), B(fiber, 1)): one}
-        )
+        return {(B((0, 1), 0), B((1, 0), 0)): one, (B((0, 1), 0), B(fiber, 1)): one}
 
-    a = build(bad)
-    first = a.terms[0].right.fiber
-    assert first == (1, 0) and all(type(c) is int for c in first)
-    return a, build((1, 0))
+    return build(bad), build((1, 0))
 
 
-def _fiber_checked_uses(spec):
-    """Calls that check an element's fibers: ``minimal_level``,
-    ``evaluate``, and ``multiply`` with the element on either side."""
+def _element_uses(spec):
+    """What a built element goes through: ``minimal_level``, ``evaluate``,
+    ``normal_form``, ``equals``, and ``multiply`` on either side."""
     probe = monomial_pair(spec, BasisMonomial((1, 0), 1), BasisMonomial((0, 1), 2))
     return [
         steprep.minimal_level,
         steprep.evaluate,
+        normal_form,
+        lambda a: equals(a, probe),
         lambda a: multiply(a, probe),
         lambda a: multiply(probe, a),
     ]
@@ -657,22 +656,21 @@ def _fiber_checked_uses(spec):
 @pytest.mark.parametrize("bad", MALFORMED_FIBERS, ids=repr)
 @pytest.mark.parametrize("twin_first", [False, True])
 def test_fiber_checks_reject_malformed_after_valid_term(bad, twin_first):
-    # every term is checked, so a malformed fiber that hashes like (1, 0)
-    # is caught after a valid term of its fiber pair, also once an equal
-    # element with valid fibers has passed; a failed check leaves the flag
+    # every key is checked, so a malformed fiber that hashes like (1, 0) is
+    # caught after a valid term of its fiber pair, also once an equal
+    # element with valid fibers has been built and used; a rejected build
+    # leaves nothing behind that lets a second one through
     spec = _fresh(PRODUCT_SPECS["e23"])
-    for use in _fiber_checked_uses(spec):
-        a, twin = _valid_then_bad(spec, bad)
-        assert (a == twin) == (bad == (1.0, 0))
-        if twin_first:
+    bad_map, twin_map = _valid_then_bad(spec, bad)
+    first = next(iter(bad_map))[1].fiber
+    assert first == (1, 0) and all(type(c) is int for c in first)
+    assert (bad_map == twin_map) == (bad == (1.0, 0))
+    if twin_first:
+        twin = AlgebraElement(spec, twin_map)
+        for use in _element_uses(spec):
             use(twin)
-            assert twin.checked
-        assert not a.checked
-        with pytest.raises(ValueError):
-            use(a)
-        assert not a.checked
-        with pytest.raises(ValueError):
-            use(a)
+    _assert_rejected(spec, bad_map)
+    _assert_rejected(spec, bad_map)
 
 
 def _count_fiber_checks(monkeypatch):
@@ -688,23 +686,25 @@ def _count_fiber_checks(monkeypatch):
 
 
 def test_fibers_checked_once_per_element(monkeypatch):
+    # construction checks both fibers of every key once; evaluation,
+    # products, normal forms and equality of built elements check none
     spec = _fresh(PRODUCT_SPECS["e23"])
     rng = random.Random(20261019)
     built = random_element(spec, rng, nterms=5)
-    a = AlgebraElement(spec, {(t.left, t.right): t.coeff for t in built.terms})
-    b = AlgebraElement(spec, {(t.right, t.left): t.coeff for t in built.terms})
-    assert not a.checked and not b.checked
     calls = _count_fiber_checks(monkeypatch)
-    steprep.evaluate(a)
+    a = AlgebraElement(spec, {(t.left, t.right): t.coeff for t in built.terms})
     assert len(calls) == 2 * len(a.terms)
     del calls[:]
-    steprep.evaluate(a, 2 * steprep.minimal_level(a))
-    multiply(a, a)
-    assert calls == []
-    multiply(a, b)
+    b = AlgebraElement.from_terms(spec, [(t.coeff, t.right, t.left) for t in built.terms])
     assert len(calls) == 2 * len(b.terms)
     del calls[:]
-    multiply(b, a)
+    steprep.evaluate(a)
+    steprep.evaluate(a, 2 * steprep.minimal_level(a))
+    for x, y in [(a, a), (a, b), (b, a)]:
+        ab = multiply(x, y)
+        normal_form(ab)
+        equals(ab, a + b)
+        equals(x, y)
     assert calls == []
 
 
@@ -713,12 +713,92 @@ def test_parsed_elements_multiply_without_fiber_checks(monkeypatch):
     a = parse_element(spec, "(1/2-3i)*e(1,0;1)*e(0,1;2)' + e(1,1;5)' - 2*I")
     b = parse_element(spec, "e(0,1;2)*(e(1,0;0) + 3*e(0,1;1))'")
     c = parse_element(spec, "e(0,1;2)")
-    assert a.checked and b.checked and c.checked
     calls = _count_fiber_checks(monkeypatch)
     multiply(a, b)
     multiply(b, c.adjoint())
     multiply(c, c)
+    normal_form(a - b)
+    equals(a, multiply(a, identity(spec)))
+    steprep.evaluate(b)
     assert calls == []
+
+
+def test_invalid_monomials_rejected_at_construction(e23):
+    B, one, e = BasisMonomial, e23.field.one, e23.identity_monomial
+    for key in [
+        # the only left fiber of its degree, so raising it would add r = 0
+        (B((-1, 0), 0), B((0, 0), 0)),
+        (B((1, 0), 5), e),  # past dim 2
+        (B((1, 0), -1), e),
+        (B((1, 0), 1.0), e),  # hashes like index 1
+        (e, B((0, 1), 1.0)),
+    ]:
+        with pytest.raises(ValueError):
+            AlgebraElement(e23, {key: one})
+        with pytest.raises(ValueError):
+            monomial_pair(e23, *key)
+    with pytest.raises(ValueError):
+        e23.monomial((1, 0), 1.0)
+
+
+def _monomial_candidates(spec):
+    """The valid (fiber, index) pairs of fibers with coordinate sum at most
+    2, and invalid ones: a float, negative or missing coordinate, or an
+    index at the dimension, below zero or a float."""
+    fibers = [f for f in itertools.product(range(3), repeat=spec.k) if sum(f) <= 2]
+    valid = [(f, j) for f in fibers for j in range(spec.dim(f))]
+    invalid = [((1.0, 0), 0), ((-1, 0), 0), ((0,), 0), ((0, 0, 0), 0), ((0, 1.0), 0)]
+    for f in fibers:
+        invalid += [(f, spec.dim(f)), (f, -1), (f, 1.0), (f, 0.0)]
+    return valid, invalid
+
+
+MONOMIAL_CANDIDATES = {name: _monomial_candidates(spec) for name, spec in PRODUCT_SPECS.items()}
+
+
+def _rejected(spec, monomial):
+    try:
+        spec.monomial(*monomial)
+    except ValueError:
+        return True
+    return False
+
+
+def test_construction_raises_exactly_on_rejected_monomials():
+    # a key with a zero coefficient is checked too; keys that hash alike
+    # collapse in the map, so the verdict is taken over the map's own keys
+    verdicts = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(PRODUCT_SPECS)), st.data())
+    def check(name, data):
+        spec = PRODUCT_SPECS[name]
+        valid, invalid = MONOMIAL_CANDIDATES[name]
+
+        def drawn():
+            pool = invalid if data.draw(st.integers(0, 5)) == 0 else valid
+            return BasisMonomial(*data.draw(st.sampled_from(pool)))
+
+        coeffs = st.sampled_from([spec.field.zero, spec.field.one])
+        term_map = {
+            (drawn(), drawn()): data.draw(coeffs) for _ in range(data.draw(st.integers(1, 4)))
+        }
+        want = any(_rejected(spec, m) for key in term_map for m in key)
+        verdicts.append(want)
+        triples = [(c, x, y) for (x, y), c in term_map.items()]
+        kept = {key for key, c in term_map.items() if not c.is_zero()}
+        for build in (
+            lambda: AlgebraElement(spec, term_map),
+            lambda: AlgebraElement.from_terms(spec, triples),
+        ):
+            if want:
+                with pytest.raises(ValueError):
+                    build()
+            else:
+                assert {(t.left, t.right) for t in build().terms} == kept
+
+    check()
+    assert set(verdicts) == {True, False}
 
 
 def _inner_pairs(spec):
@@ -749,8 +829,9 @@ INNER_PAIRS = {name: _inner_pairs(spec) for name, spec in PRODUCT_SPECS.items()}
 def test_one_term_product_matches_four_factor_product(name, data):
     # a one-term by one-term product emits its survivors without a dict or
     # a sort; it must still agree with the four-factor product, to the bit
-    # on float, on every window kind, through adjoints and unchecked
-    # elements, and prune a float coefficient below the zero tolerance
+    # on float, on every window kind, through adjoints and factors built by
+    # ``monomial_pair`` or the constructor, and prune a float coefficient
+    # below the zero tolerance
     spec = PRODUCT_SPECS[name]
     kind = data.draw(st.sampled_from(sorted(INNER_PAIRS[name])), label="kind")
     y_prime, x_prime = data.draw(st.sampled_from(INNER_PAIRS[name][kind]), label="pair")
@@ -764,10 +845,10 @@ def test_one_term_product_matches_four_factor_product(name, data):
             c = random_coeff(spec, rng)
         return scalars.FloatComplex(c.value * 1e-6) if tiny else c
 
-    def pair(left, right, adjoint, checked):
+    def pair(left, right, adjoint, by_pair):
         if adjoint:
             left, right = right, left
-        make = monomial_pair if checked else lambda s, l, r, c: AlgebraElement(s, {(l, r): c})
+        make = monomial_pair if by_pair else lambda s, l, r, c: AlgebraElement(s, {(l, r): c})
         e = make(spec, left, right, coeff())
         return e.adjoint() if adjoint else e
 
@@ -775,7 +856,6 @@ def test_one_term_product_matches_four_factor_product(name, data):
     a = pair(x, y_prime, flags[0], flags[1])
     b = pair(x_prime, y, flags[2], flags[3])
     got = multiply(a, b)
-    assert got.checked
     assert same_product(got, four_factor_multiply(a, b))
     if tiny or kind == "empty":
         assert got.terms == ()
