@@ -15,35 +15,21 @@ exact fields the rewrite phase and the two basis phases fold into one
 factor, so a term pair costs at most two field multiplications; on float
 they stay three factors in a fixed order, so a product keeps its rounding
 whether the cache was cold or warm.  Zero and equality testing go
-through ``normal_form``: per degree g = p(x) - p(y), every term is raised to
-the common bidegree (c, c - g), c the coordinatewise max of the left fibers,
-using xy* = sum_f (x.f)(y.f)* over the basis of the missing fiber.  The
-coefficients at that bidegree vanish exactly when the element is zero,
-because the monomials at one bidegree are linearly independent whenever the
-system admits a nontrivial Cuntz representation - which every twisted
-lexicographic system does, and those are the only systems the engine builds.
+through ``normal_form``, which raises the terms of each degree g to one
+bidegree (c, c - g) as diagonal runs (see ``runs``).  They vanish exactly
+when the element is zero: the monomials at one bidegree are linearly
+independent whenever the system admits a nontrivial Cuntz representation,
+as every twisted lexicographic system, the only kind the engine builds, does.
 
-Their dim(c) x dim(c - g) block grows like m^s and is never built.  A
-raised term is one diagonal run: x.f has index x.index * fill + f, fill the
-dimension of the missing fiber, and ``runs.sweep`` sums the runs of a
-degree diagonal by diagonal.  On one diagonal the runs of one left fiber
-are the disjoint [j*fill, (j+1)*fill), so at most F runs cover a piece, F
-the number of left fibers in the degree.  R terms cost O(R log R + R*F)
-scalar operations and O(R) memory, whatever the fiber dimensions;
-``expand_normal_form`` costs one term per entry it emits.  The degree, the
-fill and the phase of a raised term are looked up once per fiber pair.
-
-``equals(a, b)`` decides a = b in O_E exactly on the exact fields.  It
-merges the terms of a and of -b in one dict and raises and sweeps them as
-``normal_form(a - b)`` would, without building a - b as an element; the
-Cuntz relation checks of ``morphisms`` rest on this verdict.
+``equals(a, b)`` decides a = b in O_E, exactly on the exact fields, as
+``normal_form(a - b)`` would; the relation checks of ``morphisms`` rest on it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .runs import sweep
+from .runs import raise_terms
 from .scalars import FLOAT
 from .system import (
     BasisMonomial,
@@ -241,7 +227,7 @@ def _rewrite_phase(spec: SystemSpec, s, t):
     window over the fibers (s, t); the field's one for the identity window."""
     if s == t:
         return spec.field.one
-    return spec.multiplier(s, t) * spec.multiplier(t, s).conj()
+    return spec._phase(s, t) * spec._phase(t, s).conj()
 
 
 def rewrite_pair(
@@ -284,8 +270,8 @@ def _fiber_quad(spec: SystemSpec, xf, s, yf, t):
     if spec.is_twisted:
         factors = (
             _rewrite_phase(spec, s, t),
-            spec.multiplier(xf, s),
-            spec.multiplier(yf, t).conj(),
+            spec._phase(xf, s),
+            spec._phase(yf, t).conj(),
         )
         if spec.field != FLOAT:
             folded = factors[0] * factors[1] * factors[2]
@@ -428,44 +414,27 @@ class NormalForm:
 
 def _raised_blocks(spec: SystemSpec, terms) -> dict:
     """The nonzero blocks {degree: (c, runs)} of the (coeff, left, right)
-    terms, in degree order.
+    terms, in degree order: ``runs.raise_terms`` keyed by degree."""
+    tops: dict = {}  # degree -> c, the max of its left fibers
 
-    Terms are grouped by fiber pair in order of first appearance, so the
-    degree, the fill and the phase are looked up once per pair, and c is
-    the max over the distinct left fibers of a degree (one degree and one
-    left fiber fix the right fiber).  Within a fiber pair the raised runs
-    keep the input order.
-    """
-    pairs: dict = {}  # (left fiber, right fiber) -> terms
-    for t in terms:
-        pairs.setdefault((t[1].fiber, t[2].fiber), []).append(t)
-    by_degree: dict = {}
-    for key in pairs:
-        by_degree.setdefault(sub_degree(*key), []).append(key)
-    twisted = spec.is_twisted
-    exact = spec.field != FLOAT
-    blocks: dict = {}
-    for degree in sorted(by_degree):
-        keys = by_degree[degree]
-        c = keys[0][0]
-        for fx, _ in keys[1:]:
-            c = max_fiber(c, fx)
-        raised = []
-        for fx, fy in keys:
-            r = sub_degree(c, fx)
-            fill = spec._dim(r)
-            # untwisted phases are the field's one; an exact phase of one is
-            # skipped too, while float keeps its product so values stay the same
-            phase = spec.multiplier(fx, r) * spec.multiplier(fy, r).conj() if twisted else None
-            scale = twisted and not (exact and phase.is_one())
-            raised += [
-                (x.index * fill, y.index * fill, fill, coeff * phase if scale else coeff)
-                for coeff, x, y in pairs[fx, fy]
-            ]
-        runs = sweep(raised)
-        if runs:
-            blocks[degree] = (c, runs)
-    return blocks
+    def place(pairs):
+        degrees = [sub_degree(fx, fy) for fx, fy in pairs]
+        for (fx, _), g in zip(pairs, degrees):
+            tops[g] = max_fiber(tops[g], fx) if g in tops else fx
+        out = []
+        for (fx, fy), g in zip(pairs, degrees):
+            r = sub_degree(tops[g], fx)
+            phase = None
+            if spec.is_twisted:
+                # an exact phase of one is skipped; float keeps its product
+                phase = spec._phase(fx, r) * spec._phase(fy, r).conj()
+                if spec.field != FLOAT and phase.is_one():
+                    phase = None
+            out.append((g, spec._dim(r), phase))
+        return out
+
+    raised = raise_terms(terms, place)
+    return {g: (tops[g], raised[g]) for g in sorted(raised) if raised[g]}
 
 
 def normal_form(a: AlgebraElement) -> NormalForm:

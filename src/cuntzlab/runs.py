@@ -2,11 +2,22 @@
 
 A run ``(row0, col0, length, coeff)`` puts ``coeff`` on the matrix entries
 (row0 + u, col0 + u) for u < length; entries no run covers are zero.  A
-raised normal-form term, a term evaluated at a step level and a core matrix
-unit tensored with an identity are each one run, so their cost follows the
-terms, never the block size, the level or the fiber dimension.
-Runs are *swept* when they are nonzero, disjoint and sorted by (row0,
-col0); a sum of runs is zero exactly when its sweep is empty.
+raised term and a core matrix unit tensored with an identity are each one
+run, so their cost follows the terms, never the block size, the level or
+the fiber dimension.  Runs are *swept* when they are nonzero, disjoint and
+sorted by (row0, col0); a sum of runs is zero exactly when its sweep is empty.
+
+Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
+has index x.index*n + f with n = dim(r), so a term c x y* raised by r is
+the one run (x.index*n, y.index*n, n, c*phase) of *stripe* n, the phase
+being omega(fx, r) conj(omega(fy, r)) on twisted specs.  ``raise_terms``
+raises for ``algebra.normal_form`` and ``equals``, keyed by degree
+g = fx - fy with r = c - fx, c the max of the degree's left fibers, and
+for ``steprep.evaluate`` at level N, keyed by output level with stripe
+N/dim(fy).  Since dim(c - fx) = dim(c - g)/dim(fy), the normal form is the
+step model keyed by degree, at level dim(c - g).  R terms cost
+O(R log R + R*F) scalar operations and O(R) memory, F the number of left
+fibers of a key: on one diagonal a fiber's runs are disjoint.
 """
 
 from __future__ import annotations
@@ -41,6 +52,31 @@ def sweep(runs) -> tuple:
     # swept runs differ in (row0, col0), so coefficients are never compared
     out.sort()
     return tuple(out)
+
+
+def raise_terms(terms, place) -> dict:
+    """{key: swept runs} of the (coeff, x, y) terms, one run per term.
+
+    ``place`` gets the fiber pairs (x.fiber, y.fiber) in order of first
+    appearance and returns one (key, stripe, phase) per pair, None standing
+    for a phase of exactly one.  A key's runs come pair by pair in that
+    order and in term order within a pair, which is the term order when a
+    pair's terms are adjacent; the sweep's float sums follow it.  A key
+    whose runs cancel maps to ().
+    """
+    pairs: dict = {}
+    for term in terms:
+        pairs.setdefault((term[1].fiber, term[2].fiber), []).append(term)
+    by_key: dict = {}
+    for group, (key, stripe, phase) in zip(pairs.values(), place(pairs)):
+        runs = by_key.setdefault(key, [])
+        if phase is None:
+            runs += [(x.index * stripe, y.index * stripe, stripe, c) for c, x, y in group]
+        else:
+            runs += [(x.index * stripe, y.index * stripe, stripe, c * phase) for c, x, y in group]
+    for key, runs in by_key.items():
+        by_key[key] = sweep(runs)
+    return by_key
 
 
 def compose(a: tuple, b: tuple) -> tuple | None:

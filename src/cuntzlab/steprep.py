@@ -24,12 +24,10 @@ would need irrational refinement factors.  "Every block zero" is the family's
 (sound) zero test.  Equality of step operators at one level only certifies
 equality on that level's subspace.
 
-Operators hold diagonal runs (see ``runs``).  At base level N a term x y*
-is the one run (x.index*stripe, y.index*stripe, stripe), stripe = N/dim(t),
-so ``evaluate`` costs per term, not per stripe entry, and a zero test costs
-the same at every level.  An element's monomials were checked when it was
-built (see ``AlgebraElement``), so evaluation checks nothing; the
-dimensions, the stripe and the twist phase are read once per fiber pair.
+Operators hold diagonal runs, and ``evaluate`` raises each term to one run
+of its output level (see ``runs``), so it costs per term, not per stripe
+entry, and a zero test costs the same at every level.  Elements are valid
+by construction (see ``AlgebraElement``), so evaluation checks nothing.
 ``StepOperator.entries`` expands the runs into one dict entry per cell,
 which does cost the level, for printing.
 
@@ -204,39 +202,32 @@ def evaluate(
     of the spec and the character.
     """
     spec = a.spec
+    terms = a.terms
     if twist is not None:
         if len(twist.values) != spec.k:
             raise ValueError("character length does not match the generator count")
         field = spec.field
         for v in twist.values:
             field = common_field(field, field_of(v))
+        terms = [(field.coerce(c), x, y) for c, x, y in terms]
     _require_untwisted(spec)
     required = minimal_level(a)
     if base_level is None:
         base_level = required
     if base_level < 1 or base_level % required != 0:
         raise LevelError(base_level, required)
-    by_level: dict[int, list] = {}
-    # (stripe, pieces of its output level, twist phase) per fiber pair; the
-    # pieces keep the term order, which the float sums of the sweep follow
-    pairs: dict = {}
-    for coeff, x, y in a.terms:
-        data = pairs.get((x.fiber, y.fiber))
-        if data is None:
-            stripe = base_level // spec._dim(y.fiber)
-            pieces = by_level.setdefault(stripe * spec._dim(x.fiber), [])
-            phase = None
-            if twist is not None:
-                phase = field.coerce(twist.phase(sub_degree(x.fiber, y.fiber)))
-            data = pairs[x.fiber, y.fiber] = (stripe, pieces, phase)
-        stripe, pieces, phase = data
-        if phase is not None:
-            coeff = phase * field.coerce(coeff)
-        pieces.append((x.index * stripe, y.index * stripe, stripe, coeff))
-    out = {
-        lv: StepOperator(base_level, lv, runs=run_ops.sweep(pieces))
-        for lv, pieces in by_level.items()
-    }
+
+    def place(pairs):
+        out = []
+        for fx, fy in pairs:
+            stripe = base_level // spec._dim(fy)
+            phase = None if twist is None else field.coerce(twist.phase(sub_degree(fx, fy)))
+            out.append((stripe * spec._dim(fx), stripe, phase))
+        return out
+
+    # a block whose runs cancel is kept: it still names its output level
+    blocks = run_ops.raise_terms(terms, place)
+    out = {lv: StepOperator(base_level, lv, runs=runs) for lv, runs in blocks.items()}
     return OperatorFamily(base_level, out)
 
 

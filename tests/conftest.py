@@ -13,6 +13,24 @@ from cuntzlab.system import (
 )
 
 
+# the specs of the product, shift and raising oracles: every scalar field,
+# twisted and untwisted
+PRODUCT_SPECS = {
+    "e23": SystemSpec((2, 3)),
+    "e32": SystemSpec((3, 2)),
+    "q23": SystemSpec((2, 3), scalar_mode="cyclotomic:8"),
+    "f23": SystemSpec((2, 3), scalar_mode="float"),
+    "tw23": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n"),
+    "tw23q8": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 3/8 0 0\nscalars = cyclotomic:8\n"),
+    # the rotation algebra: dimension-one fibers, UV = zeta_4 VU
+    "rot11": parse_spec_text("k = 2\ndims = 1 1\ntheta = 0 0 1/4 0\nscalars = cyclotomic:4\n"),
+    # an irrational angle: every phase is an inexact float
+    "twf23": parse_spec_text(
+        "k = 2\ndims = 2 3\ntheta = 0 0.3183098861837907 0.1 0\nscalars = float\n"
+    ),
+}
+
+
 @pytest.fixture
 def e23():
     return SystemSpec((2, 3))

@@ -24,9 +24,10 @@ from cuntzlab.algebra import (
     zero,
 )
 from cuntzlab.expr import parse_element
-from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text
+from cuntzlab.system import BasisMonomial, SystemSpec
 
 from conftest import (
+    PRODUCT_SPECS,
     dense_block,
     dense_vector,
     is_positive_semidefinite,
@@ -345,22 +346,6 @@ def four_factor_multiply(a, b):
                 cur = acc.get((x, y))
                 acc[(x, y)] = coeff if cur is None else cur + coeff
     return AlgebraElement(spec, acc)
-
-
-PRODUCT_SPECS = {
-    "e23": SystemSpec((2, 3)),
-    "e32": SystemSpec((3, 2)),
-    "q23": SystemSpec((2, 3), scalar_mode="cyclotomic:8"),
-    "f23": SystemSpec((2, 3), scalar_mode="float"),
-    "tw23": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n"),
-    "tw23q8": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 3/8 0 0\nscalars = cyclotomic:8\n"),
-    # the rotation algebra: dimension-one fibers, UV = zeta_4 VU
-    "rot11": parse_spec_text("k = 2\ndims = 1 1\ntheta = 0 0 1/4 0\nscalars = cyclotomic:4\n"),
-    # an irrational angle: every phase is an inexact float
-    "twf23": parse_spec_text(
-        "k = 2\ndims = 2 3\ntheta = 0 0.3183098861837907 0.1 0\nscalars = float\n"
-    ),
-}
 
 
 def pooled_element(spec, rng, nterms, max_sum):
