@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import algebra, linalg, runs, steprep
+from . import algebra, linalg, steprep
 from .scalars import RATIONAL, cyclotomic_field
 from .system import (
     BasisMonomial,
@@ -299,14 +299,13 @@ def _orthogonality_step(spec: SystemSpec, v: FiberVector, f: BasisMonomial, g: B
     that is left out: a nonzero factor of the whole matrix leaves its kernel
     alone.
 
-    On the window of w where j1 and j2 stay fixed, l1 and l2 step together,
-    so each support pair (j1, j2) of v adds one diagonal run, and
-    ``runs.sweep`` sums the runs.  A support-1 vector gives at most one run,
-    a partial permutation, whose kernel vector is the unit vector at the
-    first column the run leaves uncovered.  The start vector has support 1,
-    so every constructed vector has support 1, and a step costs support^2,
-    never dim t.  Wider vectors, which only direct callers pass, go through
-    ``_first_kernel_vector``.
+    The start vector has support 1 and each step multiplies by a unit
+    vector, so v = a e_j: j1 = j2 = j, and the matrix is nonzero only on
+    the window lo <= w < hi where both quotients are j.  There l1 and l2
+    step together, so the matrix is one diagonal run of length hi - lo, or
+    none, a partial permutation.  Its kernel holds the unit vector at the
+    first column the run leaves uncovered, so a step costs O(1), never
+    dim t.
     """
     dim_s, dim_t = spec._dim(f.fiber), spec._dim(g.fiber)
     if dim_s == dim_t:
@@ -315,60 +314,14 @@ def _orthogonality_step(spec: SystemSpec, v: FiberVector, f: BasisMonomial, g: B
         )
     if dim_s > dim_t:
         f, g, dim_s, dim_t = g, f, dim_t, dim_s
-    dim_r, field = v.dim, spec.field
-    g_off, f_off = g.index * dim_r, f.index * dim_r
-    pieces = []
-    for j1, a in v.entries.items():
-        for j2, b in v.entries.items():
-            lo = max(0, j1 * dim_t - g_off, j2 * dim_s - f_off)
-            hi = min(dim_r, (j1 + 1) * dim_t - g_off, (j2 + 1) * dim_s - f_off)
-            if lo < hi:
-                row0, col0 = f_off + lo - j2 * dim_s, g_off + lo - j1 * dim_t
-                pieces.append((row0, col0, hi - lo, a * b.conj()))
-    rows = runs.sweep(pieces)
-    if len(rows) > 1:
-        kernel = _first_kernel_vector(rows, field)
-    else:
-        # a run from column 0 covers the columns below its length
-        kernel = {rows[0][2] if rows and rows[0][1] == 0 else 0: field.one}
-    return spec.mul_vectors(v, FiberVector(g.fiber, dim_t, kernel, field.zero))
-
-
-def _first_kernel_vector(rows, field) -> dict:
-    """The support of the vector ``linalg.nullspace`` lists first for the
-    matrix of the swept runs ``rows``: 1 at the first non-pivot column, 0 at
-    the other free columns, which makes it unique.
-
-    A {col: coeff} row is reduced by the pivot rows at its least column
-    until no pivot row holds that column, then kept there with its leading 1
-    implicit: an echelon form with the pivot columns of the reduced one.
-    Back substitution solves for the pivots left of the free column; those
-    right of it are zero.
-    """
-    cells: dict[int, dict] = {}
-    for row0, col0, length, coeff in rows:
-        for u in range(length):
-            cells.setdefault(row0 + u, {})[col0 + u] = coeff
-    pivots: dict[int, dict] = {}
-    for row in cells.values():
-        while row:
-            col = min(row)
-            lead = row.pop(col)
-            if col not in pivots:
-                inv = lead.inv()
-                pivots[col] = {c: x * inv for c, x in row.items()}
-                break
-            for c, x in pivots[col].items():
-                y = row.pop(c, field.zero) - lead * x
-                if not y.is_zero():
-                    row[c] = y
-    free = next(c for c in range(len(pivots) + 1) if c not in pivots)
-    kernel = {free: field.one}
-    for col in sorted((c for c in pivots if c < free), reverse=True):
-        total = sum((x * kernel[c] for c, x in pivots[col].items() if c in kernel), field.zero)
-        if not total.is_zero():
-            kernel[col] = -total
-    return kernel
+    (j,) = v.entries
+    g_off, f_off = g.index * v.dim, f.index * v.dim
+    lo = max(0, j * dim_t - g_off, j * dim_s - f_off)
+    hi = min(v.dim, (j + 1) * dim_t - g_off, (j + 1) * dim_s - f_off)
+    # a run from column 0 covers the columns below its length
+    free = hi - lo if lo < hi and g_off + lo == j * dim_t else 0
+    field = spec.field
+    return spec.mul_vectors(v, FiberVector(g.fiber, dim_t, {free: field.one}, field.zero))
 
 
 def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> FiberVector:

@@ -166,8 +166,8 @@ def _cmd_alpha(args, reporter: Reporter) -> int:
 
 
 def _emit_family(family, reporter: Reporter, command: str) -> None:
-    # every entry is formatted before the first line is emitted, so a value
-    # the printer rejects leaves stdout empty
+    # every entry is formatted, under the digit limit, before the first line
+    # is emitted, so a value the printer rejects leaves stdout empty
     blocks = []
     for level_out in sorted(family.blocks):
         block = family.blocks[level_out]
@@ -175,23 +175,24 @@ def _emit_family(family, reporter: Reporter, command: str) -> None:
             (r, c, expr.format_scalar(v)) for (r, c), v in block.entries.items()
         )
         blocks.append((level_out, block, entries))
-    reporter.emit(
-        f"base level: {family.base_level}",
-        command=command,
-        base_level=family.base_level,
-    )
-    for level_out, block, entries in blocks:
-        size = f"{len(entries)} entries" if entries else "zero"
+    with _all_digits():
         reporter.emit(
-            f"level {block.level_in} -> {level_out}: {size}",
+            f"base level: {family.base_level}",
             command=command,
-            level_in=block.level_in,
-            level_out=level_out,
-            entries=[[r, c, v] for r, c, v in entries],
+            base_level=family.base_level,
         )
-        if reporter.fmt == "text":
-            for r, c, v in entries:
-                reporter.emit(f"  [{r},{c}] = {v}")
+        for level_out, block, entries in blocks:
+            size = f"{len(entries)} entries" if entries else "zero"
+            reporter.emit(
+                f"level {block.level_in} -> {level_out}: {size}",
+                command=command,
+                level_in=block.level_in,
+                level_out=level_out,
+                entries=[[r, c, v] for r, c, v in entries],
+            )
+            if reporter.fmt == "text":
+                for r, c, v in entries:
+                    reporter.emit(f"  [{r},{c}] = {v}")
 
 
 def _cmd_eval(args, reporter: Reporter) -> int:
@@ -279,8 +280,8 @@ def _cmd_witness(args, reporter: Reporter) -> int:
 @contextlib.contextmanager
 def _all_digits():
     """Convert ints to text in full, past the interpreter's 4300-digit limit,
-    and restore the limit afterwards: the fiber dimensions of an
-    annihilating vector can be that long."""
+    and restore the limit afterwards: the levels of a step family and the
+    fiber dimensions of an annihilating vector can be that long."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

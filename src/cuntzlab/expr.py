@@ -29,8 +29,8 @@ fiber (3,4) on e23, coefficients included, parses in about 26 ms: some
 
 The printer writes every value it is given except a float with an inf or
 nan part, which no text denotes, and an exact value whose numerator or
-denominator exceeds the digit limit, which no literal may; it raises
-``UnprintableError`` instead.
+denominator, or a monomial whose index, exceeds the digit limit, which no
+literal may; it raises ``UnprintableError`` instead.
 """
 
 from __future__ import annotations
@@ -486,17 +486,23 @@ def parse_scalar(spec: SystemSpec, text: str):
 # The output re-parses to a structurally identical element.
 
 
+def _past_digit_limit(what: str) -> UnprintableError:
+    """The error for a number past the digit limit, whose literal the parser
+    refuses too; ``what`` names the number, with {} for the limit."""
+    return UnprintableError(
+        f"the result has {what.format(sys.get_int_max_str_digits())}, "
+        "the limit for a number in expression text"
+    )
+
+
 def _format_ratio(num: int, den: int) -> str:
     """num/den (den > 0) in lowest terms, as ``str(Fraction(num, den))``."""
     g = math.gcd(num, den)
     num, den = num // g, den // g
     try:
         return str(num) if den == 1 else f"{num}/{den}"
-    except ValueError:  # past sys.get_int_max_str_digits(), as the parser bounds literals
-        raise UnprintableError(
-            f"the result has a coefficient that exceeds {sys.get_int_max_str_digits()} "
-            "digits in lowest terms, the limit for a number in expression text"
-        ) from None
+    except ValueError:
+        raise _past_digit_limit("a coefficient that exceeds {} digits in lowest terms") from None
 
 
 def _monomial_text(term) -> str:
@@ -506,11 +512,14 @@ def _monomial_text(term) -> str:
     if left_trivial and right_trivial:
         return "I"
     gen = lambda m: "e(" + ",".join(str(c) for c in m.fiber) + f";{m.index})"
-    if right_trivial:
-        return gen(left)
-    if left_trivial:
-        return gen(right) + "'"
-    return gen(left) + "*" + gen(right) + "'"
+    try:
+        if right_trivial:
+            return gen(left)
+        if left_trivial:
+            return gen(right) + "'"
+        return gen(left) + "*" + gen(right) + "'"
+    except ValueError:  # an index of a fiber of dimension past 10^limit
+        raise _past_digit_limit("a monomial index that exceeds {} digits") from None
 
 
 def _signed_sum(pieces) -> str:

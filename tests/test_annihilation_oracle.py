@@ -8,12 +8,13 @@ vector coefficient by coefficient.  The verdict of ``verify_annihilation``
 is checked against the exact normal form of the expanded compression.
 """
 
+from fractions import Fraction
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import algebra, analysis, linalg
 from cuntzlab.analysis import HypothesisViolationError
-from cuntzlab.scalars import RationalComplex
 from cuntzlab.system import (
     BasisMonomial,
     FiberVector,
@@ -187,24 +188,25 @@ def test_vector_pairs_match_dense(coeffs, fy, j, vector_left, perturb):
     _check_instance(spec, analysis.annihilation_instance(spec, [pair]), perturb)
 
 
-def test_step_matches_dense_on_wide_supports(monkeypatch):
-    # the construction itself only ever meets vectors of support 1, so the
-    # windows of several support indices and the elimination of their
-    # constraint rows are exercised on vectors drawn here: Gaussian entries
-    # make rows whose leading entry is not one, and fibers r wider than t
-    # make rows that share a leading column, so elimination scales,
-    # subtracts and back-substitutes
-    shapes = set()
-    eliminate = analysis._first_kernel_vector
+def _unit_coefficient(spec, data):
+    """A nonzero Gaussian rational or a root of unity of the spec's field."""
+    field = spec.field
+    if data.draw(st.booleans()):
+        re, im = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        return field.gaussian(re, im, data.draw(st.integers(1, 3)))
+    order = getattr(field, "order", 4)
+    return field.root_of_unity(Fraction(data.draw(st.integers(0, order - 1)), order))
 
-    def recorded(rows, field):
-        shapes.update(_row_shapes(rows))
-        return eliminate(rows, field)
 
+def test_step_matches_dense_on_support_one():
+    # the construction only ever meets vectors a e_j (see
+    # test_construction_steps_keep_support_one), whose constraint matrix is
+    # one diagonal run or none; every such vector of a fiber r against the
+    # dense step, which reduces the whole matrix
+    outcomes = set()
     specs = {**SPECS, "q8": Q8}
-    gaussian = st.builds(RationalComplex, st.integers(-2, 2), st.integers(-2, 2))
 
-    @settings(ORACLE, max_examples=60)
+    @settings(ORACLE, max_examples=150)
     @given(
         st.sampled_from(sorted(specs)),
         st.sampled_from(FIBERS + [(2, 1), (1, 2)]),
@@ -212,48 +214,28 @@ def test_step_matches_dense_on_wide_supports(monkeypatch):
         st.sampled_from(FIBERS),
         st.integers(0, 10**6),
         st.integers(0, 10**6),
+        st.integers(0, 10**6),
         st.data(),
     )
-    def check(name, fr, fs, ft, i, j, data):
+    def check(name, fr, fs, ft, i, j, k, data):
         spec = specs[name]
-        assume(spec.dim(fs) != spec.dim(ft))
-        dim = spec.dim(fr)
-        coeffs = data.draw(
-            st.lists(gaussian, min_size=dim, max_size=dim).filter(
-                lambda cs: not all(c.is_zero() for c in cs)
-            )
-        )
-        v = dense_vector(spec, fr, coeffs)
+        dim_r = spec.dim(fr)
+        v = FiberVector(fr, dim_r, {k % dim_r: _unit_coefficient(spec, data)}, spec.field.zero)
         f, g = _monomial(spec, fs, i), _monomial(spec, ft, j)
         sparse = _outcome(lambda: analysis._orthogonality_step(spec, v, f, g))
         dense = _outcome(
             lambda: dense_vector(spec, *dense_orthogonality_step(spec, fr, v.coeffs, f, g))
         )
         assert sparse == dense
-        if sparse is not HypothesisViolationError:
-            assert sparse.coeffs == dense.coeffs
+        if sparse is HypothesisViolationError:
+            outcomes.add("equal dimensions")
+            return
+        assert sparse.coeffs == dense.coeffs
+        (index,) = sparse.entries
+        outcomes.add("past the run" if index % (sparse.dim // dim_r) else "column 0")
 
-    monkeypatch.setattr(analysis, "_first_kernel_vector", recorded)
     check()
-    assert shapes == {"scaled", "reduced"}
-
-
-def _row_shapes(rows):
-    """Which of two shapes the matrix of the swept runs ``rows`` has: a row
-    of two or more entries whose leading entry is not one, which elimination
-    scales, and two rows with the same leading column, one of which it
-    subtracts from the other."""
-    cells = {}
-    for row0, col0, length, coeff in rows:
-        for u in range(length):
-            cells.setdefault(row0 + u, {})[col0 + u] = coeff
-    shapes = set()
-    if any(len(row) > 1 and not row[min(row)].is_one() for row in cells.values()):
-        shapes.add("scaled")
-    leads = [min(row) for row in cells.values()]
-    if len(set(leads)) < len(leads):
-        shapes.add("reduced")
-    return shapes
+    assert outcomes == {"equal dimensions", "past the run", "column 0"}
 
 
 CHECK_SPECS = {

@@ -791,6 +791,47 @@ def test_result_past_the_digit_limit_exits_two(capsys, spec_path):
         )
 
 
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_eval_prints_levels_past_the_digit_limit(capsys, spec_path, fmt):
+    # the output level 2^20000 has 6021 digits; it is printed in full, and
+    # the interpreter's limit is restored afterwards
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(
+        capsys, ["eval", "--spec", spec_path("e23"), "--format", fmt, "e(20000,0;0)"]
+    )
+    assert (code, err) == (1, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(2**20000)
+        assert len(digits) > limit
+        if fmt == "text":
+            assert lines_of(out) == [
+                "base level: 1",
+                f"level 1 -> {digits}: 1 entries",
+                "  [0,0] = 1",
+                "nonzero",
+            ]
+        else:
+            record = json.loads(lines_of(out)[1])
+            assert (record["level_in"], record["level_out"]) == (1, 2**20000)
+            assert record["entries"] == [[0, 0, "1"]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_monomial_index_past_the_digit_limit_exits_two(capsys, spec_path):
+    # alpha_(1,0) of e(0,9100;0) has the index 3^9100, of 4342 digits, which
+    # the parser would refuse as a literal
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, ["alpha", "--spec", spec_path("e23"), "1,0", "e(0,9100;0)"])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the result has a monomial index that exceeds {limit} digits, "
+        "the limit for a number in expression text\n"
+    )
+
+
 def test_bad_expression_reports_position(capsys, spec_path):
     code, _, err = run_cli(
         capsys, ["normalize", "--spec", spec_path("e23"), "e(1,0;7)"]
