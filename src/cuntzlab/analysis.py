@@ -329,7 +329,8 @@ def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> Fib
 
     Schedules every basis pair of (c - p(x_i), c - p(y_i)) per instance pair
     and extends w one orthogonality step at a time, starting from the unit
-    of the trivial fiber.  w is returned unnormalized with exact entries.
+    of the trivial fiber.  Each step multiplies w by a unit vector, so w
+    keeps support 1.  w is returned unnormalized with exact entries.
     """
     c = instance.shift_fiber
     v = spec.unit_vector(spec.identity_monomial)
