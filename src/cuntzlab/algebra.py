@@ -27,6 +27,7 @@ as every twisted lexicographic system, the only kind the engine builds, does.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .runs import raise_terms
@@ -141,16 +142,6 @@ class AlgebraElement:
         return AlgebraElement._canonical(
             self.spec, [t for t in terms if not t.coeff.is_zero()]
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.scaled(other)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        return self.scaled(other)
 
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement._from_map(
@@ -491,29 +482,29 @@ def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
 
     A term c x y* becomes the terms c' (f.x)(f.y)*, where f.x has index
     f*dim(x) + x.index and c' = c omega(s, x) conj(omega(s, y)) is the same
-    for every f; fibers and phases are computed once per term.  The images
-    of one term step by dim(x) on the left and dim(y) on the right, so they
-    are strided, not a diagonal run of consecutive indices, and each is
-    stored as its own term: a shift by s costs dim(s) terms per term.
-    Distinct (f, term) pairs give distinct monomial pairs, so nothing
-    merges.
+    for every f; fibers and phases are computed once per fiber pair (x, y).
+    The images step by dim(x) on the left and dim(y) on the right, so they
+    are strided, not a diagonal run, and each is its own term: a shift by s
+    costs dim(s) terms per term.  They are distinct and come out in
+    canonical order: the terms of one fiber pair are contiguous in
+    ``a.terms``, and within a pair image f of every term precedes image f + 1.
     """
     spec = a.spec
     s = spec.check_fiber(s)
-    twisted = spec.is_twisted
     n = spec._dim(s)
-    acc: dict = {}
-    for t in a.terms:
-        x, y = t.left, t.right
-        # untwisted phases are the field's one
-        if twisted:
-            ph_l, ph_r = spec._phase(s, x.fiber), spec._phase(s, y.fiber)
-            coeff = t.coeff * ph_l * ph_r.conj()
-        else:
-            coeff = t.coeff
-        fx, fy = add_fibers(s, x.fiber), add_fibers(s, y.fiber)
-        g = sub_degree(fx, fy)
-        dim_x, dim_y = spec._dim(x.fiber), spec._dim(y.fiber)
+    terms = []
+    for (xf, yf), group in groupby(a.terms, key=lambda t: (t.left.fiber, t.right.fiber)):
+        group = [(t.coeff, t.left.index, t.right.index) for t in group]
+        # untwisted phases are the field's one; a float product may be zero
+        if spec.is_twisted:
+            ph_l, ph_r = spec._phase(s, xf), spec._phase(s, yf).conj()
+            group = [(c * ph_l * ph_r, i, j) for c, i, j in group]
+            group = [(c, i, j) for c, i, j in group if not c.is_zero()]
+        fx, fy = add_fibers(s, xf), add_fibers(s, yf)
+        dim_x, dim_y = spec._dim(xf), spec._dim(yf)
         for f in range(n):
-            acc[(g, fx, f * dim_x + x.index, fy, f * dim_y + y.index)] = coeff
-    return _keyed_element(spec, acc)
+            terms += [
+                Term(c, BasisMonomial(fx, f * dim_x + i), BasisMonomial(fy, f * dim_y + j))
+                for c, i, j in group
+            ]
+    return AlgebraElement._canonical(spec, terms)

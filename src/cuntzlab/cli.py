@@ -53,17 +53,16 @@ BUILTIN_SPECS = {
 
 
 class Reporter:
-    """Writes records as plain lines or as one JSON object per line."""
+    """Writes records to stdout as plain lines or as one JSON object per line."""
 
-    def __init__(self, fmt: str, out=None):
+    def __init__(self, fmt: str):
         self.fmt = fmt
-        self.out = out if out is not None else sys.stdout
 
     def emit(self, text: str, **record):
         if self.fmt == "json-lines":
-            print(json.dumps(record, sort_keys=True), file=self.out)
+            print(json.dumps(record, sort_keys=True))
         else:
-            print(text, file=self.out)
+            print(text)
 
 
 def _load_spec(path: str) -> SystemSpec:
@@ -160,6 +159,13 @@ def _cmd_alpha(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
     fiber = _parse_fiber(spec, args.fiber)
     element = _parse_element(spec, args.expression)
+    # the largest image index, (dim(s) - 1) * dim(x) + x.index, tells before
+    # any term is built whether the result can be printed
+    step = spec.dim(fiber) - 1
+    tops = [step * spec.dim(x.fiber) + x.index for t in element.terms for x in t[1:]]
+    limit = sys.get_int_max_str_digits()
+    if limit and max(tops, default=0) >= 10**limit:
+        raise expr._past_digit_limit("a monomial index that exceeds {} digits")
     text = expr.format_element(algebra.shift_endomorphism(element, fiber))
     reporter.emit(text, command="alpha", fiber=list(fiber), element=text)
     return 0
@@ -622,6 +628,3 @@ def main(argv=None) -> int:
 def entry() -> None:
     sys.exit(main())
 
-
-if __name__ == "__main__":
-    entry()

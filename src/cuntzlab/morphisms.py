@@ -239,8 +239,9 @@ def factor_iso(m: int, n: int) -> IsomorphismPair:
     second-slot isometry goes to the x-th basis isometry of the mixed fiber
     (1, 1).  Backward images: the first family comes back identically, and
     the j-th second-slot isometry of the small system is the sum over l of
-    the mixed-fiber isometry at slot j*m + l times the adjoint of the l-th
-    first-slot isometry.  For m = 1 the pair degenerates consistently: the
+    the second-slot isometry at slot j*m + l times the adjoint of the l-th
+    first-slot isometry, built as its m terms e((0,1); j*m + l) e((1,0); l)'.
+    For m = 1 the pair degenerates consistently: the
     single first-slot range projection is the identity.
     """
     if m < 1 or n < 1:
@@ -256,13 +257,13 @@ def factor_iso(m: int, n: int) -> IsomorphismPair:
     for i in range(m):
         bwd_images[1, i] = algebra.isometry(big, big.monomial((1, 0), i))
     for j in range(n):
-        acc = algebra.zero(big)
-        for l in range(m):
-            acc = acc + algebra.multiply(
-                algebra.isometry(big, big.monomial((0, 1), j * m + l)),
-                algebra.isometry(big, big.monomial((1, 0), l)).adjoint(),
-            )
-        bwd_images[2, j] = acc
+        bwd_images[2, j] = AlgebraElement(
+            big,
+            {
+                (big.monomial((0, 1), j * m + l), big.monomial((1, 0), l)): big.field.one
+                for l in range(m)
+            },
+        )
     return IsomorphismPair(
         GeneratorAssignment(big, small, fwd_images),
         GeneratorAssignment(small, big, bwd_images),

@@ -42,7 +42,9 @@ on these timings alone: the benchmark's twisted workload runs orders 4 and 8
 Scalars of the same field combine with the usual operators; ints and
 Fractions lift automatically.  Cross-field arithmetic is an error unless
 the values are first moved with ``coerce`` into their ``common_field`` in
-the lattice rational -> cyclotomic(q) -> cyclotomic(q*r) -> float.
+the lattice rational -> cyclotomic(lcm(4, q)) -> cyclotomic(lcm(q, r)) ->
+float: the Gaussian rationals hold i, so they meet Q(zeta_q) in
+Q(zeta_lcm(4, q)).
 """
 
 from __future__ import annotations
@@ -181,7 +183,25 @@ def _product_kernel(phi: int, reduction):
 _new = object.__new__
 
 
-class RationalComplex:
+class _Scalar:
+    """What every scalar type derives from its ``_lift``, ``-``, ``*`` and ``inv``."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inv()
+
+
+class RationalComplex(_Scalar):
     """A Gaussian rational (re_num + im_num*i) / den on plain integers.
 
     ``den > 0`` and gcd(re_num, im_num, den) == 1, so each value has exactly
@@ -243,12 +263,6 @@ class RationalComplex:
             self.re_num * f - o.re_num * d, self.im_num * f - o.im_num * d, d * f
         )
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = other if other.__class__ is RationalComplex else self._lift(other)
         if o is None:
@@ -260,12 +274,6 @@ class RationalComplex:
 
     def __neg__(self):
         return _rational(-self.re_num, -self.im_num, self.den)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
 
     def conj(self) -> "RationalComplex":
         return _rational(self.re_num, -self.im_num, self.den)
@@ -316,7 +324,7 @@ def _rational(re_num: int, im_num: int, den: int) -> RationalComplex:
     return z
 
 
-class Cyclotomic:
+class Cyclotomic(_Scalar):
     """An element of Q(zeta_q) in the power basis 1, zeta, ..., zeta^(phi-1).
 
     Stored as integer numerators ``nums`` over one common denominator
@@ -377,12 +385,6 @@ class Cyclotomic:
             self.field, [a * f - b * d for a, b in zip(self.nums, o.nums)], d * f
         )
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         field = self.field
         if other.__class__ is Cyclotomic and other.field is field:
@@ -398,26 +400,8 @@ class Cyclotomic:
     def __neg__(self):
         return _cyclotomic(self.field, [-a for a in self.nums], self.den)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def _galois(self, k: int) -> "Cyclotomic":
-        # the automorphism zeta |-> zeta^k, for k coprime to q
-        field = self.field
-        q = field.order
-        out = [0] * field.phi
-        reduction = field.reduction
-        for j, c in enumerate(self.nums):
-            if c:
-                for i, r in reduction[j * k % q]:
-                    out[i] += c * r
-        return _cyclotomic(field, out, self.den)
-
     def conj(self) -> "Cyclotomic":
-        return self._galois(-1)
+        return _substitute(self.field, self, -1)
 
     def inv(self) -> "Cyclotomic":
         if self.is_zero():
@@ -428,7 +412,7 @@ class Cyclotomic:
         rest = self.field.one
         for k in range(2, q):
             if math.gcd(k, q) == 1:
-                rest = rest * self._galois(k)
+                rest = rest * _substitute(self.field, self, k)
         norm = self * rest
         n = norm.nums[0]
         sign = 1 if n > 0 else -1
@@ -469,6 +453,19 @@ class Cyclotomic:
         return f"Cyclotomic(q={self.field.order}, {list(self.coeffs)})"
 
 
+def _substitute(field: "CyclotomicField", z: Cyclotomic, m: int) -> Cyclotomic:
+    """z with zeta_r |-> zeta_q^m in ``field`` = Q(zeta_q), r the order of z: a
+    Galois automorphism for r = q and m coprime to q, an embedding for m = q/r."""
+    q = field.order
+    out = [0] * field.phi
+    reduction = field.reduction
+    for j, c in enumerate(z.nums):
+        if c:
+            for i, r in reduction[j * m % q]:
+                out[i] += c * r
+    return _cyclotomic(field, out, z.den)
+
+
 def _cyclotomic(field: "CyclotomicField", nums, den: int) -> Cyclotomic:
     """The private constructor: integer numerators over den > 0, reduced by
     one gcd."""
@@ -483,7 +480,7 @@ def _cyclotomic(field: "CyclotomicField", nums, den: int) -> Cyclotomic:
     return z
 
 
-class FloatComplex:
+class FloatComplex(_Scalar):
     """Complex floating-point scalar; zero means |z| < 1e-9."""
 
     __slots__ = ("value",)
@@ -511,12 +508,6 @@ class FloatComplex:
         if o is None:
             return NotImplemented
         return FloatComplex(self.value - o.value)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -691,14 +682,7 @@ class CyclotomicField:
             if s.field.order == self.order:
                 return s
             if self.order % s.field.order == 0:
-                # zeta_r^k = zeta_q^(k*q/r)
-                step = self.order // s.field.order
-                out = [0] * self.phi
-                for k, c in enumerate(s.nums):
-                    if c:
-                        for i, r in self.reduction[k * step]:
-                            out[i] += c * r
-                return _cyclotomic(self, out, s.den)
+                return _substitute(self, s, self.order // s.field.order)
             raise TypeError(
                 f"cannot embed Q(zeta_{s.field.order}) into Q(zeta_{self.order})"
             )
@@ -720,14 +704,8 @@ class CyclotomicField:
 
 class FloatField:
     name = "float"
-
-    @property
-    def zero(self):
-        return FloatComplex(0.0)
-
-    @property
-    def one(self):
-        return FloatComplex(1.0)
+    zero = FloatComplex(0.0)
+    one = FloatComplex(1.0)
 
     def from_fraction(self, fr) -> FloatComplex:
         if isinstance(fr, float):
@@ -810,10 +788,7 @@ def common_field(a: ScalarField, b: ScalarField) -> ScalarField:
     if isinstance(a, FloatField) or isinstance(b, FloatField):
         return FLOAT
     if isinstance(a, RationalField):
-        return b
-    if isinstance(b, RationalField):
-        return a
-    # two distinct cyclotomic orders: join at the lcm, folding in i if either
-    # order already granted it
-    lcm = a.order * b.order // math.gcd(a.order, b.order)
-    return cyclotomic_field(lcm)
+        a, b = b, a
+    # the Gaussian rationals hold i = zeta_4
+    order = 4 if isinstance(b, RationalField) else b.order
+    return cyclotomic_field(math.lcm(a.order, order))

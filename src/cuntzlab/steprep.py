@@ -264,7 +264,7 @@ class CharacterTwist:
             for _ in range(abs(g)):
                 out = base if out is None else out * base
         if out is None:
-            out = self.values[0] * self.values[0].conj()  # one, in lambda's field
+            out = field_of(self.values[0]).one
         return out
 
     def __repr__(self):

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,8 @@ SPEC_TEXTS = {
     "e23": "k = 2\ndims = 2 3\n",
     "e24": "k = 2\ndims = 2 4\n",
     "e26": "k = 2\ndims = 2 6\n",
+    "e1010": "k = 2\ndims = 10 10\n",
+    "f23": "k = 2\ndims = 2 3\nscalars = float\n",
     "e2p": "k = 2\ndims = 2 1000000000000000003\n",
     "tw14": "k = 2\ndims = 1 1\ntheta = 0 0 1/4 0\nscalars = cyclotomic:4\n",
     "epq": f"k = 2\ndims = {PQ} 10000000000000000051\n",
@@ -832,6 +835,34 @@ def test_monomial_index_past_the_digit_limit_exits_two(capsys, spec_path):
     )
 
 
+def test_alpha_refuses_an_unprintable_shift_before_building_it(capsys, spec_path, monkeypatch):
+    # alpha_(0,9100) of e(1,0;1) would have 3^9100 terms; its largest image
+    # index, 2 * (3^9100 - 1) + 1, has 4343 digits, so nothing is built
+    def never(*args):
+        pytest.fail("the shift was built")
+
+    monkeypatch.setattr(cli.algebra, "shift_endomorphism", never)
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["alpha", "--spec", spec_path("e23"), "0,9100", "e(1,0;1)"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the result has a monomial index that exceeds {limit} digits, "
+        "the limit for a number in expression text\n"
+    )
+
+
+def test_alpha_prints_the_largest_printable_index(capsys, spec_path):
+    # on dims 10 10 the image f of e(L-1,0;10^(L-1) - 1) under alpha_(1,0)
+    # has the index (f + 1) * 10^(L-1) - 1, which for f = 9 is L nines
+    limit = sys.get_int_max_str_digits()
+    x = f"e({limit - 1},0;{10 ** (limit - 1) - 1})"
+    code, out, err = run_cli(capsys, ["alpha", "--spec", spec_path("e1010"), "1,0", x])
+    assert (code, err) == (0, "")
+    assert out.endswith(f"e({limit},0;{'9' * limit})*e(1,0;9)'\n")
+
+
 def test_bad_expression_reports_position(capsys, spec_path):
     code, _, err = run_cli(
         capsys, ["normalize", "--spec", spec_path("e23"), "e(1,0;7)"]
@@ -871,6 +902,74 @@ def test_unexpected_errors_exit_three(capsys, spec_path, monkeypatch):
         assert out == ""
         assert err.startswith(message)
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "k = 2\ndims = 2 3\ntheta = 0 0.25 0 0\nscalars = cyclotomic:4\n",
+            "line 3: cyclotomic scalar mode needs rational theta entries, got float 0.25",
+        ),
+        ("k = 2\ndims = 2 3\nscalars\n", "line 3: expected 'key = value', got 'scalars'"),
+        ("k = 2\nk = 2\ndims = 2 3\n", "line 2: duplicate key 'k'"),
+        ("k = 2\n", "line 1: missing required line 'dims = ...'"),
+        ("k = 2\ndims = 2 3\ntheta = 0 x 0 0\n", "line 3: bad numeric entry 'x'"),
+    ],
+)
+def test_bad_spec_lines_exit_two(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.spec"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["classify", "--spec", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad spec file {str(path)!r}: {message}\n"
+
+
+def test_refused_arguments_exit_two(capsys, spec_path, tmp_path):
+    e23 = spec_path("e23")
+    bad_key = tmp_path / "bad_key.assign"
+    bad_key.write_text("(1,x) = e(1,0;0)\n", encoding="utf-8")
+    cases = [
+        (
+            ["eval", "--spec", e23, "--lambda", "2,1", "I"],
+            "error: character value RationalComplex(2, 0) is not of modulus one\n",
+        ),
+        (
+            ["kill", "--spec", e23, "e(1,0;0)+e(0,1;0)", "e(0,1;0)"],
+            "error: 'e(1,0;0)+e(0,1;0)' is not a single generator monomial\n",
+        ),
+        (
+            ["kill", "--spec", e23, "e(1,0;0)", "e(0,1;0)", "--shift", "0,1"],
+            "error: pair 0: shift fiber (0, 1) does not dominate (1, 0)\n",
+        ),
+        (
+            ["relations", "--spec", e23, str(bad_key)],
+            "error: line 1: malformed generator key '(1,x)'\n",
+        ),
+    ]
+    for argv, message in cases:
+        assert run_cli(capsys, argv) == (2, "", message)
+    missing = str(tmp_path / "absent.assign")
+    code, out, err = run_cli(capsys, ["relations", "--spec", e23, missing])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read assignment {missing!r}: ")
+
+
+def test_float_character_keeps_the_degree_zero_phase_exact(capsys, spec_path):
+    # the phase of degree zero is the field's one; lambda * conj(lambda)
+    # rounds to 0.9999999999999999 for lambda = zeta(3) in floating point
+    code, out, err = run_cli(
+        capsys,
+        ["eval", "--spec", spec_path("f23"), "--lambda", "zeta(3),1", "I + e(1,0;0)*e(1,0;0)'"],
+    )
+    assert (code, err) == (1, "")
+    assert lines_of(out) == [
+        "base level: 2",
+        "level 2 -> 2: 2 entries",
+        "  [0,0] = 2.0",
+        "  [1,1] = 1.0",
+        "nonzero",
+    ]
 
 
 def test_bad_lambda_count(capsys, spec_path):

@@ -190,6 +190,9 @@ class TestFieldLattice:
         k4, k6 = cyclotomic_field(4), cyclotomic_field(6)
         assert common_field(k4, k6) == cyclotomic_field(12)
         assert common_field(RATIONAL, k4) == k4
+        # Q(zeta_3) lacks i, which the Gaussian rationals hold
+        assert common_field(RATIONAL, cyclotomic_field(3)) == cyclotomic_field(12)
+        assert common_field(cyclotomic_field(6), RATIONAL) == cyclotomic_field(12)
         assert common_field(FLOAT, k4) is FLOAT
 
     def test_promote_pair(self):

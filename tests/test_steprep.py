@@ -240,6 +240,13 @@ class TestCharacterTwist:
         level = minimal_level(a)
         assert evaluate_twisted(a, tw, level).equal(evaluate(a, level))
 
+    def test_gaussian_coefficient_under_a_character_without_i(self, e23):
+        # the entries live in Q(zeta_12), which holds both i and zeta_3
+        k3, k12 = cyclotomic_field(3), cyclotomic_field(12)
+        a = algebra.identity(e23).scaled(RationalComplex(0, 1))
+        family = evaluate(a, twist=CharacterTwist([k3.zeta_power(1), k3.one]))
+        assert family.blocks[1].entries == {(0, 0): k12.zeta_power(3)}
+
     def test_twisted_spec_rejected(self, tw23):
         tw = CharacterTwist([RationalComplex(0, 1), RationalComplex(1)])
         a = algebra.identity(tw23)
