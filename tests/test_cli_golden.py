@@ -2,10 +2,11 @@
 
 Each case runs ``cli.main`` in process and compares its exit code, stdout
 and stderr with ``golden/cli_golden.json``.  The cases cover ``normalize``,
-``equals``, ``expect`` and ``alpha`` on an untwisted rational spec, a
-cyclotomic twisted spec and a float spec with an irrational angle, in both
-output formats; the expressions multiply monomials whose rewrite windows
-are cut at either end, empty or collapse to the identity.
+``equals``, ``expect``, ``alpha`` and ``kill`` on an untwisted rational
+spec, a cyclotomic twisted spec and a float spec with an irrational angle,
+in both output formats; the expressions multiply monomials whose rewrite
+windows are cut at either end, empty or collapse to the identity, and
+``kill`` runs at the default shift and one above it.
 
 The expected file is written from a trusted tree by
 
@@ -57,6 +58,8 @@ COMMANDS = [
     ("alpha", ["1,0", PRODUCT]),
     ("alpha", ["0,1", MIXED]),
     ("alpha", ["1,1", GAUGED]),
+    ("kill", ["e(1,0;0)", "e(0,1;0)"]),
+    ("kill", ["e(1,0;0)", "e(0,1;0)", "--shift", "2,2"]),
 ]
 
 
