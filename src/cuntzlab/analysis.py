@@ -287,60 +287,57 @@ def annihilation_instance(spec: SystemSpec, pairs, shift_fiber=None) -> Annihila
     return AnnihilationInstance(pairs, shift_fiber)
 
 
-def _orthogonality_step(spec: SystemSpec, v: FiberVector, f: BasisMonomial, g: BasisMonomial):
-    """One induction step: extend v so it kills the scheduled pair (f, g).
+def _orthogonality_step(j: int, dim_r: int, f: int, dim_s: int, g: int, dim_t: int) -> int:
+    """One induction step: the column l such that v e(t;l) kills the
+    scheduled pair (e(s;f), e(t;g)), for v = a e(r;j) and dim s < dim t.
 
-    Swaps the pair if needed so the extension fiber t is the strictly larger
-    one; equal dimensions violate the construction's hypothesis.  The
-    extension v' of fiber t must be orthogonal to every row of a dim s x
-    dim t matrix whose cell (l2, l1) sums v_j1 conj(v_j2) over the basis w
-    of v's fiber r, where j1, l1 = divmod(g.index dim r + w, dim t) and
-    j2, l2 = divmod(f.index dim r + w, dim s), times one multiplier phase
-    that is left out: a nonzero factor of the whole matrix leaves its kernel
-    alone.
+    The extension of v must be orthogonal to every row of a dim s x dim t
+    matrix whose cell (l2, l1) sums v_j1 conj(v_j2) over the basis w of r,
+    where j1, l1 = divmod(g dim r + w, dim t) and j2, l2 = divmod(f dim r +
+    w, dim s), times one multiplier phase that is left out: a nonzero
+    factor of the whole matrix leaves its kernel alone.
 
-    The start vector has support 1 and each step multiplies by a unit
-    vector, so v = a e_j: j1 = j2 = j, and the matrix is nonzero only on
-    the window lo <= w < hi where both quotients are j.  There l1 and l2
-    step together, so the matrix is one diagonal run of length hi - lo, or
-    none, a partial permutation.  Its kernel holds the unit vector at the
-    first column the run leaves uncovered, so a step costs O(1), never
-    dim t.
+    v has support 1, so j1 = j2 = j, and the matrix is nonzero only on the
+    window lo <= w < hi where both quotients are j.  There l1 and l2 step
+    together, so the matrix is one diagonal run of length hi - lo, or none,
+    a partial permutation.  Its kernel holds the unit vector at the first
+    column the run leaves uncovered, so a step costs O(1), never dim t.
     """
-    dim_s, dim_t = spec._dim(f.fiber), spec._dim(g.fiber)
-    if dim_s == dim_t:
-        raise HypothesisViolationError(
-            f"scheduled pair ({f!r}, {g!r}) has fibers of equal dimension {dim_s}"
-        )
-    if dim_s > dim_t:
-        f, g, dim_s, dim_t = g, f, dim_t, dim_s
-    (j,) = v.entries
-    g_off, f_off = g.index * v.dim, f.index * v.dim
+    g_off, f_off = g * dim_r, f * dim_r
     lo = max(0, j * dim_t - g_off, j * dim_s - f_off)
-    hi = min(v.dim, (j + 1) * dim_t - g_off, (j + 1) * dim_s - f_off)
+    hi = min(dim_r, (j + 1) * dim_t - g_off, (j + 1) * dim_s - f_off)
     # a run from column 0 covers the columns below its length
-    free = hi - lo if lo < hi and g_off + lo == j * dim_t else 0
-    field = spec.field
-    return spec.mul_vectors(v, FiberVector(g.fiber, dim_t, {free: field.one}, field.zero))
+    return hi - lo if lo < hi and g_off + lo == j * dim_t else 0
 
 
 def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> FiberVector:
     """A vector w whose compression kills every scheduled monomial pair.
 
     Schedules every basis pair of (c - p(x_i), c - p(y_i)) per instance pair
-    and extends w one orthogonality step at a time, starting from the unit
-    of the trivial fiber.  Each step multiplies w by a unit vector, so w
-    keeps support 1.  w is returned unnormalized with exact entries.
+    and extends w one step at a time by a basis vector of the pair's larger
+    fiber, from the unit of the trivial fiber.  So w is one exact coefficient
+    times a basis monomial, with its dimension kept as a running product.
     """
     c = instance.shift_fiber
-    v = spec.unit_vector(spec.identity_monomial)
+    coeff, w, dim = spec.field.one, spec.identity_monomial, 1
     for x, y in instance.pairs:
-        s_i = sub_degree(c, fiber_of(x))
-        t_i = sub_degree(c, fiber_of(y))
-        for f in spec.basis(tuple(s_i)):
-            for g in spec.basis(tuple(t_i)):
-                v = _orthogonality_step(spec, v, f, g)
-    return v
+        s, t = sub_degree(c, fiber_of(x)), sub_degree(c, fiber_of(y))
+        dim_s, dim_t = spec.dim(s), spec.dim(t)
+        if dim_s == dim_t:
+            raise HypothesisViolationError(
+                f"scheduled pair ({BasisMonomial(s, 0)!r}, {BasisMonomial(t, 0)!r}) "
+                f"has fibers of equal dimension {dim_s}"
+            )
+        swap = dim_s > dim_t
+        ext, dim_ext, dim_in = (s, dim_s, dim_t) if swap else (t, dim_t, dim_s)
+        for f in range(dim_s):
+            for g in range(dim_t):
+                a, b = (g, f) if swap else (f, g)
+                col = _orthogonality_step(w.index, dim, a, dim_in, b, dim_ext)
+                phase, w = spec.mul_basis(w, BasisMonomial(ext, col))
+                coeff = phase * coeff
+                dim *= dim_ext
+    return FiberVector(w.fiber, dim, {w.index: coeff}, spec.field.zero)
 
 
 def verify_annihilation(

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -160,12 +161,15 @@ def _cmd_alpha(args, reporter: Reporter) -> int:
     fiber = _parse_fiber(spec, args.fiber)
     element = _parse_element(spec, args.expression)
     # the largest image index, (dim(s) - 1) * dim(x) + x.index, tells before
-    # any term is built whether the result can be printed
-    step = spec.dim(fiber) - 1
-    tops = [step * spec.dim(x.fiber) + x.index for t in element.terms for x in t[1:]]
+    # any term is built whether the result can be printed; once log10 dim(s)
+    # passes the limit by a digit, 10^limit stands in for dim(s) - 1
     limit = sys.get_int_max_str_digits()
-    if limit and max(tops, default=0) >= 10**limit:
-        raise expr._past_digit_limit("a monomial index that exceeds {} digits")
+    if limit and element.terms:
+        log_dim = sum(e * math.log10(m) for m, e in zip(spec.gen_dims, fiber))
+        step = 10**limit if log_dim > limit + 1 else spec.dim(fiber) - 1
+        tops = [step * spec.dim(x.fiber) + x.index for t in element.terms for x in t[1:]]
+        if max(tops) >= 10**limit:
+            raise expr._past_digit_limit("a monomial index that exceeds {} digits")
     text = expr.format_element(algebra.shift_endomorphism(element, fiber))
     reporter.emit(text, command="alpha", fiber=list(fiber), element=text)
     return 0
@@ -315,15 +319,14 @@ def _cmd_kill(args, reporter: Reporter) -> int:
         command="kill",
         shift=list(instance.shift_fiber),
     )
-    dimension = spec.dim(vector.fiber)
     with _all_digits():
         reporter.emit(
             f"vector fiber: {_fiber_text(vector.fiber)}, support {support} of "
-            f"{dimension}",
+            f"{vector.dim}",
             command="kill",
             vector_fiber=list(vector.fiber),
             support=support,
-            dimension=dimension,
+            dimension=vector.dim,
         )
     verdict = analysis.verify_annihilation(spec, instance, vector)
     reporter.emit(

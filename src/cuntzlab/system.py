@@ -247,11 +247,6 @@ class SystemSpec:
     def identity_monomial(self) -> BasisMonomial:
         return BasisMonomial((0,) * self.k, 0)
 
-    def unit_vector(self, x: BasisMonomial) -> FiberVector:
-        return FiberVector(
-            x.fiber, self.dim(x.fiber), {x.index: self.field.one}, self.field.zero
-        )
-
     # -- multiplication ----------------------------------------------------
 
     def _theta_pairing(self, s: Fiber, t: Fiber):

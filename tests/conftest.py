@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlab import algebra, expr, scalars
+from cuntzlab import algebra, analysis, expr, scalars
 from cuntzlab.system import (
     BasisMonomial,
     FiberVector,
@@ -226,3 +226,43 @@ def vector_element(spec, v):
     return algebra.AlgebraElement.from_terms(
         spec, ((c, BasisMonomial(v.fiber, j), e) for j, c in v.entries.items())
     )
+
+
+def unit_vector(spec, x):
+    """The basis monomial x as a fiber vector with coefficient one."""
+    return FiberVector(x.fiber, spec.dim(x.fiber), {x.index: spec.field.one}, spec.field.zero)
+
+
+def stepwise_orthogonality_step(spec, v, f, g):
+    """One step of ``stepwise_annihilating_vector``: v times the unit
+    vector of the larger fiber of (f, g) at the free column, through
+    ``SystemSpec.mul_vectors``."""
+    dim_s, dim_t = spec._dim(f.fiber), spec._dim(g.fiber)
+    if dim_s == dim_t:
+        raise analysis.HypothesisViolationError(
+            f"scheduled pair ({f!r}, {g!r}) has fibers of equal dimension {dim_s}"
+        )
+    if dim_s > dim_t:
+        f, g, dim_s, dim_t = g, f, dim_t, dim_s
+    (j,) = v.entries
+    g_off, f_off = g.index * v.dim, f.index * v.dim
+    lo = max(0, j * dim_t - g_off, j * dim_s - f_off)
+    hi = min(v.dim, (j + 1) * dim_t - g_off, (j + 1) * dim_s - f_off)
+    free = hi - lo if lo < hi and g_off + lo == j * dim_t else 0
+    field = spec.field
+    return spec.mul_vectors(v, FiberVector(g.fiber, dim_t, {free: field.one}, field.zero))
+
+
+def stepwise_annihilating_vector(spec, instance):
+    """``analysis.annihilating_vector`` as a fiber vector per step: the
+    unit of the trivial fiber, multiplied by ``mul_vectors`` once for every
+    scheduled basis pair, whose equal dimensions are checked at each step."""
+    c = instance.shift_fiber
+    v = unit_vector(spec, spec.identity_monomial)
+    for x, y in instance.pairs:
+        s_i = sub_degree(c, analysis.fiber_of(x))
+        t_i = sub_degree(c, analysis.fiber_of(y))
+        for f in spec.basis(tuple(s_i)):
+            for g in spec.basis(tuple(t_i)):
+                v = stepwise_orthogonality_step(spec, v, f, g)
+    return v

@@ -16,9 +16,9 @@ from cuntzlab.analysis import (
     rank_and_kernel,
     verify_annihilation,
 )
-from cuntzlab.system import SystemSpec, parse_spec_text
+from cuntzlab.system import FiberVector, SystemSpec, parse_spec_text
 
-from conftest import compressed_pair_element, dense_vector
+from conftest import compressed_pair_element, dense_vector, unit_vector
 
 
 # nextprime(10^19) and nextprime(10^20): no factorizer splits their product
@@ -424,35 +424,52 @@ class TestAnnihilationConstruction:
 
     def test_construction_steps_keep_support_one(self, e23, tw23, monkeypatch):
         # each step meets a support-1 vector, whose constraint is one run:
-        # the kernel vector is read off it, with no row reduction, and the
-        # extended vector has support 1 again
+        # the free column is read off it, with no row reduction, and the
+        # vector is extended by one product of basis monomials; the one
+        # fiber vector is the returned one
         def refuse(*args, **kwargs):
-            raise AssertionError("the construction must not reduce a matrix or build algebra elements")
+            raise AssertionError(
+                "the construction must not reduce a matrix, multiply fiber "
+                "vectors or build algebra elements"
+            )
 
-        step = analysis._orthogonality_step
+        step, mul_basis = analysis._orthogonality_step, SystemSpec.mul_basis
+        init = FiberVector.__init__
         for spec in (e23, tw23):
             inst = annihilation_instance(
                 spec, [(spec.monomial((3, 0), 0), spec.monomial((0, 3), 0))]
             )
-            produced = []
+            columns, products, built = [], [], []
 
             def recorded(*args):
-                produced.append(step(*args))
-                return produced[-1]
+                columns.append(step(*args))
+                return columns[-1]
+
+            def multiplied(self, x, y):
+                products.append(y)
+                return mul_basis(self, x, y)
+
+            def counted(self, *args):
+                built.append(args)
+                init(self, *args)
 
             with monkeypatch.context() as patch:
                 patch.setattr(analysis, "_orthogonality_step", recorded)
+                patch.setattr(SystemSpec, "mul_basis", multiplied)
                 for module, name in (
                     (linalg, "nullspace"),
                     (linalg, "_rref"),
                     (algebra, "multiply"),
                     (algebra, "normal_form"),
+                    (SystemSpec, "mul_vectors"),
                 ):
                     patch.setattr(module, name, refuse)
+                patch.setattr(FiberVector, "__init__", counted)
                 w = annihilating_vector(spec, inst)
+                assert len(built) == 1 and len(w.entries) == 1
                 assert verify_annihilation(spec, inst, w) is True
-            assert len(produced) == 27 * 8
-            assert [len(v.entries) for v in produced] == [1] * len(produced)
+            assert len(columns) == len(products) == 27 * 8
+            assert [y.index for y in products] == columns
 
     def test_window_oracle_frozen_set(self):
         assert _window_oracle_bad_indices(6) == {0, 1, 727, 728}
@@ -495,7 +512,7 @@ class TestAnnihilationConstruction:
         for spec in (e23, tw23):
             first = (spec.monomial((1, 0), 0), spec.monomial((0, 1), 0))
             second = (spec.identity_monomial, spec.monomial((0, 1), 0))
-            w = spec.unit_vector(spec.monomial((0, 2), 4))
+            w = unit_vector(spec, spec.monomial((0, 2), 4))
             both = annihilation_instance(spec, [first, second], (1, 1))
             for i, expected in enumerate((True, False)):
                 alone = annihilation_instance(spec, [both.pairs[i]], (1, 1))

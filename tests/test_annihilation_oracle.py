@@ -4,13 +4,15 @@
 vector is a dense coefficient list and each orthogonality step sums over
 the whole basis of the current fiber.  It costs the fiber dimension, so it
 only runs on small instances, where the sparse route must return the same
-vector coefficient by coefficient.  The verdict of ``verify_annihilation``
-is checked against the exact normal form of the expanded compression.
+vector coefficient by coefficient.  On larger schedules the construction
+is compared with ``conftest.stepwise_annihilating_vector``, which builds a
+fiber vector at every step.  The verdict of ``verify_annihilation`` is
+checked against the exact normal form of the expanded compression.
 """
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import algebra, analysis, linalg
@@ -20,11 +22,17 @@ from cuntzlab.system import (
     FiberVector,
     SystemSpec,
     add_fibers,
+    max_fiber,
     parse_spec_text,
     sub_degree,
 )
 
-from conftest import compressed_pair_element, dense_vector
+from conftest import (
+    PRODUCT_SPECS,
+    compressed_pair_element,
+    dense_vector,
+    stepwise_annihilating_vector,
+)
 
 SPECS = {
     "e23": SystemSpec((2, 3)),
@@ -35,6 +43,8 @@ SPECS = {
 }
 # every theta entry nonzero, so omega(r, r) is a nontrivial phase
 Q8 = parse_spec_text("k = 2\ndims = 2 3\ntheta = 1/8 3/8 5/8 1/4\nscalars = cyclotomic:8\n")
+# an irrational angle: every phase is an inexact float
+TWF23 = PRODUCT_SPECS["twf23"]
 FIBERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 # the dense route costs the final vector dimension
 DENSE_LIMIT = 4096
@@ -198,11 +208,23 @@ def _unit_coefficient(spec, data):
     return field.root_of_unity(Fraction(data.draw(st.integers(0, order - 1)), order))
 
 
+def _outcome_text(build):
+    """The built vector as (fiber, dim, entries with the repr of each
+    coefficient), or the message of the hypothesis violation raised."""
+    try:
+        v = build()
+    except HypothesisViolationError as err:
+        return str(err)
+    return v.fiber, v.dim, {j: repr(c) for j, c in v.entries.items()}
+
+
 def test_step_matches_dense_on_support_one():
     # the construction only ever meets vectors a e_j (see
     # test_construction_steps_keep_support_one), whose constraint matrix is
-    # one diagonal run or none; every such vector of a fiber r against the
-    # dense step, which reduces the whole matrix
+    # one diagonal run or none; the free column of every such vector of a
+    # fiber r, times e(r;j) by the product rule, against the dense step,
+    # which reduces the whole matrix.  Equal dimensions are refused by the
+    # construction before its first step.
     outcomes = set()
     specs = {**SPECS, "q8": Q8}
 
@@ -220,22 +242,81 @@ def test_step_matches_dense_on_support_one():
     def check(name, fr, fs, ft, i, j, k, data):
         spec = specs[name]
         dim_r = spec.dim(fr)
-        v = FiberVector(fr, dim_r, {k % dim_r: _unit_coefficient(spec, data)}, spec.field.zero)
+        a = _unit_coefficient(spec, data)
+        v = BasisMonomial(fr, k % dim_r)
         f, g = _monomial(spec, fs, i), _monomial(spec, ft, j)
-        sparse = _outcome(lambda: analysis._orthogonality_step(spec, v, f, g))
+        coeffs = FiberVector(fr, dim_r, {v.index: a}, spec.field.zero).coeffs
         dense = _outcome(
-            lambda: dense_vector(spec, *dense_orthogonality_step(spec, fr, v.coeffs, f, g))
+            lambda: dense_vector(spec, *dense_orthogonality_step(spec, fr, coeffs, f, g))
         )
-        assert sparse == dense
-        if sparse is HypothesisViolationError:
-            outcomes.add("equal dimensions")
+        dim_s, dim_t = spec.dim(fs), spec.dim(ft)
+        if dim_s == dim_t:
+            assert dense is HypothesisViolationError
             return
+        if dim_s > dim_t:
+            f, g, dim_s, dim_t = g, f, dim_t, dim_s
+        col = analysis._orthogonality_step(v.index, dim_r, f.index, dim_s, g.index, dim_t)
+        phase, w = spec.mul_basis(v, BasisMonomial(g.fiber, col))
+        sparse = FiberVector(w.fiber, dim_r * dim_t, {w.index: phase * a}, spec.field.zero)
         assert sparse.coeffs == dense.coeffs
-        (index,) = sparse.entries
-        outcomes.add("past the run" if index % (sparse.dim // dim_r) else "column 0")
+        outcomes.add("past the run" if col else "column 0")
 
     check()
+    # every pair of distinct fibers of equal dimension, scheduled first by
+    # an instance: the construction refuses it with the step's message
+    for spec in specs.values():
+        for fs in FIBERS:
+            for ft in FIBERS:
+                dim = spec.dim(fs)
+                if fs == ft or dim != spec.dim(ft):
+                    continue
+                f, g = BasisMonomial(fs, 0), BasisMonomial(ft, 0)
+                shift = max_fiber(fs, ft)
+                instance = analysis.annihilation_instance(
+                    spec, [(BasisMonomial(sub_degree(shift, fs), 0), BasisMonomial(sub_degree(shift, ft), 0))]
+                )
+                assert _outcome_text(lambda: analysis.annihilating_vector(spec, instance)) == (
+                    f"scheduled pair ({f!r}, {g!r}) has fibers of equal dimension {dim}"
+                )
+                outcomes.add("equal dimensions")
     assert outcomes == {"equal dimensions", "past the run", "column 0"}
+
+
+# shifts up to (2,2), one or two pairs: up to 13,824 steps on e34
+STEPWISE_SPECS = {**SPECS, "q8": Q8, "twf23": TWF23}
+
+
+@settings(ORACLE, max_examples=100)
+@given(
+    st.sampled_from(sorted(STEPWISE_SPECS)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(FIBERS),
+            st.sampled_from(FIBERS),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+# on e24 dim(2,0) = dim(0,1): refused as the first pair, and after a pair
+@example("e24", [((0, 1), (2, 0), 0, 0)], (0, 0))
+@example("e24", [((1, 0), (0, 1), 1, 2), ((0, 1), (2, 0), 0, 0)], (0, 0))
+def test_construction_matches_stepwise(name, drawn, shift):
+    # the construction against the fiber vector per step that it replaced,
+    # down to the repr of the coefficient, on float twists too; a pair of
+    # equal dimensions must be refused with the same message
+    spec = STEPWISE_SPECS[name]
+    pairs = [(_monomial(spec, fx, i), _monomial(spec, fy, j)) for fx, fy, i, j in drawn]
+    assume(all(x.fiber != y.fiber for x, y in pairs))
+    for x, y in pairs:
+        shift = max_fiber(shift, max_fiber(x.fiber, y.fiber))
+    instance = analysis.annihilation_instance(spec, pairs, shift)
+    assert _outcome_text(lambda: analysis.annihilating_vector(spec, instance)) == _outcome_text(
+        lambda: stepwise_annihilating_vector(spec, instance)
+    )
 
 
 CHECK_SPECS = {

@@ -853,6 +853,27 @@ def test_alpha_refuses_an_unprintable_shift_before_building_it(capsys, spec_path
     )
 
 
+def test_alpha_refuses_a_huge_shift_without_its_dimension(capsys, spec_path, monkeypatch):
+    # dim(0,10^7) on e23 has about 4.8 million digits: its logarithm
+    # refuses the shift, and the power itself is never computed
+    dims = []
+    dim = SystemSpec._dim
+
+    def recorded(self, s):
+        dims.append(s)
+        return dim(self, s)
+
+    monkeypatch.setattr(SystemSpec, "_dim", recorded)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, ["alpha", "--spec", spec_path("e23"), "0,10000000", "e(1,0;0)"])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the result has a monomial index that exceeds {limit} digits, "
+        "the limit for a number in expression text\n"
+    )
+    assert (0, 10000000) not in dims
+
+
 def test_alpha_prints_the_largest_printable_index(capsys, spec_path):
     # on dims 10 10 the image f of e(L-1,0;10^(L-1) - 1) under alpha_(1,0)
     # has the index (f + 1) * 10^(L-1) - 1, which for f = 9 is L nines

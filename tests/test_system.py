@@ -16,7 +16,7 @@ from cuntzlab.system import (
     sub_degree,
 )
 
-from conftest import dense_vector, inner, random_monomial
+from conftest import dense_vector, inner, random_monomial, unit_vector
 
 
 class TestDimensions:
@@ -96,9 +96,9 @@ class TestBasisProducts:
     def test_associative_twisted_vectors(self, tw23, rng):
         # phases must compose associatively too
         for _ in range(20):
-            u = tw23.unit_vector(random_monomial(tw23, rng))
-            v = tw23.unit_vector(random_monomial(tw23, rng))
-            w = tw23.unit_vector(random_monomial(tw23, rng))
+            u = unit_vector(tw23, random_monomial(tw23, rng))
+            v = unit_vector(tw23, random_monomial(tw23, rng))
+            w = unit_vector(tw23, random_monomial(tw23, rng))
             a = tw23.mul_vectors(tw23.mul_vectors(u, v), w)
             b = tw23.mul_vectors(u, tw23.mul_vectors(v, w))
             assert a.fiber == b.fiber
@@ -158,8 +158,8 @@ def test_caches_keep_validation(name, request):
 
 class TestInnerProduct:
     def test_orthonormal_basis(self, e23):
-        v = e23.unit_vector(e23.monomial((0, 1), 0))
-        w = e23.unit_vector(e23.monomial((0, 1), 2))
+        v = unit_vector(e23, e23.monomial((0, 1), 0))
+        w = unit_vector(e23, e23.monomial((0, 1), 2))
         assert inner(e23, v, v).is_one()
         assert inner(e23, v, w).is_zero()
 
@@ -175,17 +175,17 @@ class TestInnerProduct:
     def test_multiplicative_for_products(self, e23, rng):
         # <xu, yv> = <x, y><u, v> for the lexicographic product
         for _ in range(10):
-            x = e23.unit_vector(random_monomial(e23, rng))
-            y = e23.unit_vector(e23.monomial(x.fiber, rng.randrange(e23.dim(x.fiber))))
-            u = e23.unit_vector(random_monomial(e23, rng))
-            v = e23.unit_vector(e23.monomial(u.fiber, rng.randrange(e23.dim(u.fiber))))
+            x = unit_vector(e23, random_monomial(e23, rng))
+            y = unit_vector(e23, e23.monomial(x.fiber, rng.randrange(e23.dim(x.fiber))))
+            u = unit_vector(e23, random_monomial(e23, rng))
+            v = unit_vector(e23, e23.monomial(u.fiber, rng.randrange(e23.dim(u.fiber))))
             lhs = inner(e23, e23.mul_vectors(x, u), e23.mul_vectors(y, v))
             rhs = inner(e23, x, y) * inner(e23, u, v)
             assert (lhs - rhs).is_zero()
 
     def test_fiber_mismatch(self, e23):
-        v = e23.unit_vector(e23.monomial((1, 0), 0))
-        w = e23.unit_vector(e23.monomial((0, 1), 0))
+        v = unit_vector(e23, e23.monomial((1, 0), 0))
+        w = unit_vector(e23, e23.monomial((0, 1), 0))
         with pytest.raises(ValueError):
             inner(e23, v, w)
 
