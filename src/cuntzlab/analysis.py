@@ -315,8 +315,8 @@ def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> Fib
 
     Schedules every basis pair of (c - p(x_i), c - p(y_i)) per instance pair
     and extends w one step at a time by a basis vector of the pair's larger
-    fiber, from the unit of the trivial fiber.  So w is one exact coefficient
-    times a basis monomial, with its dimension kept as a running product.
+    fiber, from the unit of the trivial fiber.  So w is a coefficient times a
+    basis monomial, unnormalized, with its dimension kept as a running product.
     """
     c = instance.shift_fiber
     coeff, w, dim = spec.field.one, spec.identity_monomial, 1
@@ -329,11 +329,11 @@ def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> Fib
                 f"has fibers of equal dimension {dim_s}"
             )
         swap = dim_s > dim_t
-        ext, dim_ext, dim_in = (s, dim_s, dim_t) if swap else (t, dim_t, dim_s)
+        ext, dim_ext, dim_small = (s, dim_s, dim_t) if swap else (t, dim_t, dim_s)
         for f in range(dim_s):
             for g in range(dim_t):
                 a, b = (g, f) if swap else (f, g)
-                col = _orthogonality_step(w.index, dim, a, dim_in, b, dim_ext)
+                col = _orthogonality_step(w.index, dim, a, dim_small, b, dim_ext)
                 phase, w = spec.mul_basis(w, BasisMonomial(ext, col))
                 coeff = phase * coeff
                 dim *= dim_ext
