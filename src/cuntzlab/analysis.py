@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import algebra, linalg, steprep
+from . import algebra, linalg
+from . import runs as run_ops
 from .scalars import RATIONAL, cyclotomic_field
 from .system import (
     BasisMonomial,
@@ -357,45 +358,68 @@ def verify_annihilation(
     f = e_j f1 with x_j != 0 and f1 in B(c - p(x)); it is then a unit times
     x_j i(f1)*, and V* i(f1)* is a unit times i(f1 w)*.  So for nonzero x
     and y the compression vanishes exactly when i(f1 w)* i(g1 w) = 0 for
-    every f1 in B(c - p(x)) and g1 in B(c - p(y)): dim(c - p(x)) *
-    dim(c - p(y)) products, not dim(c)^2.
+    every f1 in B(a) and g1 in B(b), where a = c - p(x) and b = c - p(y).
 
-    Each product is decided in the step model, twisted specs included.
-    With a = c - p(x), b = c - p(y) and m = max(a, b), the product
-    i(u)* i(v) of u = f1 w and v = g1 w is a sum of terms of the one fiber
-    pair (m - a, m - b).  At base level dim(m - b) each such term is its
-    own run, so the product is zero exactly when the composition S_u* S_v
-    of the vector isometries is.  On a twisted spec the generators of
-    fiber r act as T = S (x) lambda_r, lambda being the twisted regular
-    representation of Z^k by unitaries, and T_u* T_v = S_u* S_v (x)
-    lambda_p(u)* lambda_p(v) is zero exactly when S_u* S_v is: the twist
-    never enters.  A composition costs the square of the support of w,
-    never dim(c) or a level.
+    Each product is decided by index ranges.  With m = max(a, b),
+    i(u)* i(v) for u = f1 w and v = g1 w is a sum of terms of the one fiber
+    pair (m - a, m - b), each its own run in the step model, so it is zero
+    exactly when S_u* S_v is.  Let L_out = dim(m - a), L_in = dim(m - b)
+    and r = p(w).  The piece of f1 w at support index j is omega(a, r) w_j
+    times the monomial of index f1 dim(w) + j, whose isometry at the level
+    M = dim(m) dim(w) covers [(f1 dim(w) + j) L_out, +L_out); a piece of
+    g1 w covers a range of length L_in.  Two pieces meet in one run over
+    the overlap of their ranges, or not at all, so S_u* S_v is the sweep of
+    the runs of its overlapping piece pairs, summed as composing the step
+    operators sums them: right pieces outer, left inner, in index order.
+    Ranges overlap when the difference d of their starts has
+    -L_out < d < L_in; d is dim(w) (f1 L_out - g1 L_in) plus a difference
+    of support offsets, and only d is formed.  In units of dim(w), f1 w
+    lies in [f1 L_out, (f1 + 1) L_out) and g1 w in [g1 L_in, (g1 + 1) L_in):
+    two partitions of one interval, which overlap in at most
+    dim(a) + dim(b) - 1 block pairs.  So a pair costs that many times
+    |supp w|^2 window tests, whatever dim(w).
+
+    On a twisted spec the generators of fiber r act as T = S (x) lambda_r,
+    lambda being the twisted regular representation of Z^k by unitaries,
+    and T_u* T_v = S_u* S_v (x) lambda_p(u)* lambda_p(v) is zero exactly
+    when S_u* S_v is: only the multiplier phases of the pieces enter.
     """
     c = instance.shift_fiber
+    support = sorted(w.entries.items())
     for x, y in instance.pairs:
         if any(isinstance(z, FiberVector) and z.is_zero() for z in (x, y)):
             continue  # x y* = 0
         a, b = sub_degree(c, fiber_of(x)), sub_degree(c, fiber_of(y))
         m = max_fiber(a, b)
         level_out, level_in = spec.dim(sub_degree(m, a)), spec.dim(sub_degree(m, b))
-        lefts = [
-            steprep.vector_operator(spec, piece, level_out).conj_transpose()
-            for piece in _pieces(spec, a, w)
+        phase_out, phase_in = spec.multiplier(a, w.fiber), spec.multiplier(b, w.fiber)
+        # (difference of the pieces' starts past their blocks', left and
+        # right coefficient), right pieces outer
+        pieces = [
+            (j * level_out - k * level_in, (phase_out * u).conj(), phase_in * v)
+            for k, v in support
+            for j, u in support
         ]
-        for piece in _pieces(spec, b, w):
-            right = steprep.vector_operator(spec, piece, level_in)
-            if any(not left.compose(right).is_zero() for left in lefts):
-                return False
+        # f1 w lies in the block [f1 L_out, (f1 + 1) L_out) in units of dim(w),
+        # which meets the blocks of g1 w from first to last
+        for f1 in range(spec.dim(a)):
+            first, last = f1 * level_out // level_in, ((f1 + 1) * level_out - 1) // level_in
+            for g1 in range(first, last + 1):
+                shift = w.dim * (f1 * level_out - g1 * level_in)
+                if _block_product(shift, pieces, level_out, level_in):
+                    return False
     return True
 
 
-def _pieces(spec: SystemSpec, a: Fiber, w: FiberVector):
-    """f1 w for f1 = e(a;0), e(a;1), ..., built from the support of w: index
-    f1 dim(w) + j and coefficient omega(a, r) w_j, one phase for them all."""
-    dim_w, zero = w.dim, spec.field.zero
-    phase = spec.multiplier(a, w.fiber)
-    scaled = [(j, phase * c) for j, c in w.entries.items()]
-    fiber, dim_a = add_fibers(a, w.fiber), spec.dim(a)
-    for i in range(dim_a):
-        yield FiberVector(fiber, dim_a * dim_w, {i * dim_w + j: c for j, c in scaled}, zero)
+def _block_product(shift: int, pieces, level_out: int, level_in: int) -> tuple:
+    """The swept runs of i(f1 w)* i(g1 w), whose block starts differ by
+    ``shift``: one window test per pair of pieces.  Pieces whose starts
+    differ by d meet where -L_out < d < L_in, in the run that the
+    composition of their step operators would hold."""
+    runs = []
+    for offset, left, right in pieces:
+        d = shift + offset
+        if -level_out < d < level_in:
+            row, col = max(-d, 0), max(d, 0)
+            runs.append((row, col, min(level_out - row, level_in - col), left * right))
+    return run_ops.sweep(runs) if runs else ()

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlab import algebra, analysis, expr, scalars
+from cuntzlab import algebra, analysis, expr, scalars, steprep
 from cuntzlab.system import (
     BasisMonomial,
     FiberVector,
     SystemSpec,
+    add_fibers,
+    max_fiber,
     parse_spec_text,
     sub_degree,
 )
@@ -266,3 +268,37 @@ def stepwise_annihilating_vector(spec, instance):
             for g in spec.basis(tuple(t_i)):
                 v = stepwise_orthogonality_step(spec, v, f, g)
     return v
+
+
+def composed_annihilation(spec, instance, w):
+    """``analysis.verify_annihilation`` by composing step operators: for
+    every pair, the isometry of each piece f1 w of B(c - p(x)) w, adjoint,
+    composed with that of each piece g1 w of B(c - p(y)) w, right pieces
+    outer.  It costs dim(c - p(x)) dim(c - p(y)) compositions."""
+    c = instance.shift_fiber
+    for x, y in instance.pairs:
+        if any(isinstance(z, FiberVector) and z.is_zero() for z in (x, y)):
+            continue  # x y* = 0
+        a, b = sub_degree(c, analysis.fiber_of(x)), sub_degree(c, analysis.fiber_of(y))
+        m = max_fiber(a, b)
+        level_out, level_in = spec.dim(sub_degree(m, a)), spec.dim(sub_degree(m, b))
+        lefts = [
+            steprep.vector_operator(spec, piece, level_out).conj_transpose()
+            for piece in _pieces(spec, a, w)
+        ]
+        for piece in _pieces(spec, b, w):
+            right = steprep.vector_operator(spec, piece, level_in)
+            if any(not left.compose(right).is_zero() for left in lefts):
+                return False
+    return True
+
+
+def _pieces(spec, a, w):
+    """f1 w for f1 = e(a;0), e(a;1), ..., built from the support of w: index
+    f1 dim(w) + j and coefficient omega(a, r) w_j, one phase for them all."""
+    dim_w, zero = w.dim, spec.field.zero
+    phase = spec.multiplier(a, w.fiber)
+    scaled = [(j, phase * c) for j, c in w.entries.items()]
+    fiber, dim_a = add_fibers(a, w.fiber), spec.dim(a)
+    for i in range(dim_a):
+        yield FiberVector(fiber, dim_a * dim_w, {i * dim_w + j: c for j, c in scaled}, zero)

@@ -396,31 +396,64 @@ class TestAnnihilationConstruction:
         elem = compressed_pair_element(e23, inst, w, 0)
         assert algebra.normal_form(elem).is_zero()
 
-    def test_check_composes_only_the_schedule(self, e23, tw23, monkeypatch):
+    def test_check_tests_windows_not_compositions(self, e23, tw23, monkeypatch):
         # kill e(3,0;0) e(0,3;0) has c = (3,3): the check pairs B(0,3) with
-        # B(3,0), 27 * 8 compositions, where B(c) x B(c) has 216^2 pairs
+        # B(3,0).  In units of dim(w), B(0,3) has 27 blocks of length 8 and
+        # B(3,0) 8 blocks of length 27; each short block meets one long
+        # block, and the 7 that hold a long block's end meet two: 34 window
+        # tests, where composing the schedule took 27 * 8 compositions
         def refuse(*args, **kwargs):
-            raise AssertionError("the check must not build algebra elements")
+            raise AssertionError(
+                "the check must not compose step operators, build fiber "
+                "vectors or build algebra elements"
+            )
 
-        compose = steprep.StepOperator.compose
+        block_product = analysis._block_product
         for spec in (e23, tw23):
             inst = annihilation_instance(
                 spec, [(spec.monomial((3, 0), 0), spec.monomial((0, 3), 0))]
             )
             w = annihilating_vector(spec, inst)
-            calls = []
+            windows = []
 
-            def counted(self, other):
-                calls.append(other)
-                return compose(self, other)
+            def counted(shift, pieces, level_out, level_in):
+                windows.append(len(pieces))
+                return block_product(shift, pieces, level_out, level_in)
 
             with monkeypatch.context() as patch:
-                patch.setattr(steprep.StepOperator, "compose", counted)
+                patch.setattr(analysis, "_block_product", counted)
+                patch.setattr(steprep, "vector_operator", refuse)
+                patch.setattr(steprep.StepOperator, "compose", refuse)
+                patch.setattr(steprep.StepOperator, "__init__", refuse)
+                patch.setattr(FiberVector, "__init__", refuse)
                 patch.setattr(algebra, "multiply", refuse)
                 patch.setattr(algebra, "normal_form", refuse)
                 patch.setattr(steprep, "evaluate", refuse)
                 assert verify_annihilation(spec, inst, w) is True
-            assert len(calls) == 27 * 8
+            assert sum(windows) == 34
+
+    def test_check_cost_does_not_follow_dim_w(self, e23, monkeypatch):
+        # the same instance, checked with a unit vector of (0,6) and of
+        # (0,600): the blocks scale with dim(w) together, so the same
+        # window tests decide both, 3^594 times apart
+        inst = annihilation_instance(
+            e23, [(e23.monomial((1, 0), 0), e23.monomial((0, 1), 0))]
+        )
+        block_product = analysis._block_product
+        counts = []
+        for n in (6, 600):
+            w = unit_vector(e23, e23.monomial((0, n), 3 ** (n - 1)))
+            windows = []
+
+            def counted(shift, pieces, level_out, level_in):
+                windows.append(len(pieces))
+                return block_product(shift, pieces, level_out, level_in)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_block_product", counted)
+                assert verify_annihilation(e23, inst, w) is True
+            counts.append(sum(windows))
+        assert counts[0] == counts[1] > 0
 
     def test_construction_steps_keep_support_one(self, e23, tw23, monkeypatch):
         # each step meets a support-1 vector, whose constraint is one run:

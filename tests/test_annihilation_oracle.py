@@ -7,7 +7,9 @@ only runs on small instances, where the sparse route must return the same
 vector coefficient by coefficient.  On larger schedules the construction
 is compared with ``conftest.stepwise_annihilating_vector``, which builds a
 fiber vector at every step.  The verdict of ``verify_annihilation`` is
-checked against the exact normal form of the expanded compression.
+checked against the exact normal form of the expanded compression, and
+against ``conftest.composed_annihilation``, which composes the step
+operators of the pieces where the check compares index ranges.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ from cuntzlab.system import (
 
 from conftest import (
     PRODUCT_SPECS,
+    composed_annihilation,
     compressed_pair_element,
     dense_vector,
     stepwise_annihilating_vector,
@@ -317,6 +320,104 @@ def test_construction_matches_stepwise(name, drawn, shift):
     assert _outcome_text(lambda: analysis.annihilating_vector(spec, instance)) == _outcome_text(
         lambda: stepwise_annihilating_vector(spec, instance)
     )
+
+
+def _sparse_vector(spec, data, fiber):
+    """A vector of the fiber with 1-3 support indices, or fewer when the
+    fiber is smaller, each with a nonzero drawn coefficient."""
+    dim = spec.dim(fiber)
+    size = data.draw(st.integers(1, min(3, dim)))
+    indices = data.draw(st.sets(st.integers(0, dim - 1), min_size=size, max_size=size))
+    entries = {j: _unit_coefficient(spec, data) for j in sorted(indices)}
+    return FiberVector(fiber, dim, entries, spec.field.zero)
+
+
+def _oracle_member(spec, data, fiber):
+    """The zero vector of the fiber, a basis monomial or a drawn vector."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return FiberVector(fiber, spec.dim(fiber), {}, spec.field.zero)
+    return _drawn_pair_member(spec, data, fiber)
+
+
+def _oracle_w(spec, instance, kind, data):
+    """The constructed vector, it with 1-2 entries changed (support 1-3), a
+    drawn vector of support 1-3 or the zero vector."""
+    if kind == "random":
+        return _sparse_vector(spec, data, data.draw(st.sampled_from(FIBERS)))
+    if kind == "zero":
+        fiber = data.draw(st.sampled_from(FIBERS))
+        return FiberVector(fiber, spec.dim(fiber), {}, spec.field.zero)
+    try:
+        w = analysis.annihilating_vector(spec, instance)
+    except HypothesisViolationError:
+        assume(False)
+    if kind == "perturbed":
+        (index,) = w.entries
+        entries = dict(w.entries)
+        for _ in range(data.draw(st.integers(1, 2))):
+            # next to the vector's index, where its pieces' ranges lie, or anywhere
+            near = data.draw(st.booleans())
+            j = (index if near else 0) + data.draw(st.integers(0, 2 if near else 10**6))
+            j %= w.dim
+            entries[j] = entries.get(j, spec.field.zero) + _unit_coefficient(spec, data)
+        w = FiberVector(w.fiber, w.dim, entries, spec.field.zero)
+    return w
+
+
+def test_check_matches_composition():
+    # the check by index ranges against composing the pieces' step
+    # operators, which it replaced: the same verdict on every spec, the
+    # float twist included, for vectors of wider support whose pieces may
+    # cancel, pairs of vectors and zero vectors
+    verdicts = set()
+
+    @settings(ORACLE, max_examples=200)
+    @given(
+        st.sampled_from(sorted(STEPWISE_SPECS)),
+        st.lists(
+            st.tuples(st.sampled_from(FIBERS), st.sampled_from(FIBERS)),
+            min_size=1,
+            max_size=2,
+        ),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.sampled_from(["constructed", "perturbed", "random", "zero"]),
+        st.data(),
+    )
+    def check(name, fibers, shift, kind, data):
+        spec = STEPWISE_SPECS[name]
+        assume(all(fx != fy for fx, fy in fibers))
+        pairs = [(_oracle_member(spec, data, fx), _oracle_member(spec, data, fy)) for fx, fy in fibers]
+        for fx, fy in fibers:
+            shift = max_fiber(shift, max_fiber(fx, fy))
+        instance = analysis.annihilation_instance(spec, pairs, shift)
+        w = _oracle_w(spec, instance, kind, data)
+        verdict = analysis.verify_annihilation(spec, instance, w)
+        assert verdict is composed_annihilation(spec, instance, w)
+        verdicts.add(verdict)
+
+    check()
+    assert verdicts == {True, False}
+
+
+
+def test_check_sums_pieces_that_cancel():
+    # kill e(1,0;0) e(0,1;0) on dims 2 3 has L_out = 2 and L_in = 3, and for
+    # w of support {0, 2, 3} the piece pairs (0, 0) and (3, 2) give one run:
+    # 0 * 2 - 0 * 3 = 3 * 2 - 2 * 3.  Every other pair's run falls outside
+    # the window once dim(w) = 27, so the product is that run alone, with
+    # coefficient conj(w_0) w_0 + conj(w_3) w_2 up to a phase: zero for
+    # (i, -1, 1), and not for (i, -2, 1) or without the conjugate
+    for spec in (SPECS["e23"], SPECS["tw23"]):
+        field = spec.field
+        i = field.gaussian(0, 1, 1)
+        instance = analysis.annihilation_instance(
+            spec, [(spec.monomial((1, 0), 0), spec.monomial((0, 1), 0))]
+        )
+        for w_2, verdict in ((-1, True), (-2, False)):
+            entries = {0: i, 2: field.gaussian(w_2, 0, 1), 3: field.one}
+            w = FiberVector((0, 3), 27, entries, field.zero)
+            assert _agrees_with_normal_form(spec, instance, w) is verdict
+            assert composed_annihilation(spec, instance, w) is verdict
 
 
 CHECK_SPECS = {
