@@ -31,7 +31,6 @@ from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .runs import raise_terms
-from .scalars import FLOAT
 from .system import (
     BasisMonomial,
     SystemSpec,
@@ -215,35 +214,27 @@ def _window(spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial):
 
 def _rewrite_phase(spec: SystemSpec, s, t):
     """omega(s,t) * conj(omega(t,s)), the coefficient of each survivor of a
-    window over the fibers (s, t); the field's one for the identity window."""
-    if s == t:
-        return spec.field.one
+    window over the fibers (s, t).  Both fibers of the identity window are
+    zero, so its phase is the field's one, float bits included."""
     return spec._phase(s, t) * spec._phase(t, s).conj()
 
 
 def rewrite_pair(
     spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial
 ) -> AlgebraElement:
-    """Expand i(y')* i(x') in the spanning family.
+    """Expand i(y')* i(x') in the spanning family: the product of the
+    one-term elements i(y')* and i(x'), whose survivors are one window (see
+    ``_window``) in canonical order.
 
     When the fibers agree this collapses to <x'|y'> times the identity.
     Otherwise the surviving terms are exactly the basis pairs (x, y) with
     index(x'.y) == index(y'.x), each carrying the phase
-    omega(s,t) * conj(omega(t,s)); they form one window (see ``_window``),
-    whose terms come in canonical order.
+    omega(s,t) * conj(omega(t,s)).
     """
     spec.monomial(*y_prime)
     spec.monomial(*x_prime)
-    window = _window(spec, y_prime, x_prime)
-    if window is None:
-        return zero(spec)
-    s, t, _, _, base, lo, hi = window
-    phase = _rewrite_phase(spec, s, t)
-    terms = [
-        Term(phase, BasisMonomial(s, lx), BasisMonomial(t, base + lx))
-        for lx in range(lo, hi)
-    ]
-    return AlgebraElement._canonical(spec, terms)
+    e, one = spec.identity_monomial, spec.field.one
+    return _term_product(spec, Term(one, e, y_prime), Term(one, x_prime, e))
 
 
 def _fiber_quad(spec: SystemSpec, xf, s, yf, t):
@@ -264,7 +255,7 @@ def _fiber_quad(spec: SystemSpec, xf, s, yf, t):
             spec._phase(xf, s),
             spec._phase(yf, t).conj(),
         )
-        if spec.field != FLOAT:
+        if spec.field.exact:
             folded = factors[0] * factors[1] * factors[2]
             factors = () if folded.is_one() else (folded,)
     return sub_degree(fx, fy), fx, fy, factors
@@ -419,7 +410,7 @@ def _raised_blocks(spec: SystemSpec, terms) -> dict:
             if spec.is_twisted:
                 # an exact phase of one is skipped; float keeps its product
                 phase = spec._phase(fx, r) * spec._phase(fy, r).conj()
-                if spec.field != FLOAT and phase.is_one():
+                if spec.field.exact and phase.is_one():
                     phase = None
             out.append((g, spec._dim(r), phase))
         return out
@@ -491,6 +482,8 @@ def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
     """
     spec = a.spec
     s = spec.check_fiber(s)
+    if not a.terms:
+        return a  # alpha_s(0) = 0, however large dim(s) is
     n = spec._dim(s)
     terms = []
     for (xf, yf), group in groupby(a.terms, key=lambda t: (t.left.fiber, t.right.fiber)):

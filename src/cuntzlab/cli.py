@@ -54,14 +54,16 @@ BUILTIN_SPECS = {
 
 
 class Reporter:
-    """Writes records to stdout as plain lines or as one JSON object per line."""
+    """Writes records to stdout as plain lines or as one JSON object per line,
+    each record naming the subcommand that wrote it."""
 
-    def __init__(self, fmt: str):
+    def __init__(self, fmt: str, command: str):
         self.fmt = fmt
+        self.command = command
 
     def emit(self, text: str, **record):
         if self.fmt == "json-lines":
-            print(json.dumps(record, sort_keys=True))
+            print(json.dumps({"command": self.command, **record}, sort_keys=True))
         else:
             print(text)
 
@@ -135,7 +137,7 @@ def _cmd_normalize(args, reporter: Reporter) -> int:
     element = _parse_element(spec, args.expression)
     canonical = algebra.expand_normal_form(algebra.normal_form(element))
     text = expr.format_element(canonical)
-    reporter.emit(text, command="normalize", element=text)
+    reporter.emit(text, element=text)
     return 0
 
 
@@ -144,7 +146,7 @@ def _cmd_equals(args, reporter: Reporter) -> int:
     left = _parse_element(spec, args.left)
     right = _parse_element(spec, args.right)
     verdict = algebra.equals(left, right)
-    reporter.emit("true" if verdict else "false", command="equals", equal=verdict)
+    reporter.emit("true" if verdict else "false", equal=verdict)
     return 0 if verdict else 1
 
 
@@ -152,7 +154,7 @@ def _cmd_expect(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
     element = _parse_element(spec, args.expression)
     text = expr.format_element(algebra.gauge_expectation(element))
-    reporter.emit(text, command="expect", element=text)
+    reporter.emit(text, element=text)
     return 0
 
 
@@ -171,11 +173,11 @@ def _cmd_alpha(args, reporter: Reporter) -> int:
         if max(tops) >= 10**limit:
             raise expr._past_digit_limit("a monomial index that exceeds {} digits")
     text = expr.format_element(algebra.shift_endomorphism(element, fiber))
-    reporter.emit(text, command="alpha", fiber=list(fiber), element=text)
+    reporter.emit(text, fiber=list(fiber), element=text)
     return 0
 
 
-def _emit_family(family, reporter: Reporter, command: str) -> None:
+def _emit_family(family, reporter: Reporter) -> None:
     # every entry is formatted, under the digit limit, before the first line
     # is emitted, so a value the printer rejects leaves stdout empty
     blocks = []
@@ -186,16 +188,11 @@ def _emit_family(family, reporter: Reporter, command: str) -> None:
         )
         blocks.append((level_out, block, entries))
     with _all_digits():
-        reporter.emit(
-            f"base level: {family.base_level}",
-            command=command,
-            base_level=family.base_level,
-        )
+        reporter.emit(f"base level: {family.base_level}", base_level=family.base_level)
         for level_out, block, entries in blocks:
             size = f"{len(entries)} entries" if entries else "zero"
             reporter.emit(
                 f"level {block.level_in} -> {level_out}: {size}",
-                command=command,
                 level_in=block.level_in,
                 level_out=level_out,
                 entries=[[r, c, v] for r, c, v in entries],
@@ -215,9 +212,9 @@ def _cmd_eval(args, reporter: Reporter) -> int:
         family = steprep.evaluate(element, args.level, twist=twist)
     except (ValueError, TypeError) as err:
         raise UsageError(str(err)) from None
-    _emit_family(family, reporter, "eval")
+    _emit_family(family, reporter)
     zero = family.is_zero()
-    reporter.emit("zero" if zero else "nonzero", command="eval", zero=zero)
+    reporter.emit("zero" if zero else "nonzero", zero=zero)
     return 0 if zero else 1
 
 
@@ -225,7 +222,6 @@ def _cmd_classify(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
     result = analysis.classify(spec)
     record = {
-        "command": "classify",
         "verdict": result.verdict(),
         "kind": result.kind,
         "dims": list(result.gen_dims),
@@ -244,44 +240,35 @@ def _cmd_witness(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
     witness = analysis.classify(spec).witness
     if witness is None:
-        reporter.emit(
-            "no witness: the dimension function is injective",
-            command="witness",
-            witness=None,
-        )
+        reporter.emit("no witness: the dimension function is injective", witness=None)
         return 1
     s, t = witness
     try:
         element, twist = analysis.nonsimplicity_witness(spec, s, t)
     except ValueError as err:
-        reporter.emit(f"no witness: {err}", command="witness", witness=None)
+        reporter.emit(f"no witness: {err}", witness=None)
         return 1
     plain_zero = steprep.evaluate(element).is_zero()
     twisted_zero = steprep.evaluate(element, twist=twist).is_zero()
     verdict = plain_zero and not twisted_zero
     reporter.emit(
         f"witness fibers: {_fiber_text(s)} {_fiber_text(t)}",
-        command="witness",
         fibers=[list(s), list(t)],
     )
     reporter.emit(
         "character: " + ", ".join(expr.format_scalar(v) for v in twist.values),
-        command="witness",
         character=[expr.format_scalar(v) for v in twist.values],
     )
     reporter.emit(
         "distinguished representation: " + ("zero" if plain_zero else "nonzero"),
-        command="witness",
         plain_zero=plain_zero,
     )
     reporter.emit(
         "character-twisted: " + ("zero" if twisted_zero else "nonzero"),
-        command="witness",
         twisted_zero=twisted_zero,
     )
     reporter.emit(
         "witness verified: " + ("true" if verdict else "false"),
-        command="witness",
         verified=verdict,
     )
     return 0 if verdict else 1
@@ -309,21 +296,19 @@ def _cmd_kill(args, reporter: Reporter) -> int:
         instance = analysis.annihilation_instance(spec, [(x, y)], shift)
         vector = analysis.annihilating_vector(spec, instance)
     except HypothesisViolationError as err:
-        reporter.emit(f"hypothesis violation: {err}", command="kill", error=str(err))
+        reporter.emit(f"hypothesis violation: {err}", error=str(err))
         return 1
     except ValueError as err:
         raise UsageError(str(err)) from None
     support = len(vector.entries)
     reporter.emit(
         f"shift fiber: {_fiber_text(instance.shift_fiber)}",
-        command="kill",
         shift=list(instance.shift_fiber),
     )
     with _all_digits():
         reporter.emit(
             f"vector fiber: {_fiber_text(vector.fiber)}, support {support} of "
             f"{vector.dim}",
-            command="kill",
             vector_fiber=list(vector.fiber),
             support=support,
             dimension=vector.dim,
@@ -331,7 +316,6 @@ def _cmd_kill(args, reporter: Reporter) -> int:
     verdict = analysis.verify_annihilation(spec, instance, vector)
     reporter.emit(
         "compressed pair: " + ("zero" if verdict else "nonzero"),
-        command="kill",
         annihilated=verdict,
     )
     return 0 if verdict else 1
@@ -346,15 +330,10 @@ def _cmd_iso(args, reporter: Reporter) -> int:
         reporter.emit(
             f"{direction} relations: {'ok' if report.ok else 'violated'} "
             f"({report.checked} checked)",
-            command="iso",
             **{f"{direction}_ok": report.ok, f"{direction}_checked": report.checked},
         )
     verdict = morphisms.verify_roundtrip(pair)
-    reporter.emit(
-        "round trip: " + ("true" if verdict else "false"),
-        command="iso",
-        roundtrip=verdict,
-    )
+    reporter.emit("round trip: " + ("true" if verdict else "false"), roundtrip=verdict)
     return 0 if verdict else 1
 
 
@@ -373,7 +352,6 @@ def _cmd_relations(args, reporter: Reporter) -> int:
     report = assignment.report()
     reporter.emit(
         f"relations: {'ok' if report.ok else 'violated'} ({report.checked} checked)",
-        command="relations",
         ok=report.ok,
         checked=report.checked,
         violations=list(report.violations),
@@ -494,14 +472,12 @@ def _cmd_selftest(args, reporter: Reporter) -> int:
         passed += ok
         reporter.emit(
             f"{'ok' if ok else 'FAIL'} {name}: {label}",
-            command="selftest",
             spec=name,
             check=key,
             ok=ok,
         )
     reporter.emit(
         f"selftest: {passed} of {total} checks passed",
-        command="selftest",
         passed=passed,
         total=total,
     )
@@ -611,7 +587,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
-    reporter = Reporter(args.format)
+    reporter = Reporter(args.format, args.command)
     try:
         return globals()[args.handler](args, reporter)
     except (UsageError, expr.UnprintableError) as err:

@@ -117,7 +117,7 @@ class _Parser:
         # multiply(c*I, f) would only scale; float keeps that product, whose
         # unit phases can flip the sign of a zero part, so it stays the same
         # to the bit
-        self.fold = spec.field is not scalars.FLOAT
+        self.fold = spec.field.exact
         self.one = spec.field.one
         self.identity = spec.identity_monomial
 

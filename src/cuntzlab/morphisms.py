@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from . import algebra
 from .algebra import AlgebraElement
-from .scalars import FLOAT
 from .system import (
     BasisMonomial,
     ConfigurationError,
@@ -119,7 +118,7 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
     target = assignment.target
     one = algebra.identity(target)
     nothing = algebra.zero(target)
-    exact = target.field != FLOAT
+    exact = target.field.exact
     violations = []
     checked = 0
     for a in range(1, spec.k + 1):

@@ -11,6 +11,9 @@ Three coefficient domains are supported, selected per system:
 * float        -- complex floating point, zero tested against a 1e-9
                   tolerance.  The only choice for irrational twist angles.
 
+Each field class states which kind it is in its constant ``exact``: True
+for the first two, False for float.
+
 The exact values live on plain integers: a Gaussian rational is the triple
 (re_num, im_num, den) and a cyclotomic value a vector of integer numerators
 over one common denominator, in both cases with den > 0 and in lowest terms
@@ -568,6 +571,7 @@ class RationalField:
     """Constructor object for Gaussian rational scalars."""
 
     name = "rational"
+    exact = True
     zero = _rational(0, 0, 1)
     one = _rational(1, 0, 1)
     # exp(2*pi*i*k/4) for k = 0..3
@@ -612,6 +616,8 @@ class RationalField:
 
 class CyclotomicField:
     """Constructor object for Q(zeta_q) scalars with exact arithmetic."""
+
+    exact = True
 
     def __init__(self, order: int):
         if order < 1:
@@ -704,6 +710,7 @@ class CyclotomicField:
 
 class FloatField:
     name = "float"
+    exact = False
     zero = FloatComplex(0.0)
     one = FloatComplex(1.0)
 

@@ -101,6 +101,31 @@ def random_element(spec, rng, nterms=3, max_sum=2):
     return acc
 
 
+def windowed_rewrite_pair(spec, y_prime, x_prime):
+    """i(y')* i(x') expanded from its survivor window, the reference for
+    ``algebra.rewrite_pair``.
+
+    With s the fiber of x' and t that of y', the survivors are the pairs
+    (e(s;lx), e(t;base+lx)) with 0 <= lx < dim(s) and 0 <= base + lx <
+    dim(t), for base = y'.index dim(s) - x'.index dim(t), each with the
+    phase omega(s,t) conj(omega(t,s)).  Equal fibers leave <x'|y'> times
+    the identity, with the field's one.
+    """
+    s, t = x_prime.fiber, y_prime.fiber
+    e = spec.identity_monomial
+    if s == t:
+        terms = [(spec.field.one, e, e)] if x_prime.index == y_prime.index else []
+    else:
+        dim_s, dim_t = spec.dim(s), spec.dim(t)
+        base = y_prime.index * dim_s - x_prime.index * dim_t
+        phase = spec.multiplier(s, t) * spec.multiplier(t, s).conj()
+        terms = [
+            (phase, BasisMonomial(s, lx), BasisMonomial(t, base + lx))
+            for lx in range(max(0, -base), min(dim_s, dim_t - base))
+        ]
+    return algebra.AlgebraElement.from_terms(spec, terms)
+
+
 def dense_block(nf, degree):
     """One normal-form block as a dense matrix expanded from its runs.
 

@@ -37,7 +37,9 @@ from conftest import (
     random_monomial,
     vector_element,
     vector_projection,
+    windowed_rewrite_pair,
 )
+from test_annihilation_oracle import Q8
 
 
 def _cuntz_sum(spec, fiber):
@@ -94,6 +96,21 @@ class TestRewritePair:
                     if e23.mul_basis(xp, y)[1] == e23.mul_basis(yp, x)[1]
                 }
                 assert {(t.left, t.right) for t in out.terms} == survivors
+
+
+@pytest.mark.parametrize("name", ["e23", "tw23", "q8", "twf23"])
+def test_rewrite_pair_matches_its_window(name):
+    # every pair of monomials in fibers of degree at most 2, coefficients
+    # compared by repr, so a float phase must agree to the bit
+    spec = Q8 if name == "q8" else PRODUCT_SPECS[name]
+    fibers = [f for f in itertools.product(range(3), repeat=spec.k) if sum(f) <= 2]
+    monomials = [x for f in fibers for x in spec.basis(f)]
+    for yp, xp in itertools.product(monomials, repeat=2):
+        got = rewrite_pair(spec, yp, xp).terms
+        want = windowed_rewrite_pair(spec, yp, xp).terms
+        assert [(x, y, repr(c)) for c, x, y in got] == [
+            (x, y, repr(c)) for c, x, y in want
+        ], (yp, xp)
 
 
 class TestCuntzRelations:

@@ -676,6 +676,37 @@ def test_json_lines_equals(capsys, spec_path):
     assert json.loads(out) == {"command": "equals", "equal": True}
 
 
+# per subcommand: the spec it reads, or None, and its other arguments
+SUBCOMMAND_RUNS = {
+    "normalize": ("e23", ["e(1,0;0)'*e(1,0;1) + e(0,1;2)"]),
+    "equals": ("e23", ["I", "0"]),
+    "expect": ("e23", ["e(1,0;0)*e(1,0;1)' + e(1,0;0)"]),
+    "alpha": ("e23", ["1,0", "e(0,1;2)*e(1,0;1)'"]),
+    "eval": ("e24", ["--level", "4", "e(2,0;0) - e(0,1;0)"]),
+    "classify": ("e24", []),
+    "witness": ("e24", []),
+    "kill": ("e23", ["e(1,0;0)", "e(0,1;0)"]),
+    "iso": (None, ["2", "3"]),
+    "relations": ("e23", ["canonical.txt"]),
+    "selftest": (None, []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+def test_json_lines_records_name_their_subcommand(capsys, spec_path, tmp_path, command):
+    spec, rest = SUBCOMMAND_RUNS[command]
+    if command == "relations":
+        text = format_assignment(morphisms.canonical_assignment(SystemSpec((2, 3))))
+        (tmp_path / rest[0]).write_text(text, encoding="utf-8")
+        rest = [str(tmp_path / rest[0])]
+    argv = [command, "--format", "json-lines"]
+    argv += ["--spec", spec_path(spec)] if spec else []
+    code, out, err = run_cli(capsys, argv + rest)
+    assert code in (0, 1) and err == ""
+    records = [json.loads(row) for row in lines_of(out)]
+    assert records and all(r["command"] == command for r in records)
+
+
 # --- failure modes ---------------------------------------------------------
 
 
@@ -871,6 +902,22 @@ def test_alpha_refuses_a_huge_shift_without_its_dimension(capsys, spec_path, mon
         f"error: the result has a monomial index that exceeds {limit} digits, "
         "the limit for a number in expression text\n"
     )
+    assert (0, 10000000) not in dims
+
+
+def test_alpha_of_zero_needs_no_dimension(capsys, spec_path, monkeypatch):
+    # alpha_s(0) = 0 for every s: the 4.8-million-digit dim(0,10^7) on e23
+    # is never computed
+    dims = []
+    dim = SystemSpec._dim
+
+    def recorded(self, s):
+        dims.append(s)
+        return dim(self, s)
+
+    monkeypatch.setattr(SystemSpec, "_dim", recorded)
+    code, out, err = run_cli(capsys, ["alpha", "--spec", spec_path("e23"), "0,10000000", "0"])
+    assert (code, out, err) == (0, "0\n", "")
     assert (0, 10000000) not in dims
 
 
