@@ -101,6 +101,45 @@ def random_element(spec, rng, nterms=3, max_sum=2):
     return acc
 
 
+def sequential_sum(spec, elements):
+    """The sum of ``elements`` added one at a time, each step merging the
+    terms of two canonical elements and pruning the keys that cancel: the
+    reference for ``+``, ``-``, ``equals``, parsed sums and induced images."""
+    out = algebra.zero(spec)
+    for e in elements:
+        acc = {(x, y): c for c, x, y in out.terms}
+        for c, x, y in e.terms:
+            cur = acc.get((x, y))
+            acc[x, y] = c if cur is None else cur + c
+        out = algebra.AlgebraElement(spec, acc)
+    return out
+
+
+def sequential_image(assignment, element):
+    """The image of ``element`` under a verified assignment, the reference
+    for ``morphisms.map_element``: the digit images of each monomial are
+    multiplied onto the identity, the multiplier phase along the digits is
+    conjugated back, and the term images are summed by ``sequential_sum``."""
+    source, target = assignment.source, assignment.target
+
+    def image(x):
+        out, phase, fiber = algebra.identity(target), source.field.one, (0,) * source.k
+        for slot0, digit in source.factor_monomial(x):
+            e_a = source.unit_fiber(slot0)
+            phase = phase * source.multiplier(fiber, e_a)
+            fiber = add_fibers(fiber, e_a)
+            out = algebra.multiply(out, assignment.image(slot0 + 1, digit))
+        return out if phase == source.field.one else out.scaled(phase.conj())
+
+    return sequential_sum(
+        target,
+        [
+            algebra.multiply(image(t.left), image(t.right).adjoint()).scaled(t.coeff)
+            for t in element.terms
+        ],
+    )
+
+
 def windowed_rewrite_pair(spec, y_prime, x_prime):
     """i(y')* i(x') expanded from its survivor window, the reference for
     ``algebra.rewrite_pair``.

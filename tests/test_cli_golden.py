@@ -6,7 +6,11 @@ and stderr with ``golden/cli_golden.json``.  The cases cover ``normalize``,
 spec, a cyclotomic twisted spec and a float spec with an irrational angle,
 in both output formats; the expressions multiply monomials whose rewrite
 windows are cut at either end, empty or collapse to the identity, and
-``kill`` runs at the default shift and one above it.
+``kill`` runs at the default shift and one above it.  The other
+subcommands run once per format: ``eval`` of a sum with and without a
+character twist, and of a float sum whose three coefficients on one term
+cancel to a residue below the zero tolerance; ``witness``, ``classify``,
+``iso``, and ``relations`` on one canonical and one violated assignment.
 
 The expected file is written from a trusted tree by
 
@@ -32,6 +36,16 @@ SPEC_TEXTS = {
     "e23": "k = 2\ndims = 2 3\n",
     "tw23": "k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n",
     "twf23": "k = 2\ndims = 2 3\ntheta = 0 0.3183098861837907 0.1 0\nscalars = float\n",
+    "e24": "k = 2\ndims = 2 4\n",
+    "f23": "k = 2\ndims = 2 3\nscalars = float\n",
+}
+ELEMENT_SPECS = ("e23", "tw23", "twf23")
+
+ASSIGNMENT_LINES = "(1,0) = e(1,0;0)\n(1,1) = e(1,0;1)\n(2,0) = e(0,1;0)\n(2,1) = e(0,1;1)\n"
+ASSIGNMENT_TEXTS = {
+    "canonical": ASSIGNMENT_LINES + "(2,2) = e(0,1;2)\n",
+    # two second-slot generators share one image
+    "violated": ASSIGNMENT_LINES + "(2,2) = e(0,1;1)\n",
 }
 
 PRODUCT = (
@@ -62,21 +76,57 @@ COMMANDS = [
     ("kill", ["e(1,0;0)", "e(0,1;0)", "--shift", "2,2"]),
 ]
 
+EVAL_SUM = CUNTZ_SUM + " - I + 2*e(0,1;1)*e(1,0;0)' - 1/3*e(1,1;2)'"
+FLOAT_SUM = (
+    "0.1*e(1,0;0)*e(0,1;1)' + 0.2*e(1,0;0)*e(0,1;1)' - 0.3*e(1,0;0)*e(0,1;1)'"
+    " + (0.25-1.5i)*e(0,1;2)*e(1,0;1)' + 0.7*e(1,0;0)*e(1,0;0)'"
+    " + 0.7*e(1,0;1)*e(1,0;1)' - 0.7*I"
+)
+
+# (spec, subcommand, arguments after --format); "{name}" is the path of a
+# spec or assignment file written for the case
+OTHER_COMMANDS = [
+    ("e23", "eval", ["--spec", "{spec}", EVAL_SUM]),
+    ("e23", "eval", ["--spec", "{spec}", "--lambda", "i,-1", EVAL_SUM]),
+    ("f23", "eval", ["--spec", "{spec}", FLOAT_SUM]),
+    ("e24", "witness", ["--spec", "{spec}"]),
+    ("e24", "classify", ["--spec", "{spec}"]),
+    ("tw23", "classify", ["--spec", "{spec}"]),
+    (None, "iso", ["2", "3"]),
+    ("e23", "relations", ["--spec", "{spec}", "{canonical}"]),
+    ("e23", "relations", ["--spec", "{spec}", "{violated}"]),
+]
+
 
 def _cases():
-    for name in SPEC_TEXTS:
+    for name in ELEMENT_SPECS:
         for fmt in ("text", "json-lines"):
             for command, rest in COMMANDS:
                 yield {
                     "spec": name,
                     "argv": [command, "--spec", "{spec}", "--format", fmt, *rest],
                 }
+    for name, command, rest in OTHER_COMMANDS:
+        for fmt in ("text", "json-lines"):
+            yield {"spec": name, "argv": [command, "--format", fmt, *rest]}
+
+
+def _argument(arg: str, case, spec_dir: Path) -> str:
+    """The argument, or the path of the file its placeholder names, written
+    to ``spec_dir``."""
+    if arg == "{spec}":
+        name, text = f"{case['spec']}.spec", SPEC_TEXTS[case["spec"]]
+    elif arg.startswith("{") and arg.endswith("}"):
+        name, text = f"{arg[1:-1]}.assign", ASSIGNMENT_TEXTS[arg[1:-1]]
+    else:
+        return arg
+    path = spec_dir / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 def _run(case, spec_dir: Path):
-    path = spec_dir / f"{case['spec']}.spec"
-    path.write_text(SPEC_TEXTS[case["spec"]], encoding="utf-8")
-    argv = [str(path) if a == "{spec}" else a for a in case["argv"]]
+    argv = [_argument(a, case, spec_dir) for a in case["argv"]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -93,7 +143,7 @@ def test_golden_file_covers_every_case():
     ]
 
 
-@pytest.mark.parametrize("index", range(len(SPEC_TEXTS) * 2 * len(COMMANDS)))
+@pytest.mark.parametrize("index", range(len(list(_cases()))))
 def test_cli_output_matches_golden(index, tmp_path):
     case = _golden()[index]
     code, out, err = _run(case, tmp_path)
