@@ -118,9 +118,7 @@ class AlgebraElement:
             return NotImplemented
         self._require_same(other)
         acc = {(x, y): c for c, x, y in self.terms}
-        for c, x, y in other.terms:
-            cur = acc.get((x, y))
-            acc[x, y] = c if cur is None else cur + c
+        add_terms(acc, other.terms, 1)
         return AlgebraElement._from_map(self.spec, acc)
 
     def __sub__(self, other):
@@ -158,6 +156,27 @@ class AlgebraElement:
         parts = [f"{t.coeff!r}*{t.left!r}{t.right!r}'" for t in self.terms[:4]]
         more = "" if len(self.terms) <= 4 else f" ... ({len(self.terms)} terms)"
         return "AlgebraElement<" + " + ".join(parts) + more + ">"
+
+
+def add_terms(acc: dict, terms, sign: int) -> None:
+    """Add ``sign`` (+1 or -1) times the (coeff, left, right) terms of one
+    element into the {(left, right): coeff} map ``acc``, dropping a key the
+    moment its coefficient sums to zero: the rule for every sum of
+    elements.  A sum built so, one element at a time, prunes as adding the
+    elements one by one does; on float a residue below the zero tolerance
+    is dropped, not carried into later additions.
+    """
+    for c, x, y in terms:
+        key = (x, y)
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = c if sign > 0 else -c
+            continue
+        total = cur + c if sign > 0 else cur - c
+        if total.is_zero():
+            del acc[key]
+        else:
+            acc[key] = total
 
 
 def zero(spec: SystemSpec) -> AlgebraElement:
@@ -440,20 +459,16 @@ def expand_normal_form(nf: NormalForm) -> AlgebraElement:
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
     """Equality in the algebra: structural fast path, then normal form.
 
-    The terms of a and the negated terms of b merge in one dict, zeros are
-    pruned, and the rest are raised and swept as ``normal_form`` would do
-    with a - b, without building a - b as an element.
+    The terms of b are subtracted from those of a by ``add_terms``, and
+    the rest are raised and swept as ``normal_form`` would do with a - b,
+    without building a - b as an element.
     """
     a._require_same(b)
     if a.terms == b.terms:
         return True
     acc = {(t.left, t.right): t.coeff for t in a.terms}
-    for t in b.terms:
-        key = (t.left, t.right)
-        cur = acc.get(key)
-        acc[key] = -t.coeff if cur is None else cur - t.coeff
-    merged = ((c, x, y) for (x, y), c in acc.items() if not c.is_zero())
-    return not _raised_blocks(a.spec, merged)
+    add_terms(acc, b.terms, -1)
+    return not _raised_blocks(a.spec, ((c, x, y) for (x, y), c in acc.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -400,25 +400,12 @@ class _Parser:
         elem = self._term(negate=negate)
         if self.tokens[self.at][0] not in ("+", "-"):
             return elem
-        # merge every term into one map and build the element once; adding
-        # element by element would re-sort the growing sum for each term
+        # one map and one sort for the whole sum, not one per term
         acc = {(t.left, t.right): t.coeff for t in elem.terms}
         while self.tokens[self.at][0] in ("+", "-"):
             tok = self.tokens[self.at]
             self.at += 1
-            for t in self._term(negate=tok[0] == "-").terms:
-                key = (t.left, t.right)
-                cur = acc.get(key)
-                if cur is None:
-                    acc[key] = t.coeff
-                    continue
-                total = cur + t.coeff
-                # drop cancelled terms as each partial sum did, so a float
-                # residue below tolerance is discarded the same way
-                if total.is_zero():
-                    del acc[key]
-                else:
-                    acc[key] = total
+            algebra.add_terms(acc, self._term(negate=tok[0] == "-").terms, 1)
         # every term comes from a parsed element, whose monomials are checked
         return AlgebraElement._from_map(self.spec, acc)
 
@@ -431,38 +418,30 @@ class _Parser:
             )
         return elem
 
-    def _scalar_atom(self):
-        value = self._try_scalar(greedy_complex=False)
-        if value is None:
-            raise ExpressionError(
-                self.tokens[self.at][2],
-                "expected a scalar",
-                {"int", "decimal", "i", "zeta("},
-            )
-        return value
-
     def parse_scalar(self):
         # scalars alone also form sums of products, so printed cyclotomic
-        # values like "1 - 1/2*zeta(8)^1" read back in
-        negate = False
-        tok = self.tokens[self.at]
-        if tok[0] in ("+", "-"):
-            self.at += 1
-            negate = tok[0] == "-"
-        value = self._scalar_atom()
-        while self.accept("*"):
-            value = value * self._scalar_atom()
-        if negate:
-            value = -value
+        # values like "1 - 1/2*zeta(8)^1" read back in; only the first
+        # summand may go without a sign, and a "-" negates its product
+        value = None
         while True:
             tok = self.tokens[self.at]
-            if tok[0] not in ("+", "-"):
+            if tok[0] in ("+", "-"):
+                self.at += 1
+            elif value is not None:
                 break
-            self.at += 1
-            nxt = self._scalar_atom()
-            while self.accept("*"):
-                nxt = nxt * self._scalar_atom()
-            value = value - nxt if tok[0] == "-" else value + nxt
+            product = None
+            while product is None or self.accept("*"):
+                atom = self._try_scalar(greedy_complex=False)
+                if atom is None:
+                    raise ExpressionError(
+                        self.tokens[self.at][2],
+                        "expected a scalar",
+                        {"int", "decimal", "i", "zeta("},
+                    )
+                product = atom if product is None else product * atom
+            if tok[0] == "-":
+                product = -product
+            value = product if value is None else value + product
         tok = self.tokens[self.at]
         if tok[0] != "end":
             raise ExpressionError(tok[2], f"unexpected {tok[1]!r}", {"end of input"})
@@ -511,13 +490,12 @@ def _monomial_text(term) -> str:
     right_trivial = all(c == 0 for c in right.fiber)
     if left_trivial and right_trivial:
         return "I"
-    gen = lambda m: "e(" + ",".join(str(c) for c in m.fiber) + f";{m.index})"
     try:
         if right_trivial:
-            return gen(left)
+            return repr(left)
         if left_trivial:
-            return gen(right) + "'"
-        return gen(left) + "*" + gen(right) + "'"
+            return f"{right!r}'"
+        return f"{left!r}*{right!r}'"
     except ValueError:  # an index of a fiber of dimension past 10^limit
         raise _past_digit_limit("a monomial index that exceeds {} digits") from None
 

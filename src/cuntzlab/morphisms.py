@@ -177,24 +177,28 @@ def extend(spec: SystemSpec, assignment: GeneratorAssignment, x: BasisMonomial, 
 
     The monomial is peeled into generator digits along ``order`` (a 1-based
     permutation of the generator slots; default is slot order) and the digit
-    images are multiplied left to right.  For a twisted source the peeled
-    product differs from ``x`` by the multiplier phase accumulated along the
-    digits, so that phase is conjugated back in; the result is therefore
-    independent of the chosen order.  On an untwisted source the phase stays
-    one and is never computed.
+    images are multiplied left to right; a monomial with no digits maps to
+    the identity.  For a twisted source the peeled product differs from
+    ``x`` by the multiplier phase accumulated along the digits, so that
+    phase is conjugated back in; the result is therefore independent of the
+    chosen order.  On an untwisted source the phase stays one and is never
+    computed.
     """
     if not same_system(spec, assignment.source):
         raise ValueError("monomial does not belong to the assignment's source")
     _require_verified(assignment)
     slots = None if order is None else tuple(int(a) - 1 for a in order)
-    out = algebra.identity(assignment.target)
+    out = None
     phase, fiber = spec.field.one, (0,) * spec.k
     for slot0, digit in spec.factor_monomial(x, slots):
         if spec.is_twisted:
             e_a = spec.unit_fiber(slot0)
             phase = phase * spec.multiplier(fiber, e_a)
             fiber = add_fibers(fiber, e_a)
-        out = algebra.multiply(out, assignment.image(slot0 + 1, digit))
+        image = assignment.image(slot0 + 1, digit)
+        out = image if out is None else algebra.multiply(out, image)
+    if out is None:
+        return algebra.identity(assignment.target)
     if not phase == spec.field.one:
         out = out.scaled(phase.conj())
     return out
@@ -205,12 +209,13 @@ def map_element(assignment: GeneratorAssignment, element: AlgebraElement):
     _require_verified(assignment)
     if not same_system(element.spec, assignment.source):
         raise ValueError("element does not belong to the assignment's source")
-    out = algebra.zero(assignment.target)
+    acc: dict = {}
     for term in element.terms:
         left = extend(assignment.source, assignment, term.left)
         right = extend(assignment.source, assignment, term.right)
-        out = out + algebra.multiply(left, right.adjoint()).scaled(term.coeff)
-    return out
+        image = algebra.multiply(left, right.adjoint()).scaled(term.coeff)
+        algebra.add_terms(acc, image.terms, 1)
+    return AlgebraElement._from_map(assignment.target, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,10 @@ class SystemSpec:
                         )
         self.theta = theta
 
-        trivial = theta is None or all(
-            (isinstance(x, (int, Fraction)) and Fraction(x) % 1 == 0)
-            or (isinstance(x, float) and x == int(x))
-            for row in theta
-            for x in row
+        # a finite float converts to a Fraction exactly
+        self.is_twisted = theta is not None and any(
+            Fraction(x) % 1 != 0 for row in theta for x in row
         )
-        self.is_twisted = not trivial
 
         # theta * q in integers on an exact twisted spec: its phases are
         # powers of zeta_q
