@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: rationals with i, cyclotomic integers, floats."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from cuntzlab.scalars import (
     FLOAT,
     RATIONAL,
     Cyclotomic,
+    CyclotomicField,
     FloatComplex,
     RationalComplex,
     common_field,
@@ -16,6 +18,9 @@ from cuntzlab.scalars import (
     field_named,
     field_of,
 )
+
+
+LATTICE_ORDERS = (1, 2, 3, 4, 6, 8, 12)
 
 
 def promote_pair(x, y):
@@ -214,6 +219,40 @@ class TestFieldLattice:
 
     def test_cyclotomic_cache(self):
         assert cyclotomic_field(4) is cyclotomic_field(4)
+
+    def test_directly_built_field_equals_cached_one(self):
+        built = CyclotomicField(8)
+        assert built is not cyclotomic_field(8)
+        assert built == cyclotomic_field(8) and cyclotomic_field(8) == built
+        assert hash(built) == hash(cyclotomic_field(8))
+        assert not (built != cyclotomic_field(8))
+
+    def test_fields_of_different_kinds_or_orders_differ(self):
+        fields = [RATIONAL, FLOAT] + [cyclotomic_field(q) for q in LATTICE_ORDERS]
+        for i, a in enumerate(fields):
+            for j, b in enumerate(fields):
+                assert (a == b) == (i == j), (a.name, b.name)
+                assert (a != b) == (i != j), (a.name, b.name)
+        assert len({hash(f) for f in fields}) == len(fields)
+        assert RATIONAL != cyclotomic_field(4)
+        assert cyclotomic_field(4) != RATIONAL
+
+    def test_common_field_of_every_pair(self):
+        # the Gaussian rationals are Q(zeta_4); float absorbs everything
+        def order(f):
+            return 4 if f is RATIONAL else f.order
+
+        def expected(a, b):
+            if a is FLOAT or b is FLOAT:
+                return FLOAT
+            if a is b:
+                return a
+            return cyclotomic_field(order(a) * order(b) // gcd(order(a), order(b)))
+
+        fields = [RATIONAL, FLOAT] + [cyclotomic_field(q) for q in LATTICE_ORDERS]
+        for a in fields:
+            for b in fields:
+                assert common_field(a, b) is expected(a, b), (a.name, b.name)
 
 
 def test_field_constants_are_properties():
