@@ -211,8 +211,9 @@ def _window(spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial):
     With s the fiber of x' and t that of y', the survivors are the pairs
     (e(s;lx), e(t;base+lx)) for lo <= lx < hi; the window is returned as
     (s, t, dim_s, dim_t, base, lo, hi).  It is index arithmetic only: every
-    survivor carries the phase ``_rewrite_phase(spec, s, t)``, which depends
-    on the fibers alone.  Equal fibers leave <x'|y'> times the identity,
+    survivor carries the rewrite phase omega(s,t) * conj(omega(t,s)), which
+    depends on the fibers alone (see ``_fiber_data``).  Equal fibers leave
+    <x'|y'> times the identity,
     returned as the one-survivor window of the zero fiber.  Both fibers
     must be valid.
     """
@@ -231,13 +232,6 @@ def _window(spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial):
     return s, t, dim_s, dim_t, base, lo, hi
 
 
-def _rewrite_phase(spec: SystemSpec, s, t):
-    """omega(s,t) * conj(omega(t,s)), the coefficient of each survivor of a
-    window over the fibers (s, t).  Both fibers of the identity window are
-    zero, so its phase is the field's one, float bits included."""
-    return spec._phase(s, t) * spec._phase(t, s).conj()
-
-
 def rewrite_pair(
     spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial
 ) -> AlgebraElement:
@@ -254,30 +248,6 @@ def rewrite_pair(
     spec.monomial(*x_prime)
     e, one = spec.identity_monomial, spec.field.one
     return _term_product(spec, Term(one, e, y_prime), Term(one, x_prime, e))
-
-
-def _fiber_quad(spec: SystemSpec, xf, s, yf, t):
-    """(degree, x.s, y.t, factors) of the fiber quadruple (x fiber, s,
-    y fiber, t) of ``multiply``, whose fibers are valid.
-
-    ``factors`` are the scalars that multiply a term coefficient c_a*c_b:
-    none when untwisted; on an exact field the one product of the rewrite
-    phase, omega(x, s) and conj(omega(y, t)), or none when that is one; on
-    float the three of them in that order, so float products keep their
-    rounding.
-    """
-    fx, fy = add_fibers(xf, s), add_fibers(yf, t)
-    factors = ()
-    if spec.is_twisted:
-        factors = (
-            _rewrite_phase(spec, s, t),
-            spec._phase(xf, s),
-            spec._phase(yf, t).conj(),
-        )
-        if spec.field.exact:
-            folded = factors[0] * factors[1] * factors[2]
-            factors = () if folded.is_one() else (folded,)
-    return sub_degree(fx, fy), fx, fy, factors
 
 
 def _keyed_element(spec: SystemSpec, acc: dict) -> AlgebraElement:
@@ -302,12 +272,31 @@ def _keyed_element(spec: SystemSpec, acc: dict) -> AlgebraElement:
 
 
 def _fiber_data(spec: SystemSpec, x: BasisMonomial, y: BasisMonomial, window):
-    """(degree, x.s, y.t, factors) of a survivor window of x ... y*, from
-    the spec's ``fiber_quads`` cache."""
+    """(degree, x.s, y.t, factors) of a survivor window of x ... y*: the
+    data of its fiber quadruple (x fiber, s, y fiber, t), whose fibers are
+    valid, computed once into the spec's ``fiber_quads`` cache.  No other
+    code reads or writes that cache.
+
+    ``factors`` are the scalars that multiply a term coefficient c_a*c_b:
+    none when untwisted; on an exact field the one product of the rewrite
+    phase omega(s,t) * conj(omega(t,s)), omega(x, s) and conj(omega(y, t)),
+    or none when that is one; on float the three of them in that order, so
+    float products keep their rounding.  Both fibers of the identity window
+    are zero, so its rewrite phase is the field's one, float bits included.
+    """
     quad = (x.fiber, window[0], y.fiber, window[1])
     data = spec.fiber_quads.get(quad)
     if data is None:
-        data = spec.fiber_quads[quad] = _fiber_quad(spec, *quad)
+        xf, s, yf, t = quad
+        fx, fy = add_fibers(xf, s), add_fibers(yf, t)
+        factors = ()
+        if spec.is_twisted:
+            phase = spec._phase
+            factors = (phase(s, t) * phase(t, s).conj(), phase(xf, s), phase(yf, t).conj())
+            if spec.field.exact:
+                folded = factors[0] * factors[1] * factors[2]
+                factors = () if folded.is_one() else (folded,)
+        data = spec.fiber_quads[quad] = sub_degree(fx, fy), fx, fy, factors
     return data
 
 

@@ -389,13 +389,10 @@ class Cyclotomic(_Scalar):
         )
 
     def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
         field = self.field
-        if other.__class__ is Cyclotomic and other.field is field:
-            o = other
-        else:
-            o = self._lift(other)
-            if o is None:
-                return NotImplemented
         return _cyclotomic(field, field.product(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
@@ -567,11 +564,26 @@ Scalar = RationalComplex | Cyclotomic | FloatComplex
 # ---------------------------------------------------------------------------
 
 
-class RationalField:
+class _Field:
+    """What every field derives from its ``name``: equality, hash and repr."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Field) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return f"field_named({self.name!r})"
+
+
+class RationalField(_Field):
     """Constructor object for Gaussian rational scalars."""
 
     name = "rational"
     exact = True
+    # its place in the lattice: the Gaussian rationals are Q(zeta_4)
+    order = 4
     zero = _rational(0, 0, 1)
     one = _rational(1, 0, 1)
     # exp(2*pi*i*k/4) for k = 0..3
@@ -604,17 +616,8 @@ class RationalField:
             return _rational(s.nums[0], 0, s.den)
         raise TypeError(f"cannot coerce {s!r} into the rational scalar field")
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
 
-    def __hash__(self):
-        return hash("rational")
-
-    def __repr__(self):
-        return "RationalField()"
-
-
-class CyclotomicField:
+class CyclotomicField(_Field):
     """Constructor object for Q(zeta_q) scalars with exact arithmetic."""
 
     exact = True
@@ -698,17 +701,8 @@ class CyclotomicField:
             return self.gaussian(s.re_num, s.im_num, s.den)
         raise TypeError(f"cannot coerce {s!r} into {self.name}")
 
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicField) and other.order == self.order
 
-    def __hash__(self):
-        return hash(("cyclotomic", self.order))
-
-    def __repr__(self):
-        return f"CyclotomicField({self.order})"
-
-
-class FloatField:
+class FloatField(_Field):
     name = "float"
     exact = False
     zero = FloatComplex(0.0)
@@ -737,15 +731,6 @@ class FloatField:
         if isinstance(s, (RationalComplex, Cyclotomic)):
             return FloatComplex(s.to_complex())
         raise TypeError(f"cannot coerce {s!r} into the float scalar field")
-
-    def __eq__(self, other):
-        return isinstance(other, FloatField)
-
-    def __hash__(self):
-        return hash("float")
-
-    def __repr__(self):
-        return "FloatField()"
 
 
 ScalarField = RationalField | CyclotomicField | FloatField
@@ -794,8 +779,4 @@ def common_field(a: ScalarField, b: ScalarField) -> ScalarField:
         return a
     if isinstance(a, FloatField) or isinstance(b, FloatField):
         return FLOAT
-    if isinstance(a, RationalField):
-        a, b = b, a
-    # the Gaussian rationals hold i = zeta_4
-    order = 4 if isinstance(b, RationalField) else b.order
-    return cyclotomic_field(math.lcm(a.order, order))
+    return cyclotomic_field(math.lcm(a.order, b.order))
