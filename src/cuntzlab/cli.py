@@ -145,6 +145,7 @@ def _cmd_equals(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
     left = _parse_element(spec, args.left)
     right = _parse_element(spec, args.right)
+    expr.require_finite(left, right)
     verdict = algebra.equals(left, right)
     reporter.emit("true" if verdict else "false", equal=verdict)
     return 0 if verdict else 1
@@ -445,9 +446,9 @@ def _selftest_checks(rng: random.Random):
         yield name, f"classify -> {verdict}", "classify", lambda ok=ok: ok
 
     # the twisted builtin carries the commutation phase UV = zeta_4 VU; the
-    # relation report takes its ratio from spec.multiplier, where multiply
-    # takes its phases, so only this known zeta_4 catches a convention
-    # that is wrong in both
+    # relation report takes its ratio exp(2*pi*i*(theta_ab - theta_ba)) from
+    # the angle matrix multiply takes its phases from, so only this known
+    # zeta_4 catches a convention that is wrong in both
     tw14 = specs["tw14"]
     U = algebra.isometry(tw14, tw14.monomial((0, 1), 0))
     V = algebra.isometry(tw14, tw14.monomial((1, 0), 0))

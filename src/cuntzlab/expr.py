@@ -512,6 +512,26 @@ def _signed_sum(pieces) -> str:
     return "".join(out) or "0"
 
 
+def _finite(value) -> complex:
+    """The value of a float scalar, which must be finite: an inf or nan part
+    has no text and supports no verdict."""
+    z = value.value
+    if not cmath.isfinite(z):
+        raise UnprintableError(
+            "the result has a coefficient with a non-finite part (real "
+            f"{z.real!r}, imaginary {z.imag!r}): float arithmetic overflowed"
+        )
+    return z
+
+
+def require_finite(*elements: AlgebraElement) -> None:
+    """``_finite`` of every coefficient; exact fields have nothing to check."""
+    for a in elements:
+        if not a.spec.field.exact:
+            for t in a.terms:
+                _finite(t.coeff)
+
+
 def _complex_parts(value):
     """(re, im, part) of a Gaussian or float value, None of a cyclotomic one.
 
@@ -522,12 +542,7 @@ def _complex_parts(value):
         den = value.den
         return value.re_num, value.im_num, lambda num: _format_ratio(num, den)
     if isinstance(value, scalars.FloatComplex):
-        z = value.value
-        if not cmath.isfinite(z):
-            raise UnprintableError(
-                "the result has a coefficient with a non-finite part (real "
-                f"{z.real!r}, imaginary {z.imag!r}): float arithmetic overflowed"
-            )
+        z = _finite(value)
         return z.real, z.imag, repr
     if isinstance(value, scalars.Cyclotomic):
         return None

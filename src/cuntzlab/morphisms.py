@@ -13,6 +13,7 @@ images cost d isometry products and the range sum, not d^2 products (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import algebra
 from .algebra import AlgebraElement
@@ -100,7 +101,9 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
     Within each generator slot: isometry ``U'U = I``, pairwise orthogonality
     of ranges, and the full range sum ``sum_i U U' = I``.  Across slots the
     images must commute the same way the source isometries do, including the
-    scalar ratio a twisted source imposes.  Violations are report entries,
+    scalar ratio a twisted source imposes, taken in the target's field; an
+    instance whose ratio that field lacks holds only if both of its products
+    are zero.  Violations are report entries,
     not exceptions, and ``checked`` counts d^2 + 1 instances per slot of d
     images.
 
@@ -119,6 +122,7 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
     one = algebra.identity(target)
     nothing = algebra.zero(target)
     exact = target.field.exact
+    theta = spec.theta if spec.is_twisted else None
     violations = []
     checked = 0
     for a in range(1, spec.k + 1):
@@ -140,12 +144,16 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
         if not range_sum:
             violations.append(f"range sum: sum_i U({a},i) U({a},i)' != I")
     for a in range(1, spec.k + 1):
-        e_a = spec.unit_fiber(a - 1)
         d_a = spec.gen_dims[a - 1]
         for b in range(a + 1, spec.k + 1):
-            e_b = spec.unit_fiber(b - 1)
             d_b = spec.gen_dims[b - 1]
-            ratio = spec.multiplier(e_a, e_b) * spec.multiplier(e_b, e_a).conj()
+            # exp(2*pi*i*(theta_ab - theta_ba)) in the target's field; float
+            # angles convert exactly
+            angle = Fraction(theta[a - 1][b - 1]) - Fraction(theta[b - 1][a - 1]) if theta else 0
+            try:
+                ratio = target.field.root_of_unity(angle)
+            except ValueError:  # the field lacks it: nonzero images cannot commute by it
+                ratio = None
             for i in range(d_a):
                 for j in range(d_b):
                     checked += 1
@@ -155,7 +163,11 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
                     p, q = divmod(i * d_b + j, d_a)
                     lhs = algebra.multiply(assignment.image(a, i), assignment.image(b, j))
                     rhs = algebra.multiply(assignment.image(b, p), assignment.image(a, q))
-                    if not algebra.equals(lhs, rhs.scaled(ratio)):
+                    if ratio is None:
+                        holds = algebra.equals(lhs, nothing) and algebra.equals(rhs, nothing)
+                    else:
+                        holds = algebra.equals(lhs, rhs.scaled(ratio))
+                    if not holds:
                         violations.append(
                             f"commutation: U({a},{i}) U({b},{j}) != "
                             f"ratio * U({b},{p}) U({a},{q})"

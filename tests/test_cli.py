@@ -31,6 +31,10 @@ SPEC_TEXTS = {
     "f23": "k = 2\ndims = 2 3\nscalars = float\n",
     "e2p": "k = 2\ndims = 2 1000000000000000003\n",
     "tw14": "k = 2\ndims = 1 1\ntheta = 0 0 1/4 0\nscalars = cyclotomic:4\n",
+    "tw23": "k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n",
+    "tw8": "k = 2\ndims = 2 3\ntheta = 0 1/8 0 0\nscalars = cyclotomic:8\n",
+    "twf": "k = 2\ndims = 2 3\ntheta = 0 0.1234 0 0\nscalars = float\n",
+    "c8": "k = 2\ndims = 2 3\nscalars = cyclotomic:8\n",
     "epq": f"k = 2\ndims = {PQ} 10000000000000000051\n",
     "epq2": f"k = 2\ndims = {PQ} {PQ**2}\n",
 }
@@ -478,6 +482,55 @@ def test_relations_cross_system(capsys, spec_path, tmp_path):
     assert out == "relations: ok (21 checked)\n"
 
 
+@pytest.mark.parametrize(
+    "source, target",
+    [("tw23", "e23"), ("tw8", "tw23"), ("twf", "c8")],
+)
+def test_relations_across_scalar_fields(capsys, spec_path, tmp_path, source, target):
+    # the twisted source's commutation phase, i, zeta_8 or exp(2 pi i 0.1234),
+    # is taken in the target's field; where that field lacks it, as Q(zeta_4)
+    # lacks zeta_8, an instance holds only if both products vanish
+    spec = SystemSpec((2, 3))
+    assignment = tmp_path / "canonical.txt"
+    assignment.write_text(
+        format_assignment(morphisms.canonical_assignment(spec)), encoding="utf-8"
+    )
+    code, out, err = run_cli(
+        capsys,
+        [
+            "relations",
+            "--spec",
+            spec_path(source),
+            "--target",
+            spec_path(target),
+            str(assignment),
+        ],
+    )
+    assert (code, err) == (1, "")
+    rows = lines_of(out)
+    assert rows[0] == "relations: violated (21 checked)"
+    assert rows[1:] == [
+        f"  commutation: U(1,{i}) U(2,{j}) != ratio * U(2,{p}) U(1,{q})"
+        for i in range(2)
+        for j in range(3)
+        for p, q in [divmod(i * 3 + j, 2)]
+    ]
+
+
+def test_relations_same_field_twisted_source_holds(capsys, spec_path, tmp_path):
+    # the twisted system's own generators satisfy its relations, phase included
+    spec = SystemSpec((2, 3))
+    assignment = tmp_path / "canonical.txt"
+    assignment.write_text(
+        format_assignment(morphisms.canonical_assignment(spec)), encoding="utf-8"
+    )
+    code, out, _ = run_cli(
+        capsys, ["relations", "--spec", spec_path("tw23"), str(assignment)]
+    )
+    assert code == 0
+    assert out == "relations: ok (21 checked)\n"
+
+
 # --- selftest --------------------------------------------------------------
 
 
@@ -796,6 +849,9 @@ def test_non_finite_result_exits_two(capsys, tmp_path):
         (["normalize", "(1e308i*I)*(1e308*I) - (1e308*I)*(1e308i*I)"], "real 0.0, imaginary nan"),
         (["expect", "1e200*(1e200*e(1,0;0)*e(1,0;0)')"], "real inf, imaginary 0.0"),
         (["eval", "1e200*(1e200*e(1,0;0))"], "real inf, imaginary 0.0"),
+        # nan compares unequal to everything, itself included: no verdict
+        (["equals", "(1e308*I)*(1e308*I) - (1e308*I)*(1e308*I)", "I"], "real nan, imaginary 0.0"),
+        (["equals", "I", "(1e308*I)*(1e308*I) - (1e308*I)*(1e308*I)"], "real nan, imaginary 0.0"),
     ]
     for argv, part in cases:
         code, out, err = run_cli(capsys, [argv[0], "--spec", str(spec), *argv[1:]])
