@@ -34,6 +34,8 @@ SPEC_TEXTS = {
     "tw23": "k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n",
     "tw8": "k = 2\ndims = 2 3\ntheta = 0 1/8 0 0\nscalars = cyclotomic:8\n",
     "twf": "k = 2\ndims = 2 3\ntheta = 0 0.1234 0 0\nscalars = float\n",
+    "twq": "k = 2\ndims = 2 3\ntheta = 0 0.25 0 0\nscalars = float\n",
+    "tw23q8": "k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:8\n",
     "c8": "k = 2\ndims = 2 3\nscalars = cyclotomic:8\n",
     "epq": f"k = 2\ndims = {PQ} 10000000000000000051\n",
     "epq2": f"k = 2\ndims = {PQ} {PQ**2}\n",
@@ -517,18 +519,27 @@ def test_relations_across_scalar_fields(capsys, spec_path, tmp_path, source, tar
     ]
 
 
-def test_relations_same_field_twisted_source_holds(capsys, spec_path, tmp_path):
-    # the twisted system's own generators satisfy its relations, phase included
+@pytest.mark.parametrize("source, target", [("twq", "tw23"), ("tw23", "tw23q8")])
+def test_relations_across_scalar_fields_holds(capsys, spec_path, tmp_path, source, target):
+    # theta = 0.25 on float converts exactly, so Q(zeta_4) holds its phase
+    # i; Q(zeta_8) holds the phase of the cyclotomic:4 source
     spec = SystemSpec((2, 3))
     assignment = tmp_path / "canonical.txt"
     assignment.write_text(
         format_assignment(morphisms.canonical_assignment(spec)), encoding="utf-8"
     )
-    code, out, _ = run_cli(
-        capsys, ["relations", "--spec", spec_path("tw23"), str(assignment)]
+    code, out, err = run_cli(
+        capsys,
+        [
+            "relations",
+            "--spec",
+            spec_path(source),
+            "--target",
+            spec_path(target),
+            str(assignment),
+        ],
     )
-    assert code == 0
-    assert out == "relations: ok (21 checked)\n"
+    assert (code, out, err) == (0, "relations: ok (21 checked)\n", "")
 
 
 # --- selftest --------------------------------------------------------------
