@@ -36,6 +36,7 @@ SPEC_TEXTS = {
     "twf": "k = 2\ndims = 2 3\ntheta = 0 0.1234 0 0\nscalars = float\n",
     "twq": "k = 2\ndims = 2 3\ntheta = 0 0.25 0 0\nscalars = float\n",
     "tw23q8": "k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:8\n",
+    "c4": "k = 2\ndims = 2 3\nscalars = cyclotomic:4\n",
     "c8": "k = 2\ndims = 2 3\nscalars = cyclotomic:8\n",
     "epq": f"k = 2\ndims = {PQ} 10000000000000000051\n",
     "epq2": f"k = 2\ndims = {PQ} {PQ**2}\n",
@@ -92,6 +93,18 @@ def test_normalize_raises_to_common_fiber(capsys, spec_path):
     assert out == (
         "2*e(1,1;0)*e(0,1;0)' + e(1,1;1)*e(0,1;1)' + e(1,1;2)*e(0,1;2)'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("e23", "(3/4-2/3i)*e(1,0;0)"), ("c4", "zeta(4)^1*e(1,0;0)")],
+)
+def test_normalize_prints_the_field_form(capsys, spec_path, name, text):
+    # the Gaussian rationals and Q(zeta_4) hold the same numbers; each field
+    # prints its own form, (a+bi) or powers of the root
+    source = text.replace("^1", "")
+    code, out, err = run_cli(capsys, ["normalize", "--spec", spec_path(name), source])
+    assert (code, out, err) == (0, text + "\n", "")
 
 
 def test_normalize_deep_single_term(capsys, spec_path):

@@ -58,6 +58,10 @@ class TestRationalComplex:
         with pytest.raises(ZeroDivisionError):
             RationalComplex(0).inv()
 
+    def test_repr(self):
+        value = RationalComplex(Fraction(3, 4), Fraction(-2, 3))
+        assert repr(value) == "RationalComplex(3/4, -2/3)"
+
     def test_predicates(self):
         assert RationalComplex(0, 0).is_zero()
         assert RationalComplex(1, 0).is_one()
@@ -190,6 +194,9 @@ class TestFieldLattice:
         z = FLOAT.coerce(k4.zeta_power(1))
         assert abs(z.value - 1j) < 1e-12
         assert FLOAT.coerce(RationalComplex(1, 1)) == FloatComplex(1 + 1j)
+        # each part rounds once, so no cos(pi/2) enters the real part
+        z = FLOAT.coerce(RationalComplex(Fraction(1, 3), Fraction(-2, 7)))
+        assert z.value == complex(1 / 3, -2 / 7)
 
     def test_common_field(self):
         k4, k6 = cyclotomic_field(4), cyclotomic_field(6)
