@@ -350,6 +350,7 @@ def _cmd_relations(args, reporter: Reporter) -> int:
         assignment = morphisms.parse_assignment(spec, target_spec, text)
     except (ConfigurationError, expr.ExpressionError) as err:
         raise UsageError(str(err)) from None
+    expr.require_finite(*assignment.images.values())
     report = assignment.report()
     reporter.emit(
         f"relations: {'ok' if report.ok else 'violated'} ({report.checked} checked)",

@@ -887,6 +887,26 @@ def test_non_finite_result_exits_two(capsys, tmp_path):
         )
 
 
+def test_relations_refuses_non_finite_images(capsys, spec_path, tmp_path):
+    # an image with an inf coefficient supports no verdict, as in equals
+    canonical = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "e23-canonical.assign"
+    assignment = tmp_path / "inf.assign"
+    assignment.write_text(
+        canonical.read_text(encoding="utf-8").replace(
+            "(1,0) = e(1,0;0)", "(1,0) = (1e200*I)*(1e200*e(1,0;0))"
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        capsys, ["relations", "--spec", spec_path("f23"), str(assignment)]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the result has a coefficient with a non-finite part (real inf, "
+        "imaginary 0.0): float arithmetic overflowed\n"
+    )
+
+
 def test_result_past_the_digit_limit_exits_two(capsys, spec_path):
     # each literal parses, but their product has 6001 digits, which the
     # printer may not write because the parser would refuse it
