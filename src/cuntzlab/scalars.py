@@ -55,7 +55,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -133,31 +133,28 @@ def _sparse_product(phi: int, reduction, a, b) -> list[int]:
     return out
 
 
-def _product_kernel(phi: int, reduction):
-    """The product of two numerator tuples of Q(zeta_q), reduced modulo
-    Phi_q, as one generated function without loops or calls.
+def _arithmetic(q: int, phi: int, reduction) -> str:
+    """Source of straight-line ``+``, ``-``, ``*``, unary ``-`` and ``conj``
+    for the values of Q(zeta_q), of degree phi, with no loop and no call but
+    one ``gcd``.
 
-    Coordinate k is the sum of a_i*b_j over i + j = k plus, for each
-    m >= phi, reduction[m]'s coefficient at k times the sum over i + j = m.
-    A high sum that reduces to one coordinate is written out in place; one
-    that reduces to several is computed once into a local.  The source holds
-    integer literals and the numerator names only.
+    ``+`` and ``-`` keep a branch for equal denominators.  Coordinate k of a
+    product is the sum of a_i*b_j over i + j = k plus, for each m >= phi,
+    reduction[m]'s coefficient at k times the sum over i + j = m; a high sum
+    that reduces to several coordinates is computed once into a local.
+    ``conj`` sends zeta^j to zeta^(q-j).  It and unary ``-`` are invertible
+    integer maps of the numerators, so they keep the gcd at 1 and the
+    denominator as it is.  The sources read numerators, denominators and
+    integer literals, and take ``cls``, ``new`` and ``gcd`` from the
+    namespace they are compiled in.
     """
+    coords = range(phi)
+
+    def names(x):
+        return "".join(f"{x}{i}, " for i in coords)
 
     def pairs(m):
         return [f"a{i}*b{m - i}" for i in range(max(0, m - phi + 1), min(m, phi - 1) + 1)]
-
-    rows = [[(1, p) for p in pairs(k)] for k in range(phi)]
-    body = []
-    for m in range(phi, 2 * phi - 1):
-        targets = reduction[m]
-        if len(targets) == 1:
-            terms = pairs(m)
-        else:
-            body.append(f"    t{m} = {' + '.join(pairs(m))}")
-            terms = [f"t{m}"]
-        for k, r in targets:
-            rows[k] += [(r, t) for t in terms]
 
     def signed_sum(row):
         text = "".join(
@@ -166,16 +163,63 @@ def _product_kernel(phi: int, reduction):
         )
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
-    def unpack(x):
-        return f"    {''.join(f'{x}{i}, ' for i in range(phi))}= {x}"
+    def binary(name, body):
+        return (
+            f"def {name}(self, other):\n"
+            "    if other.__class__ is not cls:\n"
+            "        other = self._lift(other)\n"
+            "        if other is None:\n"
+            "            return NotImplemented\n"
+            f"    {names('a')}= self.nums\n"
+            f"    {names('b')}= other.nums\n"
+            f"{body}"
+            f"    g = gcd(d, {names('n')})\n"
+            "    z = new(cls)\n"
+            "    if g == 1:\n"
+            f"        z.nums = ({names('n')})\n"
+            "        z.den = d\n"
+            "    else:\n"
+            f"        z.nums = ({''.join(f'n{i} // g, ' for i in coords)})\n"
+            "        z.den = d // g\n"
+            "    return z\n"
+        )
 
-    returned = "".join(signed_sum(row) + ", " for row in rows)
-    source = "\n".join(
-        ["def product(a, b):", unpack("a"), unpack("b"), *body, f"    return ({returned})"]
-    )
-    namespace = {"__builtins__": {}}
-    exec(source, namespace)
-    return namespace["product"]
+    def unary(name, rows):
+        return (
+            f"def {name}(self):\n"
+            f"    {names('a')}= self.nums\n"
+            "    z = new(cls)\n"
+            f"    z.nums = ({''.join(signed_sum(row) + ', ' for row in rows)})\n"
+            "    z.den = self.den\n"
+            "    return z\n"
+        )
+
+    sources = []
+    for name, op in (("__add__", "+"), ("__sub__", "-")):
+        same = "".join(f"        n{i} = a{i} {op} b{i}\n" for i in coords)
+        cross = "".join(f"        n{i} = a{i}*f {op} b{i}*d\n" for i in coords)
+        sources.append(binary(name, (
+            f"    d = self.den\n    f = other.den\n    if d == f:\n{same}"
+            f"    else:\n{cross}        d *= f\n"
+        )))
+    rows = [[(1, p) for p in pairs(k)] for k in coords]
+    body = []
+    for m in range(phi, 2 * phi - 1):
+        terms = pairs(m)
+        if len(reduction[m]) > 1:
+            body.append(f"    t{m} = {' + '.join(terms)}\n")
+            terms = [f"t{m}"]
+        for k, r in reduction[m]:
+            rows[k] += [(r, t) for t in terms]
+    body += [f"    n{k} = {signed_sum(row)}\n" for k, row in enumerate(rows)]
+    sources.append(binary("__mul__", "".join(body) + "    d = self.den * other.den\n"))
+    sources.append(unary("__neg__", [[(-1, f"a{i}")] for i in coords]))
+    conj = [[] for _ in coords]
+    for j in coords:
+        for k, r in reduction[-j % q]:
+            conj[k].append((r, f"a{j}"))
+    sources.append(unary("conj", conj))
+    return "\n".join(sources)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +377,22 @@ class Cyclotomic(_Scalar):
     Stored as integer numerators ``nums`` over one common denominator
     ``den > 0`` with gcd(*nums, den) == 1, so each value has exactly one
     representation.  ``coeffs`` derives the ``Fraction`` coefficients.
+
+    Each field's values are instances of the subclass it builds,
+    ``field.value_type``, which holds the field as the class attribute
+    ``field``.  Up to ``KERNEL_MAX_PHI`` that subclass carries generated
+    ``+``, ``-``, ``*`` and ``conj``; above it the loops below serve.
     """
 
-    __slots__ = ("field", "nums", "den")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, field: "CyclotomicField", coeffs):
+    def __new__(cls, field: "CyclotomicField", coeffs):
         coeffs = tuple(_as_fraction(c) for c in coeffs)
         if len(coeffs) != field.phi:
             raise ValueError("coefficient vector has the wrong length")
         # reduced coefficients over their lcm leave the vector reduced
         den = math.lcm(*(c.denominator for c in coeffs))
-        self.field = field
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self.den = den
+        return _cyclotomic(field, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     @property
     def coeffs(self) -> tuple:
@@ -354,12 +401,14 @@ class Cyclotomic(_Scalar):
 
     def _lift(self, other):
         if isinstance(other, Cyclotomic):
-            if other.field.order != self.field.order:
-                raise TypeError(
-                    "cannot mix cyclotomic scalars of orders "
-                    f"{self.field.order} and {other.field.order}"
-                )
-            return other
+            if other.field == self.field:
+                return other
+            if other.field.__class__ is not self.field.__class__:
+                return None  # the Gaussian rationals and Q(zeta_q): no operator applies
+            raise TypeError(
+                "cannot mix cyclotomic scalars of orders "
+                f"{self.field.order} and {other.field.order}"
+            )
         if isinstance(other, (int, Fraction)):
             return self.field.from_fraction(other)
         return None
@@ -393,7 +442,8 @@ class Cyclotomic(_Scalar):
         if o is None:
             return NotImplemented
         field = self.field
-        return _cyclotomic(field, field.product(self.nums, o.nums), self.den * o.den)
+        nums = _sparse_product(field.phi, field.reduction, self.nums, o.nums)
+        return _cyclotomic(field, nums, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -430,13 +480,14 @@ class Cyclotomic(_Scalar):
         return not any(self.nums[1:])
 
     def __eq__(self, other):
-        try:
-            o = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        if o is None:
-            return NotImplemented
-        return self.den == o.den and self.nums == o.nums
+        if other.__class__ is not self.__class__:
+            try:
+                other = self._lift(other)
+            except TypeError:
+                return NotImplemented
+            if other is None:
+                return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         return hash((self.field.order, self.coeffs))
@@ -473,8 +524,7 @@ def _cyclotomic(field: "CyclotomicField", nums, den: int) -> Cyclotomic:
     if g != 1:
         nums = [n // g for n in nums]
         den //= g
-    z = _new(Cyclotomic)
-    z.field = field
+    z = _new(field.value_type)
     z.nums = tuple(nums)
     z.den = den
     return z
@@ -648,11 +698,18 @@ class CyclotomicField(_Field):
         self.reduction = tuple(
             tuple((i, r) for i, r in enumerate(row) if r) for row in table
         )
-        # product(a, b): the reduced product of two numerator tuples
+        # the class of this field's values, with generated arithmetic up
+        # to the cutoff
+        namespace = {"__builtins__": {}, "NotImplemented": NotImplemented,
+                     "gcd": math.gcd, "new": _new}
+        methods = {}
         if self.phi <= KERNEL_MAX_PHI:
-            self.product = _product_kernel(self.phi, self.reduction)
-        else:
-            self.product = partial(_sparse_product, self.phi, self.reduction)
+            exec(_arithmetic(order, self.phi, self.reduction), namespace)
+            methods = {m: namespace[m] for m in ("__add__", "__sub__", "__mul__", "__neg__", "conj")}
+            methods.update(__radd__=methods["__add__"], __rmul__=methods["__mul__"])
+        namespace["cls"] = self.value_type = type(
+            "Cyclotomic", (Cyclotomic,), {"__slots__": (), "field": self, **methods}
+        )
         self._zeta = tuple(_cyclotomic(self, table[k], 1) for k in range(order))
         self.zero = _cyclotomic(self, [0] * self.phi, 1)
         self.one = self._zeta[0]

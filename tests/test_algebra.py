@@ -571,9 +571,11 @@ def test_warm_twisted_product_work(name, monkeypatch):
 
     monkeypatch.setattr(SystemSpec, "multiplier", counted("phases", SystemSpec.multiplier))
     monkeypatch.setattr(SystemSpec, "_phase", counted("phases", SystemSpec._phase))
-    mul = counted("muls", scalars.Cyclotomic.__mul__)
-    monkeypatch.setattr(scalars.Cyclotomic, "__mul__", mul)
-    monkeypatch.setattr(scalars.Cyclotomic, "__rmul__", mul)
+    # each field's values carry their own arithmetic
+    values = spec.field.value_type
+    mul = counted("muls", values.__mul__)
+    monkeypatch.setattr(values, "__mul__", mul)
+    monkeypatch.setattr(values, "__rmul__", mul)
     assert multiply(a, b) == want
     assert counts["phases"] == 0
     assert 0 < counts["muls"] <= 2 * pairs
@@ -594,14 +596,15 @@ def test_raising_skips_unit_phases(name, monkeypatch):
     phase = spec.multiplier((1, 0), (0, 1))
     assert not phase.is_one()
     muls = []
-    real_mul = scalars.Cyclotomic.__mul__
+    values = spec.field.value_type
+    real_mul = values.__mul__
 
     def counted(x, y):
         muls.append(1)
         return real_mul(x, y)
 
-    monkeypatch.setattr(scalars.Cyclotomic, "__mul__", counted)
-    monkeypatch.setattr(scalars.Cyclotomic, "__rmul__", counted)
+    monkeypatch.setattr(values, "__mul__", counted)
+    monkeypatch.setattr(values, "__rmul__", counted)
     nf = normal_form(a)
     assert len(muls) == 3 + 1  # three fiber pairs, one term with a phase
     c, runs = nf.blocks[(1, 0)]

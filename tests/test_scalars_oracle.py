@@ -21,7 +21,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import scalars
@@ -408,7 +408,7 @@ def assert_same_value(new, old):
             got, want = getattr(new, part), getattr(old, part)
             assert type(got) is Fraction and got == want
     elif isinstance(old, Cyclotomic):
-        assert type(new) is scalars.Cyclotomic
+        assert isinstance(new, scalars.Cyclotomic)
         assert new.field is scalars.cyclotomic_field(old.field.order)
         assert type(new.coeffs) is tuple
         assert all(type(c) is Fraction for c in new.coeffs)
@@ -480,31 +480,61 @@ KERNEL_ORDERS = [
 ]
 
 
+KERNEL_BINARY = ["__add__", "__sub__", "__mul__"]
+KERNEL_UNARY = ["__neg__", "conj"]
+
+
 @ORACLE
 @given(data=st.data())
 def test_kernel_matches_loop(data):
+    # each generated operation against the loop that fields above the
+    # cutoff keep, on equal and on unequal denominators
     q = data.draw(st.sampled_from(KERNEL_ORDERS))
     field = scalars.cyclotomic_field(q)
-    a, b = (tuple(data.draw(st.lists(numerators, min_size=field.phi, max_size=field.phi)))
-            for _ in range(2))
-    want = scalars._sparse_product(field.phi, field.reduction, a, b)
-    assert field.product(a, b) == tuple(want)
+    same = data.draw(st.booleans())
+    den = data.draw(denominators)
+
+    def value():
+        nums = data.draw(st.lists(numerators, min_size=field.phi, max_size=field.phi))
+        return scalars._cyclotomic(field, nums, den if same else data.draw(denominators))
+
+    a, b = value(), value()
+    assume(a.den == b.den if same else a.den != b.den)
+    generated, loop = field.value_type, scalars.Cyclotomic
+    for op in KERNEL_BINARY:
+        got, want = getattr(generated, op)(a, b), getattr(loop, op)(a, b)
+        assert_canonical(got)
+        assert type(got) is generated and (got.nums, got.den) == (want.nums, want.den)
+    for op in KERNEL_UNARY:
+        got, want = getattr(generated, op)(a), getattr(loop, op)(a)
+        assert_canonical(got)
+        assert type(got) is generated and (got.nums, got.den) == (want.nums, want.den)
 
 
 def test_kernel_cutoff():
     assert KERNEL_ORDERS == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 24, 30]
     for q in (17, 32):
-        product = scalars.cyclotomic_field(q).product
-        assert product.func is scalars._sparse_product
+        values = scalars.cyclotomic_field(q).value_type
+        for op in KERNEL_BINARY + KERNEL_UNARY:
+            assert getattr(values, op) is getattr(scalars.Cyclotomic, op)
 
 
+@pytest.mark.parametrize("op", KERNEL_BINARY + KERNEL_UNARY)
 @pytest.mark.parametrize("q", KERNEL_ORDERS)
-def test_kernel_reads_only_numerators_and_integers(q):
+def test_kernel_reads_only_numerators_and_integers(q, op):
     phi = scalars.cyclotomic_field(q).phi
-    code = scalars.cyclotomic_field(q).product.__code__
-    assert code.co_names == () and code.co_argcount == 2
+    method = getattr(scalars.cyclotomic_field(q).value_type, op)
+    assert method is not getattr(scalars.Cyclotomic, op)
+    code = method.__code__
+    # the lift of another operand, the stored integers, and the names the
+    # field compiles the source with
+    assert set(code.co_names) <= {
+        "__class__", "_lift", "NotImplemented", "nums", "den", "cls", "new", "gcd"
+    }
     assert all(c is None or type(c) is int for c in code.co_consts)
-    allowed = {"a", "b"} | {f"{x}{i}" for x in "ab" for i in range(phi)}
+    allowed = {"self", "other", "d", "f", "g", "z"} | {
+        f"{x}{i}" for x in "abn" for i in range(phi)
+    }
     assert set(code.co_varnames) <= allowed | {f"t{m}" for m in range(phi, 2 * phi - 1)}
 
 
