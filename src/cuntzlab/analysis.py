@@ -112,7 +112,7 @@ def rank_and_kernel(rows, k: int) -> tuple[int, tuple[int, ...] | None]:
     )
     if not basis:
         return k, None
-    vec = [s.re for s in basis[0]]
+    vec = [s.coeffs[0] for s in basis[0]]
     denom = math.lcm(*(f.denominator for f in vec))
     ints = [int(f * denom) for f in vec]
     g = math.gcd(*ints)

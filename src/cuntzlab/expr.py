@@ -538,15 +538,14 @@ def _complex_parts(value):
     ``part`` prints one part: a numerator over the common denominator in
     lowest terms, or a float by ``repr``.
     """
-    if isinstance(value, scalars.RationalComplex):
-        den = value.den
-        return value.re_num, value.im_num, lambda num: _format_ratio(num, den)
-    if isinstance(value, scalars.FloatComplex):
+    field = scalars.field_of(value)
+    if field is scalars.RATIONAL:
+        (re_num, im_num), den = value.nums, value.den
+        return re_num, im_num, lambda num: _format_ratio(num, den)
+    if field is scalars.FLOAT:
         z = _finite(value)
         return z.real, z.imag, repr
-    if isinstance(value, scalars.Cyclotomic):
-        return None
-    raise TypeError(f"cannot print scalar of type {type(value).__name__}")
+    return None
 
 
 def _complex_body(re_part, im_part, part) -> str:

@@ -248,129 +248,6 @@ class _Scalar:
         return self * o.inv()
 
 
-class RationalComplex(_Scalar):
-    """A Gaussian rational (re_num + im_num*i) / den on plain integers.
-
-    ``den > 0`` and gcd(re_num, im_num, den) == 1, so each value has exactly
-    one triple and ``==`` compares triples.  ``re`` and ``im`` are derived
-    ``Fraction``s for printing and for callers outside the arithmetic.
-    Values are immutable: the fields share their constants.
-    """
-
-    __slots__ = ("re_num", "im_num", "den")
-
-    def __init__(self, re, im=0):
-        re = _as_fraction(re)
-        im = _as_fraction(im)
-        d_re, d_im = re.denominator, im.denominator
-        # both parts are reduced, so over their lcm the triple is too
-        den = d_re * d_im // math.gcd(d_re, d_im)
-        self.re_num = re.numerator * (den // d_re)
-        self.im_num = im.numerator * (den // d_im)
-        self.den = den
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.re_num, self.den)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.im_num, self.den)
-
-    def _lift(self, other):
-        if isinstance(other, RationalComplex):
-            return other
-        if isinstance(other, int):
-            return _rational(int(other), 0, 1)
-        if isinstance(other, Fraction):
-            return _rational(other.numerator, 0, other.denominator)
-        return None
-
-    def __add__(self, other):
-        o = other if other.__class__ is RationalComplex else self._lift(other)
-        if o is None:
-            return NotImplemented
-        d, f = self.den, o.den
-        if d == f:
-            return _rational(self.re_num + o.re_num, self.im_num + o.im_num, d)
-        return _rational(
-            self.re_num * f + o.re_num * d, self.im_num * f + o.im_num * d, d * f
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other if other.__class__ is RationalComplex else self._lift(other)
-        if o is None:
-            return NotImplemented
-        d, f = self.den, o.den
-        if d == f:
-            return _rational(self.re_num - o.re_num, self.im_num - o.im_num, d)
-        return _rational(
-            self.re_num * f - o.re_num * d, self.im_num * f - o.im_num * d, d * f
-        )
-
-    def __mul__(self, other):
-        o = other if other.__class__ is RationalComplex else self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, e = self.re_num, self.im_num, o.re_num, o.im_num
-        return _rational(a * c - b * e, a * e + b * c, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _rational(-self.re_num, -self.im_num, self.den)
-
-    def conj(self) -> "RationalComplex":
-        return _rational(self.re_num, -self.im_num, self.den)
-
-    def inv(self) -> "RationalComplex":
-        a, b, d = self.re_num, self.im_num, self.den
-        n = a * a + b * b
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero scalar")
-        # 1 / ((a + bi)/d) = d (a - bi) / (a^2 + b^2)
-        return _rational(d * a, -d * b, n)
-
-    def is_zero(self) -> bool:
-        return self.re_num == 0 and self.im_num == 0
-
-    def is_one(self) -> bool:
-        return self.re_num == 1 and self.im_num == 0 and self.den == 1
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return (
-            self.re_num == o.re_num and self.im_num == o.im_num and self.den == o.den
-        )
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def to_complex(self) -> complex:
-        return complex(self.re_num / self.den, self.im_num / self.den)
-
-    def __repr__(self):
-        return f"RationalComplex({self.re}, {self.im})"
-
-
-def _rational(re_num: int, im_num: int, den: int) -> RationalComplex:
-    """The private constructor: integers with den > 0, reduced by one gcd."""
-    g = math.gcd(re_num, im_num, den)
-    if g != 1:
-        re_num //= g
-        im_num //= g
-        den //= g
-    z = _new(RationalComplex)
-    z.re_num = re_num
-    z.im_num = im_num
-    z.den = den
-    return z
-
-
 class Cyclotomic(_Scalar):
     """An element of Q(zeta_q) in the power basis 1, zeta, ..., zeta^(phi-1).
 
@@ -530,6 +407,32 @@ def _cyclotomic(field: "CyclotomicField", nums, den: int) -> Cyclotomic:
     return z
 
 
+class _GaussianRational(Cyclotomic):
+    """What the values of ``RATIONAL``, Q(zeta_4) written re + im*i, do
+    differently: their constructor, ``repr`` and float conversion."""
+
+    __slots__ = ()
+
+    def __new__(cls, re, im=0):
+        re, im = _as_fraction(re), _as_fraction(im)
+        d_re, d_im = re.denominator, im.denominator
+        return _cyclotomic(RATIONAL, (re.numerator * d_im, im.numerator * d_re), d_re * d_im)
+
+    def to_complex(self) -> complex:
+        # one rounding per part; the power-basis sum would give i the real
+        # part cos(pi/2) = 6.1e-17
+        re, im = self.nums
+        return complex(re / self.den, im / self.den)
+
+    def __repr__(self):
+        re, im = self.coeffs
+        return f"RationalComplex({re}, {im})"
+
+
+# re + im*i in the Gaussian rationals, from two ints or Fractions
+RationalComplex = _GaussianRational
+
+
 class FloatComplex(_Scalar):
     """Complex floating-point scalar; zero means |z| < 1e-9."""
 
@@ -606,7 +509,7 @@ class FloatComplex(_Scalar):
         return f"FloatComplex({self.value!r})"
 
 
-Scalar = RationalComplex | Cyclotomic | FloatComplex
+Scalar = Cyclotomic | FloatComplex
 
 
 # ---------------------------------------------------------------------------
@@ -627,50 +530,12 @@ class _Field:
         return f"field_named({self.name!r})"
 
 
-class RationalField(_Field):
-    """Constructor object for Gaussian rational scalars."""
-
-    name = "rational"
-    exact = True
-    # its place in the lattice: the Gaussian rationals are Q(zeta_4)
-    order = 4
-    zero = _rational(0, 0, 1)
-    one = _rational(1, 0, 1)
-    # exp(2*pi*i*k/4) for k = 0..3
-    _quarter_turns = (one, _rational(0, 1, 1), _rational(-1, 0, 1), _rational(0, -1, 1))
-
-    def from_fraction(self, fr) -> RationalComplex:
-        fr = _as_fraction(fr)
-        return _rational(fr.numerator, 0, fr.denominator)
-
-    def gaussian(self, re_num: int, im_num: int, den: int) -> RationalComplex:
-        """(re_num + im_num*i) / den for integers with den > 0."""
-        return _rational(re_num, im_num, den)
-
-    def root_of_unity(self, exponent: Fraction) -> RationalComplex:
-        """exp(2*pi*i*exponent); exponent denominator must divide 4."""
-        exponent = _as_fraction(exponent) % 1
-        if exponent.denominator not in (1, 2, 4):
-            raise ValueError(
-                "rational scalars only contain 4th roots of unity; "
-                f"exp(2*pi*i*{exponent}) needs a cyclotomic or float field"
-            )
-        return self._quarter_turns[int(exponent * 4)]
-
-    def coerce(self, s) -> RationalComplex:
-        if isinstance(s, RationalComplex):
-            return s
-        if isinstance(s, (int, Fraction)):
-            return self.from_fraction(s)
-        if isinstance(s, Cyclotomic) and s.is_rational():
-            return _rational(s.nums[0], 0, s.den)
-        raise TypeError(f"cannot coerce {s!r} into the rational scalar field")
-
-
 class CyclotomicField(_Field):
     """Constructor object for Q(zeta_q) scalars with exact arithmetic."""
 
     exact = True
+    # what the class of this field's values derives from, and its name
+    _value_base, _value_name = Cyclotomic, "Cyclotomic"
 
     def __init__(self, order: int):
         if order < 1:
@@ -708,7 +573,7 @@ class CyclotomicField(_Field):
             methods = {m: namespace[m] for m in ("__add__", "__sub__", "__mul__", "__neg__", "conj")}
             methods.update(__radd__=methods["__add__"], __rmul__=methods["__mul__"])
         namespace["cls"] = self.value_type = type(
-            "Cyclotomic", (Cyclotomic,), {"__slots__": (), "field": self, **methods}
+            self._value_name, (self._value_base,), {"__slots__": (), "field": self, **methods}
         )
         self._zeta = tuple(_cyclotomic(self, table[k], 1) for k in range(order))
         self.zero = _cyclotomic(self, [0] * self.phi, 1)
@@ -745,18 +610,50 @@ class CyclotomicField(_Field):
 
     def coerce(self, s) -> Cyclotomic:
         if isinstance(s, Cyclotomic):
-            if s.field.order == self.order:
+            if s.field is self:
                 return s
             if self.order % s.field.order == 0:
                 return _substitute(self, s, self.order // s.field.order)
+            if s.field is RATIONAL:  # a real one needs no i
+                return self.gaussian(*s.nums, s.den)
             raise TypeError(
                 f"cannot embed Q(zeta_{s.field.order}) into Q(zeta_{self.order})"
             )
         if isinstance(s, (int, Fraction)):
             return self.from_fraction(s)
-        if isinstance(s, RationalComplex):
-            return self.gaussian(s.re_num, s.im_num, s.den)
         raise TypeError(f"cannot coerce {s!r} into {self.name}")
+
+
+class RationalField(CyclotomicField):
+    """Q(zeta_4) under the name ``rational``, whose values print as Gaussian
+    rationals.  It refuses other roots of unity with its own message, and
+    takes a cyclotomic value only when that value is rational."""
+
+    _value_base, _value_name = _GaussianRational, "RationalComplex"
+
+    def __init__(self):
+        super().__init__(4)
+        self.name = "rational"
+
+    def root_of_unity(self, exponent: Fraction) -> Cyclotomic:
+        """exp(2*pi*i*exponent); exponent denominator must divide 4."""
+        exponent = _as_fraction(exponent) % 1
+        if 4 % exponent.denominator:
+            raise ValueError(
+                "rational scalars only contain 4th roots of unity; "
+                f"exp(2*pi*i*{exponent}) needs a cyclotomic or float field"
+            )
+        return super().root_of_unity(exponent)
+
+    def coerce(self, s) -> Cyclotomic:
+        if isinstance(s, Cyclotomic):
+            if s.field is self:
+                return s
+            if s.is_rational():
+                return _cyclotomic(self, (s.nums[0], 0), s.den)
+        elif isinstance(s, (int, Fraction)):
+            return self.from_fraction(s)
+        raise TypeError(f"cannot coerce {s!r} into the rational scalar field")
 
 
 class FloatField(_Field):
@@ -772,7 +669,7 @@ class FloatField(_Field):
 
     def gaussian(self, re_num: int, im_num: int, den: int) -> FloatComplex:
         """(re_num + im_num*i) / den for integers with den > 0, each part
-        rounded once, as ``RationalComplex.to_complex`` rounds it."""
+        rounded once, as a Gaussian rational's ``to_complex`` rounds it."""
         return FloatComplex(complex(re_num / den, im_num / den))
 
     def root_of_unity(self, exponent) -> FloatComplex:
@@ -785,12 +682,12 @@ class FloatField(_Field):
             return s
         if isinstance(s, (int, float, complex, Fraction)):
             return FloatComplex(complex(s))
-        if isinstance(s, (RationalComplex, Cyclotomic)):
+        if isinstance(s, Cyclotomic):
             return FloatComplex(s.to_complex())
         raise TypeError(f"cannot coerce {s!r} into the float scalar field")
 
 
-ScalarField = RationalField | CyclotomicField | FloatField
+ScalarField = CyclotomicField | FloatField
 
 _CYC_FIELDS: dict[int, CyclotomicField] = {}
 
@@ -821,8 +718,6 @@ def field_named(name: str) -> ScalarField:
 
 
 def field_of(s: Scalar) -> ScalarField:
-    if isinstance(s, RationalComplex):
-        return RATIONAL
     if isinstance(s, Cyclotomic):
         return s.field
     if isinstance(s, FloatComplex):

@@ -191,9 +191,10 @@ def is_positive_semidefinite(matrix, field) -> bool:
     work = [[matrix[i][j] for j in range(n)] for i in range(n)]
     for k in range(n):
         d = work[k][k]
-        if not isinstance(d, scalars.RationalComplex):
+        if scalars.field_of(d) is not scalars.RATIONAL:
             raise TypeError("exact PSD pivoting needs rational scalars")
-        if d.im != 0 or d.re < 0:
+        re, im = d.coeffs
+        if im != 0 or re < 0:
             return False
         if d.is_zero():
             # a PSD matrix with zero diagonal entry has a zero row/column

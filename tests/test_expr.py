@@ -317,7 +317,7 @@ def _complex_body(re_text: str, im_text: str, re_zero: bool, im_neg: bool) -> st
 
 
 def fraction_term_pieces(coeff, mon: str):
-    re_part, im_part = coeff.re, coeff.im
+    re_part, im_part = coeff.coeffs
     if im_part == 0:
         yield re_part < 0, _real_piece(_format_fraction(abs(re_part)), mon)
     else:
@@ -334,7 +334,7 @@ def fraction_term_pieces(coeff, mon: str):
 
 
 def fraction_format_scalar(value) -> str:
-    re_part, im_part = value.re, value.im
+    re_part, im_part = value.coeffs
     if im_part == 0:
         return _format_fraction(re_part)
     return _complex_body(
