@@ -134,9 +134,9 @@ def _sparse_product(phi: int, reduction, a, b) -> list[int]:
 
 
 def _arithmetic(q: int, phi: int, reduction) -> str:
-    """Source of straight-line ``+``, ``-``, ``*``, unary ``-`` and ``conj``
-    for the values of Q(zeta_q), of degree phi, with no loop and no call but
-    one ``gcd``.
+    """Source of straight-line ``+``, ``-``, ``*``, unary ``-``, ``conj`` and
+    ``is_zero`` for the values of Q(zeta_q), of degree phi, with no loop and
+    no call but one ``gcd``.
 
     ``+`` and ``-`` keep a branch for equal denominators.  Coordinate k of a
     product is the sum of a_i*b_j over i + j = k plus, for each m >= phi,
@@ -219,6 +219,9 @@ def _arithmetic(q: int, phi: int, reduction) -> str:
         for k, r in reduction[-j % q]:
             conj[k].append((r, f"a{j}"))
     sources.append(unary("conj", conj))
+    sources.append(f"def is_zero(self):\n    {names('a')}= self.nums\n"
+                   f"    return not ({' or '.join(f'a{i}' for i in coords)})\n")
+    sources.append("__radd__ = __add__\n__rmul__ = __mul__\n")
     return "\n".join(sources)
 
 
@@ -563,15 +566,13 @@ class CyclotomicField(_Field):
         self.reduction = tuple(
             tuple((i, r) for i, r in enumerate(row) if r) for row in table
         )
-        # the class of this field's values, with generated arithmetic up
-        # to the cutoff
+        # the class of this field's values, with generated methods up to
+        # the cutoff
         namespace = {"__builtins__": {}, "NotImplemented": NotImplemented,
                      "gcd": math.gcd, "new": _new}
         methods = {}
         if self.phi <= KERNEL_MAX_PHI:
-            exec(_arithmetic(order, self.phi, self.reduction), namespace)
-            methods = {m: namespace[m] for m in ("__add__", "__sub__", "__mul__", "__neg__", "conj")}
-            methods.update(__radd__=methods["__add__"], __rmul__=methods["__mul__"])
+            exec(_arithmetic(order, self.phi, self.reduction), namespace, methods)
         namespace["cls"] = self.value_type = type(
             self._value_name, (self._value_base,), {"__slots__": (), "field": self, **methods}
         )
@@ -588,17 +589,17 @@ class CyclotomicField(_Field):
 
     def gaussian(self, re_num: int, im_num: int, den: int) -> Cyclotomic:
         """(re_num + im_num*i) / den for integers with den > 0."""
-        if im_num == 0:
-            return _cyclotomic(self, [re_num] + [0] * (self.phi - 1), den)
-        if self.order % 4 != 0:
-            raise ValueError(
-                f"Q(zeta_{self.order}) does not contain i; cannot represent "
-                "an imaginary part exactly"
-            )
-        i = self.zeta_power(self.order // 4)
-        nums = [im_num * c for c in i.nums]
-        nums[0] += re_num * i.den
-        return _cyclotomic(self, nums, den * i.den)
+        nums = [re_num] + [0] * (self.phi - 1)
+        if im_num:
+            if self.order % 4 != 0:
+                raise ValueError(
+                    f"Q(zeta_{self.order}) does not contain i; cannot represent "
+                    "an imaginary part exactly"
+                )
+            # i = zeta^(q/4), whose coordinates are integers
+            for k, r in self.reduction[self.order // 4]:
+                nums[k] += im_num * r
+        return _cyclotomic(self, nums, den)
 
     def root_of_unity(self, exponent: Fraction) -> Cyclotomic:
         exponent = _as_fraction(exponent) % 1
