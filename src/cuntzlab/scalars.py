@@ -2,8 +2,9 @@
 
 Three coefficient domains are supported, selected per system:
 
-* rational     -- Gaussian rationals a + b*i with a, b exact rationals.
-                  Suitable for untwisted systems; zero tests are exact.
+* rational     -- Gaussian rationals a + b*i with a, b exact rationals:
+                  the field Q(zeta_4) under its own name, printed as
+                  (a+bi).  Suitable for untwisted systems.
 * cyclotomic:q -- the field Q(zeta_q), elements stored as length-phi(q)
                   rational vectors reduced modulo the q-th cyclotomic
                   polynomial, so equality and zero tests are exact.
@@ -14,40 +15,41 @@ Three coefficient domains are supported, selected per system:
 Each field class states which kind it is in its constant ``exact``: True
 for the first two, False for float.
 
-The exact values live on plain integers: a Gaussian rational is the triple
-(re_num, im_num, den) and a cyclotomic value a vector of integer numerators
-over one common denominator, in both cases with den > 0 and in lowest terms
+Every exact value is a ``Cyclotomic`` on plain integers: a vector of
+integer numerators over one common denominator, den > 0 and in lowest terms
 (one ``math.gcd`` after each operation), so every value has one
-representation and equality compares integers.  The ``Fraction`` views
-``re``, ``im`` and ``coeffs`` are derived on demand for printing.  Each
-field's ``zero`` and ``one`` are shared constants, and a cyclotomic field
-keeps its roots of unity, so the engine never rebuilds them.  ``SystemSpec``
-caches fiber dimensions per fiber on top, but no multipliers: an exact
-twisted spec keeps theta * q as integers, so a phase is one power of zeta_q.
+representation and equality compares integers.  A Gaussian rational is
+(re_num, im_num) over den.  The ``Fraction`` view ``coeffs`` is derived on
+demand for printing.  Each field's ``zero`` and ``one`` are shared
+constants, and a field keeps its roots of unity, so the engine never
+rebuilds them.  ``SystemSpec`` caches fiber dimensions per fiber on top, but
+no multipliers: an exact twisted spec keeps theta * q as integers, so a
+phase is one power of zeta_q.
 
-Each cyclotomic field multiplies numerator vectors with one function,
-``product``, built when the field is.  Up to ``KERNEL_MAX_PHI`` = 8, which
-covers orders 4, 8 and 12 and every order up to 30 of degree phi <= 8, it is
-straight-line code generated from the field's reduction table: the phi^2
-numerator products and their reduction, written out with no loop.  Above it
-the field keeps a loop over the nonzero numerators.  Measured on one shared
-2-vCPU host (Python 3.11; median of 7 timings of 100 products of values
-with small numerators, both paths on the same values), at phi = 8 the
-kernel took 3.7-4.8 us per product against 5.0-7.3 us for the loop on
-values with one or two nonzero coordinates, and 5.3-6.2 us against
-15.2-18.0 us on full ones.  At phi = 16 it took 9.2-10.2 us against
-6.3-8.0 us on one or two coordinates, whose zeros the loop skips, and
-15.9-16.9 us against 40.3-43.3 us on full ones.  So the kernel wins on every
-value up to phi = 8 and from phi = 16 only on dense ones.  The cutoff rests
-on these timings alone: the benchmark's twisted workload runs orders 4 and 8
-(phi 2 and 4), so no end-to-end run crosses it.
+Each exact field builds the class of its values.  Up to ``KERNEL_MAX_PHI`` =
+8, which covers orders 4, 8 and 12 and every order up to 30 of degree
+phi <= 8, that class carries ``+``, ``-``, ``*``, unary ``-``, ``conj`` and
+``is_zero`` as straight-line code generated from the field's reduction
+table; the product writes out the phi^2 numerator products and their
+reduction with no loop.  Above it the field keeps loops over the nonzero
+numerators.  Measured on one shared 2-vCPU host (Python 3.11; median of 7
+timings of 100 products of values with small numerators, both paths on the
+same values), at phi = 8 the generated product took 3.7-4.8 us against
+5.0-7.3 us for the loop on values with one or two nonzero coordinates, and
+5.3-6.2 us against 15.2-18.0 us on full ones.  At phi = 16 it took 9.2-10.2
+us against 6.3-8.0 us on one or two coordinates, whose zeros the loop
+skips, and 15.9-16.9 us against 40.3-43.3 us on full ones.  So the generated
+product wins on every value up to phi = 8 and from phi = 16 only on dense
+ones.  The cutoff rests on these timings alone: the benchmark's twisted
+workload runs orders 4 and 8 (phi 2 and 4), so no end-to-end run crosses it.
 
 Scalars of the same field combine with the usual operators; ints and
 Fractions lift automatically.  Cross-field arithmetic is an error unless
 the values are first moved with ``coerce`` into their ``common_field`` in
 the lattice rational -> cyclotomic(lcm(4, q)) -> cyclotomic(lcm(q, r)) ->
 float: the Gaussian rationals hold i, so they meet Q(zeta_q) in
-Q(zeta_lcm(4, q)).
+Q(zeta_lcm(4, q)).  So rational and cyclotomic:4 hold the same numbers but
+stay two fields, which meet in cyclotomic:4.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ from functools import lru_cache
 
 FLOAT_TOLERANCE = 1e-9
 
-# Fields of degree phi <= this multiply through a generated straight-line
-# kernel; larger ones keep the loop, which skips zero numerators and whose
-# cost does not grow as phi^2 on sparse values (see the module docstring).
+# Fields of degree phi <= this get generated straight-line arithmetic;
+# larger ones keep the loops, whose product skips zero numerators and does
+# not cost phi^2 on sparse values (see the module docstring).
 KERNEL_MAX_PHI = 8
 
 _TWO_PI = 2.0 * math.pi
@@ -261,7 +263,8 @@ class Cyclotomic(_Scalar):
     Each field's values are instances of the subclass it builds,
     ``field.value_type``, which holds the field as the class attribute
     ``field``.  Up to ``KERNEL_MAX_PHI`` that subclass carries generated
-    ``+``, ``-``, ``*`` and ``conj``; above it the loops below serve.
+    ``+``, ``-``, ``*``, ``conj`` and ``is_zero``; above it the loops below
+    serve.
     """
 
     __slots__ = ("nums", "den")
@@ -342,7 +345,8 @@ class Cyclotomic(_Scalar):
         rest = self.field.one
         for k in range(2, q):
             if math.gcd(k, q) == 1:
-                rest = rest * _substitute(self.field, self, k)
+                # k = q - 1 is conjugation, which is generated up to the cutoff
+                rest = rest * (self.conj() if k == q - 1 else _substitute(self.field, self, k))
         norm = self * rest
         n = norm.nums[0]
         sign = 1 if n > 0 else -1
@@ -417,9 +421,7 @@ class _GaussianRational(Cyclotomic):
     __slots__ = ()
 
     def __new__(cls, re, im=0):
-        re, im = _as_fraction(re), _as_fraction(im)
-        d_re, d_im = re.denominator, im.denominator
-        return _cyclotomic(RATIONAL, (re.numerator * d_im, im.numerator * d_re), d_re * d_im)
+        return Cyclotomic.__new__(cls, RATIONAL, (re, im))
 
     def to_complex(self) -> complex:
         # one rounding per part; the power-basis sum would give i the real
@@ -537,8 +539,10 @@ class CyclotomicField(_Field):
     """Constructor object for Q(zeta_q) scalars with exact arithmetic."""
 
     exact = True
-    # what the class of this field's values derives from, and its name
+    # what the class of this field's values derives from and its name, and
+    # the refusal of a root of unity that the field lacks
     _value_base, _value_name = Cyclotomic, "Cyclotomic"
+    _no_root = "exp(2*pi*i*{0}) is not a {1}-th root of unity"
 
     def __init__(self, order: int):
         if order < 1:
@@ -602,11 +606,10 @@ class CyclotomicField(_Field):
         return _cyclotomic(self, nums, den)
 
     def root_of_unity(self, exponent: Fraction) -> Cyclotomic:
+        """exp(2*pi*i*exponent); its denominator must divide the order."""
         exponent = _as_fraction(exponent) % 1
         if self.order % exponent.denominator != 0:
-            raise ValueError(
-                f"exp(2*pi*i*{exponent}) is not a {self.order}-th root of unity"
-            )
+            raise ValueError(self._no_root.format(exponent, self.order))
         return self.zeta_power(exponent.numerator * (self.order // exponent.denominator))
 
     def coerce(self, s) -> Cyclotomic:
@@ -631,20 +634,14 @@ class RationalField(CyclotomicField):
     takes a cyclotomic value only when that value is rational."""
 
     _value_base, _value_name = _GaussianRational, "RationalComplex"
+    _no_root = (
+        "rational scalars only contain 4th roots of unity; "
+        "exp(2*pi*i*{0}) needs a cyclotomic or float field"
+    )
 
     def __init__(self):
         super().__init__(4)
         self.name = "rational"
-
-    def root_of_unity(self, exponent: Fraction) -> Cyclotomic:
-        """exp(2*pi*i*exponent); exponent denominator must divide 4."""
-        exponent = _as_fraction(exponent) % 1
-        if 4 % exponent.denominator:
-            raise ValueError(
-                "rational scalars only contain 4th roots of unity; "
-                f"exp(2*pi*i*{exponent}) needs a cyclotomic or float field"
-            )
-        return super().root_of_unity(exponent)
 
     def coerce(self, s) -> Cyclotomic:
         if isinstance(s, Cyclotomic):
