@@ -28,12 +28,12 @@ phase is one power of zeta_q.
 
 Each exact field builds the class of its values.  Up to ``KERNEL_MAX_PHI`` =
 8, which covers orders 4, 8 and 12 and every order up to 30 of degree
-phi <= 8, that class carries ``+``, ``-``, ``*``, unary ``-``, ``conj`` and
-``is_zero`` as straight-line code generated from the field's reduction
-table; the product writes out the phi^2 numerator products and their
-reduction with no loop.  Above it the field keeps loops over the nonzero
-numerators.  Measured on one shared 2-vCPU host (Python 3.11; median of 7
-timings of 100 products of values with small numerators, both paths on the
+phi <= 8, that class carries ``+``, ``-``, ``*``, unary ``-`` and ``conj``
+as straight-line code generated from the field's reduction table; the
+product writes out the phi^2 numerator products and their reduction with
+no loop.  Above it the field keeps loops over the nonzero numerators.
+Measured on one shared 2-vCPU host (Python 3.11; median of 7 timings
+of 100 products of values with small numerators, both paths on the
 same values), at phi = 8 the generated product took 3.7-4.8 us against
 5.0-7.3 us for the loop on values with one or two nonzero coordinates, and
 5.3-6.2 us against 15.2-18.0 us on full ones.  At phi = 16 it took 9.2-10.2
@@ -69,11 +69,10 @@ KERNEL_MAX_PHI = 8
 _TWO_PI = 2.0 * math.pi
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_rational(x) -> int | Fraction:
+    # returned as it is: an int has a numerator and a denominator too
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected an int or Fraction, got {x!r}")
 
 
@@ -136,9 +135,9 @@ def _sparse_product(phi: int, reduction, a, b) -> list[int]:
 
 
 def _arithmetic(q: int, phi: int, reduction) -> str:
-    """Source of straight-line ``+``, ``-``, ``*``, unary ``-``, ``conj`` and
-    ``is_zero`` for the values of Q(zeta_q), of degree phi, with no loop and
-    no call but one ``gcd``.
+    """Source of straight-line ``+``, ``-``, ``*``, unary ``-`` and ``conj``
+    for the values of Q(zeta_q), of degree phi, with no loop and no call but
+    one ``gcd``.
 
     ``+`` and ``-`` keep a branch for equal denominators.  Coordinate k of a
     product is the sum of a_i*b_j over i + j = k plus, for each m >= phi,
@@ -221,8 +220,6 @@ def _arithmetic(q: int, phi: int, reduction) -> str:
         for k, r in reduction[-j % q]:
             conj[k].append((r, f"a{j}"))
     sources.append(unary("conj", conj))
-    sources.append(f"def is_zero(self):\n    {names('a')}= self.nums\n"
-                   f"    return not ({' or '.join(f'a{i}' for i in coords)})\n")
     sources.append("__radd__ = __add__\n__rmul__ = __mul__\n")
     return "\n".join(sources)
 
@@ -263,14 +260,14 @@ class Cyclotomic(_Scalar):
     Each field's values are instances of the subclass it builds,
     ``field.value_type``, which holds the field as the class attribute
     ``field``.  Up to ``KERNEL_MAX_PHI`` that subclass carries generated
-    ``+``, ``-``, ``*``, ``conj`` and ``is_zero``; above it the loops below
+    ``+``, ``-``, ``*``, unary ``-`` and ``conj``; above it the loops below
     serve.
     """
 
     __slots__ = ("nums", "den")
 
     def __new__(cls, field: "CyclotomicField", coeffs):
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        coeffs = tuple(_as_rational(c) for c in coeffs)
         if len(coeffs) != field.phi:
             raise ValueError("coefficient vector has the wrong length")
         # reduced coefficients over their lcm leave the vector reduced
@@ -340,13 +337,13 @@ class Cyclotomic(_Scalar):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         # the product of the other Galois conjugates over the norm, which
-        # is the product of all of them and a nonzero rational
+        # is the product of all of them and a nonzero rational; the first is
+        # conjugation, k = q - 1 (for q <= 2 the identity, which still works)
         q = self.field.order
-        rest = self.field.one
-        for k in range(2, q):
+        rest = self.conj()
+        for k in range(2, q - 1):
             if math.gcd(k, q) == 1:
-                # k = q - 1 is conjugation, which is generated up to the cutoff
-                rest = rest * (self.conj() if k == q - 1 else _substitute(self.field, self, k))
+                rest = rest * _substitute(self.field, self, k)
         norm = self * rest
         n = norm.nums[0]
         sign = 1 if n > 0 else -1
@@ -414,9 +411,10 @@ def _cyclotomic(field: "CyclotomicField", nums, den: int) -> Cyclotomic:
     return z
 
 
-class _GaussianRational(Cyclotomic):
-    """What the values of ``RATIONAL``, Q(zeta_4) written re + im*i, do
-    differently: their constructor, ``repr`` and float conversion."""
+class RationalComplex(Cyclotomic):
+    """re + im*i from two ints or Fractions: what the values of ``RATIONAL``,
+    Q(zeta_4), do differently is this constructor, ``repr`` and float
+    conversion."""
 
     __slots__ = ()
 
@@ -432,10 +430,6 @@ class _GaussianRational(Cyclotomic):
     def __repr__(self):
         re, im = self.coeffs
         return f"RationalComplex({re}, {im})"
-
-
-# re + im*i in the Gaussian rationals, from two ints or Fractions
-RationalComplex = _GaussianRational
 
 
 class FloatComplex(_Scalar):
@@ -539,9 +533,9 @@ class CyclotomicField(_Field):
     """Constructor object for Q(zeta_q) scalars with exact arithmetic."""
 
     exact = True
-    # what the class of this field's values derives from and its name, and
-    # the refusal of a root of unity that the field lacks
-    _value_base, _value_name = Cyclotomic, "Cyclotomic"
+    # what the class of this field's values derives from, and the refusal
+    # of a root of unity that the field lacks
+    _value_base = Cyclotomic
     _no_root = "exp(2*pi*i*{0}) is not a {1}-th root of unity"
 
     def __init__(self, order: int):
@@ -577,16 +571,17 @@ class CyclotomicField(_Field):
         methods = {}
         if self.phi <= KERNEL_MAX_PHI:
             exec(_arithmetic(order, self.phi, self.reduction), namespace, methods)
+        base = self._value_base
         namespace["cls"] = self.value_type = type(
-            self._value_name, (self._value_base,), {"__slots__": (), "field": self, **methods}
+            base.__name__, (base,), {"__slots__": (), "field": self, **methods}
         )
         self._zeta = tuple(_cyclotomic(self, table[k], 1) for k in range(order))
         self.zero = _cyclotomic(self, [0] * self.phi, 1)
         self.one = self._zeta[0]
 
     def from_fraction(self, fr) -> Cyclotomic:
-        fr = _as_fraction(fr)
-        return _cyclotomic(self, [fr.numerator] + [0] * (self.phi - 1), fr.denominator)
+        fr = _as_rational(fr)
+        return _cyclotomic(self, (fr.numerator,) + (0,) * (self.phi - 1), fr.denominator)
 
     def zeta_power(self, k: int) -> Cyclotomic:
         return self._zeta[k % self.order]
@@ -607,7 +602,7 @@ class CyclotomicField(_Field):
 
     def root_of_unity(self, exponent: Fraction) -> Cyclotomic:
         """exp(2*pi*i*exponent); its denominator must divide the order."""
-        exponent = _as_fraction(exponent) % 1
+        exponent = _as_rational(exponent) % 1
         if self.order % exponent.denominator != 0:
             raise ValueError(self._no_root.format(exponent, self.order))
         return self.zeta_power(exponent.numerator * (self.order // exponent.denominator))
@@ -633,7 +628,7 @@ class RationalField(CyclotomicField):
     rationals.  It refuses other roots of unity with its own message, and
     takes a cyclotomic value only when that value is rational."""
 
-    _value_base, _value_name = _GaussianRational, "RationalComplex"
+    _value_base = RationalComplex
     _no_root = (
         "rational scalars only contain 4th roots of unity; "
         "exp(2*pi*i*{0}) needs a cyclotomic or float field"
@@ -663,7 +658,7 @@ class FloatField(_Field):
     def from_fraction(self, fr) -> FloatComplex:
         if isinstance(fr, float):
             return FloatComplex(fr)
-        return FloatComplex(float(_as_fraction(fr)))
+        return FloatComplex(float(_as_rational(fr)))
 
     def gaussian(self, re_num: int, im_num: int, den: int) -> FloatComplex:
         """(re_num + im_num*i) / den for integers with den > 0, each part
