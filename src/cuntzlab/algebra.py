@@ -384,8 +384,10 @@ class NormalForm:
 
     The runs are the sweep (see ``runs``) of the raised terms, in term
     order; a run ``(row0, col0, length, coeff)`` puts ``coeff`` on the
-    entries e(c;row0+f) e(c-g;col0+f)' for f < length.  Blocks without runs
-    are dropped, so the element is zero exactly when ``blocks`` is empty.
+    entries e(c;row0+f) e(c-g;col0+f)' for f < length.  Swept runs are
+    maximal on the exact fields, so there a block holds the fewest runs its
+    matrix allows: a Cuntz sum is one run.  Blocks without runs are
+    dropped, so the element is zero exactly when ``blocks`` is empty.
     """
 
     __slots__ = ("spec", "blocks")
@@ -428,6 +430,8 @@ def _raised_blocks(spec: SystemSpec, terms) -> dict:
 
 
 def normal_form(a: AlgebraElement) -> NormalForm:
+    """The degree blocks of ``a``: its terms raised and swept by
+    ``runs.raise_terms``, which makes the runs maximal on the exact fields."""
     # the canonical term order keeps the terms of one fiber pair together,
     # so the runs of each degree are raised in term order
     return NormalForm(a.spec, _raised_blocks(a.spec, a.terms))

@@ -26,8 +26,12 @@ equality on that level's subspace.
 
 Operators hold diagonal runs, and ``evaluate`` raises each term to one run
 of its output level (see ``runs``), so it costs per term, not per stripe
-entry, and a zero test costs the same at every level.  Elements are valid
-by construction (see ``AlgebraElement``), so evaluation checks nothing.
+entry, and a zero test costs the same at every level.  Swept runs are
+maximal on the exact fields, and a raised term that continues the previous
+run of its level with an equal coefficient lengthens it, so the sweep costs
+the runs after merging: a Cuntz sum minus I sweeps two runs.  Elements are
+valid by construction (see ``AlgebraElement``), so evaluation checks
+nothing.
 ``StepOperator.entries`` expands the runs into one dict entry per cell,
 which does cost the level, for printing.
 

@@ -165,6 +165,39 @@ def windowed_rewrite_pair(spec, y_prime, x_prime):
     return algebra.AlgebraElement.from_terms(spec, terms)
 
 
+def piecewise_sweep(runs) -> tuple:
+    """The per-piece sweep, the reference for ``runs.sweep``, which merges
+    adjacent equal pieces on the exact fields: here each nonzero piece of
+    the endpoint cut is its own run.
+
+    Runs are grouped by diagonal offset col0 - row0.  On one offset the
+    sorted run endpoints cut the diagonal into pieces, and each piece sums,
+    in the order of ``runs``, the coefficients of the runs covering it, as
+    an entry-by-entry accumulation would (bit for bit on floats).  Nonzero
+    pieces are kept.  The cost is the number of runs times the pieces each
+    covers, whatever their lengths.
+    """
+    by_offset: dict[int, list] = {}
+    for row0, col0, length, coeff in runs:
+        by_offset.setdefault(col0 - row0, []).append((row0, row0 + length, coeff))
+    out = []
+    for offset, segments in by_offset.items():
+        points = sorted({p for start, end, _ in segments for p in (start, end)})
+        where = {p: i for i, p in enumerate(points)}
+        sums = [None] * (len(points) - 1)
+        for start, end, coeff in segments:
+            for i in range(where[start], where[end]):
+                sums[i] = coeff if sums[i] is None else sums[i] + coeff
+        out += [
+            (points[i], points[i] + offset, points[i + 1] - points[i], v)
+            for i, v in enumerate(sums)
+            if v is not None and not v.is_zero()
+        ]
+    # swept runs differ in (row0, col0), so coefficients are never compared
+    out.sort()
+    return tuple(out)
+
+
 def dense_block(nf, degree):
     """One normal-form block as a dense matrix expanded from its runs.
 

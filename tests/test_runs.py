@@ -3,9 +3,18 @@ evaluation, on hand-made terms and placements."""
 
 from fractions import Fraction
 
-from cuntzlab.runs import raise_terms
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cuntzlab import algebra, expr, scalars, steprep
+from cuntzlab import runs as runs_module
+from cuntzlab.algebra import AlgebraElement
+from cuntzlab.runs import raise_terms, sweep
 from cuntzlab.scalars import FloatComplex, RationalComplex
 from cuntzlab.system import BasisMonomial
+
+from conftest import piecewise_sweep
 
 A, B, C = ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((1, 1), (1, 0))
 
@@ -86,3 +95,150 @@ def test_float_sums_follow_term_order_bit_for_bit():
     (run,) = raise_terms(terms, place)[0]
     expected = (complex(0.1) * 1j + complex(0.2) * 1j) + complex(0.3) * 1j
     assert run[3].value == expected
+
+
+# ---------------------------------------------------------------------------
+# maximal runs on the exact fields
+# ---------------------------------------------------------------------------
+
+Q8 = scalars.cyclotomic_field(8)
+VALUES = {
+    "rational": [q(1), q(-1), q(2), q(1, 2), RationalComplex(1, 1)],
+    "cyclotomic:8": [Q8.zeta_power(k) * n for k in (0, 1, 3) for n in (1, -2)],
+    "float": [FloatComplex(v) for v in (0.1, 0.2, 0.3, -0.1, 1e16, -1e16, 1j)],
+}
+
+
+@st.composite
+def run_lists(draw):
+    """(field name, runs) on a few diagonals, with runs that overlap, runs
+    split into adjacent halves or continued with their coefficient, and
+    runs cancelled by their negation, in any order."""
+    name = draw(st.sampled_from(sorted(VALUES)))
+    run = st.tuples(
+        st.integers(1, 8), st.integers(-1, 1), st.integers(1, 4), st.sampled_from(VALUES[name])
+    )
+    out = []
+    for row0, offset, length, coeff in draw(st.lists(run, max_size=10)):
+        col0 = row0 + offset
+        action = draw(st.sampled_from(["keep", "split", "continue", "cancel"]))
+        if action == "split" and length > 1:
+            out += [(row0, col0, 1, coeff), (row0 + 1, col0 + 1, length - 1, coeff)]
+            continue
+        out.append((row0, col0, length, coeff))
+        if action == "continue":
+            out.append((row0 + length, col0 + length, draw(st.integers(1, 3)), coeff))
+        elif action == "cancel":
+            out.append((row0, col0, length, -coeff))
+    return name, draw(st.permutations(out))
+
+
+def cells(runs):
+    return {(r + u, c + u): v for r, c, n, v in runs for u in range(n)}
+
+
+def bits(runs):
+    return [(r, c, n, v.value.real.hex(), v.value.imag.hex()) for r, c, n, v in runs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(run_lists())
+def test_sweep_against_the_per_piece_sweep(case):
+    name, given_runs = case
+    got, want = sweep(given_runs), piecewise_sweep(given_runs)
+    assert list(got) == sorted(got)
+    assert sum(n for _, _, n, _ in got) == len(cells(got)), "swept runs overlap"
+    assert cells(got) == cells(want)
+    if name == "float":
+        assert bits(got) == bits(want)
+        return
+    by_diagonal = sorted(got, key=lambda run: (run[1] - run[0], run[0]))
+    for (r, c, n, v), (r2, c2, _, v2) in zip(by_diagonal, by_diagonal[1:]):
+        assert not (c2 - r2 == c - r and r + n == r2 and v == v2), "swept runs not maximal"
+
+
+def swept_inputs(monkeypatch):
+    """The run lists that reach ``runs.sweep`` from here on, recorded."""
+    seen = []
+    real = runs_module.sweep
+
+    def spy(given_runs):
+        seen.append(list(given_runs))
+        return real(seen[-1])
+
+    monkeypatch.setattr(runs_module, "sweep", spy)
+    return seen
+
+
+def test_adjacent_equal_runs_merge_within_a_pair(monkeypatch):
+    seen = swept_inputs(monkeypatch)
+    terms = [term(q(3), C, 0, 0), term(q(3), C, 1, 1), term(q(3), C, 2, 2)]
+    place, _ = recording({C: ("k", 2, None)})
+    assert raise_terms(terms, place) == {"k": ((0, 0, 6, q(3)),)}
+    assert seen == [[(0, 0, 6, q(3))]]
+
+
+def test_adjacent_equal_runs_merge_across_pairs_of_a_key(monkeypatch):
+    seen = swept_inputs(monkeypatch)
+    # B's phase -1 makes its raised coefficient 1, equal to A's and C's
+    terms = [term(q(1), A, 0, 0), term(q(-1), B, 1, 1), term(q(1), C, 2, 2)]
+    place, _ = recording({A: ("k", 3, None), B: ("k", 3, q(-1)), C: ("k", 3, None)})
+    assert raise_terms(terms, place) == {"k": ((0, 0, 9, q(1)),)}
+    assert seen == [[(0, 0, 9, q(1))]]
+
+
+def test_gap_unequal_coefficient_or_interleaved_run_stops_the_merge(monkeypatch):
+    seen = swept_inputs(monkeypatch)
+    place, _ = recording({C: ("k", 2, None)})
+    gap = [term(q(1), C, 0, 0), term(q(1), C, 2, 2)]
+    unequal = [term(q(1), C, 0, 0), term(q(2), C, 1, 1)]
+    interleaved = [term(q(1), C, 0, 0), term(q(1), C, 3, 3), term(q(1), C, 1, 1)]
+    assert raise_terms(gap, place) == {"k": ((0, 0, 2, q(1)), (4, 4, 2, q(1)))}
+    assert raise_terms(unequal, place) == {"k": ((0, 0, 2, q(1)), (2, 2, 2, q(2)))}
+    # the sweep still joins what the builder could not
+    assert raise_terms(interleaved, place) == {"k": ((0, 0, 4, q(1)), (6, 6, 2, q(1)))}
+    assert [len(given_runs) for given_runs in seen] == [2, 2, 3]
+
+
+def test_float_never_merges(monkeypatch):
+    seen = swept_inputs(monkeypatch)
+    one = FloatComplex(1.0)
+    terms = [term(one, C, 0, 0), term(one, C, 1, 1)]
+    place, _ = recording({C: ("k", 2, None)})
+    assert [run[:3] for run in raise_terms(terms, place)["k"]] == [(0, 0, 2), (2, 2, 2)]
+    assert [run[:3] for run in seen[0]] == [(0, 0, 2), (2, 2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# run counts of structured sums
+# ---------------------------------------------------------------------------
+
+
+def cuntz_sum_minus(spec, fiber, identity_coeff):
+    """sum_f i(f) i(f)* over the basis of ``fiber``, plus ``identity_coeff`` I."""
+    one, e = spec.field.one, spec.identity_monomial
+    triples = [(one, f, f) for f in spec.basis(fiber)]
+    if identity_coeff:
+        triples.append((one * identity_coeff, e, e))
+    return AlgebraElement.from_terms(spec, triples)
+
+
+@pytest.mark.parametrize("fixture", ["e23", "tw23"])
+def test_deep_diagonal_product_is_one_run(fixture, request):
+    spec = request.getfixturevalue(fixture)
+    product = expr.parse_element(spec, "e(0,12;0)'*e(12,0;0)")
+    assert len(product.terms) == 4096
+    ((c, runs),) = algebra.normal_form(product).blocks.values()
+    assert len(runs) == 1 and runs[0][2] == 4096
+
+
+def test_cuntz_sum_normal_form_is_one_run(e23):
+    nf = algebra.normal_form(cuntz_sum_minus(e23, (3, 4), 0))
+    assert nf.blocks == {(0, 0): ((3, 4), ((0, 0, 648, e23.field.one),))}
+
+
+def test_zero_test_at_a_huge_level_sweeps_two_runs(e23, monkeypatch):
+    diff = cuntz_sum_minus(e23, (4, 4), -1)
+    seen = swept_inputs(monkeypatch)
+    assert steprep.evaluate(diff, steprep.minimal_level(diff) * 10**30).is_zero()
+    assert sum(map(len, seen)) <= 3
