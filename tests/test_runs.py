@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from cuntzlab import algebra, expr, scalars, steprep
 from cuntzlab import runs as runs_module
-from cuntzlab.algebra import AlgebraElement
 from cuntzlab.runs import raise_terms, sweep
 from cuntzlab.scalars import FloatComplex, RationalComplex
 from cuntzlab.system import BasisMonomial
 
 from conftest import piecewise_sweep
+from test_equals_oracle import cuntz_sum
+from test_raising_oracle import cells
 
 A, B, C = ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((1, 1), (1, 0))
 
@@ -133,10 +134,6 @@ def run_lists(draw):
     return name, draw(st.permutations(out))
 
 
-def cells(runs):
-    return {(r + u, c + u): v for r, c, n, v in runs for u in range(n)}
-
-
 def bits(runs):
     return [(r, c, n, v.value.real.hex(), v.value.imag.hex()) for r, c, n, v in runs]
 
@@ -214,15 +211,6 @@ def test_float_never_merges(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def cuntz_sum_minus(spec, fiber, identity_coeff):
-    """sum_f i(f) i(f)* over the basis of ``fiber``, plus ``identity_coeff`` I."""
-    one, e = spec.field.one, spec.identity_monomial
-    triples = [(one, f, f) for f in spec.basis(fiber)]
-    if identity_coeff:
-        triples.append((one * identity_coeff, e, e))
-    return AlgebraElement.from_terms(spec, triples)
-
-
 @pytest.mark.parametrize("fixture", ["e23", "tw23"])
 def test_deep_diagonal_product_is_one_run(fixture, request):
     spec = request.getfixturevalue(fixture)
@@ -233,12 +221,12 @@ def test_deep_diagonal_product_is_one_run(fixture, request):
 
 
 def test_cuntz_sum_normal_form_is_one_run(e23):
-    nf = algebra.normal_form(cuntz_sum_minus(e23, (3, 4), 0))
+    nf = algebra.normal_form(cuntz_sum(e23, (3, 4)))
     assert nf.blocks == {(0, 0): ((3, 4), ((0, 0, 648, e23.field.one),))}
 
 
 def test_zero_test_at_a_huge_level_sweeps_two_runs(e23, monkeypatch):
-    diff = cuntz_sum_minus(e23, (4, 4), -1)
+    diff = cuntz_sum(e23, (4, 4)) - algebra.identity(e23)
     seen = swept_inputs(monkeypatch)
     assert steprep.evaluate(diff, steprep.minimal_level(diff) * 10**30).is_zero()
     assert sum(map(len, seen)) <= 3
