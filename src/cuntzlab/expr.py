@@ -19,13 +19,18 @@ numeric literal whose numerator or denominator in lowest terms would have
 more digits than ``sys.get_int_max_str_digits()`` is an error at its
 position, found before the value is built, so a long exponent costs nothing.
 
-Parsing costs about its tokens.  One regex split tokenizes the text, and a
-generator written without spaces, as the printer writes it, is one token.
-On the exact fields a parenthesized scalar folds into its term's
-coefficient, so a printed term "(c)*e(x)*e(y)'" makes one ``multiply``, of
-e(x) by e(y)', and builds e(y)' as one term.  The 648-term Cuntz sum of
-fiber (3,4) on e23, coefficients included, parses in about 26 ms: some
-40 us per printed term (CPU, Python 3.11 on a shared 2-vCPU host).
+Parsing costs about its tokens, and a generator written without spaces,
+as the printer writes it, is one token.  On the exact fields a
+parenthesized scalar folds into its term's coefficient, and a whole term
+written as the printer writes it for a Gaussian or real coefficient, such
+as "(c)*e(x)*e(y)'", is one token, found with the sign before it by one
+regex match.  It becomes its one term (c, x, y) with no factor element and
+no ``multiply``, and each coefficient and generator text is read and
+checked once per parse.  The 648-term Cuntz sum of fiber (3,4) on e23,
+coefficients included, parses in about 4.2 ms, some 6.5 us per printed
+term, against 18.4 ms when each term went through the general grammar
+(best of 30 in one process alternating the two; CPU, Python 3.11 on a
+shared 2-vCPU host).
 
 The printer writes every value it is given except a float with an inf or
 nan part, which no text denotes, and an exact value whose numerator or
@@ -40,7 +45,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from . import algebra, scalars
 from .algebra import AlgebraElement, Term
@@ -66,41 +71,91 @@ class UnprintableError(ValueError):
 # One regex split finds every token; whitespace and characters no token can
 # start are left in the gaps between them.  A generator written without
 # spaces, as the printer writes it, is one "gen" token.
+_GEN = r"e\(\d+(?:,\d+)*;\d+\)"
 _TOKEN_RE = re.compile(
     r"(\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+"
-    r"|e\(\d+(?:,\d+)*;\d+\)|[A-Za-z_]+|[-+*/;,()'^])"
+    rf"|{_GEN}|[A-Za-z_]+|[-+*/;,()'^])"
 )
 _PUNCT = frozenset("-+*/;,()'^")
 _GEN_PARTS = re.compile(r"\d+|.")
 
+# On the exact fields a term as the printer writes it for a Gaussian or real
+# coefficient is one "term" token too: an optional coefficient "(a+bi)*",
+# "(a-bi)*", "(bi)*" or "a*", with a and b each p or p/q, then "e(x)*e(y)'",
+# "e(y)'", "e(x)" or "I".  The groups of its match hold the pieces.  One
+# more regex scan finds these terms where a sum's term starts: at the start
+# of the text, or after "(" or a sign that is not part of an exponent or a
+# zeta power, the sign or "(" and the spaces after it taken by the same
+# match; and only where the next token ends the term.  The text around the
+# terms is tokenized as before, so a printed sum costs one match per term.
+_RATIO = r"(\d+)(?:/(\d+))?"
+_TERM = (
+    rf"((?:(\((?:{_RATIO}([+-]))?{_RATIO}i\)|{_RATIO})\*)?"
+    rf"(?:({_GEN})(?:\*({_GEN})'|('))?|I(?![A-Za-z_])))(?=\s*(?:[-+)]|\Z))"
+)
+# the empty lead group of the first term keeps the group numbers equal
+_FIRST_TERM_RE = re.compile(r"()" + _TERM)
+_LEAD_TERM_RE = re.compile(r"([-+(])(?<![eE^][-+])\s*" + _TERM)
 
-def _tokenize(text: str):
-    """(kind, text, position) tokens, ended by two end tokens, so one token
-    of lookahead never runs off the list.
+
+def _tokens(text: str, offset: int = 0) -> list:
+    """The (kind, text, position) tokens of ``text``, whose first character
+    is at position ``offset``.
 
     A "gen" token shows the text "e", as the name it starts with, and
     carries the whole generator as a fourth item.
     """
     pieces = _TOKEN_RE.split(text)
-    # piece i ends at ends[i]; a token starts where the gap before it ends
-    ends = list(accumulate(map(len, pieces)))
+    # piece i ends at ends[i + 1]; a token starts where the gap before it ends
+    ends = list(accumulate(map(len, pieces), initial=offset))
     gaps = pieces[0::2]
     spaces = "".join(gaps)
     if spaces and not spaces.isspace():
-        for gap, end in zip(gaps, ends[0::2]):
+        for gap, end in zip(gaps, ends[1::2]):
             rest = gap.lstrip()
             if rest:
                 raise ExpressionError(
                     end - len(rest), f"unexpected character {rest[0]!r}"
                 )
-    tokens = [
+    return [
         (t, t, p) if t in _PUNCT
         else ("int", t, p) if t.isdecimal()
         else ("decimal", t, p) if t[0].isdecimal()
         else ("gen", "e", p, t) if t[-1] == ")"
         else ("name", t, p)
-        for t, p in zip(pieces[1::2], ends[0::2])
+        for t, p in zip(pieces[1::2], ends[1::2])
     ]
+
+
+def _term_tokens(text: str) -> list:
+    """``_tokens`` with "term" tokens.  A "term" token carries the groups
+    of its coefficient and monomials as a fourth item."""
+    tokens = []
+    at = 0
+    first = _FIRST_TERM_RE.match(text, len(text) - len(text.lstrip()))
+    found = _LEAD_TERM_RE.finditer(text, first.end() if first else 0)
+    for m in chain((first,), found) if first else found:
+        start = m.start()
+        if start != at:
+            gap = text[at:start]
+            if not gap.isspace():
+                tokens += _tokens(gap, at)
+        at = m.end()
+        groups = m.groups()
+        lead = groups[0]
+        if lead:
+            tokens.append((lead, lead, start))
+        tokens.append(("term", groups[1], m.start(2), groups[2:13]))
+    if at != len(text):
+        tokens += _tokens(text[at:], at)
+    return tokens
+
+
+def _tokenize(text: str, terms: bool) -> list:
+    """The tokens of ``text``, "term" tokens too when ``terms`` is set,
+    ended by two end tokens, so one token of lookahead never runs off the
+    list."""
+    tokens = _term_tokens(text) if terms else _tokens(text)
     end = ("end", "", len(text))
     tokens += (end, end)
     return tokens
@@ -109,17 +164,23 @@ def _tokenize(text: str):
 class _Parser:
     def __init__(self, spec: SystemSpec, text: str):
         self.spec = spec
-        self.tokens = _tokenize(text)
+        # on the exact fields "(c)" folds into its term's coefficient, which
+        # multiply(c*I, f) would only scale, and a printed term is one token;
+        # float keeps that product, whose unit phases can flip the sign of a
+        # zero part, so it stays the same to the bit
+        self.fold = spec.field.exact
+        self.tokens = _tokenize(text, self.fold)
         self.at = 0
         # 0 means no limit, as for int()
         self.max_digits = sys.get_int_max_str_digits()
-        # on the exact fields "(c)" folds into its term's coefficient, which
-        # multiply(c*I, f) would only scale; float keeps that product, whose
-        # unit phases can flip the sign of a zero part, so it stays the same
-        # to the bit
-        self.fold = spec.field.exact
         self.one = spec.field.one
         self.identity = spec.identity_monomial
+        # generator text -> its checked monomial, for "gen" and "term"
+        # tokens, and the text of a fiber -> its coordinates
+        self.monomials = {}
+        self.fibers = {}
+        # a term token's coefficient text -> its value
+        self.coefficients = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -132,6 +193,8 @@ class _Parser:
 
     def expect(self, kind: str, expected=None):
         tok = self.tokens[self.at]
+        if tok[0] == "term":
+            tok = self._split(self.at)
         if tok[0] != kind:
             what = tok[1] or "end of input"
             raise ExpressionError(
@@ -291,28 +354,108 @@ class _Parser:
             raise ExpressionError(index_tok[2], str(err)) from None
         return mono
 
+    def _monomial(self, text: str):
+        """The checked monomial of the generator text "e(x;j)", or None
+        when it is not one of the spec; each text is checked once a parse."""
+        mono = self.monomials.get(text)
+        if mono is None:
+            head, _, index = text[2:-1].partition(";")
+            fiber = self.fibers.get(head)
+            try:
+                if fiber is None:
+                    coords = head.split(",")
+                    if len(coords) != self.spec.k:
+                        return None
+                    # int() also fails on a number longer than its limit
+                    fiber = self.fibers[head] = tuple(map(int, coords))
+                mono = self.spec.monomial(fiber, int(index))
+            except ValueError:
+                return None
+            self.monomials[text] = mono
+        return mono
+
     def _compact_generator(self, tok) -> BasisMonomial:
         """The monomial of the "gen" token at ``at``.  If it is not one of
         the spec, the token is split into its int and punctuation tokens
         and ``_generator`` reports the error."""
-        text = tok[3]
-        head, _, index = text[2:-1].partition(";")
-        coords = head.split(",")
-        if len(coords) == self.spec.k:
-            try:
-                # int() also fails on a number longer than its limit
-                mono = self.spec.monomial(tuple(map(int, coords)), int(index))
-            except ValueError:
-                pass
-            else:
-                self.at += 1
-                return mono
+        mono = self._monomial(tok[3])
+        if mono is not None:
+            self.at += 1
+            return mono
         self.tokens[self.at : self.at + 1] = [
             ("name" if m[0] == "e" else "int" if m[0].isdecimal() else m[0],
              m[0], tok[2] + m.start())
-            for m in _GEN_PARTS.finditer(text)
+            for m in _GEN_PARTS.finditer(tok[3])
         ]
         return self._generator()
+
+    def _split(self, at: int):
+        """Replace the "term" token at ``at`` by the tokens of its text, for
+        the general grammar; returns the first of them.
+
+        A term token follows "(", a sign or nothing, so the parser meets it
+        where a term starts, at ``_term``, or where ``expect`` wants an int
+        after "e(" or "zeta("; both split it when they cannot take it.  The
+        complex tail of ``_try_scalar`` looks at it after a sign and leaves
+        it: the rational that starts a term token is followed by "*", not
+        by "i".
+        """
+        tok = self.tokens[at]
+        self.tokens[at : at + 1] = _tokens(tok[1], tok[2])
+        return self.tokens[at]
+
+    def _printed_term(self, tok, negate: bool):
+        """The terms of a "term" token: the one term (c, x, y) that the
+        general grammar would build, or none for c = 0; None when a piece
+        fails a check, which the general grammar then reports."""
+        if len(tok[1]) > self.max_digits > 0:
+            return None
+        groups = tok[3]
+        text = groups[0]
+        if text is None:
+            coeff = self.one
+        else:
+            coeff = self.coefficients.get(text)
+            if coeff is None:
+                coeff = self._printed_coefficient(*groups[1:8])
+                if coeff is None:
+                    return None
+                self.coefficients[text] = coeff
+        if negate:
+            coeff = -coeff
+        x, y, adjoint = groups[8:]
+        if x is None:
+            left = right = self.identity
+        else:
+            # a hit, as for every y of a Cuntz sum, costs no call
+            monomials = self.monomials
+            left = monomials.get(x) or self._monomial(x)
+            if left is None:
+                return None
+            if adjoint:
+                left, right = self.identity, left
+            elif y is None:
+                right = self.identity
+            else:
+                right = monomials.get(y) or self._monomial(y)
+                if right is None:
+                    return None
+        return () if coeff.is_zero() else (Term(coeff, left, right),)
+
+    def _printed_coefficient(self, re_num, re_den, sign, im_num, im_den, num, den):
+        """The value of a "term" token's coefficient "(a+bi)", "(a-bi)",
+        "(bi)" or "a", as ``_coerce_complex`` builds it; None for a zero
+        denominator or a value the field lacks."""
+        if im_num is None:
+            re_num, re_den, im_num, im_den = num, den, "0", None
+        a, b = int(re_num or 0), int(re_den or 1)
+        c, d = int(im_num), int(im_den or 1)
+        if b == 0 or d == 0:
+            return None
+        try:
+            return self.spec.field.gaussian(a * d, -c * b if sign == "-" else c * b, b * d)
+        except (TypeError, ValueError, OverflowError):
+            return None
 
     def _paren_scalar(self):
         """The scalar c of a factor "(c)" or "(c)'" after its "(", or None
@@ -357,16 +500,25 @@ class _Parser:
             elem = elem.adjoint()
         return elem
 
-    def _term(self, negate: bool = False) -> AlgebraElement:
-        """A product of factors.  Scalars, the leading one and the folded
-        "(c)", scale the next element factor, or the product if none
-        follows; elements multiply left to right."""
+    def _term(self, negate: bool = False) -> tuple:
+        """The terms of a product of factors.  Scalars, the leading one and
+        the folded "(c)", scale the next element factor, or the product if
+        none follows; elements multiply left to right.  A "term" token,
+        which the term ends with, is built whole; when a piece fails a
+        check, it is split into the tokens of its text."""
+        tok = self.tokens[self.at]
+        if tok[0] == "term":
+            terms = self._printed_term(tok, negate)
+            if terms is not None:
+                self.at += 1
+                return terms
+            self._split(self.at)
         coeff = self._try_scalar(negate=negate)
         if coeff is not None:
             if not self.accept("*"):
                 nxt = self.tokens[self.at]
                 if nxt[0] in ("+", "-", ")", "end"):
-                    return algebra.identity(self.spec).scaled(coeff)
+                    return algebra.identity(self.spec).scaled(coeff).terms
                 what = nxt[1] or "end of input"
                 raise ExpressionError(
                     nxt[2], f"unexpected {what!r} after scalar", {"*", "+", "-"}
@@ -388,8 +540,8 @@ class _Parser:
             if not self.accept("*"):
                 break
         if elem is None:
-            return algebra.identity(self.spec).scaled(coeff)
-        return elem if coeff is None else elem.scaled(coeff)
+            elem = algebra.identity(self.spec)
+        return (elem if coeff is None else elem.scaled(coeff)).terms
 
     def _expr(self) -> AlgebraElement:
         negate = False
@@ -397,15 +549,16 @@ class _Parser:
         if tok[0] in ("+", "-"):
             self.at += 1
             negate = tok[0] == "-"
-        elem = self._term(negate=negate)
+        terms = self._term(negate)
         if self.tokens[self.at][0] not in ("+", "-"):
-            return elem
+            # the canonical terms of one element
+            return AlgebraElement._canonical(self.spec, terms)
         # one map and one sort for the whole sum, not one per term
-        acc = {(t.left, t.right): t.coeff for t in elem.terms}
+        acc = {(x, y): c for c, x, y in terms}
         while self.tokens[self.at][0] in ("+", "-"):
             tok = self.tokens[self.at]
             self.at += 1
-            algebra.add_terms(acc, self._term(negate=tok[0] == "-").terms, 1)
+            algebra.add_terms(acc, self._term(tok[0] == "-"), 1)
         # every term comes from a parsed element, whose monomials are checked
         return AlgebraElement._from_map(self.spec, acc)
 

@@ -215,16 +215,19 @@ def evaluate(
             field = common_field(field, field_of(v))
         terms = [(field.coerce(c), x, y) for c, x, y in terms]
     _require_untwisted(spec)
-    required = minimal_level(a)
+    # a given level is checked against each right fiber as its pair is
+    # placed; the minimal level is walked for only when it is needed
     if base_level is None:
-        base_level = required
-    if base_level < 1 or base_level % required != 0:
-        raise LevelError(base_level, required)
+        base_level = minimal_level(a)
+    elif base_level < 1:
+        raise LevelError(base_level, minimal_level(a))
 
     def place(pairs):
         out = []
         for fx, fy in pairs:
-            stripe = base_level // spec._dim(fy)
+            stripe, rest = divmod(base_level, spec._dim(fy))
+            if rest:
+                raise LevelError(base_level, minimal_level(a))
             phase = None if twist is None else field.coerce(twist.phase(sub_degree(fx, fy)))
             out.append((stripe * spec._dim(fx), stripe, phase))
         return out

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import NamedTuple
 
 from .scalars import RATIONAL, Scalar, ScalarField, field_named
@@ -96,15 +97,15 @@ class FiberVector:
 
 
 def add_fibers(s: Fiber, t: Fiber) -> Fiber:
-    return tuple(a + b for a, b in zip(s, t))
+    return tuple(map(add, s, t))
 
 
 def sub_degree(s: Fiber, t: Fiber) -> Degree:
-    return tuple(a - b for a, b in zip(s, t))
+    return tuple(map(sub, s, t))
 
 
 def max_fiber(s: Fiber, t: Fiber) -> Fiber:
-    return tuple(max(a, b) for a, b in zip(s, t))
+    return tuple(map(max, s, t))
 
 
 def is_nonnegative(v: Degree) -> bool:

@@ -149,8 +149,9 @@ class TestParseElement:
 
 
     def test_cuntz_sum_parse_work(self, e23, monkeypatch):
-        # a printed term "(c)*e(x)*e(x)'" costs one product, e(x) times
-        # e(x)'; its coefficient folds into the term and builds no element
+        # a printed term "(c)*e(x)*e(x)'" is one token, built as its one
+        # term with no product and no factor element; each distinct
+        # monomial is checked once, though a Cuntz sum's terms name it twice
         coeff = scalars.RationalComplex(Fraction(-3, 4), Fraction(2, 3))
         basis = e23.basis((2, 1))
         text = format_element(
@@ -158,6 +159,7 @@ class TestParseElement:
         )
         assert text.count("(3/4-2/3i)*e(2,1;") == len(basis) == 12
         counts = {"multiply": 0, "identity": 0}
+        checked = []
 
         def counted(name, fn):
             def wrapper(*args):
@@ -166,10 +168,16 @@ class TestParseElement:
 
             return wrapper
 
+        def monomial(fiber, index, check=e23.monomial):
+            checked.append((fiber, index))
+            return check(fiber, index)
+
         monkeypatch.setattr(algebra, "multiply", counted("multiply", algebra.multiply))
         monkeypatch.setattr(algebra, "identity", counted("identity", algebra.identity))
+        monkeypatch.setattr(e23, "monomial", monomial)
         parsed = parse_element(e23, text)
-        assert counts == {"multiply": len(basis), "identity": 0}
+        assert counts == {"multiply": 0, "identity": 0}
+        assert sorted(checked) == [(x.fiber, x.index) for x in basis]
         assert parsed.terms == tuple(
             algebra.Term(coeff, x, x) for x in basis
         )

@@ -9,6 +9,7 @@ the same position, message and expected set.
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -320,13 +321,31 @@ SPECS = {
 }
 
 
+LIMIT = sys.get_int_max_str_digits()
+LONG_LITERAL = re.compile(rf"\d{{{LIMIT + 1},}}")
+INT_LIMIT = f"Exceeds the limit ({LIMIT} digits)"
+
+
 def outcome(parse, spec, text):
     """The terms with their coefficients' repr, which shows every bit of a
-    float; or the error's position, message and expected set."""
+    float; or the error's position, message and expected set.
+
+    A literal past the digit limit is refused by the parser with its own
+    message, and by the oracle's int() with int()'s ValueError, which the
+    oracle puts at the literal only for a generator index.  Literals are
+    read left to right, so the oracle's bare ValueError is at the leftmost
+    such literal.
+    """
     try:
         elem = parse(spec, text)
     except ExpressionError as err:
+        if f"number exceeds {LIMIT} digits" in str(err) or INT_LIMIT in str(err):
+            return "past the digit limit", err.position
         return "error", err.position, str(err), err.expected
+    except ValueError as err:
+        if parse is not oracle_parse or INT_LIMIT not in str(err):
+            raise
+        return "past the digit limit", LONG_LITERAL.search(text).start()
     return "element", [(repr(t.coeff), t.left, t.right) for t in elem.terms]
 
 
@@ -347,6 +366,17 @@ _scalars = st.sampled_from([
     "3", "07", "3/4", "0.125", "1.5e-3", "2E2", "2i", "i", "1+2i", "1/2-3/4i",
     "zeta(8)^-3", "zeta(8)", "zeta(4)^2", "2*zeta(8)^5",
 ])
+# terms as the printer writes them, each one token on the exact fields, and
+# the same shapes with an index out of range, a zero denominator, or a
+# literal past the digit limit (no leading zero, so that two edits leave it
+# past the limit)
+_terms = st.sampled_from([
+    "(3/4-2/3i)*e(1,0;0)*e(0,1;1)'", "(7/3+1i)*e(2,1;11)*e(1,1;2)'", "(2i)*I",
+    "(1/2i)*e(0,2;8)'", "5/7*e(2,0;3)", "2*e(1,1;5)'", "e(1,0;1)*e(1,0;1)'",
+    "0*e(0,1;2)'", "3*I", "e(0,0;0)*e(1,0;0)'",
+    "2*e(1,0;7)*e(0,1;0)'", "(1/2-1/0i)*e(1,0;0)", "3/0*I",
+    "1" * (LIMIT + 3) + "*e(1,0;0)", "e(1,0;" + "1" * (LIMIT + 3) + ")*e(0,1;0)'",
+])
 
 
 def _join(draw, parts):
@@ -355,9 +385,11 @@ def _join(draw, parts):
 
 @st.composite
 def _factor(draw, inner):
-    kind = draw(st.sampled_from(["gen", "adjoint", "group", "scalar"]))
+    kind = draw(st.sampled_from(["gen", "adjoint", "group", "scalar", "term"]))
     if kind == "gen":
         return draw(_generators)
+    if kind == "term":
+        return draw(_terms) + draw(st.sampled_from(["", "'"]))
     if kind == "adjoint":
         return draw(_generators) + "'"
     body = draw(inner) if kind == "group" else draw(_scalars)
@@ -378,9 +410,22 @@ def _sum(draw, inner):
 
 
 hand_built = st.recursive(
-    st.one_of(_generators, _scalars), lambda inner: _sum(inner), max_leaves=6
+    st.one_of(_generators, _scalars, _terms), lambda inner: _sum(inner), max_leaves=6
 )
 texts = st.one_of(printed(), hand_built)
+# a printed term alone, after a scalar, before a factor, under an adjoint,
+# inside parentheses, as a summand, and where the grammar wants an int
+placed_terms = st.builds(
+    str.format,
+    st.sampled_from([
+        "{}", "2*{}", "{}*e(1,0;0)", "e(1,0;0)*{}", "{}'", "({})", "({})'", "I + {}",
+        "-{0} - I", "(I - {0})*I", "e({0}", "zeta(8)^{0}", "1/{0}", "1+{0}", "{0} {0}",
+    ]),
+    _terms,
+)
+
+
+LONG_DECIMAL = re.compile(r"\d{100}[.eE]|[.eE][+-]?\d{100}")
 
 
 @st.composite
@@ -391,7 +436,9 @@ def mutated(draw):
     for _ in range(draw(st.integers(1, 2))):
         at = draw(st.integers(0, len(text)))
         op = draw(st.sampled_from(["cut", "drop", "insert", "replace"]))
-        piece = draw(st.sampled_from(list("e()I,;'*+-/.i^ 0z$") + ["zeta(", "e(", "1e400"]))
+        piece = draw(st.one_of(
+            st.sampled_from(list("e()I,;'*+-/.i^ 0z$") + ["zeta(", "e(", "1e400"]), _terms
+        ))
         if op == "cut":
             text = text[:at]
         elif op == "drop":
@@ -400,6 +447,10 @@ def mutated(draw):
             text = text[:at] + piece + text[at:]
         else:
             text = text[:at] + piece + text[at + 1 :]
+    # an edit can put a point or an exponent into a literal past the digit
+    # limit; the oracle's Fraction bounds the digits on each side of it
+    # apart, the parser bounds the value, so the two may part there
+    assume(not LONG_DECIMAL.search(text))
     return text
 
 
@@ -407,6 +458,14 @@ def mutated(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(text=texts)
 def test_parser_matches_oracle(name, text):
+    spec = SPECS[name]
+    assert outcome(parse_element, spec, text) == outcome(oracle_parse, spec, text)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=placed_terms)
+def test_printed_terms_match_oracle(name, text):
     spec = SPECS[name]
     assert outcome(parse_element, spec, text) == outcome(oracle_parse, spec, text)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cuntzlab import algebra
+from cuntzlab import algebra, steprep
 from cuntzlab.algebra import AlgebraElement
 from cuntzlab.scalars import (
     RATIONAL,
@@ -108,6 +108,25 @@ class TestEvaluate:
                 evaluate(a, bad)
             assert exc.value.minimal == 3
             assert str(exc.value) == f"base level must be a positive integer, got {bad}"
+
+    def test_given_level_skips_minimal_level(self, e23, monkeypatch):
+        # a given level is checked per right fiber as the terms are placed;
+        # the minimal level is walked for only to name a refusal
+        calls = []
+        walk = steprep.minimal_level
+        monkeypatch.setattr(steprep, "minimal_level", lambda a: calls.append(a) or walk(a))
+        terms = [(RATIONAL.one, x, x) for x in e23.basis((1, 1))]
+        a = AlgebraElement.from_terms(e23, terms) - algebra.identity(e23)
+        assert evaluate(a, 12).is_zero()
+        assert calls == []
+        assert evaluate(a).is_zero()
+        assert calls == [a]
+        with pytest.raises(LevelError) as exc:
+            evaluate(a, 4)
+        assert str(exc.value) == (
+            "base level 4 is not divisible by 6; the minimal valid base level is 6"
+        )
+        assert calls == [a, a]
 
     def test_homomorphism_on_samples(self, e23, rng):
         for _ in range(8):
