@@ -7,7 +7,10 @@ run, so their cost follows the terms, never the block size, the level or
 the fiber dimension.  Runs are *swept* when they are nonzero, disjoint and
 sorted by (row0, col0); a sum of runs is zero exactly when its sweep is empty.
 Swept runs are maximal on the exact fields: no run continues another on its
-diagonal with an ``==`` coefficient.  On float nothing merges.
+diagonal with an ``==`` coefficient.  On float nothing merges.  The one
+merge rule is ``_merge``, which lengthens the last run of a list by each
+run that continues it; ``raise_terms`` hands it the raised terms of one
+fiber pair at a time, and ``sweep`` the nonzero pieces of one offset.
 
 Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is
@@ -21,7 +24,11 @@ step model keyed by degree, at level dim(c - g).  R terms cost O(R) to
 raise and O(R' log R' + R'*F) scalar operations to sweep, R' <= R being the
 runs left after merging (a Cuntz sum raised to a common fiber is one run)
 and F the number of left fibers of a key: on one diagonal a fiber's runs
-are disjoint.  Memory is O(R).
+are disjoint.  A raised term costs one run tuple, built by its pair's
+comprehension, and one pass of the merge loop: its fibers are compared by
+identity with the previous term's, and a dict lookup is made only when
+they differ; a coefficient ``==`` is made only when it continues the open
+run and is not the same object.  Memory is O(R).
 """
 
 from __future__ import annotations
@@ -29,23 +36,35 @@ from __future__ import annotations
 from .scalars import field_of
 
 
-def _extend(runs: list, run: tuple) -> None:
-    """Append ``run`` to ``runs``, or lengthen the last run of ``runs`` when
-    ``run`` continues its diagonal: it starts at (row0 + length, col0 +
-    length) of that run, with an ``==`` coefficient."""
-    if runs:
-        row0, col0, length, coeff = runs[-1]
-        if row0 + length == run[0] and col0 + length == run[1] and coeff == run[3]:
-            runs[-1] = (row0, col0, length + run[2], coeff)
-            return
-    runs.append(run)
+def _merge(runs: list, pieces) -> None:
+    """Append the runs ``pieces`` to ``runs`` in order, on the exact fields:
+    the one merge rule.  A run that continues the last run of ``runs`` on
+    its diagonal, starting at (row0 + length, col0 + length) with a
+    coefficient that ``is`` or ``==`` that run's, lengthens it.  The open
+    run is held in locals, and a run that merges with nothing is appended
+    as given, so no tuple is built for it."""
+    pieces = iter(pieces)
+    last = runs.pop() if runs else next(pieces, None)
+    if last is None:
+        return
+    row0, col0, length, coeff = last
+    for run in pieces:
+        r, c, n, v = run
+        if r - row0 == length and c - col0 == length and (v is coeff or v == coeff):
+            length += n
+            continue
+        runs.append(last if length == last[2] else (row0, col0, length, coeff))
+        last = run
+        row0, col0, length, coeff = run
+    runs.append(last if length == last[2] else (row0, col0, length, coeff))
 
 
 def _emitter(coeff):
-    """How runs of ``coeff``'s field are emitted: by ``_extend`` on the exact
-    fields, appended on float, whose ``==`` is a tolerance, so that float
-    runs and sums stay those of the pieces, bit for bit."""
-    return _extend if field_of(coeff).exact else list.append
+    """How runs of ``coeff``'s field are emitted: merged by ``_merge`` on
+    the exact fields, appended as they are on float, whose ``==`` is a
+    tolerance, so that float runs and sums stay those of the pieces, bit
+    for bit."""
+    return _merge if field_of(coeff).exact else list.extend
 
 
 def sweep(runs) -> tuple:
@@ -73,9 +92,12 @@ def sweep(runs) -> tuple:
         for start, end, coeff in segments:
             for i in range(where[start], where[end]):
                 sums[i] = coeff if sums[i] is None else sums[i] + coeff
-        for i, v in enumerate(sums):
-            if v is not None and not v.is_zero():
-                emit(out, (points[i], points[i] + offset, points[i + 1] - points[i], v))
+        pieces = [
+            (points[i], points[i] + offset, points[i + 1] - points[i], v)
+            for i, v in enumerate(sums)
+            if v is not None and not v.is_zero()
+        ]
+        emit(out, pieces)
     # swept runs differ in (row0, col0), so coefficients are never compared
     out.sort()
     return tuple(out)
@@ -89,23 +111,31 @@ def raise_terms(terms, place) -> dict:
     returns one (key, stripe, phase) per pair, None standing for a phase of
     exactly one.  A key's runs come pair by pair in that order and in term
     order within a pair, which is the term order when a pair's terms are
-    adjacent; the sweep's float sums follow it.  Raised terms are emitted
-    by the sweep's rule, so on the exact fields a Cuntz sum is one run
-    before it is swept.  A key whose runs cancel maps to ().
+    adjacent; the sweep's float sums follow it.  A pair's raised terms are
+    emitted at once by the sweep's rule, so on the exact fields a Cuntz sum
+    is one run before it is swept.  A key whose runs cancel maps to ().
     """
     pairs: dict = {}
+    fx = fy = None
     for term in terms:
-        pairs.setdefault((term[1].fiber, term[2].fiber), []).append(term)
+        _, x, y = term
+        # the terms of a pair mostly come together, holding the same fibers
+        if x.fiber is not fx or y.fiber is not fy:
+            fx, fy = x.fiber, y.fiber
+            group = pairs.get((fx, fy))
+            if group is None:
+                group = pairs[fx, fy] = []
+        group.append(term)
     if not pairs:
         return {}
     emit = _emitter(term[0])
     by_key: dict = {}
     for group, (key, stripe, phase) in zip(pairs.values(), place(pairs)):
-        runs = by_key.setdefault(key, [])
-        for c, x, y in group:
-            if phase is not None:
-                c = c * phase
-            emit(runs, (x.index * stripe, y.index * stripe, stripe, c))
+        if phase is None:
+            raised = [(x.index * stripe, y.index * stripe, stripe, c) for c, x, y in group]
+        else:
+            raised = [(x.index * stripe, y.index * stripe, stripe, c * phase) for c, x, y in group]
+        emit(by_key.setdefault(key, []), raised)
     for key, runs in by_key.items():
         by_key[key] = sweep(runs)
     return by_key

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cuntzlab import algebra, analysis, expr, scalars, steprep
+from cuntzlab.runs import sweep
+from cuntzlab.scalars import field_of
 from cuntzlab.system import (
     BasisMonomial,
     FiberVector,
@@ -400,3 +402,56 @@ def _pieces(spec, a, w):
     fiber, dim_a = add_fibers(a, w.fiber), spec.dim(a)
     for i in range(dim_a):
         yield FiberVector(fiber, dim_a * dim_w, {i * dim_w + j: c for j, c in scaled}, zero)
+
+
+# ``runs.raise_terms`` as it was when each raised term was one ``_extend``
+# call, the reference for the builder that merges a fiber pair in one loop
+
+
+def _extend(runs: list, run: tuple) -> None:
+    """Append ``run`` to ``runs``, or lengthen the last run of ``runs`` when
+    ``run`` continues its diagonal: it starts at (row0 + length, col0 +
+    length) of that run, with an ``==`` coefficient."""
+    if runs:
+        row0, col0, length, coeff = runs[-1]
+        if row0 + length == run[0] and col0 + length == run[1] and coeff == run[3]:
+            runs[-1] = (row0, col0, length + run[2], coeff)
+            return
+    runs.append(run)
+
+
+def _emitter(coeff):
+    """How runs of ``coeff``'s field are emitted: by ``_extend`` on the exact
+    fields, appended on float, whose ``==`` is a tolerance, so that float
+    runs and sums stay those of the pieces, bit for bit."""
+    return _extend if field_of(coeff).exact else list.append
+
+
+def stepwise_raise_terms(terms, place) -> dict:
+    """{key: swept runs} of the (coeff, x, y) terms.
+
+    ``place`` gets all fiber pairs (x.fiber, y.fiber) in order of first
+    appearance, since a stripe may depend on every pair of its key, and
+    returns one (key, stripe, phase) per pair, None standing for a phase of
+    exactly one.  A key's runs come pair by pair in that order and in term
+    order within a pair, which is the term order when a pair's terms are
+    adjacent; the sweep's float sums follow it.  Raised terms are emitted
+    by the sweep's rule, so on the exact fields a Cuntz sum is one run
+    before it is swept.  A key whose runs cancel maps to ().
+    """
+    pairs: dict = {}
+    for term in terms:
+        pairs.setdefault((term[1].fiber, term[2].fiber), []).append(term)
+    if not pairs:
+        return {}
+    emit = _emitter(term[0])
+    by_key: dict = {}
+    for group, (key, stripe, phase) in zip(pairs.values(), place(pairs)):
+        runs = by_key.setdefault(key, [])
+        for c, x, y in group:
+            if phase is not None:
+                c = c * phase
+            emit(runs, (x.index * stripe, y.index * stripe, stripe, c))
+    for key, runs in by_key.items():
+        by_key[key] = sweep(runs)
+    return by_key

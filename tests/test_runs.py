@@ -2,6 +2,7 @@
 evaluation, on hand-made terms and placements."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from cuntzlab.runs import raise_terms, sweep
 from cuntzlab.scalars import FloatComplex, RationalComplex
 from cuntzlab.system import BasisMonomial
 
-from conftest import piecewise_sweep
+import conftest
+from conftest import piecewise_sweep, stepwise_raise_terms
 from test_equals_oracle import cuntz_sum
 from test_raising_oracle import cells
 
@@ -154,16 +156,20 @@ def test_sweep_against_the_per_piece_sweep(case):
         assert not (c2 - r2 == c - r and r + n == r2 and v == v2), "swept runs not maximal"
 
 
-def swept_inputs(monkeypatch):
-    """The run lists that reach ``runs.sweep`` from here on, recorded."""
-    seen = []
-    real = runs_module.sweep
+def recorded_sweep(seen):
+    """``runs.sweep``, recording each run list it is given in ``seen``."""
 
     def spy(given_runs):
         seen.append(list(given_runs))
-        return real(seen[-1])
+        return sweep(seen[-1])
 
-    monkeypatch.setattr(runs_module, "sweep", spy)
+    return spy
+
+
+def swept_inputs(monkeypatch):
+    """The run lists that reach ``runs.sweep`` from here on, recorded."""
+    seen = []
+    monkeypatch.setattr(runs_module, "sweep", recorded_sweep(seen))
     return seen
 
 
@@ -207,6 +213,82 @@ def test_float_never_merges(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the builder against the stepwise builder
+# ---------------------------------------------------------------------------
+
+FIBERS = [(0, 0), (1, 0), (0, 1)]
+
+
+@st.composite
+def raising_cases(draw):
+    """(field name, terms, placements): a few fiber pairs, often sharing
+    a placement, with phases and several pairs per key, and blocks of terms
+    in any pair order, so a pair is revisited after another.  A block walks
+    one diagonal: each step continues it, leaves a gap, draws a new
+    coefficient, takes an equal coefficient that is another object, or
+    cancels the term just made; the next block may go on from there in
+    another pair.  The terms of one pair may be cancelled at the end, so
+    that a key's runs cancel.  A fiber is held now and then as a distinct
+    tuple equal to it, as ``tuple([1, 0])`` beside ``(1, 0)``."""
+    name = draw(st.sampled_from(sorted(VALUES)))
+    values = VALUES[name]
+    fiber_pair = st.tuples(st.sampled_from(FIBERS), st.sampled_from(FIBERS))
+    pairs = draw(st.lists(fiber_pair, min_size=1, max_size=4, unique=True))
+    phase = st.none() | st.sampled_from(values)
+    placement = st.tuples(st.integers(0, 1), st.integers(1, 3), phase)
+    shared = st.sampled_from(draw(st.lists(placement, min_size=1, max_size=3)))
+    placements = {pair: draw(shared) for pair in pairs}
+    move = st.sampled_from(["continue", "gap", "new", "equal", "cancel"])
+    moves = st.lists(move, min_size=1, max_size=6)
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        fx, fy = draw(st.sampled_from(pairs))
+        # a block may go on where the last one stopped, in another pair
+        if not terms or draw(st.booleans()):
+            i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            coeff = draw(st.sampled_from(values))
+        for step in draw(moves):
+            if draw(st.booleans()):
+                fx = tuple(list(fx))
+            if draw(st.booleans()):
+                fy = tuple(list(fy))
+            x, y = BasisMonomial(fx, i), BasisMonomial(fy, j)
+            terms.append((coeff, x, y))
+            if step == "cancel":
+                terms.append((-coeff, x, y))
+            i, j = (i + 2, j + 2) if step == "gap" else (i + 1, j + 1)
+            if step == "new":
+                coeff = draw(st.sampled_from(values))
+            elif step == "equal":
+                coeff = coeff * scalars.field_of(coeff).one
+    if draw(st.booleans()):
+        gone = draw(st.sampled_from(pairs))
+        terms += [(-c, x, y) for c, x, y in terms if (x.fiber, y.fiber) == gone]
+    return name, terms, placements
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raising_cases())
+def test_builder_against_the_stepwise_builder(case):
+    name, terms, placements = case
+    place, seen = recording(placements)
+    stepwise_place, stepwise_seen = recording(placements)
+    swept, stepwise_swept = [], []
+    with mock.patch.object(runs_module, "sweep", recorded_sweep(swept)), mock.patch.object(
+        conftest, "sweep", recorded_sweep(stepwise_swept)
+    ):
+        got = raise_terms(terms, place)
+        want = stepwise_raise_terms(terms, stepwise_place)
+    assert seen == stepwise_seen
+    if name == "float":
+        assert repr(got) == repr(want)
+        assert repr(swept) == repr(stepwise_swept)
+    else:
+        assert got == want
+        assert swept == stepwise_swept
+
+
+# ---------------------------------------------------------------------------
 # run counts of structured sums
 # ---------------------------------------------------------------------------
 
@@ -230,3 +312,29 @@ def test_zero_test_at_a_huge_level_sweeps_two_runs(e23, monkeypatch):
     seen = swept_inputs(monkeypatch)
     assert steprep.evaluate(diff, steprep.minimal_level(diff) * 10**30).is_zero()
     assert sum(map(len, seen)) <= 3
+
+
+@pytest.mark.parametrize("route", ["normal_form", "evaluate"])
+def test_zero_test_merges_once_per_fiber_pair(route, e23, monkeypatch):
+    diff = cuntz_sum(e23, (4, 4)) - algebra.identity(e23)
+    assert len(diff.terms) == 1297
+    calls = []
+    merge, real_sweep = runs_module._merge, runs_module.sweep
+
+    def merge_spy(given_runs, pieces):
+        pieces = list(pieces)
+        calls.append(("merge", len(pieces)))
+        merge(given_runs, pieces)
+
+    def sweep_spy(given_runs):
+        calls.append(("sweep", len(given_runs)))
+        return real_sweep(given_runs)
+
+    monkeypatch.setattr(runs_module, "_merge", merge_spy)
+    monkeypatch.setattr(runs_module, "sweep", sweep_spy)
+    if route == "normal_form":
+        assert algebra.normal_form(diff).is_zero()
+    else:
+        assert steprep.evaluate(diff, steprep.minimal_level(diff) * 10**30).is_zero()
+    # the pairs of I and of the Cuntz sum, then the one offset of the sweep
+    assert calls == [("merge", 1), ("merge", 1296), ("sweep", 2), ("merge", 0)]
