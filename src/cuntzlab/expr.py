@@ -20,17 +20,17 @@ more digits than ``sys.get_int_max_str_digits()`` is an error at its
 position, found before the value is built, so a long exponent costs nothing.
 
 Parsing costs about its tokens, and a generator written without spaces,
-as the printer writes it, is one token.  On the exact fields a
-parenthesized scalar folds into its term's coefficient, and a whole term
-written as the printer writes it for a Gaussian or real coefficient, such
-as "(c)*e(x)*e(y)'", is one token, found with the sign before it by one
-regex match.  It becomes its one term (c, x, y) with no factor element and
-no ``multiply``, and each coefficient and generator text is read and
-checked once per parse.  The 648-term Cuntz sum of fiber (3,4) on e23,
-coefficients included, parses in about 4.2 ms, some 6.5 us per printed
-term, against 18.4 ms when each term went through the general grammar
-(best of 30 in one process alternating the two; CPU, Python 3.11 on a
-shared 2-vCPU host).
+as the printer writes it, is one token.  On the exact fields a sum as the
+printer writes it, terms with a Gaussian or real coefficient such as
+"(c)*e(x)*e(y)'" joined by signs and grouped by parentheses, is first read
+whole: one regex match per term, which becomes its one term (c, x, y) with
+no token, no factor element and no ``multiply``, each coefficient and
+generator text read and checked once per parse.  Any other text, and one
+with a piece that fails a check, is parsed from scratch by the grammar,
+which reports the error.  The 648-term Cuntz sum of fiber (3,4) on e23,
+coefficients included, is read in about 5.8 ms, some 9 us per printed
+term (best of 25; CPU, Python 3.11 on a shared 2-vCPU host).  Parentheses
+nest at most ``MAX_DEPTH`` deep; the "(" past it is an error.
 
 The printer writes every value it is given except a float with an inf or
 nan part, which no text denotes, and an exact value whose numerator or
@@ -45,7 +45,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from . import algebra, scalars
 from .algebra import AlgebraElement, Term
@@ -79,83 +79,51 @@ _TOKEN_RE = re.compile(
 _PUNCT = frozenset("-+*/;,()'^")
 _GEN_PARTS = re.compile(r"\d+|.")
 
-# On the exact fields a term as the printer writes it for a Gaussian or real
-# coefficient is one "term" token too: an optional coefficient "(a+bi)*",
-# "(a-bi)*", "(bi)*" or "a*", with a and b each p or p/q, then "e(x)*e(y)'",
-# "e(y)'", "e(x)" or "I".  The groups of its match hold the pieces.  One
-# more regex scan finds these terms where a sum's term starts: at the start
-# of the text, or after "(" or a sign that is not part of an exponent or a
-# zeta power, the sign or "(" and the spaces after it taken by the same
-# match; and only where the next token ends the term.  The text around the
-# terms is tokenized as before, so a printed sum costs one match per term.
+# Parentheses nest at most this deep.  Each level costs the grammar a few
+# Python frames, so a much deeper text would exhaust the interpreter's stack.
+MAX_DEPTH = 200
+
+# One item of a sum as the printer writes it on the exact fields: spaces, an
+# optional sign, then "(" or a term.  A term is an optional coefficient
+# "(a+bi)*", "(a-bi)*", "(bi)*" or "a*", with a and b each p or p/q, then
+# "e(x)*e(y)'", "e(y)'", "e(x)" or "I", and after it the ")" it closes and
+# then a sign or the end.  The term comes first, as a Gaussian coefficient
+# starts with "(" too.  Groups: 1 the sign, 2 the term, 3 its coefficient,
+# 4-10 the coefficient's numbers and sign, 11-13 the monomials, 14 the ")".
 _RATIO = r"(\d+)(?:/(\d+))?"
-_TERM = (
-    rf"((?:(\((?:{_RATIO}([+-]))?{_RATIO}i\)|{_RATIO})\*)?"
-    rf"(?:({_GEN})(?:\*({_GEN})'|('))?|I(?![A-Za-z_])))(?=\s*(?:[-+)]|\Z))"
+_ITEM_RE = re.compile(
+    rf"\s*([-+]?)\s*(?:((?:(\((?:{_RATIO}([+-]))?{_RATIO}i\)|{_RATIO})\*)?"
+    rf"(?:({_GEN})(?:\*({_GEN})'|('))?|I))((?:\s*\))*)\s*(?=[-+]|\Z)|\()"
 )
-# the empty lead group of the first term keeps the group numbers equal
-_FIRST_TERM_RE = re.compile(r"()" + _TERM)
-_LEAD_TERM_RE = re.compile(r"([-+(])(?<![eE^][-+])\s*" + _TERM)
 
 
-def _tokens(text: str, offset: int = 0) -> list:
-    """The (kind, text, position) tokens of ``text``, whose first character
-    is at position ``offset``.
+def _tokenize(text: str) -> list:
+    """(kind, text, position) tokens, ended by two end tokens, so one token
+    of lookahead never runs off the list.
 
     A "gen" token shows the text "e", as the name it starts with, and
     carries the whole generator as a fourth item.
     """
     pieces = _TOKEN_RE.split(text)
-    # piece i ends at ends[i + 1]; a token starts where the gap before it ends
-    ends = list(accumulate(map(len, pieces), initial=offset))
+    # piece i ends at ends[i]; a token starts where the gap before it ends
+    ends = list(accumulate(map(len, pieces)))
     gaps = pieces[0::2]
     spaces = "".join(gaps)
     if spaces and not spaces.isspace():
-        for gap, end in zip(gaps, ends[1::2]):
+        for gap, end in zip(gaps, ends[0::2]):
             rest = gap.lstrip()
             if rest:
                 raise ExpressionError(
                     end - len(rest), f"unexpected character {rest[0]!r}"
                 )
-    return [
+    tokens = [
         (t, t, p) if t in _PUNCT
         else ("int", t, p) if t.isdecimal()
         else ("decimal", t, p) if t[0].isdecimal()
         else ("gen", "e", p, t) if t[-1] == ")"
         else ("name", t, p)
-        for t, p in zip(pieces[1::2], ends[1::2])
+        for t, p in zip(pieces[1::2], ends[0::2])
     ]
-
-
-def _term_tokens(text: str) -> list:
-    """``_tokens`` with "term" tokens.  A "term" token carries the groups
-    of its coefficient and monomials as a fourth item."""
-    tokens = []
-    at = 0
-    first = _FIRST_TERM_RE.match(text, len(text) - len(text.lstrip()))
-    found = _LEAD_TERM_RE.finditer(text, first.end() if first else 0)
-    for m in chain((first,), found) if first else found:
-        start = m.start()
-        if start != at:
-            gap = text[at:start]
-            if not gap.isspace():
-                tokens += _tokens(gap, at)
-        at = m.end()
-        groups = m.groups()
-        lead = groups[0]
-        if lead:
-            tokens.append((lead, lead, start))
-        tokens.append(("term", groups[1], m.start(2), groups[2:13]))
-    if at != len(text):
-        tokens += _tokens(text[at:], at)
-    return tokens
-
-
-def _tokenize(text: str, terms: bool) -> list:
-    """The tokens of ``text``, "term" tokens too when ``terms`` is set,
-    ended by two end tokens, so one token of lookahead never runs off the
-    list."""
-    tokens = _term_tokens(text) if terms else _tokens(text)
     end = ("end", "", len(text))
     tokens += (end, end)
     return tokens
@@ -164,22 +132,19 @@ def _tokenize(text: str, terms: bool) -> list:
 class _Parser:
     def __init__(self, spec: SystemSpec, text: str):
         self.spec = spec
-        # on the exact fields "(c)" folds into its term's coefficient, which
-        # multiply(c*I, f) would only scale, and a printed term is one token;
-        # float keeps that product, whose unit phases can flip the sign of a
-        # zero part, so it stays the same to the bit
-        self.fold = spec.field.exact
-        self.tokens = _tokenize(text, self.fold)
+        self.text = text
         self.at = 0
+        # the parentheses open around the token at ``at``
+        self.depth = 0
         # 0 means no limit, as for int()
         self.max_digits = sys.get_int_max_str_digits()
         self.one = spec.field.one
         self.identity = spec.identity_monomial
-        # generator text -> its checked monomial, for "gen" and "term"
-        # tokens, and the text of a fiber -> its coordinates
+        # generator text -> its checked monomial, and the text of a fiber
+        # -> its coordinates
         self.monomials = {}
         self.fibers = {}
-        # a term token's coefficient text -> its value
+        # a printed coefficient's text -> its value
         self.coefficients = {}
 
     # -- token plumbing ----------------------------------------------------
@@ -193,8 +158,6 @@ class _Parser:
 
     def expect(self, kind: str, expected=None):
         tok = self.tokens[self.at]
-        if tok[0] == "term":
-            tok = self._split(self.at)
         if tok[0] != kind:
             what = tok[1] or "end of input"
             raise ExpressionError(
@@ -389,87 +352,7 @@ class _Parser:
         ]
         return self._generator()
 
-    def _split(self, at: int):
-        """Replace the "term" token at ``at`` by the tokens of its text, for
-        the general grammar; returns the first of them.
-
-        A term token follows "(", a sign or nothing, so the parser meets it
-        where a term starts, at ``_term``, or where ``expect`` wants an int
-        after "e(" or "zeta("; both split it when they cannot take it.  The
-        complex tail of ``_try_scalar`` looks at it after a sign and leaves
-        it: the rational that starts a term token is followed by "*", not
-        by "i".
-        """
-        tok = self.tokens[at]
-        self.tokens[at : at + 1] = _tokens(tok[1], tok[2])
-        return self.tokens[at]
-
-    def _printed_term(self, tok, negate: bool):
-        """The terms of a "term" token: the one term (c, x, y) that the
-        general grammar would build, or none for c = 0; None when a piece
-        fails a check, which the general grammar then reports."""
-        if len(tok[1]) > self.max_digits > 0:
-            return None
-        groups = tok[3]
-        text = groups[0]
-        if text is None:
-            coeff = self.one
-        else:
-            coeff = self.coefficients.get(text)
-            if coeff is None:
-                coeff = self._printed_coefficient(*groups[1:8])
-                if coeff is None:
-                    return None
-                self.coefficients[text] = coeff
-        if negate:
-            coeff = -coeff
-        x, y, adjoint = groups[8:]
-        if x is None:
-            left = right = self.identity
-        else:
-            # a hit, as for every y of a Cuntz sum, costs no call
-            monomials = self.monomials
-            left = monomials.get(x) or self._monomial(x)
-            if left is None:
-                return None
-            if adjoint:
-                left, right = self.identity, left
-            elif y is None:
-                right = self.identity
-            else:
-                right = monomials.get(y) or self._monomial(y)
-                if right is None:
-                    return None
-        return () if coeff.is_zero() else (Term(coeff, left, right),)
-
-    def _printed_coefficient(self, re_num, re_den, sign, im_num, im_den, num, den):
-        """The value of a "term" token's coefficient "(a+bi)", "(a-bi)",
-        "(bi)" or "a", as ``_coerce_complex`` builds it; None for a zero
-        denominator or a value the field lacks."""
-        if im_num is None:
-            re_num, re_den, im_num, im_den = num, den, "0", None
-        a, b = int(re_num or 0), int(re_den or 1)
-        c, d = int(im_num), int(im_den or 1)
-        if b == 0 or d == 0:
-            return None
-        try:
-            return self.spec.field.gaussian(a * d, -c * b if sign == "-" else c * b, b * d)
-        except (TypeError, ValueError, OverflowError):
-            return None
-
-    def _paren_scalar(self):
-        """The scalar c of a factor "(c)" or "(c)'" after its "(", or None
-        with the position restored when the parentheses hold more."""
-        save = self.at
-        value = self._try_scalar()
-        if value is not None and self.tokens[self.at][0] == ")":
-            self.at += 1
-            return value.conj() if self.accept("'") else value
-        self.at = save
-        return None
-
-    def _factor(self):
-        """An element, or a scalar for "(c)" when ``fold`` is set."""
+    def _factor(self) -> AlgebraElement:
         tok = self.tokens[self.at]
         if tok[0] == "gen" or (tok[0] == "name" and tok[1] == "e"):
             mono = self._compact_generator(tok) if tok[0] == "gen" else self._generator()
@@ -484,13 +367,15 @@ class _Parser:
             self.at += 1
             elem = algebra.identity(self.spec)
         elif tok[0] == "(":
+            if self.depth == MAX_DEPTH:
+                raise ExpressionError(
+                    tok[2], f"parentheses nest deeper than {MAX_DEPTH}"
+                )
             self.at += 1
-            if self.fold:
-                value = self._paren_scalar()
-                if value is not None:
-                    return value
+            self.depth += 1
             elem = self._expr()
             self.expect(")", {")"})
+            self.depth -= 1
         else:
             what = tok[1] or "end of input"
             raise ExpressionError(
@@ -500,48 +385,26 @@ class _Parser:
             elem = elem.adjoint()
         return elem
 
-    def _term(self, negate: bool = False) -> tuple:
-        """The terms of a product of factors.  Scalars, the leading one and
-        the folded "(c)", scale the next element factor, or the product if
-        none follows; elements multiply left to right.  A "term" token,
-        which the term ends with, is built whole; when a piece fails a
-        check, it is split into the tokens of its text."""
-        tok = self.tokens[self.at]
-        if tok[0] == "term":
-            terms = self._printed_term(tok, negate)
-            if terms is not None:
-                self.at += 1
-                return terms
-            self._split(self.at)
-        coeff = self._try_scalar(negate=negate)
-        if coeff is not None:
+    def _term(self, negate: bool = False) -> AlgebraElement:
+        """A product of factors; a leading scalar scales the first."""
+        scalar = self._try_scalar(negate=negate)
+        if scalar is not None:
             if not self.accept("*"):
                 nxt = self.tokens[self.at]
                 if nxt[0] in ("+", "-", ")", "end"):
-                    return algebra.identity(self.spec).scaled(coeff).terms
+                    return algebra.identity(self.spec).scaled(scalar)
                 what = nxt[1] or "end of input"
                 raise ExpressionError(
                     nxt[2], f"unexpected {what!r} after scalar", {"*", "+", "-"}
                 )
-            negate = False
-        elem = None
-        while True:
-            factor = self._factor()
+            elem = self._factor().scaled(scalar)
+        else:
+            elem = self._factor()
             if negate:
-                factor = -factor
-                negate = False
-            if factor.__class__ is not AlgebraElement:
-                coeff = factor if coeff is None else coeff * factor
-            else:
-                if coeff is not None:
-                    factor = factor.scaled(coeff)
-                    coeff = None
-                elem = factor if elem is None else algebra.multiply(elem, factor)
-            if not self.accept("*"):
-                break
-        if elem is None:
-            elem = algebra.identity(self.spec)
-        return (elem if coeff is None else elem.scaled(coeff)).terms
+                elem = -elem
+        while self.accept("*"):
+            elem = algebra.multiply(elem, self._factor())
+        return elem
 
     def _expr(self) -> AlgebraElement:
         negate = False
@@ -549,20 +412,125 @@ class _Parser:
         if tok[0] in ("+", "-"):
             self.at += 1
             negate = tok[0] == "-"
-        terms = self._term(negate)
+        elem = self._term(negate)
         if self.tokens[self.at][0] not in ("+", "-"):
-            # the canonical terms of one element
-            return AlgebraElement._canonical(self.spec, terms)
+            return elem
         # one map and one sort for the whole sum, not one per term
-        acc = {(x, y): c for c, x, y in terms}
+        acc = {(x, y): c for c, x, y in elem.terms}
         while self.tokens[self.at][0] in ("+", "-"):
             tok = self.tokens[self.at]
             self.at += 1
-            algebra.add_terms(acc, self._term(tok[0] == "-"), 1)
+            algebra.add_terms(acc, self._term(tok[0] == "-").terms, 1)
         # every term comes from a parsed element, whose monomials are checked
         return AlgebraElement._from_map(self.spec, acc)
 
+    # -- a printed sum, read whole -------------------------------------------
+
+    def _printed_sum(self):
+        """The element of the text when it is a sum as the printer writes
+        it, read one ``_ITEM_RE`` match per item; None for any other text
+        and for a piece that fails a check, which the grammar then parses
+        from scratch.  A group's sign is carried into its terms, so
+        "-(a - b)" adds -a and b to the sum's one map: on the exact fields,
+        the grammar's element."""
+        text, match = self.text, _ITEM_RE.match
+        end = len(text)
+        terms = []
+        # the negation outside each open group, the innermost last
+        outer = []
+        negate = False
+        at = 0
+        while True:
+            m = match(text, at)
+            if m is None:
+                return None
+            at = m.end()
+            groups = m.groups()
+            if groups[1] is None:
+                # a "(" that nests too deep is the grammar's error
+                if len(outer) == MAX_DEPTH:
+                    return None
+                outer.append(negate)
+                negate ^= groups[0] == "-"
+                continue
+            term = self._printed_term(groups, negate ^ (groups[0] == "-"))
+            if term is None:
+                return None
+            terms.append(term)
+            closed = groups[13].count(")")
+            if closed:
+                if closed > len(outer):
+                    return None
+                negate = outer[-closed]
+                del outer[-closed:]
+            if at == end:
+                break
+        if outer:
+            return None
+        acc = {}
+        algebra.add_terms(acc, terms, 1)
+        return AlgebraElement._from_map(self.spec, acc)
+
+    def _printed_term(self, groups, negate: bool):
+        """The term (c, x, y) of a printed term's ``_ITEM_RE`` groups, or
+        None when a piece fails a check."""
+        if len(groups[1]) > self.max_digits > 0:
+            return None
+        text = groups[2]
+        if text is None:
+            coeff = self.one
+        else:
+            coeff = self.coefficients.get(text)
+            if coeff is None:
+                coeff = self._printed_coefficient(*groups[3:10])
+                if coeff is None:
+                    return None
+                self.coefficients[text] = coeff
+        if negate:
+            coeff = -coeff
+        x, y, adjoint = groups[10:13]
+        identity = self.identity
+        if x is None:
+            return coeff, identity, identity
+        # a hit, as for every y of a Cuntz sum, costs no call
+        monomials = self.monomials
+        left = monomials.get(x) or self._monomial(x)
+        if left is None:
+            return None
+        if adjoint:
+            return coeff, identity, left
+        if y is None:
+            return coeff, left, identity
+        right = monomials.get(y) or self._monomial(y)
+        return None if right is None else (coeff, left, right)
+
+    def _printed_coefficient(self, re_num, re_den, sign, im_num, im_den, num, den):
+        """The value of a printed coefficient "(a+bi)", "(a-bi)", "(bi)" or
+        "a"; None for a zero denominator or a value the field lacks."""
+        if im_num is None:
+            re_num, re_den, im_num, im_den = num, den, "0", None
+        b, d = int(re_den or 1), int(im_den or 1)
+        if b == 0 or d == 0:
+            return None
+        c = int(im_num)
+        try:
+            return self._coerce_complex(
+                (int(re_num or 0), b), (-c if sign == "-" else c, d), 0
+            )
+        except ExpressionError:
+            return None
+
+    # -- entry points --------------------------------------------------------
+
     def parse(self) -> AlgebraElement:
+        # float never takes the reader: the unit phases of its products can
+        # flip the sign of a zero part, so only the grammar's products give
+        # its element to the bit
+        if self.spec.field.exact:
+            elem = self._printed_sum()
+            if elem is not None:
+                return elem
+        self.tokens = _tokenize(self.text)
         elem = self._expr()
         tok = self.tokens[self.at]
         if tok[0] != "end":
@@ -572,6 +540,7 @@ class _Parser:
         return elem
 
     def parse_scalar(self):
+        self.tokens = _tokenize(self.text)
         # scalars alone also form sums of products, so printed cyclotomic
         # values like "1 - 1/2*zeta(8)^1" read back in; only the first
         # summand may go without a sign, and a "-" negates its product

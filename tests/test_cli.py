@@ -1040,6 +1040,19 @@ def test_bad_expression_reports_position(capsys, spec_path):
     assert "position" in err
 
 
+def test_deep_nesting_is_an_expression_error(capsys, spec_path):
+    # past 200 levels the parser refuses the "(" that opens level 201,
+    # before the interpreter's stack runs out
+    for name in ("e23", "f23"):
+        deep = "(" * 400 + "I" + ")" * 400
+        for argv in (["normalize", deep], ["equals", deep, "I"]):
+            code, out, err = run_cli(capsys, [argv[0], "--spec", spec_path(name), *argv[1:]])
+            assert (code, out) == (2, "")
+            assert "position 200: parentheses nest deeper than 200" in err
+        code, out, _ = run_cli(capsys, ["equals", "--spec", spec_path(name), deep[200:-200], "I"])
+        assert (code, out) == (0, "true\n")
+
+
 def test_bad_level_rejected(capsys, spec_path):
     # 5 is not divisible by the adjoint's right-fiber dimension 2
     code, _, err = run_cli(

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzlab import algebra, scalars
+from cuntzlab import algebra, expr, scalars
 from cuntzlab.expr import (
+    MAX_DEPTH,
     ExpressionError,
     _term_pieces,
     format_element,
@@ -181,6 +182,53 @@ class TestParseElement:
         assert parsed.terms == tuple(
             algebra.Term(coeff, x, x) for x in basis
         )
+
+    def test_printed_sum_is_read_whole(self, e23, monkeypatch):
+        # a parenthesized printed Cuntz sum minus a negated printed term is
+        # read one match per term: no token, no product
+        coeff = scalars.RationalComplex(Fraction(3, 5), Fraction(-7, 5))
+        cuntz = algebra.AlgebraElement.from_terms(
+            e23, [(coeff, x, x) for x in e23.basis((2, 2))]
+        )
+        text = f"({format_element(cuntz)}) - (-(3/5-7/5i)*I)"
+        counts = {"_tokenize": 0, "multiply": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(expr, "_tokenize")
+        counted(algebra, "multiply")
+        parsed = parse_element(e23, text)
+        assert counts == {"_tokenize": 0, "multiply": 0}
+        assert parsed == cuntz + algebra.identity(e23).scaled(coeff)
+        # a generator outside the spec is the grammar's error, after one
+        # tokenization of the whole text
+        with pytest.raises(ExpressionError) as exc:
+            parse_element(e23, "e(1,0;7)")
+        assert counts == {"_tokenize": 1, "multiply": 0}
+        assert str(exc.value) == (
+            "position 6: index 7 out of range for fiber (1, 0) (dimension 2)"
+        )
+
+    def test_nesting_is_bounded(self, e23, flspec):
+        # the reader and the grammar keep the same bound
+        for spec in (e23, flspec):
+            for body in ("I", "I*I", "-e(1,0;0)"):
+                deepest = "(" * MAX_DEPTH + body + ")" * MAX_DEPTH
+                assert parse_element(spec, deepest) == parse_element(spec, body)
+                for text in ("(" + deepest + ")", "I - (" + deepest + ")"):
+                    with pytest.raises(ExpressionError) as exc:
+                        parse_element(spec, text)
+                    assert exc.value.position == text.index("(") + MAX_DEPTH
+                    assert str(exc.value).endswith(
+                        f"parentheses nest deeper than {MAX_DEPTH}"
+                    )
 
     def test_long_literals_are_bounded(self, e23):
         limit = sys.get_int_max_str_digits()

@@ -366,7 +366,7 @@ _scalars = st.sampled_from([
     "3", "07", "3/4", "0.125", "1.5e-3", "2E2", "2i", "i", "1+2i", "1/2-3/4i",
     "zeta(8)^-3", "zeta(8)", "zeta(4)^2", "2*zeta(8)^5",
 ])
-# terms as the printer writes them, each one token on the exact fields, and
+# terms as the printer writes them, read whole on the exact fields, and
 # the same shapes with an index out of range, a zero denominator, or a
 # literal past the digit limit (no leading zero, so that two edits leave it
 # past the limit)
@@ -414,12 +414,16 @@ hand_built = st.recursive(
 )
 texts = st.one_of(printed(), hand_built)
 # a printed term alone, after a scalar, before a factor, under an adjoint,
-# inside parentheses, as a summand, and where the grammar wants an int
+# inside parentheses, as a summand, where the grammar wants an int, negated
+# inside a negated group and after one, and with a parenthesis too few or
+# too many
 placed_terms = st.builds(
     str.format,
     st.sampled_from([
         "{}", "2*{}", "{}*e(1,0;0)", "e(1,0;0)*{}", "{}'", "({})", "({})'", "I + {}",
         "-{0} - I", "(I - {0})*I", "e({0}", "zeta(8)^{0}", "1/{0}", "1+{0}", "{0} {0}",
+        "I - (-{0})", "({0} - {0}) - I", "-(({0}))", "({0})*I", "(-{0})'", "({0}", "{0})",
+        "-(I - {0}) + {0}",
     ]),
     _terms,
 )
@@ -463,7 +467,7 @@ def test_parser_matches_oracle(name, text):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=220, deadline=None, derandomize=True, database=None)
 @given(text=placed_terms)
 def test_printed_terms_match_oracle(name, text):
     spec = SPECS[name]
