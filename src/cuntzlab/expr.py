@@ -22,15 +22,17 @@ position, found before the value is built, so a long exponent costs nothing.
 Parsing costs about its tokens, and a generator written without spaces,
 as the printer writes it, is one token.  On the exact fields a sum as the
 printer writes it, terms with a Gaussian or real coefficient such as
-"(c)*e(x)*e(y)'" joined by signs and grouped by parentheses, is first read
-whole: one regex match per term, which becomes its one term (c, x, y) with
-no token, no factor element and no ``multiply``, each coefficient and
-generator text read and checked once per parse.  Any other text, and one
-with a piece that fails a check, is parsed from scratch by the grammar,
-which reports the error.  The 648-term Cuntz sum of fiber (3,4) on e23,
-coefficients included, is read in about 5.8 ms, some 9 us per printed
-term (best of 25; CPU, Python 3.11 on a shared 2-vCPU host).  Parentheses
-nest at most ``MAX_DEPTH`` deep; the "(" past it is an error.
+"(c)*e(x)*e(y)'" joined by signs and grouped by parentheses, a group maybe
+closed by the adjoint's ")'", is first read whole: one regex match per term,
+which becomes its one term (c, x, y) with no token, no factor element and
+no ``multiply``, each coefficient and generator text read and checked once
+per parse.  Any other text, and one with a piece that fails a check, is
+parsed from scratch by the grammar, which reports the error.  The 648-term
+Cuntz sum of fiber (3,4) on e23, coefficients included, is read in about
+5.8 ms, some 9 us per printed term (best of 25; CPU, Python 3.11 on a
+shared 2-vCPU host), and under "'" in 3.5-6.0 ms against 3.2-5.7 ms plain
+(best of 9).  Parentheses nest at most ``MAX_DEPTH`` deep; the "(" past it
+is an error.
 
 The printer writes every value it is given except a float with an inf or
 nan part, which no text denotes, and an exact value whose numerator or
@@ -45,6 +47,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from . import algebra, scalars
@@ -86,14 +89,15 @@ MAX_DEPTH = 200
 # One item of a sum as the printer writes it on the exact fields: spaces, an
 # optional sign, then "(" or a term.  A term is an optional coefficient
 # "(a+bi)*", "(a-bi)*", "(bi)*" or "a*", with a and b each p or p/q, then
-# "e(x)*e(y)'", "e(y)'", "e(x)" or "I", and after it the ")" it closes and
-# then a sign or the end.  The term comes first, as a Gaussian coefficient
-# starts with "(" too.  Groups: 1 the sign, 2 the term, 3 its coefficient,
-# 4-10 the coefficient's numbers and sign, 11-13 the monomials, 14 the ")".
+# "e(x)*e(y)'", "e(y)'", "e(x)" or "I", and after it the ")" it closes, each
+# maybe with the "'" of an adjoint group, and then a sign or the end.  The
+# term comes first, as a Gaussian coefficient starts with "(" too.  Groups:
+# 1 the sign, 2 the term, 3 its coefficient, 4-10 the coefficient's numbers
+# and sign, 11-13 the monomials, 14 the closers.
 _RATIO = r"(\d+)(?:/(\d+))?"
 _ITEM_RE = re.compile(
     rf"\s*([-+]?)\s*(?:((?:(\((?:{_RATIO}([+-]))?{_RATIO}i\)|{_RATIO})\*)?"
-    rf"(?:({_GEN})(?:\*({_GEN})'|('))?|I))((?:\s*\))*)\s*(?=[-+]|\Z)|\()"
+    rf"(?:({_GEN})(?:\*({_GEN})'|('))?|I))((?:\s*\)(?:\s*')?)*)\s*(?=[-+]|\Z)|\()"
 )
 
 
@@ -127,6 +131,12 @@ def _tokenize(text: str) -> list:
     end = ("end", "", len(text))
     tokens += (end, end)
     return tokens
+
+
+@lru_cache(maxsize=4)
+def _power_of_ten(n: int) -> int:
+    """10**n, built once per digit limit, which can change between parses."""
+    return 10**n
 
 
 class _Parser:
@@ -204,7 +214,7 @@ class _Parser:
         if len(stripped) + shift > limit or -shift - len(stripped) >= limit:
             raise self._too_long(tok)
         value = Fraction(int(stripped) * 10 ** max(shift, 0), 10 ** max(-shift, 0))
-        if self.max_digits and value.denominator >= 10**self.max_digits:
+        if self.max_digits and value.denominator >= _power_of_ten(self.max_digits):
             raise self._too_long(tok)
         return value.numerator, value.denominator
 
@@ -431,12 +441,14 @@ class _Parser:
         it, read one ``_ITEM_RE`` match per item; None for any other text
         and for a piece that fails a check, which the grammar then parses
         from scratch.  A group's sign is carried into its terms, so
-        "-(a - b)" adds -a and b to the sum's one map: on the exact fields,
-        the grammar's element."""
+        "-(a - b)" adds -a and b to the sum's one map, and a group closed by
+        ")'" conjugates and swaps the terms read inside it: on the exact
+        fields, the grammar's element."""
         text, match = self.text, _ITEM_RE.match
         end = len(text)
         terms = []
-        # the negation outside each open group, the innermost last
+        # the negation outside each open group and the count of terms read
+        # before it, the innermost last
         outer = []
         negate = False
         at = 0
@@ -450,19 +462,20 @@ class _Parser:
                 # a "(" that nests too deep is the grammar's error
                 if len(outer) == MAX_DEPTH:
                     return None
-                outer.append(negate)
+                outer.append((negate, len(terms)))
                 negate ^= groups[0] == "-"
                 continue
             term = self._printed_term(groups, negate ^ (groups[0] == "-"))
             if term is None:
                 return None
             terms.append(term)
-            closed = groups[13].count(")")
-            if closed:
-                if closed > len(outer):
-                    return None
-                negate = outer[-closed]
-                del outer[-closed:]
+            for closer in "".join(groups[13].split()):
+                if closer == ")":
+                    if not outer:
+                        return None
+                    negate, start = outer.pop()
+                else:  # the "'" after the ")" just read
+                    terms[start:] = [(c.conj(), y, x) for c, x, y in terms[start:]]
             if at == end:
                 break
         if outer:

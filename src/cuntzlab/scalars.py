@@ -26,22 +26,26 @@ rebuilds them.  ``SystemSpec`` caches fiber dimensions per fiber on top, but
 no multipliers: an exact twisted spec keeps theta * q as integers, so a
 phase is one power of zeta_q.
 
-Each exact field builds the class of its values.  Up to ``KERNEL_MAX_PHI`` =
-8, which covers orders 4, 8 and 12 and every order up to 30 of degree
-phi <= 8, that class carries ``+``, ``-``, ``*``, unary ``-`` and ``conj``
-as straight-line code generated from the field's reduction table; the
-product writes out the phi^2 numerator products and their reduction with
-no loop.  Above it the field keeps loops over the nonzero numerators.
-Measured on one shared 2-vCPU host (Python 3.11; median of 7 timings
-of 100 products of values with small numerators, both paths on the
-same values), at phi = 8 the generated product took 3.7-4.8 us against
-5.0-7.3 us for the loop on values with one or two nonzero coordinates, and
-5.3-6.2 us against 15.2-18.0 us on full ones.  At phi = 16 it took 9.2-10.2
-us against 6.3-8.0 us on one or two coordinates, whose zeros the loop
-skips, and 15.9-16.9 us against 40.3-43.3 us on full ones.  So the generated
-product wins on every value up to phi = 8 and from phi = 16 only on dense
-ones.  The cutoff rests on these timings alone: the benchmark's twisted
-workload runs orders 4 and 8 (phi 2 and 4), so no end-to-end run crosses it.
+Each exact field builds the class of its values, with ``+``, ``-`` and
+unary ``-`` as straight-line code generated for its degree phi.
+``KERNEL_MAX_PHI`` = 8, which covers orders 4, 8 and 12 and every order up
+to 30 of degree phi <= 8, governs only the product and ``conj``, whose
+sources grow like phi^2: up to it they are generated too, the product
+writing out the numerator products and their reduction with no loop; above
+it the base class's loops over the nonzero numerators serve.  On one shared
+2-vCPU host (Python 3.11), at phi = 8 the generated product took 3.7-4.8 us
+against 5.0-7.3 us for the loop on values with one or two nonzero
+coordinates, and 5.3-6.2 us against 15.2-18.0 us on full ones; at phi = 16,
+9.2-10.2 us against 6.3-8.0 us, whose zeros the loop skips, and 15.9-16.9
+us against 40.3-43.3 us (median of 7 timings of 100 products, small
+numerators).  So the generated product wins on every value up to phi = 8
+and from phi = 16 only on dense ones.  The generated ``+`` and negation beat
+the loops they replaced: 0.80 against 2.2 us and 0.58 against 1.3 us at
+q = 17 (phi 16), 4.6 against 6.0 us and 3.0 against 4.7 us at
+q = 97 (phi 96; medians of 25 alternating rounds of 2000 calls, 22 to 25
+won).  Compiling them costs 1-2 ms once at q = 17 and 20-25 ms at q = 2310
+(phi 480).  The benchmark's twisted workload runs orders 4 and 8 (phi 2
+and 4), so no end-to-end run crosses the cutoff.
 
 Scalars of the same field combine with the usual operators; ints and
 Fractions lift automatically.  Cross-field arithmetic is an error unless
@@ -61,9 +65,8 @@ from functools import lru_cache
 
 FLOAT_TOLERANCE = 1e-9
 
-# Fields of degree phi <= this get generated straight-line arithmetic;
-# larger ones keep the loops, whose product skips zero numerators and does
-# not cost phi^2 on sparse values (see the module docstring).
+# Fields of degree phi <= this get a generated product and conj; larger ones
+# keep the loops, whose product skips zero numerators (see the docstring).
 KERNEL_MAX_PHI = 8
 
 _TWO_PI = 2.0 * math.pi
@@ -135,9 +138,9 @@ def _sparse_product(phi: int, reduction, a, b) -> list[int]:
 
 
 def _arithmetic(q: int, phi: int, reduction) -> str:
-    """Source of straight-line ``+``, ``-``, ``*``, unary ``-`` and ``conj``
-    for the values of Q(zeta_q), of degree phi, with no loop and no call but
-    one ``gcd``.
+    """Source of straight-line ``+``, ``-`` and unary ``-`` for the values of
+    Q(zeta_q), of degree phi, and of ``*`` and ``conj`` too while phi <=
+    ``KERNEL_MAX_PHI``, with no loop and no call but one ``gcd``.
 
     ``+`` and ``-`` keep a branch for equal denominators.  Coordinate k of a
     product is the sum of a_i*b_j over i + j = k plus, for each m >= phi,
@@ -203,6 +206,9 @@ def _arithmetic(q: int, phi: int, reduction) -> str:
             f"    d = self.den\n    f = other.den\n    if d == f:\n{same}"
             f"    else:\n{cross}        d *= f\n"
         )))
+    neg = unary("__neg__", [[(-1, f"a{i}")] for i in coords])
+    if phi > KERNEL_MAX_PHI:
+        return "\n".join([*sources, neg, "__radd__ = __add__\n"])
     rows = [[(1, p) for p in pairs(k)] for k in coords]
     body = []
     for m in range(phi, 2 * phi - 1):
@@ -214,7 +220,7 @@ def _arithmetic(q: int, phi: int, reduction) -> str:
             rows[k] += [(r, t) for t in terms]
     body += [f"    n{k} = {signed_sum(row)}\n" for k, row in enumerate(rows)]
     sources.append(binary("__mul__", "".join(body) + "    d = self.den * other.den\n"))
-    sources.append(unary("__neg__", [[(-1, f"a{i}")] for i in coords]))
+    sources.append(neg)
     conj = [[] for _ in coords]
     for j in coords:
         for k, r in reduction[-j % q]:
@@ -259,9 +265,9 @@ class Cyclotomic(_Scalar):
 
     Each field's values are instances of the subclass it builds,
     ``field.value_type``, which holds the field as the class attribute
-    ``field``.  Up to ``KERNEL_MAX_PHI`` that subclass carries generated
-    ``+``, ``-``, ``*``, unary ``-`` and ``conj``; above it the loops below
-    serve.
+    ``field``.  That subclass carries generated ``+``, ``-`` and unary
+    ``-``, and up to ``KERNEL_MAX_PHI`` a generated ``*`` and ``conj``; above
+    it the loop product and ``conj`` below serve.
     """
 
     __slots__ = ("nums", "den")
@@ -293,30 +299,6 @@ class Cyclotomic(_Scalar):
             return self.field.from_fraction(other)
         return None
 
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        d, f = self.den, o.den
-        if d == f:
-            return _cyclotomic(self.field, [a + b for a, b in zip(self.nums, o.nums)], d)
-        return _cyclotomic(
-            self.field, [a * f + b * d for a, b in zip(self.nums, o.nums)], d * f
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        d, f = self.den, o.den
-        if d == f:
-            return _cyclotomic(self.field, [a - b for a, b in zip(self.nums, o.nums)], d)
-        return _cyclotomic(
-            self.field, [a * f - b * d for a, b in zip(self.nums, o.nums)], d * f
-        )
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
@@ -326,9 +308,6 @@ class Cyclotomic(_Scalar):
         return _cyclotomic(field, nums, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return _cyclotomic(self.field, [-a for a in self.nums], self.den)
 
     def conj(self) -> "Cyclotomic":
         return _substitute(self.field, self, -1)
@@ -564,13 +543,11 @@ class CyclotomicField(_Field):
         self.reduction = tuple(
             tuple((i, r) for i, r in enumerate(row) if r) for row in table
         )
-        # the class of this field's values, with generated methods up to
-        # the cutoff
+        # the class of this field's values, with its generated methods
         namespace = {"__builtins__": {}, "NotImplemented": NotImplemented,
                      "gcd": math.gcd, "new": _new}
         methods = {}
-        if self.phi <= KERNEL_MAX_PHI:
-            exec(_arithmetic(order, self.phi, self.reduction), namespace, methods)
+        exec(_arithmetic(order, self.phi, self.reduction), namespace, methods)
         base = self._value_base
         namespace["cls"] = self.value_type = type(
             base.__name__, (base,), {"__slots__": (), "field": self, **methods}

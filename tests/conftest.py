@@ -26,6 +26,8 @@ PRODUCT_SPECS = {
     "f23": SystemSpec((2, 3), scalar_mode="float"),
     "tw23": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n"),
     "tw23q8": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 3/8 0 0\nscalars = cyclotomic:8\n"),
+    # degree 16, past scalars.KERNEL_MAX_PHI: the loop product and conj
+    "tw23q17": parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 3/17 0 0\nscalars = cyclotomic:17\n"),
     # the rotation algebra: dimension-one fibers, UV = zeta_4 VU
     "rot11": parse_spec_text("k = 2\ndims = 1 1\ntheta = 0 0 1/4 0\nscalars = cyclotomic:4\n"),
     # an irrational angle: every phase is an inexact float

@@ -36,6 +36,7 @@ SPEC_TEXTS = {
     "twf": "k = 2\ndims = 2 3\ntheta = 0 0.1234 0 0\nscalars = float\n",
     "twq": "k = 2\ndims = 2 3\ntheta = 0 0.25 0 0\nscalars = float\n",
     "tw23q8": "k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:8\n",
+    "tw23q17": "k = 2\ndims = 2 3\ntheta = 0 3/17 0 0\nscalars = cyclotomic:17\n",
     "c4": "k = 2\ndims = 2 3\nscalars = cyclotomic:4\n",
     "c8": "k = 2\ndims = 2 3\nscalars = cyclotomic:8\n",
     "epq": f"k = 2\ndims = {PQ} 10000000000000000051\n",
@@ -551,6 +552,16 @@ def test_relations_across_scalar_fields_holds(capsys, spec_path, tmp_path, sourc
             spec_path(target),
             str(assignment),
         ],
+    )
+    assert (code, out, err) == (0, "relations: ok (21 checked)\n", "")
+
+
+def test_relations_above_the_kernel_cutoff(capsys, spec_path):
+    # Q(zeta_17) has degree 16, past scalars.KERNEL_MAX_PHI: its values add
+    # and negate by generated code and multiply and conjugate by the loops
+    canonical = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "e23-canonical.assign"
+    code, out, err = run_cli(
+        capsys, ["relations", "--spec", spec_path("tw23q17"), str(canonical)]
     )
     assert (code, out, err) == (0, "relations: ok (21 checked)\n", "")
 

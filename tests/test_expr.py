@@ -19,7 +19,7 @@ from cuntzlab.expr import (
 )
 from cuntzlab.system import parse_spec_text
 
-from conftest import random_element
+from conftest import PRODUCT_SPECS, random_element
 
 
 @pytest.fixture
@@ -184,8 +184,9 @@ class TestParseElement:
         )
 
     def test_printed_sum_is_read_whole(self, e23, monkeypatch):
-        # a parenthesized printed Cuntz sum minus a negated printed term is
-        # read one match per term: no token, no product
+        # a parenthesized printed Cuntz sum minus a negated printed term, and
+        # a printed sum under "'", are read one match per term: no token, no
+        # product
         coeff = scalars.RationalComplex(Fraction(3, 5), Fraction(-7, 5))
         cuntz = algebra.AlgebraElement.from_terms(
             e23, [(coeff, x, x) for x in e23.basis((2, 2))]
@@ -205,8 +206,16 @@ class TestParseElement:
         counted(expr, "_tokenize")
         counted(algebra, "multiply")
         parsed = parse_element(e23, text)
-        assert counts == {"_tokenize": 0, "multiply": 0}
         assert parsed == cuntz + algebra.identity(e23).scaled(coeff)
+        # ")'" conjugates and swaps the terms of the group it closes, nested
+        # groups included
+        a = algebra.AlgebraElement.from_terms(
+            e23, [(coeff, x, y) for x in e23.basis((1, 1)) for y in e23.basis((0, 1))]
+        )
+        printed = format_element(a)
+        assert parse_element(e23, f"({printed})'") == a.adjoint()
+        assert parse_element(e23, f"-(I - ( {printed} ) ' ) '") == a - algebra.identity(e23)
+        assert counts == {"_tokenize": 0, "multiply": 0}
         # a generator outside the spec is the grammar's error, after one
         # tokenization of the whole text
         with pytest.raises(ExpressionError) as exc:
@@ -215,6 +224,15 @@ class TestParseElement:
         assert str(exc.value) == (
             "position 6: index 7 out of range for fiber (1, 0) (dimension 2)"
         )
+
+    @pytest.mark.parametrize(
+        "name", [name for name, spec in PRODUCT_SPECS.items() if spec.field.exact]
+    )
+    def test_printed_adjoint_round_trip(self, name, rng):
+        spec = PRODUCT_SPECS[name]
+        for _ in range(8):
+            x = random_element(spec, rng, nterms=4)
+            assert parse_element(spec, "(" + format_element(x) + ")'") == x.adjoint()
 
     def test_nesting_is_bounded(self, e23, flspec):
         # the reader and the grammar keep the same bound
@@ -241,6 +259,13 @@ class TestParseElement:
         assert big == scalars.RationalComplex(10 ** (limit - 1))
         small = parse_element(e23, f"5e-{limit}*I").terms[0].coeff
         assert small == scalars.RationalComplex(Fraction(1, 2 * 10 ** (limit - 1)))
+        # the bound follows a limit changed between parses
+        sys.set_int_max_str_digits(limit + 1)
+        try:
+            tiny = parse_element(e23, f"1e-{limit}*I").terms[0].coeff
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert tiny == scalars.RationalComplex(Fraction(1, 10**limit))
         for text, position in [
             (f"1e{limit}*I", 0),
             (f"I + 1e-{limit}*I", 4),

@@ -350,7 +350,7 @@ class CyclotomicField:
 
 ORACLE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 FIELDS = ["rational", "cyclotomic:4", "cyclotomic:8", "cyclotomic:12"]
-WIDE_ORDERS = (3, 5, 9, 15, 16, 20, 32)
+WIDE_ORDERS = (3, 5, 9, 15, 16, 17, 20, 32)
 ORACLE_FIELDS = {q: CyclotomicField(q) for q in (4, 8, 12, *WIDE_ORDERS)}
 
 numerators = st.one_of(
@@ -477,56 +477,90 @@ KERNEL_ORDERS = [
     q for q in range(1, 31)
     if scalars.cyclotomic_field(q).phi <= scalars.KERNEL_MAX_PHI
 ]
+# every field generates its additive operations; 32, of degree 16 as 17 is,
+# joins the orders up to 30
+ADDITIVE_ORDERS = [*range(1, 31), 32]
 
 
-KERNEL_BINARY = ["__add__", "__sub__", "__mul__"]
-KERNEL_UNARY = ["__neg__", "conj"]
+ADDITIVE = ["__add__", "__radd__", "__sub__", "__neg__"]
+KERNEL = ["__mul__", "conj"]
+
+
+@st.composite
+def numerator_pairs(draw, field):
+    """Two values of ``field`` on equal or on unequal denominators."""
+    same = draw(st.booleans())
+    den = draw(denominators)
+
+    def value():
+        nums = draw(st.lists(numerators, min_size=field.phi, max_size=field.phi))
+        return scalars._cyclotomic(field, nums, den if same else draw(denominators))
+
+    a, b = value(), value()
+    assume(a.den == b.den if same else a.den != b.den)
+    return a, b
+
+
+def assert_generated(got, field):
+    assert_canonical(got)
+    assert type(got) is field.value_type
+
+
+@ORACLE
+@given(data=st.data())
+def test_additive_operations_match_oracle(data):
+    # the generated +, - and negation of every field against the verbatim
+    # Fraction-vector oracle, an int on either side included
+    q = data.draw(st.sampled_from(ADDITIVE_ORDERS))
+    field, old_field = scalars.cyclotomic_field(q), CyclotomicField(q)
+    a, b = data.draw(numerator_pairs(field))
+    n = data.draw(numerators)
+    a_old, b_old = (Cyclotomic(old_field, x.coeffs) for x in (a, b))
+    for op in (operator.add, operator.sub):
+        for got, want in ((op(a, b), op(a_old, b_old)), (op(a, n), op(a_old, n)),
+                          (op(n, a), op(n, a_old))):
+            assert_generated(got, field)
+            assert got.coeffs == want.coeffs
+    got = -a
+    assert_generated(got, field)
+    assert got.coeffs == (-a_old).coeffs
 
 
 @ORACLE
 @given(data=st.data())
 def test_kernel_matches_loop(data):
-    # each generated operation against the loop that fields above the
+    # the generated product and conj against the loops that fields above the
     # cutoff keep, on equal and on unequal denominators
     q = data.draw(st.sampled_from(KERNEL_ORDERS))
     field = scalars.cyclotomic_field(q)
-    same = data.draw(st.booleans())
-    den = data.draw(denominators)
-
-    def value():
-        nums = data.draw(st.lists(numerators, min_size=field.phi, max_size=field.phi))
-        return scalars._cyclotomic(field, nums, den if same else data.draw(denominators))
-
-    a, b = value(), value()
-    assume(a.den == b.den if same else a.den != b.den)
+    a, b = data.draw(numerator_pairs(field))
     generated, loop = field.value_type, scalars.Cyclotomic
-    for op in KERNEL_BINARY:
-        got, want = getattr(generated, op)(a, b), getattr(loop, op)(a, b)
-        assert_canonical(got)
-        assert type(got) is generated and (got.nums, got.den) == (want.nums, want.den)
-    for op in KERNEL_UNARY:
-        got, want = getattr(generated, op)(a), getattr(loop, op)(a)
-        assert_canonical(got)
-        assert type(got) is generated and (got.nums, got.den) == (want.nums, want.den)
+    for got, want in ((generated.__mul__(a, b), loop.__mul__(a, b)),
+                      (generated.conj(a), loop.conj(a))):
+        assert_generated(got, field)
+        assert (got.nums, got.den) == (want.nums, want.den)
 
 
 def test_kernel_cutoff():
     assert KERNEL_ORDERS == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 24, 30]
+    # the base class keeps the loop product and conj, and nothing additive
+    assert set(KERNEL) <= set(vars(scalars.Cyclotomic))
+    assert not set(ADDITIVE) & set(vars(scalars.Cyclotomic))
     for q in (17, 32):
-        values = scalars.cyclotomic_field(q).value_type
-        for op in KERNEL_BINARY + KERNEL_UNARY:
-            assert getattr(values, op) is getattr(scalars.Cyclotomic, op)
+        values = vars(scalars.cyclotomic_field(q).value_type)
+        assert set(ADDITIVE) <= set(values) and not set(KERNEL) & set(values)
 
 
-@pytest.mark.parametrize("q", KERNEL_ORDERS)
+@pytest.mark.parametrize("q", ADDITIVE_ORDERS)
 def test_kernel_reads_only_numerators_and_integers(q):
-    phi = scalars.cyclotomic_field(q).phi
+    field = scalars.cyclotomic_field(q)
+    phi = field.phi
+    ops = ADDITIVE + (KERNEL if phi <= scalars.KERNEL_MAX_PHI else [])
     allowed = {"self", "other", "d", "f", "g", "z"} | {
         f"{x}{i}" for x in "abn" for i in range(phi)
     }
-    for op in KERNEL_BINARY + KERNEL_UNARY:
-        method = getattr(scalars.cyclotomic_field(q).value_type, op)
-        assert method is not getattr(scalars.Cyclotomic, op)
+    for op in ops:
+        method = vars(field.value_type)[op]
         code = method.__code__
         # the lift of another operand, the stored integers, and the names
         # the field compiles the source with
