@@ -28,7 +28,6 @@ from .system import (
     FiberVector,
     SystemSpec,
     add_fibers,
-    is_nonnegative,
     max_fiber,
     sub_degree,
 )
@@ -263,29 +262,47 @@ def nonsimplicity_witness(spec: SystemSpec, s, t):
 @dataclass(frozen=True)
 class AnnihilationInstance:
     """Pairs (x_i, y_i) of unequal fibers plus a shift fiber c dominating
-    every c - p(x_i), c - p(y_i)."""
+    every p(x_i), p(y_i); ``schedule`` holds the fiber pairs
+    (c - p(x_i), c - p(y_i)) whose bases the construction pairs up."""
 
     pairs: tuple
     shift_fiber: Fiber
+    schedule: tuple
+
+
+def _member_fiber(spec: SystemSpec, z) -> Fiber:
+    """The checked fiber of a pair member, whose index, for a basis
+    monomial, must lie in the fiber."""
+    fiber = spec.check_fiber(fiber_of(z))
+    if isinstance(z, BasisMonomial) and not (
+        isinstance(z.index, int) and 0 <= z.index < spec._dim(fiber)
+    ):
+        raise ValueError(f"index {z.index!r} out of range for fiber {fiber}")
+    return fiber
 
 
 def annihilation_instance(spec: SystemSpec, pairs, shift_fiber=None) -> AnnihilationInstance:
+    """The instance of the pairs, each member checked once, so that the
+    construction and the check take its schedule's fibers as checked."""
     pairs = tuple((x, y) for x, y in pairs)
+    fibers = [(_member_fiber(spec, x), _member_fiber(spec, y)) for x, y in pairs]
     if shift_fiber is None:
         shift_fiber = (0,) * spec.k
-        for x, y in pairs:
-            shift_fiber = add_fibers(shift_fiber, add_fibers(fiber_of(x), fiber_of(y)))
+        for fx, fy in fibers:
+            shift_fiber = add_fibers(shift_fiber, add_fibers(fx, fy))
     shift_fiber = spec.check_fiber(shift_fiber)
-    for i, (x, y) in enumerate(pairs):
-        fx, fy = fiber_of(x), fiber_of(y)
+    schedule = []
+    for i, (fx, fy) in enumerate(fibers):
         if fx == fy:
             raise ValueError(f"pair {i}: fibers must differ, both are {fx}")
-        for f in (fx, fy):
-            if not is_nonnegative(sub_degree(shift_fiber, f)):
+        s, t = sub_degree(shift_fiber, fx), sub_degree(shift_fiber, fy)
+        for f, rest in ((fx, s), (fy, t)):
+            if min(rest) < 0:
                 raise ValueError(
                     f"pair {i}: shift fiber {shift_fiber} does not dominate {f}"
                 )
-    return AnnihilationInstance(pairs, shift_fiber)
+        schedule.append((s, t))
+    return AnnihilationInstance(pairs, shift_fiber, tuple(schedule))
 
 
 def _orthogonality_step(j: int, dim_r: int, f: int, dim_s: int, g: int, dim_t: int) -> int:
@@ -303,6 +320,8 @@ def _orthogonality_step(j: int, dim_r: int, f: int, dim_s: int, g: int, dim_t: i
     together, so the matrix is one diagonal run of length hi - lo, or none,
     a partial permutation.  Its kernel holds the unit vector at the first
     column the run leaves uncovered, so a step costs O(1), never dim t.
+    ``annihilating_vector`` calls it only for the steps ``_next_window``
+    names; every other step has an empty window and column 0.
     """
     g_off, f_off = g * dim_r, f * dim_r
     lo = max(0, j * dim_t - g_off, j * dim_s - f_off)
@@ -311,19 +330,52 @@ def _orthogonality_step(j: int, dim_r: int, f: int, dim_s: int, g: int, dim_t: i
     return hi - lo if lo < hi and g_off + lo == j * dim_t else 0
 
 
+def _next_window(j: int, dim_r: int, dim_s: int, dim_t: int, start: int):
+    """The first basis pair (f, g) of a scheduled pair of fibers, of
+    dimensions dim_s and dim_t, at or past the schedule position
+    ``start`` = f dim_t + g whose window can be nonempty for v = a e(r;j),
+    or None.
+
+    The window needs a w < dim r with j dim_s <= f dim r + w < (j + 1) dim_s,
+    and likewise for g and dim_t, so f lies in [j dim_s // dim r,
+    ((j + 1) dim_s - 1) // dim r], and g in the same range for dim_t: the
+    leading digits of x = j / dim r in those bases, give or take one.  A
+    step at column 0 keeps x, so every pair left out takes column 0.
+    """
+    f_lo, f_hi = j * dim_s // dim_r, ((j + 1) * dim_s - 1) // dim_r
+    g_lo, g_hi = j * dim_t // dim_r, ((j + 1) * dim_t - 1) // dim_r
+    f, g = divmod(start, dim_t)
+    if f < f_lo:
+        f, g = f_lo, g_lo
+    elif g > g_hi:
+        f, g = f + 1, g_lo
+    else:
+        g = max(g, g_lo)
+    return (f, g) if f <= f_hi else None
+
+
 def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> FiberVector:
     """A vector w whose compression kills every scheduled monomial pair.
 
     Schedules every basis pair of (c - p(x_i), c - p(y_i)) per instance pair
-    and extends w one step at a time by a basis vector of the pair's larger
-    fiber, from the unit of the trivial fiber.  So w is a coefficient times a
-    basis monomial, unnormalized, with its dimension kept as a running product.
+    and extends w one step at a time by a basis vector e(u;l) of the pair's
+    larger fiber u, from the unit of the trivial fiber.  So w is a
+    coefficient times a basis monomial e(r;j), unnormalized, and the state
+    is the integers j and dim r.
+
+    A step at column 0 maps them to j dim u and dim r dim u: it keeps the
+    position x = j / dim r.  Only the steps ``_next_window`` names can take
+    another column, so only those are computed, each against the state it
+    meets; the k steps skipped before one multiply j and dim r by dim u^k
+    at once.  A pair of n steps adds n u to the fiber r, and omega being
+    bilinear, the product of its phases omega(r + i u, u) over i < n is
+    omega(n r + n(n - 1)/2 u, u).  So the cost follows the steps that can
+    move x and the digits of dim r, not the length of the schedule.  On a
+    float spec that one phase rounds once where n steps rounded n times.
     """
-    c = instance.shift_fiber
-    coeff, w, dim = spec.field.one, spec.identity_monomial, 1
-    for x, y in instance.pairs:
-        s, t = sub_degree(c, fiber_of(x)), sub_degree(c, fiber_of(y))
-        dim_s, dim_t = spec.dim(s), spec.dim(t)
+    coeff, fiber, j, dim = spec.field.one, (0,) * spec.k, 0, 1
+    for s, t in instance.schedule:
+        dim_s, dim_t = spec._dim(s), spec._dim(t)
         if dim_s == dim_t:
             raise HypothesisViolationError(
                 f"scheduled pair ({BasisMonomial(s, 0)!r}, {BasisMonomial(t, 0)!r}) "
@@ -331,14 +383,22 @@ def annihilating_vector(spec: SystemSpec, instance: AnnihilationInstance) -> Fib
             )
         swap = dim_s > dim_t
         ext, dim_ext, dim_small = (s, dim_s, dim_t) if swap else (t, dim_t, dim_s)
-        for f in range(dim_s):
-            for g in range(dim_t):
-                a, b = (g, f) if swap else (f, g)
-                col = _orthogonality_step(w.index, dim, a, dim_small, b, dim_ext)
-                phase, w = spec.mul_basis(w, BasisMonomial(ext, col))
-                coeff = phase * coeff
-                dim *= dim_ext
-    return FiberVector(w.fiber, dim, {w.index: coeff}, spec.field.zero)
+        steps, done = dim_s * dim_t, 0
+        while (pair := _next_window(j, dim, dim_s, dim_t, done)) is not None:
+            f, g = pair
+            pos = f * dim_t + g
+            scale = dim_ext ** (pos - done)
+            j, dim = j * scale, dim * scale
+            a, b = (g, f) if swap else (f, g)
+            col = _orthogonality_step(j, dim, a, dim_small, b, dim_ext)
+            j, dim, done = j * dim_ext + col, dim * dim_ext, pos + 1
+        scale = dim_ext ** (steps - done)
+        j, dim = j * scale, dim * scale
+        if spec.is_twisted:
+            half = steps * (steps - 1) // 2
+            coeff = spec._phase(tuple(steps * r + half * e for r, e in zip(fiber, ext)), ext) * coeff
+        fiber = tuple(r + steps * e for r, e in zip(fiber, ext))
+    return FiberVector(fiber, dim, {j: coeff}, spec.field.zero)
 
 
 def verify_annihilation(
@@ -384,15 +444,14 @@ def verify_annihilation(
     and T_u* T_v = S_u* S_v (x) lambda_p(u)* lambda_p(v) is zero exactly
     when S_u* S_v is: only the multiplier phases of the pieces enter.
     """
-    c = instance.shift_fiber
+    r = spec.check_fiber(w.fiber)
     support = sorted(w.entries.items())
-    for x, y in instance.pairs:
+    for (x, y), (a, b) in zip(instance.pairs, instance.schedule):
         if any(isinstance(z, FiberVector) and z.is_zero() for z in (x, y)):
             continue  # x y* = 0
-        a, b = sub_degree(c, fiber_of(x)), sub_degree(c, fiber_of(y))
         m = max_fiber(a, b)
-        level_out, level_in = spec.dim(sub_degree(m, a)), spec.dim(sub_degree(m, b))
-        phase_out, phase_in = spec.multiplier(a, w.fiber), spec.multiplier(b, w.fiber)
+        level_out, level_in = spec._dim(sub_degree(m, a)), spec._dim(sub_degree(m, b))
+        phase_out, phase_in = spec._phase(a, r), spec._phase(b, r)
         # (difference of the pieces' starts past their blocks', left and
         # right coefficient), right pieces outer
         pieces = [
@@ -402,7 +461,7 @@ def verify_annihilation(
         ]
         # f1 w lies in the block [f1 L_out, (f1 + 1) L_out) in units of dim(w),
         # which meets the blocks of g1 w from first to last
-        for f1 in range(spec.dim(a)):
+        for f1 in range(spec._dim(a)):
             first, last = f1 * level_out // level_in, ((f1 + 1) * level_out - 1) // level_in
             for g1 in range(first, last + 1):
                 shift = w.dim * (f1 * level_out - g1 * level_in)

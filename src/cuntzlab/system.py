@@ -108,10 +108,6 @@ def max_fiber(s: Fiber, t: Fiber) -> Fiber:
     return tuple(map(max, s, t))
 
 
-def is_nonnegative(v: Degree) -> bool:
-    return all(c >= 0 for c in v)
-
-
 class SystemSpec:
     """Immutable description of one twisted lexicographic product system.
 

@@ -16,7 +16,7 @@ from cuntzlab.analysis import (
     rank_and_kernel,
     verify_annihilation,
 )
-from cuntzlab.system import FiberVector, SystemSpec, parse_spec_text
+from cuntzlab.system import BasisMonomial, FiberVector, SystemSpec, parse_spec_text
 
 from conftest import compressed_pair_element, dense_vector, unit_vector
 
@@ -349,6 +349,21 @@ class TestAnnihilationInstance:
                 shift_fiber=(1, 0),
             )
 
+    def test_members_checked(self, e23):
+        # a negative fiber, and an index past the fiber's dimension 2, in
+        # either slot; a fiber vector of a negative fiber
+        y = e23.monomial((0, 1), 0)
+        for bad in (
+            BasisMonomial((-1, 0), 0),
+            BasisMonomial((1, 0), 5),
+            FiberVector((-1, 0), 1, {0: e23.field.one}, e23.field.zero),
+        ):
+            for pair in ((bad, y), (y, bad)):
+                with pytest.raises(ValueError):
+                    annihilation_instance(e23, [pair])
+                with pytest.raises(ValueError):
+                    annihilation_instance(e23, [pair], shift_fiber=(2, 2))
+
     def test_equal_dimension_schedule_rejected(self, e24):
         inst = annihilation_instance(
             e24, [(e24.monomial((2, 0), 0), e24.monomial((0, 1), 0))]
@@ -456,10 +471,12 @@ class TestAnnihilationConstruction:
         assert counts[0] == counts[1] > 0
 
     def test_construction_steps_keep_support_one(self, e23, tw23, monkeypatch):
-        # each step meets a support-1 vector, whose constraint is one run:
-        # the free column is read off it, with no row reduction, and the
-        # vector is extended by one product of basis monomials; the one
-        # fiber vector is the returned one
+        # each computed step meets a support-1 vector, whose constraint is
+        # one run: the free column is read off it, with no row reduction.
+        # Of the schedule's 27 * 8 steps only those that can move the
+        # vector are computed, the state is two integers, so no basis
+        # monomials are multiplied, and the one fiber vector is the
+        # returned one
         def refuse(*args, **kwargs):
             raise AssertionError(
                 "the construction must not reduce a matrix, multiply fiber "
@@ -501,8 +518,32 @@ class TestAnnihilationConstruction:
                 w = annihilating_vector(spec, inst)
                 assert len(built) == 1 and len(w.entries) == 1
                 assert verify_annihilation(spec, inst, w) is True
-            assert len(columns) == len(products) == 27 * 8
-            assert [y.index for y in products] == columns
+            assert 1 <= len(columns) <= 4
+            assert columns[0] == 1
+            assert products == []
+
+    def test_construction_work_follows_moves(self, e23, tw23, monkeypatch):
+        # kill e(1,0;0) e(0,1;0) at shift (3,4) schedules 324 * 216 = 69,984
+        # steps and reaches a dimension of 175,698 digits; a handful of
+        # steps are computed
+        step = analysis._orthogonality_step
+        for spec in (e23, tw23):
+            inst = annihilation_instance(
+                spec, [(spec.monomial((1, 0), 0), spec.monomial((0, 1), 0))], (3, 4)
+            )
+            columns = []
+
+            def recorded(*args):
+                columns.append(step(*args))
+                return columns[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_orthogonality_step", recorded)
+                w = annihilating_vector(spec, inst)
+            assert 1 <= len(columns) <= 10
+            assert w.fiber == (324 * 216 * 2, 324 * 216 * 4)
+            assert w.dim == 324 ** (324 * 216)
+            assert verify_annihilation(spec, inst, w) is True
 
     def test_window_oracle_frozen_set(self):
         assert _window_oracle_bad_indices(6) == {0, 1, 727, 728}

@@ -285,41 +285,122 @@ def test_step_matches_dense_on_support_one():
     assert outcomes == {"equal dimensions", "past the run", "column 0"}
 
 
-# shifts up to (2,2), one or two pairs: up to 13,824 steps on e34
 STEPWISE_SPECS = {**SPECS, "q8": Q8, "twf23": TWF23}
+# the stepwise route costs about the square of its schedule: e23 at shift
+# (3,3) schedules 108 * 72 steps, 0.26 s
+STEPWISE_LIMIT = 8000
 
 
-@settings(ORACLE, max_examples=100)
-@given(
-    st.sampled_from(sorted(STEPWISE_SPECS)),
-    st.lists(
-        st.tuples(
-            st.sampled_from(FIBERS),
-            st.sampled_from(FIBERS),
-            st.integers(0, 10**6),
-            st.integers(0, 10**6),
-        ),
-        min_size=1,
-        max_size=2,
-    ),
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-)
-# on e24 dim(2,0) = dim(0,1): refused as the first pair, and after a pair
-@example("e24", [((0, 1), (2, 0), 0, 0)], (0, 0))
-@example("e24", [((1, 0), (0, 1), 1, 2), ((0, 1), (2, 0), 0, 0)], (0, 0))
-def test_construction_matches_stepwise(name, drawn, shift):
-    # the construction against the fiber vector per step that it replaced,
-    # down to the repr of the coefficient, on float twists too; a pair of
-    # equal dimensions must be refused with the same message
-    spec = STEPWISE_SPECS[name]
-    pairs = [(_monomial(spec, fx, i), _monomial(spec, fy, j)) for fx, fy, i, j in drawn]
-    assume(all(x.fiber != y.fiber for x, y in pairs))
-    for x, y in pairs:
-        shift = max_fiber(shift, max_fiber(x.fiber, y.fiber))
-    instance = analysis.annihilation_instance(spec, pairs, shift)
-    assert _outcome_text(lambda: analysis.annihilating_vector(spec, instance)) == _outcome_text(
-        lambda: stepwise_annihilating_vector(spec, instance)
+def _schedule_size(spec, instance):
+    return sum(spec.dim(s) * spec.dim(t) for s, t in instance.schedule)
+
+
+def _built(build):
+    """The built vector, or the message of the hypothesis violation raised."""
+    try:
+        return build()
+    except HypothesisViolationError as err:
+        return str(err)
+
+
+def _same_construction(spec, instance):
+    """The construction against the fiber vector per step that it replaced:
+    the same fiber, dimension and index, the same coefficient down to its
+    repr on exact fields and within 1e-6 on float ones, whose phases the
+    construction multiplies pairwise in closed form; a pair of equal
+    dimensions must be refused with the same message."""
+    jumped = _built(lambda: analysis.annihilating_vector(spec, instance))
+    stepwise = _built(lambda: stepwise_annihilating_vector(spec, instance))
+    if isinstance(jumped, str) or isinstance(stepwise, str):
+        assert jumped == stepwise
+        return
+    assert (jumped.fiber, jumped.dim, jumped.entries.keys()) == (
+        stepwise.fiber,
+        stepwise.dim,
+        stepwise.entries.keys(),
     )
+    for j, coeff in jumped.entries.items():
+        if spec.field.exact:
+            assert repr(coeff) == repr(stepwise.entries[j])
+        else:
+            assert abs(coeff.value - stepwise.entries[j].value) < 1e-6
+
+
+def test_construction_matches_stepwise():
+    # on every spec, the float twist included, with one or two drawn pairs
+    # and shifts up to (3,3); the schedule of a drawn instance is bounded
+    seen = set()
+
+    @settings(ORACLE, max_examples=100)
+    @given(
+        st.sampled_from(sorted(STEPWISE_SPECS)),
+        st.lists(
+            st.tuples(
+                st.sampled_from(FIBERS),
+                st.sampled_from(FIBERS),
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    )
+    # on e24 dim(2,0) = dim(0,1): refused as the first pair, and after a pair
+    @example("e24", [((0, 1), (2, 0), 0, 0)], (0, 0))
+    @example("e24", [((1, 0), (0, 1), 1, 2), ((0, 1), (2, 0), 0, 0)], (0, 0))
+    # kill e(1,0;0) e(0,1;0) at the largest shift, and a larger spec
+    @example("e23", [((1, 0), (0, 1), 0, 0)], (3, 3))
+    @example("e34", [((1, 0), (0, 1), 2, 3), ((0, 0), (1, 1), 0, 5)], (1, 1))
+    def check(name, drawn, shift):
+        spec = STEPWISE_SPECS[name]
+        pairs = [(_monomial(spec, fx, i), _monomial(spec, fy, j)) for fx, fy, i, j in drawn]
+        assume(all(x.fiber != y.fiber for x, y in pairs))
+        for x, y in pairs:
+            shift = max_fiber(shift, max_fiber(x.fiber, y.fiber))
+        instance = analysis.annihilation_instance(spec, pairs, shift)
+        assume(_schedule_size(spec, instance) <= STEPWISE_LIMIT)
+        _same_construction(spec, instance)
+        seen.add(name)
+
+    check()
+    assert seen == set(STEPWISE_SPECS)
+
+
+def test_jump_reaches_zero_one_and_several_moves(monkeypatch):
+    # the steps the construction computes and those among them that move
+    # the vector (a column past 0), against the stepwise route: no pairs;
+    # kill e(1,0;0) e(0,1;0), whose 6 scheduled steps move it at step 0;
+    # and on e23 the pairs (e(0,1;0), e(1,0;0)) and (e(1,0;0), I) at shift
+    # (1,1), whose 24 scheduled steps move it at steps 0 and 14
+    spec = SPECS["e23"]
+    step = analysis._orthogonality_step
+    cases = [
+        ([], None, 0, 0),
+        ([(spec.monomial((1, 0), 0), spec.monomial((0, 1), 0))], None, 2, 1),
+        (
+            [
+                (spec.monomial((0, 1), 0), spec.monomial((1, 0), 0)),
+                (spec.monomial((1, 0), 0), spec.identity_monomial),
+            ],
+            (1, 1),
+            3,
+            2,
+        ),
+    ]
+    for pairs, shift, computed, moves in cases:
+        columns = []
+
+        def recorded(*args):
+            columns.append(step(*args))
+            return columns[-1]
+
+        instance = analysis.annihilation_instance(spec, pairs, shift)
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_orthogonality_step", recorded)
+            _same_construction(spec, instance)
+        assert len(columns) == computed
+        assert sum(1 for col in columns if col) == moves
 
 
 def _sparse_vector(spec, data, fiber):
