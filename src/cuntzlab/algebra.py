@@ -1,25 +1,34 @@
 """The dense *-subalgebra spanned by products i(x) i(y)*.
 
 Elements are finite sums  sum c * e(s;j) e(t;l)'  with scalar coefficients
-from the system's field.  Multiplication rewrites inner products of adjoint
-pairs back into the spanning family:
+from the system's field, held as diagonal runs: a run ``(s, t, row0, col0,
+length, c)`` is the sum of c e(s;row0+u) e(t;col0+u)' for u < length.  On
+the exact fields the runs of a fiber pair are maximal (see ``runs``), so a
+Cuntz sum  sum_{x in B_f} i(x) i(x)*  is one run and costs one run in every
+sum, zero test and evaluation, whatever dim(f) is.  On float every entry is
+its own run, so float sums keep the order and the bits of entry sums.
+``AlgebraElement.terms`` expands the runs into terms, on demand.
+
+Multiplication rewrites inner products of adjoint pairs back into the
+spanning family:
 
     i(y')* i(x')  =  sum_{x in B_s, y in B_t} <x'.y, y'.x> i(x) i(y)*
 
 (s the fiber of x', t the fiber of y'), which for basis monomials leaves at
 most dim(s) surviving terms along a stride.  ``multiply`` finds them as one
-window of index arithmetic per pair of inner monomials; the degree, the
-product fibers and the phases of a fiber quadruple (x fiber, s, y fiber, t)
-are cached on the spec, so products on one spec compute them once.  On the
-exact fields the rewrite phase and the two basis phases fold into one
-factor, so a term pair costs at most two field multiplications; on float
-they stay three factors in a fixed order, so a product keeps its rounding
-whether the cache was cold or warm.  Zero and equality testing go
-through ``normal_form``, which raises the terms of each degree g to one
-bidegree (c, c - g) as diagonal runs (see ``runs``).  They vanish exactly
-when the element is zero: the monomials at one bidegree are linearly
-independent whenever the system admits a nontrivial Cuntz representation,
-as every twisted lexicographic system, the only kind the engine builds, does.
+window of index arithmetic per pair of inner monomials, walking the entries
+of its operands' runs; the product fibers and the phases of a fiber
+quadruple (x fiber, s, y fiber, t) are cached on the spec, so products on
+one spec compute them once.  On the exact fields the rewrite phase and the
+two basis phases fold into one factor, so an entry pair costs at most two
+field multiplications; on float they stay three factors in a fixed order,
+so a product keeps its rounding whether the cache was cold or warm.  Zero
+and equality testing go through ``normal_form``, which raises the runs of
+each degree g to one bidegree (c, c - g) (see ``runs``).  They vanish
+exactly when the element is zero: the monomials at one bidegree are
+linearly independent whenever the system admits a nontrivial Cuntz
+representation, as every twisted lexicographic system, the only kind the
+engine builds, does.
 
 ``equals(a, b)`` decides a = b in O_E, exactly on the exact fields, as
 ``normal_form(a - b)`` would; the relation checks of ``morphisms`` rest on it.
@@ -27,10 +36,12 @@ as every twisted lexicographic system, the only kind the engine builds, does.
 
 from __future__ import annotations
 
-from itertools import groupby
+from heapq import merge
+from itertools import groupby, islice, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .runs import raise_terms
+from .runs import raise_terms, sweep
 from .system import (
     BasisMonomial,
     SystemSpec,
@@ -47,28 +58,32 @@ class Term(NamedTuple):
     right: BasisMonomial
 
 
-def _term_sort_key(t: Term):
-    degree = sub_degree(t.left.fiber, t.right.fiber)
-    return (degree, t.left.fiber, t.left.index, t.right.index)
+_pair_of = itemgetter(0, 1)
+
+
+def _pair_order(pair):
+    """The canonical order of fiber pairs: by degree, then left fiber."""
+    return sub_degree(*pair), pair[0]
 
 
 class AlgebraElement:
-    """An immutable finite sum of terms c * e(left) e(right)'.
+    """An immutable finite sum of runs (s, t, row0, col0, length, c).
 
-    Terms are kept merged, zero-pruned and canonically sorted (by degree,
-    then left fiber, then indices), so ``==`` is structural identity of the
-    canonical form.  Semantic equality in the algebra is ``equals``.
+    Runs are nonzero, disjoint, grouped by fiber pair and sorted by degree,
+    then left fiber, then (row0, col0); on the exact fields they are
+    maximal, so ``==`` is structural identity of the canonical form.
+    Semantic equality in the algebra is ``equals``.
 
     An element is valid by construction: ``AlgebraElement(spec, term_map)``,
     and ``from_terms`` through it, passes both monomials of every key to
     ``spec.monomial``, so each fiber is in N^k and each index an int below
     the fiber's dimension.  Every key is checked, never one per fiber:
     (1.0, 0) hashes and compares like (1, 0).  The package's kernels build
-    their results from checked monomials with ``_canonical`` and
-    ``_from_map``, which check nothing, and no later operation checks again.
+    their results from checked fibers and indices with ``_canonical`` and
+    ``_build``, which check nothing, and no later operation checks again.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "runs")
 
     def __init__(self, spec: SystemSpec, term_map: dict):
         monomial = spec.monomial
@@ -76,23 +91,21 @@ class AlgebraElement:
             monomial(*x)
             monomial(*y)
         self.spec = spec
-        self.terms = AlgebraElement._from_map(spec, term_map).terms
+        self.runs = _map_runs(spec, term_map)
 
     @classmethod
-    def _canonical(cls, spec: SystemSpec, terms) -> "AlgebraElement":
-        """An element of terms that are already merged, nonzero and sorted."""
+    def _canonical(cls, spec: SystemSpec, runs) -> "AlgebraElement":
+        """An element of runs that are already canonical."""
         out = cls.__new__(cls)
         out.spec = spec
-        out.terms = tuple(terms)
+        out.runs = tuple(runs)
         return out
 
     @classmethod
     def _from_map(cls, spec: SystemSpec, term_map: dict) -> "AlgebraElement":
         """The element of a {(left, right): coeff} map whose monomials are
-        checked or built from checked ones: zeros pruned, terms sorted."""
-        terms = [Term(c, x, y) for (x, y), c in term_map.items() if not c.is_zero()]
-        terms.sort(key=_term_sort_key)
-        return cls._canonical(spec, terms)
+        checked or built from checked ones."""
+        return cls._canonical(spec, _map_runs(spec, term_map))
 
     # -- construction -----------------------------------------------------
 
@@ -107,76 +120,199 @@ class AlgebraElement:
             acc[key] = c if cur is None else cur + c
         return AlgebraElement(spec, acc)
 
+    # -- terms ------------------------------------------------------------
+
+    def _iter_terms(self):
+        """The terms of the runs in canonical order: by degree, left fiber
+        and (left index, right index).  Single entries come in that order;
+        the entries of longer runs are merged by row lazily, so ``repr``
+        reads the first terms without expanding the rest."""
+        runs = self.runs
+        for run in runs:
+            if run[4] != 1:
+                break
+        else:
+            return [
+                Term(v, BasisMonomial(fx, r), BasisMonomial(fy, c)) for fx, fy, r, c, _, v in runs
+            ]
+        return _merged_terms(runs)
+
+    @property
+    def terms(self) -> tuple:
+        """The terms c * e(left) e(right)', one per entry of the runs, in
+        canonical order; it costs the entries, not the runs."""
+        return tuple(self._iter_terms())
+
     # -- linear structure ---------------------------------------------------
 
     def _require_same(self, other: "AlgebraElement"):
         if not same_system(self.spec, other.spec):
             raise ValueError("elements belong to different systems")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same(other)
-        acc = {(x, y): c for c, x, y in self.terms}
-        add_terms(acc, other.terms, 1)
-        return AlgebraElement._from_map(self.spec, acc)
+        acc: dict = {}
+        add_runs(acc, self, 1)
+        add_runs(acc, other, sign)
+        return summed(self.spec, acc)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        # negation keeps the terms distinct, nonzero and in canonical order
+        # negation keeps the runs nonzero, maximal and in canonical order
         return AlgebraElement._canonical(
-            self.spec, [Term(-c, x, y) for c, x, y in self.terms]
+            self.spec, [(fx, fy, r, c, n, -v) for fx, fy, r, c, n, v in self.runs]
         )
 
     def scaled(self, coeff) -> "AlgebraElement":
-        # scaling keeps the terms distinct and in canonical order
+        # a nonzero scale keeps equal coefficients equal and unequal ones
+        # unequal, so the runs stay maximal and in canonical order
         c = self.spec.field.coerce(coeff)
-        terms = [Term(c * t.coeff, t.left, t.right) for t in self.terms]
-        return AlgebraElement._canonical(
-            self.spec, [t for t in terms if not t.coeff.is_zero()]
-        )
+        runs = [(fx, fy, r, col, n, c * v) for fx, fy, r, col, n, v in self.runs]
+        return AlgebraElement._canonical(self.spec, [run for run in runs if not run[5].is_zero()])
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement._from_map(
-            self.spec, {(t.right, t.left): t.coeff.conj() for t in self.terms}
-        )
+        groups: dict = {}
+        for fx, fy, r, c, n, v in self.runs:
+            groups.setdefault((fy, fx), []).append((c, r, n, v.conj()))
+        return AlgebraElement._canonical(self.spec, _build(self.spec, groups))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return same_system(self.spec, other.spec) and self.terms == other.terms
+        return same_system(self.spec, other.spec) and self.runs == other.runs
 
     def __repr__(self):
-        if not self.terms:
+        if not self.runs:
             return "AlgebraElement<0>"
-        parts = [f"{t.coeff!r}*{t.left!r}{t.right!r}'" for t in self.terms[:4]]
-        more = "" if len(self.terms) <= 4 else f" ... ({len(self.terms)} terms)"
+        parts = [f"{t.coeff!r}*{t.left!r}{t.right!r}'" for t in islice(self._iter_terms(), 4)]
+        count = sum(run[4] for run in self.runs)
+        more = "" if count <= 4 else f" ... ({count} terms)"
         return "AlgebraElement<" + " + ".join(parts) + more + ">"
 
 
-def add_terms(acc: dict, terms, sign: int) -> None:
-    """Add ``sign`` (+1 or -1) times the (coeff, left, right) terms of one
-    element into the {(left, right): coeff} map ``acc``, dropping a key the
-    moment its coefficient sums to zero: the rule for every sum of
-    elements.  A sum built so, one element at a time, prunes as adding the
-    elements one by one does; on float a residue below the zero tolerance
-    is dropped, not carried into later additions.
+def _merged_terms(runs):
+    """The terms of ``runs`` pair by pair, a pair's entries merged by row."""
+    for (fx, fy), group in groupby(runs, key=_pair_of):
+        group = [zip(range(r, r + n), range(c, c + n), repeat(v)) for _, _, r, c, n, v in group]
+        for i, j, v in group[0] if len(group) == 1 else merge(*group):
+            yield Term(v, BasisMonomial(fx, i), BasisMonomial(fy, j))
+
+
+def _map_runs(spec: SystemSpec, term_map: dict) -> tuple:
+    """The runs of a {(left, right): coeff} map (see ``_build``)."""
+    if len(term_map) == 1:
+        ((x, y), c), = term_map.items()
+        return () if c.is_zero() else ((x.fiber, y.fiber, x.index, y.index, 1, c),)
+    groups: dict = {}
+    for (x, y), c in term_map.items():
+        pair = x.fiber, y.fiber
+        group = groups.get(pair)
+        if group is None:
+            group = groups[pair] = []
+        group.append((x.index, y.index, 1, c))
+    return _build(spec, groups)
+
+
+def _build(spec: SystemSpec, groups: dict) -> tuple:
+    """The canonical runs of {(fx, fy): runs (row0, col0, length, coeff)},
+    the runs of a pair disjoint and their fibers and indices checked: the
+    one run builder.  Pairs come in canonical order, their degree computed
+    once per pair, and zero runs are dropped.  On the exact fields a run
+    that continues the last run of its diagonal with an ``is`` or ``==``
+    coefficient lengthens it, keeping the first coefficient object, so the
+    runs are maximal; on float each entry is its own run."""
+    exact = spec.field.exact
+    out = []
+    for fx, fy in sorted(groups, key=_pair_order):
+        runs = groups[fx, fy]
+        if not exact:
+            runs = [(r + u, c + u, 1, v) for r, c, n, v in runs for u in range(n)]
+        # runs start at distinct cells, so coefficients are never compared
+        runs.sort()
+        last: dict = {}  # diagonal offset -> index in out of its last run
+        for r, c, n, v in runs:
+            if v.is_zero():
+                continue
+            k = last.get(c - r) if exact else None
+            if k is not None:
+                run = out[k]
+                if run[2] + run[4] == r and (run[5] is v or run[5] == v):
+                    out[k] = (fx, fy, run[2], run[3], run[4] + n, run[5])
+                    continue
+            last[c - r] = len(out)
+            out.append((fx, fy, r, c, n, v))
+    return tuple(out)
+
+
+def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
+    """Add ``sign`` (+1 or -1) times ``a`` into the sum ``acc``: the rule
+    for every sum of elements, read back by ``summed`` or ``_sum_runs``.
+
+    On the exact fields ``acc`` maps a fiber pair to its runs: the runs of
+    the one element that reached it, or the list of every element's runs,
+    swept when read, so a sum costs its runs whatever their lengths.  A
+    pair whose runs equal those subtracted from it cancels at one ``==``
+    per run.  On float ``acc`` maps an entry (fx, fy, row, col) to its
+    coefficient, and a key is dropped the moment it sums to zero: a sum
+    built so, one element at a time, prunes as adding the elements one by
+    one does, and a residue below the zero tolerance is dropped, not
+    carried into later additions.
     """
-    for c, x, y in terms:
-        key = (x, y)
-        cur = acc.get(key)
+    if not a.spec.field.exact:
+        # float runs are single entries
+        for fx, fy, r, c, _, v in a.runs:
+            key = (fx, fy, r, c)
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = v if sign > 0 else -v
+                continue
+            total = cur + v if sign > 0 else cur - v
+            if total.is_zero():
+                del acc[key]
+            else:
+                acc[key] = total
+        return
+    for pair, group in groupby(a.runs, key=_pair_of):
+        group = tuple(group)
+        cur = acc.get(pair)
         if cur is None:
-            acc[key] = c if sign > 0 else -c
-            continue
-        total = cur + c if sign > 0 else cur - c
-        if total.is_zero():
-            del acc[key]
+            acc[pair] = group if sign > 0 else tuple(
+                (fx, fy, r, c, n, -v) for fx, fy, r, c, n, v in group
+            )
+        elif sign < 0 and cur == group:
+            del acc[pair]
         else:
-            acc[key] = total
+            if type(cur) is tuple:
+                cur = acc[pair] = [run[2:] for run in cur]
+            cur += [(r, c, n, v if sign > 0 else -v) for _, _, r, c, n, v in group]
+
+
+def _sum_runs(acc: dict, exact: bool) -> list:
+    """The runs of the sum ``acc`` (see ``add_runs``), pair by pair in the
+    order the pairs first reached it; on float, entry by entry."""
+    if not exact:
+        return [(fx, fy, r, c, 1, v) for (fx, fy, r, c), v in acc.items()]
+    out = []
+    for (fx, fy), runs in acc.items():
+        if type(runs) is list:
+            runs = [(fx, fy, r, c, n, v) for r, c, n, v in sweep(runs)]
+        out += runs
+    return out
+
+
+def summed(spec: SystemSpec, acc: dict) -> AlgebraElement:
+    """The element of the sum ``acc`` built by ``add_runs``."""
+    groups: dict = {}
+    for fx, fy, r, c, n, v in _sum_runs(acc, spec.field.exact):
+        groups.setdefault((fx, fy), []).append((r, c, n, v))
+    return AlgebraElement._canonical(spec, _build(spec, groups))
 
 
 def zero(spec: SystemSpec) -> AlgebraElement:
@@ -184,8 +320,8 @@ def zero(spec: SystemSpec) -> AlgebraElement:
 
 
 def identity(spec: SystemSpec) -> AlgebraElement:
-    e = spec.identity_monomial
-    return AlgebraElement._canonical(spec, [Term(spec.field.one, e, e)])
+    e = spec.identity_monomial.fiber
+    return AlgebraElement._canonical(spec, [(e, e, 0, 0, 1, spec.field.one)])
 
 
 def monomial_pair(spec, x: BasisMonomial, y: BasisMonomial, coeff=1) -> AlgebraElement:
@@ -205,26 +341,25 @@ def isometry(spec, x: BasisMonomial) -> AlgebraElement:
 _UNSEEN = object()
 
 
-def _window(spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial):
-    """The survivors of i(y')* i(x') as one window, or None if there are none.
+def _window(spec: SystemSpec, t, j: int, s, i: int):
+    """The survivors of i(y')* i(x') for y' = e(t;j) and x' = e(s;i) as one
+    window, or None if there are none.
 
-    With s the fiber of x' and t that of y', the survivors are the pairs
-    (e(s;lx), e(t;base+lx)) for lo <= lx < hi; the window is returned as
-    (s, t, dim_s, dim_t, base, lo, hi).  It is index arithmetic only: every
-    survivor carries the rewrite phase omega(s,t) * conj(omega(t,s)), which
-    depends on the fibers alone (see ``_fiber_data``).  Equal fibers leave
-    <x'|y'> times the identity,
+    The survivors are the pairs (e(s;lx), e(t;base+lx)) for lo <= lx < hi;
+    the window is returned as (s, t, dim_s, dim_t, base, lo, hi).  It is
+    index arithmetic only: every survivor carries the rewrite phase
+    omega(s,t) * conj(omega(t,s)), which depends on the fibers alone (see
+    ``_fiber_data``).  Equal fibers leave <x'|y'> times the identity,
     returned as the one-survivor window of the zero fiber.  Both fibers
     must be valid.
     """
-    s, t = x_prime.fiber, y_prime.fiber
     if s == t:
-        if x_prime.index != y_prime.index:
+        if i != j:
             return None
         e = spec.identity_monomial.fiber
         return e, e, 1, 1, 0, 0, 1
     dim_s, dim_t = spec._dim(s), spec._dim(t)
-    base = y_prime.index * dim_s - x_prime.index * dim_t
+    base = j * dim_s - i * dim_t
     # survivors are the lx with 0 <= base + lx < dim_t
     lo, hi = max(0, -base), min(dim_s, dim_t - base)
     if lo >= hi:
@@ -237,7 +372,7 @@ def rewrite_pair(
 ) -> AlgebraElement:
     """Expand i(y')* i(x') in the spanning family: the product of the
     one-term elements i(y')* and i(x'), whose survivors are one window (see
-    ``_window``) in canonical order.
+    ``_window``).
 
     When the fibers agree this collapses to <x'|y'> times the identity.
     Otherwise the surviving terms are exactly the basis pairs (x, y) with
@@ -246,49 +381,28 @@ def rewrite_pair(
     """
     spec.monomial(*y_prime)
     spec.monomial(*x_prime)
-    e, one = spec.identity_monomial, spec.field.one
-    return _term_product(spec, Term(one, e, y_prime), Term(one, x_prime, e))
+    e, one = spec.identity_monomial.fiber, spec.field.one
+    y_star = (e, y_prime.fiber, 0, y_prime.index, 1, one)
+    return _term_product(spec, y_star, (x_prime.fiber, e, x_prime.index, 0, 1, one))
 
 
-def _keyed_element(spec: SystemSpec, acc: dict) -> AlgebraElement:
-    """The element of {(degree, left fiber, left index, right fiber, right
-    index): coeff}; the keys sort in the canonical term order, since the
-    degree and the left fiber fix the right fiber.  Terms share their
-    monomials, one per distinct (fiber, index), which must be built from
-    checked ones."""
-    monomials: dict = {}
-    terms = []
-    for (_, fx, ix, fy, iy), c in sorted(acc.items()):
-        if c.is_zero():
-            continue
-        x = monomials.get((fx, ix))
-        if x is None:
-            x = monomials[(fx, ix)] = BasisMonomial(fx, ix)
-        y = monomials.get((fy, iy))
-        if y is None:
-            y = monomials[(fy, iy)] = BasisMonomial(fy, iy)
-        terms.append(Term(c, x, y))
-    return AlgebraElement._canonical(spec, terms)
+def _fiber_data(spec: SystemSpec, xf, yf, window):
+    """((x.s, y.t), factors) of a survivor window of x ... y*: the data of
+    its fiber quadruple (x fiber, s, y fiber, t), whose fibers are valid,
+    computed once into the spec's ``fiber_quads`` cache.  No other code
+    reads or writes that cache.
 
-
-def _fiber_data(spec: SystemSpec, x: BasisMonomial, y: BasisMonomial, window):
-    """(degree, x.s, y.t, factors) of a survivor window of x ... y*: the
-    data of its fiber quadruple (x fiber, s, y fiber, t), whose fibers are
-    valid, computed once into the spec's ``fiber_quads`` cache.  No other
-    code reads or writes that cache.
-
-    ``factors`` are the scalars that multiply a term coefficient c_a*c_b:
+    ``factors`` are the scalars that multiply a coefficient product c_a*c_b:
     none when untwisted; on an exact field the one product of the rewrite
     phase omega(s,t) * conj(omega(t,s)), omega(x, s) and conj(omega(y, t)),
     or none when that is one; on float the three of them in that order, so
     float products keep their rounding.  Both fibers of the identity window
     are zero, so its rewrite phase is the field's one, float bits included.
     """
-    quad = (x.fiber, window[0], y.fiber, window[1])
+    quad = (xf, window[0], yf, window[1])
     data = spec.fiber_quads.get(quad)
     if data is None:
         xf, s, yf, t = quad
-        fx, fy = add_fibers(xf, s), add_fibers(yf, t)
         factors = ()
         if spec.is_twisted:
             phase = spec._phase
@@ -296,24 +410,24 @@ def _fiber_data(spec: SystemSpec, x: BasisMonomial, y: BasisMonomial, window):
             if spec.field.exact:
                 folded = factors[0] * factors[1] * factors[2]
                 factors = () if folded.is_one() else (folded,)
-        data = spec.fiber_quads[quad] = sub_degree(fx, fy), fx, fy, factors
+        data = spec.fiber_quads[quad] = (add_fibers(xf, s), add_fibers(yf, t)), factors
     return data
 
 
-def _term_product(spec: SystemSpec, ta: Term, tb: Term) -> AlgebraElement:
-    """The product of two one-term elements.
+def _term_product(spec: SystemSpec, ra: tuple, rb: tuple) -> AlgebraElement:
+    """The product of two one-entry elements, given by their runs.
 
-    Its survivors have distinct monomials and come in canonical order, so
-    it needs no dict and no sort; the coefficient is built as ``multiply``
-    builds it and pruned as ``_keyed_element`` prunes it.  The identity
-    window keeps the input monomials.
+    Its survivors are one window on one diagonal, with one coefficient
+    built as ``multiply`` builds it: on the exact fields one run, made
+    without enumerating the window, and on float one run per survivor, in
+    canonical order.  The identity window keeps the input fibers.
     """
-    ca, x, ya = ta
-    cb, xb, y = tb
-    window = _window(spec, ya, xb)
+    xf, ya, i, ja, _, ca = ra
+    xb, yf, ib, j, _, cb = rb
+    window = _window(spec, ya, ja, xb, ib)
     if window is None:
         return zero(spec)
-    _, fx, fy, factors = _fiber_data(spec, x, y, window)
+    (fx, fy), factors = _fiber_data(spec, xf, yf, window)
     coeff = ca * cb
     for f in factors:
         coeff = coeff * f
@@ -321,57 +435,69 @@ def _term_product(spec: SystemSpec, ta: Term, tb: Term) -> AlgebraElement:
         return zero(spec)
     s, t, dim_s, dim_t, base, lo, hi = window
     if s == t:
-        return AlgebraElement._canonical(spec, [Term(coeff, x, y)])
-    i0 = x.index * dim_s
-    j0 = y.index * dim_t + base
-    terms = [
-        Term(coeff, BasisMonomial(fx, i0 + lx), BasisMonomial(fy, j0 + lx))
-        for lx in range(lo, hi)
-    ]
-    return AlgebraElement._canonical(spec, terms)
+        return AlgebraElement._canonical(spec, [(xf, yf, i, j, 1, coeff)])
+    i0 = i * dim_s + lo
+    j0 = j * dim_t + base + lo
+    if spec.field.exact:
+        return AlgebraElement._canonical(spec, [(fx, fy, i0, j0, hi - lo, coeff)])
+    return AlgebraElement._canonical(
+        spec, [(fx, fy, i0 + u, j0 + u, 1, coeff) for u in range(hi - lo)]
+    )
+
+
+def _entries(runs) -> list:
+    """(coeff, left fiber, left index, right fiber, right index) per entry
+    of ``runs``, in run order."""
+    return [(v, fx, r + u, fy, c + u) for fx, fy, r, c, n, v in runs for u in range(n)]
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The product a*b, one survivor window per pair of terms.
+    """The product a*b, one survivor window per pair of entries.
 
-    A term pair (c_a x y_a*) (c_b x_b y*) contributes the survivors of
+    An entry pair (c_a x y_a*) (c_b x_b y*) contributes the survivors of
     i(y_a)* i(x_b), mapped to e(x.s; x.index*dim_s + lx) e(y.t;
     y.index*dim_t + base + lx)' with the coefficient c_a*c_b times the
     rewrite phase, omega(x, s) and conj(omega(y, t)).  Windows are computed
-    once per pair of inner monomials; the degree, the fibers x.s and y.t
-    and the phases once per fiber quadruple (x fiber, s, y fiber, t), in
-    the spec's ``fiber_quads`` cache, so later products on the spec reuse
-    them.  On exact fields the three phases are folded into one factor, so
-    a term pair costs at most two field multiplications; the survivors
-    cost index arithmetic only.  A product of two one-term elements skips
-    the dicts and the sort (see ``_term_product``).
+    once per pair of inner monomials; the fibers x.s and y.t and the phases
+    once per fiber quadruple (x fiber, s, y fiber, t), in the spec's
+    ``fiber_quads`` cache, so later products on the spec reuse them.  On
+    exact fields the three phases are folded into one factor, so an entry
+    pair costs at most two field multiplications; the survivors cost index
+    arithmetic and one dict entry each, and ``_build`` makes them runs.  A
+    product of two one-entry elements skips the dicts and the sort (see
+    ``_term_product``).
     """
     a._require_same(b)
     spec = a.spec
-    if len(a.terms) == 1 and len(b.terms) == 1:
-        return _term_product(spec, a.terms[0], b.terms[0])
+    if len(a.runs) == 1 == len(b.runs) and a.runs[0][4] == 1 == b.runs[0][4]:
+        return _term_product(spec, a.runs[0], b.runs[0])
     windows: dict = {}
-    acc: dict = {}
-    for ca, x, ya in a.terms:
-        for cb, xb, y in b.terms:
-            key = (ya.fiber, ya.index, xb.fiber, xb.index)
+    acc: dict = {}  # (x.s, y.t) -> {(left index, right index): coeff}
+    rights = _entries(b.runs)
+    for ca, xf, i, ya, ja in _entries(a.runs):
+        for cb, xb, ib, yf, j in rights:
+            key = (ya, ja, xb, ib)
             window = windows.get(key, _UNSEEN)
             if window is _UNSEEN:
-                window = windows[key] = _window(spec, ya, xb)
+                window = windows[key] = _window(spec, ya, ja, xb, ib)
             if window is None:
                 continue
             s, t, dim_s, dim_t, base, lo, hi = window
-            g, fx, fy, factors = _fiber_data(spec, x, y, window)
+            pair, factors = _fiber_data(spec, xf, yf, window)
             coeff = ca * cb
             for f in factors:
                 coeff = coeff * f
-            i0 = x.index * dim_s
-            j0 = y.index * dim_t + base
+            i0 = i * dim_s
+            j0 = j * dim_t + base
+            cells = acc.get(pair)
+            if cells is None:
+                cells = acc[pair] = {}
             for lx in range(lo, hi):
-                k = (g, fx, i0 + lx, fy, j0 + lx)
-                cur = acc.get(k)
-                acc[k] = coeff if cur is None else cur + coeff
-    return _keyed_element(spec, acc)
+                k = (i0 + lx, j0 + lx)
+                cur = cells.get(k)
+                cells[k] = coeff if cur is None else cur + coeff
+    groups = {pair: [(r, c, 1, v) for (r, c), v in cells.items()] for pair, cells in acc.items()}
+    return AlgebraElement._canonical(spec, _build(spec, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +508,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 class NormalForm:
     """Canonical run data of an element: per degree g a block (c, runs).
 
-    The runs are the sweep (see ``runs``) of the raised terms, in term
-    order; a run ``(row0, col0, length, coeff)`` puts ``coeff`` on the
+    The runs are the sweep (see ``runs``) of the raised runs of the
+    element; a run ``(row0, col0, length, coeff)`` puts ``coeff`` on the
     entries e(c;row0+f) e(c-g;col0+f)' for f < length.  Swept runs are
     maximal on the exact fields, so there a block holds the fewest runs its
     matrix allows: a Cuntz sum is one run.  Blocks without runs are
@@ -404,9 +530,10 @@ class NormalForm:
         return f"NormalForm<degrees: {keys or '0 (empty)'}>"
 
 
-def _raised_blocks(spec: SystemSpec, terms) -> dict:
-    """The nonzero blocks {degree: (c, runs)} of the (coeff, left, right)
-    terms, in degree order: ``runs.raise_terms`` keyed by degree."""
+def _raised_blocks(spec: SystemSpec, runs) -> dict:
+    """The nonzero blocks {degree: (c, runs)} of the runs (fx, fy, row0,
+    col0, length, coeff), in degree order: ``runs.raise_terms`` keyed by
+    degree."""
     tops: dict = {}  # degree -> c, the max of its left fibers
 
     def place(pairs):
@@ -425,43 +552,41 @@ def _raised_blocks(spec: SystemSpec, terms) -> dict:
             out.append((g, spec._dim(r), phase))
         return out
 
-    raised = raise_terms(terms, place)
+    raised = raise_terms(runs, place)
     return {g: (tops[g], raised[g]) for g in sorted(raised) if raised[g]}
 
 
 def normal_form(a: AlgebraElement) -> NormalForm:
-    """The degree blocks of ``a``: its terms raised and swept by
+    """The degree blocks of ``a``: its runs raised and swept by
     ``runs.raise_terms``, which makes the runs maximal on the exact fields."""
-    # the canonical term order keeps the terms of one fiber pair together,
-    # so the runs of each degree are raised in term order
-    return NormalForm(a.spec, _raised_blocks(a.spec, a.terms))
+    # the canonical order keeps the runs of one fiber pair together
+    return NormalForm(a.spec, _raised_blocks(a.spec, a.runs))
 
 
 def expand_normal_form(nf: NormalForm) -> AlgebraElement:
-    """Rebuild an element from its normal form runs, one term per entry;
-    swept runs are disjoint, so the entries are distinct."""
-    acc = {}
-    for degree, (c, runs) in nf.blocks.items():
-        c_right = sub_degree(c, degree)
-        for row0, col0, length, coeff in runs:
-            for f in range(length):
-                acc[BasisMonomial(c, row0 + f), BasisMonomial(c_right, col0 + f)] = coeff
-    return AlgebraElement._from_map(nf.spec, acc)
+    """Rebuild an element from its normal form: a block (c, runs) of degree
+    g holds the runs of the fiber pair (c, c - g).  It costs the runs on
+    the exact fields and the entries on float."""
+    groups = {
+        (c, sub_degree(c, degree)): list(runs) for degree, (c, runs) in nf.blocks.items()
+    }
+    return AlgebraElement._canonical(nf.spec, _build(nf.spec, groups))
 
 
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
     """Equality in the algebra: structural fast path, then normal form.
 
-    The terms of b are subtracted from those of a by ``add_terms``, and
-    the rest are raised and swept as ``normal_form`` would do with a - b,
-    without building a - b as an element.
+    b is subtracted from a by ``add_runs``, and the runs of the difference
+    are raised and swept as ``normal_form`` would do with a - b, without
+    building a - b as an element.
     """
     a._require_same(b)
-    if a.terms == b.terms:
+    if a.runs == b.runs:
         return True
-    acc = {(t.left, t.right): t.coeff for t in a.terms}
-    add_terms(acc, b.terms, -1)
-    return not _raised_blocks(a.spec, ((c, x, y) for (x, y), c in acc.items()))
+    acc: dict = {}
+    add_runs(acc, a, 1)
+    add_runs(acc, b, -1)
+    return not _raised_blocks(a.spec, _sum_runs(acc, a.spec.field.exact))
 
 
 # ---------------------------------------------------------------------------
@@ -470,42 +595,35 @@ def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
 
 
 def gauge_expectation(a: AlgebraElement) -> AlgebraElement:
-    """Projection onto the degree-zero terms (the gauge-invariant part)."""
-    return AlgebraElement._canonical(
-        a.spec, [t for t in a.terms if t.left.fiber == t.right.fiber]
-    )
+    """Projection onto the degree-zero runs (the gauge-invariant part)."""
+    return AlgebraElement._canonical(a.spec, [run for run in a.runs if run[0] == run[1]])
 
 
 def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
     """sum over the basis f of the fiber s of  i(f) a i(f)*.
 
-    A term c x y* becomes the terms c' (f.x)(f.y)*, where f.x has index
-    f*dim(x) + x.index and c' = c omega(s, x) conj(omega(s, y)) is the same
-    for every f; fibers and phases are computed once per fiber pair (x, y).
-    The images step by dim(x) on the left and dim(y) on the right, so they
-    are strided, not a diagonal run, and each is its own term: a shift by s
-    costs dim(s) terms per term.  They are distinct and come out in
-    canonical order: the terms of one fiber pair are contiguous in
-    ``a.terms``, and within a pair image f of every term precedes image f + 1.
+    A run (x, y, row0, col0, length, c) becomes the runs (f.x, f.y,
+    f*dim(x) + row0, f*dim(y) + col0, length, c'), where c' = c omega(s, x)
+    conj(omega(s, y)) is the same for every f; fibers and phases are
+    computed once per fiber pair (x, y).  The images step by dim(x) on the
+    left and dim(y) on the right, so a shift by s costs dim(s) runs per
+    run; on the exact fields ``_build`` joins the images that continue each
+    other, as those of a Cuntz sum do, into one run.
     """
     spec = a.spec
     s = spec.check_fiber(s)
-    if not a.terms:
+    if not a.runs:
         return a  # alpha_s(0) = 0, however large dim(s) is
     n = spec._dim(s)
-    terms = []
-    for (xf, yf), group in groupby(a.terms, key=lambda t: (t.left.fiber, t.right.fiber)):
-        group = [(t.coeff, t.left.index, t.right.index) for t in group]
+    groups: dict = {}
+    for (xf, yf), group in groupby(a.runs, key=_pair_of):
+        group = [run[2:] for run in group]
         # untwisted phases are the field's one; a float product may be zero
         if spec.is_twisted:
             ph_l, ph_r = spec._phase(s, xf), spec._phase(s, yf).conj()
-            group = [(c * ph_l * ph_r, i, j) for c, i, j in group]
-            group = [(c, i, j) for c, i, j in group if not c.is_zero()]
-        fx, fy = add_fibers(s, xf), add_fibers(s, yf)
+            group = [(r, c, m, v * ph_l * ph_r) for r, c, m, v in group]
         dim_x, dim_y = spec._dim(xf), spec._dim(yf)
-        for f in range(n):
-            terms += [
-                Term(c, BasisMonomial(fx, f * dim_x + i), BasisMonomial(fy, f * dim_y + j))
-                for c, i, j in group
-            ]
-    return AlgebraElement._canonical(spec, terms)
+        groups[add_fibers(s, xf), add_fibers(s, yf)] = [
+            (f * dim_x + r, f * dim_y + c, m, v) for f in range(n) for r, c, m, v in group
+        ]
+    return AlgebraElement._canonical(spec, _build(spec, groups))

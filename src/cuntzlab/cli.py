@@ -31,6 +31,7 @@ from . import algebra, analysis, expr, morphisms, steprep
 from .analysis import HypothesisViolationError
 from .steprep import CharacterTwist
 from .system import (
+    BasisMonomial,
     ConfigurationError,
     SpecFormatError,
     SystemSpec,
@@ -116,12 +117,12 @@ def _parse_character(spec: SystemSpec, text: str) -> CharacterTwist:
 def _parse_generator(spec: SystemSpec, text: str):
     """A CLI argument that must denote a single generator isometry."""
     elem = _parse_element(spec, text)
-    if len(elem.terms) != 1:
+    if len(elem.runs) != 1 or elem.runs[0][4] != 1:
         raise UsageError(f"{text!r} is not a single generator monomial")
-    term = elem.terms[0]
-    if term.right != spec.identity_monomial or not term.coeff.is_one():
+    fx, fy, i, j, _, coeff = elem.runs[0]
+    if BasisMonomial(fy, j) != spec.identity_monomial or not coeff.is_one():
         raise UsageError(f"{text!r} is not a plain generator monomial")
-    return term.left
+    return BasisMonomial(fx, i)
 
 
 def _fiber_text(fiber) -> str:
@@ -167,10 +168,15 @@ def _cmd_alpha(args, reporter: Reporter) -> int:
     # any term is built whether the result can be printed; once log10 dim(s)
     # passes the limit by a digit, 10^limit stands in for dim(s) - 1
     limit = sys.get_int_max_str_digits()
-    if limit and element.terms:
+    if limit and element.runs:
         log_dim = sum(e * math.log10(m) for m, e in zip(spec.gen_dims, fiber))
         step = 10**limit if log_dim > limit + 1 else spec.dim(fiber) - 1
-        tops = [step * spec.dim(x.fiber) + x.index for t in element.terms for x in t[1:]]
+        # a run's largest indices are its last entry's
+        tops = [
+            step * spec.dim(f) + start + n - 1
+            for fx, fy, r, c, n, _ in element.runs
+            for f, start in ((fx, r), (fy, c))
+        ]
         if max(tops) >= 10**limit:
             raise expr._past_digit_limit("a monomial index that exceeds {} digits")
     text = expr.format_element(algebra.shift_endomorphism(element, fiber))

@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import algebra, scalars
-from .algebra import AlgebraElement, Term
+from .algebra import AlgebraElement
 from .system import BasisMonomial, SystemSpec
 
 
@@ -366,13 +366,14 @@ class _Parser:
         tok = self.tokens[self.at]
         if tok[0] == "gen" or (tok[0] == "name" and tok[1] == "e"):
             mono = self._compact_generator(tok) if tok[0] == "gen" else self._generator()
-            # i(x) and i(x)* are one term each, on a monomial that
+            # i(x) and i(x)* are one run each, on a monomial that
             # spec.monomial has checked
+            e = self.identity.fiber
             if self.accept("'"):
-                term = Term(self.one.conj(), self.identity, mono)
+                run = (e, mono.fiber, 0, mono.index, 1, self.one.conj())
             else:
-                term = Term(self.one, mono, self.identity)
-            return AlgebraElement._canonical(self.spec, [term])
+                run = (mono.fiber, e, mono.index, 0, 1, self.one)
+            return AlgebraElement._canonical(self.spec, [run])
         if tok[0] == "name" and tok[1] == "I":
             self.at += 1
             elem = algebra.identity(self.spec)
@@ -425,14 +426,14 @@ class _Parser:
         elem = self._term(negate)
         if self.tokens[self.at][0] not in ("+", "-"):
             return elem
-        # one map and one sort for the whole sum, not one per term
-        acc = {(x, y): c for c, x, y in elem.terms}
+        # one sum and one build for the whole sum, not one per term
+        acc: dict = {}
+        algebra.add_runs(acc, elem, 1)
         while self.tokens[self.at][0] in ("+", "-"):
             tok = self.tokens[self.at]
             self.at += 1
-            algebra.add_terms(acc, self._term(tok[0] == "-").terms, 1)
-        # every term comes from a parsed element, whose monomials are checked
-        return AlgebraElement._from_map(self.spec, acc)
+            algebra.add_runs(acc, self._term(tok[0] == "-"), 1)
+        return algebra.summed(self.spec, acc)
 
     # -- a printed sum, read whole -------------------------------------------
 
@@ -480,8 +481,11 @@ class _Parser:
                 break
         if outer:
             return None
-        acc = {}
-        algebra.add_terms(acc, terms, 1)
+        # exact sums need no pruning on the way: the build drops the zeros
+        acc: dict = {}
+        for c, x, y in terms:
+            cur = acc.get((x, y))
+            acc[x, y] = c if cur is None else cur + c
         return AlgebraElement._from_map(self.spec, acc)
 
     def _printed_term(self, groups, negate: bool):
@@ -663,8 +667,8 @@ def require_finite(*elements: AlgebraElement) -> None:
     """``_finite`` of every coefficient; exact fields have nothing to check."""
     for a in elements:
         if not a.spec.field.exact:
-            for t in a.terms:
-                _finite(t.coeff)
+            for run in a.runs:
+                _finite(run[5])
 
 
 def _complex_parts(value):

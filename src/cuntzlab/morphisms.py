@@ -226,8 +226,8 @@ def map_element(assignment: GeneratorAssignment, element: AlgebraElement):
         left = extend(assignment.source, assignment, term.left)
         right = extend(assignment.source, assignment, term.right)
         image = algebra.multiply(left, right.adjoint()).scaled(term.coeff)
-        algebra.add_terms(acc, image.terms, 1)
-    return AlgebraElement._from_map(assignment.target, acc)
+        algebra.add_runs(acc, image, 1)
+    return algebra.summed(assignment.target, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,37 @@
-"""Diagonal runs: the sparse format of normal forms, step operators and cores.
+"""Diagonal runs: the sparse format of elements, normal forms, step
+operators and cores.
 
 A run ``(row0, col0, length, coeff)`` puts ``coeff`` on the matrix entries
-(row0 + u, col0 + u) for u < length; entries no run covers are zero.  A
-raised term and a core matrix unit tensored with an identity are each one
-run, so their cost follows the terms, never the block size, the level or
-the fiber dimension.  Runs are *swept* when they are nonzero, disjoint and
-sorted by (row0, col0); a sum of runs is zero exactly when its sweep is empty.
-Swept runs are maximal on the exact fields: no run continues another on its
-diagonal with an ``==`` coefficient.  On float nothing merges.  The one
-merge rule is ``_merge``, which lengthens the last run of a list by each
-run that continues it; ``raise_terms`` hands it the raised terms of one
+(row0 + u, col0 + u) for u < length; entries no run covers are zero.  An
+element's run (``algebra.AlgebraElement``) carries its fiber pair in front,
+``(fx, fy, row0, col0, length, coeff)``.  A Cuntz sum, a raised term and a
+core matrix unit tensored with an identity are each one run, so their cost
+follows the runs, never the block size, the level or the fiber dimension.
+Runs are *swept* when they are nonzero, disjoint and sorted by (row0,
+col0); a sum of runs is zero exactly when its sweep is empty.  Swept runs
+are maximal on the exact fields: no run continues another on its diagonal
+with an ``==`` coefficient.  On float nothing merges.  The one merge rule
+of a run list is ``_merge``, which lengthens the last run of a list by each
+run that continues it; ``raise_terms`` hands it the raised runs of one
 fiber pair at a time, and ``sweep`` the nonzero pieces of one offset.
 
 Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is
 the one run (x.index*n, y.index*n, n, c*phase) of *stripe* n, the phase
-being omega(fx, r) conj(omega(fy, r)) on twisted specs.  ``raise_terms``
-raises for ``algebra.normal_form`` and ``equals``, keyed by degree
-g = fx - fy with r = c - fx, c the max of the degree's left fibers, and
-for ``steprep.evaluate`` at level N, keyed by output level with stripe
+being omega(fx, r) conj(omega(fy, r)) on twisted specs, and a run of
+length L raised by r is the one run of length L*n.  ``raise_terms`` raises
+for ``algebra.normal_form`` and ``equals``, keyed by degree g = fx - fy
+with r = c - fx, c the max of the degree's left fibers, and for
+``steprep.evaluate`` at level N, keyed by output level with stripe
 N/dim(fy).  Since dim(c - fx) = dim(c - g)/dim(fy), the normal form is the
-step model keyed by degree, at level dim(c - g).  R terms cost O(R) to
+step model keyed by degree, at level dim(c - g).  R runs cost O(R) to
 raise and O(R' log R' + R'*F) scalar operations to sweep, R' <= R being the
-runs left after merging (a Cuntz sum raised to a common fiber is one run)
-and F the number of left fibers of a key: on one diagonal a fiber's runs
-are disjoint.  A raised term costs one run tuple, built by its pair's
-comprehension, and one pass of the merge loop: its fibers are compared by
-identity with the previous term's, and a dict lookup is made only when
-they differ; a coefficient ``==`` is made only when it continues the open
-run and is not the same object.  Memory is O(R).
+runs left after merging and F the number of left fibers of a key: on one
+diagonal a fiber's runs are disjoint.  A raised run costs one run tuple,
+built by its pair's comprehension, and one pass of the merge loop: its
+fibers are compared by identity with the previous run's, and a dict lookup
+is made only when they differ; a coefficient ``==`` is made only when it
+continues the open run and is not the same object.  Memory is O(R).
 """
 
 from __future__ import annotations
@@ -103,38 +106,38 @@ def sweep(runs) -> tuple:
     return tuple(out)
 
 
-def raise_terms(terms, place) -> dict:
-    """{key: swept runs} of the (coeff, x, y) terms.
+def raise_terms(runs, place) -> dict:
+    """{key: swept runs} of the element runs (fx, fy, row0, col0, length, c).
 
-    ``place`` gets all fiber pairs (x.fiber, y.fiber) in order of first
-    appearance, since a stripe may depend on every pair of its key, and
-    returns one (key, stripe, phase) per pair, None standing for a phase of
-    exactly one.  A key's runs come pair by pair in that order and in term
-    order within a pair, which is the term order when a pair's terms are
-    adjacent; the sweep's float sums follow it.  A pair's raised terms are
-    emitted at once by the sweep's rule, so on the exact fields a Cuntz sum
-    is one run before it is swept.  A key whose runs cancel maps to ().
+    ``place`` gets all fiber pairs (fx, fy) in order of first appearance,
+    since a stripe may depend on every pair of its key, and returns one
+    (key, stripe, phase) per pair, None standing for a phase of exactly
+    one.  A run raised by stripe n is the one run (row0*n, col0*n,
+    length*n, c*phase).  A key's runs come pair by pair in that order and
+    in run order within a pair, which is the element's order when a pair's
+    runs are adjacent; the sweep's float sums follow it.  A pair's raised
+    runs are emitted at once by the sweep's rule.  A key whose runs cancel
+    maps to ().
     """
     pairs: dict = {}
     fx = fy = None
-    for term in terms:
-        _, x, y = term
-        # the terms of a pair mostly come together, holding the same fibers
-        if x.fiber is not fx or y.fiber is not fy:
-            fx, fy = x.fiber, y.fiber
+    for run in runs:
+        # the runs of a pair mostly come together, holding the same fibers
+        if run[0] is not fx or run[1] is not fy:
+            fx, fy = run[0], run[1]
             group = pairs.get((fx, fy))
             if group is None:
                 group = pairs[fx, fy] = []
-        group.append(term)
+        group.append(run)
     if not pairs:
         return {}
-    emit = _emitter(term[0])
+    emit = _emitter(run[5])
     by_key: dict = {}
-    for group, (key, stripe, phase) in zip(pairs.values(), place(pairs)):
+    for group, (key, n, phase) in zip(pairs.values(), place(pairs)):
         if phase is None:
-            raised = [(x.index * stripe, y.index * stripe, stripe, c) for c, x, y in group]
+            raised = [(r * n, c * n, m * n, v) for _, _, r, c, m, v in group]
         else:
-            raised = [(x.index * stripe, y.index * stripe, stripe, c * phase) for c, x, y in group]
+            raised = [(r * n, c * n, m * n, v * phase) for _, _, r, c, m, v in group]
         emit(by_key.setdefault(key, []), raised)
     for key, runs in by_key.items():
         by_key[key] = sweep(runs)
@@ -168,7 +171,11 @@ def product(a: tuple, b: tuple) -> tuple:
 
 
 def equal(a: tuple, b: tuple) -> bool:
-    """Whether two run tuples hold the same matrix: a - b sweeps to nothing."""
+    """Whether two swept run tuples hold the same matrix.  Swept runs are
+    nonzero, and on the exact fields maximal, hence canonical, so there
+    this is ``==``; on float a - b must sweep to nothing."""
+    if not a or not b or field_of(a[0][3]).exact:
+        return a == b
     return not sweep([*a, *((r, c, n, -v) for r, c, n, v in b)])
 
 

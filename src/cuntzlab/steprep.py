@@ -24,12 +24,12 @@ would need irrational refinement factors.  "Every block zero" is the family's
 (sound) zero test.  Equality of step operators at one level only certifies
 equality on that level's subspace.
 
-Operators hold diagonal runs, and ``evaluate`` raises each term to one run
-of its output level (see ``runs``), so it costs per term, not per stripe
-entry, and a zero test costs the same at every level.  Swept runs are
-maximal on the exact fields, and a raised term that continues the previous
-run of its level with an equal coefficient lengthens it, so the sweep costs
-the runs after merging: a Cuntz sum minus I sweeps two runs.  Elements are
+Operators hold diagonal runs, and ``evaluate`` raises each run of the
+element to one run of its output level (see ``runs``), so it costs per run,
+not per term or stripe entry, and a zero test costs the same at every level
+and every fiber: a Cuntz sum minus I raises and sweeps two runs.  Swept
+runs are maximal on the exact fields, and a raised run that continues the
+previous run of its level with an equal coefficient lengthens it.  Elements are
 valid by construction (see ``AlgebraElement``), so evaluation checks
 nothing.
 ``StepOperator.entries`` expands the runs into one dict entry per cell,
@@ -188,10 +188,11 @@ def vector_operator(spec: SystemSpec, v, level: int) -> StepOperator:
 
 
 def minimal_level(a) -> int:
-    """Least base level at which every term's adjoint lands integrally."""
+    """Least base level at which every term's adjoint lands integrally:
+    the lcm of the right fibers' dimensions, read from the runs."""
     dims = a.spec._dim
     out = 1
-    for fiber in {t.right.fiber for t in a.terms}:
+    for fiber in {run[1] for run in a.runs}:
         out = math.lcm(out, dims(fiber))
     return out
 
@@ -206,14 +207,14 @@ def evaluate(
     of the spec and the character.
     """
     spec = a.spec
-    terms = a.terms
+    runs = a.runs
     if twist is not None:
         if len(twist.values) != spec.k:
             raise ValueError("character length does not match the generator count")
         field = spec.field
         for v in twist.values:
             field = common_field(field, field_of(v))
-        terms = [(field.coerce(c), x, y) for c, x, y in terms]
+        runs = [(fx, fy, r, c, n, field.coerce(v)) for fx, fy, r, c, n, v in runs]
     _require_untwisted(spec)
     # a given level is checked against each right fiber as its pair is
     # placed; the minimal level is walked for only when it is needed
@@ -233,7 +234,7 @@ def evaluate(
         return out
 
     # a block whose runs cancel is kept: it still names its output level
-    blocks = run_ops.raise_terms(terms, place)
+    blocks = run_ops.raise_terms(runs, place)
     out = {lv: StepOperator(base_level, lv, runs=runs) for lv, runs in blocks.items()}
     return OperatorFamily(base_level, out)
 

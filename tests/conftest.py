@@ -457,3 +457,253 @@ def stepwise_raise_terms(terms, place) -> dict:
     for key, runs in by_key.items():
         by_key[key] = sweep(runs)
     return by_key
+
+
+# ---------------------------------------------------------------------------
+# The term-list algebra: ``AlgebraElement``, ``add_terms``, ``multiply`` and
+# ``_raised_blocks`` as they were when an element stored one term per entry,
+# the reference for elements made of runs.  ``TermElement`` is that class;
+# the fiber-quadruple data is computed afresh instead of cached on the spec,
+# and raising goes through ``stepwise_raise_terms``, which takes terms.
+# ---------------------------------------------------------------------------
+
+
+def _term_sort_key(t):
+    degree = sub_degree(t.left.fiber, t.right.fiber)
+    return (degree, t.left.fiber, t.left.index, t.right.index)
+
+
+class TermElement:
+    """An immutable finite sum of terms c * e(left) e(right)'.
+
+    Terms are kept merged, zero-pruned and canonically sorted (by degree,
+    then left fiber, then indices), so ``==`` is structural identity of the
+    canonical form.  Semantic equality in the algebra is ``term_equals``.
+    """
+
+    __slots__ = ("spec", "terms")
+
+    def __init__(self, spec, term_map: dict):
+        monomial = spec.monomial
+        for x, y in term_map:
+            monomial(*x)
+            monomial(*y)
+        self.spec = spec
+        self.terms = TermElement._from_map(spec, term_map).terms
+
+    @classmethod
+    def _canonical(cls, spec, terms):
+        """An element of terms that are already merged, nonzero and sorted."""
+        out = cls.__new__(cls)
+        out.spec = spec
+        out.terms = tuple(terms)
+        return out
+
+    @classmethod
+    def _from_map(cls, spec, term_map: dict):
+        """The element of a {(left, right): coeff} map whose monomials are
+        checked or built from checked ones: zeros pruned, terms sorted."""
+        terms = [algebra.Term(c, x, y) for (x, y), c in term_map.items() if not c.is_zero()]
+        terms.sort(key=_term_sort_key)
+        return cls._canonical(spec, terms)
+
+    @staticmethod
+    def from_terms(spec, triples):
+        acc: dict = {}
+        field = spec.field
+        for coeff, x, y in triples:
+            c = field.coerce(coeff)
+            key = (x, y)
+            cur = acc.get(key)
+            acc[key] = c if cur is None else cur + c
+        return TermElement(spec, acc)
+
+    def __add__(self, other):
+        acc = {(x, y): c for c, x, y in self.terms}
+        add_terms(acc, other.terms, 1)
+        return TermElement._from_map(self.spec, acc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        # negation keeps the terms distinct, nonzero and in canonical order
+        return TermElement._canonical(
+            self.spec, [algebra.Term(-c, x, y) for c, x, y in self.terms]
+        )
+
+    def scaled(self, coeff):
+        # scaling keeps the terms distinct and in canonical order
+        c = self.spec.field.coerce(coeff)
+        terms = [algebra.Term(c * t.coeff, t.left, t.right) for t in self.terms]
+        return TermElement._canonical(self.spec, [t for t in terms if not t.coeff.is_zero()])
+
+    def adjoint(self):
+        return TermElement._from_map(
+            self.spec, {(t.right, t.left): t.coeff.conj() for t in self.terms}
+        )
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+def add_terms(acc: dict, terms, sign: int) -> None:
+    """Add ``sign`` (+1 or -1) times the (coeff, left, right) terms of one
+    element into the {(left, right): coeff} map ``acc``, dropping a key the
+    moment its coefficient sums to zero: the rule for every sum of
+    elements.  A sum built so, one element at a time, prunes as adding the
+    elements one by one does; on float a residue below the zero tolerance
+    is dropped, not carried into later additions.
+    """
+    for c, x, y in terms:
+        key = (x, y)
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = c if sign > 0 else -c
+            continue
+        total = cur + c if sign > 0 else cur - c
+        if total.is_zero():
+            del acc[key]
+        else:
+            acc[key] = total
+
+
+_UNSEEN = object()
+
+
+def _term_window(spec, y_prime, x_prime):
+    """The survivors of i(y')* i(x') as one window (s, t, dim_s, dim_t,
+    base, lo, hi), or None if there are none."""
+    s, t = x_prime.fiber, y_prime.fiber
+    if s == t:
+        if x_prime.index != y_prime.index:
+            return None
+        e = spec.identity_monomial.fiber
+        return e, e, 1, 1, 0, 0, 1
+    dim_s, dim_t = spec._dim(s), spec._dim(t)
+    base = y_prime.index * dim_s - x_prime.index * dim_t
+    # survivors are the lx with 0 <= base + lx < dim_t
+    lo, hi = max(0, -base), min(dim_s, dim_t - base)
+    if lo >= hi:
+        return None
+    return s, t, dim_s, dim_t, base, lo, hi
+
+
+def _keyed_element(spec, acc: dict):
+    """The element of {(degree, left fiber, left index, right fiber, right
+    index): coeff}; the keys sort in the canonical term order."""
+    monomials: dict = {}
+    terms = []
+    for (_, fx, ix, fy, iy), c in sorted(acc.items()):
+        if c.is_zero():
+            continue
+        x = monomials.get((fx, ix))
+        if x is None:
+            x = monomials[(fx, ix)] = BasisMonomial(fx, ix)
+        y = monomials.get((fy, iy))
+        if y is None:
+            y = monomials[(fy, iy)] = BasisMonomial(fy, iy)
+        terms.append(algebra.Term(c, x, y))
+    return TermElement._canonical(spec, terms)
+
+
+def _term_fiber_data(spec, x, y, window):
+    """(degree, x.s, y.t, factors) of a survivor window of x ... y*."""
+    xf, s, yf, t = (x.fiber, window[0], y.fiber, window[1])
+    fx, fy = add_fibers(xf, s), add_fibers(yf, t)
+    factors = ()
+    if spec.is_twisted:
+        phase = spec._phase
+        factors = (phase(s, t) * phase(t, s).conj(), phase(xf, s), phase(yf, t).conj())
+        if spec.field.exact:
+            folded = factors[0] * factors[1] * factors[2]
+            factors = () if folded.is_one() else (folded,)
+    return sub_degree(fx, fy), fx, fy, factors
+
+
+def _one_term_product(spec, ta, tb):
+    """The product of two one-term elements."""
+    ca, x, ya = ta
+    cb, xb, y = tb
+    window = _term_window(spec, ya, xb)
+    if window is None:
+        return TermElement._canonical(spec, ())
+    _, fx, fy, factors = _term_fiber_data(spec, x, y, window)
+    coeff = ca * cb
+    for f in factors:
+        coeff = coeff * f
+    if coeff.is_zero():
+        return TermElement._canonical(spec, ())
+    s, t, dim_s, dim_t, base, lo, hi = window
+    if s == t:
+        return TermElement._canonical(spec, [algebra.Term(coeff, x, y)])
+    i0 = x.index * dim_s
+    j0 = y.index * dim_t + base
+    terms = [
+        algebra.Term(coeff, BasisMonomial(fx, i0 + lx), BasisMonomial(fy, j0 + lx))
+        for lx in range(lo, hi)
+    ]
+    return TermElement._canonical(spec, terms)
+
+
+def term_multiply(a, b):
+    """The product a*b, one survivor window per pair of terms."""
+    spec = a.spec
+    if len(a.terms) == 1 and len(b.terms) == 1:
+        return _one_term_product(spec, a.terms[0], b.terms[0])
+    windows: dict = {}
+    acc: dict = {}
+    for ca, x, ya in a.terms:
+        for cb, xb, y in b.terms:
+            key = (ya.fiber, ya.index, xb.fiber, xb.index)
+            window = windows.get(key, _UNSEEN)
+            if window is _UNSEEN:
+                window = windows[key] = _term_window(spec, ya, xb)
+            if window is None:
+                continue
+            s, t, dim_s, dim_t, base, lo, hi = window
+            g, fx, fy, factors = _term_fiber_data(spec, x, y, window)
+            coeff = ca * cb
+            for f in factors:
+                coeff = coeff * f
+            i0 = x.index * dim_s
+            j0 = y.index * dim_t + base
+            for lx in range(lo, hi):
+                k = (g, fx, i0 + lx, fy, j0 + lx)
+                cur = acc.get(k)
+                acc[k] = coeff if cur is None else cur + coeff
+    return _keyed_element(spec, acc)
+
+
+def term_raised_blocks(spec, terms) -> dict:
+    """The nonzero blocks {degree: (c, runs)} of the (coeff, left, right)
+    terms, in degree order."""
+    tops: dict = {}  # degree -> c, the max of its left fibers
+
+    def place(pairs):
+        degrees = [sub_degree(fx, fy) for fx, fy in pairs]
+        for (fx, _), g in zip(pairs, degrees):
+            tops[g] = max_fiber(tops[g], fx) if g in tops else fx
+        out = []
+        for (fx, fy), g in zip(pairs, degrees):
+            r = sub_degree(tops[g], fx)
+            phase = None
+            if spec.is_twisted:
+                # an exact phase of one is skipped; float keeps its product
+                phase = spec._phase(fx, r) * spec._phase(fy, r).conj()
+                if spec.field.exact and phase.is_one():
+                    phase = None
+            out.append((g, spec._dim(r), phase))
+        return out
+
+    raised = stepwise_raise_terms(terms, place)
+    return {g: (tops[g], raised[g]) for g in sorted(raised) if raised[g]}
+
+
+def term_equals(a, b) -> bool:
+    """Equality in the algebra: structural fast path, then normal form."""
+    if a.terms == b.terms:
+        return True
+    acc = {(t.left, t.right): t.coeff for t in a.terms}
+    add_terms(acc, b.terms, -1)
+    return not term_raised_blocks(a.spec, ((c, x, y) for (x, y), c in acc.items()))

@@ -1,5 +1,5 @@
 """``runs.raise_terms``, the one builder behind normal forms and step
-evaluation, on hand-made terms and placements."""
+evaluation, on hand-made element runs and placements."""
 
 from fractions import Fraction
 from unittest import mock
@@ -22,8 +22,15 @@ from test_raising_oracle import cells
 A, B, C = ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((1, 1), (1, 0))
 
 
-def term(coeff, pair, i=0, j=0):
-    return (coeff, BasisMonomial(pair[0], i), BasisMonomial(pair[1], j))
+def term(coeff, pair, i=0, j=0, length=1):
+    """The element run of coeff * e(fx;i) e(fy;j)', or of ``length``
+    such terms along the diagonal."""
+    return (pair[0], pair[1], i, j, length, coeff)
+
+
+def as_runs(terms):
+    """One element run per (coeff, x, y) term."""
+    return [(x.fiber, y.fiber, x.index, y.index, 1, c) for c, x, y in terms]
 
 
 def q(num, den=1):
@@ -98,6 +105,19 @@ def test_float_sums_follow_term_order_bit_for_bit():
     (run,) = raise_terms(terms, place)[0]
     expected = (complex(0.1) * 1j + complex(0.2) * 1j) + complex(0.3) * 1j
     assert run[3].value == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 5), st.integers(0, 5), st.integers(1, 6), st.integers(1, 4),
+    st.sampled_from([None, q(-1), RationalComplex(0, 1)]),
+)
+def test_a_run_raises_as_its_entries(i, j, length, stripe, phase):
+    place, _ = recording({C: ("k", stripe, phase)})
+    entries = [term(q(3), C, i + u, j + u) for u in range(length)]
+    (run,) = raise_terms([term(q(3), C, i, j, length)], place)["k"]
+    assert (run,) == raise_terms(entries, place)["k"]
+    assert run == (i * stripe, j * stripe, length * stripe, q(3) if phase is None else q(3) * phase)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +297,7 @@ def test_builder_against_the_stepwise_builder(case):
     with mock.patch.object(runs_module, "sweep", recorded_sweep(swept)), mock.patch.object(
         conftest, "sweep", recorded_sweep(stepwise_swept)
     ):
-        got = raise_terms(terms, place)
+        got = raise_terms(as_runs(terms), place)
         want = stepwise_raise_terms(terms, stepwise_place)
     assert seen == stepwise_seen
     if name == "float":
@@ -336,5 +356,54 @@ def test_zero_test_merges_once_per_fiber_pair(route, e23, monkeypatch):
         assert algebra.normal_form(diff).is_zero()
     else:
         assert steprep.evaluate(diff, steprep.minimal_level(diff) * 10**30).is_zero()
-    # the pairs of I and of the Cuntz sum, then the one offset of the sweep
-    assert calls == [("merge", 1), ("merge", 1296), ("sweep", 2), ("merge", 0)]
+    # the one run of I and the one run of the Cuntz sum, then the one
+    # offset of the sweep
+    assert calls == [("merge", 1), ("merge", 1), ("sweep", 2), ("merge", 0)]
+
+
+# ---------------------------------------------------------------------------
+# work that does not grow with the fiber
+# ---------------------------------------------------------------------------
+
+
+def counted_raise(monkeypatch):
+    """The run counts handed to ``runs.raise_terms`` from here on, through
+    ``algebra`` and ``steprep`` alike."""
+    counts = []
+    real = runs_module.raise_terms
+
+    def spy(given_runs, place):
+        given_runs = list(given_runs)
+        counts.append(len(given_runs))
+        return real(given_runs, place)
+
+    monkeypatch.setattr(runs_module, "raise_terms", spy)
+    monkeypatch.setattr(algebra, "raise_terms", spy)
+    return counts
+
+
+@pytest.mark.parametrize("route", ["equals", "evaluate"])
+def test_cuntz_sum_zero_test_raises_the_same_runs_at_every_fiber(route, e23, monkeypatch):
+    counts = {}
+    for k in (2, 6):
+        basis = e23.basis((k, k))
+        cuntz = algebra.AlgebraElement.from_terms(e23, [(1, x, x) for x in basis])
+        diff = cuntz - algebra.identity(e23)
+        seen = counted_raise(monkeypatch)
+        if route == "equals":
+            assert algebra.equals(diff, algebra.zero(e23))
+        else:
+            level = steprep.minimal_level(diff) * 10**30
+            assert steprep.evaluate(diff, level).is_zero()
+        counts[k] = seen
+        monkeypatch.undo()
+    assert counts[2] == counts[6] and all(n <= 3 for n in counts[6])
+
+
+def test_deep_product_is_one_run_of_one_block(e23):
+    product = algebra.multiply(
+        expr.parse_element(e23, "e(0,30;0)'"), expr.parse_element(e23, "e(30,0;0)")
+    )
+    assert product.runs == (((30, 0), (0, 30), 0, 0, 2**30, e23.field.one),)
+    ((c, runs),) = algebra.normal_form(product).blocks.values()
+    assert c == (30, 0) and runs == ((0, 0, 2**30, e23.field.one),)
