@@ -41,7 +41,7 @@ from itertools import groupby, islice, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .runs import raise_terms, sweep
+from .runs import joined, raise_terms, sweep
 from .system import (
     BasisMonomial,
     SystemSpec,
@@ -124,18 +124,13 @@ class AlgebraElement:
 
     def _iter_terms(self):
         """The terms of the runs in canonical order: by degree, left fiber
-        and (left index, right index).  Single entries come in that order;
-        the entries of longer runs are merged by row lazily, so ``repr``
-        reads the first terms without expanding the rest."""
-        runs = self.runs
-        for run in runs:
-            if run[4] != 1:
-                break
-        else:
-            return [
-                Term(v, BasisMonomial(fx, r), BasisMonomial(fy, c)) for fx, fy, r, c, _, v in runs
-            ]
-        return _merged_terms(runs)
+        and (left index, right index).  A pair's entries are merged by row
+        lazily, so ``repr`` reads the first terms without expanding the
+        rest."""
+        for (fx, fy), group in groupby(self.runs, key=_pair_of):
+            group = [zip(range(r, r + n), range(c, c + n), repeat(v)) for _, _, r, c, n, v in group]
+            for i, j, v in group[0] if len(group) == 1 else merge(*group):
+                yield Term(v, BasisMonomial(fx, i), BasisMonomial(fy, j))
 
     @property
     def terms(self) -> tuple:
@@ -197,19 +192,8 @@ class AlgebraElement:
         return "AlgebraElement<" + " + ".join(parts) + more + ">"
 
 
-def _merged_terms(runs):
-    """The terms of ``runs`` pair by pair, a pair's entries merged by row."""
-    for (fx, fy), group in groupby(runs, key=_pair_of):
-        group = [zip(range(r, r + n), range(c, c + n), repeat(v)) for _, _, r, c, n, v in group]
-        for i, j, v in group[0] if len(group) == 1 else merge(*group):
-            yield Term(v, BasisMonomial(fx, i), BasisMonomial(fy, j))
-
-
 def _map_runs(spec: SystemSpec, term_map: dict) -> tuple:
     """The runs of a {(left, right): coeff} map (see ``_build``)."""
-    if len(term_map) == 1:
-        ((x, y), c), = term_map.items()
-        return () if c.is_zero() else ((x.fiber, y.fiber, x.index, y.index, 1, c),)
     groups: dict = {}
     for (x, y), c in term_map.items():
         pair = x.fiber, y.fiber
@@ -224,46 +208,38 @@ def _build(spec: SystemSpec, groups: dict) -> tuple:
     """The canonical runs of {(fx, fy): runs (row0, col0, length, coeff)},
     the runs of a pair disjoint and their fibers and indices checked: the
     one run builder.  Pairs come in canonical order, their degree computed
-    once per pair, and zero runs are dropped.  On the exact fields a run
-    that continues the last run of its diagonal with an ``is`` or ``==``
-    coefficient lengthens it, keeping the first coefficient object, so the
-    runs are maximal; on float each entry is its own run."""
+    once per pair, and zero runs are dropped.  On the exact fields a pair's
+    runs are made maximal by ``runs.joined``; on float each entry is its own
+    run."""
     exact = spec.field.exact
     out = []
     for fx, fy in sorted(groups, key=_pair_order):
         runs = groups[fx, fy]
-        if not exact:
-            runs = [(r + u, c + u, 1, v) for r, c, n, v in runs for u in range(n)]
-        # runs start at distinct cells, so coefficients are never compared
-        runs.sort()
-        last: dict = {}  # diagonal offset -> index in out of its last run
-        for r, c, n, v in runs:
-            if v.is_zero():
-                continue
-            k = last.get(c - r) if exact else None
-            if k is not None:
-                run = out[k]
-                if run[2] + run[4] == r and (run[5] is v or run[5] == v):
-                    out[k] = (fx, fy, run[2], run[3], run[4] + n, run[5])
-                    continue
-            last[c - r] = len(out)
-            out.append((fx, fy, r, c, n, v))
+        if exact:
+            runs = joined([run for run in runs if not run[3].is_zero()])
+        else:
+            # entries are distinct cells, so coefficients are never compared
+            runs = sorted(
+                (r + u, c + u, 1, v) for r, c, n, v in runs if not v.is_zero() for u in range(n)
+            )
+        out += [(fx, fy, r, c, n, v) for r, c, n, v in runs]
     return tuple(out)
 
 
 def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
     """Add ``sign`` (+1 or -1) times ``a`` into the sum ``acc``: the rule
-    for every sum of elements, read back by ``summed`` or ``_sum_runs``.
+    for every sum of elements, read back by ``summed``.
 
     On the exact fields ``acc`` maps a fiber pair to its runs: the runs of
     the one element that reached it, or the list of every element's runs,
     swept when read, so a sum costs its runs whatever their lengths.  A
     pair whose runs equal those subtracted from it cancels at one ``==``
-    per run.  On float ``acc`` maps an entry (fx, fy, row, col) to its
-    coefficient, and a key is dropped the moment it sums to zero: a sum
-    built so, one element at a time, prunes as adding the elements one by
-    one does, and a residue below the zero tolerance is dropped, not
-    carried into later additions.
+    per run and is never swept: ``equals`` of two elements that differ in a
+    few pairs sweeps only those.  On float ``acc`` maps an entry (fx, fy,
+    row, col) to its coefficient, and a key is dropped the moment it sums
+    to zero: a sum built so, one element at a time, prunes as adding the
+    elements one by one does, and a residue below the zero tolerance is
+    dropped, not carried into later additions.
     """
     if not a.spec.field.exact:
         # float runs are single entries
@@ -294,25 +270,20 @@ def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
             cur += [(r, c, n, v if sign > 0 else -v) for _, _, r, c, n, v in group]
 
 
-def _sum_runs(acc: dict, exact: bool) -> list:
-    """The runs of the sum ``acc`` (see ``add_runs``), pair by pair in the
-    order the pairs first reached it; on float, entry by entry."""
-    if not exact:
-        return [(fx, fy, r, c, 1, v) for (fx, fy, r, c), v in acc.items()]
-    out = []
-    for (fx, fy), runs in acc.items():
-        if type(runs) is list:
-            runs = [(fx, fy, r, c, n, v) for r, c, n, v in sweep(runs)]
-        out += runs
-    return out
-
-
 def summed(spec: SystemSpec, acc: dict) -> AlgebraElement:
-    """The element of the sum ``acc`` built by ``add_runs``."""
-    groups: dict = {}
-    for fx, fy, r, c, n, v in _sum_runs(acc, spec.field.exact):
-        groups.setdefault((fx, fy), []).append((r, c, n, v))
-    return AlgebraElement._canonical(spec, _build(spec, groups))
+    """The element of the sum ``acc`` built by ``add_runs``.  On the exact
+    fields the runs of a pair that one element reached are canonical as
+    they are, and those of a pair that several reached are swept."""
+    if not spec.field.exact:
+        groups: dict = {}
+        for (fx, fy, r, c), v in acc.items():
+            groups.setdefault((fx, fy), []).append((r, c, 1, v))
+        return AlgebraElement._canonical(spec, _build(spec, groups))
+    out = []
+    for fx, fy in sorted(acc, key=_pair_order):
+        runs = acc[fx, fy]
+        out += runs if type(runs) is tuple else [(fx, fy, *run) for run in sweep(runs)]
+    return AlgebraElement._canonical(spec, out)
 
 
 def zero(spec: SystemSpec) -> AlgebraElement:
@@ -325,7 +296,13 @@ def identity(spec: SystemSpec) -> AlgebraElement:
 
 
 def monomial_pair(spec, x: BasisMonomial, y: BasisMonomial, coeff=1) -> AlgebraElement:
-    return AlgebraElement(spec, {(x, y): spec.field.coerce(coeff)})
+    """coeff * e(x) e(y)', its one run built directly, as ``identity``'s
+    is, after both monomials are checked as the constructor checks them."""
+    spec.monomial(*x)
+    spec.monomial(*y)
+    c = spec.field.coerce(coeff)
+    runs = () if c.is_zero() else [(x.fiber, y.fiber, x.index, y.index, 1, c)]
+    return AlgebraElement._canonical(spec, runs)
 
 
 def isometry(spec, x: BasisMonomial) -> AlgebraElement:
@@ -586,7 +563,13 @@ def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
     acc: dict = {}
     add_runs(acc, a, 1)
     add_runs(acc, b, -1)
-    return not _raised_blocks(a.spec, _sum_runs(acc, a.spec.field.exact))
+    if a.spec.field.exact:
+        runs = summed(a.spec, acc).runs
+    else:
+        # raised in the order the entries reached the sum, which fixes the
+        # order of the float sums where pairs meet in a block
+        runs = [(fx, fy, r, c, 1, v) for (fx, fy, r, c), v in acc.items()]
+    return not _raised_blocks(a.spec, runs)
 
 
 # ---------------------------------------------------------------------------

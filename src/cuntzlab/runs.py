@@ -13,7 +13,9 @@ are maximal on the exact fields: no run continues another on its diagonal
 with an ``==`` coefficient.  On float nothing merges.  The one merge rule
 of a run list is ``_merge``, which lengthens the last run of a list by each
 run that continues it; ``raise_terms`` hands it the raised runs of one
-fiber pair at a time, and ``sweep`` the nonzero pieces of one offset.
+fiber pair at a time, ``sweep`` the nonzero pieces of one offset, and
+``joined``, which builds the runs of ``algebra`` elements, disjoint runs in
+diagonal order.
 
 Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is
@@ -36,7 +38,7 @@ continues the open run and is not the same object.  Memory is O(R).
 
 from __future__ import annotations
 
-from .scalars import field_of
+from .scalars import common_field, field_of
 
 
 def _merge(runs: list, pieces) -> None:
@@ -68,6 +70,24 @@ def _emitter(coeff):
     tolerance, so that float runs and sums stay those of the pieces, bit
     for bit."""
     return _merge if field_of(coeff).exact else list.extend
+
+
+def _diagonal_order(run):
+    return run[1] - run[0], run[0]
+
+
+def joined(runs) -> list:
+    """The maximal form of disjoint runs on an exact field, sorted by
+    (row0, col0): runs that continue each other on a diagonal are joined by
+    ``_merge``, the first coefficient object kept.  It costs a sort of the
+    runs, not the sweep's pieces."""
+    if len(runs) < 2:
+        return runs  # no run to join
+    out: list = []
+    _merge(out, sorted(runs, key=_diagonal_order))
+    # joined runs differ in (row0, col0), so coefficients are never compared
+    out.sort()
+    return out
 
 
 def sweep(runs) -> tuple:
@@ -171,10 +191,18 @@ def product(a: tuple, b: tuple) -> tuple:
 
 
 def equal(a: tuple, b: tuple) -> bool:
-    """Whether two swept run tuples hold the same matrix.  Swept runs are
-    nonzero, and on the exact fields maximal, hence canonical, so there
-    this is ``==``; on float a - b must sweep to nothing."""
-    if not a or not b or field_of(a[0][3]).exact:
+    """Whether two swept run tuples hold the same matrix.  Tuples of two
+    fields are compared in their common field.  Swept runs are nonzero, and
+    on the exact fields maximal, hence canonical, so there this is ``==``;
+    on float, whose runs never merge, a - b must sweep to nothing."""
+    if not a or not b:
+        return a == b
+    field, other = field_of(a[0][3]), field_of(b[0][3])
+    if field != other:
+        # a coercion keeps equal coefficients equal and unequal ones unequal
+        field = common_field(field, other)
+        a, b = ([(r, c, n, field.coerce(v)) for r, c, n, v in runs] for runs in (a, b))
+    if field.exact:
         return a == b
     return not sweep([*a, *((r, c, n, -v) for r, c, n, v in b)])
 

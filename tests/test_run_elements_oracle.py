@@ -143,6 +143,20 @@ def test_elements_match_the_term_list_algebra(case):
     assert repr(blocks) == repr(term_raised_blocks(spec, (oa + ob).terms))
 
 
+def test_float_equals_sums_pairs_in_the_order_they_reached_the_difference():
+    # the pairs of a - b meet in the one degree-0 block: 1e16 from I, 1
+    # from (1,0) and -1e16 from (0,1); summed in that order the 1 is lost,
+    # summed in canonical pair order it is not, and equals reads the order
+    # the term list raised
+    spec = PRODUCT_SPECS["f23"]
+    m = spec.monomial
+    ta = [(1e16, m((0, 0), 0), m((0, 0), 0)), (1, m((1, 0), 0), m((1, 0), 0))]
+    tb = [(1e16, m((0, 1), j), m((0, 1), j)) for j in range(3)]
+    a, b = AlgebraElement.from_terms(spec, ta), AlgebraElement.from_terms(spec, tb)
+    oa, ob = TermElement.from_terms(spec, ta), TermElement.from_terms(spec, tb)
+    assert algebra.equals(a, b) == term_equals(oa, ob) is True
+
+
 @EXAMPLES
 @given(cases())
 def test_rebuilt_and_perturbed_elements(case):

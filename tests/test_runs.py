@@ -5,12 +5,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import algebra, expr, scalars, steprep
 from cuntzlab import runs as runs_module
-from cuntzlab.runs import raise_terms, sweep
+from cuntzlab.runs import joined, raise_terms, sweep
 from cuntzlab.scalars import FloatComplex, RationalComplex
 from cuntzlab.system import BasisMonomial
 
@@ -174,6 +174,20 @@ def test_sweep_against_the_per_piece_sweep(case):
     by_diagonal = sorted(got, key=lambda run: (run[1] - run[0], run[0]))
     for (r, c, n, v), (r2, c2, _, v2) in zip(by_diagonal, by_diagonal[1:]):
         assert not (c2 - r2 == c - r and r + n == r2 and v == v2), "swept runs not maximal"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(run_lists(), st.randoms(use_true_random=False))
+def test_joined_is_the_sweep_of_disjoint_runs(case, rnd):
+    # the entries of swept runs, in any order, their equal coefficients
+    # held by one object per run
+    name, given_runs = case
+    assume(name != "float")
+    entries = [(r + u, c + u, 1, v) for r, c, n, v in sweep(given_runs) for u in range(n)]
+    rnd.shuffle(entries)
+    got, want = joined(entries), sweep(entries)
+    assert got == list(want)
+    assert all(a[3] is b[3] for a, b in zip(got, want))
 
 
 def recorded_sweep(seen):

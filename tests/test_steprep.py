@@ -6,6 +6,7 @@ from cuntzlab import algebra, steprep
 from cuntzlab.algebra import AlgebraElement
 from cuntzlab.scalars import (
     RATIONAL,
+    FloatComplex,
     RationalComplex,
     common_field,
     cyclotomic_field,
@@ -258,6 +259,30 @@ class TestCharacterTwist:
         tw = CharacterTwist([RationalComplex(0, -1), RationalComplex(-1)])
         level = minimal_level(a)
         assert evaluate_twisted(a, tw, level).equal(evaluate(a, level))
+
+    def test_exact_family_equals_its_float_coerced_copy(self, e23):
+        # at level 6 the two terms raise to the adjacent runs [0, 3) and
+        # [3, 4) of one block: one merged run exact, two runs as floats
+        x, y = e23.monomial((1, 0), 0), e23.monomial((1, 1), 3)
+        a = algebra.AlgebraElement.from_terms(e23, [(1, x, x), (1, y, y)])
+        tw = CharacterTwist([FloatComplex(1.0), FloatComplex(1.0)])
+        exact, coerced = evaluate(a, 6), evaluate_twisted(a, tw, 6)
+        assert len(exact.blocks[6].runs) == 1 < len(coerced.blocks[6].runs)
+        assert exact.equal(coerced) and coerced.equal(exact)
+        assert exact.blocks[6].equal(coerced.blocks[6])
+        assert coerced.blocks[6].equal(exact.blocks[6])
+        other = evaluate_twisted(a.scaled(2), tw, 6)
+        assert not exact.equal(other) and not other.equal(exact)
+
+    def test_families_of_two_exact_fields_compare_in_their_common_field(self, e23):
+        x = e23.monomial((1, 0), 0)
+        a = algebra.AlgebraElement.from_terms(e23, [(RationalComplex(0, 1), x, x)])
+        k12 = cyclotomic_field(12)
+        tw = CharacterTwist([cyclotomic_field(3).one, k12.one])
+        plain, lifted = evaluate(a, 2), evaluate_twisted(a, tw, 2)
+        assert field_of(lifted.blocks[2].runs[0][3]) is k12
+        assert plain.equal(lifted) and lifted.equal(plain)
+        assert not plain.equal(evaluate_twisted(a.scaled(2), tw, 2))
 
     def test_gaussian_coefficient_under_a_character_without_i(self, e23):
         # the entries live in Q(zeta_12), which holds both i and zeta_3
