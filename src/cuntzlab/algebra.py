@@ -282,8 +282,38 @@ def summed(spec: SystemSpec, acc: dict) -> AlgebraElement:
     out = []
     for fx, fy in sorted(acc, key=_pair_order):
         runs = acc[fx, fy]
-        out += runs if type(runs) is tuple else [(fx, fy, *run) for run in sweep(runs)]
+        out += runs if type(runs) is tuple else [(fx, fy, *run) for run in _sum_of(runs)]
     return AlgebraElement._canonical(spec, out)
+
+
+def _sum_of(runs: list) -> list:
+    """The canonical runs of the sum of ``runs`` (row0, col0, length,
+    coeff) of one fiber pair on an exact field, which may overlap and come
+    in any order: the one rule that sums the runs several elements bring
+    to a pair (``summed``) and the pieces of a product (``multiply``).
+
+    One run is canonical as it is.  Runs of at most three entries on
+    average are summed cell by cell in a dict and joined, which costs less
+    than a sweep of so short runs; longer ones are swept, at the cost of
+    their pieces, whatever their lengths.
+    """
+    if len(runs) == 1:
+        return runs
+    if sum(run[2] for run in runs) > 3 * len(runs):
+        return sweep(runs)
+    return joined([(r, c, 1, v) for (r, c), v in _cells(runs).items() if not v.is_zero()])
+
+
+def _cells(runs) -> dict:
+    """{(row, col): coeff} of the sum of ``runs``, summed entry by entry
+    in the order of ``runs``, zeros kept."""
+    cells: dict = {}
+    for r, c, n, v in runs:
+        for u in range(n):
+            key = (r + u, c + u)
+            cur = cells.get(key)
+            cells[key] = v if cur is None else cur + v
+    return cells
 
 
 def zero(spec: SystemSpec) -> AlgebraElement:
@@ -315,41 +345,12 @@ def isometry(spec, x: BasisMonomial) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-_UNSEEN = object()
-
-
-def _window(spec: SystemSpec, t, j: int, s, i: int):
-    """The survivors of i(y')* i(x') for y' = e(t;j) and x' = e(s;i) as one
-    window, or None if there are none.
-
-    The survivors are the pairs (e(s;lx), e(t;base+lx)) for lo <= lx < hi;
-    the window is returned as (s, t, dim_s, dim_t, base, lo, hi).  It is
-    index arithmetic only: every survivor carries the rewrite phase
-    omega(s,t) * conj(omega(t,s)), which depends on the fibers alone (see
-    ``_fiber_data``).  Equal fibers leave <x'|y'> times the identity,
-    returned as the one-survivor window of the zero fiber.  Both fibers
-    must be valid.
-    """
-    if s == t:
-        if i != j:
-            return None
-        e = spec.identity_monomial.fiber
-        return e, e, 1, 1, 0, 0, 1
-    dim_s, dim_t = spec._dim(s), spec._dim(t)
-    base = j * dim_s - i * dim_t
-    # survivors are the lx with 0 <= base + lx < dim_t
-    lo, hi = max(0, -base), min(dim_s, dim_t - base)
-    if lo >= hi:
-        return None
-    return s, t, dim_s, dim_t, base, lo, hi
-
-
 def rewrite_pair(
     spec: SystemSpec, y_prime: BasisMonomial, x_prime: BasisMonomial
 ) -> AlgebraElement:
     """Expand i(y')* i(x') in the spanning family: the product of the
-    one-term elements i(y')* and i(x'), whose survivors are one window (see
-    ``_window``).
+    one-term elements i(y')* and i(x'), whose survivors are one run (see
+    ``_piece``).
 
     When the fibers agree this collapses to <x'|y'> times the identity.
     Otherwise the surviving terms are exactly the basis pairs (x, y) with
@@ -360,26 +361,25 @@ def rewrite_pair(
     spec.monomial(*x_prime)
     e, one = spec.identity_monomial.fiber, spec.field.one
     y_star = (e, y_prime.fiber, 0, y_prime.index, 1, one)
-    return _term_product(spec, y_star, (x_prime.fiber, e, x_prime.index, 0, 1, one))
+    return _run_product(spec, y_star, (x_prime.fiber, e, x_prime.index, 0, 1, one))
 
 
-def _fiber_data(spec: SystemSpec, xf, yf, window):
-    """((x.s, y.t), factors) of a survivor window of x ... y*: the data of
-    its fiber quadruple (x fiber, s, y fiber, t), whose fibers are valid,
-    computed once into the spec's ``fiber_quads`` cache.  No other code
-    reads or writes that cache.
+def _fiber_data(spec: SystemSpec, xf, s, yf, t):
+    """((x.s, y.t), factors) of the fiber quadruple (x fiber, s, y fiber,
+    t), whose fibers are valid, computed once into the spec's
+    ``fiber_quads`` cache.  No other code reads or writes that cache.
 
     ``factors`` are the scalars that multiply a coefficient product c_a*c_b:
     none when untwisted; on an exact field the one product of the rewrite
     phase omega(s,t) * conj(omega(t,s)), omega(x, s) and conj(omega(y, t)),
     or none when that is one; on float the three of them in that order, so
-    float products keep their rounding.  Both fibers of the identity window
-    are zero, so its rewrite phase is the field's one, float bits included.
+    float products keep their rounding.  Equal inner fibers leave the
+    identity, the quadruple with s and t zero, so its rewrite phase is the
+    field's one, float bits included.
     """
-    quad = (xf, window[0], yf, window[1])
+    quad = (xf, s, yf, t)
     data = spec.fiber_quads.get(quad)
     if data is None:
-        xf, s, yf, t = quad
         factors = ()
         if spec.is_twisted:
             phase = spec._phase
@@ -391,89 +391,93 @@ def _fiber_data(spec: SystemSpec, xf, yf, window):
     return data
 
 
-def _term_product(spec: SystemSpec, ra: tuple, rb: tuple) -> AlgebraElement:
-    """The product of two one-entry elements, given by their runs.
+def _piece(spec: SystemSpec, a: tuple, b: tuple):
+    """The product of a left run a = (x, t, row0, col0, L, c) and a right
+    run b = (s, y, row0, col0, L, c) as (fiber pair, run (row0, col0,
+    length, coeff)), or None when it is zero: the one product kernel.
 
-    Its survivors are one window on one diagonal, with one coefficient
-    built as ``multiply`` builds it: on the exact fields one run, made
-    without enumerating the window, and on float one run per survivor, in
-    canonical order.  The identity window keeps the input fibers.
+    An entry pair meets through i(y')* i(x') with y' = e(t;j) and x' =
+    e(s;i).  When s = t that is <x'|y'>, so the pair is ``runs.compose``
+    of the two runs on their indices, on the fiber pair (x, y).  Otherwise
+    it leaves the survivors (e(s;lx), e(t;j*dim(s) - i*dim(t) + lx)), and
+    the survivors of the whole run pair are the positions P of the
+    intersection of [col0_a*dim(s), (col0_a + L_a)*dim(s)) with [row0_b *
+    dim(t), (row0_b + L_b)*dim(t)): the left run raised by s composed with
+    the right run raised by t.  Each P is one survivor, e(x.s; P +
+    (row0_a - col0_a)*dim(s)) e(y.t; P + (col0_b - row0_b)*dim(t))', so
+    every pair of runs is one run.  Its coefficient is c_a*c_b times the
+    factors of the quadruple (x, s, y, t) (see ``_fiber_data``).
     """
-    xf, ya, i, ja, _, ca = ra
-    xb, yf, ib, j, _, cb = rb
-    window = _window(spec, ya, ja, xb, ib)
-    if window is None:
-        return zero(spec)
-    (fx, fy), factors = _fiber_data(spec, xf, yf, window)
-    coeff = ca * cb
+    xf, t, ra, ca, la, va = a
+    s, yf, rb, cb, lb, vb = b
+    if s == t:
+        s = t = (0,) * len(s)
+        ds = dt = 1
+    else:
+        ds, dt = spec._dim(s), spec._dim(t)
+    lo, hi = ca * ds, (ca + la) * ds
+    if rb * dt > lo:
+        lo = rb * dt
+    if (rb + lb) * dt < hi:
+        hi = (rb + lb) * dt
+    if lo >= hi:
+        return None
+    pair, factors = _fiber_data(spec, xf, s, yf, t)
+    coeff = va * vb
     for f in factors:
         coeff = coeff * f
-    if coeff.is_zero():
+    return pair, (lo + (ra - ca) * ds, lo + (cb - rb) * dt, hi - lo, coeff)
+
+
+def _run_product(spec: SystemSpec, a: tuple, b: tuple) -> AlgebraElement:
+    """The product of two one-run elements, given by their runs: at most
+    one run on the exact fields, made without enumerating it, and on float
+    one run per survivor, in canonical order."""
+    piece = _piece(spec, a, b)
+    if piece is None or piece[1][3].is_zero():
         return zero(spec)
-    s, t, dim_s, dim_t, base, lo, hi = window
-    if s == t:
-        return AlgebraElement._canonical(spec, [(xf, yf, i, j, 1, coeff)])
-    i0 = i * dim_s + lo
-    j0 = j * dim_t + base + lo
-    if spec.field.exact:
-        return AlgebraElement._canonical(spec, [(fx, fy, i0, j0, hi - lo, coeff)])
-    return AlgebraElement._canonical(
-        spec, [(fx, fy, i0 + u, j0 + u, 1, coeff) for u in range(hi - lo)]
-    )
-
-
-def _entries(runs) -> list:
-    """(coeff, left fiber, left index, right fiber, right index) per entry
-    of ``runs``, in run order."""
-    return [(v, fx, r + u, fy, c + u) for fx, fy, r, c, n, v in runs for u in range(n)]
+    (fx, fy), (r, c, n, v) = piece
+    if n == 1 or spec.field.exact:
+        return AlgebraElement._canonical(spec, [(fx, fy, r, c, n, v)])
+    return AlgebraElement._canonical(spec, [(fx, fy, r + u, c + u, 1, v) for u in range(n)])
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The product a*b, one survivor window per pair of entries.
+    """The product a*b, one ``_piece`` per pair of runs.
 
-    An entry pair (c_a x y_a*) (c_b x_b y*) contributes the survivors of
-    i(y_a)* i(x_b), mapped to e(x.s; x.index*dim_s + lx) e(y.t;
-    y.index*dim_t + base + lx)' with the coefficient c_a*c_b times the
-    rewrite phase, omega(x, s) and conj(omega(y, t)).  Windows are computed
-    once per pair of inner monomials; the fibers x.s and y.t and the phases
-    once per fiber quadruple (x fiber, s, y fiber, t), in the spec's
-    ``fiber_quads`` cache, so later products on the spec reuse them.  On
-    exact fields the three phases are folded into one factor, so an entry
-    pair costs at most two field multiplications; the survivors cost index
-    arithmetic and one dict entry each, and ``_build`` makes them runs.  A
-    product of two one-entry elements skips the dicts and the sort (see
-    ``_term_product``).
+    Each pair of runs, one of a and one of b, composes to at most one run
+    (see ``_piece``), so a product costs its run pairs plus the sum of
+    their pieces, whatever the run lengths.  The fibers x.s and y.t and
+    the phases are computed once per fiber quadruple (x fiber, s, y fiber,
+    t), in the spec's ``fiber_quads`` cache, so later products on the spec
+    reuse them.  On exact fields the three phases are folded into one
+    factor, so a run pair costs at most two field multiplications, and the
+    pieces of each fiber pair are summed by ``_sum_of``.  On float, whose
+    runs are single entries, each piece is expanded into its cells, summed
+    in the order left entry outer, right entry inner, so float products
+    keep their bits.  A product of two one-run elements is one piece (see
+    ``_run_product``).
     """
     a._require_same(b)
     spec = a.spec
-    if len(a.runs) == 1 == len(b.runs) and a.runs[0][4] == 1 == b.runs[0][4]:
-        return _term_product(spec, a.runs[0], b.runs[0])
-    windows: dict = {}
-    acc: dict = {}  # (x.s, y.t) -> {(left index, right index): coeff}
-    rights = _entries(b.runs)
-    for ca, xf, i, ya, ja in _entries(a.runs):
-        for cb, xb, ib, yf, j in rights:
-            key = (ya, ja, xb, ib)
-            window = windows.get(key, _UNSEEN)
-            if window is _UNSEEN:
-                window = windows[key] = _window(spec, ya, ja, xb, ib)
-            if window is None:
-                continue
-            s, t, dim_s, dim_t, base, lo, hi = window
-            pair, factors = _fiber_data(spec, xf, yf, window)
-            coeff = ca * cb
-            for f in factors:
-                coeff = coeff * f
-            i0 = i * dim_s
-            j0 = j * dim_t + base
-            cells = acc.get(pair)
-            if cells is None:
-                cells = acc[pair] = {}
-            for lx in range(lo, hi):
-                k = (i0 + lx, j0 + lx)
-                cur = cells.get(k)
-                cells[k] = coeff if cur is None else cur + coeff
-    groups = {pair: [(r, c, 1, v) for (r, c), v in cells.items()] for pair, cells in acc.items()}
+    if len(a.runs) == 1 == len(b.runs):
+        return _run_product(spec, a.runs[0], b.runs[0])
+    groups: dict = {}
+    for ra in a.runs:
+        for rb in b.runs:
+            piece = _piece(spec, ra, rb)
+            if piece is not None:
+                group = groups.get(piece[0])
+                if group is None:
+                    group = groups[piece[0]] = []
+                group.append(piece[1])
+    if spec.field.exact:
+        out = []
+        for fx, fy in sorted(groups, key=_pair_order):
+            out += [(fx, fy, *run) for run in _sum_of(groups[fx, fy])]
+        return AlgebraElement._canonical(spec, out)
+    for pair, pieces in groups.items():
+        groups[pair] = [(r, c, 1, v) for (r, c), v in _cells(pieces).items()]
     return AlgebraElement._canonical(spec, _build(spec, groups))
 
 

@@ -130,8 +130,24 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
         us = [assignment.image(a, i) for i in range(d_a)]
         checked += d_a * d_a + 1
         isometries = [algebra.equals(algebra.multiply(u.adjoint(), u), one) for u in us]
-        ranges = (t for u in us for t in algebra.multiply(u, u.adjoint()).terms)
-        range_sum = algebra.equals(AlgebraElement.from_terms(target, ranges), one)
+        ranges = [algebra.multiply(u, u.adjoint()) for u in us]
+        if exact:
+            acc: dict = {}
+            for r in ranges:
+                algebra.add_runs(acc, r, 1)
+            range_sum = algebra.summed(target, acc)
+        else:
+            # float runs are single entries; from_terms sums all of them
+            # before it prunes, where add_runs would prune at every step
+            range_sum = AlgebraElement.from_terms(
+                target,
+                (
+                    (v, BasisMonomial(fx, i), BasisMonomial(fy, j))
+                    for r in ranges
+                    for fx, fy, i, j, _, v in r.runs
+                ),
+            )
+        range_sum = algebra.equals(range_sum, one)
         if exact and all(isometries) and range_sum:
             continue
         for i in range(d_a):
@@ -166,7 +182,10 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
                     if ratio is None:
                         holds = algebra.equals(lhs, nothing) and algebra.equals(rhs, nothing)
                     else:
-                        holds = algebra.equals(lhs, rhs.scaled(ratio))
+                        # an untwisted pair's exact ratio is the field's one
+                        if not (exact and ratio is target.field.one):
+                            rhs = rhs.scaled(ratio)
+                        holds = algebra.equals(lhs, rhs)
                     if not holds:
                         violations.append(
                             f"commutation: U({a},{i}) U({b},{j}) != "
