@@ -15,14 +15,16 @@ spanning family:
     i(y')* i(x')  =  sum_{x in B_s, y in B_t} <x'.y, y'.x> i(x) i(y)*
 
 (s the fiber of x', t the fiber of y'), which for basis monomials leaves at
-most dim(s) surviving terms along a stride.  ``multiply`` finds them as one
-window of index arithmetic per pair of inner monomials, walking the entries
-of its operands' runs; the product fibers and the phases of a fiber
-quadruple (x fiber, s, y fiber, t) are cached on the spec, so products on
-one spec compute them once.  On the exact fields the rewrite phase and the
-two basis phases fold into one factor, so an entry pair costs at most two
-field multiplications; on float they stay three factors in a fixed order,
-so a product keeps its rounding whether the cache was cold or warm.  Zero
+most dim(s) surviving terms along a stride.  Along a pair of runs the
+strides line up: a run of a times a run of b is the first run raised by s
+composed with the second raised by t, at most one run (``_piece``), so
+``multiply`` costs its run pairs and the sum of their pieces, never the
+run lengths.  The product fibers and the phases of a fiber quadruple (x
+fiber, s, y fiber, t) are cached on the spec, so products on one spec
+compute them once.  On the exact fields the rewrite phase and the two
+basis phases fold into one factor, so a run pair costs at most two field
+multiplications; on float they stay three factors in a fixed order, so a
+product keeps its rounding whether the cache was cold or warm.  Zero
 and equality testing go through ``normal_form``, which raises the runs of
 each degree g to one bidegree (c, c - g) (see ``runs``).  They vanish
 exactly when the element is zero: the monomials at one bidegree are
@@ -394,7 +396,8 @@ def _fiber_data(spec: SystemSpec, xf, s, yf, t):
 def _piece(spec: SystemSpec, a: tuple, b: tuple):
     """The product of a left run a = (x, t, row0, col0, L, c) and a right
     run b = (s, y, row0, col0, L, c) as (fiber pair, run (row0, col0,
-    length, coeff)), or None when it is zero: the one product kernel.
+    length, coeff)), or None when no entry pair survives: the one product
+    kernel.
 
     An entry pair meets through i(y')* i(x') with y' = e(t;j) and x' =
     e(s;i).  When s = t that is <x'|y'>, so the pair is ``runs.compose``
@@ -406,7 +409,10 @@ def _piece(spec: SystemSpec, a: tuple, b: tuple):
     the right run raised by t.  Each P is one survivor, e(x.s; P +
     (row0_a - col0_a)*dim(s)) e(y.t; P + (col0_b - row0_b)*dim(t))', so
     every pair of runs is one run.  Its coefficient is c_a*c_b times the
-    factors of the quadruple (x, s, y, t) (see ``_fiber_data``).
+    factors of the quadruple (x, s, y, t) (see ``_fiber_data``).  Both
+    cases are ``runs.compose``'s interval arithmetic, inlined with dim(s) =
+    dim(t) = 1 for the first: building the raised runs as tuples for it
+    made a product of one-entry runs measurably slower.
     """
     xf, t, ra, ca, la, va = a
     s, yf, rb, cb, lb, vb = b

@@ -89,6 +89,24 @@ class TestRelationChecking:
             assert report.checked == d_1 * d_1 + 1 + d_2 * d_2 + 1 + d_1 * d_2
             assert len(calls) == 2 * d_1 + 2 * d_2 + 2 * d_1 * d_2
 
+    def test_unit_commutation_ratio_scales_nothing(self, e23, tw23, monkeypatch):
+        # an untwisted source's exact ratio is the field's one, so no
+        # commutation instance scales its right side; on a twisted source
+        # each of the d_1 d_2 instances does
+        scaled = algebra.AlgebraElement.scaled
+        calls = []
+
+        def counted(element, coeff):
+            calls.append(coeff)
+            return scaled(element, coeff)
+
+        monkeypatch.setattr(algebra.AlgebraElement, "scaled", counted)
+        for spec, count in ((e23, 0), (tw23, 6)):
+            calls.clear()
+            report = check_relations(spec, canonical_assignment(spec))
+            assert report.ok and report.checked == 21
+            assert len(calls) == count
+
     def test_commutation_pairing(self, e23):
         # U(1,i) U(2,j) must equal U(2,p) U(1,q) with (p,q) = divmod(i*3+j, 2)
         assignment = canonical_assignment(e23)

@@ -1,0 +1,195 @@
+"""Products of long runs against the term-list product.
+
+``algebra.multiply`` composes each pair of runs to at most one run;
+``conftest.term_multiply`` tests every pair of terms for its survivor
+window, as products did before.  On every product spec the two must agree
+on elements whose runs are long: Cuntz sums, shift images,
+``factor_iso``-shaped backward images and the partial isometries
+e(0,k;0)' e(k,0;0), with their adjoints, sums and scalings.  Coefficients
+are compared by ``repr``, so float products agree bit for bit.  Counted
+tests pin the cost: a pair of runs makes one piece, whatever its length.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cuntzlab import algebra, runs
+from cuntzlab.algebra import AlgebraElement
+from cuntzlab.morphisms import factor_iso
+from cuntzlab.system import BasisMonomial, SystemSpec
+
+from conftest import PRODUCT_SPECS, TermElement, random_coeff, random_element, term_multiply
+from test_run_elements_oracle import assert_canonical
+
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# fibers of degree at most 2: Cuntz sums of up to 9 terms on (2,3) and (3,2)
+FIBERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def _reprs(a):
+    return [(repr(c), x, y) for c, x, y in a.terms]
+
+
+def _oracle(a):
+    return TermElement.from_terms(a.spec, [(t.coeff, t.left, t.right) for t in a.terms])
+
+
+def cuntz_sum(spec, fiber, coeff):
+    """coeff * sum_{x in B_fiber} i(x) i(x)*: one run on the exact fields."""
+    return AlgebraElement(spec, {(x, x): coeff for x in spec.basis(fiber)})
+
+
+def backward_image(spec, f, g, j, coeff):
+    """sum_l e(f; j*dim(g) + l) e(g; l)' for l < dim(g), the shape of a
+    ``factor_iso`` backward image (f = (0,1), g = (1,0) there): one run of
+    length dim(g), which must fit in the fiber f."""
+    n = spec.dim(g)
+    return AlgebraElement(
+        spec, {(BasisMonomial(f, j * n + l), BasisMonomial(g, l)): coeff for l in range(n)}
+    )
+
+
+def partial_isometry(spec, k):
+    """e(0,k;0)' e(k,0;0), a product whose survivors are one run."""
+    x = algebra.isometry(spec, spec.monomial((0, k), 0))
+    y = algebra.isometry(spec, spec.monomial((k, 0), 0))
+    return algebra.multiply(x.adjoint(), y)
+
+
+@st.composite
+def long_run_element(draw, spec):
+    rng = random.Random(draw(st.integers(0, 10**6)))
+
+    def coeff():
+        c = random_coeff(spec, rng)
+        return c if not c.is_zero() else spec.field.one
+
+    kind = draw(st.sampled_from(["cuntz", "shift", "backward", "partial", "random"]))
+    if kind == "cuntz":
+        out = cuntz_sum(spec, draw(st.sampled_from(FIBERS)), coeff())
+    elif kind == "shift":
+        a = random_element(spec, rng, rng.randint(1, 3), 1)
+        out = algebra.shift_endomorphism(a, draw(st.sampled_from(FIBERS[1:4])))
+    elif kind == "backward":
+        f, g = draw(st.sampled_from([((0, 1), (1, 0)), ((1, 1), (1, 0)), ((1, 1), (0, 1))]))
+        slots = spec.dim(f) // spec.dim(g)
+        out = backward_image(spec, f, g, draw(st.integers(0, slots - 1)), coeff())
+    elif kind == "partial":
+        out = partial_isometry(spec, draw(st.integers(1, 2))).scaled(coeff())
+    else:
+        out = random_element(spec, rng, rng.randint(1, 4), 2)
+    # adjoints, sums and scalings mix runs of several shapes and lengths
+    if draw(st.booleans()):
+        out = out.adjoint()
+    if draw(st.booleans()):
+        out = out + cuntz_sum(spec, draw(st.sampled_from(FIBERS)), coeff())
+    return out
+
+
+@st.composite
+def cases(draw):
+    spec = PRODUCT_SPECS[draw(st.sampled_from(sorted(PRODUCT_SPECS)))]
+    return draw(long_run_element(spec)), draw(long_run_element(spec))
+
+
+@EXAMPLES
+@given(cases())
+def test_long_run_products_match_the_term_list_product(case):
+    a, b = case
+    oa, ob = _oracle(a), _oracle(b)
+    for got, want in (
+        (algebra.multiply(a, b), term_multiply(oa, ob)),
+        (algebra.multiply(b, a), term_multiply(ob, oa)),
+        (algebra.multiply(a, a.adjoint()), term_multiply(oa, oa.adjoint())),
+        (algebra.multiply(b.adjoint(), a), term_multiply(ob.adjoint(), oa)),
+    ):
+        assert_canonical(got)
+        assert _reprs(got) == _reprs(want)
+
+
+def test_factor_iso_backward_images_match_the_term_list_product():
+    # the m-entry runs of the backward images, each times each image and
+    # adjoint, as the relation check and the round trip multiply them
+    for m, n in [(2, 2), (3, 2), (2, 3)]:
+        images = factor_iso(m, n).backward.images
+        elements = [*images.values(), *(e.adjoint() for e in images.values())]
+        for a in elements:
+            for b in elements:
+                got = algebra.multiply(a, b)
+                assert_canonical(got)
+                assert _reprs(got) == _reprs(term_multiply(_oracle(a), _oracle(b)))
+
+
+def _count_pieces(monkeypatch):
+    pieces = []
+    piece = algebra._piece
+
+    def counted(spec, a, b):
+        out = piece(spec, a, b)
+        pieces.append(out)
+        return out
+
+    monkeypatch.setattr(algebra, "_piece", counted)
+    return pieces
+
+
+def test_a_pair_of_long_runs_composes_one_piece(monkeypatch):
+    # e(0,30;0)' e(30,0;0) is one run of length 2^30; times its adjoint, in
+    # both orders, each product composes exactly one piece, the range
+    # projection of one fiber, and so does its square, one run of 2^60
+    spec = SystemSpec((2, 3))
+    a = partial_isometry(spec, 30)
+    assert a.runs == (((30, 0), (0, 30), 0, 0, 2**30, spec.field.one),)
+    pieces = _count_pieces(monkeypatch)
+    one = spec.field.one
+    for left, right, run in [
+        (a, a.adjoint(), ((30, 0), (30, 0), 0, 0, 2**30, one)),
+        (a.adjoint(), a, ((0, 30), (0, 30), 0, 0, 2**30, one)),
+        (a, a, ((60, 0), (0, 60), 0, 0, 2**60, one)),
+    ]:
+        pieces.clear()
+        assert algebra.multiply(left, right).runs == (run,)
+        assert len(pieces) == 1
+
+
+def test_a_product_costs_its_run_pairs(monkeypatch):
+    # three long runs times four: twelve pieces, whatever the lengths, and
+    # the product is the sum of the one-run products of its run pairs
+    spec = SystemSpec((2, 3))
+    a = sum((partial_isometry(spec, k) for k in (20, 21, 22)), algebra.zero(spec))
+    b = a.adjoint() + algebra.identity(spec)
+    pieces = _count_pieces(monkeypatch)
+    product = algebra.multiply(a, b)
+    assert len(pieces) == len(a.runs) * len(b.runs) == 12
+    one_run = [AlgebraElement._canonical(spec, [run]) for run in (*a.runs, *b.runs)]
+    pairs = [algebra.multiply(x, y) for x in one_run[:3] for y in one_run[3:]]
+    assert product == sum(pairs, algebra.zero(spec))
+
+
+def test_sums_of_one_entry_runs_are_not_swept(monkeypatch):
+    # three one-term elements that meet in one fiber pair, one cell twice,
+    # are summed cell by cell: no sweep, and the sum the term list gives
+    spec = SystemSpec((2, 3))
+    sweeps = []
+    sweep = runs.sweep
+
+    def counted(pieces):
+        sweeps.append(pieces)
+        return sweep(pieces)
+
+    monkeypatch.setattr(algebra, "sweep", counted)
+    m = spec.monomial
+    terms = [
+        (2, m((1, 0), 0), m((0, 1), 0)),
+        (3, m((1, 0), 1), m((0, 1), 1)),
+        (-2, m((1, 0), 0), m((0, 1), 0)),
+    ]
+    total = algebra.zero(spec)
+    for c, x, y in terms:
+        total = total + algebra.monomial_pair(spec, x, y, c)
+    assert not sweeps
+    assert total == AlgebraElement.from_terms(spec, terms)
+    assert total.runs == (((1, 0), (0, 1), 1, 1, 1, spec.field.coerce(3)),)
