@@ -449,20 +449,14 @@ def _run_product(spec: SystemSpec, a: tuple, b: tuple) -> AlgebraElement:
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The product a*b, one ``_piece`` per pair of runs.
+    """The product a*b: one ``_piece`` per pair of runs, so it costs its
+    run pairs plus the sum of their pieces, whatever the run lengths.
 
-    Each pair of runs, one of a and one of b, composes to at most one run
-    (see ``_piece``), so a product costs its run pairs plus the sum of
-    their pieces, whatever the run lengths.  The fibers x.s and y.t and
-    the phases are computed once per fiber quadruple (x fiber, s, y fiber,
-    t), in the spec's ``fiber_quads`` cache, so later products on the spec
-    reuse them.  On exact fields the three phases are folded into one
-    factor, so a run pair costs at most two field multiplications, and the
-    pieces of each fiber pair are summed by ``_sum_of``.  On float, whose
-    runs are single entries, each piece is expanded into its cells, summed
-    in the order left entry outer, right entry inner, so float products
-    keep their bits.  A product of two one-run elements is one piece (see
-    ``_run_product``).
+    On the exact fields the pieces of each fiber pair are summed by
+    ``_sum_of``.  On float, whose runs are single entries, each piece is
+    expanded into its cells, summed left entry outer, right entry inner,
+    as the entry pairs always were, so float products keep their bits.  A
+    product of two one-run elements is one piece (``_run_product``).
     """
     a._require_same(b)
     spec = a.spec

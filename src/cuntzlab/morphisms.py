@@ -139,13 +139,10 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
         else:
             # float runs are single entries; from_terms sums all of them
             # before it prunes, where add_runs would prune at every step
+            entries = (run for r in ranges for run in r.runs)
+            B = BasisMonomial
             range_sum = AlgebraElement.from_terms(
-                target,
-                (
-                    (v, BasisMonomial(fx, i), BasisMonomial(fy, j))
-                    for r in ranges
-                    for fx, fy, i, j, _, v in r.runs
-                ),
+                target, ((v, B(x, i), B(y, j)) for x, y, i, j, _, v in entries)
             )
         range_sum = algebra.equals(range_sum, one)
         if exact and all(isometries) and range_sum:
