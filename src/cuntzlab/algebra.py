@@ -234,10 +234,10 @@ def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
 
     On the exact fields ``acc`` maps a fiber pair to its runs: the runs of
     the one element that reached it, or the list of every element's runs,
-    swept when read, so a sum costs its runs whatever their lengths.  A
-    pair whose runs equal those subtracted from it cancels at one ``==``
-    per run and is never swept: ``equals`` of two elements that differ in a
-    few pairs sweeps only those.  On float ``acc`` maps an entry (fx, fy,
+    summed by ``_sum_of`` when read, so a sum costs its runs whatever their
+    lengths.  A pair whose runs equal those subtracted from it cancels at
+    one ``==`` per run and is never summed: ``equals`` of two elements that
+    differ in a few pairs sums only those.  On float ``acc`` maps an entry (fx, fy,
     row, col) to its coefficient, and a key is dropped the moment it sums
     to zero: a sum built so, one element at a time, prunes as adding the
     elements one by one does, and a residue below the zero tolerance is
@@ -275,7 +275,8 @@ def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
 def summed(spec: SystemSpec, acc: dict) -> AlgebraElement:
     """The element of the sum ``acc`` built by ``add_runs``.  On the exact
     fields the runs of a pair that one element reached are canonical as
-    they are, and those of a pair that several reached are swept."""
+    they are, and those of a pair that several reached are summed by
+    ``_sum_of``."""
     if not spec.field.exact:
         groups: dict = {}
         for (fx, fy, r, c), v in acc.items():
