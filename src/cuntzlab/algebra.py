@@ -2,11 +2,12 @@
 
 Elements are finite sums  sum c * e(s;j) e(t;l)'  with scalar coefficients
 from the system's field, held as diagonal runs: a run ``(s, t, row0, col0,
-length, c)`` is the sum of c e(s;row0+u) e(t;col0+u)' for u < length.  On
-the exact fields the runs of a fiber pair are maximal (see ``runs``), so a
-Cuntz sum  sum_{x in B_f} i(x) i(x)*  is one run and costs one run in every
-sum, zero test and evaluation, whatever dim(f) is.  On float every entry is
-its own run, so float sums keep the order and the bits of entry sums.
+length, c)`` is the sum of c e(s;row0+u) e(t;col0+u)' for u < length.  The
+runs of a fiber pair are maximal (see ``runs``; on float only identical
+bits merge), so a Cuntz sum  sum_{x in B_f} i(x) i(x)*  is one run and
+costs one run in every sum, zero test and evaluation, whatever dim(f) is.
+Every sum adds a cell's contributions in order and drops the cell at the
+end if it is zero, so float sums keep the bits of entry sums.
 ``AlgebraElement.terms`` expands the runs into terms, on demand.
 
 Multiplication rewrites inner products of adjoint pairs back into the
@@ -71,10 +72,10 @@ def _pair_order(pair):
 class AlgebraElement:
     """An immutable finite sum of runs (s, t, row0, col0, length, c).
 
-    Runs are nonzero, disjoint, grouped by fiber pair and sorted by degree,
-    then left fiber, then (row0, col0); on the exact fields they are
-    maximal, so ``==`` is structural identity of the canonical form.
-    Semantic equality in the algebra is ``equals``.
+    Runs are nonzero, disjoint, maximal, grouped by fiber pair and sorted by
+    degree, then left fiber, then (row0, col0), so ``==`` is structural
+    identity of the canonical form.  Semantic equality in the algebra is
+    ``equals``.
 
     An element is valid by construction: ``AlgebraElement(spec, term_map)``,
     and ``from_terms`` through it, passes both monomials of every key to
@@ -168,11 +169,14 @@ class AlgebraElement:
         )
 
     def scaled(self, coeff) -> "AlgebraElement":
-        # a nonzero scale keeps equal coefficients equal and unequal ones
-        # unequal, so the runs stay maximal and in canonical order
+        # rounding can make distinct float coefficients identical, so the
+        # scaled runs are joined again
         c = self.spec.field.coerce(coeff)
-        runs = [(fx, fy, r, col, n, c * v) for fx, fy, r, col, n, v in self.runs]
-        return AlgebraElement._canonical(self.spec, [run for run in runs if not run[5].is_zero()])
+        groups = {
+            pair: [(r, col, n, c * v) for _, _, r, col, n, v in group]
+            for pair, group in groupby(self.runs, key=_pair_of)
+        }
+        return AlgebraElement._canonical(self.spec, _build(self.spec, groups))
 
     def adjoint(self) -> "AlgebraElement":
         groups: dict = {}
@@ -210,20 +214,11 @@ def _build(spec: SystemSpec, groups: dict) -> tuple:
     """The canonical runs of {(fx, fy): runs (row0, col0, length, coeff)},
     the runs of a pair disjoint and their fibers and indices checked: the
     one run builder.  Pairs come in canonical order, their degree computed
-    once per pair, and zero runs are dropped.  On the exact fields a pair's
-    runs are made maximal by ``runs.joined``; on float each entry is its own
-    run."""
-    exact = spec.field.exact
+    once per pair, zero runs are dropped, and a pair's runs are made
+    maximal by ``runs.joined``."""
     out = []
     for fx, fy in sorted(groups, key=_pair_order):
-        runs = groups[fx, fy]
-        if exact:
-            runs = joined([run for run in runs if not run[3].is_zero()])
-        else:
-            # entries are distinct cells, so coefficients are never compared
-            runs = sorted(
-                (r + u, c + u, 1, v) for r, c, n, v in runs if not v.is_zero() for u in range(n)
-            )
+        runs = joined([run for run in groups[fx, fy] if not run[3].is_zero()])
         out += [(fx, fy, r, c, n, v) for r, c, n, v in runs]
     return tuple(out)
 
@@ -232,31 +227,16 @@ def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
     """Add ``sign`` (+1 or -1) times ``a`` into the sum ``acc``: the rule
     for every sum of elements, read back by ``summed``.
 
-    On the exact fields ``acc`` maps a fiber pair to its runs: the runs of
-    the one element that reached it, or the list of every element's runs,
-    summed by ``_sum_of`` when read, so a sum costs its runs whatever their
-    lengths.  A pair whose runs equal those subtracted from it cancels at
-    one ``==`` per run and is never summed: ``equals`` of two elements that
-    differ in a few pairs sums only those.  On float ``acc`` maps an entry (fx, fy,
-    row, col) to its coefficient, and a key is dropped the moment it sums
-    to zero: a sum built so, one element at a time, prunes as adding the
-    elements one by one does, and a residue below the zero tolerance is
-    dropped, not carried into later additions.
+    ``acc`` maps a fiber pair to its runs: the runs of the one element that
+    reached it, or the list of every element's runs, summed by ``_sum_of``
+    when read, so a sum costs its runs whatever their lengths.  A cell's
+    contributions are summed in the order the elements came, and the cell
+    is dropped at the end if the sum is zero; on float a residue below the
+    zero tolerance is carried to the end, not dropped on the way.  A pair
+    whose runs equal those subtracted from it cancels at one ``==`` per run
+    and is never summed: ``equals`` of two elements that differ in a few
+    pairs sums only those.
     """
-    if not a.spec.field.exact:
-        # float runs are single entries
-        for fx, fy, r, c, _, v in a.runs:
-            key = (fx, fy, r, c)
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = v if sign > 0 else -v
-                continue
-            total = cur + v if sign > 0 else cur - v
-            if total.is_zero():
-                del acc[key]
-            else:
-                acc[key] = total
-        return
     for pair, group in groupby(a.runs, key=_pair_of):
         group = tuple(group)
         cur = acc.get(pair)
@@ -273,50 +253,46 @@ def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
 
 
 def summed(spec: SystemSpec, acc: dict) -> AlgebraElement:
-    """The element of the sum ``acc`` built by ``add_runs``.  On the exact
-    fields the runs of a pair that one element reached are canonical as
-    they are, and those of a pair that several reached are summed by
-    ``_sum_of``."""
-    if not spec.field.exact:
-        groups: dict = {}
-        for (fx, fy, r, c), v in acc.items():
-            groups.setdefault((fx, fy), []).append((r, c, 1, v))
-        return AlgebraElement._canonical(spec, _build(spec, groups))
+    """The element of the sum ``acc`` built by ``add_runs``."""
+    return AlgebraElement._canonical(spec, _read(acc, sorted(acc, key=_pair_order)))
+
+
+def _read(acc: dict, pairs) -> list:
+    """The runs of the sum ``acc`` built by ``add_runs``, pair by pair in
+    the order of ``pairs``: those of a pair that one element reached are
+    canonical as they are, and those of a pair that several reached are
+    summed by ``_sum_of``."""
     out = []
-    for fx, fy in sorted(acc, key=_pair_order):
+    for fx, fy in pairs:
         runs = acc[fx, fy]
         out += runs if type(runs) is tuple else [(fx, fy, *run) for run in _sum_of(runs)]
-    return AlgebraElement._canonical(spec, out)
+    return out
 
 
 def _sum_of(runs: list) -> list:
     """The canonical runs of the sum of ``runs`` (row0, col0, length,
-    coeff) of one fiber pair on an exact field, which may overlap and come
-    in any order: the one rule that sums the runs several elements bring
-    to a pair (``summed``) and the pieces of a product (``multiply``).
+    coeff) of one fiber pair, which may overlap and come in any order: the
+    one rule that sums the runs several elements bring to a pair
+    (``summed``) and the pieces of a product (``multiply``).  Each cell
+    sums its contributions in the order of ``runs``.
 
-    One run is canonical as it is.  Runs of at most three entries on
-    average are summed cell by cell in a dict and joined, which costs less
-    than a sweep of so short runs; longer ones are swept, at the cost of
-    their pieces, whatever their lengths.
+    One run is canonical as it is, unless it is zero, as a float product
+    may be.  Runs of at most three entries on average are summed cell by
+    cell in a dict and joined, which costs less than a sweep of so short
+    runs; longer ones are swept, at the cost of their pieces, whatever
+    their lengths.
     """
     if len(runs) == 1:
-        return runs
+        return [] if runs[0][3].is_zero() else runs
     if sum(run[2] for run in runs) > 3 * len(runs):
         return sweep(runs)
-    return joined([(r, c, 1, v) for (r, c), v in _cells(runs).items() if not v.is_zero()])
-
-
-def _cells(runs) -> dict:
-    """{(row, col): coeff} of the sum of ``runs``, summed entry by entry
-    in the order of ``runs``, zeros kept."""
     cells: dict = {}
     for r, c, n, v in runs:
         for u in range(n):
             key = (r + u, c + u)
             cur = cells.get(key)
             cells[key] = v if cur is None else cur + v
-    return cells
+    return joined([(r, c, 1, v) for (r, c), v in cells.items() if not v.is_zero()])
 
 
 def zero(spec: SystemSpec) -> AlgebraElement:
@@ -438,33 +414,41 @@ def _piece(spec: SystemSpec, a: tuple, b: tuple):
 
 def _run_product(spec: SystemSpec, a: tuple, b: tuple) -> AlgebraElement:
     """The product of two one-run elements, given by their runs: at most
-    one run on the exact fields, made without enumerating it, and on float
-    one run per survivor, in canonical order."""
+    one run, made without enumerating it."""
     piece = _piece(spec, a, b)
     if piece is None or piece[1][3].is_zero():
         return zero(spec)
-    (fx, fy), (r, c, n, v) = piece
-    if n == 1 or spec.field.exact:
-        return AlgebraElement._canonical(spec, [(fx, fy, r, c, n, v)])
-    return AlgebraElement._canonical(spec, [(fx, fy, r + u, c + u, 1, v) for u in range(n)])
+    (fx, fy), run = piece
+    return AlgebraElement._canonical(spec, [(fx, fy, *run)])
+
+
+def _diagonal_order(run):
+    """The order of a fiber pair's runs along their diagonals: by col0 -
+    row0, then row0."""
+    return run[3] - run[2], run[2]
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The product a*b: one ``_piece`` per pair of runs, so it costs its
     run pairs plus the sum of their pieces, whatever the run lengths.
 
-    On the exact fields the pieces of each fiber pair are summed by
-    ``_sum_of``.  On float, whose runs are single entries, each piece is
-    expanded into its cells, summed left entry outer, right entry inner,
-    as the entry pairs always were, so float products keep their bits.  A
-    product of two one-run elements is one piece (``_run_product``).
+    The pieces of each fiber pair are summed by ``_sum_of``, in the order
+    their run pairs are met: a's fiber pairs in canonical order, each
+    pair's runs in diagonal order (col0 - row0, then row0), which along any
+    row is column order, and b's runs inner.  Each cell so sums its entry
+    products left entry outer, right entry inner, as the entry pairs always
+    were, so float products keep their bits.  A product of two one-run
+    elements is one piece (``_run_product``).
     """
     a._require_same(b)
     spec = a.spec
     if len(a.runs) == 1 == len(b.runs):
         return _run_product(spec, a.runs[0], b.runs[0])
+    left: list = []
+    for _, group in groupby(a.runs, key=_pair_of):
+        left += sorted(group, key=_diagonal_order)
     groups: dict = {}
-    for ra in a.runs:
+    for ra in left:
         for rb in b.runs:
             piece = _piece(spec, ra, rb)
             if piece is not None:
@@ -472,14 +456,10 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 if group is None:
                     group = groups[piece[0]] = []
                 group.append(piece[1])
-    if spec.field.exact:
-        out = []
-        for fx, fy in sorted(groups, key=_pair_order):
-            out += [(fx, fy, *run) for run in _sum_of(groups[fx, fy])]
-        return AlgebraElement._canonical(spec, out)
-    for pair, pieces in groups.items():
-        groups[pair] = [(r, c, 1, v) for (r, c), v in _cells(pieces).items()]
-    return AlgebraElement._canonical(spec, _build(spec, groups))
+    out = []
+    for fx, fy in sorted(groups, key=_pair_order):
+        out += [(fx, fy, *run) for run in _sum_of(groups[fx, fy])]
+    return AlgebraElement._canonical(spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +473,7 @@ class NormalForm:
     The runs are the sweep (see ``runs``) of the raised runs of the
     element; a run ``(row0, col0, length, coeff)`` puts ``coeff`` on the
     entries e(c;row0+f) e(c-g;col0+f)' for f < length.  Swept runs are
-    maximal on the exact fields, so there a block holds the fewest runs its
+    maximal, so on the exact fields a block holds the fewest runs its
     matrix allows: a Cuntz sum is one run.  Blocks without runs are
     dropped, so the element is zero exactly when ``blocks`` is empty.
     """
@@ -540,15 +520,14 @@ def _raised_blocks(spec: SystemSpec, runs) -> dict:
 
 def normal_form(a: AlgebraElement) -> NormalForm:
     """The degree blocks of ``a``: its runs raised and swept by
-    ``runs.raise_terms``, which makes the runs maximal on the exact fields."""
+    ``runs.raise_terms``, which makes the runs maximal."""
     # the canonical order keeps the runs of one fiber pair together
     return NormalForm(a.spec, _raised_blocks(a.spec, a.runs))
 
 
 def expand_normal_form(nf: NormalForm) -> AlgebraElement:
     """Rebuild an element from its normal form: a block (c, runs) of degree
-    g holds the runs of the fiber pair (c, c - g).  It costs the runs on
-    the exact fields and the entries on float."""
+    g holds the runs of the fiber pair (c, c - g).  It costs the runs."""
     groups = {
         (c, sub_degree(c, degree)): list(runs) for degree, (c, runs) in nf.blocks.items()
     }
@@ -560,7 +539,9 @@ def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
 
     b is subtracted from a by ``add_runs``, and the runs of the difference
     are raised and swept as ``normal_form`` would do with a - b, without
-    building a - b as an element.
+    building a - b as an element.  The pairs are raised in the order they
+    reached the difference, which fixes the order of the float sums where
+    pairs meet in a block.
     """
     a._require_same(b)
     if a.runs == b.runs:
@@ -568,13 +549,7 @@ def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
     acc: dict = {}
     add_runs(acc, a, 1)
     add_runs(acc, b, -1)
-    if a.spec.field.exact:
-        runs = summed(a.spec, acc).runs
-    else:
-        # raised in the order the entries reached the sum, which fixes the
-        # order of the float sums where pairs meet in a block
-        runs = [(fx, fy, r, c, 1, v) for (fx, fy, r, c), v in acc.items()]
-    return not _raised_blocks(a.spec, runs)
+    return not _raised_blocks(a.spec, _read(acc, acc))
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +570,8 @@ def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
     conj(omega(s, y)) is the same for every f; fibers and phases are
     computed once per fiber pair (x, y).  The images step by dim(x) on the
     left and dim(y) on the right, so a shift by s costs dim(s) runs per
-    run; on the exact fields ``_build`` joins the images that continue each
-    other, as those of a Cuntz sum do, into one run.
+    run; ``_build`` joins the images that continue each other, as those of
+    a Cuntz sum do, into one run.
     """
     spec = a.spec
     s = spec.check_fiber(s)

@@ -130,21 +130,10 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
         us = [assignment.image(a, i) for i in range(d_a)]
         checked += d_a * d_a + 1
         isometries = [algebra.equals(algebra.multiply(u.adjoint(), u), one) for u in us]
-        ranges = [algebra.multiply(u, u.adjoint()) for u in us]
-        if exact:
-            acc: dict = {}
-            for r in ranges:
-                algebra.add_runs(acc, r, 1)
-            range_sum = algebra.summed(target, acc)
-        else:
-            # float runs are single entries; from_terms sums all of them
-            # before it prunes, where add_runs would prune at every step
-            entries = (run for r in ranges for run in r.runs)
-            B = BasisMonomial
-            range_sum = AlgebraElement.from_terms(
-                target, ((v, B(x, i), B(y, j)) for x, y, i, j, _, v in entries)
-            )
-        range_sum = algebra.equals(range_sum, one)
+        acc: dict = {}
+        for u in us:
+            algebra.add_runs(acc, algebra.multiply(u, u.adjoint()), 1)
+        range_sum = algebra.equals(algebra.summed(target, acc), one)
         if exact and all(isometries) and range_sum:
             continue
         for i in range(d_a):

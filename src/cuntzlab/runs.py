@@ -9,13 +9,15 @@ core matrix unit tensored with an identity are each one run, so their cost
 follows the runs, never the block size, the level or the fiber dimension.
 Runs are *swept* when they are nonzero, disjoint and sorted by (row0,
 col0); a sum of runs is zero exactly when its sweep is empty.  Swept runs
-are maximal on the exact fields: no run continues another on its diagonal
-with an ``==`` coefficient.  On float nothing merges.  The one merge rule
-of a run list is ``_merge``, which lengthens the last run of a list by each
-run that continues it; ``raise_terms`` hands it the raised runs of one
-fiber pair at a time, ``sweep`` the nonzero pieces of one offset, and
-``joined``, which builds the runs of ``algebra`` elements, disjoint runs in
-diagonal order.
+are maximal: no run continues another on its diagonal with an identical
+coefficient, one that ``is`` it or is ``identical`` to it, which is ``==``
+on the exact fields and the same bits on float, whose ``==`` is a
+tolerance.  Merging does no arithmetic, so float values keep their bits.
+The one merge rule of a run list is ``_merge``, which lengthens the last
+run of a list by each run that continues it; ``raise_terms`` hands it the
+raised runs of one fiber pair at a time, ``sweep`` the nonzero pieces of
+one offset, and ``joined``, which builds the runs of ``algebra`` elements,
+disjoint runs in diagonal order.
 
 Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is
@@ -42,12 +44,12 @@ from .scalars import common_field, field_of
 
 
 def _merge(runs: list, pieces) -> None:
-    """Append the runs ``pieces`` to ``runs`` in order, on the exact fields:
-    the one merge rule.  A run that continues the last run of ``runs`` on
-    its diagonal, starting at (row0 + length, col0 + length) with a
-    coefficient that ``is`` or ``==`` that run's, lengthens it.  The open
-    run is held in locals, and a run that merges with nothing is appended
-    as given, so no tuple is built for it."""
+    """Append the runs ``pieces`` to ``runs`` in order: the one merge rule.
+    A run that continues the last run of ``runs`` on its diagonal, starting
+    at (row0 + length, col0 + length) with a coefficient that ``is`` or is
+    ``identical`` to that run's, lengthens it.  The open run is held in
+    locals, and a run that merges with nothing is appended as given, so no
+    tuple is built for it."""
     pieces = iter(pieces)
     last = runs.pop() if runs else next(pieces, None)
     if last is None:
@@ -55,7 +57,7 @@ def _merge(runs: list, pieces) -> None:
     row0, col0, length, coeff = last
     for run in pieces:
         r, c, n, v = run
-        if r - row0 == length and c - col0 == length and (v is coeff or v == coeff):
+        if r - row0 == length and c - col0 == length and (v is coeff or v.identical(coeff)):
             length += n
             continue
         runs.append(last if length == last[2] else (row0, col0, length, coeff))
@@ -64,23 +66,15 @@ def _merge(runs: list, pieces) -> None:
     runs.append(last if length == last[2] else (row0, col0, length, coeff))
 
 
-def _emitter(coeff):
-    """How runs of ``coeff``'s field are emitted: merged by ``_merge`` on
-    the exact fields, appended as they are on float, whose ``==`` is a
-    tolerance, so that float runs and sums stay those of the pieces, bit
-    for bit."""
-    return _merge if field_of(coeff).exact else list.extend
-
-
 def _diagonal_order(run):
     return run[1] - run[0], run[0]
 
 
 def joined(runs) -> list:
-    """The maximal form of disjoint runs on an exact field, sorted by
-    (row0, col0): runs that continue each other on a diagonal are joined by
-    ``_merge``, the first coefficient object kept.  It costs a sort of the
-    runs, not the sweep's pieces."""
+    """The maximal form of disjoint runs, sorted by (row0, col0): runs that
+    continue each other on a diagonal are joined by ``_merge``, the first
+    coefficient object kept.  It costs a sort of the runs, not the sweep's
+    pieces."""
     if len(runs) < 2:
         return runs  # no run to join
     out: list = []
@@ -97,17 +91,14 @@ def sweep(runs) -> tuple:
     sorted run endpoints cut the diagonal into pieces, and each piece sums,
     in the order of ``runs``, the coefficients of the runs covering it, as
     an entry-by-entry accumulation would (bit for bit on floats).  Nonzero
-    pieces are kept, and on the exact fields adjacent pieces with ``==``
-    sums are one run, so the swept form is maximal there.  The cost is the
-    number of runs times the pieces each covers, whatever their lengths.
+    pieces are kept, and ``_merge`` makes adjacent pieces with identical
+    sums one run, so the swept form is maximal.  The cost is the number of
+    runs times the pieces each covers, whatever their lengths.
     """
     by_offset: dict[int, list] = {}
     for row0, col0, length, coeff in runs:
         by_offset.setdefault(col0 - row0, []).append((row0, row0 + length, coeff))
-    if not by_offset:
-        return ()
-    emit = _emitter(coeff)  # any run's coefficient names the field
-    out = []
+    out: list = []
     for offset, segments in by_offset.items():
         points = sorted({p for start, end, _ in segments for p in (start, end)})
         where = {p: i for i, p in enumerate(points)}
@@ -120,7 +111,7 @@ def sweep(runs) -> tuple:
             for i, v in enumerate(sums)
             if v is not None and not v.is_zero()
         ]
-        emit(out, pieces)
+        _merge(out, pieces)
     # swept runs differ in (row0, col0), so coefficients are never compared
     out.sort()
     return tuple(out)
@@ -136,8 +127,8 @@ def raise_terms(runs, place) -> dict:
     length*n, c*phase).  A key's runs come pair by pair in that order and
     in run order within a pair, which is the element's order when a pair's
     runs are adjacent; the sweep's float sums follow it.  A pair's raised
-    runs are emitted at once by the sweep's rule.  A key whose runs cancel
-    maps to ().
+    runs are merged at once by ``_merge``.  A key whose runs cancel maps to
+    ().
     """
     pairs: dict = {}
     fx = fy = None
@@ -151,14 +142,13 @@ def raise_terms(runs, place) -> dict:
         group.append(run)
     if not pairs:
         return {}
-    emit = _emitter(run[5])
     by_key: dict = {}
     for group, (key, n, phase) in zip(pairs.values(), place(pairs)):
         if phase is None:
             raised = [(r * n, c * n, m * n, v) for _, _, r, c, m, v in group]
         else:
             raised = [(r * n, c * n, m * n, v * phase) for _, _, r, c, m, v in group]
-        emit(by_key.setdefault(key, []), raised)
+        _merge(by_key.setdefault(key, []), raised)
     for key, runs in by_key.items():
         by_key[key] = sweep(runs)
     return by_key
@@ -192,9 +182,9 @@ def product(a: tuple, b: tuple) -> tuple:
 
 def equal(a: tuple, b: tuple) -> bool:
     """Whether two swept run tuples hold the same matrix.  Tuples of two
-    fields are compared in their common field.  Swept runs are nonzero, and
-    on the exact fields maximal, hence canonical, so there this is ``==``;
-    on float, whose runs never merge, a - b must sweep to nothing."""
+    fields are compared in their common field.  Swept runs are nonzero and
+    maximal, hence canonical on the exact fields, so there this is ``==``;
+    on float, whose ``==`` is a tolerance, a - b must sweep to nothing."""
     if not a or not b:
         return a == b
     field, other = field_of(a[0][3]), field_of(b[0][3])

@@ -349,6 +349,11 @@ class Cyclotomic(_Scalar):
                 return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
+    def identical(self, other) -> bool:
+        """Whether ``other``, a value of this field, is this value: it has
+        one representation, so this is ``==``."""
+        return self.den == other.den and self.nums == other.nums
+
     def __hash__(self):
         return hash((self.field.order, self.coeffs))
 
@@ -476,6 +481,17 @@ class FloatComplex(_Scalar):
         if o is None:
             return NotImplemented
         return abs(self.value - o.value) < FLOAT_TOLERANCE
+
+    def identical(self, other) -> bool:
+        """Whether ``other`` has this value's bits: equal parts with equal
+        sign bits.  A value equal only within the tolerance is not
+        identical, nor is a -0.0 part to a 0.0 one."""
+        a, b = self.value, other.value
+        return (
+            a == b
+            and math.copysign(1.0, a.real) == math.copysign(1.0, b.real)
+            and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag)
+        )
 
     def __hash__(self):
         raise TypeError("float scalars are not hashable (tolerance equality)")

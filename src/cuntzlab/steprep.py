@@ -28,8 +28,8 @@ Operators hold diagonal runs, and ``evaluate`` raises each run of the
 element to one run of its output level (see ``runs``), so it costs per run,
 not per term or stripe entry, and a zero test costs the same at every level
 and every fiber: a Cuntz sum minus I raises and sweeps two runs.  Swept
-runs are maximal on the exact fields, and a raised run that continues the
-previous run of its level with an equal coefficient lengthens it.  Elements are
+runs are maximal, and a raised run that continues the previous run of its
+level with an identical coefficient lengthens it.  Elements are
 valid by construction (see ``AlgebraElement``), so evaluation checks
 nothing.
 ``StepOperator.entries`` expands the runs into one dict entry per cell,

@@ -169,10 +169,17 @@ def windowed_rewrite_pair(spec, y_prime, x_prime):
     return algebra.AlgebraElement.from_terms(spec, terms)
 
 
+def identical(a, b) -> bool:
+    """Whether two scalars of one field are the same value: ``==`` on the
+    exact fields, where a value has one representation, and the same
+    ``repr``, so the same bits, on float."""
+    return a == b if field_of(a).exact else repr(a) == repr(b)
+
+
 def piecewise_sweep(runs) -> tuple:
     """The per-piece sweep, the reference for ``runs.sweep``, which merges
-    adjacent equal pieces on the exact fields: here each nonzero piece of
-    the endpoint cut is its own run.
+    adjacent pieces with identical sums: here each nonzero piece of the
+    endpoint cut is its own run.
 
     Runs are grouped by diagonal offset col0 - row0.  On one offset the
     sorted run endpoints cut the diagonal into pieces, and each piece sums,
@@ -413,20 +420,13 @@ def _pieces(spec, a, w):
 def _extend(runs: list, run: tuple) -> None:
     """Append ``run`` to ``runs``, or lengthen the last run of ``runs`` when
     ``run`` continues its diagonal: it starts at (row0 + length, col0 +
-    length) of that run, with an ``==`` coefficient."""
+    length) of that run, with an ``identical`` coefficient."""
     if runs:
         row0, col0, length, coeff = runs[-1]
-        if row0 + length == run[0] and col0 + length == run[1] and coeff == run[3]:
+        if row0 + length == run[0] and col0 + length == run[1] and identical(coeff, run[3]):
             runs[-1] = (row0, col0, length + run[2], coeff)
             return
     runs.append(run)
-
-
-def _emitter(coeff):
-    """How runs of ``coeff``'s field are emitted: by ``_extend`` on the exact
-    fields, appended on float, whose ``==`` is a tolerance, so that float
-    runs and sums stay those of the pieces, bit for bit."""
-    return _extend if field_of(coeff).exact else list.append
 
 
 def stepwise_raise_terms(terms, place) -> dict:
@@ -437,23 +437,22 @@ def stepwise_raise_terms(terms, place) -> dict:
     returns one (key, stripe, phase) per pair, None standing for a phase of
     exactly one.  A key's runs come pair by pair in that order and in term
     order within a pair, which is the term order when a pair's terms are
-    adjacent; the sweep's float sums follow it.  Raised terms are emitted
-    by the sweep's rule, so on the exact fields a Cuntz sum is one run
-    before it is swept.  A key whose runs cancel maps to ().
+    adjacent; the sweep's float sums follow it.  Raised terms are merged
+    by ``_extend``, so a Cuntz sum is one run before it is swept.  A key
+    whose runs cancel maps to ().
     """
     pairs: dict = {}
     for term in terms:
         pairs.setdefault((term[1].fiber, term[2].fiber), []).append(term)
     if not pairs:
         return {}
-    emit = _emitter(term[0])
     by_key: dict = {}
     for group, (key, stripe, phase) in zip(pairs.values(), place(pairs)):
         runs = by_key.setdefault(key, [])
         for c, x, y in group:
             if phase is not None:
                 c = c * phase
-            emit(runs, (x.index * stripe, y.index * stripe, stripe, c))
+            _extend(runs, (x.index * stripe, y.index * stripe, stripe, c))
     for key, runs in by_key.items():
         by_key[key] = sweep(runs)
     return by_key

@@ -136,17 +136,22 @@ class TestParseElement:
         assert parsed == algebra.AlgebraElement.from_terms(e23, triples)
         assert len(parsed.terms) == n - 1 - sum(1 for j in range(n) if j % 7 == 3)
 
-    def test_sum_drops_cancelled_terms_as_stepwise_addition(self, flspec):
-        # the partial sum cancels below the float tolerance; the residue is
-        # dropped before the last term is added, exactly as adding the terms
-        # one element at a time does
+    def test_sum_carries_a_cancelled_residue_to_the_end(self, flspec):
+        # the partial sum cancels to a residue below the float tolerance;
+        # as in every sum, a cell adds its terms in order and is dropped
+        # only at the end if it is zero, as from_terms does, so the residue
+        # stays in the cell the last term reaches
         terms = ["e(1,0;0)", "-0.9999999999999*e(1,0;0)", "+e(1,0;0)", "+2*e(0,1;1)"]
-        stepwise = algebra.zero(flspec)
-        for t in terms:
-            stepwise = stepwise + parse_element(flspec, t)
         parsed = parse_element(flspec, " ".join(terms))
-        assert parsed == stepwise
-        assert {t.left.fiber: t.coeff.value for t in parsed.terms} == {(1, 0): 1, (0, 1): 2}
+        x, y = flspec.monomial((1, 0), 0), flspec.monomial((0, 1), 1)
+        e = flspec.identity_monomial
+        triples = [(1, x, e), (-0.9999999999999, x, e), (1, x, e), (2, y, e)]
+        want = algebra.AlgebraElement.from_terms(flspec, triples)
+        assert [repr(t) for t in parsed.terms] == [repr(t) for t in want.terms]
+        assert {t.left.fiber: t.coeff.value for t in parsed.terms} == {
+            (1, 0): 1 - 0.9999999999999 + 1,
+            (0, 1): 2,
+        }
 
 
     def test_cuntz_sum_parse_work(self, e23, monkeypatch):

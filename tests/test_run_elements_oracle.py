@@ -24,6 +24,7 @@ from cuntzlab.system import BasisMonomial, sub_degree
 from conftest import (
     PRODUCT_SPECS,
     TermElement,
+    identical,
     random_coeff,
     term_equals,
     term_multiply,
@@ -90,20 +91,17 @@ def _pair_key(run):
 
 
 def assert_canonical(a):
-    """Nonzero runs in canonical order; on the exact fields no run continues
-    the last run of its diagonal with an equal coefficient, and on float
-    every run is one entry."""
+    """Nonzero runs in canonical order, and no run continues the last run
+    of its diagonal with an identical coefficient: ``==`` on the exact
+    fields, the same ``repr``, so the same bits, on float."""
     runs = a.runs
     assert [_pair_key(run) for run in runs] == sorted(_pair_key(run) for run in runs)
     ends = {}
     for fx, fy, r, c, n, v in runs:
         assert n >= 1 and not v.is_zero()
-        if not a.spec.field.exact:
-            assert n == 1
-            continue
         last = ends.get((fx, fy, c - r))
         assert last is None or last[0] <= r
-        assert last is None or last[0] != r or not last[1] == v
+        assert last is None or last[0] != r or not identical(last[1], v)
         ends[fx, fy, c - r] = (r + n, v)
 
 

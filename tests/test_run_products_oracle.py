@@ -123,6 +123,25 @@ def test_factor_iso_backward_images_match_the_term_list_product():
                 assert _reprs(got) == _reprs(term_multiply(_oracle(a), _oracle(b)))
 
 
+def test_a_product_meets_the_left_runs_of_a_row_in_column_order():
+    # row 2 of the left operand meets its runs (0,0,3), (1,4,2) and (2,0,1)
+    # at columns 2, 5 and 0, and the right column holds 0.1, 0.2 and 0.3 at
+    # rows 0, 2 and 5: cell (2, 0) sums them in column order, as the entry
+    # pairs always did, and the runs' (row0, col0) order would give other
+    # bits
+    spec = PRODUCT_SPECS["f23"]
+    m = spec.monomial
+    runs_ = [(0, 0, 3), (1, 4, 2), (2, 0, 1)]
+    left = [(1.0, m((0, 2), r + u), m((0, 2), c + u)) for r, c, n in runs_ for u in range(n)]
+    right = [(v, m((0, 2), r), m((0, 2), 0)) for v, r in [(0.1, 0), (0.2, 2), (0.3, 5)]]
+    a, b = AlgebraElement.from_terms(spec, left), AlgebraElement.from_terms(spec, right)
+    got = algebra.multiply(a, b)
+    want = term_multiply(TermElement.from_terms(spec, left), TermElement.from_terms(spec, right))
+    assert _reprs(got) == _reprs(want)
+    cell = {(x.index, y.index): c.value for c, x, y in got.terms}[2, 0]
+    assert repr(cell) == repr(complex(0.1 + 0.2 + 0.3)) != repr(complex(0.2 + 0.3 + 0.1))
+
+
 def _count_pieces(monkeypatch):
     pieces = []
     piece = algebra._piece

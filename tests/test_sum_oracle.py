@@ -2,9 +2,12 @@
 
 ``conftest.sequential_sum`` adds elements left to right; each step merges
 the terms of two canonical elements and prunes the keys that cancel.
-``+``, ``-``, ``equals`` and a parsed sum must agree with it on every
-product spec, term by term and by coefficient ``repr``, float twists
-included.  ``morphisms.map_element`` must agree with
+``+``, ``-`` and ``equals`` must agree with it on every product spec, term
+by term and by coefficient ``repr``, float twists included.  A parsed sum
+of several summands adds each cell's terms in order and drops the cell at
+the end if it is zero, so it must agree, the same way, with
+``conftest.TermElement.from_terms`` over the summands' terms in order.
+``morphisms.map_element`` must agree with
 ``conftest.sequential_image`` exactly on the exact fields and within the
 zero tolerance on float.  The summands share a small pool of keys, and
 some cancel an earlier summand exactly or, on float, to a residue below
@@ -22,6 +25,7 @@ from cuntzlab.morphisms import canonical_assignment, factor_iso, map_element
 
 from conftest import (
     PRODUCT_SPECS,
+    TermElement,
     random_element,
     sequential_image,
     sequential_sum,
@@ -86,7 +90,7 @@ def test_sums_match_the_sequential_sum(name, count, seed):
     texts = [expr.format_element(e) for e in summands]
     parsed = [expr.parse_element(spec, text) for text in texts]
     assert _reprs(expr.parse_element(spec, _joined(texts))) == _reprs(
-        sequential_sum(spec, parsed)
+        TermElement.from_terms(spec, [term for p in parsed for term in p.terms])
     )
 
 
