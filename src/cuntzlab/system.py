@@ -121,9 +121,9 @@ class SystemSpec:
     spec: ``_dims`` holds one dimension per fiber, and ``fiber_quads`` one
     entry per fiber quadruple (x fiber, s, y fiber, t) that
     ``algebra.multiply`` met, with the degree, the product fibers and the
-    phase factors of its survivors.  Multiplier phases are not cached: an
-    exact twisted spec keeps theta * q as integers, so a phase is one power
-    of zeta_q.
+    phase factors of its survivors.  Multiplier phases are not cached: a
+    twisted spec keeps theta * q as integers, so a phase is one power of
+    zeta_q, exact on a cyclotomic spec and rounded once on float.
     """
 
     def __init__(self, gen_dims, theta=None, scalar_mode: str = "rational"):
@@ -160,8 +160,10 @@ class SystemSpec:
             Fraction(x) % 1 != 0 for row in theta for x in row
         )
 
-        # theta * q in integers on an exact twisted spec: its phases are
-        # powers of zeta_q
+        # theta * q in integers on a twisted spec, q the cyclotomic order or,
+        # on float, the least common denominator of theta: its phases are
+        # powers of zeta_q, and a float phase's exponent is reduced mod q
+        # exactly before it is rounded
         self._theta_q = None
         if self.is_twisted:
             if self.field is RATIONAL:
@@ -183,9 +185,10 @@ class SystemSpec:
                                 f"theta entry {x} has denominator not dividing "
                                 f"the cyclotomic order {q}"
                             )
-                self._theta_q = tuple(
-                    tuple(int(Fraction(x) * q) for x in row) for row in self.theta
-                )
+            else:
+                q = math.lcm(*(Fraction(x).denominator for row in self.theta for x in row))
+            self._q = q
+            self._theta_q = tuple(tuple(int(Fraction(x) * q) for x in row) for row in self.theta)
 
         # filled on first use, keyed by fibers that passed check_fiber
         self._dims: dict[Fiber, int] = {}
@@ -243,19 +246,6 @@ class SystemSpec:
 
     # -- multiplication ----------------------------------------------------
 
-    def _theta_pairing(self, s: Fiber, t: Fiber):
-        total = None
-        for a in range(self.k):
-            if s[a] == 0:
-                continue
-            for b in range(self.k):
-                if t[b] == 0:
-                    continue
-                x = self.theta[a][b]
-                term = (Fraction(x) if not isinstance(x, float) else x) * s[a] * t[b]
-                total = term if total is None else total + term
-        return Fraction(0) if total is None else total
-
     def multiplier(self, s: Fiber, t: Fiber) -> Scalar:
         """omega(s, t) = exp(2*pi*i * <theta s, t>) in the scalar field."""
         return self._phase(self.check_fiber(s), self.check_fiber(t))
@@ -264,14 +254,10 @@ class SystemSpec:
         # s and t have passed check_fiber; see _dim
         if not self.is_twisted:
             return self.field.one
-        if self._theta_q is not None:
-            return self.field.zeta_power(
-                sum(c * a * b for row, a in zip(self._theta_q, s) for c, b in zip(row, t))
-            )
-        pairing = self._theta_pairing(s, t)
-        return self.field.root_of_unity(
-            pairing if isinstance(pairing, float) else pairing % 1
-        )
+        power = sum(c * a * b for row, a in zip(self._theta_q, s) for c, b in zip(row, t))
+        if self.field.exact:
+            return self.field.zeta_power(power)
+        return self.field.root_of_unity(Fraction(power % self._q, self._q))
 
     def mul_basis(self, x: BasisMonomial, y: BasisMonomial) -> tuple[Scalar, BasisMonomial]:
         """Product of basis vectors: a phase and the resulting monomial."""

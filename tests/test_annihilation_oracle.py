@@ -12,8 +12,11 @@ against ``conftest.composed_annihilation``, which composes the step
 operators of the pieces where the check compares index ranges.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -365,6 +368,30 @@ def test_construction_matches_stepwise():
 
     check()
     assert seen == set(STEPWISE_SPECS)
+
+
+@pytest.mark.parametrize("shift", [(3, 3), (3, 4)])
+def test_float_twisted_phase_is_the_exactly_reduced_pairing(shift):
+    # the coefficient of kill e(1,0;0) e(0,1;0) on the float twist is the
+    # root of unity of the theta pairing summed over the schedule, taken
+    # exactly in Fractions, a float converting exactly, and reduced mod 1
+    spec = TWF23
+    theta = [[Fraction(x) for x in row] for row in spec.theta]
+
+    def pairing(s, t):
+        return sum(theta[a][b] * s[a] * t[b] for a in range(spec.k) for b in range(spec.k))
+
+    x, y = spec.monomial((1, 0), 0), spec.monomial((0, 1), 0)
+    instance = analysis.annihilation_instance(spec, [(x, y)], shift)
+    (coeff,) = analysis.annihilating_vector(spec, instance).entries.values()
+    total, fiber = Fraction(0), (0,) * spec.k
+    for s, t in instance.schedule:
+        u = s if spec.dim(s) > spec.dim(t) else t
+        n = spec.dim(s) * spec.dim(t)
+        # omega(r + i u, u) over i < n, omega being bilinear
+        total += n * pairing(fiber, u) + n * (n - 1) // 2 * pairing(u, u)
+        fiber = tuple(r + n * e for r, e in zip(fiber, u))
+    assert abs(coeff.value - cmath.exp(2j * math.pi * float(total % 1))) < 1e-12
 
 
 def test_jump_reaches_zero_one_and_several_moves(monkeypatch):
