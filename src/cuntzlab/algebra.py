@@ -169,14 +169,17 @@ class AlgebraElement:
         )
 
     def scaled(self, coeff) -> "AlgebraElement":
-        # rounding can make distinct float coefficients identical, so the
-        # scaled runs are joined again
+        # scaling keeps the fiber pairs in canonical order; a scaled run may
+        # be zero, and rounding can make distinct float coefficients
+        # identical, so a pair's runs are joined again, which a pair of one
+        # run skips
         c = self.spec.field.coerce(coeff)
-        groups = {
-            pair: [(r, col, n, c * v) for _, _, r, col, n, v in group]
-            for pair, group in groupby(self.runs, key=_pair_of)
-        }
-        return AlgebraElement._canonical(self.spec, _build(self.spec, groups))
+        out = []
+        for (fx, fy), group in groupby(self.runs, key=_pair_of):
+            runs = [(r, col, n, c * v) for _, _, r, col, n, v in group]
+            runs = joined([run for run in runs if not run[3].is_zero()])
+            out += [(fx, fy, *run) for run in runs]
+        return AlgebraElement._canonical(self.spec, out)
 
     def adjoint(self) -> "AlgebraElement":
         groups: dict = {}

@@ -95,6 +95,55 @@ def canonical_assignment(spec: SystemSpec) -> GeneratorAssignment:
     return GeneratorAssignment(spec, spec, images)
 
 
+def _monomial_family(target: SystemSpec, us: list):
+    """The monomial family (f, alpha, sigma, c) of a slot's images, or None.
+
+    A slot is a monomial family when each image ``us[i]`` is the one run
+    (f, 0, alpha + sigma*i, 0, 1, c) of the target, that is c i(x_i) with
+    x_i = e(f; alpha + sigma*i): one fiber f and one coefficient c for the
+    whole slot, and indices affine in i.  sigma is 0 for a slot of one
+    image.
+    """
+    runs = [u.runs for u in us]
+    if any(len(r) != 1 for r in runs) or not all(same_system(u.spec, target) for u in us):
+        return None
+    e = target.identity_monomial.fiber
+    f, _, alpha, _, _, c = runs[0][0]
+    sigma = runs[1][0][2] - alpha if len(runs) > 1 else 0
+    for i, (run,) in enumerate(runs):
+        if run[:5] != (f, e, alpha + sigma * i, 0, 1) or not (run[5] is c or run[5] == c):
+            return None
+    return f, alpha, sigma, c
+
+
+def _slope(outer: int, n_outer: int, inner: int, n_inner: int):
+    """The slope in k = o*n_inner + i of the map o*outer + i*inner over
+    o < n_outer and i < n_inner, or None when the map is not affine in k."""
+    if n_inner == 1:
+        return outer
+    if n_outer == 1 or outer == inner * n_inner:
+        return inner
+    return None
+
+
+def _families_commute(target: SystemSpec, fam_a, d_a: int, fam_b, d_b: int, ratio) -> bool:
+    """Whether every commutation instance of two monomial families holds,
+    decided by index arithmetic (see ``check_relations``).  False means
+    only that the families are not shown to commute."""
+    f_a, alpha_a, sigma_a, _ = fam_a
+    f_b, alpha_b, sigma_b, _ = fam_b
+    dim_a, dim_b = target._dim(f_a), target._dim(f_b)
+    # U(a,i) U(b,j) at k = i*d_b + j and U(b,p) U(a,q) at k = p*d_a + q
+    lhs = _slope(sigma_a * dim_b, d_a, sigma_b, d_b)
+    rhs = _slope(sigma_b * dim_a, d_b, sigma_a, d_a)
+    return (
+        lhs is not None
+        and lhs == rhs
+        and alpha_a * dim_b + alpha_b == alpha_b * dim_a + alpha_a
+        and target._phase(f_a, f_b) == ratio * target._phase(f_b, f_a)
+    )
+
+
 def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> RelationReport:
     """Check every defining relation instance and name the failures.
 
@@ -117,6 +166,29 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
     slot check fails, to name every violation, and always on a float
     target, where a range sum within tolerance bounds orthogonality only
     loosely.
+
+    On an exact target a slot whose images form a monomial family
+    U(a,i) = c i(e(f; alpha + sigma*i)) (``_monomial_family``) is decided
+    without a product.  Its slot holds when c conj(c) is one and the
+    indices enumerate range(dim f): then U(a,i)' U(a,j) = |c|^2 <x_i|x_j>
+    is the identity or zero, and the range sum is |c|^2 times the Cuntz sum
+    of f, the identity.  By ``SystemSpec.mul_basis``, U(a,i) U(b,j) is
+    c_a c_b omega(f_a, f_b) times the isometry of index (alpha_a + sigma_a
+    i) dim(f_b) + alpha_b + sigma_b j in the fiber f_a + f_b, omega being
+    the target's multiplier, so with k = i d_b + j that index is affine in
+    k when sigma_a dim(f_b) = sigma_b d_b (``_slope``).  U(b,p) U(a,q),
+    with k = p d_a + q, is c_b c_a omega(f_b, f_a) times the isometry of
+    index (alpha_b + sigma_b p) dim(f_a) + alpha_a + sigma_a q, likewise.
+    Distinct basis isometries of one fiber are linearly independent, so
+    the d_a d_b instances hold exactly when the two affine maps agree
+    coefficient by coefficient and c_a c_b omega(f_a, f_b) = ratio c_b c_a
+    omega(f_b, f_a), where c_a c_b, a nonzero factor of both sides,
+    cancels.  A twisted source enters only through ratio, so the rule is
+    the same for twisted and untwisted sources.  A slot pair costs O(1)
+    index arithmetic, not 2 d_a d_b products.  A failed family check, a
+    slot that is no family, maps that are not affine and a ratio the field
+    lacks fall back to the products above, so every violation is named as
+    before; so does a float target.
     """
     target = assignment.target
     one = algebra.identity(target)
@@ -125,10 +197,17 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
     theta = spec.theta if spec.is_twisted else None
     violations = []
     checked = 0
+    families = {}
     for a in range(1, spec.k + 1):
         d_a = spec.gen_dims[a - 1]
         us = [assignment.image(a, i) for i in range(d_a)]
         checked += d_a * d_a + 1
+        family = _monomial_family(target, us) if exact else None
+        if family is not None:
+            families[a] = f, alpha, sigma, c = family
+            # the indices lie in range(dim f), so d distinct ones enumerate it
+            if (c * c.conj()).is_one() and d_a == target._dim(f) and (d_a == 1 or sigma):
+                continue
         isometries = [algebra.equals(algebra.multiply(u.adjoint(), u), one) for u in us]
         acc: dict = {}
         for u in us:
@@ -156,6 +235,14 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
                 ratio = target.field.root_of_unity(angle)
             except ValueError:  # the field lacks it: nonzero images cannot commute by it
                 ratio = None
+            if (
+                ratio is not None
+                and a in families
+                and b in families
+                and _families_commute(target, families[a], d_a, families[b], d_b, ratio)
+            ):
+                checked += d_a * d_b
+                continue
             for i in range(d_a):
                 for j in range(d_b):
                     checked += 1
@@ -226,11 +313,16 @@ def map_element(assignment: GeneratorAssignment, element: AlgebraElement):
     _require_verified(assignment)
     if not same_system(element.spec, assignment.source):
         raise ValueError("element does not belong to the assignment's source")
+    field = assignment.target.field
     acc: dict = {}
     for term in element.terms:
         left = extend(assignment.source, assignment, term.left)
         right = extend(assignment.source, assignment, term.right)
-        image = algebra.multiply(left, right.adjoint()).scaled(term.coeff)
+        image = algebra.multiply(left, right.adjoint())
+        c = field.coerce(term.coeff)
+        # an exact coefficient of one scales nothing
+        if not (field.exact and c.is_one()):
+            image = image.scaled(c)
         algebra.add_runs(acc, image, 1)
     return algebra.summed(assignment.target, acc)
 

@@ -1,5 +1,7 @@
 """Generator assignments, induced maps, and the factorization isomorphisms."""
 
+from fractions import Fraction
+
 import pytest
 
 from cuntzlab import algebra
@@ -70,9 +72,8 @@ class TestRelationChecking:
         with pytest.raises(ValueError):
             extend(e23, broken, e23.monomial((0, 1), 0))
 
-    def test_slot_products_linear_in_slot_size(self, monkeypatch):
-        # a slot of d images costs d isometry products and d range-sum
-        # products (d^2 + d before); each commutation instance costs two
+    @staticmethod
+    def _count_products(monkeypatch):
         multiply = algebra.multiply
         calls = []
 
@@ -80,19 +81,62 @@ class TestRelationChecking:
             calls.append(None)
             return multiply(a, b)
 
-        pair = factor_iso(8, 8)
         monkeypatch.setattr(algebra, "multiply", counted)
-        for assignment, (d_1, d_2) in ((pair.forward, (8, 64)), (pair.backward, (8, 8))):
+        return calls
+
+    def test_monomial_families_make_no_products(self, monkeypatch):
+        # every forward image of factor_iso(8, 8) is one monomial isometry,
+        # so its slots and slot pair are decided by index arithmetic; the
+        # backward second slot is one run per image, not a monomial family:
+        # it costs d isometry products and d range-sum products, and its
+        # pair with the first slot two products per commutation instance
+        pair = factor_iso(8, 8)
+        calls = self._count_products(monkeypatch)
+        for assignment, (d_1, d_2), products in (
+            (pair.forward, (8, 64), 0),
+            (pair.backward, (8, 8), 2 * 8 + 2 * 8 * 8),
+        ):
             calls.clear()
             report = check_relations(assignment.source, assignment)
             assert report.ok
             assert report.checked == d_1 * d_1 + 1 + d_2 * d_2 + 1 + d_1 * d_2
-            assert len(calls) == 2 * d_1 + 2 * d_2 + 2 * d_1 * d_2
+            assert len(calls) == products
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SystemSpec((2, 3)),
+            SystemSpec((2, 1, 2)),
+            SystemSpec((1, 4)),
+            SystemSpec((2, 3), theta=[[0, Fraction(1, 4)], [0, 0]], scalar_mode="cyclotomic:4"),
+        ],
+        ids=repr,
+    )
+    def test_canonical_assignments_make_no_products(self, spec, monkeypatch):
+        # slots of one image included, whose index slope is free
+        assignment = canonical_assignment(spec)
+        calls = self._count_products(monkeypatch)
+        assert check_relations(spec, assignment).ok
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [4, 32])
+    def test_forward_relations_products_do_not_grow(self, m, monkeypatch):
+        # the m^3 commutation instances of the forward assignment make no
+        # product at any m
+        forward = factor_iso(m, m).forward
+        calls = self._count_products(monkeypatch)
+        report = check_relations(forward.source, forward)
+        assert report.ok
+        assert report.checked == m * m + 1 + m**4 + 1 + m**3
+        assert calls == []
 
     def test_unit_commutation_ratio_scales_nothing(self, e23, tw23, monkeypatch):
         # an untwisted source's exact ratio is the field's one, so no
         # commutation instance scales its right side; on a twisted source
-        # each of the d_1 d_2 instances does
+        # each of the d_1 d_2 instances does.  The canonical images are
+        # monomial families, decided without a product or a scaling, so the
+        # products are forced by writing each image i(x) as the one run
+        # i(x) sum_f i(f) i(f)' over the basis of fiber (1, 0)
         scaled = algebra.AlgebraElement.scaled
         calls = []
 
@@ -102,10 +146,21 @@ class TestRelationChecking:
 
         monkeypatch.setattr(algebra.AlgebraElement, "scaled", counted)
         for spec, count in ((e23, 0), (tw23, 6)):
-            calls.clear()
-            report = check_relations(spec, canonical_assignment(spec))
-            assert report.ok and report.checked == 21
-            assert len(calls) == count
+            canonical = canonical_assignment(spec)
+            cuntz = algebra.zero(spec)
+            for f in spec.basis((1, 0)):
+                u = algebra.isometry(spec, f)
+                cuntz = cuntz + algebra.multiply(u, u.adjoint())
+            raised = GeneratorAssignment(
+                spec,
+                spec,
+                {key: algebra.multiply(u, cuntz) for key, u in canonical.images.items()},
+            )
+            for assignment, expected in ((canonical, 0), (raised, count)):
+                calls.clear()
+                report = check_relations(spec, assignment)
+                assert report.ok and report.checked == 21
+                assert len(calls) == expected
 
     def test_commutation_pairing(self, e23):
         # U(1,i) U(2,j) must equal U(2,p) U(1,q) with (p,q) = divmod(i*3+j, 2)

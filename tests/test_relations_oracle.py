@@ -2,14 +2,19 @@
 
 ``pairwise_check_relations`` is the check as first written: every ordered
 pair of images in a slot is multiplied, so a slot of d images costs d^2
-products plus the range sum.  ``check_relations`` multiplies each pair only
-when a slot's isometry or range-sum check fails, or when the target field
-is float; on randomly corrupted assignments both must return the identical
-report: the verdict, every violation in the same order, and the count.
+products plus the range sum, and every commutation instance two.
+``check_relations`` decides a slot and a slot pair of monomial families by
+index arithmetic, and multiplies pairs only when a slot's isometry or
+range-sum check fails, or when the target field is float; on randomly
+corrupted assignments both must return the identical report: the verdict,
+every violation in the same order, and the count.  The corruptions include
+the ways a monomial family breaks: a permuted slot, an image index off by
+one, and one image times a unit; a whole slot times a unit stays valid.
 """
 
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +27,7 @@ from cuntzlab.morphisms import (
     check_relations,
     factor_iso,
 )
-from cuntzlab.system import SystemSpec, parse_spec_text
+from cuntzlab.system import BasisMonomial, SystemSpec, parse_spec_text
 
 from conftest import random_coeff, random_monomial
 
@@ -79,20 +84,77 @@ def pairwise_check_relations(spec, assignment) -> RelationReport:
 def _assignments():
     tw23 = parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n")
     f23 = SystemSpec((2, 3), theta=[[0, math.sqrt(2) - 1], [0, 0]], scalar_mode="float")
-    iso22, iso13 = factor_iso(2, 2), factor_iso(1, 3)
+    iso22, iso13, iso33 = factor_iso(2, 2), factor_iso(1, 3), factor_iso(3, 3)
+    # a twisted monomial family with reversed indices and unit coefficients:
+    # U(a,i) = c_a i(e(e_a; d_a - 1 - i)), which satisfies the relations
+    units = (tw23.field.root_of_unity(Fraction(1, 4)), -tw23.field.one)
+    reversed_images = {
+        (a, i): algebra.monomial_pair(
+            tw23,
+            tw23.monomial(tw23.unit_fiber(a - 1), d - 1 - i),
+            tw23.identity_monomial,
+            units[a - 1],
+        )
+        for a, d in ((1, 2), (2, 3))
+        for i in range(d)
+    }
+    e23 = SystemSpec((2, 3))
     return {
-        "e23": canonical_assignment(SystemSpec((2, 3))),
+        "e23": canonical_assignment(e23),
         "e212": canonical_assignment(SystemSpec((2, 1, 2))),
         "tw23": canonical_assignment(tw23),
+        "tw23-reversed": GeneratorAssignment(tw23, tw23, reversed_images),
         "f23": canonical_assignment(f23),
         "iso22-forward": iso22.forward,
         "iso22-backward": iso22.backward,
         "iso13-backward": iso13.backward,
+        "iso33-forward": iso33.forward,
+        # monomial families that break the relations: the target's twist
+        # is not the source's, a slot short of its fiber, and single images
+        # off the start of a fiber
+        "e23-into-tw23": GeneratorAssignment(e23, tw23, canonical_assignment(tw23).images),
+        "e22-into-e23": GeneratorAssignment(
+            SystemSpec((2, 2)),
+            e23,
+            {(a, i): algebra.isometry(e23, e23.monomial(e23.unit_fiber(a - 1), i))
+             for a in (1, 2) for i in range(2)},
+        ),
+        "e11-into-e23": GeneratorAssignment(
+            SystemSpec((1, 1)),
+            e23,
+            {
+                (1, 0): algebra.isometry(e23, e23.monomial((1, 0), 1)),
+                (2, 0): algebra.isometry(e23, e23.monomial((0, 1), 0)),
+            },
+        ),
     }
 
 
 ASSIGNMENTS = _assignments()
-CORRUPTIONS = ["scale", "duplicate", "swap-within", "swap-across", "add-term"]
+BROKEN = {"e23-into-tw23", "e22-into-e23", "e11-into-e23"}
+CORRUPTIONS = [
+    "scale",
+    "duplicate",
+    "swap-within",
+    "swap-across",
+    "add-term",
+    "permute-slot",
+    "off-by-one",
+    "unit",
+    "unit-slot",
+]
+
+
+def _off_by_one(target, image, step):
+    """``image`` with every left index moved by ``step`` within its fiber."""
+    return algebra.AlgebraElement.from_terms(
+        target,
+        [
+            (t.coeff, BasisMonomial(t.left.fiber, (t.left.index + step) % target.dim(t.left.fiber)),
+             t.right)
+            for t in image.terms
+        ],
+    )
 
 
 def corrupted(assignment, kinds, rng):
@@ -119,10 +181,21 @@ def corrupted(assignment, kinds, rng):
             images[key] = images[key] + algebra.monomial_pair(
                 target, x, y, random_coeff(target, rng)
             )
+        elif kind == "permute-slot":
+            keys = [k for k in slots if k[0] == a]
+            moved = [images[k] for k in keys]
+            rng.shuffle(moved)
+            images.update(zip(keys, moved))
+        elif kind == "off-by-one":
+            images[key] = _off_by_one(target, images[key], rng.choice([1, -1]))
+        elif kind in ("unit", "unit-slot"):
+            unit = rng.choice([-target.field.one, target.field.root_of_unity(Fraction(1, 4))])
+            for k in [key] if kind == "unit" else [k for k in slots if k[0] == a]:
+                images[k] = images[k].scaled(unit)
     return GeneratorAssignment(source, target, images)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     st.sampled_from(sorted(ASSIGNMENTS)),
     st.lists(st.sampled_from(CORRUPTIONS), max_size=2),
@@ -135,9 +208,9 @@ def test_report_matches_pairwise_check(name, kinds, seed):
 
 
 def test_valid_assignments_verify():
-    for assignment in ASSIGNMENTS.values():
+    for name, assignment in ASSIGNMENTS.items():
         report = check_relations(assignment.source, assignment)
-        assert report.ok
+        assert report.ok == (name not in BROKEN)
         assert report == pairwise_check_relations(assignment.source, assignment)
 
 
@@ -150,3 +223,16 @@ def test_isometries_without_range_sum_are_caught():
     assert any(v.startswith("orthogonality") for v in report.violations)
     assert any(v.startswith("range sum") for v in report.violations)
     assert report == pairwise_check_relations(assignment.source, assignment)
+
+
+def test_every_corruption_on_every_assignment():
+    # each corruption kind on each assignment, three draws apiece; a whole
+    # slot times a unit keeps an exact assignment valid
+    for name, assignment in ASSIGNMENTS.items():
+        for kind in CORRUPTIONS:
+            for seed in range(3):
+                broken = corrupted(assignment, [kind], random.Random(seed))
+                report = check_relations(broken.source, broken)
+                assert report == pairwise_check_relations(broken.source, broken), (name, kind)
+                if kind == "unit-slot" and broken.target.field.exact:
+                    assert report.ok == assignment.report().ok, name

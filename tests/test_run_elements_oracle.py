@@ -6,13 +6,15 @@ they were made of runs; ``term_multiply``, ``term_equals`` and
 product spec the run elements must agree with it: ``.terms``, ``==``,
 ``+``, ``-``, ``scaled``, ``adjoint``, ``multiply``, ``equals`` and
 ``normal_form``, each compared by coefficient ``repr``, so float results
-agree bit for bit.  Cases walk diagonals, so their terms form runs that
+agree bit for bit.  ``scaled``, which joins again only the fiber pairs of
+two or more runs, is compared with the rebuild of every pair.  Cases walk diagonals, so their terms form runs that
 continue each other, runs that cancel, and equal coefficients held as
 distinct objects.
 """
 
 import random
 from fractions import Fraction
+from itertools import groupby
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,3 +174,51 @@ def test_rebuilt_and_perturbed_elements(case):
         assert_canonical(bumped)
         assert _reprs(bumped) == _reprs(obumped)
         assert algebra.equals(bumped, a) == term_equals(obumped, oa) is False
+
+
+def full_rebuild(a, coeff):
+    """The runs of ``a`` scaled by ``coeff``, every fiber pair rebuilt by
+    ``algebra._build``: zero runs dropped and each pair's runs joined."""
+    c = a.spec.field.coerce(coeff)
+    groups = {
+        pair: [(r, col, n, c * v) for _, _, r, col, n, v in group]
+        for pair, group in groupby(a.runs, key=lambda run: run[:2])
+    }
+    return algebra._build(a.spec, groups)
+
+
+def _run_reprs(runs):
+    return [(*run[:5], repr(run[5])) for run in runs]
+
+
+@EXAMPLES
+@given(cases(), st.integers(0, 10**6))
+def test_scaled_matches_the_full_rebuild(case, seed):
+    spec, ta, _ = case
+    a = AlgebraElement.from_terms(spec, ta)
+    lams = [scale_of(spec, seed), -1, 0]
+    if not spec.field.exact:
+        lams += [-0.0, complex(-0.0, -0.0), 1e-320]
+    for lam in lams:
+        got = a.scaled(lam)
+        assert_canonical(got)
+        assert _run_reprs(got.runs) == _run_reprs(full_rebuild(a, lam))
+
+
+def test_float_scaled_joins_runs_made_identical_and_drops_underflow():
+    # 1+0j and 1-0j differ in a sign bit, so they are two runs of one
+    # diagonal; times 1 or 2 both products carry +0.0 and join.  Times
+    # 1e-320 the one-run pair 1e-5 underflows to 0.0, and every run goes
+    spec = PRODUCT_SPECS["f23"]
+    m = spec.monomial
+    diagonal = [
+        (complex(1, 0.0), m((1, 0), 0), m((1, 0), 0)),
+        (complex(1, -0.0), m((1, 0), 1), m((1, 0), 1)),
+    ]
+    lone = [(1e-5, m((0, 1), 2), m((0, 0), 0))]
+    a = AlgebraElement.from_terms(spec, diagonal + lone)
+    assert len(a.runs) == 3
+    for lam, count in ((1, 2), (1e-320, 0), (-0.0, 0), (2, 2)):
+        got = a.scaled(lam)
+        assert len(got.runs) == count
+        assert _run_reprs(got.runs) == _run_reprs(full_rebuild(a, lam))
