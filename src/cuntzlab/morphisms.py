@@ -6,8 +6,9 @@ proposed assignment, extends verified assignments to arbitrary basis
 monomials and algebra elements, and builds the explicit isomorphism that
 absorbs one generator dimension into another (``factor_iso``) together with
 a round-trip verifier.  On an exact target the relations of a slot of d
-images cost d isometry products and the range sum, not d^2 products (see
-``check_relations``).
+images cost d isometry products and the range sum, not d^2 products, and a
+slot, or a pair of slots, whose images are monomial families costs O(1)
+index arithmetic (see ``check_relations``).
 """
 
 from __future__ import annotations
@@ -96,14 +97,9 @@ def canonical_assignment(spec: SystemSpec) -> GeneratorAssignment:
 
 
 def _monomial_family(target: SystemSpec, us: list):
-    """The monomial family (f, alpha, sigma, c) of a slot's images, or None.
-
-    A slot is a monomial family when each image ``us[i]`` is the one run
-    (f, 0, alpha + sigma*i, 0, 1, c) of the target, that is c i(x_i) with
-    x_i = e(f; alpha + sigma*i): one fiber f and one coefficient c for the
-    whole slot, and indices affine in i.  sigma is 0 for a slot of one
-    image.
-    """
+    """(f, alpha, sigma, c) when each image ``us[i]`` is the one run (f, 0,
+    alpha + sigma*i, 0, 1, c) of the target, c i(e(f; alpha + sigma*i)),
+    else None; sigma is 0 for a slot of one image."""
     runs = [u.runs for u in us]
     if any(len(r) != 1 for r in runs) or not all(same_system(u.spec, target) for u in us):
         return None
@@ -127,9 +123,8 @@ def _slope(outer: int, n_outer: int, inner: int, n_inner: int):
 
 
 def _families_commute(target: SystemSpec, fam_a, d_a: int, fam_b, d_b: int, ratio) -> bool:
-    """Whether every commutation instance of two monomial families holds,
-    decided by index arithmetic (see ``check_relations``).  False means
-    only that the families are not shown to commute."""
+    """Whether index arithmetic shows every commutation instance of two
+    monomial families to hold (see ``check_relations``)."""
     f_a, alpha_a, sigma_a, _ = fam_a
     f_b, alpha_b, sigma_b, _ = fam_b
     dim_a, dim_b = target._dim(f_a), target._dim(f_b)
@@ -167,28 +162,27 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
     target, where a range sum within tolerance bounds orthogonality only
     loosely.
 
-    On an exact target a slot whose images form a monomial family
-    U(a,i) = c i(e(f; alpha + sigma*i)) (``_monomial_family``) is decided
-    without a product.  Its slot holds when c conj(c) is one and the
-    indices enumerate range(dim f): then U(a,i)' U(a,j) = |c|^2 <x_i|x_j>
-    is the identity or zero, and the range sum is |c|^2 times the Cuntz sum
-    of f, the identity.  By ``SystemSpec.mul_basis``, U(a,i) U(b,j) is
-    c_a c_b omega(f_a, f_b) times the isometry of index (alpha_a + sigma_a
-    i) dim(f_b) + alpha_b + sigma_b j in the fiber f_a + f_b, omega being
-    the target's multiplier, so with k = i d_b + j that index is affine in
-    k when sigma_a dim(f_b) = sigma_b d_b (``_slope``).  U(b,p) U(a,q),
-    with k = p d_a + q, is c_b c_a omega(f_b, f_a) times the isometry of
-    index (alpha_b + sigma_b p) dim(f_a) + alpha_a + sigma_a q, likewise.
-    Distinct basis isometries of one fiber are linearly independent, so
-    the d_a d_b instances hold exactly when the two affine maps agree
-    coefficient by coefficient and c_a c_b omega(f_a, f_b) = ratio c_b c_a
-    omega(f_b, f_a), where c_a c_b, a nonzero factor of both sides,
-    cancels.  A twisted source enters only through ratio, so the rule is
-    the same for twisted and untwisted sources.  A slot pair costs O(1)
-    index arithmetic, not 2 d_a d_b products.  A failed family check, a
-    slot that is no family, maps that are not affine and a ratio the field
-    lacks fall back to the products above, so every violation is named as
-    before; so does a float target.
+    On an exact target a slot of images that form a monomial family
+    U(a,i) = c i(x_i), x_i = e(f; alpha + sigma*i) (``_monomial_family``),
+    needs no product.  Its slot holds when c conj(c) is one and the indices
+    enumerate range(dim f): U(a,i)' U(a,j) = |c|^2 <x_i|x_j> is then the
+    identity or zero, and the range sum is |c|^2 times the Cuntz sum of f.
+    By ``SystemSpec.mul_basis``, U(a,i) U(b,j) is c_a c_b omega(f_a, f_b)
+    times the isometry of index (alpha_a + sigma_a i) dim(f_b) + alpha_b +
+    sigma_b j in the fiber f_a + f_b, omega the target's multiplier; with
+    k = i d_b + j that index is affine in k when sigma_a dim(f_b) = sigma_b
+    d_b (``_slope``).  U(b,p) U(a,q), with k = p d_a + q, is c_b c_a
+    omega(f_b, f_a) times the isometry of index (alpha_b + sigma_b p)
+    dim(f_a) + alpha_a + sigma_a q, likewise.  Distinct basis isometries of
+    a fiber are linearly independent, so the d_a d_b instances hold exactly
+    when the two affine maps agree coefficient by coefficient and c_a c_b
+    omega(f_a, f_b) = ratio c_b c_a omega(f_b, f_a), in which the nonzero
+    c_a c_b cancels: one scalar comparison, the same for twisted and
+    untwisted sources, since a source's twist enters only through ratio.
+    Families decide their slot pairs whether or not their own slot checks
+    pass.  A failed slot check, a slot that is no family, index maps that
+    are not affine, a ratio the field lacks and a float target fall back to
+    the products above, so every violation is named as before.
     """
     target = assignment.target
     one = algebra.identity(target)

@@ -116,8 +116,11 @@ def _assignments():
         "e22-into-e23": GeneratorAssignment(
             SystemSpec((2, 2)),
             e23,
-            {(a, i): algebra.isometry(e23, e23.monomial(e23.unit_fiber(a - 1), i))
-             for a in (1, 2) for i in range(2)},
+            {
+                (a, i): algebra.isometry(e23, e23.monomial(e23.unit_fiber(a - 1), i))
+                for a in (1, 2)
+                for i in range(2)
+            },
         ),
         "e11-into-e23": GeneratorAssignment(
             SystemSpec((1, 1)),
@@ -147,14 +150,11 @@ CORRUPTIONS = [
 
 def _off_by_one(target, image, step):
     """``image`` with every left index moved by ``step`` within its fiber."""
-    return algebra.AlgebraElement.from_terms(
-        target,
-        [
-            (t.coeff, BasisMonomial(t.left.fiber, (t.left.index + step) % target.dim(t.left.fiber)),
-             t.right)
-            for t in image.terms
-        ],
-    )
+    terms = []
+    for coeff, x, y in image.terms:
+        index = (x.index + step) % target.dim(x.fiber)
+        terms.append((coeff, BasisMonomial(x.fiber, index), y))
+    return algebra.AlgebraElement.from_terms(target, terms)
 
 
 def corrupted(assignment, kinds, rng):
