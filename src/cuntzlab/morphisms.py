@@ -198,7 +198,8 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
         checked += d_a * d_a + 1
         family = _monomial_family(target, us) if exact else None
         if family is not None:
-            families[a] = f, alpha, sigma, c = family
+            families[a] = family
+            f, _, sigma, c = family
             # the indices lie in range(dim f), so d distinct ones enumerate it
             if (c * c.conj()).is_one() and d_a == target._dim(f) and (d_a == 1 or sigma):
                 continue
