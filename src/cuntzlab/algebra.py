@@ -44,7 +44,7 @@ from itertools import groupby, islice, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .runs import joined, raise_terms, sweep
+from .runs import equal, joined, raise_terms, sweep
 from .system import (
     BasisMonomial,
     SystemSpec,
@@ -73,9 +73,11 @@ class AlgebraElement:
     """An immutable finite sum of runs (s, t, row0, col0, length, c).
 
     Runs are nonzero, disjoint, maximal, grouped by fiber pair and sorted by
-    degree, then left fiber, then (row0, col0), so ``==`` is structural
-    identity of the canonical form.  Semantic equality in the algebra is
-    ``equals``.
+    degree, then left fiber, then (row0, col0), so on the exact fields
+    ``==`` is structural identity of the canonical form.  Float runs join
+    only where coefficients have the same bits, so one matrix may be held
+    as different runs, and there ``==`` compares each fiber pair's runs by
+    ``runs.equal``.  Semantic equality in the algebra is ``equals``.
 
     An element is valid by construction: ``AlgebraElement(spec, term_map)``,
     and ``from_terms`` through it, passes both monomials of every key to
@@ -190,7 +192,12 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return same_system(self.spec, other.spec) and self.runs == other.runs
+        if not same_system(self.spec, other.spec):
+            return False
+        if self.spec.field.exact:
+            return self.runs == other.runs
+        a, b = _pair_runs(self), _pair_runs(other)
+        return a.keys() == b.keys() and all(equal(a[pair], b[pair]) for pair in a)
 
     def __repr__(self):
         if not self.runs:
@@ -199,6 +206,11 @@ class AlgebraElement:
         count = sum(run[4] for run in self.runs)
         more = "" if count <= 4 else f" ... ({count} terms)"
         return "AlgebraElement<" + " + ".join(parts) + more + ">"
+
+
+def _pair_runs(a: AlgebraElement) -> dict:
+    """{(fx, fy): runs (row0, col0, length, coeff)} of an element."""
+    return {pair: [run[2:] for run in group] for pair, group in groupby(a.runs, key=_pair_of)}
 
 
 def _map_runs(spec: SystemSpec, term_map: dict) -> tuple:

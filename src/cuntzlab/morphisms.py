@@ -7,14 +7,16 @@ monomials and algebra elements, and builds the explicit isomorphism that
 absorbs one generator dimension into another (``factor_iso``) together with
 a round-trip verifier.  On an exact target the relations of a slot of d
 images cost d isometry products and the range sum, not d^2 products, and a
-slot, or a pair of slots, whose images are monomial families costs O(1)
-index arithmetic (see ``check_relations``).
+slot whose images are its fiber's basis forwards or backwards times a unit
+costs none, nor does a pair of such slots that run the same way (see
+``check_relations``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import algebra
 from .algebra import AlgebraElement
@@ -97,46 +99,24 @@ def canonical_assignment(spec: SystemSpec) -> GeneratorAssignment:
 
 
 def _monomial_family(target: SystemSpec, us: list):
-    """(f, alpha, sigma, c) when each image ``us[i]`` is the one run (f, 0,
-    alpha + sigma*i, 0, 1, c) of the target, c i(e(f; alpha + sigma*i)),
-    else None; sigma is 0 for a slot of one image."""
-    runs = [u.runs for u in us]
-    if any(len(r) != 1 for r in runs) or not all(same_system(u.spec, target) for u in us):
+    """(f, sigma, c) when the images ``us`` form a monomial family that
+    passes its slot checks: each ``us[i]`` the one run (f, 0, alpha +
+    sigma*i, 0, 1, c) of the target, c i(e(f; alpha + sigma*i)), with d =
+    dim f images, c conj(c) = 1, and the basis of f forwards (sigma = 1,
+    alpha = 0) or backwards (sigma = -1, alpha = d - 1); else None."""
+    if any(len(u.runs) != 1 or not same_system(u.spec, target) for u in us):
         return None
     e = target.identity_monomial.fiber
-    f, _, alpha, _, _, c = runs[0][0]
-    sigma = runs[1][0][2] - alpha if len(runs) > 1 else 0
-    for i, (run,) in enumerate(runs):
+    f, _, alpha, _, _, c = us[0].runs[0]
+    d = len(us)
+    sigma = -1 if alpha else 1
+    if d != target._dim(f) or alpha not in (0, d - 1) or not (c * c.conj()).is_one():
+        return None
+    for i, u in enumerate(us):
+        run = u.runs[0]
         if run[:5] != (f, e, alpha + sigma * i, 0, 1) or not (run[5] is c or run[5] == c):
             return None
-    return f, alpha, sigma, c
-
-
-def _slope(outer: int, n_outer: int, inner: int, n_inner: int):
-    """The slope in k = o*n_inner + i of the map o*outer + i*inner over
-    o < n_outer and i < n_inner, or None when the map is not affine in k."""
-    if n_inner == 1:
-        return outer
-    if n_outer == 1 or outer == inner * n_inner:
-        return inner
-    return None
-
-
-def _families_commute(target: SystemSpec, fam_a, d_a: int, fam_b, d_b: int, ratio) -> bool:
-    """Whether index arithmetic shows every commutation instance of two
-    monomial families to hold (see ``check_relations``)."""
-    f_a, alpha_a, sigma_a, _ = fam_a
-    f_b, alpha_b, sigma_b, _ = fam_b
-    dim_a, dim_b = target._dim(f_a), target._dim(f_b)
-    # U(a,i) U(b,j) at k = i*d_b + j and U(b,p) U(a,q) at k = p*d_a + q
-    lhs = _slope(sigma_a * dim_b, d_a, sigma_b, d_b)
-    rhs = _slope(sigma_b * dim_a, d_b, sigma_a, d_a)
-    return (
-        lhs is not None
-        and lhs == rhs
-        and alpha_a * dim_b + alpha_b == alpha_b * dim_a + alpha_a
-        and target._phase(f_a, f_b) == ratio * target._phase(f_b, f_a)
-    )
+    return f, sigma, c
 
 
 def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> RelationReport:
@@ -149,7 +129,7 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
     instance whose ratio that field lacks holds only if both of its products
     are zero.  Violations are report entries,
     not exceptions, and ``checked`` counts d^2 + 1 instances per slot of d
-    images.
+    images and d_a d_b per slot pair.
 
     On an exact target a slot costs d isometry checks and the range sum.
     They imply orthogonality in any C*-algebra: with P_i = U_i U_i' the
@@ -162,47 +142,36 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
     target, where a range sum within tolerance bounds orthogonality only
     loosely.
 
-    On an exact target a slot of images that form a monomial family
-    U(a,i) = c i(x_i), x_i = e(f; alpha + sigma*i) (``_monomial_family``),
-    needs no product.  Its slot holds when c conj(c) is one and the indices
-    enumerate range(dim f): U(a,i)' U(a,j) = |c|^2 <x_i|x_j> is then the
-    identity or zero, and the range sum is |c|^2 times the Cuntz sum of f.
-    By ``SystemSpec.mul_basis``, U(a,i) U(b,j) is c_a c_b omega(f_a, f_b)
-    times the isometry of index (alpha_a + sigma_a i) dim(f_b) + alpha_b +
-    sigma_b j in the fiber f_a + f_b, omega the target's multiplier; with
-    k = i d_b + j that index is affine in k when sigma_a dim(f_b) = sigma_b
-    d_b (``_slope``).  U(b,p) U(a,q), with k = p d_a + q, is c_b c_a
-    omega(f_b, f_a) times the isometry of index (alpha_b + sigma_b p)
-    dim(f_a) + alpha_a + sigma_a q, likewise.  Distinct basis isometries of
-    a fiber are linearly independent, so the d_a d_b instances hold exactly
-    when the two affine maps agree coefficient by coefficient and c_a c_b
-    omega(f_a, f_b) = ratio c_b c_a omega(f_b, f_a), in which the nonzero
-    c_a c_b cancels: one scalar comparison, the same for twisted and
-    untwisted sources, since a source's twist enters only through ratio.
-    Families decide their slot pairs whether or not their own slot checks
-    pass.  A failed slot check, a slot that is no family, index maps that
-    are not affine, a ratio the field lacks and a float target fall back to
-    the products above, so every violation is named as before.
+    On an exact target a slot that ``_monomial_family`` accepts, U(a,i) =
+    c i(x_i) with (x_i) the basis of f forwards or backwards and c a unit,
+    holds with no product: U(a,i)' U(a,j) = <x_i|x_j>, and the range sum is
+    the Cuntz sum of f.  By ``SystemSpec.mul_basis``, U(a,i) U(b,j) is c_a
+    c_b omega(f_a, f_b) times the basis isometry of index idx(x_i) d_b +
+    idx(y_j) of f_a + f_b, and U(b,p) U(a,q) is c_b c_a omega(f_b, f_a)
+    times that of idx(y_p) d_a + idx(x_q).  With k = i d_b + j = p d_a + q
+    both indices are k when both slots run forwards and d_a d_b - 1 - k
+    when both run backwards; a slot of one image runs either way.  Basis
+    isometries are linearly independent, so such a pair holds exactly when
+    omega(f_a, f_b) = ratio omega(f_b, f_a), omega the target's multiplier.
+    Any other slot or pair, a ratio the field lacks and a float target take
+    the products above, so every violation is named.
     """
     target = assignment.target
     one = algebra.identity(target)
     nothing = algebra.zero(target)
     exact = target.field.exact
     theta = spec.theta if spec.is_twisted else None
+    dims = spec.gen_dims
+    checked = sum(d * d + 1 for d in dims) + sum(d_a * d_b for d_a, d_b in combinations(dims, 2))
     violations = []
-    checked = 0
     families = {}
     for a in range(1, spec.k + 1):
-        d_a = spec.gen_dims[a - 1]
+        d_a = dims[a - 1]
         us = [assignment.image(a, i) for i in range(d_a)]
-        checked += d_a * d_a + 1
         family = _monomial_family(target, us) if exact else None
         if family is not None:
             families[a] = family
-            f, _, sigma, c = family
-            # the indices lie in range(dim f), so d distinct ones enumerate it
-            if (c * c.conj()).is_one() and d_a == target._dim(f) and (d_a == 1 or sigma):
-                continue
+            continue
         isometries = [algebra.equals(algebra.multiply(u.adjoint(), u), one) for u in us]
         acc: dict = {}
         for u in us:
@@ -220,9 +189,9 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
         if not range_sum:
             violations.append(f"range sum: sum_i U({a},i) U({a},i)' != I")
     for a in range(1, spec.k + 1):
-        d_a = spec.gen_dims[a - 1]
+        d_a = dims[a - 1]
         for b in range(a + 1, spec.k + 1):
-            d_b = spec.gen_dims[b - 1]
+            d_b = dims[b - 1]
             # exp(2*pi*i*(theta_ab - theta_ba)) in the target's field; float
             # angles convert exactly
             angle = Fraction(theta[a - 1][b - 1]) - Fraction(theta[b - 1][a - 1]) if theta else 0
@@ -230,17 +199,13 @@ def check_relations(spec: SystemSpec, assignment: GeneratorAssignment) -> Relati
                 ratio = target.field.root_of_unity(angle)
             except ValueError:  # the field lacks it: nonzero images cannot commute by it
                 ratio = None
-            if (
-                ratio is not None
-                and a in families
-                and b in families
-                and _families_commute(target, families[a], d_a, families[b], d_b, ratio)
-            ):
-                checked += d_a * d_b
-                continue
+            if ratio is not None and a in families and b in families:
+                (f_a, sigma_a, _), (f_b, sigma_b, _) = families[a], families[b]
+                same_way = sigma_a == sigma_b or d_a == 1 or d_b == 1
+                if same_way and target._phase(f_a, f_b) == ratio * target._phase(f_b, f_a):
+                    continue
             for i in range(d_a):
                 for j in range(d_b):
-                    checked += 1
                     # U(a,i) U(b,j) lands on basis slot i*d_b + j of the
                     # mixed fiber; the reversed order reaches the same slot
                     # as p*d_a + q.

@@ -355,7 +355,10 @@ class Cyclotomic(_Scalar):
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        # a rational value hashes as the int or Fraction it equals
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field.order, self.nums, self.den))
 
     def to_complex(self) -> complex:
         q, den = self.field.order, self.den

@@ -3,19 +3,24 @@
 ``pairwise_check_relations`` is the check as first written: every ordered
 pair of images in a slot is multiplied, so a slot of d images costs d^2
 products plus the range sum, and every commutation instance two.
-``check_relations`` decides a slot and a slot pair of monomial families by
-index arithmetic, and multiplies pairs only when a slot's isometry or
+``check_relations`` decides with no product a slot that is its fiber's
+basis forwards or backwards times a unit, and a pair of such slots that run
+the same way, and multiplies pairs only when a slot's isometry or
 range-sum check fails, or when the target field is float; on randomly
 corrupted assignments both must return the identical report: the verdict,
 every violation in the same order, and the count.  The corruptions include
 the ways a monomial family breaks: a permuted slot, an image index off by
-one, and one image times a unit; a whole slot times a unit stays valid.
+one, one image times a unit, and a whole slot times 2; a whole slot times a
+unit stays valid.  Families whose slots run opposite ways break their
+commutation relations, and a family slot of every size up to 4, forwards
+and backwards, is compared with the pairwise check.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,37 +86,42 @@ def pairwise_check_relations(spec, assignment) -> RelationReport:
     return RelationReport(not violations, tuple(violations), checked)
 
 
+def family(spec, backwards, units=None):
+    """The assignment U(a,i) = c_a i(e(e_a; x)) of ``spec`` onto itself,
+    x = d_a - 1 - i for the slots in ``backwards`` and x = i for the rest,
+    c_a the field's one unless ``units`` gives it."""
+    images = {}
+    for a, d in enumerate(spec.gen_dims, start=1):
+        c = spec.field.one if units is None else units[a - 1]
+        for i in range(d):
+            x = spec.monomial(spec.unit_fiber(a - 1), d - 1 - i if a in backwards else i)
+            images[a, i] = algebra.monomial_pair(spec, x, spec.identity_monomial, c)
+    return GeneratorAssignment(spec, spec, images)
+
+
 def _assignments():
     tw23 = parse_spec_text("k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:4\n")
     f23 = SystemSpec((2, 3), theta=[[0, math.sqrt(2) - 1], [0, 0]], scalar_mode="float")
     iso22, iso13, iso33 = factor_iso(2, 2), factor_iso(1, 3), factor_iso(3, 3)
-    # a twisted monomial family with reversed indices and unit coefficients:
-    # U(a,i) = c_a i(e(e_a; d_a - 1 - i)), which satisfies the relations
+    # a twisted monomial family with reversed indices and unit coefficients,
+    # which satisfies the relations
     units = (tw23.field.root_of_unity(Fraction(1, 4)), -tw23.field.one)
-    reversed_images = {
-        (a, i): algebra.monomial_pair(
-            tw23,
-            tw23.monomial(tw23.unit_fiber(a - 1), d - 1 - i),
-            tw23.identity_monomial,
-            units[a - 1],
-        )
-        for a, d in ((1, 2), (2, 3))
-        for i in range(d)
-    }
     e23 = SystemSpec((2, 3))
     return {
         "e23": canonical_assignment(e23),
         "e212": canonical_assignment(SystemSpec((2, 1, 2))),
         "tw23": canonical_assignment(tw23),
-        "tw23-reversed": GeneratorAssignment(tw23, tw23, reversed_images),
+        "tw23-reversed": family(tw23, {1, 2}, units),
         "f23": canonical_assignment(f23),
         "iso22-forward": iso22.forward,
         "iso22-backward": iso22.backward,
         "iso13-backward": iso13.backward,
         "iso33-forward": iso33.forward,
-        # monomial families that break the relations: the target's twist
-        # is not the source's, a slot short of its fiber, and single images
-        # off the start of a fiber
+        # monomial families that break the relations: slots that run
+        # opposite ways, the target's twist not the source's, a slot short
+        # of its fiber, and single images off the start of a fiber
+        "e23-mixed": family(e23, {2}),
+        "tw23-mixed": family(tw23, {2}),
         "e23-into-tw23": GeneratorAssignment(e23, tw23, canonical_assignment(tw23).images),
         "e22-into-e23": GeneratorAssignment(
             SystemSpec((2, 2)),
@@ -134,7 +144,7 @@ def _assignments():
 
 
 ASSIGNMENTS = _assignments()
-BROKEN = {"e23-into-tw23", "e22-into-e23", "e11-into-e23"}
+BROKEN = {"e23-mixed", "tw23-mixed", "e23-into-tw23", "e22-into-e23", "e11-into-e23"}
 CORRUPTIONS = [
     "scale",
     "duplicate",
@@ -145,6 +155,7 @@ CORRUPTIONS = [
     "off-by-one",
     "unit",
     "unit-slot",
+    "scale-slot",
 ]
 
 
@@ -188,10 +199,13 @@ def corrupted(assignment, kinds, rng):
             images.update(zip(keys, moved))
         elif kind == "off-by-one":
             images[key] = _off_by_one(target, images[key], rng.choice([1, -1]))
-        elif kind in ("unit", "unit-slot"):
-            unit = rng.choice([-target.field.one, target.field.root_of_unity(Fraction(1, 4))])
+        elif kind in ("unit", "unit-slot", "scale-slot"):
+            if kind == "scale-slot":
+                factor = 2
+            else:
+                factor = rng.choice([-target.field.one, target.field.root_of_unity(Fraction(1, 4))])
             for k in [key] if kind == "unit" else [k for k in slots if k[0] == a]:
-                images[k] = images[k].scaled(unit)
+                images[k] = images[k].scaled(factor)
     return GeneratorAssignment(source, target, images)
 
 
@@ -227,7 +241,8 @@ def test_isometries_without_range_sum_are_caught():
 
 def test_every_corruption_on_every_assignment():
     # each corruption kind on each assignment, three draws apiece; a whole
-    # slot times a unit keeps an exact assignment valid
+    # slot times a unit keeps an exact assignment valid, and a whole slot
+    # times 2 breaks that slot but none of its commutation instances
     for name, assignment in ASSIGNMENTS.items():
         for kind in CORRUPTIONS:
             for seed in range(3):
@@ -236,3 +251,34 @@ def test_every_corruption_on_every_assignment():
                 assert report == pairwise_check_relations(broken.source, broken), (name, kind)
                 if kind == "unit-slot" and broken.target.field.exact:
                     assert report.ok == assignment.report().ok, name
+                if kind == "scale-slot" and assignment.report().ok:
+                    assert not report.ok, name
+                    assert not any(v.startswith("commutation") for v in report.violations)
+
+
+def test_mixed_directions_break_every_commutation_instance():
+    for name in ("e23-mixed", "tw23-mixed"):
+        report = check_relations(ASSIGNMENTS[name].source, ASSIGNMENTS[name])
+        assert report.checked == 21
+        assert len(report.violations) == 6
+        assert all(v.startswith("commutation") for v in report.violations)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["rational", "cyclotomic:4"])
+def test_family_directions_match_pairwise_check(twisted):
+    # every pair of slot sizes up to 4, each slot forwards or backwards: the
+    # relations hold when both run the same way or one has a single image
+    for d_a in range(1, 5):
+        for d_b in range(1, 5):
+            if twisted:
+                spec = SystemSpec(
+                    (d_a, d_b), theta=[[0, Fraction(1, 4)], [0, 0]], scalar_mode="cyclotomic:4"
+                )
+            else:
+                spec = SystemSpec((d_a, d_b))
+            for backwards in (set(), {1}, {2}, {1, 2}):
+                assignment = family(spec, backwards)
+                report = check_relations(spec, assignment)
+                assert report == pairwise_check_relations(spec, assignment), (d_a, d_b, backwards)
+                same_way = len(backwards) != 1 or d_a == 1 or d_b == 1
+                assert report.ok == same_way, (d_a, d_b, backwards)

@@ -157,6 +157,23 @@ def test_float_equals_sums_pairs_in_the_order_they_reached_the_difference():
     assert algebra.equals(a, b) == term_equals(oa, ob) is True
 
 
+def test_float_eq_compares_the_matrices_not_the_runs():
+    # 1.0 and 1.0 + 1e-15 have different bits, so the second diagonal is
+    # two runs where the first is one; within the tolerance they are one
+    # matrix, as equals says, and a coefficient off by 0.1 is not
+    spec = PRODUCT_SPECS["f23"]
+    m = spec.monomial
+
+    def diagonal(second):
+        terms = [(1.0, m((1, 0), 0), m((1, 0), 0)), (second, m((1, 0), 1), m((1, 0), 1))]
+        return AlgebraElement.from_terms(spec, terms)
+
+    one, near, off = diagonal(1.0), diagonal(1.0 + 1e-15), diagonal(1.1)
+    assert (len(one.runs), len(near.runs)) == (1, 2)
+    assert one == near and near == one and algebra.equals(one, near)
+    assert one != off and not algebra.equals(one, off)
+
+
 @EXAMPLES
 @given(cases())
 def test_rebuilt_and_perturbed_elements(case):

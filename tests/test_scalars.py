@@ -139,6 +139,23 @@ class TestCyclotomic:
         assert k4.zeta_power(1) * Fraction(2) == k4.gaussian(0, 2, 1)
 
 
+    @pytest.mark.parametrize("name", ["rational", "cyclotomic:4", "cyclotomic:8"])
+    def test_hash_agrees_with_equality(self, name):
+        # a value equal to an int or Fraction hashes like it, so it finds
+        # that number's dict entry
+        field = field_named(name)
+        numbers = [0, 1, 3, -2, Fraction(1, 2), Fraction(-7, 3)]
+        values = [field.from_fraction(q) for q in numbers]
+        values += [field.zeta_power(1), field.one + field.zeta_power(1)]
+        values.append(field.from_fraction(Fraction(1, 2)) + field.zeta_power(1))
+        for v in values:
+            for q in numbers:
+                if v == q:
+                    assert hash(v) == hash(q), (name, v, q)
+                    assert {q: "found"}.get(v) == "found"
+        assert sum(v == q for v in values for q in numbers) == len(numbers)
+
+
 class TestRootOfUnity:
     def test_rational_quarters(self):
         assert RATIONAL.root_of_unity(Fraction(0)) == RationalComplex(1)
