@@ -1,11 +1,12 @@
 """The dense *-subalgebra spanned by products i(x) i(y)*.
 
 Elements are finite sums  sum c * e(s;j) e(t;l)'  with scalar coefficients
-from the system's field, held as diagonal runs: a run ``(s, t, row0, col0,
-length, c)`` is the sum of c e(s;row0+u) e(t;col0+u)' for u < length.  The
-runs of a fiber pair are maximal (see ``runs``; on float only identical
-bits merge), so a Cuntz sum  sum_{x in B_f} i(x) i(x)*  is one run and
-costs one run in every sum, zero test and evaluation, whatever dim(f) is.
+from the system's field, held per fiber pair (s, t) as diagonal runs: a
+run ``(row0, col0, length, c)`` of the pair is the sum of c e(s;row0+u)
+e(t;col0+u)' for u < length, the run format of ``runs``.  The runs of a
+fiber pair are maximal (on float only identical bits merge), so a Cuntz
+sum  sum_{x in B_f} i(x) i(x)*  is one run and costs one run in every
+sum, zero test and evaluation, whatever dim(f) is.
 Every sum adds a cell's contributions in order and drops the cell at the
 end if it is zero, so float sums keep the bits of entry sums.
 ``AlgebraElement.terms`` expands the runs into terms, on demand.
@@ -40,11 +41,10 @@ engine builds, does.
 from __future__ import annotations
 
 from heapq import merge
-from itertools import groupby, islice, repeat
-from operator import itemgetter
+from itertools import islice, repeat
 from typing import Iterable, NamedTuple
 
-from .runs import equal, joined, raise_terms, sweep
+from .runs import diagonal_order, equal, joined, raise_terms, sweep
 from .system import (
     BasisMonomial,
     SystemSpec,
@@ -61,19 +61,16 @@ class Term(NamedTuple):
     right: BasisMonomial
 
 
-_pair_of = itemgetter(0, 1)
-
-
 def _pair_order(pair):
     """The canonical order of fiber pairs: by degree, then left fiber."""
     return sub_degree(*pair), pair[0]
 
 
 class AlgebraElement:
-    """An immutable finite sum of runs (s, t, row0, col0, length, c).
-
-    Runs are nonzero, disjoint, maximal, grouped by fiber pair and sorted by
-    degree, then left fiber, then (row0, col0), so on the exact fields
+    """An immutable finite sum held as ``pairs``: one (s, t, runs) per
+    nonzero fiber pair, sorted by degree, then left fiber.  Each ``runs``
+    is a non-empty tuple of runs (row0, col0, length, c), nonzero,
+    disjoint, maximal and sorted by (row0, col0), so on the exact fields
     ``==`` is structural identity of the canonical form.  Float runs join
     only where coefficients have the same bits, so one matrix may be held
     as different runs, and there ``==`` compares each fiber pair's runs by
@@ -88,7 +85,7 @@ class AlgebraElement:
     ``_build``, which check nothing, and no later operation checks again.
     """
 
-    __slots__ = ("spec", "runs")
+    __slots__ = ("spec", "pairs")
 
     def __init__(self, spec: SystemSpec, term_map: dict):
         monomial = spec.monomial
@@ -96,21 +93,21 @@ class AlgebraElement:
             monomial(*x)
             monomial(*y)
         self.spec = spec
-        self.runs = _map_runs(spec, term_map)
+        self.pairs = _map_pairs(term_map)
 
     @classmethod
-    def _canonical(cls, spec: SystemSpec, runs) -> "AlgebraElement":
-        """An element of runs that are already canonical."""
+    def _canonical(cls, spec: SystemSpec, pairs) -> "AlgebraElement":
+        """An element of pairs (fx, fy, runs) that are already canonical."""
         out = cls.__new__(cls)
         out.spec = spec
-        out.runs = tuple(runs)
+        out.pairs = tuple(pairs)
         return out
 
     @classmethod
     def _from_map(cls, spec: SystemSpec, term_map: dict) -> "AlgebraElement":
         """The element of a {(left, right): coeff} map whose monomials are
         checked or built from checked ones."""
-        return cls._canonical(spec, _map_runs(spec, term_map))
+        return cls._canonical(spec, _map_pairs(term_map))
 
     # -- construction -----------------------------------------------------
 
@@ -132,8 +129,8 @@ class AlgebraElement:
         and (left index, right index).  A pair's entries are merged by row
         lazily, so ``repr`` reads the first terms without expanding the
         rest."""
-        for (fx, fy), group in groupby(self.runs, key=_pair_of):
-            group = [zip(range(r, r + n), range(c, c + n), repeat(v)) for _, _, r, c, n, v in group]
+        for fx, fy, runs in self.pairs:
+            group = [zip(range(r, r + n), range(c, c + n), repeat(v)) for r, c, n, v in runs]
             for i, j, v in group[0] if len(group) == 1 else merge(*group):
                 yield Term(v, BasisMonomial(fx, i), BasisMonomial(fy, j))
 
@@ -165,9 +162,8 @@ class AlgebraElement:
         return self._plus(other, -1)
 
     def __neg__(self):
-        # negation keeps the runs nonzero, maximal and in canonical order
         return AlgebraElement._canonical(
-            self.spec, [(fx, fy, r, c, n, -v) for fx, fy, r, c, n, v in self.runs]
+            self.spec, [(fx, fy, _negated(runs)) for fx, fy, runs in self.pairs]
         )
 
     def scaled(self, coeff) -> "AlgebraElement":
@@ -176,45 +172,46 @@ class AlgebraElement:
         # identical, so a pair's runs are joined again, which a pair of one
         # run skips
         c = self.spec.field.coerce(coeff)
-        out = []
-        for (fx, fy), group in groupby(self.runs, key=_pair_of):
-            runs = [(r, col, n, c * v) for _, _, r, col, n, v in group]
-            runs = joined([run for run in runs if not run[3].is_zero()])
-            out += [(fx, fy, *run) for run in runs]
-        return AlgebraElement._canonical(self.spec, out)
+        scaled = (
+            (fx, fy, [(r, col, n, c * v) for r, col, n, v in runs]) for fx, fy, runs in self.pairs
+        )
+        return AlgebraElement._canonical(self.spec, _joined_pairs(scaled))
 
     def adjoint(self) -> "AlgebraElement":
-        groups: dict = {}
-        for fx, fy, r, c, n, v in self.runs:
-            groups.setdefault((fy, fx), []).append((c, r, n, v.conj()))
-        return AlgebraElement._canonical(self.spec, _build(self.spec, groups))
+        groups = {
+            (fy, fx): [(c, r, n, v.conj()) for r, c, n, v in runs] for fx, fy, runs in self.pairs
+        }
+        return AlgebraElement._canonical(self.spec, _build(groups))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         if not same_system(self.spec, other.spec):
             return False
+        a, b = self.pairs, other.pairs
         if self.spec.field.exact:
-            return self.runs == other.runs
-        a, b = _pair_runs(self), _pair_runs(other)
-        return a.keys() == b.keys() and all(equal(a[pair], b[pair]) for pair in a)
+            return a == b
+        # both in canonical pair order, so the pair sets agree pair by pair
+        return len(a) == len(b) and all(
+            pa[:2] == pb[:2] and equal(pa[2], pb[2]) for pa, pb in zip(a, b)
+        )
 
     def __repr__(self):
-        if not self.runs:
+        if not self.pairs:
             return "AlgebraElement<0>"
         parts = [f"{t.coeff!r}*{t.left!r}{t.right!r}'" for t in islice(self._iter_terms(), 4)]
-        count = sum(run[4] for run in self.runs)
+        count = sum(run[2] for _, _, runs in self.pairs for run in runs)
         more = "" if count <= 4 else f" ... ({count} terms)"
         return "AlgebraElement<" + " + ".join(parts) + more + ">"
 
 
-def _pair_runs(a: AlgebraElement) -> dict:
-    """{(fx, fy): runs (row0, col0, length, coeff)} of an element."""
-    return {pair: [run[2:] for run in group] for pair, group in groupby(a.runs, key=_pair_of)}
+def _negated(runs: tuple) -> tuple:
+    """-runs: negation keeps runs nonzero, maximal and in order."""
+    return tuple([(r, c, n, -v) for r, c, n, v in runs])
 
 
-def _map_runs(spec: SystemSpec, term_map: dict) -> tuple:
-    """The runs of a {(left, right): coeff} map (see ``_build``)."""
+def _map_pairs(term_map: dict) -> tuple:
+    """The pairs of a {(left, right): coeff} map (see ``_build``)."""
     groups: dict = {}
     for (x, y), c in term_map.items():
         pair = x.fiber, y.fiber
@@ -222,19 +219,26 @@ def _map_runs(spec: SystemSpec, term_map: dict) -> tuple:
         if group is None:
             group = groups[pair] = []
         group.append((x.index, y.index, 1, c))
-    return _build(spec, groups)
+    return _build(groups)
 
 
-def _build(spec: SystemSpec, groups: dict) -> tuple:
-    """The canonical runs of {(fx, fy): runs (row0, col0, length, coeff)},
+def _build(groups: dict) -> tuple:
+    """The canonical pairs of {(fx, fy): runs (row0, col0, length, coeff)},
     the runs of a pair disjoint and their fibers and indices checked: the
     one run builder.  Pairs come in canonical order, their degree computed
-    once per pair, zero runs are dropped, and a pair's runs are made
-    maximal by ``runs.joined``."""
+    once per pair, and each is built by ``_joined_pairs``."""
+    return _joined_pairs((fx, fy, groups[fx, fy]) for fx, fy in sorted(groups, key=_pair_order))
+
+
+def _joined_pairs(pairs) -> tuple:
+    """The pairs (fx, fy, runs) of disjoint runs, in canonical pair order,
+    with zero runs dropped, each pair's runs made maximal by
+    ``runs.joined`` and a pair left without runs dropped."""
     out = []
-    for fx, fy in sorted(groups, key=_pair_order):
-        runs = joined([run for run in groups[fx, fy] if not run[3].is_zero()])
-        out += [(fx, fy, r, c, n, v) for r, c, n, v in runs]
+    for fx, fy, runs in pairs:
+        runs = joined([run for run in runs if not run[3].is_zero()])
+        if runs:
+            out.append((fx, fy, runs))
     return tuple(out)
 
 
@@ -252,19 +256,17 @@ def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
     and is never summed: ``equals`` of two elements that differ in a few
     pairs sums only those.
     """
-    for pair, group in groupby(a.runs, key=_pair_of):
-        group = tuple(group)
+    for fx, fy, runs in a.pairs:
+        pair = fx, fy
         cur = acc.get(pair)
         if cur is None:
-            acc[pair] = group if sign > 0 else tuple(
-                (fx, fy, r, c, n, -v) for fx, fy, r, c, n, v in group
-            )
-        elif sign < 0 and cur == group:
+            acc[pair] = runs if sign > 0 else _negated(runs)
+        elif sign < 0 and cur == runs:
             del acc[pair]
         else:
             if type(cur) is tuple:
-                cur = acc[pair] = [run[2:] for run in cur]
-            cur += [(r, c, n, v if sign > 0 else -v) for _, _, r, c, n, v in group]
+                cur = acc[pair] = list(cur)
+            cur += runs if sign > 0 else _negated(runs)
 
 
 def summed(spec: SystemSpec, acc: dict) -> AlgebraElement:
@@ -273,18 +275,23 @@ def summed(spec: SystemSpec, acc: dict) -> AlgebraElement:
 
 
 def _read(acc: dict, pairs) -> list:
-    """The runs of the sum ``acc`` built by ``add_runs``, pair by pair in
-    the order of ``pairs``: those of a pair that one element reached are
-    canonical as they are, and those of a pair that several reached are
-    summed by ``_sum_of``."""
+    """The pairs (fx, fy, runs) of the sum ``acc`` built by ``add_runs``,
+    in the order of the fiber pairs ``pairs``: the runs of a pair that one
+    element reached are canonical as they are, those of a pair that
+    several reached are summed by ``_sum_of``, and a pair whose sum
+    cancels is dropped."""
     out = []
     for fx, fy in pairs:
         runs = acc[fx, fy]
-        out += runs if type(runs) is tuple else [(fx, fy, *run) for run in _sum_of(runs)]
+        if type(runs) is not tuple:
+            runs = _sum_of(runs)
+            if not runs:
+                continue
+        out.append((fx, fy, runs))
     return out
 
 
-def _sum_of(runs: list) -> list:
+def _sum_of(runs: list) -> tuple:
     """The canonical runs of the sum of ``runs`` (row0, col0, length,
     coeff) of one fiber pair, which may overlap and come in any order: the
     one rule that sums the runs several elements bring to a pair
@@ -298,7 +305,7 @@ def _sum_of(runs: list) -> list:
     their lengths.
     """
     if len(runs) == 1:
-        return [] if runs[0][3].is_zero() else runs
+        return () if runs[0][3].is_zero() else tuple(runs)
     if sum(run[2] for run in runs) > 3 * len(runs):
         return sweep(runs)
     cells: dict = {}
@@ -316,7 +323,7 @@ def zero(spec: SystemSpec) -> AlgebraElement:
 
 def identity(spec: SystemSpec) -> AlgebraElement:
     e = spec.identity_monomial.fiber
-    return AlgebraElement._canonical(spec, [(e, e, 0, 0, 1, spec.field.one)])
+    return AlgebraElement._canonical(spec, [(e, e, ((0, 0, 1, spec.field.one),))])
 
 
 def monomial_pair(spec, x: BasisMonomial, y: BasisMonomial, coeff=1) -> AlgebraElement:
@@ -325,8 +332,8 @@ def monomial_pair(spec, x: BasisMonomial, y: BasisMonomial, coeff=1) -> AlgebraE
     spec.monomial(*x)
     spec.monomial(*y)
     c = spec.field.coerce(coeff)
-    runs = () if c.is_zero() else [(x.fiber, y.fiber, x.index, y.index, 1, c)]
-    return AlgebraElement._canonical(spec, runs)
+    pairs = () if c.is_zero() else [(x.fiber, y.fiber, ((x.index, y.index, 1, c),))]
+    return AlgebraElement._canonical(spec, pairs)
 
 
 def isometry(spec, x: BasisMonomial) -> AlgebraElement:
@@ -354,8 +361,8 @@ def rewrite_pair(
     spec.monomial(*y_prime)
     spec.monomial(*x_prime)
     e, one = spec.identity_monomial.fiber, spec.field.one
-    y_star = (e, y_prime.fiber, 0, y_prime.index, 1, one)
-    return _run_product(spec, y_star, (x_prime.fiber, e, x_prime.index, 0, 1, one))
+    y_star, x = (0, y_prime.index, 1, one), (x_prime.index, 0, 1, one)
+    return _run_product(spec, e, y_prime.fiber, y_star, x_prime.fiber, e, x)
 
 
 def _fiber_data(spec: SystemSpec, xf, s, yf, t):
@@ -385,11 +392,10 @@ def _fiber_data(spec: SystemSpec, xf, s, yf, t):
     return data
 
 
-def _piece(spec: SystemSpec, a: tuple, b: tuple):
-    """The product of a left run a = (x, t, row0, col0, L, c) and a right
-    run b = (s, y, row0, col0, L, c) as (fiber pair, run (row0, col0,
-    length, coeff)), or None when no entry pair survives: the one product
-    kernel.
+def _piece(spec: SystemSpec, xf, t, a: tuple, s, yf, b: tuple):
+    """The product of a run a = (row0, col0, L, c) of the fiber pair (x, t)
+    and a run b of the pair (s, y) as (fiber pair, run (row0, col0, length,
+    coeff)), or None when no entry pair survives: the one product kernel.
 
     An entry pair meets through i(y')* i(x') with y' = e(t;j) and x' =
     e(s;i).  When s = t that is <x'|y'>, so the pair is ``runs.compose``
@@ -406,8 +412,8 @@ def _piece(spec: SystemSpec, a: tuple, b: tuple):
     dim(t) = 1 for the first: building the raised runs as tuples for it
     made a product of one-entry runs measurably slower.
     """
-    xf, t, ra, ca, la, va = a
-    s, yf, rb, cb, lb, vb = b
+    ra, ca, la, va = a
+    rb, cb, lb, vb = b
     if s == t:
         s = t = (0,) * len(s)
         ds = dt = 1
@@ -427,20 +433,15 @@ def _piece(spec: SystemSpec, a: tuple, b: tuple):
     return pair, (lo + (ra - ca) * ds, lo + (cb - rb) * dt, hi - lo, coeff)
 
 
-def _run_product(spec: SystemSpec, a: tuple, b: tuple) -> AlgebraElement:
-    """The product of two one-run elements, given by their runs: at most
-    one run, made without enumerating it."""
-    piece = _piece(spec, a, b)
+def _run_product(spec: SystemSpec, xf, t, a: tuple, s, yf, b: tuple) -> AlgebraElement:
+    """The product of two one-run elements, given by their pairs and runs
+    as ``_piece`` takes them: at most one run, made without enumerating
+    it."""
+    piece = _piece(spec, xf, t, a, s, yf, b)
     if piece is None or piece[1][3].is_zero():
         return zero(spec)
     (fx, fy), run = piece
-    return AlgebraElement._canonical(spec, [(fx, fy, *run)])
-
-
-def _diagonal_order(run):
-    """The order of a fiber pair's runs along their diagonals: by col0 -
-    row0, then row0."""
-    return run[3] - run[2], run[2]
+    return AlgebraElement._canonical(spec, [(fx, fy, (run,))])
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -450,31 +451,29 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     The pieces of each fiber pair are summed by ``_sum_of``, in the order
     their run pairs are met: a's fiber pairs in canonical order, each
     pair's runs in diagonal order (col0 - row0, then row0), which along any
-    row is column order, and b's runs inner.  Each cell so sums its entry
-    products left entry outer, right entry inner, as the entry pairs always
-    were, so float products keep their bits.  A product of two one-run
+    row is column order, and b's pairs and runs inner.  Each cell so sums
+    its entry products left entry outer, right entry inner, as the entry
+    pairs always were, so float products keep their bits.  A product of two one-run
     elements is one piece (``_run_product``).
     """
     a._require_same(b)
     spec = a.spec
-    if len(a.runs) == 1 == len(b.runs):
-        return _run_product(spec, a.runs[0], b.runs[0])
-    left: list = []
-    for _, group in groupby(a.runs, key=_pair_of):
-        left += sorted(group, key=_diagonal_order)
+    if len(a.pairs) == 1 == len(b.pairs):
+        (xf, t, runs_a), (s, yf, runs_b) = a.pairs[0], b.pairs[0]
+        if len(runs_a) == 1 == len(runs_b):
+            return _run_product(spec, xf, t, runs_a[0], s, yf, runs_b[0])
     groups: dict = {}
-    for ra in left:
-        for rb in b.runs:
-            piece = _piece(spec, ra, rb)
-            if piece is not None:
-                group = groups.get(piece[0])
-                if group is None:
-                    group = groups[piece[0]] = []
-                group.append(piece[1])
-    out = []
-    for fx, fy in sorted(groups, key=_pair_order):
-        out += [(fx, fy, *run) for run in _sum_of(groups[fx, fy])]
-    return AlgebraElement._canonical(spec, out)
+    for xf, t, runs_a in a.pairs:
+        for ra in sorted(runs_a, key=diagonal_order) if len(runs_a) > 1 else runs_a:
+            for s, yf, runs_b in b.pairs:
+                for rb in runs_b:
+                    piece = _piece(spec, xf, t, ra, s, yf, rb)
+                    if piece is not None:
+                        group = groups.get(piece[0])
+                        if group is None:
+                            group = groups[piece[0]] = []
+                        group.append(piece[1])
+    return summed(spec, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +506,9 @@ class NormalForm:
         return f"NormalForm<degrees: {keys or '0 (empty)'}>"
 
 
-def _raised_blocks(spec: SystemSpec, runs) -> dict:
-    """The nonzero blocks {degree: (c, runs)} of the runs (fx, fy, row0,
-    col0, length, coeff), in degree order: ``runs.raise_terms`` keyed by
-    degree."""
+def _raised_blocks(spec: SystemSpec, pairs) -> dict:
+    """The nonzero blocks {degree: (c, runs)} of the element pairs (fx, fy,
+    runs), in degree order: ``runs.raise_terms`` keyed by degree."""
     tops: dict = {}  # degree -> c, the max of its left fibers
 
     def place(pairs):
@@ -529,15 +527,14 @@ def _raised_blocks(spec: SystemSpec, runs) -> dict:
             out.append((g, spec._dim(r), phase))
         return out
 
-    raised = raise_terms(runs, place)
+    raised = raise_terms(pairs, place)
     return {g: (tops[g], raised[g]) for g in sorted(raised) if raised[g]}
 
 
 def normal_form(a: AlgebraElement) -> NormalForm:
     """The degree blocks of ``a``: its runs raised and swept by
     ``runs.raise_terms``, which makes the runs maximal."""
-    # the canonical order keeps the runs of one fiber pair together
-    return NormalForm(a.spec, _raised_blocks(a.spec, a.runs))
+    return NormalForm(a.spec, _raised_blocks(a.spec, a.pairs))
 
 
 def expand_normal_form(nf: NormalForm) -> AlgebraElement:
@@ -546,7 +543,7 @@ def expand_normal_form(nf: NormalForm) -> AlgebraElement:
     groups = {
         (c, sub_degree(c, degree)): list(runs) for degree, (c, runs) in nf.blocks.items()
     }
-    return AlgebraElement._canonical(nf.spec, _build(nf.spec, groups))
+    return AlgebraElement._canonical(nf.spec, _build(groups))
 
 
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
@@ -559,7 +556,7 @@ def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
     pairs meet in a block.
     """
     a._require_same(b)
-    if a.runs == b.runs:
+    if a.pairs == b.pairs:
         return True
     acc: dict = {}
     add_runs(acc, a, 1)
@@ -573,35 +570,34 @@ def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
 
 
 def gauge_expectation(a: AlgebraElement) -> AlgebraElement:
-    """Projection onto the degree-zero runs (the gauge-invariant part)."""
-    return AlgebraElement._canonical(a.spec, [run for run in a.runs if run[0] == run[1]])
+    """Projection onto the degree-zero pairs (the gauge-invariant part)."""
+    return AlgebraElement._canonical(a.spec, [pair for pair in a.pairs if pair[0] == pair[1]])
 
 
 def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
     """sum over the basis f of the fiber s of  i(f) a i(f)*.
 
-    A run (x, y, row0, col0, length, c) becomes the runs (f.x, f.y,
-    f*dim(x) + row0, f*dim(y) + col0, length, c'), where c' = c omega(s, x)
-    conj(omega(s, y)) is the same for every f; fibers and phases are
-    computed once per fiber pair (x, y).  The images step by dim(x) on the
+    A run (row0, col0, length, c) of the fiber pair (x, y) becomes the runs
+    (f*dim(x) + row0, f*dim(y) + col0, length, c') of the pair (s.x, s.y),
+    where c' = c omega(s, x) conj(omega(s, y)) is the same for every f;
+    fibers and phases are computed once per fiber pair (x, y).  The images step by dim(x) on the
     left and dim(y) on the right, so a shift by s costs dim(s) runs per
     run; ``_build`` joins the images that continue each other, as those of
     a Cuntz sum do, into one run.
     """
     spec = a.spec
     s = spec.check_fiber(s)
-    if not a.runs:
+    if not a.pairs:
         return a  # alpha_s(0) = 0, however large dim(s) is
     n = spec._dim(s)
     groups: dict = {}
-    for (xf, yf), group in groupby(a.runs, key=_pair_of):
-        group = [run[2:] for run in group]
+    for xf, yf, runs in a.pairs:
         # untwisted phases are the field's one; a float product may be zero
         if spec.is_twisted:
             ph_l, ph_r = spec._phase(s, xf), spec._phase(s, yf).conj()
-            group = [(r, c, m, v * ph_l * ph_r) for r, c, m, v in group]
+            runs = [(r, c, m, v * ph_l * ph_r) for r, c, m, v in runs]
         dim_x, dim_y = spec._dim(xf), spec._dim(yf)
         groups[add_fibers(s, xf), add_fibers(s, yf)] = [
-            (f * dim_x + r, f * dim_y + c, m, v) for f in range(n) for r, c, m, v in group
+            (f * dim_x + r, f * dim_y + c, m, v) for f in range(n) for r, c, m, v in runs
         ]
-    return AlgebraElement._canonical(spec, _build(spec, groups))
+    return AlgebraElement._canonical(spec, _build(groups))

@@ -117,9 +117,11 @@ def _parse_character(spec: SystemSpec, text: str) -> CharacterTwist:
 def _parse_generator(spec: SystemSpec, text: str):
     """A CLI argument that must denote a single generator isometry."""
     elem = _parse_element(spec, text)
-    if len(elem.runs) != 1 or elem.runs[0][4] != 1:
+    runs = elem.pairs[0][2] if len(elem.pairs) == 1 else ()
+    if len(runs) != 1 or runs[0][2] != 1:
         raise UsageError(f"{text!r} is not a single generator monomial")
-    fx, fy, i, j, _, coeff = elem.runs[0]
+    fx, fy, _ = elem.pairs[0]
+    i, j, _, coeff = runs[0]
     if BasisMonomial(fy, j) != spec.identity_monomial or not coeff.is_one():
         raise UsageError(f"{text!r} is not a plain generator monomial")
     return BasisMonomial(fx, i)
@@ -168,13 +170,14 @@ def _cmd_alpha(args, reporter: Reporter) -> int:
     # any term is built whether the result can be printed; once log10 dim(s)
     # passes the limit by a digit, 10^limit stands in for dim(s) - 1
     limit = sys.get_int_max_str_digits()
-    if limit and element.runs:
+    if limit and element.pairs:
         log_dim = sum(e * math.log10(m) for m, e in zip(spec.gen_dims, fiber))
         step = 10**limit if log_dim > limit + 1 else spec.dim(fiber) - 1
         # a run's largest indices are its last entry's
         tops = [
             step * spec.dim(f) + start + n - 1
-            for fx, fy, r, c, n, _ in element.runs
+            for fx, fy, runs in element.pairs
+            for r, c, n, _ in runs
             for f, start in ((fx, r), (fy, c))
         ]
         if max(tops) >= 10**limit:

@@ -370,10 +370,10 @@ class _Parser:
             # spec.monomial has checked
             e = self.identity.fiber
             if self.accept("'"):
-                run = (e, mono.fiber, 0, mono.index, 1, self.one.conj())
+                pair = (e, mono.fiber, ((0, mono.index, 1, self.one.conj()),))
             else:
-                run = (mono.fiber, e, mono.index, 0, 1, self.one)
-            return AlgebraElement._canonical(self.spec, [run])
+                pair = (mono.fiber, e, ((mono.index, 0, 1, self.one),))
+            return AlgebraElement._canonical(self.spec, [pair])
         if tok[0] == "name" and tok[1] == "I":
             self.at += 1
             elem = algebra.identity(self.spec)
@@ -667,8 +667,9 @@ def require_finite(*elements: AlgebraElement) -> None:
     """``_finite`` of every coefficient; exact fields have nothing to check."""
     for a in elements:
         if not a.spec.field.exact:
-            for run in a.runs:
-                _finite(run[5])
+            for _, _, runs in a.pairs:
+                for run in runs:
+                    _finite(run[3])
 
 
 def _complex_parts(value):

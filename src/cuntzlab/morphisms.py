@@ -100,21 +100,25 @@ def canonical_assignment(spec: SystemSpec) -> GeneratorAssignment:
 
 def _monomial_family(target: SystemSpec, us: list):
     """(f, sigma, c) when the images ``us`` form a monomial family that
-    passes its slot checks: each ``us[i]`` the one run (f, 0, alpha +
-    sigma*i, 0, 1, c) of the target, c i(e(f; alpha + sigma*i)), with d =
-    dim f images, c conj(c) = 1, and the basis of f forwards (sigma = 1,
-    alpha = 0) or backwards (sigma = -1, alpha = d - 1); else None."""
-    if any(len(u.runs) != 1 or not same_system(u.spec, target) for u in us):
+    passes its slot checks: each ``us[i]`` the one run (alpha + sigma*i, 0,
+    1, c) of the fiber pair (f, 0) of the target, c i(e(f; alpha +
+    sigma*i)), with d = dim f images, c conj(c) = 1, and the basis of f
+    forwards (sigma = 1, alpha = 0) or backwards (sigma = -1, alpha = d -
+    1); else None."""
+    if any(
+        len(u.pairs) != 1 or len(u.pairs[0][2]) != 1 or not same_system(u.spec, target)
+        for u in us
+    ):
         return None
     e = target.identity_monomial.fiber
-    f, _, alpha, _, _, c = us[0].runs[0]
+    f, _, ((alpha, _, _, c),) = us[0].pairs[0]
     d = len(us)
     sigma = -1 if alpha else 1
     if d != target._dim(f) or alpha not in (0, d - 1) or not (c * c.conj()).is_one():
         return None
     for i, u in enumerate(us):
-        run = u.runs[0]
-        if run[:5] != (f, e, alpha + sigma * i, 0, 1) or not (run[5] is c or run[5] == c):
+        fx, fy, ((r, col, n, v),) = u.pairs[0]
+        if (fx, fy, r, col, n) != (f, e, alpha + sigma * i, 0, 1) or not (v is c or v == c):
             return None
     return f, sigma, c
 

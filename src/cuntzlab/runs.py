@@ -3,8 +3,8 @@ operators and cores.
 
 A run ``(row0, col0, length, coeff)`` puts ``coeff`` on the matrix entries
 (row0 + u, col0 + u) for u < length; entries no run covers are zero.  An
-element's run (``algebra.AlgebraElement``) carries its fiber pair in front,
-``(fx, fy, row0, col0, length, coeff)``.  A Cuntz sum, a raised term and a
+element (``algebra.AlgebraElement``) holds one tuple of runs per fiber
+pair, as its *pairs* ``(fx, fy, runs)``.  A Cuntz sum, a raised term and a
 core matrix unit tensored with an identity are each one run, so their cost
 follows the runs, never the block size, the level or the fiber dimension.
 Runs are *swept* when they are nonzero, disjoint and sorted by (row0,
@@ -17,7 +17,7 @@ The one merge rule of a run list is ``_merge``, which lengthens the last
 run of a list by each run that continues it; ``raise_terms`` hands it the
 raised runs of one fiber pair at a time, ``sweep`` the nonzero pieces of
 one offset, and ``joined``, which builds the runs of ``algebra`` elements,
-disjoint runs in diagonal order.
+disjoint runs in ``diagonal_order``.
 
 Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is
@@ -32,10 +32,9 @@ step model keyed by degree, at level dim(c - g).  R runs cost O(R) to
 raise and O(R' log R' + R'*F) scalar operations to sweep, R' <= R being the
 runs left after merging and F the number of left fibers of a key: on one
 diagonal a fiber's runs are disjoint.  A raised run costs one run tuple,
-built by its pair's comprehension, and one pass of the merge loop: its
-fibers are compared by identity with the previous run's, and a dict lookup
-is made only when they differ; a coefficient ``==`` is made only when it
-continues the open run and is not the same object.  Memory is O(R).
+built by its pair's comprehension, and one pass of the merge loop; a
+coefficient ``==`` is made only when it continues the open run and is not
+the same object.  Memory is O(R).
 """
 
 from __future__ import annotations
@@ -66,22 +65,23 @@ def _merge(runs: list, pieces) -> None:
     runs.append(last if length == last[2] else (row0, col0, length, coeff))
 
 
-def _diagonal_order(run):
+def diagonal_order(run):
+    """The order of runs along their diagonals: by col0 - row0, then row0."""
     return run[1] - run[0], run[0]
 
 
-def joined(runs) -> list:
+def joined(runs) -> tuple:
     """The maximal form of disjoint runs, sorted by (row0, col0): runs that
     continue each other on a diagonal are joined by ``_merge``, the first
     coefficient object kept.  It costs a sort of the runs, not the sweep's
     pieces."""
     if len(runs) < 2:
-        return runs  # no run to join
+        return tuple(runs)  # no run to join
     out: list = []
-    _merge(out, sorted(runs, key=_diagonal_order))
+    _merge(out, sorted(runs, key=diagonal_order))
     # joined runs differ in (row0, col0), so coefficients are never compared
     out.sort()
-    return out
+    return tuple(out)
 
 
 def sweep(runs) -> tuple:
@@ -117,37 +117,25 @@ def sweep(runs) -> tuple:
     return tuple(out)
 
 
-def raise_terms(runs, place) -> dict:
-    """{key: swept runs} of the element runs (fx, fy, row0, col0, length, c).
+def raise_terms(pairs, place) -> dict:
+    """{key: swept runs} of the element pairs (fx, fy, runs), each fiber
+    pair given once.
 
-    ``place`` gets all fiber pairs (fx, fy) in order of first appearance,
-    since a stripe may depend on every pair of its key, and returns one
-    (key, stripe, phase) per pair, None standing for a phase of exactly
-    one.  A run raised by stripe n is the one run (row0*n, col0*n,
-    length*n, c*phase).  A key's runs come pair by pair in that order and
-    in run order within a pair, which is the element's order when a pair's
-    runs are adjacent; the sweep's float sums follow it.  A pair's raised
-    runs are merged at once by ``_merge``.  A key whose runs cancel maps to
-    ().
+    ``place`` gets all fiber pairs (fx, fy) in order, since a stripe may
+    depend on every pair of its key, and returns one (key, stripe, phase)
+    per pair, None standing for a phase of exactly one.  A run raised by
+    stripe n is the one run (row0*n, col0*n, length*n, c*phase).  A key's
+    runs come pair by pair in that order and in run order within a pair;
+    the sweep's float sums follow it.  A pair's raised runs are merged at
+    once by ``_merge``.  A key whose runs cancel maps to ().
     """
-    pairs: dict = {}
-    fx = fy = None
-    for run in runs:
-        # the runs of a pair mostly come together, holding the same fibers
-        if run[0] is not fx or run[1] is not fy:
-            fx, fy = run[0], run[1]
-            group = pairs.get((fx, fy))
-            if group is None:
-                group = pairs[fx, fy] = []
-        group.append(run)
-    if not pairs:
-        return {}
     by_key: dict = {}
-    for group, (key, n, phase) in zip(pairs.values(), place(pairs)):
+    placed = place([(fx, fy) for fx, fy, _ in pairs])
+    for (_, _, runs), (key, n, phase) in zip(pairs, placed):
         if phase is None:
-            raised = [(r * n, c * n, m * n, v) for _, _, r, c, m, v in group]
+            raised = [(r * n, c * n, m * n, v) for r, c, m, v in runs]
         else:
-            raised = [(r * n, c * n, m * n, v * phase) for _, _, r, c, m, v in group]
+            raised = [(r * n, c * n, m * n, v * phase) for r, c, m, v in runs]
         _merge(by_key.setdefault(key, []), raised)
     for key, runs in by_key.items():
         by_key[key] = sweep(runs)

@@ -189,10 +189,10 @@ def vector_operator(spec: SystemSpec, v, level: int) -> StepOperator:
 
 def minimal_level(a) -> int:
     """Least base level at which every term's adjoint lands integrally:
-    the lcm of the right fibers' dimensions, read from the runs."""
+    the lcm of the right fibers' dimensions, read from the fiber pairs."""
     dims = a.spec._dim
     out = 1
-    for fiber in {run[1] for run in a.runs}:
+    for fiber in {fy for _, fy, _ in a.pairs}:
         out = math.lcm(out, dims(fiber))
     return out
 
@@ -207,14 +207,16 @@ def evaluate(
     of the spec and the character.
     """
     spec = a.spec
-    runs = a.runs
+    pairs = a.pairs
     if twist is not None:
         if len(twist.values) != spec.k:
             raise ValueError("character length does not match the generator count")
         field = spec.field
         for v in twist.values:
             field = common_field(field, field_of(v))
-        runs = [(fx, fy, r, c, n, field.coerce(v)) for fx, fy, r, c, n, v in runs]
+        pairs = [
+            (fx, fy, [(r, c, n, field.coerce(v)) for r, c, n, v in runs]) for fx, fy, runs in pairs
+        ]
     _require_untwisted(spec)
     # a given level is checked against each right fiber as its pair is
     # placed; the minimal level is walked for only when it is needed
@@ -234,7 +236,7 @@ def evaluate(
         return out
 
     # a block whose runs cancel is kept: it still names its output level
-    blocks = run_ops.raise_terms(runs, place)
+    blocks = run_ops.raise_terms(pairs, place)
     out = {lv: StepOperator(base_level, lv, runs=runs) for lv, runs in blocks.items()}
     return OperatorFamily(base_level, out)
 

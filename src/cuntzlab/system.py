@@ -120,8 +120,8 @@ class SystemSpec:
     never evicted, so each cache grows with the distinct keys used on the
     spec: ``_dims`` holds one dimension per fiber, and ``fiber_quads`` one
     entry per fiber quadruple (x fiber, s, y fiber, t) that
-    ``algebra.multiply`` met, with the degree, the product fibers and the
-    phase factors of its survivors.  Multiplier phases are not cached: a
+    ``algebra.multiply`` met, with the product fibers and the phase
+    factors of its survivors.  Multiplier phases are not cached: a
     twisted spec keeps theta * q as integers, so a phase is one power of
     zeta_q, exact on a cyclotomic spec and rounded once on float.
     """

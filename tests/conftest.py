@@ -37,6 +37,22 @@ PRODUCT_SPECS = {
 }
 
 
+def flat_runs(a) -> tuple:
+    """The runs of an element with their fiber pair in front, (fx, fy,
+    row0, col0, length, coeff), in the element's order."""
+    return tuple((fx, fy, *run) for fx, fy, runs in a.pairs for run in runs)
+
+
+def pairs_of(runs) -> list:
+    """The pairs (fx, fy, runs) of runs (fx, fy, row0, col0, length,
+    coeff): one per fiber pair, in order of first appearance, each holding
+    its runs in the given order."""
+    groups: dict = {}
+    for fx, fy, *run in runs:
+        groups.setdefault((fx, fy), []).append(tuple(run))
+    return [(fx, fy, tuple(group)) for (fx, fy), group in groups.items()]
+
+
 @pytest.fixture
 def e23():
     return SystemSpec((2, 3))

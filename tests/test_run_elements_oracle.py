@@ -14,7 +14,6 @@ distinct objects.
 
 import random
 from fractions import Fraction
-from itertools import groupby
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +25,7 @@ from cuntzlab.system import BasisMonomial, sub_degree
 from conftest import (
     PRODUCT_SPECS,
     TermElement,
+    flat_runs,
     identical,
     random_coeff,
     term_equals,
@@ -88,23 +88,24 @@ def cases(draw):
     return spec, draw(diagonal_terms(spec)), draw(diagonal_terms(spec))
 
 
-def _pair_key(run):
-    return sub_degree(run[0], run[1]), run[0], run[2], run[3]
-
-
 def assert_canonical(a):
-    """Nonzero runs in canonical order, and no run continues the last run
-    of its diagonal with an identical coefficient: ``==`` on the exact
-    fields, the same ``repr``, so the same bits, on float."""
-    runs = a.runs
-    assert [_pair_key(run) for run in runs] == sorted(_pair_key(run) for run in runs)
-    ends = {}
-    for fx, fy, r, c, n, v in runs:
-        assert n >= 1 and not v.is_zero()
-        last = ends.get((fx, fy, c - r))
-        assert last is None or last[0] <= r
-        assert last is None or last[0] != r or not identical(last[1], v)
-        ends[fx, fy, c - r] = (r + n, v)
+    """Fiber pairs in canonical order (degree, then left fiber), each once
+    and with a non-empty tuple of nonzero runs sorted by (row0, col0);
+    runs of a diagonal disjoint, and none continuing the last run of its
+    diagonal with an identical coefficient: ``==`` on the exact fields,
+    the same ``repr``, so the same bits, on float."""
+    keys = [(sub_degree(fx, fy), fx) for fx, fy, _ in a.pairs]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for fx, fy, runs in a.pairs:
+        assert type(runs) is tuple and runs
+        assert [run[:2] for run in runs] == sorted(run[:2] for run in runs)
+        ends = {}
+        for r, c, n, v in runs:
+            assert n >= 1 and not v.is_zero()
+            last = ends.get(c - r)
+            assert last is None or last[0] <= r
+            assert last is None or last[0] != r or not identical(last[1], v)
+            ends[c - r] = (r + n, v)
 
 
 def scale_of(spec, seed):
@@ -135,7 +136,7 @@ def test_elements_match_the_term_list_algebra(case):
         assert _reprs(got) == _reprs(want)
     # a pair whose runs are subtracted again cancels whole
     assert _reprs((a + b) - b) == _reprs((oa + ob) - ob)
-    assert not (a - a).runs
+    assert not (a - a).pairs
     assert (a == b) == (oa == ob)
     assert algebra.equals(a, b) == term_equals(oa, ob)
     assert algebra.equals(a - b, b.scaled(-1) + a)
@@ -169,7 +170,7 @@ def test_float_eq_compares_the_matrices_not_the_runs():
         return AlgebraElement.from_terms(spec, terms)
 
     one, near, off = diagonal(1.0), diagonal(1.0 + 1e-15), diagonal(1.1)
-    assert (len(one.runs), len(near.runs)) == (1, 2)
+    assert (len(flat_runs(one)), len(flat_runs(near))) == (1, 2)
     assert one == near and near == one and algebra.equals(one, near)
     assert one != off and not algebra.equals(one, off)
 
@@ -194,18 +195,15 @@ def test_rebuilt_and_perturbed_elements(case):
 
 
 def full_rebuild(a, coeff):
-    """The runs of ``a`` scaled by ``coeff``, every fiber pair rebuilt by
+    """The pairs of ``a`` scaled by ``coeff``, every fiber pair rebuilt by
     ``algebra._build``: zero runs dropped and each pair's runs joined."""
     c = a.spec.field.coerce(coeff)
-    groups = {
-        pair: [(r, col, n, c * v) for _, _, r, col, n, v in group]
-        for pair, group in groupby(a.runs, key=lambda run: run[:2])
-    }
-    return algebra._build(a.spec, groups)
+    groups = {(fx, fy): [(r, col, n, c * v) for r, col, n, v in runs] for fx, fy, runs in a.pairs}
+    return algebra._build(groups)
 
 
-def _run_reprs(runs):
-    return [(*run[:5], repr(run[5])) for run in runs]
+def _run_reprs(pairs):
+    return [(fx, fy, *run[:3], repr(run[3])) for fx, fy, runs in pairs for run in runs]
 
 
 @EXAMPLES
@@ -219,7 +217,7 @@ def test_scaled_matches_the_full_rebuild(case, seed):
     for lam in lams:
         got = a.scaled(lam)
         assert_canonical(got)
-        assert _run_reprs(got.runs) == _run_reprs(full_rebuild(a, lam))
+        assert _run_reprs(got.pairs) == _run_reprs(full_rebuild(a, lam))
 
 
 def test_float_scaled_joins_runs_made_identical_and_drops_underflow():
@@ -234,8 +232,8 @@ def test_float_scaled_joins_runs_made_identical_and_drops_underflow():
     ]
     lone = [(1e-5, m((0, 1), 2), m((0, 0), 0))]
     a = AlgebraElement.from_terms(spec, diagonal + lone)
-    assert len(a.runs) == 3
+    assert len(flat_runs(a)) == 3
     for lam, count in ((1, 2), (1e-320, 0), (-0.0, 0), (2, 2)):
         got = a.scaled(lam)
-        assert len(got.runs) == count
-        assert _run_reprs(got.runs) == _run_reprs(full_rebuild(a, lam))
+        assert len(flat_runs(got)) == count
+        assert _run_reprs(got.pairs) == _run_reprs(full_rebuild(a, lam))

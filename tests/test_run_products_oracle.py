@@ -20,7 +20,14 @@ from cuntzlab.algebra import AlgebraElement
 from cuntzlab.morphisms import factor_iso
 from cuntzlab.system import BasisMonomial, SystemSpec
 
-from conftest import PRODUCT_SPECS, TermElement, random_coeff, random_element, term_multiply
+from conftest import (
+    PRODUCT_SPECS,
+    TermElement,
+    flat_runs,
+    random_coeff,
+    random_element,
+    term_multiply,
+)
 from test_run_elements_oracle import assert_canonical
 
 EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -146,8 +153,8 @@ def _count_pieces(monkeypatch):
     pieces = []
     piece = algebra._piece
 
-    def counted(spec, a, b):
-        out = piece(spec, a, b)
+    def counted(*args):
+        out = piece(*args)
         pieces.append(out)
         return out
 
@@ -161,16 +168,16 @@ def test_a_pair_of_long_runs_composes_one_piece(monkeypatch):
     # projection of one fiber, and so does its square, one run of 2^60
     spec = SystemSpec((2, 3))
     a = partial_isometry(spec, 30)
-    assert a.runs == (((30, 0), (0, 30), 0, 0, 2**30, spec.field.one),)
+    assert a.pairs == (((30, 0), (0, 30), ((0, 0, 2**30, spec.field.one),)),)
     pieces = _count_pieces(monkeypatch)
     one = spec.field.one
-    for left, right, run in [
-        (a, a.adjoint(), ((30, 0), (30, 0), 0, 0, 2**30, one)),
-        (a.adjoint(), a, ((0, 30), (0, 30), 0, 0, 2**30, one)),
-        (a, a, ((60, 0), (0, 60), 0, 0, 2**60, one)),
+    for left, right, pair in [
+        (a, a.adjoint(), ((30, 0), (30, 0), ((0, 0, 2**30, one),))),
+        (a.adjoint(), a, ((0, 30), (0, 30), ((0, 0, 2**30, one),))),
+        (a, a, ((60, 0), (0, 60), ((0, 0, 2**60, one),))),
     ]:
         pieces.clear()
-        assert algebra.multiply(left, right).runs == (run,)
+        assert algebra.multiply(left, right).pairs == (pair,)
         assert len(pieces) == 1
 
 
@@ -182,8 +189,12 @@ def test_a_product_costs_its_run_pairs(monkeypatch):
     b = a.adjoint() + algebra.identity(spec)
     pieces = _count_pieces(monkeypatch)
     product = algebra.multiply(a, b)
-    assert len(pieces) == len(a.runs) * len(b.runs) == 12
-    one_run = [AlgebraElement._canonical(spec, [run]) for run in (*a.runs, *b.runs)]
+    assert len(pieces) == len(flat_runs(a)) * len(flat_runs(b)) == 12
+    one_run = [
+        AlgebraElement._canonical(spec, [(fx, fy, (run,))])
+        for fx, fy, runs in (*a.pairs, *b.pairs)
+        for run in runs
+    ]
     pairs = [algebra.multiply(x, y) for x in one_run[:3] for y in one_run[3:]]
     assert product == sum(pairs, algebra.zero(spec))
 
@@ -211,4 +222,4 @@ def test_sums_of_one_entry_runs_are_not_swept(monkeypatch):
         total = total + algebra.monomial_pair(spec, x, y, c)
     assert not sweeps
     assert total == AlgebraElement.from_terms(spec, terms)
-    assert total.runs == (((1, 0), (0, 1), 1, 1, 1, spec.field.coerce(3)),)
+    assert total.pairs == (((1, 0), (0, 1), ((1, 1, 1, spec.field.coerce(3)),)),)

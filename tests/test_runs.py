@@ -1,5 +1,5 @@
 """``runs.raise_terms``, the one builder behind normal forms and step
-evaluation, on hand-made element runs and placements."""
+evaluation, on hand-made element pairs and placements."""
 
 from fractions import Fraction
 from unittest import mock
@@ -15,7 +15,7 @@ from cuntzlab.scalars import FloatComplex, RationalComplex
 from cuntzlab.system import BasisMonomial, parse_spec_text
 
 import conftest
-from conftest import identical, piecewise_sweep, stepwise_raise_terms
+from conftest import flat_runs, identical, pairs_of, piecewise_sweep, stepwise_raise_terms
 from test_equals_oracle import cuntz_sum
 from test_raising_oracle import cells
 
@@ -23,13 +23,14 @@ A, B, C = ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((1, 1), (1, 0))
 
 
 def term(coeff, pair, i=0, j=0, length=1):
-    """The element run of coeff * e(fx;i) e(fy;j)', or of ``length``
-    such terms along the diagonal."""
+    """The run of coeff * e(fx;i) e(fy;j)', or of ``length`` such terms
+    along the diagonal, its fiber pair in front; ``pairs_of`` groups such
+    runs into element pairs."""
     return (pair[0], pair[1], i, j, length, coeff)
 
 
 def as_runs(terms):
-    """One element run per (coeff, x, y) term."""
+    """One run per (coeff, x, y) term, its fiber pair in front."""
     return [(x.fiber, y.fiber, x.index, y.index, 1, c) for c, x, y in terms]
 
 
@@ -50,36 +51,41 @@ def recording(placements):
 
 
 def test_pairs_in_order_of_first_appearance():
-    terms = [term(q(1), B), term(q(2), A, 1), term(q(3), B, 1, 1), term(q(4), C)]
+    # pairs are placed in the order given, and keys come in the order their
+    # first pair does
+    pairs = [
+        (*B, ((0, 0, 1, q(1)), (1, 1, 1, q(3)))),
+        (*A, ((1, 0, 1, q(2)),)),
+        (*C, ((0, 0, 1, q(4)),)),
+    ]
     place, seen = recording({A: ("a", 1, None), B: ("b", 1, None), C: ("a", 1, None)})
-    out = raise_terms(terms, place)
+    out = raise_terms(pairs, place)
     assert seen == [B, A, C]
     assert list(out) == ["b", "a"]
 
 
 def test_runs_come_pair_by_pair():
-    # the three terms land on one cell: grouped by pair the float sum is
-    # (1e16 - 1e16) + 1, where the term order would give (1e16 + 1) - 1e16 = 0
-    terms = [
-        term(FloatComplex(1e16), A),
-        term(FloatComplex(1.0), B),
-        term(FloatComplex(-1e16), A),
-    ]
-    place, _ = recording({A: (0, 1, None), B: (0, 1, None)})
-    assert [v.value for *_, v in raise_terms(terms, place)[0]] == [1.0]
+    # the three pairs land on one cell, and the float sum follows the
+    # pairs: in the order A, C, B it is (1e16 - 1e16) + 1, in the order A,
+    # B, C it is (1e16 + 1) - 1e16 = 0
+    one, big, minus = (((0, 0, 1, FloatComplex(v)),) for v in (1.0, 1e16, -1e16))
+    place, _ = recording({A: (0, 1, None), B: (0, 1, None), C: (0, 1, None)})
+    out = raise_terms([(*A, big), (*C, minus), (*B, one)], place)
+    assert [v.value for *_, v in out[0]] == [1.0]
+    assert raise_terms([(*A, big), (*B, one), (*C, minus)], place) == {0: ()}
 
 
 def test_stripe_and_phase_give_the_run():
     terms = [term(q(2), A, 1, 0), term(q(3), B, 0, 2)]
     place, _ = recording({A: ("k", 3, q(-1)), B: ("k", 2, None)})
-    assert raise_terms(terms, place) == {"k": ((0, 4, 2, q(3)), (3, 0, 3, q(-2)))}
+    assert raise_terms(pairs_of(terms), place) == {"k": ((0, 4, 2, q(3)), (3, 0, 3, q(-2)))}
 
 
 def test_each_key_is_swept_on_its_own():
     # A and C overlap on key 0, B overlaps nothing on key 1
     terms = [term(q(1), A), term(q(1), B), term(q(2), C)]
     place, _ = recording({A: (0, 4, None), B: (1, 4, None), C: (0, 2, None)})
-    assert raise_terms(terms, place) == {
+    assert raise_terms(pairs_of(terms), place) == {
         0: ((0, 0, 2, q(3)), (2, 2, 2, q(1))),
         1: ((0, 0, 4, q(1)),),
     }
@@ -88,7 +94,7 @@ def test_each_key_is_swept_on_its_own():
 def test_cancelling_key_maps_to_empty_tuple():
     terms = [term(q(1, 2), A, 1, 1), term(q(5), B), term(q(-1, 2), C, 1, 1)]
     place, _ = recording({A: ("gone", 2, None), B: ("kept", 1, None), C: ("gone", 2, None)})
-    assert raise_terms(terms, place) == {"gone": (), "kept": ((0, 0, 1, q(5)),)}
+    assert raise_terms(pairs_of(terms), place) == {"gone": (), "kept": ((0, 0, 1, q(5)),)}
 
 
 def test_float_sums_follow_term_order_bit_for_bit():
@@ -97,12 +103,12 @@ def test_float_sums_follow_term_order_bit_for_bit():
     values = [0.1, 0.2, 0.3]
     terms = [term(FloatComplex(v), A) for v in values]
     place, _ = recording({A: (0, 1, None)})
-    (run,) = raise_terms(terms, place)[0]
+    (run,) = raise_terms(pairs_of(terms), place)[0]
     assert run[3].value == complex((0.1 + 0.2) + 0.3)
     assert run[3].value != complex(0.1 + (0.2 + 0.3))
     # with a phase each coefficient is scaled before the sum
     place, _ = recording({A: (0, 1, FloatComplex(1j))})
-    (run,) = raise_terms(terms, place)[0]
+    (run,) = raise_terms(pairs_of(terms), place)[0]
     expected = (complex(0.1) * 1j + complex(0.2) * 1j) + complex(0.3) * 1j
     assert run[3].value == expected
 
@@ -115,8 +121,8 @@ def test_float_sums_follow_term_order_bit_for_bit():
 def test_a_run_raises_as_its_entries(i, j, length, stripe, phase):
     place, _ = recording({C: ("k", stripe, phase)})
     entries = [term(q(3), C, i + u, j + u) for u in range(length)]
-    (run,) = raise_terms([term(q(3), C, i, j, length)], place)["k"]
-    assert (run,) == raise_terms(entries, place)["k"]
+    (run,) = raise_terms(pairs_of([term(q(3), C, i, j, length)]), place)["k"]
+    assert (run,) == raise_terms(pairs_of(entries), place)["k"]
     assert run == (i * stripe, j * stripe, length * stripe, q(3) if phase is None else q(3) * phase)
 
 
@@ -192,7 +198,7 @@ def test_joined_is_the_sweep_of_disjoint_runs(case, rnd):
     entries = [(r + u, c + u, 1, v) for r, c, n, v in sweep(given_runs) for u in range(n)]
     rnd.shuffle(entries)
     got, want = joined(entries), sweep(entries)
-    assert got == list(want)
+    assert got == want
     assert all(a[3] is b[3] for a, b in zip(got, want))
 
 
@@ -217,7 +223,7 @@ def test_adjacent_equal_runs_merge_within_a_pair(monkeypatch):
     seen = swept_inputs(monkeypatch)
     terms = [term(q(3), C, 0, 0), term(q(3), C, 1, 1), term(q(3), C, 2, 2)]
     place, _ = recording({C: ("k", 2, None)})
-    assert raise_terms(terms, place) == {"k": ((0, 0, 6, q(3)),)}
+    assert raise_terms(pairs_of(terms), place) == {"k": ((0, 0, 6, q(3)),)}
     assert seen == [[(0, 0, 6, q(3))]]
 
 
@@ -226,7 +232,7 @@ def test_adjacent_equal_runs_merge_across_pairs_of_a_key(monkeypatch):
     # B's phase -1 makes its raised coefficient 1, equal to A's and C's
     terms = [term(q(1), A, 0, 0), term(q(-1), B, 1, 1), term(q(1), C, 2, 2)]
     place, _ = recording({A: ("k", 3, None), B: ("k", 3, q(-1)), C: ("k", 3, None)})
-    assert raise_terms(terms, place) == {"k": ((0, 0, 9, q(1)),)}
+    assert raise_terms(pairs_of(terms), place) == {"k": ((0, 0, 9, q(1)),)}
     assert seen == [[(0, 0, 9, q(1))]]
 
 
@@ -236,10 +242,12 @@ def test_gap_unequal_coefficient_or_interleaved_run_stops_the_merge(monkeypatch)
     gap = [term(q(1), C, 0, 0), term(q(1), C, 2, 2)]
     unequal = [term(q(1), C, 0, 0), term(q(2), C, 1, 1)]
     interleaved = [term(q(1), C, 0, 0), term(q(1), C, 3, 3), term(q(1), C, 1, 1)]
-    assert raise_terms(gap, place) == {"k": ((0, 0, 2, q(1)), (4, 4, 2, q(1)))}
-    assert raise_terms(unequal, place) == {"k": ((0, 0, 2, q(1)), (2, 2, 2, q(2)))}
+    assert raise_terms(pairs_of(gap), place) == {"k": ((0, 0, 2, q(1)), (4, 4, 2, q(1)))}
+    assert raise_terms(pairs_of(unequal), place) == {"k": ((0, 0, 2, q(1)), (2, 2, 2, q(2)))}
     # the sweep still joins what the builder could not
-    assert raise_terms(interleaved, place) == {"k": ((0, 0, 4, q(1)), (6, 6, 2, q(1)))}
+    assert raise_terms(pairs_of(interleaved), place) == {
+        "k": ((0, 0, 4, q(1)), (6, 6, 2, q(1)))
+    }
     assert [len(given_runs) for given_runs in seen] == [2, 2, 3]
 
 
@@ -248,7 +256,7 @@ def test_float_merges_only_identical_coefficients(monkeypatch):
     place, _ = recording({C: ("k", 2, None)})
     # two objects with the same bits merge
     same = [term(FloatComplex(1.0), C, 0, 0), term(FloatComplex(1.0), C, 1, 1)]
-    assert [run[:3] for run in raise_terms(same, place)["k"]] == [(0, 0, 4)]
+    assert [run[:3] for run in raise_terms(pairs_of(same), place)["k"]] == [(0, 0, 4)]
     # equal only within the tolerance, or apart only in the sign bit of a
     # zero part: never merged
     near = [term(FloatComplex(1.0), C, 0, 0), term(FloatComplex(1.0 + 1e-15), C, 1, 1)]
@@ -257,7 +265,10 @@ def test_float_merges_only_identical_coefficients(monkeypatch):
         term(FloatComplex(complex(1, -0.0)), C, 1, 1),
     ]
     for terms in (near, signed):
-        assert [run[:3] for run in raise_terms(terms, place)["k"]] == [(0, 0, 2), (2, 2, 2)]
+        assert [run[:3] for run in raise_terms(pairs_of(terms), place)["k"]] == [
+            (0, 0, 2),
+            (2, 2, 2),
+        ]
     assert [[run[:3] for run in given_runs] for given_runs in seen] == [
         [(0, 0, 4)],
         [(0, 0, 2), (2, 2, 2)],
@@ -330,7 +341,7 @@ def test_builder_against_the_stepwise_builder(case):
     with mock.patch.object(runs_module, "sweep", recorded_sweep(swept)), mock.patch.object(
         conftest, "sweep", recorded_sweep(stepwise_swept)
     ):
-        got = raise_terms(as_runs(terms), place)
+        got = raise_terms(pairs_of(as_runs(terms)), place)
         want = stepwise_raise_terms(terms, stepwise_place)
     assert seen == stepwise_seen
     if name == "float":
@@ -364,11 +375,11 @@ def test_float_deep_product_and_printed_cuntz_sum_are_one_run(capsys, tmp_path):
     spec = parse_spec_text(spec_file.read_text())
     a = expr.parse_element(spec, "e(0,20;0)'*e(20,0;0)")
     b = expr.parse_element(spec, "(e(20,0;0)'*e(0,20;0))'")
-    assert [run[4] for run in a.runs] == [run[4] for run in b.runs] == [2**20]
+    assert [run[4] for run in flat_runs(a)] == [run[4] for run in flat_runs(b)] == [2**20]
     assert algebra.equals(a, b)
     assert cli.main(["alpha", "--spec", str(spec_file), "4,4", "I"]) == 0
     cuntz = expr.parse_element(spec, capsys.readouterr().out)
-    assert [run[4] for run in cuntz.runs] == [1296]
+    assert [run[4] for run in flat_runs(cuntz)] == [1296]
 
 
 def test_cuntz_sum_normal_form_is_one_run(e23):
@@ -421,10 +432,10 @@ def counted_raise(monkeypatch):
     counts = []
     real = runs_module.raise_terms
 
-    def spy(given_runs, place):
-        given_runs = list(given_runs)
-        counts.append(len(given_runs))
-        return real(given_runs, place)
+    def spy(given_pairs, place):
+        given_pairs = list(given_pairs)
+        counts.append(sum(len(runs) for _, _, runs in given_pairs))
+        return real(given_pairs, place)
 
     monkeypatch.setattr(runs_module, "raise_terms", spy)
     monkeypatch.setattr(algebra, "raise_terms", spy)
@@ -453,6 +464,6 @@ def test_deep_product_is_one_run_of_one_block(e23):
     product = algebra.multiply(
         expr.parse_element(e23, "e(0,30;0)'"), expr.parse_element(e23, "e(30,0;0)")
     )
-    assert product.runs == (((30, 0), (0, 30), 0, 0, 2**30, e23.field.one),)
+    assert product.pairs == (((30, 0), (0, 30), ((0, 0, 2**30, e23.field.one),)),)
     ((c, runs),) = algebra.normal_form(product).blocks.values()
     assert c == (30, 0) and runs == ((0, 0, 2**30, e23.field.one),)
