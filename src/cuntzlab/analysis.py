@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import algebra, linalg
 from . import runs as run_ops
-from .scalars import RATIONAL, cyclotomic_field
+from .scalars import cyclotomic_field
 from .system import (
     BasisMonomial,
     Fiber,
@@ -103,15 +103,13 @@ def exponent_matrix(gen_dims) -> tuple[tuple[int, ...], tuple[tuple[int, ...], .
 
 def rank_and_kernel(rows, k: int) -> tuple[int, tuple[int, ...] | None]:
     """(rank, kernel) of an integer matrix with k columns, from one
-    ``linalg.nullspace`` call: rank = k - nullity, and kernel is the first
-    kernel vector scaled to a primitive integer vector whose first nonzero
-    entry is positive, or None when the rank is k."""
-    basis = linalg.nullspace(
-        [[RATIONAL.from_fraction(Fraction(v)) for v in row] for row in rows], k, RATIONAL
-    )
+    ``linalg.nullspace`` call over Q: rank = k - nullity, and kernel is the
+    first kernel vector scaled to a primitive integer vector whose first
+    nonzero entry is positive, or None when the rank is k."""
+    basis = linalg.nullspace(rows, k)
     if not basis:
         return k, None
-    vec = [s.coeffs[0] for s in basis[0]]
+    vec = basis[0]
     denom = math.lcm(*(f.denominator for f in vec))
     ints = [int(f * denom) for f in vec]
     g = math.gcd(*ints)

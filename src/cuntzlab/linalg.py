@@ -1,56 +1,41 @@
-"""Exact dense linear algebra over the engine's scalar fields.
+"""Exact linear algebra: the kernel of an integer matrix, and the sparse
+reference product.
 
-Matrices are lists of row lists of scalars.  Everything here relies only on
-field operations (add, mul, inv, conj, is_zero), so the same code serves the
-Gaussian-rational and cyclotomic domains exactly and the float domain up to
-its tolerance.  ``nullspace`` gives ``analysis.classify`` the rank and the
+``nullspace`` reduces an integer matrix over the rationals, in
+``fractions.Fraction``, and gives ``analysis.classify`` the rank and the
 kernel of the exponent matrix in one reduction.  ``sparse_matmul`` is the
 reference product that step-operator compositions are compared against.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 
-def _rref(rows, field):
-    """Reduced row echelon form; returns (matrix, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return mat, []
-    ncols = len(mat[0])
+
+def nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of an integer matrix with ncols columns,
+    one vector per pivot-free column, in column order (so callers can
+    deterministically take the first), read off the reduced row echelon
+    form over Q."""
+    mat = [[Fraction(x) for x in row] for row in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if not mat[i][c].is_zero():
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c].inv()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot = mat[r][c]
+        mat[r] = [x / pivot for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                mat[i] = [x - f * y for x, y in zip(row, mat[r])]
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def nullspace(rows, ncols: int, field):
-    """Basis of the right kernel, one vector per pivot-free column, in
-    column order (so callers can deterministically take the first)."""
-    mat, pivots = _rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        vec = [field.zero] * ncols
-        vec[f] = field.one
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
             vec[c] = -mat[r][f]
         basis.append(vec)

@@ -241,6 +241,59 @@ def dense_block(nf, degree):
     return [[zero if x is None else x for x in row] for row in rows]
 
 
+# Row reduction over a scalar field: the dense reference that the
+# annihilation oracle and the integer ``linalg.nullspace`` are checked
+# against.  It needs only field operations (add, mul, inv, is_zero), so it
+# serves the Gaussian-rational and cyclotomic fields exactly and the float
+# field up to its tolerance.
+
+
+def _rref(rows, field):
+    """Reduced row echelon form; returns (matrix, pivot_columns)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return mat, []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if not mat[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c].inv()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][c].is_zero():
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def nullspace(rows, ncols: int, field):
+    """Basis of the right kernel, one vector per pivot-free column, in
+    column order (so callers can deterministically take the first)."""
+    mat, pivots = _rref(rows, field)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for r, c in enumerate(pivots):
+            vec[c] = -mat[r][f]
+        basis.append(vec)
+    return basis
+
+
 def is_positive_semidefinite(matrix, field) -> bool:
     """Exact PSD test for a Hermitian matrix by symmetric pivoting.
 

@@ -508,7 +508,6 @@ class TestAnnihilationConstruction:
                 patch.setattr(SystemSpec, "mul_basis", multiplied)
                 for module, name in (
                     (linalg, "nullspace"),
-                    (linalg, "_rref"),
                     (algebra, "multiply"),
                     (algebra, "normal_form"),
                     (SystemSpec, "mul_vectors"),

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cuntzlab import algebra, analysis, linalg
+from cuntzlab import algebra, analysis
 from cuntzlab.analysis import HypothesisViolationError
 from cuntzlab.system import (
     BasisMonomial,
@@ -37,6 +37,7 @@ from conftest import (
     composed_annihilation,
     compressed_pair_element,
     dense_vector,
+    nullspace,
     stepwise_annihilating_vector,
 )
 
@@ -81,7 +82,7 @@ def dense_orthogonality_step(spec, fiber, coeffs, f, g):
         if not c.is_zero():
             constraint[l2][l1] = constraint[l2][l1] + phase * c
     rows = [[x.conj() for x in row] for row in constraint]
-    kernel = linalg.nullspace(rows, dim_t, field)
+    kernel = nullspace(rows, dim_t, field)
     if not kernel:
         raise HypothesisViolationError("no orthogonal extension")
     ext = kernel[0]

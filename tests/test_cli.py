@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cuntzlab import analysis, cli, morphisms
+from cuntzlab import analysis, cli, morphisms, scalars
 from cuntzlab.system import FiberVector, SystemSpec
 
 from conftest import format_assignment
@@ -27,6 +27,10 @@ SPEC_TEXTS = {
     "e23": "k = 2\ndims = 2 3\n",
     "e24": "k = 2\ndims = 2 4\n",
     "e26": "k = 2\ndims = 2 6\n",
+    "e48": "k = 2\ndims = 4 8\n",
+    "e15": "k = 2\ndims = 1 5\n",
+    "e469": "k = 3\ndims = 4 6 9\n",
+    "e1218827": "k = 4\ndims = 12 18 8 27\n",
     "e1010": "k = 2\ndims = 10 10\n",
     "f23": "k = 2\ndims = 2 3\nscalars = float\n",
     "e2p": "k = 2\ndims = 2 1000000000000000003\n",
@@ -302,6 +306,37 @@ def test_witness_report(capsys, spec_path):
         "character-twisted: nonzero",
         "witness verified: true",
     ]
+
+
+@pytest.mark.parametrize(
+    "name, verdict",
+    [
+        ("e23", "SimplePurelyInfinite"),
+        ("e24", "TensorCircle(2)"),
+        ("e48", "TensorCircle(2)"),
+        ("e15", "TensorCircle(5)"),
+        ("tw14", "Unknown"),
+        ("e469", "NonSimple"),
+        ("e1218827", "NonSimple"),
+    ],
+)
+def test_classify_and_witness_take_no_scalar_inverse(
+    capsys, spec_path, monkeypatch, name, verdict
+):
+    # the exponent matrix is reduced in Fractions, with no scalar field:
+    # with every cyclotomic inverse refused, both commands print what they
+    # print without the refusal
+    path = spec_path(name)
+    argvs = [["classify", "--spec", path], ["witness", "--spec", path]]
+
+    def refuse(self):
+        raise AssertionError("Cyclotomic.inv called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scalars.Cyclotomic, "inv", refuse)
+        refused = [run_cli(capsys, argv) for argv in argvs]
+    assert refused == [run_cli(capsys, argv) for argv in argvs]
+    assert refused[0][1] == verdict + "\n"
 
 
 def test_witness_refused_when_injective(capsys, spec_path):

@@ -11,6 +11,8 @@ subcommands run once per format: ``eval`` of a sum with and without a
 character twist, and of a float sum whose three coefficients on one term
 cancel to a residue below the zero tolerance; ``witness``, ``classify``,
 ``iso``, and ``relations`` on one canonical and one violated assignment.
+``classify`` and ``witness`` also run on two specs of three generators and
+one of four, both with and without a dimension collision.
 
 The expected file is written from a trusted tree by
 
@@ -38,6 +40,9 @@ SPEC_TEXTS = {
     "twf23": "k = 2\ndims = 2 3\ntheta = 0 0.3183098861837907 0.1 0\nscalars = float\n",
     "e24": "k = 2\ndims = 2 4\n",
     "f23": "k = 2\ndims = 2 3\nscalars = float\n",
+    "e469": "k = 3\ndims = 4 6 9\n",
+    "e1218827": "k = 4\ndims = 12 18 8 27\n",
+    "e61015": "k = 3\ndims = 6 10 15\n",
 }
 ELEMENT_SPECS = ("e23", "tw23", "twf23")
 
@@ -95,6 +100,14 @@ OTHER_COMMANDS = [
     (None, "iso", ["2", "3"]),
     ("e23", "relations", ["--spec", "{spec}", "{canonical}"]),
     ("e23", "relations", ["--spec", "{spec}", "{violated}"]),
+    # more than two generators: two dimension collisions and an injective
+    # dimension function
+    ("e469", "classify", ["--spec", "{spec}"]),
+    ("e469", "witness", ["--spec", "{spec}"]),
+    ("e1218827", "classify", ["--spec", "{spec}"]),
+    ("e1218827", "witness", ["--spec", "{spec}"]),
+    ("e61015", "classify", ["--spec", "{spec}"]),
+    ("e61015", "witness", ["--spec", "{spec}"]),
 ]
 
 

@@ -1,13 +1,18 @@
-"""Exact linear algebra over the scalar fields, and the integer rank and
-kernel that ``analysis.classify`` reads from one nullspace."""
+"""Exact linear algebra: the kernel of an integer matrix against the
+scalar-field row reduction kept in ``conftest`` as an oracle, the integer
+rank and kernel that ``analysis.classify`` reads from one nullspace, and
+the sparse reference product."""
 
 from fractions import Fraction
+
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cuntzlab import linalg
 from cuntzlab.analysis import rank_and_kernel
 from cuntzlab.scalars import RATIONAL, RationalComplex, cyclotomic_field
 
-from conftest import is_positive_semidefinite
+from conftest import is_positive_semidefinite, nullspace
 
 
 def _rows(field, data):
@@ -23,7 +28,7 @@ class TestRankNullspace:
     def test_nullspace_solves(self):
         data = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
         rows = _rows(RATIONAL, data)
-        basis = linalg.nullspace(rows, 3, RATIONAL)
+        basis = nullspace(rows, 3, RATIONAL)
         assert len(basis) == 1
         v = basis[0]
         for row in rows:
@@ -34,13 +39,13 @@ class TestRankNullspace:
 
     def test_nullspace_trivial(self):
         rows = _rows(RATIONAL, [[1, 0], [0, 1]])
-        assert linalg.nullspace(rows, 2, RATIONAL) == []
+        assert nullspace(rows, 2, RATIONAL) == []
 
     def test_nullspace_complex_entries(self):
         # x + i y = 0 has kernel spanned by (i, 1) up to scale
         i = RationalComplex(0, 1)
         rows = [[RATIONAL.one, i]]
-        basis = linalg.nullspace(rows, 2, RATIONAL)
+        basis = nullspace(rows, 2, RATIONAL)
         assert len(basis) == 1
         x, y = basis[0]
         assert (x + i * y).is_zero()
@@ -50,10 +55,34 @@ class TestRankNullspace:
         k4 = cyclotomic_field(4)
         z = k4.zeta_power(1)
         rows = [[k4.one, z], [z, -k4.one]]  # second row = zeta * first
-        basis = linalg.nullspace(rows, 2, k4)
+        basis = nullspace(rows, 2, k4)
         assert len(basis) == 1
         x, y = basis[0]
         assert (x + z * y).is_zero()
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, ncols): 0-5 rows of 1-5 entries in -6..6."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, max_size=5)), ncols
+
+
+class TestIntegerNullspace:
+    @given(integer_matrices())
+    @example(([], 1))
+    @example(([[0, 0, 0], [0, 0, 0]], 3))
+    @example(([[0, 2, -4], [0, -1, 2], [0, 3, 5]], 3))
+    def test_matches_field_reduction(self, matrix):
+        rows, ncols = matrix
+        basis = linalg.nullspace(rows, ncols)
+        want = nullspace(_rows(RATIONAL, rows), ncols, RATIONAL)
+        assert [[RATIONAL.from_fraction(x) for x in v] for v in basis] == want
+        for v in basis:
+            assert all(type(x) is Fraction for x in v)
+            for row in rows:
+                assert sum(a * x for a, x in zip(row, v)) == 0
 
 
 class TestIntegerKernel:
