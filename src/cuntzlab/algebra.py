@@ -9,7 +9,9 @@ sum  sum_{x in B_f} i(x) i(x)*  is one run and costs one run in every
 sum, zero test and evaluation, whatever dim(f) is.
 Every sum adds a cell's contributions in order and drops the cell at the
 end if it is zero, so float sums keep the bits of entry sums.
-``AlgebraElement.terms`` expands the runs into terms, on demand.
+``AlgebraElement.terms`` expands the runs into terms, on demand, in the
+cell order of ``runs.cells``: the term view of the benchmark and the tests,
+which no path of the package reads.
 
 Multiplication rewrites inner products of adjoint pairs back into the
 spanning family:
@@ -40,11 +42,10 @@ engine builds, does.
 
 from __future__ import annotations
 
-from heapq import merge
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, NamedTuple
 
-from .runs import diagonal_order, equal, joined, raise_terms, sweep
+from .runs import cells, diagonal_order, equal, joined, raise_terms, sweep
 from .system import (
     BasisMonomial,
     SystemSpec,
@@ -103,12 +104,6 @@ class AlgebraElement:
         out.pairs = tuple(pairs)
         return out
 
-    @classmethod
-    def _from_map(cls, spec: SystemSpec, term_map: dict) -> "AlgebraElement":
-        """The element of a {(left, right): coeff} map whose monomials are
-        checked or built from checked ones."""
-        return cls._canonical(spec, _map_pairs(term_map))
-
     # -- construction -----------------------------------------------------
 
     @staticmethod
@@ -126,12 +121,11 @@ class AlgebraElement:
 
     def _iter_terms(self):
         """The terms of the runs in canonical order: by degree, left fiber
-        and (left index, right index).  A pair's entries are merged by row
-        lazily, so ``repr`` reads the first terms without expanding the
-        rest."""
+        and (left index, right index).  A pair's cells come lazily from
+        ``runs.cells``, so ``repr`` reads the first terms without expanding
+        the rest."""
         for fx, fy, runs in self.pairs:
-            group = [zip(range(r, r + n), range(c, c + n), repeat(v)) for r, c, n, v in runs]
-            for i, j, v in group[0] if len(group) == 1 else merge(*group):
+            for i, j, v in cells(runs):
                 yield Term(v, BasisMonomial(fx, i), BasisMonomial(fy, j))
 
     @property

@@ -38,12 +38,6 @@ class HypothesisViolationError(ValueError):
     """An annihilation step hit fibers of equal dimension."""
 
 
-def fiber_of(x) -> Fiber:
-    if isinstance(x, (BasisMonomial, FiberVector)):
-        return x.fiber
-    raise TypeError(f"expected a basis monomial or fiber vector, got {x!r}")
-
-
 # ---------------------------------------------------------------------------
 # dimension function
 # ---------------------------------------------------------------------------
@@ -269,14 +263,14 @@ class AnnihilationInstance:
 
 
 def _member_fiber(spec: SystemSpec, z) -> Fiber:
-    """The checked fiber of a pair member, whose index, for a basis
-    monomial, must lie in the fiber."""
-    fiber = spec.check_fiber(fiber_of(z))
-    if isinstance(z, BasisMonomial) and not (
-        isinstance(z.index, int) and 0 <= z.index < spec._dim(fiber)
-    ):
-        raise ValueError(f"index {z.index!r} out of range for fiber {fiber}")
-    return fiber
+    """The checked fiber of a pair member: a basis monomial's by
+    ``spec.monomial``, which checks its index too, a fiber vector's by
+    ``check_fiber``."""
+    if isinstance(z, BasisMonomial):
+        return spec.monomial(*z).fiber
+    if isinstance(z, FiberVector):
+        return spec.check_fiber(z.fiber)
+    raise TypeError(f"expected a basis monomial or fiber vector, got {z!r}")
 
 
 def annihilation_instance(spec: SystemSpec, pairs, shift_fiber=None) -> AnnihilationInstance:

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from . import algebra, analysis, expr, morphisms, steprep
 from .analysis import HypothesisViolationError
+from .runs import cells
 from .steprep import CharacterTwist
 from .system import (
     BasisMonomial,
@@ -189,13 +190,12 @@ def _cmd_alpha(args, reporter: Reporter) -> int:
 
 def _emit_family(family, reporter: Reporter) -> None:
     # every entry is formatted, under the digit limit, before the first line
-    # is emitted, so a value the printer rejects leaves stdout empty
+    # is emitted, so a value the printer rejects leaves stdout empty; the
+    # cells of a block's swept runs come in (row, col) order
     blocks = []
     for level_out in sorted(family.blocks):
         block = family.blocks[level_out]
-        entries = sorted(
-            (r, c, expr.format_scalar(v)) for (r, c), v in block.entries.items()
-        )
+        entries = [(r, c, expr.format_scalar(v)) for r, c, v in cells(block.runs)]
         blocks.append((level_out, block, entries))
     with _all_digits():
         reporter.emit(f"base level: {family.base_level}", base_level=family.base_level)

@@ -89,34 +89,24 @@ def embed(spec: SystemSpec, s: CoreElement, t) -> CoreElement:
     return CoreElement(add_fibers(s.fiber, t), dim=s.dim * d, runs=runs, zero=s.zero)
 
 
-def embed_to(spec: SystemSpec, s: CoreElement, fiber) -> CoreElement:
-    """Embed into a deeper fiber (coordinatewise >= the current one)."""
-    fiber = spec.check_fiber(fiber)
-    step = sub_degree(fiber, s.fiber)
-    if any(c < 0 for c in step):
-        raise ValueError(f"cannot embed fiber {s.fiber} into {fiber}")
-    if all(c == 0 for c in step):
-        return s
-    return embed(spec, s, tuple(step))
-
-
 def to_algebra(spec: SystemSpec, s: CoreElement) -> algebra.AlgebraElement:
     blocks = {(0,) * spec.k: (s.fiber, s.runs)} if s.runs else {}
     return algebra.expand_normal_form(algebra.NormalForm(spec, blocks))
 
 
 def multiply_core(spec: SystemSpec, a: CoreElement, b: CoreElement) -> CoreElement:
-    """Matrix product after embedding both into the coordinatewise max fiber."""
+    """Matrix product after embedding both into the coordinatewise max fiber;
+    an operand already there is kept as it is, as in ``core_equal``."""
     fiber = max_fiber(a.fiber, b.fiber)
-    a = embed_to(spec, a, fiber)
-    b = embed_to(spec, b, fiber)
+    a, b = (s if s.fiber == fiber else embed(spec, s, sub_degree(fiber, s.fiber)) for s in (a, b))
     runs = run_ops.product(a.runs, b.runs)
     return CoreElement(fiber, dim=a.dim, runs=runs, zero=a.zero)
 
 
 def core_equal(spec: SystemSpec, a: CoreElement, b: CoreElement) -> bool:
     fiber = max_fiber(a.fiber, b.fiber)
-    return run_ops.equal(embed_to(spec, a, fiber).runs, embed_to(spec, b, fiber).runs)
+    a, b = (s if s.fiber == fiber else embed(spec, s, sub_degree(fiber, s.fiber)) for s in (a, b))
+    return run_ops.equal(a.runs, b.runs)
 
 
 def twisted_unit(spec: SystemSpec, s) -> BasisMonomial:

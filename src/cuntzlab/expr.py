@@ -52,6 +52,7 @@ from itertools import accumulate
 
 from . import algebra, scalars
 from .algebra import AlgebraElement
+from .runs import cells
 from .system import BasisMonomial, SystemSpec
 
 
@@ -442,7 +443,7 @@ class _Parser:
         it, read one ``_ITEM_RE`` match per item; None for any other text
         and for a piece that fails a check, which the grammar then parses
         from scratch.  A group's sign is carried into its terms, so
-        "-(a - b)" adds -a and b to the sum's one map, and a group closed by
+        "-(a - b)" adds -a and b to the sum, and a group closed by
         ")'" conjugates and swaps the terms read inside it: on the exact
         fields, the grammar's element."""
         text, match = self.text, _ITEM_RE.match
@@ -481,12 +482,15 @@ class _Parser:
                 break
         if outer:
             return None
-        # exact sums need no pruning on the way: the build drops the zeros
+        # each term is a one-cell run of its fiber pair, summed as every
+        # sum is
         acc: dict = {}
         for c, x, y in terms:
-            cur = acc.get((x, y))
-            acc[x, y] = c if cur is None else cur + c
-        return AlgebraElement._from_map(self.spec, acc)
+            group = acc.get((x.fiber, y.fiber))
+            if group is None:
+                group = acc[x.fiber, y.fiber] = []
+            group.append((x.index, y.index, 1, c))
+        return algebra.summed(self.spec, acc)
 
     def _printed_term(self, groups, negate: bool):
         """The term (c, x, y) of a printed term's ``_ITEM_RE`` groups, or
@@ -623,22 +627,6 @@ def _format_ratio(num: int, den: int) -> str:
         raise _past_digit_limit("a coefficient that exceeds {} digits in lowest terms") from None
 
 
-def _monomial_text(term) -> str:
-    left, right = term.left, term.right
-    left_trivial = all(c == 0 for c in left.fiber)
-    right_trivial = all(c == 0 for c in right.fiber)
-    if left_trivial and right_trivial:
-        return "I"
-    try:
-        if right_trivial:
-            return repr(left)
-        if left_trivial:
-            return f"{right!r}'"
-        return f"{left!r}*{right!r}'"
-    except ValueError:  # an index of a fiber of dimension past 10^limit
-        raise _past_digit_limit("a monomial index that exceeds {} digits") from None
-
-
 def _signed_sum(pieces) -> str:
     """Join (negative, body) pieces as "a - b + c"; "0" when there are none."""
     out = []
@@ -730,13 +718,26 @@ def _term_pieces(coeff, mon: str):
             yield negative, f"{root}*{mon}" if mag == "1" else f"{mag}*({root}*{mon})"
 
 
+def _pair_pieces(fx, fy, runs):
+    """The ``_term_pieces`` of the cells of one fiber pair, in the order of
+    ``runs.cells``, each cell's indices written into the pair's one
+    monomial text: "e(fx;{0})*e(fy;{1})'", "e(fx;{0})", "e(fy;{1})'" or
+    "I", a trivial fiber left out."""
+    try:
+        left = f"e({','.join(map(str, fx))};{{0}})" if any(fx) else ""
+        right = f"e({','.join(map(str, fy))};{{1}})'" if any(fy) else ""
+        pattern = "*".join(filter(None, (left, right))) or "I"
+        for r, c, v in cells(runs):
+            yield from _term_pieces(v, pattern.format(r, c))
+    except UnprintableError:
+        raise
+    except ValueError:  # an index or a coordinate past the digit limit
+        raise _past_digit_limit("a monomial index that exceeds {} digits") from None
+
+
 def format_element(a: AlgebraElement) -> str:
     """Canonical text for an element; re-parses to the same canonical form."""
-    return _signed_sum(
-        piece
-        for term in a.terms
-        for piece in _term_pieces(term.coeff, _monomial_text(term))
-    )
+    return _signed_sum(piece for fx, fy, runs in a.pairs for piece in _pair_pieces(fx, fy, runs))
 
 
 def format_scalar(value) -> str:

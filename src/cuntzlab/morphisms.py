@@ -20,6 +20,7 @@ from itertools import combinations
 
 from . import algebra
 from .algebra import AlgebraElement
+from .runs import cells
 from .system import (
     BasisMonomial,
     ConfigurationError,
@@ -277,17 +278,19 @@ def map_element(assignment: GeneratorAssignment, element: AlgebraElement):
     _require_verified(assignment)
     if not same_system(element.spec, assignment.source):
         raise ValueError("element does not belong to the assignment's source")
-    field = assignment.target.field
+    source, field = assignment.source, assignment.target.field
     acc: dict = {}
-    for term in element.terms:
-        left = extend(assignment.source, assignment, term.left)
-        right = extend(assignment.source, assignment, term.right)
-        image = algebra.multiply(left, right.adjoint())
-        c = field.coerce(term.coeff)
-        # an exact coefficient of one scales nothing
-        if not (field.exact and c.is_one()):
-            image = image.scaled(c)
-        algebra.add_runs(acc, image, 1)
+    # cell by cell in the element's order, so float images sum in it
+    for fx, fy, runs in element.pairs:
+        for i, j, v in cells(runs):
+            left = extend(source, assignment, BasisMonomial(fx, i))
+            right = extend(source, assignment, BasisMonomial(fy, j))
+            image = algebra.multiply(left, right.adjoint())
+            c = field.coerce(v)
+            # an exact coefficient of one scales nothing
+            if not (field.exact and c.is_one()):
+                image = image.scaled(c)
+            algebra.add_runs(acc, image, 1)
     return algebra.summed(assignment.target, acc)
 
 
@@ -317,7 +320,8 @@ def factor_iso(m: int, n: int) -> IsomorphismPair:
     (1, 1).  Backward images: the first family comes back identically, and
     the j-th second-slot isometry of the small system is the sum over l of
     the second-slot isometry at slot j*m + l times the adjoint of the l-th
-    first-slot isometry, built as its m terms e((0,1); j*m + l) e((1,0); l)'.
+    first-slot isometry, the m terms e((0,1); j*m + l) e((1,0); l)' built
+    as their one run (j*m, 0, m, 1) of the fiber pair ((0,1), (1,0)).
     For m = 1 the pair degenerates consistently: the
     single first-slot range projection is the identity.
     """
@@ -334,13 +338,8 @@ def factor_iso(m: int, n: int) -> IsomorphismPair:
     for i in range(m):
         bwd_images[1, i] = algebra.isometry(big, big.monomial((1, 0), i))
     for j in range(n):
-        bwd_images[2, j] = AlgebraElement(
-            big,
-            {
-                (big.monomial((0, 1), j * m + l), big.monomial((1, 0), l)): big.field.one
-                for l in range(m)
-            },
-        )
+        run = (j * m, 0, m, big.field.one)
+        bwd_images[2, j] = AlgebraElement._canonical(big, [((0, 1), (1, 0), (run,))])
     return IsomorphismPair(
         GeneratorAssignment(big, small, fwd_images),
         GeneratorAssignment(small, big, bwd_images),

@@ -17,7 +17,8 @@ The one merge rule of a run list is ``_merge``, which lengthens the last
 run of a list by each run that continues it; ``raise_terms`` hands it the
 raised runs of one fiber pair at a time, ``sweep`` the nonzero pieces of
 one offset, and ``joined``, which builds the runs of ``algebra`` elements,
-disjoint runs in ``diagonal_order``.
+disjoint runs in ``diagonal_order``.  ``cells`` reads swept runs cell by
+cell in (row, col) order, the one cell order of printing and induced maps.
 
 Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is
@@ -38,6 +39,9 @@ the same object.  Memory is O(R).
 """
 
 from __future__ import annotations
+
+from heapq import merge
+from itertools import repeat
 
 from .scalars import common_field, field_of
 
@@ -68,6 +72,15 @@ def _merge(runs: list, pieces) -> None:
 def diagonal_order(run):
     """The order of runs along their diagonals: by col0 - row0, then row0."""
     return run[1] - run[0], run[0]
+
+
+def cells(runs):
+    """(row, col, coeff) for each cell of the swept runs ``runs``, in (row,
+    col) order, merged lazily, so the first cells cost the runs, not the
+    cells of the rest.  Disjoint runs share no (row, col), so the merge
+    never compares coefficients."""
+    group = [zip(range(r, r + n), range(c, c + n), repeat(v)) for r, c, n, v in runs]
+    return group[0] if len(group) == 1 else merge(*group)
 
 
 def joined(runs) -> tuple:

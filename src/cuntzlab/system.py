@@ -127,9 +127,11 @@ class SystemSpec:
     """
 
     def __init__(self, gen_dims, theta=None, scalar_mode: str = "rational"):
-        gen_dims = tuple(int(m) for m in gen_dims)
+        gen_dims = tuple(gen_dims)
         if not gen_dims:
             raise ConfigurationError("a system needs at least one generator")
+        if not all(isinstance(m, int) for m in gen_dims):
+            raise ConfigurationError(f"generator dimensions must be ints, got {gen_dims!r}")
         if any(m < 1 for m in gen_dims):
             raise ConfigurationError("generator dimensions must be >= 1")
         self.k = len(gen_dims)

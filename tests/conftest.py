@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlab import algebra, analysis, expr, scalars, steprep
+from cuntzlab import algebra, analysis, expr, morphisms, scalars, steprep
 from cuntzlab.runs import sweep
 from cuntzlab.scalars import field_of
 from cuntzlab.system import (
@@ -13,6 +13,7 @@ from cuntzlab.system import (
     add_fibers,
     max_fiber,
     parse_spec_text,
+    same_system,
     sub_degree,
 )
 
@@ -157,6 +158,54 @@ def sequential_image(assignment, element):
             algebra.multiply(image(t.left), image(t.right).adjoint()).scaled(t.coeff)
             for t in element.terms
         ],
+    )
+
+
+def term_map_element(assignment, element):
+    """``morphisms.map_element`` as it walked the term view, the reference
+    for its walk of each fiber pair's cells: the image of each term c x y*
+    is extend(x) extend(y)* scaled by c, summed by ``algebra.add_runs`` in
+    term order."""
+    morphisms._require_verified(assignment)
+    if not same_system(element.spec, assignment.source):
+        raise ValueError("element does not belong to the assignment's source")
+    field = assignment.target.field
+    acc: dict = {}
+    for term in element.terms:
+        left = morphisms.extend(assignment.source, assignment, term.left)
+        right = morphisms.extend(assignment.source, assignment, term.right)
+        image = algebra.multiply(left, right.adjoint())
+        c = field.coerce(term.coeff)
+        # an exact coefficient of one scales nothing
+        if not (field.exact and c.is_one()):
+            image = image.scaled(c)
+        algebra.add_runs(acc, image, 1)
+    return algebra.summed(assignment.target, acc)
+
+
+def _monomial_text(term) -> str:
+    left, right = term.left, term.right
+    left_trivial = all(c == 0 for c in left.fiber)
+    right_trivial = all(c == 0 for c in right.fiber)
+    if left_trivial and right_trivial:
+        return "I"
+    try:
+        if right_trivial:
+            return repr(left)
+        if left_trivial:
+            return f"{right!r}'"
+        return f"{left!r}*{right!r}'"
+    except ValueError:  # an index of a fiber of dimension past 10^limit
+        raise expr._past_digit_limit("a monomial index that exceeds {} digits") from None
+
+
+def term_format_element(a) -> str:
+    """``expr.format_element`` as it printed the term view, one ``Term``
+    and its monomials' reprs per cell: the printer's oracle."""
+    return expr._signed_sum(
+        piece
+        for term in a.terms
+        for piece in expr._term_pieces(term.coeff, _monomial_text(term))
     )
 
 
@@ -440,8 +489,8 @@ def stepwise_annihilating_vector(spec, instance):
     c = instance.shift_fiber
     v = unit_vector(spec, spec.identity_monomial)
     for x, y in instance.pairs:
-        s_i = sub_degree(c, analysis.fiber_of(x))
-        t_i = sub_degree(c, analysis.fiber_of(y))
+        s_i = sub_degree(c, x.fiber)
+        t_i = sub_degree(c, y.fiber)
         for f in spec.basis(tuple(s_i)):
             for g in spec.basis(tuple(t_i)):
                 v = stepwise_orthogonality_step(spec, v, f, g)
@@ -457,7 +506,7 @@ def composed_annihilation(spec, instance, w):
     for x, y in instance.pairs:
         if any(isinstance(z, FiberVector) and z.is_zero() for z in (x, y)):
             continue  # x y* = 0
-        a, b = sub_degree(c, analysis.fiber_of(x)), sub_degree(c, analysis.fiber_of(y))
+        a, b = sub_degree(c, x.fiber), sub_degree(c, y.fiber)
         m = max_fiber(a, b)
         level_out, level_in = spec.dim(sub_degree(m, a)), spec.dim(sub_degree(m, b))
         lefts = [

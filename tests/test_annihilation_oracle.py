@@ -99,8 +99,8 @@ def dense_annihilating_vector(spec, instance):
     c = instance.shift_fiber
     fiber, coeffs = (0,) * spec.k, [spec.field.one]
     for x, y in instance.pairs:
-        s_i = sub_degree(c, analysis.fiber_of(x))
-        t_i = sub_degree(c, analysis.fiber_of(y))
+        s_i = sub_degree(c, x.fiber)
+        t_i = sub_degree(c, y.fiber)
         for f in spec.basis(s_i):
             for g in spec.basis(t_i):
                 fiber, coeffs = dense_orthogonality_step(spec, fiber, coeffs, f, g)
@@ -112,8 +112,8 @@ def _dense_size(spec, instance):
     c = instance.shift_fiber
     size = 1
     for x, y in instance.pairs:
-        ds = spec.dim(sub_degree(c, analysis.fiber_of(x)))
-        dt = spec.dim(sub_degree(c, analysis.fiber_of(y)))
+        ds = spec.dim(sub_degree(c, x.fiber))
+        dt = spec.dim(sub_degree(c, y.fiber))
         if ds == dt:
             return 0
         size *= max(ds, dt) ** (ds * dt)

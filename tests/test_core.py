@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlab import algebra, scalars
+from cuntzlab import algebra, core, scalars
 from cuntzlab.core import (
     CoreElement,
     core_element,
     core_equal,
     corner_shift,
     embed,
-    embed_to,
     multiply_core,
     to_algebra,
     trace,
@@ -80,11 +79,30 @@ class TestEmbedding:
         }
         assert nonzero == expected
 
-    def test_embed_to_requires_domination(self, e23):
+    def test_embed_requires_a_step_in_n_k(self, e23):
+        # embedding (1,0) into (1,0) is the zero step, into (0,1) a negative one
         s = _identity(e23, (1, 0))
-        assert embed_to(e23, s, (1, 0)) is s
+        same = embed(e23, s, (0, 0))
+        assert (same.fiber, same.dim, same.runs) == (s.fiber, s.dim, s.runs)
         with pytest.raises(ValueError):
-            embed_to(e23, s, (0, 1))
+            embed(e23, s, (-1, 1))
+
+    def test_core_ops_embed_only_operands_below_the_max(self, e23, monkeypatch):
+        calls = []
+
+        def counted(spec, s, t):
+            calls.append((s.fiber, t))
+            return embed(spec, s, t)
+
+        monkeypatch.setattr(core, "embed", counted)
+        a, b = _identity(e23, (1, 0)), _identity(e23, (0, 1))
+        assert core_equal(e23, a, a)
+        assert multiply_core(e23, a, a).runs == a.runs
+        assert calls == []
+        assert multiply_core(e23, a, embed(e23, b, (1, 0))).fiber == (1, 1)
+        assert calls == [((1, 0), (0, 1))]
+        assert core_equal(e23, a, b)
+        assert calls[1:] == [((1, 0), (0, 1)), ((0, 1), (1, 0))]
 
     def test_embedding_respects_algebra_equality(self, e23, rng):
         # the directed system is compatible with the algebra inclusions

@@ -66,6 +66,12 @@ class TestDimensions:
         with pytest.raises(ConfigurationError):
             SystemSpec(())
 
+    @pytest.mark.parametrize("dims", [(2.7, 3), ("2", "3"), (2, 3.0), (Fraction(2), 3), (2, None)])
+    def test_dimensions_must_be_ints(self, dims):
+        # int() would make (2.7, 3) the (2, 3) system and read "2"
+        with pytest.raises(ConfigurationError, match="must be ints"):
+            SystemSpec(dims)
+
 
 class TestBasisProducts:
     def test_lexicographic_index(self, e23):
