@@ -23,13 +23,20 @@ most dim(s) surviving terms along a stride.  Along a pair of runs the
 strides line up: a run of a times a run of b is the first run raised by s
 composed with the second raised by t, at most one run (``_piece``), so
 ``multiply`` costs its run pairs and the sum of their pieces, never the
-run lengths.  The product fibers and the phases of a fiber quadruple (x
-fiber, s, y fiber, t) are cached on the spec, so products on one spec
-compute them once.  On the exact fields the rewrite phase and the two
-basis phases fold into one factor, so a run pair costs at most two field
-multiplications; on float they stay three factors in a fixed order, so a
-product keeps its rounding whether the cache was cold or warm.  Zero
-and equality testing go through ``normal_form``, which raises the runs of
+run lengths.  Everything but that interval arithmetic and the coefficient
+product belongs to the fiber quadruple (x fiber, s, y fiber, t) of a
+pair of fiber pairs: dim(s), dim(t), the product fibers and the phases.
+``multiply`` finds it once per pair of fiber pairs, not per run pair, and
+the product fibers and phases are cached on the spec, so products on one
+spec compute them once.  The loops keep the order of the entry pairs, a's
+runs outer and b's pairs inner, so a float cell adds its products in the
+order the term list would: two of b's pairs can meet a's pair on one
+output pair, and the other order would add one of them first.  On the
+exact fields the rewrite phase and the two basis phases fold into one
+factor, so a run pair costs at most two field multiplications; on float
+they stay three factors in a fixed order, so a product keeps its rounding
+whether the cache was cold or warm.
+Zero and equality testing go through ``normal_form``, which raises the runs of
 each degree g to one bidegree (c, c - g) (see ``runs``).  They vanish
 exactly when the element is zero: the monomials at one bidegree are
 linearly independent whenever the system admits a nontrivial Cuntz
@@ -45,7 +52,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, NamedTuple
 
-from .runs import cells, diagonal_order, equal, joined, raise_terms, sweep
+from .runs import _merge, cells, diagonal_order, equal, joined, raise_terms, sweep
 from .system import (
     BasisMonomial,
     SystemSpec,
@@ -294,9 +301,11 @@ def _sum_of(runs: list) -> tuple:
 
     One run is canonical as it is, unless it is zero, as a float product
     may be.  Runs of at most three entries on average are summed cell by
-    cell in a dict and joined, which costs less than a sweep of so short
-    runs; longer ones are swept, at the cost of their pieces, whatever
-    their lengths.
+    cell in a dict keyed by (col - row, row), which costs less than a
+    sweep of so short runs: one sorted pass over the cells, in diagonal
+    order, drops the zero ones and hands the rest to ``runs._merge``,
+    which joins the cells that continue each other.  Longer runs are
+    swept, at the cost of their pieces, whatever their lengths.
     """
     if len(runs) == 1:
         return () if runs[0][3].is_zero() else tuple(runs)
@@ -304,11 +313,16 @@ def _sum_of(runs: list) -> tuple:
         return sweep(runs)
     cells: dict = {}
     for r, c, n, v in runs:
-        for u in range(n):
-            key = (r + u, c + u)
+        d = c - r
+        for row in range(r, r + n):
+            key = (d, row)
             cur = cells.get(key)
             cells[key] = v if cur is None else cur + v
-    return joined([(r, c, 1, v) for (r, c), v in cells.items() if not v.is_zero()])
+    out: list = []
+    _merge(out, [(row, row + d, 1, v) for (d, row), v in sorted(cells.items()) if not v.is_zero()])
+    # merged runs differ in (row0, col0), so coefficients are never compared
+    out.sort()
+    return tuple(out)
 
 
 def zero(spec: SystemSpec) -> AlgebraElement:
@@ -404,7 +418,10 @@ def _piece(spec: SystemSpec, xf, t, a: tuple, s, yf, b: tuple):
     factors of the quadruple (x, s, y, t) (see ``_fiber_data``).  Both
     cases are ``runs.compose``'s interval arithmetic, inlined with dim(s) =
     dim(t) = 1 for the first: building the raised runs as tuples for it
-    made a product of one-entry runs measurably slower.
+    made a product of one-entry runs measurably slower.  This is the
+    product of two one-run elements (``_run_product``); ``multiply`` runs
+    the same arithmetic inline, with the dimensions, the product pair and
+    the factors found once per pair of fiber pairs.
     """
     ra, ca, la, va = a
     rb, cb, lb, vb = b
@@ -439,16 +456,29 @@ def _run_product(spec: SystemSpec, xf, t, a: tuple, s, yf, b: tuple) -> AlgebraE
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The product a*b: one ``_piece`` per pair of runs, so it costs its
-    run pairs plus the sum of their pieces, whatever the run lengths.
+    """The product a*b: one piece (see ``_piece``) per pair of runs, so
+    it costs its run pairs plus the sum of their pieces, whatever the run
+    lengths.
+
+    What a piece needs beyond its interval arithmetic belongs to a pair of
+    fiber pairs, so for each fiber pair of a one slot per fiber pair of b
+    holds dim(s), dim(t) and, s = t standing for the zero fiber, its
+    quadruple; the first piece that survives fills in the slot's output
+    group and phase factors with one ``_fiber_data`` call.  A run pair
+    then costs the interval arithmetic and one coefficient product.
 
     The pieces of each fiber pair are summed by ``_sum_of``, in the order
     their run pairs are met: a's fiber pairs in canonical order, each
     pair's runs in diagonal order (col0 - row0, then row0), which along any
     row is column order, and b's pairs and runs inner.  Each cell so sums
     its entry products left entry outer, right entry inner, as the entry
-    pairs always were, so float products keep their bits.  A product of two one-run
-    elements is one piece (``_run_product``).
+    pairs always were, so float products keep their bits.  The order of
+    the middle loops matters: two of b's pairs, (0, y - t) and (t, y), land
+    on the output pair (x, y) of a's pair (x, t), and a loop with b's pairs
+    outside a's runs would add the first pair's contribution to a cell
+    before those of a's earlier runs in the row, which changes float sums
+    once a row holds three runs.  A product of two one-run elements is one
+    piece (``_run_product``).
     """
     a._require_same(b)
     spec = a.spec
@@ -456,17 +486,44 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         (xf, t, runs_a), (s, yf, runs_b) = a.pairs[0], b.pairs[0]
         if len(runs_a) == 1 == len(runs_b):
             return _run_product(spec, xf, t, runs_a[0], s, yf, runs_b[0])
+    dim, e = spec._dim, (0,) * spec.k
     groups: dict = {}
     for xf, t, runs_a in a.pairs:
-        for ra in sorted(runs_a, key=diagonal_order) if len(runs_a) > 1 else runs_a:
-            for s, yf, runs_b in b.pairs:
-                for rb in runs_b:
-                    piece = _piece(spec, xf, t, ra, s, yf, rb)
-                    if piece is not None:
-                        group = groups.get(piece[0])
+        # one slot per fiber pair of b: [dim(s), dim(t), runs, group,
+        # factors, (s, yf, t)], s = t standing for the zero fiber e as in
+        # ``_piece``; group and factors are found at its first survivor
+        slots = []
+        for s, yf, runs_b in b.pairs:
+            if s == t:
+                slots.append([1, 1, runs_b, None, (), (e, yf, e)])
+            else:
+                slots.append([dim(s), dim(t), runs_b, None, (), (s, yf, t)])
+        for ra, ca, la, va in sorted(runs_a, key=diagonal_order) if len(runs_a) > 1 else runs_a:
+            for slot in slots:
+                ds, dt, runs_b, group, factors, quad = slot
+                # ``_piece``'s interval arithmetic
+                a_lo = ca * ds
+                a_hi = a_lo + la * ds
+                row_off = (ra - ca) * ds
+                for rb, cb, lb, vb in runs_b:
+                    lo = rb * dt
+                    hi = lo + lb * dt
+                    if lo < a_lo:
+                        lo = a_lo
+                    if hi > a_hi:
+                        hi = a_hi
+                    if lo >= hi:
+                        continue
+                    if group is None:
+                        pair, factors = _fiber_data(spec, xf, *quad)
+                        group = groups.get(pair)
                         if group is None:
-                            group = groups[piece[0]] = []
-                        group.append(piece[1])
+                            group = groups[pair] = []
+                        slot[3], slot[4] = group, factors
+                    coeff = va * vb
+                    for f in factors:
+                        coeff = coeff * f
+                    group.append((lo + row_off, lo + (cb - rb) * dt, hi - lo, coeff))
     return summed(spec, groups)
 
 

@@ -169,10 +169,17 @@ def _cmd_alpha(args, reporter: Reporter) -> int:
     element = _parse_element(spec, args.expression)
     # the largest image index, (dim(s) - 1) * dim(x) + x.index, tells before
     # any term is built whether the result can be printed; once log10 dim(s)
-    # passes the limit by a digit, 10^limit stands in for dim(s) - 1
+    # passes the limit by a digit, 10^limit stands in for dim(s) - 1.  A
+    # dimension-one generator adds nothing, and on any other a coordinate
+    # past 4 (limit + 1) passes the limit, as log10 2 > 1/4, so no
+    # coordinate is made a float that would overflow one
     limit = sys.get_int_max_str_digits()
     if limit and element.pairs:
-        log_dim = sum(e * math.log10(m) for m, e in zip(spec.gen_dims, fiber))
+        log_dim = sum(
+            e * math.log10(m) if e <= 4 * (limit + 1) else math.inf
+            for m, e in zip(spec.gen_dims, fiber)
+            if m > 1
+        )
         step = 10**limit if log_dim > limit + 1 else spec.dim(fiber) - 1
         # a run's largest indices are its last entry's
         tops = [

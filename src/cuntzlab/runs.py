@@ -16,9 +16,11 @@ tolerance.  Merging does no arithmetic, so float values keep their bits.
 The one merge rule of a run list is ``_merge``, which lengthens the last
 run of a list by each run that continues it; ``raise_terms`` hands it the
 raised runs of one fiber pair at a time, ``sweep`` the nonzero pieces of
-one offset, and ``joined``, which builds the runs of ``algebra`` elements,
-disjoint runs in ``diagonal_order``.  ``cells`` reads swept runs cell by
-cell in (row, col) order, the one cell order of printing and induced maps.
+one offset, ``joined``, which builds the runs of ``algebra`` elements,
+disjoint runs in ``diagonal_order``, and ``algebra._sum_of`` the nonzero
+cells of a sum of short runs in that order.  ``cells`` reads swept runs
+cell by cell in (row, col) order, the one cell order of printing and
+induced maps.
 
 Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is

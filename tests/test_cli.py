@@ -1043,23 +1043,41 @@ def test_alpha_refuses_an_unprintable_shift_before_building_it(capsys, spec_path
 
 def test_alpha_refuses_a_huge_shift_without_its_dimension(capsys, spec_path, monkeypatch):
     # dim(0,10^7) on e23 has about 4.8 million digits: its logarithm
-    # refuses the shift, and the power itself is never computed
-    dims = []
+    # refuses the shift, and the power itself is never computed.  A
+    # coordinate past a float's range is refused by its size, on e23 and
+    # on the dimension-5 slot of dims 1 5; on the dimension-one slot it
+    # adds nothing to the index, and the printer refuses the coordinate
+    # 10^limit of the result
     dim = SystemSpec._dim
 
     def recorded(self, s):
-        dims.append(s)
+        assert all(e < 10**7 for m, e in zip(self.gen_dims, s) if m > 1)
         return dim(self, s)
 
     monkeypatch.setattr(SystemSpec, "_dim", recorded)
     limit = sys.get_int_max_str_digits()
-    code, out, err = run_cli(capsys, ["alpha", "--spec", spec_path("e23"), "0,10000000", "e(1,0;0)"])
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: the result has a monomial index that exceeds {limit} digits, "
-        "the limit for a number in expression text\n"
-    )
-    assert (0, 10000000) not in dims
+    for name, fiber in [
+        ("e23", "0,10000000"),
+        ("e23", "9" * 400 + ",0"),
+        ("e15", "0," + "9" * 400),
+        ("e15", "9" * limit + ",0"),
+    ]:
+        code, out, err = run_cli(capsys, ["alpha", "--spec", spec_path(name), fiber, "e(1,0;0)"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the result has a monomial index that exceeds {limit} digits, "
+            "the limit for a number in expression text\n"
+        )
+
+
+def test_alpha_shifts_by_a_huge_coordinate_of_a_dimension_one_generator(capsys, spec_path):
+    # dims 1 5: the fiber (10^400 - 1, 0) has dimension one, so the image
+    # of e(1,0;0) is one term with a 401-digit coordinate
+    n = 10**400
+    argv = ["alpha", "--spec", spec_path("e15"), f"{n - 1},0", "e(1,0;0)"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == f"e({n},0;0)*e({n - 1},0;0)'\n"
 
 
 def test_alpha_of_zero_needs_no_dimension(capsys, spec_path, monkeypatch):
