@@ -84,24 +84,17 @@ class AlgebraElement:
     as different runs, and there ``==`` compares each fiber pair's runs by
     ``runs.equal``.  Semantic equality in the algebra is ``equals``.
 
-    An element is valid by construction: ``AlgebraElement(spec, term_map)``,
-    and ``from_terms`` through it, passes both monomials of every key to
+    An element is valid by construction.  There is no public constructor:
+    ``AlgebraElement(...)`` is a ``TypeError``, and ``from_terms``, the
+    one builder from outside terms, passes both monomials of every term to
     ``spec.monomial``, so each fiber is in N^k and each index an int below
-    the fiber's dimension.  Every key is checked, never one per fiber:
+    the fiber's dimension.  Every term is checked, never one per fiber:
     (1.0, 0) hashes and compares like (1, 0).  The package's kernels build
     their results from checked fibers and indices with ``_canonical`` and
     ``_build``, which check nothing, and no later operation checks again.
     """
 
     __slots__ = ("spec", "pairs")
-
-    def __init__(self, spec: SystemSpec, term_map: dict):
-        monomial = spec.monomial
-        for x, y in term_map:
-            monomial(*x)
-            monomial(*y)
-        self.spec = spec
-        self.pairs = _map_pairs(term_map)
 
     @classmethod
     def _canonical(cls, spec: SystemSpec, pairs) -> "AlgebraElement":
@@ -115,14 +108,24 @@ class AlgebraElement:
 
     @staticmethod
     def from_terms(spec: SystemSpec, triples: Iterable) -> "AlgebraElement":
+        """The sum of c * e(x) e(y)' over triples (c, x, y): each c coerced
+        into the spec's field, x and y checked by ``spec.monomial``, and the
+        coefficients of a repeated (x, y) summed in the order given."""
         acc: dict = {}
         field = spec.field
+        monomial = spec.monomial
         for coeff, x, y in triples:
             c = field.coerce(coeff)
-            key = (x, y)
+            key = monomial(*x), monomial(*y)
             cur = acc.get(key)
             acc[key] = c if cur is None else cur + c
-        return AlgebraElement(spec, acc)
+        groups: dict = {}
+        for (x, y), c in acc.items():
+            group = groups.get((x.fiber, y.fiber))
+            if group is None:
+                group = groups[x.fiber, y.fiber] = []
+            group.append((x.index, y.index, 1, c))
+        return AlgebraElement._canonical(spec, _build(groups))
 
     # -- terms ------------------------------------------------------------
 
@@ -209,18 +212,6 @@ class AlgebraElement:
 def _negated(runs: tuple) -> tuple:
     """-runs: negation keeps runs nonzero, maximal and in order."""
     return tuple([(r, c, n, -v) for r, c, n, v in runs])
-
-
-def _map_pairs(term_map: dict) -> tuple:
-    """The pairs of a {(left, right): coeff} map (see ``_build``)."""
-    groups: dict = {}
-    for (x, y), c in term_map.items():
-        pair = x.fiber, y.fiber
-        group = groups.get(pair)
-        if group is None:
-            group = groups[pair] = []
-        group.append((x.index, y.index, 1, c))
-    return _build(groups)
 
 
 def _build(groups: dict) -> tuple:
@@ -336,7 +327,7 @@ def identity(spec: SystemSpec) -> AlgebraElement:
 
 def monomial_pair(spec, x: BasisMonomial, y: BasisMonomial, coeff=1) -> AlgebraElement:
     """coeff * e(x) e(y)', its one run built directly, as ``identity``'s
-    is, after both monomials are checked as the constructor checks them."""
+    is, after both monomials are checked as ``from_terms`` checks them."""
     spec.monomial(*x)
     spec.monomial(*y)
     c = spec.field.coerce(coeff)

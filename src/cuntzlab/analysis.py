@@ -135,19 +135,17 @@ class Classification:
     """Verdict plus the evidence that produced it.
 
     kind is one of 'SimplePurelyInfinite', 'TensorCircle', 'NonSimple',
-    'Unknown'.  base and exponent_matrix are the coprime base of gen_dims
-    and the exponents over it; rank is the matrix's rank and kernel its
-    primitive kernel vector.  TensorCircle carries power_base = (l, a, b);
-    every non-injective verdict carries the witness fiber pair.
+    'Unknown'.  rank is the rank of the exponent matrix of gen_dims over
+    their coprime base; ``exponent_matrix`` and ``rank_and_kernel`` give
+    the matrix and its kernel.  TensorCircle carries power_base =
+    (l, a, b); every non-injective verdict carries the witness fiber pair.
+    The fields are what the CLI's ``classify`` record prints.
     """
 
     kind: str
     gen_dims: tuple
     twisted: bool
-    base: tuple
-    exponent_matrix: tuple
     rank: int
-    kernel: tuple | None
     witness: tuple | None
     power_base: tuple | None
 
@@ -185,10 +183,7 @@ def classify(spec: SystemSpec) -> Classification:
     common = dict(
         gen_dims=spec.gen_dims,
         twisted=spec.is_twisted,
-        base=base,
-        exponent_matrix=rows,
         rank=rank,
-        kernel=kernel,
         witness=witness,
         power_base=None,
     )

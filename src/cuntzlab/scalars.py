@@ -20,7 +20,7 @@ integer numerators over one common denominator, den > 0 and in lowest terms
 (one ``math.gcd`` after each operation), so every value has one
 representation and equality compares integers.  A Gaussian rational is
 (re_num, im_num) over den.  The ``Fraction`` view ``coeffs`` is derived on
-demand for printing.  Each field's ``zero`` and ``one`` are shared
+demand for ``repr``.  Each field's ``zero`` and ``one`` are shared
 constants, and a field keeps its roots of unity, so the engine never
 rebuilds them.  ``SystemSpec`` caches fiber dimensions per fiber on top, but
 no multipliers: an exact twisted spec keeps theta * q as integers, so a
@@ -47,13 +47,16 @@ won).  Compiling them costs 1-2 ms once at q = 17 and 20-25 ms at q = 2310
 (phi 480).  The benchmark's twisted workload runs orders 4 and 8 (phi 2
 and 4), so no end-to-end run crosses the cutoff.
 
-Scalars of the same field combine with the usual operators; ints and
-Fractions lift automatically.  Cross-field arithmetic is an error unless
-the values are first moved with ``coerce`` into their ``common_field`` in
-the lattice rational -> cyclotomic(lcm(4, q)) -> cyclotomic(lcm(q, r)) ->
-float: the Gaussian rationals hold i, so they meet Q(zeta_q) in
-Q(zeta_lcm(4, q)).  So rational and cyclotomic:4 hold the same numbers but
-stay two fields, which meet in cyclotomic:4.
+Scalars of the same field combine with ``+``, ``-``, ``*`` and ``conj``,
+an int or Fraction lifting on either side of ``+`` and ``*`` and on the
+right of ``-``; no check of the paper divides, so there is no ``/``.  Exact
+values of different fields compare and hash as the numbers they are, but
+cross-field arithmetic is an error unless the values are first moved with
+``coerce`` into their ``common_field`` in the lattice rational ->
+cyclotomic(lcm(4, q)) -> cyclotomic(lcm(q, r)) -> float: the Gaussian
+rationals hold i, so they meet Q(zeta_q) in Q(zeta_lcm(4, q)).  So rational
+and cyclotomic:4 hold the same numbers but stay two fields, which meet in
+cyclotomic:4.
 """
 
 from __future__ import annotations
@@ -238,25 +241,7 @@ def _arithmetic(q: int, phi: int, reduction) -> str:
 _new = object.__new__
 
 
-class _Scalar:
-    """What every scalar type derives from its ``_lift``, ``-``, ``*`` and ``inv``."""
-
-    __slots__ = ()
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-
-class Cyclotomic(_Scalar):
+class Cyclotomic:
     """An element of Q(zeta_q) in the power basis 1, zeta, ..., zeta^(phi-1).
 
     Stored as integer numerators ``nums`` over one common denominator
@@ -341,10 +326,11 @@ class Cyclotomic(_Scalar):
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
-            try:
-                other = self._lift(other)
-            except TypeError:
-                return NotImplemented
+            if isinstance(other, Cyclotomic):
+                # a value of another exact field: compared where both live
+                field = common_field(self.field, other.field)
+                return field.coerce(self).identical(field.coerce(other))
+            other = self._lift(other)
             if other is None:
                 return NotImplemented
         return self.den == other.den and self.nums == other.nums
@@ -355,10 +341,17 @@ class Cyclotomic(_Scalar):
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        # a rational value hashes as the int or Fraction it equals
-        if self.is_rational():
-            return hash(Fraction(self.nums[0], self.den))
-        return hash((self.field.order, self.nums, self.den))
+        # the normalized trace: the same in every field that holds the
+        # value, and on a rational value the value, which hashes as the int
+        # or Fraction.  zeta_q^k is a primitive d-th root, d = q/gcd(k, q),
+        # whose normalized trace is the mean of the roots of Phi_d: minus
+        # its second-highest coefficient over its degree
+        q, trace = self.field.order, Fraction()
+        for k, n in enumerate(self.nums):
+            if n:
+                poly = cyclotomic_polynomial(q // math.gcd(k, q))
+                trace -= Fraction(n * poly[-2], len(poly) - 1)
+        return hash(trace / self.den)
 
     def to_complex(self) -> complex:
         q, den = self.field.order, self.den
@@ -419,7 +412,7 @@ class RationalComplex(Cyclotomic):
         return f"RationalComplex({re}, {im})"
 
 
-class FloatComplex(_Scalar):
+class FloatComplex:
     """Complex floating-point scalar; zero means |z| < 1e-9."""
 
     __slots__ = ("value",)
@@ -459,19 +452,8 @@ class FloatComplex(_Scalar):
     def __neg__(self):
         return FloatComplex(-self.value)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FloatComplex(self.value / o.value)
-
     def conj(self) -> "FloatComplex":
         return FloatComplex(self.value.conjugate())
-
-    def inv(self) -> "FloatComplex":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of (numerically) zero scalar")
-        return FloatComplex(1.0 / self.value)
 
     def is_zero(self) -> bool:
         return abs(self.value) < FLOAT_TOLERANCE
@@ -498,9 +480,6 @@ class FloatComplex(_Scalar):
 
     def __hash__(self):
         raise TypeError("float scalars are not hashable (tolerance equality)")
-
-    def to_complex(self) -> complex:
-        return self.value
 
     def __repr__(self):
         return f"FloatComplex({self.value!r})"
@@ -650,11 +629,6 @@ class FloatField(_Field):
     exact = False
     zero = FloatComplex(0.0)
     one = FloatComplex(1.0)
-
-    def from_fraction(self, fr) -> FloatComplex:
-        if isinstance(fr, float):
-            return FloatComplex(fr)
-        return FloatComplex(float(_as_rational(fr)))
 
     def gaussian(self, re_num: int, im_num: int, den: int) -> FloatComplex:
         """(re_num + im_num*i) / den for integers with den > 0, each part

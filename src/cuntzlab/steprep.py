@@ -33,7 +33,8 @@ level with an identical coefficient lengthens it.  Elements are
 valid by construction (see ``AlgebraElement``), so evaluation checks
 nothing.
 ``StepOperator.entries`` expands the runs into one dict entry per cell,
-which does cost the level, for printing.
+which does cost the level: the cell view of the benchmark's counters and
+the tests.  The CLI prints a block from its runs by ``runs.cells``.
 
 ``evaluate`` is the one step evaluator.  Given a ``CharacterTwist`` it
 evaluates the twisted representation instead, in which the generators of

@@ -89,9 +89,6 @@ class FiberVector:
             return NotImplemented
         return self.fiber == other.fiber and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.fiber, frozenset(self.entries.items())))
-
     def __repr__(self):
         return f"FiberVector({self.fiber}, {dict(sorted(self.entries.items()))})"
 

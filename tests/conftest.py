@@ -124,15 +124,12 @@ def random_element(spec, rng, nterms=3, max_sum=2):
 
 def sequential_sum(spec, elements):
     """The sum of ``elements`` added one at a time, each step merging the
-    terms of two canonical elements and pruning the keys that cancel: the
-    reference for ``+``, ``-``, ``equals``, parsed sums and induced images."""
+    terms of two canonical elements by ``from_terms`` and pruning the keys
+    that cancel: the reference for ``+``, ``-``, ``equals``, parsed sums and
+    induced images."""
     out = algebra.zero(spec)
     for e in elements:
-        acc = {(x, y): c for c, x, y in out.terms}
-        for c, x, y in e.terms:
-            cur = acc.get((x, y))
-            acc[x, y] = c if cur is None else cur + c
-        out = algebra.AlgebraElement(spec, acc)
+        out = algebra.AlgebraElement.from_terms(spec, out.terms + e.terms)
     return out
 
 
@@ -403,13 +400,11 @@ def vector_projection(spec, v):
     if norm.is_zero():
         raise ValueError("cannot project along the zero vector")
     inv = norm.inv()
-    acc: dict = {}
-    for j, a in v.entries.items():
-        for l, b in v.entries.items():
-            acc[(BasisMonomial(v.fiber, j), BasisMonomial(v.fiber, l))] = (
-                inv * a * b.conj()
-            )
-    return algebra.AlgebraElement(spec, acc)
+    return algebra.AlgebraElement.from_terms(spec, [
+        (inv * a * b.conj(), BasisMonomial(v.fiber, j), BasisMonomial(v.fiber, l))
+        for j, a in v.entries.items()
+        for l, b in v.entries.items()
+    ])
 
 
 def compressed_pair_element(spec, instance, w, index):

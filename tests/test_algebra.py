@@ -353,16 +353,14 @@ def four_factor_multiply(a, b):
     """``multiply`` with every scalar factor of a survivor: both term
     coefficients, the rewrite coefficient and the two basis phases."""
     spec = a.spec
-    acc = {}
+    triples = []
     for ta in a.terms:
         for tb in b.terms:
             for tm in rewrite_pair(spec, ta.right, tb.left).terms:
                 ph_l, x = spec.mul_basis(ta.left, tm.left)
                 ph_r, y = spec.mul_basis(tb.right, tm.right)
-                coeff = ta.coeff * tb.coeff * tm.coeff * ph_l * ph_r.conj()
-                cur = acc.get((x, y))
-                acc[(x, y)] = coeff if cur is None else cur + coeff
-    return AlgebraElement(spec, acc)
+                triples.append((ta.coeff * tb.coeff * tm.coeff * ph_l * ph_r.conj(), x, y))
+    return AlgebraElement.from_terms(spec, triples)
 
 
 def pooled_element(spec, rng, nterms, max_sum):
@@ -410,16 +408,14 @@ def four_factor_shift(a, s):
     """``shift_endomorphism`` with the term coefficient and both phases on
     every term."""
     spec = a.spec
-    acc = {}
+    triples = []
     for f in range(spec.dim(s)):
         fmon = BasisMonomial(s, f)
         for t in a.terms:
             ph_l, x = spec.mul_basis(fmon, t.left)
             ph_r, y = spec.mul_basis(fmon, t.right)
-            coeff = t.coeff * ph_l * ph_r.conj()
-            cur = acc.get((x, y))
-            acc[(x, y)] = coeff if cur is None else cur + coeff
-    return AlgebraElement(spec, acc)
+            triples.append((t.coeff * ph_l * ph_r.conj(), x, y))
+    return AlgebraElement.from_terms(spec, triples)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -435,6 +431,11 @@ def test_shift_matches_four_factor_shift(name, seed):
 
 def _pair(spec, x, y):
     return {(x, y): spec.field.one}
+
+
+def _element(spec, term_map):
+    """The element of a {(x, y): coeff} map, built by ``from_terms``."""
+    return AlgebraElement.from_terms(spec, [(c, x, y) for (x, y), c in term_map.items()])
 
 
 def _malformed_products(spec, bad):
@@ -493,7 +494,7 @@ def test_multiply_rejects_malformed_fibers_on_warm_cache(name, bad):
     # that each malformed product would look up
     spec = _fresh(PRODUCT_SPECS[name])
     for _, a, b in _malformed_products(spec, (1, 0)):
-        multiply(AlgebraElement(spec, a), AlgebraElement(spec, b))
+        multiply(_element(spec, a), _element(spec, b))
     assert any((1, 0) in quad for quad in spec.fiber_quads)
     _assert_multiply_rejects(spec, bad)
 
@@ -502,9 +503,7 @@ def _assert_rejected(spec, term_map):
     # (1.0, 0) hashes and compares like (1, 0), so only a check of every
     # key, not a cache miss, can reject it
     with pytest.raises(ValueError):
-        AlgebraElement(spec, term_map)
-    with pytest.raises(ValueError):
-        AlgebraElement.from_terms(spec, [(c, x, y) for (x, y), c in term_map.items()])
+        _element(spec, term_map)
 
 
 def _assert_multiply_rejects(spec, bad):
@@ -514,7 +513,7 @@ def _assert_multiply_rejects(spec, bad):
         if "after a valid term" in label and bad == (1.0, 0):
             first = next(iter(bad_side))
             assert all(type(c) is int for c in first[0].fiber + first[1].fiber)
-        AlgebraElement(spec, good_side)
+        _element(spec, good_side)
         _assert_rejected(spec, bad_side)
 
 
@@ -529,7 +528,7 @@ def test_product_same_on_cold_and_warm_cache(name, seed):
     b = random_element(cold, rng, rng.randint(1, 4), 3)
 
     def on_warm(e, coeff=lambda t: t.coeff):
-        return AlgebraElement(warm, {(t.left, t.right): coeff(t) for t in e.terms})
+        return AlgebraElement.from_terms(warm, [(coeff(t), t.left, t.right) for t in e.terms])
 
     # unrelated products, the last on the monomials of a and b with other
     # coefficients, so it fills every quadruple that a*b looks up
@@ -592,7 +591,7 @@ def test_raising_skips_unit_phases(name, monkeypatch):
     acc = {(B((1, 1), j), B((1, 1), j)): one for j in range(6)}
     acc.update({(B((1, 1), j), B((0, 1), j)): one for j in range(3)})
     acc[B((1, 0), 1), B((0, 0), 0)] = one
-    a = AlgebraElement(spec, acc)
+    a = _element(spec, acc)
     phase = spec.multiplier((1, 0), (0, 1))
     assert not phase.is_one()
     muls = []
@@ -626,7 +625,7 @@ def test_shift_rejects_malformed_fibers(name, bad):
         {(B((1, 0), 0), B((0, 1), 0)): one, (B(bad, 1), B((0, 1), 0)): one},
     ]:
         _assert_rejected(spec, term_map)
-    a = AlgebraElement(spec, {(B((1, 0), 0), B((0, 1), 0)): one, (B((1, 0), 1), B((0, 0), 0)): one})
+    a = _element(spec, {(B((1, 0), 0), B((0, 1), 0)): one, (B((1, 0), 1), B((0, 0), 0)): one})
     shift_endomorphism(a, (1, 0))
     with pytest.raises(ValueError):
         shift_endomorphism(a, bad)
@@ -671,7 +670,7 @@ def test_fiber_checks_reject_malformed_after_valid_term(bad, twin_first):
     assert first == (1, 0) and all(type(c) is int for c in first)
     assert (bad_map == twin_map) == (bad == (1.0, 0))
     if twin_first:
-        twin = AlgebraElement(spec, twin_map)
+        twin = _element(spec, twin_map)
         for use in _element_uses(spec):
             use(twin)
     _assert_rejected(spec, bad_map)
@@ -691,13 +690,13 @@ def _count_fiber_checks(monkeypatch):
 
 
 def test_fibers_checked_once_per_element(monkeypatch):
-    # construction checks both fibers of every key once; evaluation,
+    # construction checks both fibers of every term once; evaluation,
     # products, normal forms and equality of built elements check none
     spec = _fresh(PRODUCT_SPECS["e23"])
     rng = random.Random(20261019)
     built = random_element(spec, rng, nterms=5)
     calls = _count_fiber_checks(monkeypatch)
-    a = AlgebraElement(spec, {(t.left, t.right): t.coeff for t in built.terms})
+    a = AlgebraElement.from_terms(spec, [(t.coeff, t.left, t.right) for t in built.terms])
     assert len(calls) == 2 * len(a.terms)
     del calls[:]
     b = AlgebraElement.from_terms(spec, [(t.coeff, t.right, t.left) for t in built.terms])
@@ -739,11 +738,20 @@ def test_invalid_monomials_rejected_at_construction(e23):
         (e, B((0, 1), 1.0)),
     ]:
         with pytest.raises(ValueError):
-            AlgebraElement(e23, {key: one})
+            AlgebraElement.from_terms(e23, [(one, *key)])
         with pytest.raises(ValueError):
             monomial_pair(e23, *key)
     with pytest.raises(ValueError):
         e23.monomial((1, 0), 1.0)
+    # every term is checked, also one whose key equals an earlier valid one
+    with pytest.raises(ValueError):
+        AlgebraElement.from_terms(e23, [(one, B((1, 0), 1), e), (one, B((1, 0), 1.0), e)])
+
+
+def test_no_public_constructor(e23):
+    # elements come from ``from_terms`` and the package's kernels only
+    with pytest.raises(TypeError):
+        AlgebraElement(e23, {(BasisMonomial((1, 0), 0), e23.identity_monomial): 1})
 
 
 def _monomial_candidates(spec):
@@ -790,17 +798,12 @@ def test_construction_raises_exactly_on_rejected_monomials():
         }
         want = any(_rejected(spec, m) for key in term_map for m in key)
         verdicts.append(want)
-        triples = [(c, x, y) for (x, y), c in term_map.items()]
         kept = {key for key, c in term_map.items() if not c.is_zero()}
-        for build in (
-            lambda: AlgebraElement(spec, term_map),
-            lambda: AlgebraElement.from_terms(spec, triples),
-        ):
-            if want:
-                with pytest.raises(ValueError):
-                    build()
-            else:
-                assert {(t.left, t.right) for t in build().terms} == kept
+        if want:
+            with pytest.raises(ValueError):
+                _element(spec, term_map)
+        else:
+            assert {(t.left, t.right) for t in _element(spec, term_map).terms} == kept
 
     check()
     assert set(verdicts) == {True, False}
@@ -835,7 +838,7 @@ def test_one_term_product_matches_four_factor_product(name, data):
     # a one-term by one-term product emits its survivors without a dict or
     # a sort; it must still agree with the four-factor product, to the bit
     # on float, on every window kind, through adjoints and factors built by
-    # ``monomial_pair`` or the constructor, and prune a float coefficient
+    # ``monomial_pair`` or ``from_terms``, and prune a float coefficient
     # below the zero tolerance
     spec = PRODUCT_SPECS[name]
     kind = data.draw(st.sampled_from(sorted(INNER_PAIRS[name])), label="kind")
@@ -853,7 +856,7 @@ def test_one_term_product_matches_four_factor_product(name, data):
     def pair(left, right, adjoint, by_pair):
         if adjoint:
             left, right = right, left
-        make = monomial_pair if by_pair else lambda s, l, r, c: AlgebraElement(s, {(l, r): c})
+        make = monomial_pair if by_pair else lambda s, l, r, c: AlgebraElement.from_terms(s, [(c, l, r)])
         e = make(spec, left, right, coeff())
         return e.adjoint() if adjoint else e
 

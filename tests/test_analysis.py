@@ -163,8 +163,6 @@ class TestExponentMatrixAgainstPrimes:
             assert (c.kind, c.rank, c.witness, c.power_base) == (
                 kind, rank, witness, power_base,
             ), dims
-            assert c.kernel == (None if injective else kernel), dims
-            assert (c.base, c.exponent_matrix) == (base, rows)
 
     def test_every_pair_below_200(self):
         sympy = pytest.importorskip("sympy")

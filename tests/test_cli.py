@@ -1202,6 +1202,14 @@ def test_refused_arguments_exit_two(capsys, spec_path, tmp_path):
             ["relations", "--spec", e23, str(bad_key)],
             "error: line 1: malformed generator key '(1,x)'\n",
         ),
+        (
+            ["normalize", "--spec", e23, "zeta(0)*I"],
+            "error: in 'zeta(0)*I': position 5: root order must be positive\n",
+        ),
+        (
+            ["eval", "--spec", e23, "--lambda", "1 2,1", "I"],
+            "error: bad character value '1 2': position 2: unexpected '2' (expected end of input)\n",
+        ),
     ]
     for argv, message in cases:
         assert run_cli(capsys, argv) == (2, "", message)

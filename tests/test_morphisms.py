@@ -317,6 +317,20 @@ class TestFactorIso:
         assert any("commutation" in v for v in report.violations)
         assert not verify_roundtrip(IsomorphismPair(pair.forward, bad))
 
+    def test_negated_images_keep_relations_but_fail_roundtrip(self):
+        # -V satisfies every relation V does, so both reports pass and only
+        # the composition finds that the backward map does not undo it
+        pair = factor_iso(2, 3)
+        fwd = pair.forward
+        images = {
+            (a, i): -fwd.image(a, i) if a == 2 else fwd.image(a, i)
+            for a in (1, 2)
+            for i in range(fwd.source.gen_dims[a - 1])
+        }
+        negated = GeneratorAssignment(fwd.source, fwd.target, images)
+        assert negated.report().ok and pair.backward.report().ok
+        assert not verify_roundtrip(IsomorphismPair(negated, pair.backward))
+
     def test_degenerate_m1(self):
         pair = factor_iso(1, 4)
         assert verify_roundtrip(pair)

@@ -257,7 +257,7 @@ class _Parser:
                     del acc[key]
                 else:
                     acc[key] = total
-        return AlgebraElement(self.spec, acc)
+        return AlgebraElement.from_terms(self.spec, [(c, x, y) for (x, y), c in acc.items()])
 
     def parse(self) -> AlgebraElement:
         elem = self._expr()

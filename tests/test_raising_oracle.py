@@ -61,7 +61,7 @@ def cancelling(spec, rng, a):
     """a minus a times the Cuntz sum of a fiber: zero, spelled in raised terms."""
     fiber = tuple(rng.randint(0, 1) for _ in range(spec.k))
     one = spec.field.one
-    cuntz = algebra.AlgebraElement(spec, {(x, x): one for x in spec.basis(fiber)})
+    cuntz = algebra.AlgebraElement.from_terms(spec, [(one, x, x) for x in spec.basis(fiber)])
     return a - algebra.multiply(a, cuntz)
 
 

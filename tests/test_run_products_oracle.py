@@ -49,7 +49,7 @@ def _oracle(a):
 
 def cuntz_sum(spec, fiber, coeff):
     """coeff * sum_{x in B_fiber} i(x) i(x)*: one run on the exact fields."""
-    return AlgebraElement(spec, {(x, x): coeff for x in spec.basis(fiber)})
+    return AlgebraElement.from_terms(spec, [(coeff, x, x) for x in spec.basis(fiber)])
 
 
 def backward_image(spec, f, g, j, coeff):
@@ -57,8 +57,8 @@ def backward_image(spec, f, g, j, coeff):
     ``factor_iso`` backward image (f = (0,1), g = (1,0) there): one run of
     length dim(g), which must fit in the fiber f."""
     n = spec.dim(g)
-    return AlgebraElement(
-        spec, {(BasisMonomial(f, j * n + l), BasisMonomial(g, l)): coeff for l in range(n)}
+    return AlgebraElement.from_terms(
+        spec, [(coeff, BasisMonomial(f, j * n + l), BasisMonomial(g, l)) for l in range(n)]
     )
 
 

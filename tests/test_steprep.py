@@ -68,6 +68,43 @@ class TestGeneratorOperator:
         with pytest.raises(UnsupportedRepresentationError):
             generator_operator(tw23, tw23.monomial((1, 0), 0), 2)
 
+    def test_refusals(self, e23):
+        x = e23.monomial((1, 0), 1)
+        v = dense_vector(e23, (1, 0), [RationalComplex(1), RationalComplex(2)])
+        for build in (lambda: generator_operator(e23, x, 0), lambda: vector_operator(e23, v, 0)):
+            with pytest.raises(ValueError, match="^levels are positive integers$"):
+                build()
+        op = generator_operator(e23, x, 3)
+        with pytest.raises(ValueError, match=r"^cannot compose: inner levels differ \(6 vs 3\)$"):
+            op.compose(op)
+
+
+class TestOperatorFamily:
+    def test_equal_needs_one_base_level(self):
+        assert OperatorFamily(2, {}).equal(OperatorFamily(2, {}))
+        assert not OperatorFamily(2, {}).equal(OperatorFamily(4, {}))
+
+    def test_equal_across_different_level_sets(self):
+        # a level that one family lacks must hold a zero block in the other
+        one = RATIONAL.one
+        shared = {2: StepOperator(2, 2, {(0, 0): one})}
+        with_zero = OperatorFamily(2, {**shared, 4: StepOperator(2, 4, {})})
+        with_nonzero = OperatorFamily(2, {**shared, 4: StepOperator(2, 4, {(1, 0): one})})
+        plain = OperatorFamily(2, shared)
+        assert with_zero.equal(plain) and plain.equal(with_zero)
+        assert not with_nonzero.equal(plain) and not plain.equal(with_nonzero)
+        other = OperatorFamily(2, {2: StepOperator(2, 2, {(1, 1): one})})
+        assert not other.equal(plain)
+
+    def test_single(self, e23):
+        zero = OperatorFamily(3, {6: StepOperator(3, 6, {})}).single()
+        assert zero.is_zero() and (zero.level_in, zero.level_out) == (3, 3)
+        a = algebra.isometry(e23, e23.monomial((1, 0), 0)) + algebra.identity(e23)
+        with pytest.raises(
+            ValueError, match="^element evaluates to blocks at several output levels: 1, 2$"
+        ):
+            evaluate(a, 1).single()
+
 
 class TestVectorOperator:
     def test_matches_basis_expansion(self, e23):
@@ -321,7 +358,7 @@ def _termwise(a, level, twist):
         field = common_field(field, field_of(v))
     blocks = {}
     for t in a.terms:
-        single = AlgebraElement(a.spec, {(t.left, t.right): t.coeff})
+        single = AlgebraElement.from_terms(a.spec, [t])
         phase = field.coerce(twist.phase(sub_degree(t.left.fiber, t.right.fiber)))
         for lv, op in evaluate(single, level).blocks.items():
             acc = blocks.setdefault(lv, {})

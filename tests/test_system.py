@@ -66,6 +66,20 @@ class TestDimensions:
         with pytest.raises(ConfigurationError):
             SystemSpec(())
 
+    @pytest.mark.parametrize(
+        "theta,message",
+        [
+            ([[0, 1]], "theta must be a 2x2 matrix"),
+            ([[0, 1], [0]], "theta must be a 2x2 matrix"),
+            ([[0, "1/4"], [0, 0]], "theta entries must be numbers, got '1/4'"),
+            ([[0, None], [0, 0]], "theta entries must be numbers, got None"),
+        ],
+    )
+    def test_theta_validation(self, theta, message):
+        with pytest.raises(ConfigurationError) as err:
+            SystemSpec((2, 3), theta=theta, scalar_mode="cyclotomic:4")
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("dims", [(2.7, 3), ("2", "3"), (2, 3.0), (Fraction(2), 3), (2, None)])
     def test_dimensions_must_be_ints(self, dims):
         # int() would make (2.7, 3) the (2, 3) system and read "2"
