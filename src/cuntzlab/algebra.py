@@ -52,7 +52,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, NamedTuple
 
-from .runs import _merge, cells, diagonal_order, equal, joined, raise_terms, sweep
+from .runs import adjoint as run_adjoint, cells, diagonal_order, equal, joined, raise_terms, sweep
 from .system import (
     BasisMonomial,
     SystemSpec,
@@ -70,8 +70,8 @@ class Term(NamedTuple):
 
 
 def _pair_order(pair):
-    """The canonical order of fiber pairs: by degree, then left fiber."""
-    return sub_degree(*pair), pair[0]
+    """The canonical order of pairs (fx, fy[, runs]): degree, left fiber."""
+    return sub_degree(pair[0], pair[1]), pair[0]
 
 
 class AlgebraElement:
@@ -90,8 +90,9 @@ class AlgebraElement:
     ``spec.monomial``, so each fiber is in N^k and each index an int below
     the fiber's dimension.  Every term is checked, never one per fiber:
     (1.0, 0) hashes and compares like (1, 0).  The package's kernels build
-    their results from checked fibers and indices with ``_canonical`` and
-    ``_build``, which check nothing, and no later operation checks again.
+    their results from checked fibers and indices by one of three builders,
+    which check nothing: ``_canonical`` for canonical runs, ``_build`` for
+    disjoint runs and ``summed`` for overlapping ones, summed by ``sweep``.
     """
 
     __slots__ = ("spec", "pairs")
@@ -125,7 +126,7 @@ class AlgebraElement:
             if group is None:
                 group = groups[x.fiber, y.fiber] = []
             group.append((x.index, y.index, 1, c))
-        return AlgebraElement._canonical(spec, _build(groups))
+        return AlgebraElement._canonical(spec, _build((*f, runs) for f, runs in groups.items()))
 
     # -- terms ------------------------------------------------------------
 
@@ -179,13 +180,14 @@ class AlgebraElement:
         scaled = (
             (fx, fy, [(r, col, n, c * v) for r, col, n, v in runs]) for fx, fy, runs in self.pairs
         )
-        return AlgebraElement._canonical(self.spec, _joined_pairs(scaled))
+        return AlgebraElement._canonical(self.spec, _build(scaled))
 
     def adjoint(self) -> "AlgebraElement":
-        groups = {
-            (fy, fx): [(c, r, n, v.conj()) for r, c, n, v in runs] for fx, fy, runs in self.pairs
-        }
-        return AlgebraElement._canonical(self.spec, _build(groups))
+        # conjugate transposes of canonical runs are canonical once sorted,
+        # on float too, since ``identical`` commutes with conj
+        pairs = [(fy, fx, tuple(sorted(map(run_adjoint, runs)))) for fx, fy, runs in self.pairs]
+        pairs.sort(key=_pair_order)
+        return AlgebraElement._canonical(self.spec, pairs)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -214,20 +216,13 @@ def _negated(runs: tuple) -> tuple:
     return tuple([(r, c, n, -v) for r, c, n, v in runs])
 
 
-def _build(groups: dict) -> tuple:
-    """The canonical pairs of {(fx, fy): runs (row0, col0, length, coeff)},
-    the runs of a pair disjoint and their fibers and indices checked: the
-    one run builder.  Pairs come in canonical order, their degree computed
-    once per pair, and each is built by ``_joined_pairs``."""
-    return _joined_pairs((fx, fy, groups[fx, fy]) for fx, fy in sorted(groups, key=_pair_order))
-
-
-def _joined_pairs(pairs) -> tuple:
-    """The pairs (fx, fy, runs) of disjoint runs, in canonical pair order,
-    with zero runs dropped, each pair's runs made maximal by
-    ``runs.joined`` and a pair left without runs dropped."""
+def _build(pairs) -> tuple:
+    """The canonical pairs of the pairs (fx, fy, runs), in any order, their
+    runs disjoint and their fibers and indices checked: pairs sorted, zero
+    runs dropped, a pair's runs made maximal by ``runs.joined`` and a pair
+    left without runs dropped."""
     out = []
-    for fx, fy, runs in pairs:
+    for fx, fy, runs in sorted(pairs, key=_pair_order):
         runs = joined([run for run in runs if not run[3].is_zero()])
         if runs:
             out.append((fx, fy, runs))
@@ -239,7 +234,7 @@ def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
     for every sum of elements, read back by ``summed``.
 
     ``acc`` maps a fiber pair to its runs: the runs of the one element that
-    reached it, or the list of every element's runs, summed by ``_sum_of``
+    reached it, or the list of every element's runs, summed by ``sweep``
     when read, so a sum costs its runs whatever their lengths.  A cell's
     contributions are summed in the order the elements came, and the cell
     is dropped at the end if the sum is zero; on float a residue below the
@@ -270,50 +265,17 @@ def _read(acc: dict, pairs) -> list:
     """The pairs (fx, fy, runs) of the sum ``acc`` built by ``add_runs``,
     in the order of the fiber pairs ``pairs``: the runs of a pair that one
     element reached are canonical as they are, those of a pair that
-    several reached are summed by ``_sum_of``, and a pair whose sum
+    several reached are summed by ``runs.sweep``, and a pair whose sum
     cancels is dropped."""
     out = []
     for fx, fy in pairs:
         runs = acc[fx, fy]
         if type(runs) is not tuple:
-            runs = _sum_of(runs)
+            runs = sweep(runs)
             if not runs:
                 continue
         out.append((fx, fy, runs))
     return out
-
-
-def _sum_of(runs: list) -> tuple:
-    """The canonical runs of the sum of ``runs`` (row0, col0, length,
-    coeff) of one fiber pair, which may overlap and come in any order: the
-    one rule that sums the runs several elements bring to a pair
-    (``summed``) and the pieces of a product (``multiply``).  Each cell
-    sums its contributions in the order of ``runs``.
-
-    One run is canonical as it is, unless it is zero, as a float product
-    may be.  Runs of at most three entries on average are summed cell by
-    cell in a dict keyed by (col - row, row), which costs less than a
-    sweep of so short runs: one sorted pass over the cells, in diagonal
-    order, drops the zero ones and hands the rest to ``runs._merge``,
-    which joins the cells that continue each other.  Longer runs are
-    swept, at the cost of their pieces, whatever their lengths.
-    """
-    if len(runs) == 1:
-        return () if runs[0][3].is_zero() else tuple(runs)
-    if sum(run[2] for run in runs) > 3 * len(runs):
-        return sweep(runs)
-    cells: dict = {}
-    for r, c, n, v in runs:
-        d = c - r
-        for row in range(r, r + n):
-            key = (d, row)
-            cur = cells.get(key)
-            cells[key] = v if cur is None else cur + v
-    out: list = []
-    _merge(out, [(row, row + d, 1, v) for (d, row), v in sorted(cells.items()) if not v.is_zero()])
-    # merged runs differ in (row0, col0), so coefficients are never compared
-    out.sort()
-    return tuple(out)
 
 
 def zero(spec: SystemSpec) -> AlgebraElement:
@@ -458,7 +420,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     group and phase factors with one ``_fiber_data`` call.  A run pair
     then costs the interval arithmetic and one coefficient product.
 
-    The pieces of each fiber pair are summed by ``_sum_of``, in the order
+    The pieces of each fiber pair are summed by ``runs.sweep``, in the order
     their run pairs are met: a's fiber pairs in canonical order, each
     pair's runs in diagonal order (col0 - row0, then row0), which along any
     row is column order, and b's pairs and runs inner.  Each cell so sums
@@ -532,6 +494,7 @@ class NormalForm:
     maximal, so on the exact fields a block holds the fewest runs its
     matrix allows: a Cuntz sum is one run.  Blocks without runs are
     dropped, so the element is zero exactly when ``blocks`` is empty.
+    ``expand_normal_form`` takes the swept runs of each block as they are.
     """
 
     __slots__ = ("spec", "blocks")
@@ -581,11 +544,10 @@ def normal_form(a: AlgebraElement) -> NormalForm:
 
 def expand_normal_form(nf: NormalForm) -> AlgebraElement:
     """Rebuild an element from its normal form: a block (c, runs) of degree
-    g holds the runs of the fiber pair (c, c - g).  It costs the runs."""
-    groups = {
-        (c, sub_degree(c, degree)): list(runs) for degree, (c, runs) in nf.blocks.items()
-    }
-    return AlgebraElement._canonical(nf.spec, _build(groups))
+    g holds the swept runs of the fiber pair (c, c - g), taken as they are.
+    It costs the blocks, not the runs."""
+    pairs = [(c, sub_degree(c, g), runs) for g, (c, runs) in sorted(nf.blocks.items())]
+    return AlgebraElement._canonical(nf.spec, pairs)
 
 
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
@@ -622,24 +584,23 @@ def shift_endomorphism(a: AlgebraElement, s) -> AlgebraElement:
     A run (row0, col0, length, c) of the fiber pair (x, y) becomes the runs
     (f*dim(x) + row0, f*dim(y) + col0, length, c') of the pair (s.x, s.y),
     where c' = c omega(s, x) conj(omega(s, y)) is the same for every f;
-    fibers and phases are computed once per fiber pair (x, y).  The images step by dim(x) on the
-    left and dim(y) on the right, so a shift by s costs dim(s) runs per
-    run; ``_build`` joins the images that continue each other, as those of
-    a Cuntz sum do, into one run.
+    fibers and phases are computed once per fiber pair (x, y).  The images
+    step by dim(x) on the left and dim(y) on the right, so a shift by s
+    costs dim(s) runs per run; ``_build`` joins the images that continue
+    each other, as those of a Cuntz sum do, into one run.
     """
     spec = a.spec
     s = spec.check_fiber(s)
     if not a.pairs:
         return a  # alpha_s(0) = 0, however large dim(s) is
     n = spec._dim(s)
-    groups: dict = {}
+    images = []
     for xf, yf, runs in a.pairs:
         # untwisted phases are the field's one; a float product may be zero
         if spec.is_twisted:
             ph_l, ph_r = spec._phase(s, xf), spec._phase(s, yf).conj()
             runs = [(r, c, m, v * ph_l * ph_r) for r, c, m, v in runs]
-        dim_x, dim_y = spec._dim(xf), spec._dim(yf)
-        groups[add_fibers(s, xf), add_fibers(s, yf)] = [
-            (f * dim_x + r, f * dim_y + c, m, v) for f in range(n) for r, c, m, v in runs
-        ]
-    return AlgebraElement._canonical(spec, _build(groups))
+        dx, dy = spec._dim(xf), spec._dim(yf)
+        shifted = [(f * dx + r, f * dy + c, m, v) for f in range(n) for r, c, m, v in runs]
+        images.append((add_fibers(s, xf), add_fibers(s, yf), shifted))
+    return AlgebraElement._canonical(spec, _build(images))

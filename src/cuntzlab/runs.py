@@ -15,12 +15,11 @@ on the exact fields and the same bits on float, whose ``==`` is a
 tolerance.  Merging does no arithmetic, so float values keep their bits.
 The one merge rule of a run list is ``_merge``, which lengthens the last
 run of a list by each run that continues it; ``raise_terms`` hands it the
-raised runs of one fiber pair at a time, ``sweep`` the nonzero pieces of
-one offset, ``joined``, which builds the runs of ``algebra`` elements,
-disjoint runs in ``diagonal_order``, and ``algebra._sum_of`` the nonzero
-cells of a sum of short runs in that order.  ``cells`` reads swept runs
-cell by cell in (row, col) order, the one cell order of printing and
-induced maps.
+raised runs of one fiber pair at a time, ``sweep`` its cells or pieces
+and ``joined`` disjoint runs, both in ``diagonal_order``.  ``sweep`` is
+the one rule that sums runs, for element sums, products, normal forms,
+step operators and cores.  ``cells`` reads swept runs cell by cell in
+(row, col) order, the one cell order of printing and induced maps.
 
 Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is
@@ -100,16 +99,40 @@ def joined(runs) -> tuple:
 
 
 def sweep(runs) -> tuple:
-    """The swept form of ``runs``, which may overlap and come in any order.
+    """The swept form of the list ``runs``, which may overlap and come in
+    any order: each cell sums the coefficients of the runs covering it in
+    the order of ``runs``, as an entry-by-entry accumulation would (bit for
+    bit on floats), and ``_merge`` joins the nonzero cells that continue
+    each other with identical sums.  The runs pick the path.  One run is
+    swept as it is, unless it is zero, as a float product may be.  Runs of
+    at most three entries on average are summed in a dict keyed by (col -
+    row, row) and read in one sorted pass, which costs less than the piece
+    table of so short runs.  Longer runs go to ``_swept_pieces``, which
+    costs their pieces, whatever their lengths."""
+    if len(runs) == 1:
+        return () if runs[0][3].is_zero() else tuple(runs)
+    if sum(run[2] for run in runs) > 3 * len(runs):
+        return _swept_pieces(runs)
+    sums: dict = {}
+    for r, c, n, v in runs:
+        d = c - r
+        for row in range(r, r + n):
+            key = (d, row)
+            cur = sums.get(key)
+            sums[key] = v if cur is None else cur + v
+    out: list = []
+    _merge(out, [(row, row + d, 1, v) for (d, row), v in sorted(sums.items()) if not v.is_zero()])
+    # merged runs differ in (row0, col0), so coefficients are never compared
+    out.sort()
+    return tuple(out)
 
-    Runs are grouped by diagonal offset col0 - row0.  On one offset the
-    sorted run endpoints cut the diagonal into pieces, and each piece sums,
-    in the order of ``runs``, the coefficients of the runs covering it, as
-    an entry-by-entry accumulation would (bit for bit on floats).  Nonzero
-    pieces are kept, and ``_merge`` makes adjacent pieces with identical
-    sums one run, so the swept form is maximal.  The cost is the number of
-    runs times the pieces each covers, whatever their lengths.
-    """
+
+def _swept_pieces(runs) -> tuple:
+    """``sweep`` by pieces: on each diagonal offset col0 - row0 the sorted
+    run endpoints cut the diagonal into pieces, each summing the runs that
+    cover it in the order of ``runs``, and the nonzero pieces go to
+    ``_merge``.  The cost is the number of runs times the pieces each
+    covers."""
     by_offset: dict[int, list] = {}
     for row0, col0, length, coeff in runs:
         by_offset.setdefault(col0 - row0, []).append((row0, row0 + length, coeff))

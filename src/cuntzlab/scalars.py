@@ -341,17 +341,12 @@ class Cyclotomic:
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        # the normalized trace: the same in every field that holds the
-        # value, and on a rational value the value, which hashes as the int
-        # or Fraction.  zeta_q^k is a primitive d-th root, d = q/gcd(k, q),
-        # whose normalized trace is the mean of the roots of Phi_d: minus
-        # its second-highest coefficient over its degree
-        q, trace = self.field.order, Fraction()
-        for k, n in enumerate(self.nums):
-            if n:
-                poly = cyclotomic_polynomial(q // math.gcd(k, q))
-                trace -= Fraction(n * poly[-2], len(poly) - 1)
-        return hash(trace / self.den)
+        # a rational value hashes as its int or Fraction, any other as the
+        # normalized traces of x and x conj(x), the same in every field that
+        # holds x; in Q(i) and Q(zeta_8) the first is the rational part alone
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((_trace(self), _trace(self * self.conj())))
 
     def to_complex(self) -> complex:
         q, den = self.field.order, self.den
@@ -363,6 +358,18 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic(q={self.field.order}, {list(self.coeffs)})"
+
+
+def _trace(z: Cyclotomic) -> Fraction:
+    """The normalized trace of z.  zeta_q^k is a primitive d-th root, d =
+    q/gcd(k, q), whose normalized trace is the mean of the roots of Phi_d:
+    minus its second-highest coefficient over its degree."""
+    q, trace = z.field.order, Fraction()
+    for k, n in enumerate(z.nums):
+        if n:
+            poly = cyclotomic_polynomial(q // math.gcd(k, q))
+            trace -= Fraction(n * poly[-2], len(poly) - 1)
+    return trace / z.den
 
 
 def _substitute(field: "CyclotomicField", z: Cyclotomic, m: int) -> Cyclotomic:

@@ -198,8 +198,9 @@ def full_rebuild(a, coeff):
     """The pairs of ``a`` scaled by ``coeff``, every fiber pair rebuilt by
     ``algebra._build``: zero runs dropped and each pair's runs joined."""
     c = a.spec.field.coerce(coeff)
-    groups = {(fx, fy): [(r, col, n, c * v) for r, col, n, v in runs] for fx, fy, runs in a.pairs}
-    return algebra._build(groups)
+    return algebra._build(
+        [(fx, fy, [(r, col, n, c * v) for r, col, n, v in runs]) for fx, fy, runs in a.pairs]
+    )
 
 
 def _run_reprs(pairs):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from cuntzlab import algebra, runs
 from cuntzlab.algebra import AlgebraElement
 from cuntzlab.morphisms import factor_iso
-from cuntzlab.system import BasisMonomial, SystemSpec
+from cuntzlab.system import BasisMonomial, SystemSpec, sub_degree
 
 from conftest import (
     PRODUCT_SPECS,
@@ -31,7 +31,7 @@ from conftest import (
     random_element,
     term_multiply,
 )
-from test_run_elements_oracle import assert_canonical
+from test_run_elements_oracle import _run_reprs, assert_canonical
 
 EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -317,16 +317,22 @@ def test_a_pair_of_fiber_pairs_finds_its_fiber_data_once(monkeypatch):
 
 def test_sums_of_one_entry_runs_are_not_swept(monkeypatch):
     # three one-term elements that meet in one fiber pair, one cell twice,
-    # are summed cell by cell: no sweep, and the sum the term list gives
+    # are summed cell by cell by ``runs.sweep``: no piece table is built,
+    # and the sum is the one the term list gives
     spec = SystemSpec((2, 3))
-    sweeps = []
-    sweep = runs.sweep
+    sweeps, pieces = [], []
+    sweep, swept_pieces = runs.sweep, runs._swept_pieces
 
-    def counted(pieces):
-        sweeps.append(pieces)
-        return sweep(pieces)
+    def counted(given):
+        sweeps.append(given)
+        return sweep(given)
+
+    def by_pieces(given):
+        pieces.append(given)
+        return swept_pieces(given)
 
     monkeypatch.setattr(algebra, "sweep", counted)
+    monkeypatch.setattr(runs, "_swept_pieces", by_pieces)
     m = spec.monomial
     terms = [
         (2, m((1, 0), 0), m((0, 1), 0)),
@@ -336,6 +342,30 @@ def test_sums_of_one_entry_runs_are_not_swept(monkeypatch):
     total = algebra.zero(spec)
     for c, x, y in terms:
         total = total + algebra.monomial_pair(spec, x, y, c)
-    assert not sweeps
+    assert [len(given) for given in sweeps] == [2, 3]
+    assert not pieces
     assert total == AlgebraElement.from_terms(spec, terms)
     assert total.pairs == (((1, 0), (0, 1), ((1, 1, 1, spec.field.coerce(3)),)),)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_SPECS))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_adjoints_and_expanded_normal_forms_are_not_rebuilt(name, data):
+    # ``adjoint`` only sorts the transposed runs and ``expand_normal_form``
+    # takes each block's swept runs as they are; both equal the rebuild
+    # through ``algebra._build`` that they were, run for run and bit for
+    # bit, on long runs and on products of them
+    spec = PRODUCT_SPECS[name]
+    a = data.draw(long_run_element(spec))
+    for b in (a, algebra.multiply(a, data.draw(long_run_element(spec)))):
+        transposed = [
+            (fy, fx, [(c, r, n, v.conj()) for r, c, n, v in runs]) for fx, fy, runs in b.pairs
+        ]
+        assert _run_reprs(b.adjoint().pairs) == _run_reprs(algebra._build(transposed))
+        nf = algebra.normal_form(b)
+        blocks = [(c, sub_degree(c, g), list(runs)) for g, (c, runs) in nf.blocks.items()]
+        got = algebra.expand_normal_form(nf)
+        assert _run_reprs(got.pairs) == _run_reprs(algebra._build(blocks))
+        assert len(got.pairs) == len(nf.blocks)
+        assert all(runs is nf.blocks[g][1] for (_, _, runs), g in zip(got.pairs, sorted(nf.blocks)))

@@ -171,10 +171,42 @@ def cell_runs(runs):
     return sorted((r, c, 1, v) for (r, c), v in cells(runs).items())
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(run_lists())
+@st.composite
+def cutover_lists(draw):
+    """(field name, side, runs): a ``run_lists`` case padded with runs that
+    put its mean length below, at or above ``sweep``'s cutover of three
+    entries a run, which picks between summing cell by cell and by
+    pieces.  Padding runs overlap the others and come anywhere."""
+    name, out = draw(run_lists())
+    out = list(out)
+    side = draw(st.sampled_from(["below", "at", "above"]))
+
+    def pad(length):
+        row0, offset = draw(st.integers(1, 8)), draw(st.integers(-1, 1))
+        run = (row0, row0 + offset, length, draw(st.sampled_from(VALUES[name])))
+        out.insert(draw(st.integers(0, len(out))), run)
+
+    excess = sum(run[2] for run in out) - 3 * len(out)
+    if side == "below":
+        for _ in range(max(0, excess + 1)):
+            pad(1)
+    elif side == "above":
+        pad(max(1, 4 - excess) + draw(st.integers(0, 3)))
+    elif excess <= 0:
+        pad(3 - excess)
+    else:
+        # a run of two lowers the excess by one, a run of one by two
+        for length in [2] * (excess % 2) + [1] * (excess // 2):
+            pad(length)
+    return name, side, out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cutover_lists())
 def test_sweep_against_the_per_piece_sweep(case):
-    name, given_runs = case
+    name, side, given_runs = case
+    excess = sum(run[2] for run in given_runs) - 3 * len(given_runs)
+    assert {"below": excess < 0, "at": excess == 0, "above": excess > 0}[side]
     got, want = sweep(given_runs), piecewise_sweep(given_runs)
     assert list(got) == sorted(got)
     assert sum(n for _, _, n, _ in got) == len(cells(got)), "swept runs overlap"
@@ -187,6 +219,25 @@ def test_sweep_against_the_per_piece_sweep(case):
         assert not (
             c2 - r2 == c - r and r + n == r2 and identical(v, v2)
         ), "swept runs not maximal"
+
+
+def test_sweep_sums_runs_of_up_to_three_entries_cell_by_cell(monkeypatch):
+    # the mean run length picks the path: up to three entries a run the
+    # cells are summed in a dict and no piece table is built
+    pieces = []
+    swept_pieces = runs_module._swept_pieces
+    monkeypatch.setattr(
+        runs_module, "_swept_pieces", lambda given: pieces.append(given) or swept_pieces(given)
+    )
+    at, past = [(0, 0, 5, q(1)), (2, 2, 1, q(1))], [(0, 0, 5, q(1)), (2, 2, 2, q(1))]
+    assert sweep(at) == ((0, 0, 2, q(1)), (2, 2, 1, q(2)), (3, 3, 2, q(1)))
+    assert not pieces
+    assert sweep(past) == ((0, 0, 2, q(1)), (2, 2, 2, q(2)), (4, 4, 1, q(1)))
+    assert pieces == [past]
+    # one run is swept as it is, or to nothing when it is zero
+    run = (1, 2, 7, q(3))
+    assert sweep([run])[0] is run and sweep([(1, 2, 7, q(0))]) == ()
+    assert pieces == [past]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

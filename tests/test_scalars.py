@@ -305,6 +305,12 @@ class TestCrossFieldEquality:
         assert table[cyclotomic_field(12).zeta_power(3)] == "i"
         assert k8.zeta_power(1) not in table
 
+    def test_values_with_one_rational_part_hash_apart(self):
+        # the normalized trace of 1 + b*i is 1 for every b; that of
+        # (1 + b*i)(1 - b*i) = 1 + b^2 tells them apart
+        values = [RationalComplex(1, b) for b in range(1, 2001)]
+        assert len({hash(v) for v in values}) == 2000
+
     def test_arithmetic_across_fields_still_raises(self):
         k4, k8 = cyclotomic_field(4), cyclotomic_field(8)
         for a, b in [(k4.one, k8.one), (RATIONAL.one, k4.one)]:
