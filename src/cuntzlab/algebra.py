@@ -8,7 +8,8 @@ fiber pair are maximal (on float only identical bits merge), so a Cuntz
 sum  sum_{x in B_f} i(x) i(x)*  is one run and costs one run in every
 sum, zero test and evaluation, whatever dim(f) is.
 Every sum adds a cell's contributions in order and drops the cell at the
-end if it is zero, so float sums keep the bits of entry sums.
+end if it is zero, so float sums keep the bits of entry sums; the cells
+(c, x, y) of ``from_terms`` are summed so too, as one-entry runs.
 ``AlgebraElement.terms`` expands the runs into terms, on demand, in the
 cell order of ``runs.cells``: the term view of the benchmark and the tests,
 which no path of the package reads.
@@ -78,11 +79,11 @@ class AlgebraElement:
     """An immutable finite sum held as ``pairs``: one (s, t, runs) per
     nonzero fiber pair, sorted by degree, then left fiber.  Each ``runs``
     is a non-empty tuple of runs (row0, col0, length, c), nonzero,
-    disjoint, maximal and sorted by (row0, col0), so on the exact fields
-    ``==`` is structural identity of the canonical form.  Float runs join
-    only where coefficients have the same bits, so one matrix may be held
-    as different runs, and there ``==`` compares each fiber pair's runs by
-    ``runs.equal``.  Semantic equality in the algebra is ``equals``.
+    disjoint, maximal and sorted by (row0, col0).  ``==`` compares each
+    fiber pair's runs by ``runs.equal``, which is ``==`` of canonical runs
+    on the exact fields; float runs join only where coefficients have the
+    same bits, so one matrix may be held as different runs.  Semantic
+    equality in the algebra is ``equals``.
 
     An element is valid by construction.  There is no public constructor:
     ``AlgebraElement(...)`` is a ``TypeError``, and ``from_terms``, the
@@ -90,9 +91,10 @@ class AlgebraElement:
     ``spec.monomial``, so each fiber is in N^k and each index an int below
     the fiber's dimension.  Every term is checked, never one per fiber:
     (1.0, 0) hashes and compares like (1, 0).  The package's kernels build
-    their results from checked fibers and indices by one of three builders,
+    their results from checked fibers and indices by one of four builders,
     which check nothing: ``_canonical`` for canonical runs, ``_build`` for
-    disjoint runs and ``summed`` for overlapping ones, summed by ``sweep``.
+    disjoint runs, ``summed`` for overlapping ones, summed by ``sweep``,
+    and ``_from_cells`` for cells, each a one-entry run for ``summed``.
     """
 
     __slots__ = ("spec", "pairs")
@@ -110,23 +112,13 @@ class AlgebraElement:
     @staticmethod
     def from_terms(spec: SystemSpec, triples: Iterable) -> "AlgebraElement":
         """The sum of c * e(x) e(y)' over triples (c, x, y): each c coerced
-        into the spec's field, x and y checked by ``spec.monomial``, and the
-        coefficients of a repeated (x, y) summed in the order given."""
-        acc: dict = {}
-        field = spec.field
-        monomial = spec.monomial
-        for coeff, x, y in triples:
-            c = field.coerce(coeff)
-            key = monomial(*x), monomial(*y)
-            cur = acc.get(key)
-            acc[key] = c if cur is None else cur + c
-        groups: dict = {}
-        for (x, y), c in acc.items():
-            group = groups.get((x.fiber, y.fiber))
-            if group is None:
-                group = groups[x.fiber, y.fiber] = []
-            group.append((x.index, y.index, 1, c))
-        return AlgebraElement._canonical(spec, _build((*f, runs) for f, runs in groups.items()))
+        into the spec's field and x and y checked by ``spec.monomial``,
+        triple by triple, then summed by ``_from_cells``, so the
+        coefficients of a repeated (x, y) add in the order given."""
+        field, monomial = spec.field, spec.monomial
+        return _from_cells(
+            spec, ((field.coerce(c), monomial(*x), monomial(*y)) for c, x, y in triples)
+        )
 
     # -- terms ------------------------------------------------------------
 
@@ -195,8 +187,6 @@ class AlgebraElement:
         if not same_system(self.spec, other.spec):
             return False
         a, b = self.pairs, other.pairs
-        if self.spec.field.exact:
-            return a == b
         # both in canonical pair order, so the pair sets agree pair by pair
         return len(a) == len(b) and all(
             pa[:2] == pb[:2] and equal(pa[2], pb[2]) for pa, pb in zip(a, b)
@@ -257,8 +247,19 @@ def add_runs(acc: dict, a: AlgebraElement, sign: int) -> None:
 
 
 def summed(spec: SystemSpec, acc: dict) -> AlgebraElement:
-    """The element of the sum ``acc`` built by ``add_runs``."""
+    """The element of the sum ``acc`` built by ``add_runs`` or ``_from_cells``."""
     return AlgebraElement._canonical(spec, _read(acc, sorted(acc, key=_pair_order)))
+
+
+def _from_cells(spec: SystemSpec, cells) -> AlgebraElement:
+    """The sum of c * e(x) e(y)' over cells (c, x, y), each c in the spec's
+    field and x and y checked: each cell is a one-entry run of its fiber
+    pair, and ``summed`` sums the runs of a pair by ``runs.sweep``, so a
+    repeated cell adds its coefficients in the order given."""
+    groups: dict = {}
+    for c, x, y in cells:
+        groups.setdefault((x.fiber, y.fiber), []).append((x.index, y.index, 1, c))
+    return summed(spec, groups)
 
 
 def _read(acc: dict, pairs) -> list:

@@ -444,8 +444,9 @@ class _Parser:
         and for a piece that fails a check, which the grammar then parses
         from scratch.  A group's sign is carried into its terms, so
         "-(a - b)" adds -a and b to the sum, and a group closed by
-        ")'" conjugates and swaps the terms read inside it: on the exact
-        fields, the grammar's element."""
+        ")'" conjugates and swaps the terms read inside it.  The terms are
+        summed by ``algebra._from_cells``, as ``from_terms`` sums its
+        triples: on the exact fields, the grammar's element."""
         text, match = self.text, _ITEM_RE.match
         end = len(text)
         terms = []
@@ -482,15 +483,7 @@ class _Parser:
                 break
         if outer:
             return None
-        # each term is a one-cell run of its fiber pair, summed as every
-        # sum is
-        acc: dict = {}
-        for c, x, y in terms:
-            group = acc.get((x.fiber, y.fiber))
-            if group is None:
-                group = acc[x.fiber, y.fiber] = []
-            group.append((x.index, y.index, 1, c))
-        return algebra.summed(self.spec, acc)
+        return algebra._from_cells(self.spec, terms)
 
     def _printed_term(self, groups, negate: bool):
         """The term (c, x, y) of a printed term's ``_ITEM_RE`` groups, or

@@ -17,9 +17,10 @@ The one merge rule of a run list is ``_merge``, which lengthens the last
 run of a list by each run that continues it; ``raise_terms`` hands it the
 raised runs of one fiber pair at a time, ``sweep`` its cells or pieces
 and ``joined`` disjoint runs, both in ``diagonal_order``.  ``sweep`` is
-the one rule that sums runs, for element sums, products, normal forms,
-step operators and cores.  ``cells`` reads swept runs cell by cell in
-(row, col) order, the one cell order of printing and induced maps.
+the one rule that sums runs, for element sums, products, elements built
+from cells, normal forms, step operators and cores.  ``cells`` reads
+swept runs cell by cell in (row, col) order, the one cell order of
+printing and induced maps.
 
 Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is

@@ -127,7 +127,7 @@ class SystemSpec:
         gen_dims = tuple(gen_dims)
         if not gen_dims:
             raise ConfigurationError("a system needs at least one generator")
-        if not all(isinstance(m, int) for m in gen_dims):
+        if not all(type(m) is int for m in gen_dims):
             raise ConfigurationError(f"generator dimensions must be ints, got {gen_dims!r}")
         if any(m < 1 for m in gen_dims):
             raise ConfigurationError("generator dimensions must be >= 1")
@@ -144,7 +144,7 @@ class SystemSpec:
                 )
             for row in theta:
                 for entry in row:
-                    if not isinstance(entry, (int, float, Fraction)):
+                    if isinstance(entry, bool) or not isinstance(entry, (int, float, Fraction)):
                         raise ConfigurationError(
                             f"theta entries must be numbers, got {entry!r}"
                         )
@@ -213,7 +213,8 @@ class SystemSpec:
     def check_fiber(self, s) -> Fiber:
         if len(s) == self.k:
             for c in s:
-                if not isinstance(c, int) or c < 0:
+                # exactly an int: a bool prints as True, which no parser reads
+                if type(c) is not int or c < 0:
                     break
             else:
                 return tuple(s)
@@ -228,7 +229,7 @@ class SystemSpec:
     def monomial(self, fiber, index: int) -> BasisMonomial:
         fiber = self.check_fiber(fiber)
         # an int only, as in check_fiber: 1.0 hashes like 1
-        if not (isinstance(index, int) and 0 <= index < self._dim(fiber)):
+        if not (type(index) is int and 0 <= index < self._dim(fiber)):
             raise ValueError(
                 f"index {index!r} out of range for fiber {fiber} "
                 f"(dimension {self._dim(fiber)})"

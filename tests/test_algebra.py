@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzlab import scalars, steprep
+from cuntzlab import algebra, scalars, steprep
 from cuntzlab.algebra import (
     AlgebraElement,
     equals,
@@ -710,6 +710,29 @@ def test_fibers_checked_once_per_element(monkeypatch):
         equals(ab, a + b)
         equals(x, y)
     assert calls == []
+
+
+def test_from_terms_sums_repeated_cells_by_sweep(e23, monkeypatch):
+    # each triple is a one-entry run of its fiber pair, and each pair's runs
+    # go to ``runs.sweep`` in the order given, so the repeated cell is
+    # summed there; nothing is joined by ``_build``
+    swept = []
+
+    def sweep(runs):
+        swept.append(list(runs))
+        return real(runs)
+
+    def build(pairs):
+        raise AssertionError("from_terms called _build")
+
+    real = algebra.sweep
+    monkeypatch.setattr(algebra, "sweep", sweep)
+    monkeypatch.setattr(algebra, "_build", build)
+    m, one = e23.monomial, e23.field.one
+    x, y, z = m((1, 0), 1), m((0, 1), 2), m((1, 0), 0)
+    a = AlgebraElement.from_terms(e23, [(1, x, y), (2, z, e23.identity_monomial), (3, x, y)])
+    assert swept == [[(1, 2, 1, one), (1, 2, 1, 3 * one)], [(0, 0, 1, 2 * one)]]
+    assert a == monomial_pair(e23, x, y, 4) + monomial_pair(e23, z, e23.identity_monomial, 2)
 
 
 def test_parsed_elements_multiply_without_fiber_checks(monkeypatch):

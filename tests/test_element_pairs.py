@@ -6,14 +6,15 @@ disjoint and maximal (``test_run_elements_oracle.assert_canonical``).  On
 every product spec, float and twisted included, ``+``, ``-``, negation,
 ``multiply``, ``adjoint``, ``scaled``, ``shift_endomorphism``,
 ``expand_normal_form`` and ``parse_element`` return that layout.  ``==``
-leaves a non-element to the other operand, is False across specs, and on
-float compares pair sets before runs.
+leaves a non-element to the other operand, is False across specs, and
+compares pair sets, then each fiber pair's runs by ``runs.equal``: on the
+exact fields that is ``==`` of the pairs.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzlab import algebra, expr
+from cuntzlab import algebra, expr, runs
 from cuntzlab.algebra import AlgebraElement
 
 from conftest import PRODUCT_SPECS
@@ -51,6 +52,24 @@ def test_every_operation_returns_canonical_pairs(case, seed):
         assert_canonical(got)
     # a sum whose pairs all cancel holds no pair
     assert (a - a).pairs == () == algebra.multiply(a, algebra.zero(spec)).pairs
+
+
+@EXAMPLES
+@given(cases(), st.integers(0, 10**6))
+def test_eq_agrees_with_pairs_and_runs_equal(case, seed):
+    spec, ta, tb = case
+    a, b = AlgebraElement.from_terms(spec, ta), AlgebraElement.from_terms(spec, tb)
+    for x, y in [(a, a), (a, b), ((a + b) - b, a), (a, a.scaled(scale_of(spec, seed))), (a, -a)]:
+        if spec.field.exact:
+            want = x.pairs == y.pairs
+        else:
+            want = [p[:2] for p in x.pairs] == [p[:2] for p in y.pairs] and all(
+                runs.equal(p[2], q[2]) for p, q in zip(x.pairs, y.pairs)
+            )
+        assert (x == y) == want == (y == x)
+    # the same pairs on another spec
+    other = next(o for _, o in sorted(PRODUCT_SPECS.items()) if o != spec)
+    assert a != AlgebraElement._canonical(other, a.pairs)
 
 
 def test_eq_leaves_a_non_element_to_the_other_operand():

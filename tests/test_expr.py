@@ -118,23 +118,37 @@ class TestParseElement:
         assert abs(a.terms[0].coeff.value - 1e-3) < 1e-15
 
 
-    def test_long_sum_matches_from_terms(self, e23):
-        # all 1296 basis pairs x y* of fiber (4,4), plus one term that merges
-        # with the first and one that cancels the second
-        fiber = (4, 4)
-        n = e23.dim(fiber)
-        triples, parts = [], []
-        for j in range(n):
-            coeff = Fraction(j % 7 - 3, 1 + j % 4)
-            triples.append((coeff, e23.monomial(fiber, j), e23.monomial(fiber, 5 * j % n)))
-        triples.append((Fraction(2), triples[0][1], triples[0][2]))
-        triples.append((-triples[1][0], triples[1][1], triples[1][2]))
-        for coeff, x, y in triples:
-            sign = "-" if coeff < 0 else "+"
-            parts.append(f"{sign} {abs(coeff)}*e(4,4;{x.index})*e(4,4;{y.index})'")
-        parsed = parse_element(e23, " ".join(parts))
-        assert parsed == algebra.AlgebraElement.from_terms(e23, triples)
-        assert len(parsed.terms) == n - 1 - sum(1 for j in range(n) if j % 7 == 3)
+    def test_long_sum_matches_from_terms(self, monkeypatch):
+        # on every exact spec, the basis pairs x y* of fiber (4,4), all 1296
+        # of them on a (2,3) spec, and of three more fiber pairs, plus one
+        # term that merges with the first and one that cancels the second:
+        # the reader and from_terms build the same runs from the same cells
+        tokenized = []
+        monkeypatch.setattr(expr, "_tokenize", lambda text: tokenized.append(text))
+        for spec in PRODUCT_SPECS.values():
+            if not spec.field.exact:
+                continue
+            triples, parts = [], []
+            for fx, fy in [((4, 4), (4, 4)), ((1, 0), (0, 1)), ((0, 1), (1, 1)), ((2, 0), (0, 0))]:
+                dx, dy = spec.dim(fx), spec.dim(fy)
+                for j in range(max(dx, dy)):
+                    coeff = Fraction(j % 7 - 3, 1 + j % 4)
+                    x, y = spec.monomial(fx, j % dx), spec.monomial(fy, 5 * j % dy)
+                    triples.append((coeff, x, y))
+            triples.append((Fraction(2), triples[0][1], triples[0][2]))
+            triples.append((-triples[1][0], triples[1][1], triples[1][2]))
+            for coeff, x, y in triples:
+                sign = "-" if coeff < 0 else "+"
+                parts.append(f"{sign} {abs(coeff)}*{x!r}*{y!r}'")
+            parsed = parse_element(spec, " ".join(parts))
+            built = algebra.AlgebraElement.from_terms(spec, triples)
+            assert repr(parsed.pairs) == repr(built.pairs) and parsed == built
+            # a plain dict sum of the cells, the oracle of the term count
+            sums: dict = {}
+            for coeff, x, y in triples:
+                sums[x, y] = sums.get((x, y), 0) + coeff
+            assert len(parsed.terms) == sum(1 for c in sums.values() if c != 0)
+        assert tokenized == []  # each text read whole by the printed-sum reader
 
     def test_sum_carries_a_cancelled_residue_to_the_end(self, flspec):
         # the partial sum cancels to a residue below the float tolerance;

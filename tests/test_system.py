@@ -39,6 +39,20 @@ class TestDimensions:
         with pytest.raises(ValueError):
             e23.monomial((-1, 0), 0)
 
+    def test_fiber_refuses_bools(self, e23):
+        # True is an int that prints as "True", so a monomial of fiber
+        # (True, 0) would print text the parser refuses
+        with pytest.raises(ValueError) as err:
+            e23.monomial((True, 0), 1)
+        assert str(err.value) == "(True, 0) is not an N^2 element"
+        with pytest.raises(ValueError):
+            e23.dim((1, False))
+
+    def test_index_refuses_bools(self, e23):
+        with pytest.raises(ValueError) as err:
+            e23.monomial((1, 0), True)
+        assert str(err.value) == "index True out of range for fiber (1, 0) (dimension 2)"
+
     def test_monomial_is_its_fiber_index_tuple(self):
         # a NamedTuple: a dict keyed by monomials and one keyed by plain
         # (fiber, index) pairs find each other's keys
@@ -73,6 +87,7 @@ class TestDimensions:
             ([[0, 1], [0]], "theta must be a 2x2 matrix"),
             ([[0, "1/4"], [0, 0]], "theta entries must be numbers, got '1/4'"),
             ([[0, None], [0, 0]], "theta entries must be numbers, got None"),
+            ([[0, True], [0, 0]], "theta entries must be numbers, got True"),
         ],
     )
     def test_theta_validation(self, theta, message):
@@ -80,9 +95,12 @@ class TestDimensions:
             SystemSpec((2, 3), theta=theta, scalar_mode="cyclotomic:4")
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("dims", [(2.7, 3), ("2", "3"), (2, 3.0), (Fraction(2), 3), (2, None)])
+    @pytest.mark.parametrize(
+        "dims", [(2.7, 3), ("2", "3"), (2, 3.0), (Fraction(2), 3), (2, None), (True, 3)]
+    )
     def test_dimensions_must_be_ints(self, dims):
-        # int() would make (2.7, 3) the (2, 3) system and read "2"
+        # int() would make (2.7, 3) the (2, 3) system and read "2"; a bool
+        # is an int that prints as "True"
         with pytest.raises(ConfigurationError, match="must be ints"):
             SystemSpec(dims)
 
