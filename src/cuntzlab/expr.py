@@ -222,14 +222,12 @@ class _Parser:
     # -- scalars -------------------------------------------------------------
 
     def _rational(self) -> tuple[int, int]:
-        """A rational literal as (numerator, denominator), denominator > 0."""
+        """A rational literal as (numerator, denominator), denominator > 0;
+        the caller has seen an int or decimal token."""
         tok = self.tokens[self.at]
-        if tok[0] == "decimal":
-            self.at += 1
-            return self._decimal(tok)
-        if tok[0] != "int":
-            raise ExpressionError(tok[2], "expected a number", {"int", "decimal"})
         self.at += 1
+        if tok[0] == "decimal":
+            return self._decimal(tok)
         num = self._int(tok)
         slash, den_tok = self.tokens[self.at], self.tokens[self.at + 1]
         if slash[0] != "/" or den_tok[0] != "int":

@@ -50,13 +50,15 @@ and 4), so no end-to-end run crosses the cutoff.
 Scalars of the same field combine with ``+``, ``-``, ``*`` and ``conj``,
 an int or Fraction lifting on either side of ``+`` and ``*`` and on the
 right of ``-``; no check of the paper divides, so there is no ``/``.  Exact
-values of different fields compare and hash as the numbers they are, but
+values of different fields compare as the numbers they are, but
 cross-field arithmetic is an error unless the values are first moved with
 ``coerce`` into their ``common_field`` in the lattice rational ->
 cyclotomic(lcm(4, q)) -> cyclotomic(lcm(q, r)) -> float: the Gaussian
 rationals hold i, so they meet Q(zeta_q) in Q(zeta_lcm(4, q)).  So rational
 and cyclotomic:4 hold the same numbers but stay two fields, which meet in
-cyclotomic:4.
+cyclotomic:4.  No scalar is hashable, nor is a field: each class defines
+``==`` and no hash, so ``hash()`` raises ``TypeError``, and nothing in the
+package keys a dict or a set by one.
 """
 
 from __future__ import annotations
@@ -340,14 +342,6 @@ class Cyclotomic:
         one representation, so this is ``==``."""
         return self.den == other.den and self.nums == other.nums
 
-    def __hash__(self):
-        # a rational value hashes as its int or Fraction, any other as the
-        # normalized traces of x and x conj(x), the same in every field that
-        # holds x; in Q(i) and Q(zeta_8) the first is the rational part alone
-        if self.is_rational():
-            return hash(Fraction(self.nums[0], self.den))
-        return hash((_trace(self), _trace(self * self.conj())))
-
     def to_complex(self) -> complex:
         q, den = self.field.order, self.den
         return sum(
@@ -358,18 +352,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic(q={self.field.order}, {list(self.coeffs)})"
-
-
-def _trace(z: Cyclotomic) -> Fraction:
-    """The normalized trace of z.  zeta_q^k is a primitive d-th root, d =
-    q/gcd(k, q), whose normalized trace is the mean of the roots of Phi_d:
-    minus its second-highest coefficient over its degree."""
-    q, trace = z.field.order, Fraction()
-    for k, n in enumerate(z.nums):
-        if n:
-            poly = cyclotomic_polynomial(q // math.gcd(k, q))
-            trace -= Fraction(n * poly[-2], len(poly) - 1)
-    return trace / z.den
 
 
 def _substitute(field: "CyclotomicField", z: Cyclotomic, m: int) -> Cyclotomic:
@@ -485,9 +467,6 @@ class FloatComplex:
             and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag)
         )
 
-    def __hash__(self):
-        raise TypeError("float scalars are not hashable (tolerance equality)")
-
     def __repr__(self):
         return f"FloatComplex({self.value!r})"
 
@@ -501,13 +480,10 @@ Scalar = Cyclotomic | FloatComplex
 
 
 class _Field:
-    """What every field derives from its ``name``: equality, hash and repr."""
+    """What every field derives from its ``name``: equality and repr."""
 
     def __eq__(self, other):
         return isinstance(other, _Field) and other.name == self.name
-
-    def __hash__(self):
-        return hash(self.name)
 
     def __repr__(self):
         return f"field_named({self.name!r})"
@@ -595,8 +571,8 @@ class CyclotomicField(_Field):
                 return s
             if self.order % s.field.order == 0:
                 return _substitute(self, s, self.order // s.field.order)
-            if s.field is RATIONAL:  # a real one needs no i
-                return self.gaussian(*s.nums, s.den)
+            if s.field is RATIONAL and s.is_rational():  # a real one needs no i
+                return self.gaussian(s.nums[0], 0, s.den)
             raise TypeError(
                 f"cannot embed Q(zeta_{s.field.order}) into Q(zeta_{self.order})"
             )

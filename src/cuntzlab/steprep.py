@@ -58,11 +58,17 @@ class UnsupportedRepresentationError(ValueError):
     """Raised when evaluating an element or a generator of a twisted system."""
 
 
+def _is_level(n) -> bool:
+    # exactly an int, as in SystemSpec.check_fiber: 2.0 would key a family
+    # by float levels, and a bool prints as True
+    return type(n) is int and n >= 1
+
+
 class LevelError(ValueError):
     """Raised when a base level misses a required divisor."""
 
     def __init__(self, base_level: int, minimal: int):
-        if base_level < 1:
+        if not _is_level(base_level):
             message = f"base level must be a positive integer, got {base_level}"
         else:
             message = (
@@ -167,7 +173,7 @@ def generator_operator(spec: SystemSpec, x: BasisMonomial, level: int) -> StepOp
     """The monomial isometry at a given level: e_i |-> e_(index*level + i)."""
     _require_untwisted(spec)
     spec.monomial(x.fiber, x.index)
-    if level < 1:
+    if not _is_level(level):
         raise ValueError("levels are positive integers")
     run = (x.index * level, 0, level, spec.field.one)
     return StepOperator(level, level * spec.dim(x.fiber), runs=(run,))
@@ -182,7 +188,7 @@ def vector_operator(spec: SystemSpec, v, level: int) -> StepOperator:
     fiber r, with lambda_r unitary, so T_u* T_v = S_u* S_v (x) lambda_r*
     lambda_s is zero exactly when S_u* S_v is.
     """
-    if level < 1:
+    if not _is_level(level):
         raise ValueError("levels are positive integers")
     runs = tuple(sorted((idx * level, 0, level, c) for idx, c in v.entries.items()))
     return StepOperator(level, level * spec.dim(v.fiber), runs=runs)
@@ -223,7 +229,7 @@ def evaluate(
     # placed; the minimal level is walked for only when it is needed
     if base_level is None:
         base_level = minimal_level(a)
-    elif base_level < 1:
+    elif not _is_level(base_level):
         raise LevelError(base_level, minimal_level(a))
 
     def place(pairs):

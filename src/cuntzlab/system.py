@@ -222,7 +222,7 @@ class SystemSpec:
 
     def unit_fiber(self, slot: int) -> Fiber:
         """The fiber with a single 1 at the given 0-based generator slot."""
-        if not 0 <= slot < self.k:
+        if type(slot) is not int or not 0 <= slot < self.k:
             raise ValueError(f"generator slot {slot} out of range for k={self.k}")
         return tuple(1 if a == slot else 0 for a in range(self.k))
 

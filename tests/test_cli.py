@@ -41,6 +41,7 @@ SPEC_TEXTS = {
     "twq": "k = 2\ndims = 2 3\ntheta = 0 0.25 0 0\nscalars = float\n",
     "tw23q8": "k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:8\n",
     "tw23q17": "k = 2\ndims = 2 3\ntheta = 0 3/17 0 0\nscalars = cyclotomic:17\n",
+    "c3": "k = 2\ndims = 2 3\nscalars = cyclotomic:3\n",
     "c4": "k = 2\ndims = 2 3\nscalars = cyclotomic:4\n",
     "c8": "k = 2\ndims = 2 3\nscalars = cyclotomic:8\n",
     "epq": f"k = 2\ndims = {PQ} 10000000000000000051\n",
@@ -918,6 +919,22 @@ def test_long_literal_exits_two(capsys, spec_path):
         assert err == (
             f"error: in {text!r}: position {position}: number exceeds {limit} "
             "digits in lowest terms\n"
+        )
+
+
+def test_gaussian_coefficient_outside_the_field_exits_two(capsys, spec_path):
+    # Q(zeta_3) lacks i: the printed-sum reader declines the coefficient and
+    # the grammar reports it where it starts
+    for text, position in [
+        ("(1+2i)*e(1,0;0) + e(0,1;0)", 1),
+        ("e(0,1;0) - (2i)*e(1,0;0)'", 12),
+    ]:
+        code, out, err = run_cli(capsys, ["normalize", "--spec", spec_path("c3"), "--", text])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: in {text!r}: position {position}: scalar not representable: "
+            "Q(zeta_3) does not contain i; cannot represent an imaginary part exactly\n"
         )
 
 

@@ -244,6 +244,23 @@ class TestParseElement:
             "position 6: index 7 out of range for fiber (1, 0) (dimension 2)"
         )
 
+    def test_printed_sum_declines_a_coefficient_the_field_lacks(self):
+        # on Q(zeta_3), which lacks i, the reader declines a Gaussian
+        # coefficient and the grammar reports it where it starts
+        c3 = parse_spec_text("k = 2\ndims = 2 3\nscalars = cyclotomic:3\n")
+        assert expr._Parser(c3, "2*e(1,0;0) + e(0,1;0)")._printed_sum() is not None
+        for text, position in [
+            ("(1+2i)*e(1,0;0) + e(0,1;0)", 1),
+            ("e(0,1;0) - (2i)*e(1,0;0)'", 12),
+        ]:
+            assert expr._Parser(c3, text)._printed_sum() is None
+            with pytest.raises(ExpressionError) as exc:
+                parse_element(c3, text)
+            assert str(exc.value) == (
+                f"position {position}: scalar not representable: Q(zeta_3) does "
+                "not contain i; cannot represent an imaginary part exactly"
+            )
+
     @pytest.mark.parametrize(
         "name", [name for name, spec in PRODUCT_SPECS.items() if spec.field.exact]
     )

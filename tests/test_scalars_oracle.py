@@ -7,7 +7,7 @@ Every operation on random values of the rational field and of
 cyclotomic:4, :8 and :12 (zero, ints, Fractions and large numerators
 included) must give the same outcome on both: the same value, with the same
 coefficients (``re`` and ``im`` for the rational field) and ``repr``, or
-the same exception; equal values hash equal.  Fewer examples cover the
+the same exception.  Fewer examples cover the
 orders whose reduction rows have several terms (3, 5, 9), the orders at
 the straight-line kernels' cutoff (15, 16, 20, phi = 8) and one above it
 (32, phi = 16, the loops), and each generated operation is checked against
@@ -391,9 +391,8 @@ def assert_same_value(new, old):
         assert type(new) is type(old) and new == old
         return
     assert repr(new) == repr(old)
-    # an equal value built apart hashes the same
     twin = scalars.Cyclotomic(new.field, new.coeffs)
-    assert twin == new and hash(twin) == hash(new)
+    assert twin == new
     assert new.is_zero() == old.is_zero()
     assert new.is_one() == old.is_one()
     assert new.to_complex() == old.to_complex()
@@ -562,7 +561,7 @@ def _in_q8(old):
 @given(data=st.data())
 def test_mixed_fields_match_oracle(data):
     # orders 4 and 8 do not combine without coerce, nor do the two value
-    # types; they compare, and hash, as the numbers they are
+    # types; they compare as the numbers they are
     values_of = {name: data.draw(values(name)) for name in FIELDS[:3]}
     if data.draw(st.booleans()):
         # one number in all three fields
@@ -579,8 +578,6 @@ def test_mixed_fields_match_oracle(data):
                 assert_same_outcome(outcome(op, a_new, b_new), outcome(op, a_old, b_old))
             same = _in_q8(a_old) == _in_q8(b_old)
             assert (a_new == b_new, a_new != b_new) == (same, not same)
-            if same:
-                assert hash(a_new) == hash(b_new)
 
 
 @pytest.mark.parametrize(

@@ -71,9 +71,11 @@ class TestGeneratorOperator:
     def test_refusals(self, e23):
         x = e23.monomial((1, 0), 1)
         v = dense_vector(e23, (1, 0), [RationalComplex(1), RationalComplex(2)])
-        for build in (lambda: generator_operator(e23, x, 0), lambda: vector_operator(e23, v, 0)):
-            with pytest.raises(ValueError, match="^levels are positive integers$"):
-                build()
+        # a level is exactly an int: 2.5 would make the run (2.5, 0, 2.5, 1)
+        for level in (0, 2.0, 2.5, True):
+            for build in (generator_operator, vector_operator):
+                with pytest.raises(ValueError, match="^levels are positive integers$"):
+                    build(e23, x if build is generator_operator else v, level)
         op = generator_operator(e23, x, 3)
         with pytest.raises(ValueError, match=r"^cannot compose: inner levels differ \(6 vs 3\)$"):
             op.compose(op)
@@ -141,11 +143,20 @@ class TestEvaluate:
             evaluate(a, 4)
         assert exc.value.minimal == 3
         assert "not divisible by 3" in str(exc.value)
-        for bad in (0, -3):
+        # a level is exactly an int: 3.0 and 6.0 are multiples of 3 that
+        # would key the family by float levels, and True would pass as 1
+        for bad in (0, -3, 2.0, 2.5, True, 3.0, 6.0):
             with pytest.raises(LevelError) as exc:
                 evaluate(a, bad)
             assert exc.value.minimal == 3
             assert str(exc.value) == f"base level must be a positive integer, got {bad}"
+        # the minimal level of an isometry is 1, so every level divides it
+        s = algebra.isometry(e23, e23.monomial((1, 0), 1))
+        for bad in (2.0, 2.5, True):
+            with pytest.raises(LevelError) as exc:
+                evaluate(s, bad)
+            assert str(exc.value) == f"base level must be a positive integer, got {bad}"
+        assert evaluate(s, 2).base_level == 2
 
     def test_given_level_skips_minimal_level(self, e23, monkeypatch):
         # a given level is checked per right fiber as the terms are placed;

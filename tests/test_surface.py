@@ -22,11 +22,20 @@ References are read from the syntax tree, not from the text:
   reaches only methods, so ``a.adjoint()`` does not reach a module function
   ``adjoint``;
 - prose reaches nothing: comments, docstrings and strings that are not a
-  dotted name, such as error messages, and neither do local variables
-  that happen to share a definition's name.
+  dotted name, such as error messages;
+- a local reaches nothing: a name that a function binds itself, as an
+  argument, an assignment or a loop or comprehension target, is local
+  there and in the functions nested in it, unless the function declares
+  it ``global``, so a local ``trace`` does not reach a function ``trace``.
 
 Dunder methods are called by the language: they are not checked, and
 their references count as part of their class.
+
+A second check leaves the benchmark out: the definitions that only it
+reaches must be exactly ``BENCH_ONLY``, the ones ROADMAP item 2 moves into
+``bench/``.  So a new definition that only the benchmark or the unit tests
+reach fails it, and so does one of the list that a package path starts to
+reach.
 """
 
 import ast
@@ -39,6 +48,7 @@ PACKAGE = ROOT / "src" / "cuntzlab"
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+SCOPES = (*FUNCTIONS, ast.Lambda)
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
@@ -60,31 +70,75 @@ def _modules(tree):
     return bound
 
 
+def _body(scope):
+    return scope.body if isinstance(scope.body, list) else [scope.body]
+
+
+def _locals(scope, outer):
+    """The names local to the body of the function ``scope``: those local
+    around it, ``outer``, and those it binds itself, an argument, an
+    assignment or a loop or comprehension target, or a nested definition,
+    less the names it declares ``global``."""
+    args = scope.args
+    bound = {
+        a.arg
+        for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+        if a is not None
+    }
+    declared = set()
+    todo = list(_body(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            bound.add(node.name)
+        if not isinstance(node, (*SCOPES, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return (outer | bound) - declared
+
+
 def _references(nodes, modules):
     """``(named, attributes, qualified)`` referred to anywhere under
     ``nodes``.
 
-    ``named`` holds names that are read or imported; ``attributes`` holds
-    attribute names; both hold the parts of strings that are wholly a dotted
-    name.  ``qualified`` holds a (module, attribute) pair for each attribute
-    access on a name that ``modules`` binds to a package module.
+    ``named`` holds names that are read, but not as a local, or imported;
+    ``attributes`` holds attribute names; both hold the parts of strings
+    that are wholly a dotted name.  ``qualified`` holds a (module,
+    attribute) pair for each attribute access on a name that ``modules``
+    binds to a package module, where no local shadows it.
     """
     named, attributes, qualified = set(), set(), set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+    # each node with the names local where it is read; a function's
+    # decorators, defaults and annotations are read around it
+    todo = [(node, frozenset()) for node in nodes]
+    while todo:
+        sub, local = todo.pop()
+        if isinstance(sub, SCOPES):
+            inner, body = _locals(sub, local), _body(sub)
+            todo += [
+                (child, inner if child in body else local)
+                for child in ast.iter_child_nodes(sub)
+            ]
+            continue
+        todo += [(child, local) for child in ast.iter_child_nodes(sub)]
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            if sub.id not in local:
                 named.add(sub.id)
-            elif isinstance(sub, ast.alias):
-                named.update(sub.name.split("."))
-            elif isinstance(sub, ast.Attribute):
-                attributes.add(sub.attr)
-                if isinstance(sub.value, ast.Name) and sub.value.id in modules:
-                    qualified.add((modules[sub.value.id], sub.attr))
-            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                if DOTTED.fullmatch(sub.value):
-                    parts = sub.value.split(".")
-                    named.update(parts)
-                    attributes.update(parts)
+        elif isinstance(sub, ast.alias):
+            named.update(sub.name.split("."))
+        elif isinstance(sub, ast.Attribute):
+            attributes.add(sub.attr)
+            value = sub.value
+            if isinstance(value, ast.Name) and value.id in modules and value.id not in local:
+                qualified.add((modules[value.id], sub.attr))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if DOTTED.fullmatch(sub.value):
+                parts = sub.value.split(".")
+                named.update(parts)
+                attributes.update(parts)
     return named, attributes, qualified
 
 
@@ -261,9 +315,95 @@ def test_messages_and_local_variables_do_not_reach_methods():
     assert _unreached(definitions, [rest]) == ["m.f"]
 
 
+def test_locals_do_not_reach():
+    package = (
+        "def trace(z):\n    pass\n\n"
+        "def helper():\n    pass\n\n"
+        "def sweep():\n    pass\n\n"
+        "def block():\n    pass\n\n"
+        "def default():\n    pass\n\n"
+        "def counter():\n    pass\n\n"
+        "def used(helper, fill=default):\n"
+        "    trace = [sweep for sweep in helper]\n"
+        "    for block in trace:\n"
+        "        helper(block)\n"
+        "    def inner():\n"
+        "        return trace, sweep\n"
+        "    return inner, lambda trace: trace\n\n"
+        "def bump():\n"
+        "    global counter\n"
+        "    counter = counter\n"
+    )
+    definitions, rest = _definitions(package, "m")
+    # an argument, an assignment, a loop or comprehension target is local
+    # in its function and in the functions nested in it; a default is read
+    # around the function, and a name declared global is the module's
+    assert _unreached(definitions, [rest, _code("used(1); bump()")]) == [
+        "m.block",
+        "m.helper",
+        "m.sweep",
+        "m.trace",
+    ]
+    # the same names read at the top level reach
+    caller = "used(1)\ntrace(block, helper, sweep)\n"
+    assert _unreached(definitions, [rest, _code(caller)]) == ["m.bump", "m.counter"]
+    # an argument that shadows a module's name reaches none of its
+    # functions, while an attribute read on a local still reaches methods
+    package = (
+        "from . import n\n\nclass Box:\n    def lid(self):\n        pass\n\n"
+        "def used(n, lid):\n    return n.size, lid.lid()\n"
+    )
+    definitions, rest = _definitions(package, "m")
+    assert _unreached(definitions, [rest, _code("used(1, 2)")]) == ["m.Box"]
+    n = _definitions("def size():\n    pass\n", "n")[0]
+    assert _unreached(definitions + n, [rest, _code("used(1, 2)")]) == ["m.Box", "n.size"]
+
+
+def test_dotted_strings_reach_from_any_scope():
+    package = (
+        "class Spec:\n    def mul_vectors(self):\n        pass\n\n"
+        "def spanned():\n    pass\n\n"
+        "def table(spanned):\n"
+        "    Spec = 'Spec.mul_vectors'\n"
+        "    return [spanned, Spec, 'spanned']\n"
+    )
+    definitions, rest = _definitions(package, "m")
+    # a string that is wholly a dotted name reaches each of its parts, in a
+    # function whose locals share those names too
+    assert _unreached(definitions, [rest, _code("table(1)")]) == []
+    # and only while the function that holds it is reached
+    assert _unreached(definitions, [rest]) == [
+        "m.Spec",
+        "m.Spec.mul_vectors",
+        "m.spanned",
+        "m.table",
+    ]
+
+
 def test_every_definition_is_reached():
     definitions, rest = _package()
     assert definitions
     callers = sorted((ROOT / "bench").glob("*.py")) + [TESTS / "test_acceptance.py"]
     sources = rest + [_code(p.read_text(encoding="utf-8")) for p in callers]
     assert _unreached(definitions, sources) == []
+
+
+# reached only by the benchmark until ROADMAP item 2 moves them into bench/
+BENCH_ONLY = [
+    "algebra.AlgebraElement.from_terms",
+    "algebra.AlgebraElement.terms",
+    "core.CoreElement.matrix",
+    "core.core_equal",
+    "core.multiply_core",
+    "core.trace",
+    "linalg.sparse_matmul",
+    "scalars.Cyclotomic.inv",
+    "steprep.vector_operator",
+    "system.SystemSpec.mul_vectors",
+]
+
+
+def test_only_the_listed_definitions_need_the_benchmark():
+    definitions, rest = _package()
+    acceptance = _code((TESTS / "test_acceptance.py").read_text(encoding="utf-8"))
+    assert _unreached(definitions, rest + [acceptance]) == BENCH_ONLY

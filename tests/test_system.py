@@ -66,8 +66,11 @@ class TestDimensions:
     def test_unit_fiber(self, e23):
         assert e23.unit_fiber(0) == (1, 0)
         assert e23.unit_fiber(1) == (0, 1)
-        with pytest.raises(ValueError):
-            e23.unit_fiber(2)
+        # a slot is exactly an int: True and 1.0 would give (0, 1)
+        for bad in (2, -1, True, False, 0.5, 1.0, 2.0, 2.5):
+            with pytest.raises(ValueError) as exc:
+                e23.unit_fiber(bad)
+            assert str(exc.value) == f"generator slot {bad} out of range for k=2"
 
     def test_fiber_helpers(self):
         assert add_fibers((1, 2), (3, 0)) == (4, 2)
