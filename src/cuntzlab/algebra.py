@@ -38,7 +38,9 @@ factor, so a run pair costs at most two field multiplications; on float
 they stay three factors in a fixed order, so a product keeps its rounding
 whether the cache was cold or warm.
 Zero and equality testing go through ``normal_form``, which raises the runs of
-each degree g to one bidegree (c, c - g) (see ``runs``).  They vanish
+each degree g to one bidegree (c, c - g) (see ``runs``): it places each
+fiber pair once c, the max of its degree's left fibers, is known, and
+hands ``runs.raise_terms`` the placements with the runs.  They vanish
 exactly when the element is zero: the monomials at one bidegree are
 linearly independent whenever the system admits a nontrivial Cuntz
 representation, as every twisted lexicographic system, the only kind the
@@ -514,26 +516,23 @@ class NormalForm:
 
 def _raised_blocks(spec: SystemSpec, pairs) -> dict:
     """The nonzero blocks {degree: (c, runs)} of the element pairs (fx, fy,
-    runs), in degree order: ``runs.raise_terms`` keyed by degree."""
-    tops: dict = {}  # degree -> c, the max of its left fibers
-
-    def place(pairs):
-        degrees = [sub_degree(fx, fy) for fx, fy in pairs]
-        for (fx, _), g in zip(pairs, degrees):
-            tops[g] = max_fiber(tops[g], fx) if g in tops else fx
-        out = []
-        for (fx, fy), g in zip(pairs, degrees):
-            r = sub_degree(tops[g], fx)
-            phase = None
-            if spec.is_twisted:
-                # an exact phase of one is skipped; float keeps its product
-                phase = spec._phase(fx, r) * spec._phase(fy, r).conj()
-                if spec.field.exact and phase.is_one():
-                    phase = None
-            out.append((g, spec._dim(r), phase))
-        return out
-
-    raised = raise_terms(pairs, place)
+    runs), in degree order: ``runs.raise_terms`` keyed by degree, each pair
+    placed once the max c of its degree's left fibers is known."""
+    degrees = [sub_degree(fx, fy) for fx, fy, _ in pairs]
+    tops: dict = {}  # degree -> c
+    for (fx, _, _), g in zip(pairs, degrees):
+        tops[g] = max_fiber(tops[g], fx) if g in tops else fx
+    placed = []
+    for (fx, fy, runs), g in zip(pairs, degrees):
+        r = sub_degree(tops[g], fx)
+        phase = None
+        if spec.is_twisted:
+            # an exact phase of one is skipped; float keeps its product
+            phase = spec._phase(fx, r) * spec._phase(fy, r).conj()
+            if spec.field.exact and phase.is_one():
+                phase = None
+        placed.append((g, spec._dim(r), phase, runs))
+    raised = raise_terms(placed)
     return {g: (tops[g], raised[g]) for g in sorted(raised) if raised[g]}
 
 

@@ -10,7 +10,10 @@ purely infinite; a dimension collision (s, t) yields the witness
 b = i(s,0) - i(t,0) that the distinguished representation kills but a
 character-twisted companion does not.  For two generators the collision
 is always a perfect-power relation m = l^a, n = l^b and the algebra is a
-matrix-circle tensor.
+matrix-circle tensor.  The annihilation construction behind simplicity and
+pure infiniteness compresses x y* (p(x) != p(y)), and for nonzero x and y
+whether the compression vanishes depends on their fibers alone, so its
+instances hold pairs of basis monomials and read only their fibers.
 """
 
 from __future__ import annotations
@@ -248,31 +251,31 @@ def nonsimplicity_witness(spec: SystemSpec, s, t):
 
 @dataclass(frozen=True)
 class AnnihilationInstance:
-    """Pairs (x_i, y_i) of unequal fibers plus a shift fiber c dominating
-    every p(x_i), p(y_i); ``schedule`` holds the fiber pairs
-    (c - p(x_i), c - p(y_i)) whose bases the construction pairs up."""
+    """Pairs (x_i, y_i) of basis monomials of unequal fibers plus a shift
+    fiber c dominating every p(x_i), p(y_i); ``schedule`` holds the fiber
+    pairs (c - p(x_i), c - p(y_i)) whose bases the construction pairs up."""
 
     pairs: tuple
     shift_fiber: Fiber
     schedule: tuple
 
 
-def _member_fiber(spec: SystemSpec, z) -> Fiber:
-    """The checked fiber of a pair member: a basis monomial's by
-    ``spec.monomial``, which checks its index too, a fiber vector's by
-    ``check_fiber``."""
-    if isinstance(z, BasisMonomial):
-        return spec.monomial(*z).fiber
-    if isinstance(z, FiberVector):
-        return spec.check_fiber(z.fiber)
-    raise TypeError(f"expected a basis monomial or fiber vector, got {z!r}")
+def _monomial_fiber(spec: SystemSpec, z) -> Fiber:
+    """The fiber of a pair member, which must be a basis monomial, checked
+    by ``spec.monomial`` with its index."""
+    if not isinstance(z, BasisMonomial):
+        raise TypeError(f"expected a basis monomial, got {z!r}")
+    return spec.monomial(*z).fiber
 
 
 def annihilation_instance(spec: SystemSpec, pairs, shift_fiber=None) -> AnnihilationInstance:
-    """The instance of the pairs, each member checked once, so that the
-    construction and the check take its schedule's fibers as checked."""
+    """The instance of pairs (x, y) of basis monomials, each member checked
+    once, so that the construction and the check take its schedule's
+    fibers as checked.  Both read only the fibers: the vector that
+    ``annihilating_vector`` builds kills u v* for all nonzero vectors u
+    and v of the fibers of x and y (see ``verify_annihilation``)."""
     pairs = tuple((x, y) for x, y in pairs)
-    fibers = [(_member_fiber(spec, x), _member_fiber(spec, y)) for x, y in pairs]
+    fibers = [(_monomial_fiber(spec, x), _monomial_fiber(spec, y)) for x, y in pairs]
     if shift_fiber is None:
         shift_fiber = (0,) * spec.k
         for fx, fy in fibers:
@@ -433,9 +436,7 @@ def verify_annihilation(
     """
     r = spec.check_fiber(w.fiber)
     support = sorted(w.entries.items())
-    for (x, y), (a, b) in zip(instance.pairs, instance.schedule):
-        if any(isinstance(z, FiberVector) and z.is_zero() for z in (x, y)):
-            continue  # x y* = 0
+    for a, b in instance.schedule:
         m = max_fiber(a, b)
         level_out, level_in = spec._dim(sub_degree(m, a)), spec._dim(sub_degree(m, b))
         phase_out, phase_in = spec._phase(a, r), spec._phase(b, r)

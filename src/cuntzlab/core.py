@@ -64,9 +64,6 @@ class CoreElement:
                 rows[row0 + u][col0 + u] = coeff
         return tuple(map(tuple, rows))
 
-    def is_zero(self) -> bool:
-        return not self.runs
-
     def __repr__(self):
         return f"CoreElement(fiber={self.fiber}, {self.dim}x{self.dim})"
 

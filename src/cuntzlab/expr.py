@@ -27,12 +27,9 @@ closed by the adjoint's ")'", is first read whole: one regex match per term,
 which becomes its one term (c, x, y) with no token, no factor element and
 no ``multiply``, each coefficient and generator text read and checked once
 per parse.  Any other text, and one with a piece that fails a check, is
-parsed from scratch by the grammar, which reports the error.  The 648-term
-Cuntz sum of fiber (3,4) on e23, coefficients included, is read in about
-5.8 ms, some 9 us per printed term (best of 25; CPU, Python 3.11 on a
-shared 2-vCPU host), and under "'" in 3.5-6.0 ms against 3.2-5.7 ms plain
-(best of 9).  Parentheses nest at most ``MAX_DEPTH`` deep; the "(" past it
-is an error.
+parsed from scratch by the grammar, which reports the error.  So a printed
+sum costs its terms, one match each, under "'" as plain.  Parentheses nest
+at most ``MAX_DEPTH`` deep; the "(" past it is an error.
 
 The printer writes every value it is given except a float with an inf or
 nan part, which no text denotes, and an exact value whose numerator or

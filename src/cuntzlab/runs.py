@@ -26,10 +26,11 @@ Raising: xy* = sum_f (x.f)(y.f)* over the basis f of a fiber r, and x.f
 has index x.index*n + f with n = dim(r), so a term c x y* raised by r is
 the one run (x.index*n, y.index*n, n, c*phase) of *stripe* n, the phase
 being omega(fx, r) conj(omega(fy, r)) on twisted specs, and a run of
-length L raised by r is the one run of length L*n.  ``raise_terms`` raises
-for ``algebra.normal_form`` and ``equals``, keyed by degree g = fx - fy
-with r = c - fx, c the max of the degree's left fibers, and for
-``steprep.evaluate`` at level N, keyed by output level with stripe
+length L raised by r is the one run of length L*n.  ``raise_terms`` takes
+each fiber pair's runs with its placement (key, stripe, phase), which the
+caller computes: ``algebra.normal_form`` and ``equals`` key by degree
+g = fx - fy with r = c - fx, c the max of the degree's left fibers, and
+``steprep.evaluate`` at level N keys by output level with stripe
 N/dim(fy).  Since dim(c - fx) = dim(c - g)/dim(fy), the normal form is the
 step model keyed by degree, at level dim(c - g).  R runs cost O(R) to
 raise and O(R' log R' + R'*F) scalar operations to sweep, R' <= R being the
@@ -156,21 +157,18 @@ def _swept_pieces(runs) -> tuple:
     return tuple(out)
 
 
-def raise_terms(pairs, place) -> dict:
-    """{key: swept runs} of the element pairs (fx, fy, runs), each fiber
-    pair given once.
+def raise_terms(placed) -> dict:
+    """{key: swept runs} of the placed fiber pairs (key, stripe, phase,
+    runs), one per fiber pair of an element, in pair order.
 
-    ``place`` gets all fiber pairs (fx, fy) in order, since a stripe may
-    depend on every pair of its key, and returns one (key, stripe, phase)
-    per pair, None standing for a phase of exactly one.  A run raised by
-    stripe n is the one run (row0*n, col0*n, length*n, c*phase).  A key's
-    runs come pair by pair in that order and in run order within a pair;
-    the sweep's float sums follow it.  A pair's raised runs are merged at
-    once by ``_merge``.  A key whose runs cancel maps to ().
+    A phase of None stands for exactly one.  A run raised by stripe n is
+    the one run (row0*n, col0*n, length*n, c*phase).  A key's runs come
+    pair by pair in the given order and in run order within a pair; the
+    sweep's float sums follow it.  A pair's raised runs are merged at once
+    by ``_merge``.  A key whose runs cancel maps to ().
     """
     by_key: dict = {}
-    placed = place([(fx, fy) for fx, fy, _ in pairs])
-    for (_, _, runs), (key, n, phase) in zip(pairs, placed):
+    for key, n, phase, runs in placed:
         if phase is None:
             raised = [(r * n, c * n, m * n, v) for r, c, m, v in runs]
         else:

@@ -214,16 +214,12 @@ def evaluate(
     of the spec and the character.
     """
     spec = a.spec
-    pairs = a.pairs
     if twist is not None:
         if len(twist.values) != spec.k:
             raise ValueError("character length does not match the generator count")
         field = spec.field
         for v in twist.values:
             field = common_field(field, field_of(v))
-        pairs = [
-            (fx, fy, [(r, c, n, field.coerce(v)) for r, c, n, v in runs]) for fx, fy, runs in pairs
-        ]
     _require_untwisted(spec)
     # a given level is checked against each right fiber as its pair is
     # placed; the minimal level is walked for only when it is needed
@@ -231,19 +227,18 @@ def evaluate(
         base_level = minimal_level(a)
     elif not _is_level(base_level):
         raise LevelError(base_level, minimal_level(a))
-
-    def place(pairs):
-        out = []
-        for fx, fy in pairs:
-            stripe, rest = divmod(base_level, spec._dim(fy))
-            if rest:
-                raise LevelError(base_level, minimal_level(a))
-            phase = None if twist is None else field.coerce(twist.phase(sub_degree(fx, fy)))
-            out.append((stripe * spec._dim(fx), stripe, phase))
-        return out
-
+    placed = []
+    for fx, fy, runs in a.pairs:
+        stripe, rest = divmod(base_level, spec._dim(fy))
+        if rest:
+            raise LevelError(base_level, minimal_level(a))
+        phase = None
+        if twist is not None:
+            runs = [(r, c, n, field.coerce(v)) for r, c, n, v in runs]
+            phase = field.coerce(twist.phase(sub_degree(fx, fy)))
+        placed.append((stripe * spec._dim(fx), stripe, phase, runs))
     # a block whose runs cancel is kept: it still names its output level
-    blocks = run_ops.raise_terms(pairs, place)
+    blocks = run_ops.raise_terms(placed)
     out = {lv: StepOperator(base_level, lv, runs=runs) for lv, runs in blocks.items()}
     return OperatorFamily(base_level, out)
 

@@ -81,9 +81,6 @@ class FiberVector:
             out[j] = c
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other):
         if not isinstance(other, FiberVector):
             return NotImplemented

@@ -407,8 +407,10 @@ def vector_projection(spec, v):
     ])
 
 
-def compressed_pair_element(spec, instance, w, index):
-    """alpha_c(Q) (x y*) alpha_c(Q) for the pair at ``index``, expanded.
+def compressed_pair_element(spec, instance, w, index, members=None):
+    """alpha_c(Q) (x y*) alpha_c(Q) for the pair at ``index``, expanded;
+    ``members`` gives x and y, basis monomials or fiber vectors of the
+    pair's fibers, in place of the pair's monomials.
 
     The tests' reference for ``analysis.verify_annihilation``.  Q is the
     projection along w and self-adjoint, so this is (alpha_c(Q) i(x))
@@ -419,7 +421,7 @@ def compressed_pair_element(spec, instance, w, index):
     compress = algebra.shift_endomorphism(
         vector_projection(spec, w), instance.shift_fiber
     )
-    x, y = instance.pairs[index]
+    x, y = members or instance.pairs[index]
     left = algebra.multiply(compress, _isometry_of(spec, x))
     right = algebra.multiply(compress, _isometry_of(spec, y))
     return algebra.multiply(left, right.adjoint())
@@ -499,8 +501,6 @@ def composed_annihilation(spec, instance, w):
     outer.  It costs dim(c - p(x)) dim(c - p(y)) compositions."""
     c = instance.shift_fiber
     for x, y in instance.pairs:
-        if any(isinstance(z, FiberVector) and z.is_zero() for z in (x, y)):
-            continue  # x y* = 0
         a, b = sub_degree(c, x.fiber), sub_degree(c, y.fiber)
         m = max_fiber(a, b)
         level_out, level_in = spec.dim(sub_degree(m, a)), spec.dim(sub_degree(m, b))
@@ -542,25 +542,23 @@ def _extend(runs: list, run: tuple) -> None:
     runs.append(run)
 
 
-def stepwise_raise_terms(terms, place) -> dict:
+def stepwise_raise_terms(terms, placements) -> dict:
     """{key: swept runs} of the (coeff, x, y) terms.
 
-    ``place`` gets all fiber pairs (x.fiber, y.fiber) in order of first
-    appearance, since a stripe may depend on every pair of its key, and
-    returns one (key, stripe, phase) per pair, None standing for a phase of
-    exactly one.  A key's runs come pair by pair in that order and in term
-    order within a pair, which is the term order when a pair's terms are
-    adjacent; the sweep's float sums follow it.  Raised terms are merged
-    by ``_extend``, so a Cuntz sum is one run before it is swept.  A key
-    whose runs cancel maps to ().
+    ``placements`` maps each fiber pair (x.fiber, y.fiber) to its
+    placement (key, stripe, phase), None standing for a phase of exactly
+    one.  A key's runs come pair by pair in order of first appearance and
+    in term order within a pair, which is the term order when a pair's
+    terms are adjacent; the sweep's float sums follow it.  Raised terms
+    are merged by ``_extend``, so a Cuntz sum is one run before it is
+    swept.  A key whose runs cancel maps to ().
     """
     pairs: dict = {}
     for term in terms:
         pairs.setdefault((term[1].fiber, term[2].fiber), []).append(term)
-    if not pairs:
-        return {}
     by_key: dict = {}
-    for group, (key, stripe, phase) in zip(pairs.values(), place(pairs)):
+    for pair, group in pairs.items():
+        key, stripe, phase = placements[pair]
         runs = by_key.setdefault(key, [])
         for c, x, y in group:
             if phase is not None:
@@ -790,25 +788,23 @@ def term_multiply(a, b):
 def term_raised_blocks(spec, terms) -> dict:
     """The nonzero blocks {degree: (c, runs)} of the (coeff, left, right)
     terms, in degree order."""
+    terms = list(terms)
+    pairs = list({(x.fiber, y.fiber): None for _, x, y in terms})
+    degrees = [sub_degree(fx, fy) for fx, fy in pairs]
     tops: dict = {}  # degree -> c, the max of its left fibers
-
-    def place(pairs):
-        degrees = [sub_degree(fx, fy) for fx, fy in pairs]
-        for (fx, _), g in zip(pairs, degrees):
-            tops[g] = max_fiber(tops[g], fx) if g in tops else fx
-        out = []
-        for (fx, fy), g in zip(pairs, degrees):
-            r = sub_degree(tops[g], fx)
-            phase = None
-            if spec.is_twisted:
-                # an exact phase of one is skipped; float keeps its product
-                phase = spec._phase(fx, r) * spec._phase(fy, r).conj()
-                if spec.field.exact and phase.is_one():
-                    phase = None
-            out.append((g, spec._dim(r), phase))
-        return out
-
-    raised = stepwise_raise_terms(terms, place)
+    for (fx, _), g in zip(pairs, degrees):
+        tops[g] = max_fiber(tops[g], fx) if g in tops else fx
+    placements = {}
+    for (fx, fy), g in zip(pairs, degrees):
+        r = sub_degree(tops[g], fx)
+        phase = None
+        if spec.is_twisted:
+            # an exact phase of one is skipped; float keeps its product
+            phase = spec._phase(fx, r) * spec._phase(fy, r).conj()
+            if spec.field.exact and phase.is_one():
+                phase = None
+        placements[(fx, fy)] = (g, spec._dim(r), phase)
+    raised = stepwise_raise_terms(terms, placements)
     return {g: (tops[g], raised[g]) for g in sorted(raised) if raised[g]}
 
 

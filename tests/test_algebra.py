@@ -184,6 +184,15 @@ class TestStarAlgebraAxioms:
             assert equals(multiply(multiply(a, b), c), multiply(a, multiply(b, c)))
 
 
+def test_sum_with_a_non_element_and_repr_of_zero(e23):
+    # ``+`` and ``-`` decline anything but an element, so Python raises
+    with pytest.raises(TypeError):
+        identity(e23) + 1
+    with pytest.raises(TypeError):
+        identity(e23) - 1
+    assert repr(zero(e23)) == "AlgebraElement<0>"
+
+
 class TestNormalForm:
     def test_cuntz_sum_is_zero(self, e23):
         diff = _cuntz_sum(e23, (0, 1)) - identity(e23)

@@ -127,25 +127,29 @@ def _outcome(build):
         return HypothesisViolationError
 
 
-def _agrees_with_normal_form(spec, instance, w):
+def _agrees_with_normal_form(spec, instance, w, members=None):
     """verify_annihilation(w) against the normal form of the expanded
-    compression."""
-    expanded = compressed_pair_element(spec, instance, w, 0)
+    compression of the instance's first pair, or of ``members``, vectors
+    of its fibers."""
+    expanded = compressed_pair_element(spec, instance, w, 0, members)
     verdict = algebra.normal_form(expanded).is_zero()
     assert analysis.verify_annihilation(spec, instance, w) == verdict
     return verdict
 
 
-def _check_instance(spec, instance, perturb_index):
+def _check_instance(spec, instance, perturb_index, members=None):
+    """The construction against the dense one, and the check against the
+    normal form of the compression of the first pair, or of ``members``,
+    vectors of its fibers."""
     sparse = _outcome(lambda: analysis.annihilating_vector(spec, instance))
     dense = _outcome(lambda: dense_annihilating_vector(spec, instance))
     assert sparse == dense
     if sparse is HypothesisViolationError:
         return
     assert sparse.coeffs == dense.coeffs
-    assert not sparse.is_zero()
+    assert sparse.entries
     assert analysis.verify_annihilation(spec, instance, sparse)
-    expanded = compressed_pair_element(spec, instance, sparse, 0)
+    expanded = compressed_pair_element(spec, instance, sparse, 0, members)
     assert algebra.normal_form(expanded).is_zero()
     j = perturb_index % sparse.dim
     perturbed = dense_vector(
@@ -153,12 +157,17 @@ def _check_instance(spec, instance, perturb_index):
         sparse.fiber,
         [c + spec.field.one if i == j else c for i, c in enumerate(sparse.coeffs)],
     )
-    if not perturbed.is_zero():
-        _agrees_with_normal_form(spec, instance, perturbed)
+    if perturbed.entries:
+        _agrees_with_normal_form(spec, instance, perturbed, members)
 
 
 def _monomial(spec, fiber, seed):
     return BasisMonomial(fiber, seed % spec.dim(fiber))
+
+
+def _monomial_of(spec, z, seed):
+    """A basis monomial of the fiber of z: z itself when it is one."""
+    return z if isinstance(z, BasisMonomial) else _monomial(spec, z.fiber, seed)
 
 
 ORACLE = settings(
@@ -196,13 +205,17 @@ def test_monomial_pairs_match_dense(name, fx, fy, i, j, perturb):
     st.integers(0, 2),
     st.booleans(),
     st.integers(0, 10**6),
+    st.integers(0, 1),
 )
-def test_vector_pairs_match_dense(coeffs, fy, j, vector_left, perturb):
+def test_vector_pairs_match_dense(coeffs, fy, j, vector_left, perturb, i):
+    # the instance holds monomials of the fibers of the nonzero vector v
+    # and of y; its vector must kill the compression of v y* (or y v*)
     spec = SPECS["e23"]
     v = dense_vector(spec, (1, 0), coeffs)
     y = _monomial(spec, fy, j)
     pair = (v, y) if vector_left else (y, v)
-    _check_instance(spec, analysis.annihilation_instance(spec, [pair]), perturb)
+    monomials = [tuple(_monomial_of(spec, z, i) for z in pair)]
+    _check_instance(spec, analysis.annihilation_instance(spec, monomials), perturb, pair)
 
 
 def _unit_coefficient(spec, data):
@@ -371,6 +384,49 @@ def test_construction_matches_stepwise():
     assert seen == set(STEPWISE_SPECS)
 
 
+def test_annihilation_reads_only_the_fibers():
+    # other basis monomials of the same fibers give the same shift,
+    # schedule and vector, or the same refusal, on every spec, the
+    # twisted and float ones included, at the default and a larger shift
+    seen = set()
+
+    @settings(ORACLE, max_examples=150)
+    @given(
+        st.sampled_from(sorted(STEPWISE_SPECS)),
+        st.lists(
+            st.tuples(st.sampled_from(FIBERS), st.sampled_from(FIBERS)),
+            min_size=1,
+            max_size=2,
+        ),
+        st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.data(),
+    )
+    def check(name, fibers, shift, data):
+        spec = STEPWISE_SPECS[name]
+        assume(all(fx != fy for fx, fy in fibers))
+        if shift is not None:
+            for fx, fy in fibers:
+                shift = max_fiber(shift, max_fiber(fx, fy))
+        index = st.integers(0, 10**6)
+        instances = []
+        for _ in range(2):
+            pairs = [
+                (_monomial(spec, fx, data.draw(index)), _monomial(spec, fy, data.draw(index)))
+                for fx, fy in fibers
+            ]
+            instances.append(analysis.annihilation_instance(spec, pairs, shift))
+        first, second = instances
+        assert first.shift_fiber == second.shift_fiber
+        assert first.schedule == second.schedule
+        assert _outcome_text(lambda: analysis.annihilating_vector(spec, first)) == _outcome_text(
+            lambda: analysis.annihilating_vector(spec, second)
+        )
+        seen.add(name)
+
+    check()
+    assert seen == set(STEPWISE_SPECS)
+
+
 @pytest.mark.parametrize("shift", [(3, 3), (3, 4)])
 def test_float_twisted_phase_is_the_exactly_reduced_pairing(shift):
     # the coefficient of kill e(1,0;0) e(0,1;0) on the float twist is the
@@ -441,13 +497,6 @@ def _sparse_vector(spec, data, fiber):
     return FiberVector(fiber, dim, entries, spec.field.zero)
 
 
-def _oracle_member(spec, data, fiber):
-    """The zero vector of the fiber, a basis monomial or a drawn vector."""
-    if data.draw(st.integers(0, 3)) == 0:
-        return FiberVector(fiber, spec.dim(fiber), {}, spec.field.zero)
-    return _drawn_pair_member(spec, data, fiber)
-
-
 def _oracle_w(spec, instance, kind, data):
     """The constructed vector, it with 1-2 entries changed (support 1-3), a
     drawn vector of support 1-3 or the zero vector."""
@@ -477,7 +526,7 @@ def test_check_matches_composition():
     # the check by index ranges against composing the pieces' step
     # operators, which it replaced: the same verdict on every spec, the
     # float twist included, for vectors of wider support whose pieces may
-    # cancel, pairs of vectors and zero vectors
+    # cancel and zero vectors
     verdicts = set()
 
     @settings(ORACLE, max_examples=200)
@@ -495,7 +544,11 @@ def test_check_matches_composition():
     def check(name, fibers, shift, kind, data):
         spec = STEPWISE_SPECS[name]
         assume(all(fx != fy for fx, fy in fibers))
-        pairs = [(_oracle_member(spec, data, fx), _oracle_member(spec, data, fy)) for fx, fy in fibers]
+        index = st.integers(0, 10**6)
+        pairs = [
+            (_monomial(spec, fx, data.draw(index)), _monomial(spec, fy, data.draw(index)))
+            for fx, fy in fibers
+        ]
         for fx, fy in fibers:
             shift = max_fiber(shift, max_fiber(fx, fy))
         instance = analysis.annihilation_instance(spec, pairs, shift)
@@ -578,7 +631,9 @@ def test_restricted_check_matches_normal_form():
         assume(fx != fy)
         x, y = _drawn_pair_member(spec, data, fx), _drawn_pair_member(spec, data, fy)
         shift = add_fibers(tuple(max(a, b) for a, b in zip(fx, fy)), extra)
-        instance = analysis.annihilation_instance(spec, [(x, y)], shift)
+        seed = data.draw(st.integers(0, 10**6))
+        monomials = (_monomial_of(spec, x, seed), _monomial_of(spec, y, seed))
+        instance = analysis.annihilation_instance(spec, [monomials], shift)
         if kind == "drawn":
             w = _drawn_vector(spec, data, data.draw(st.sampled_from(SMALL_FIBERS)))
         else:
@@ -591,7 +646,7 @@ def test_restricted_check_matches_normal_form():
                 w = FiberVector(w.fiber, w.dim, entries, spec.field.zero)
         # the expanded compression has about this many term products
         assume(spec.dim(shift) * _support(w) ** 2 * _support(x) * _support(y) <= 1000)
-        verdicts.append(_agrees_with_normal_form(spec, instance, w))
+        verdicts.append(_agrees_with_normal_form(spec, instance, w, (x, y)))
 
     check()
     assert set(verdicts) == {True, False}

@@ -53,7 +53,7 @@ class TestConstruction:
 
     def test_zero_identity(self, e23):
         zero = _indicator(e23, (1, 1), set())
-        assert zero.is_zero() and zero.runs == ()
+        assert zero.runs == ()
         ident = _identity(e23, (1, 0))
         assert ident.matrix[0][0].is_one() and ident.matrix[0][1].is_zero()
 

@@ -176,7 +176,7 @@ def assert_same(run_core, dense):
     assert run_core.fiber == dense.fiber
     assert run_core.dim == len(dense.matrix)
     assert run_core.runs == runs.sweep(run_core.runs)
-    assert run_core.is_zero() == dense.is_zero()
+    assert (not run_core.runs) == dense.is_zero()
     assert run_core.matrix == dense.matrix
 
 

@@ -236,6 +236,13 @@ class TestExtend:
             for other in images[1:]:
                 assert algebra.equals(images[0], other)
 
+    def test_monomial_of_another_spec_rejected(self, e23, e24, tw23):
+        assignment = canonical_assignment(e23)
+        for other in (e24, tw23):
+            x = other.monomial((1, 0), 0)
+            with pytest.raises(ValueError, match="does not belong to the assignment's source"):
+                extend(other, assignment, x)
+
     def test_bad_order_rejected(self, e23):
         assignment = canonical_assignment(e23)
         x = e23.monomial((1, 1), 0)
@@ -259,6 +266,12 @@ class TestMapElement:
                 map_element(assignment, a.adjoint()),
                 map_element(assignment, a).adjoint(),
             )
+
+    def test_element_of_another_spec_rejected(self, e23, e24, tw23):
+        assignment = canonical_assignment(e23)
+        for other in (e24, tw23):
+            with pytest.raises(ValueError, match="does not belong to the assignment's source"):
+                map_element(assignment, algebra.identity(other))
 
     def test_identity_on_canonical(self, e23, rng):
         assignment = canonical_assignment(e23)

@@ -38,29 +38,22 @@ def q(num, den=1):
     return RationalComplex(Fraction(num, den))
 
 
-def recording(placements):
-    """A placement that looks each pair up in ``placements`` and records
-    the pairs it was given."""
-    seen = []
-
-    def place(pairs):
-        seen.extend(pairs)
-        return [placements[pair] for pair in pairs]
-
-    return place, seen
+def placed(pairs, placements):
+    """The pairs (fx, fy, runs) as ``runs.raise_terms`` takes them: each
+    pair's placement (key, stripe, phase), looked up in ``placements``,
+    in front of its runs."""
+    return [(*placements[(fx, fy)], runs) for fx, fy, runs in pairs]
 
 
 def test_pairs_in_order_of_first_appearance():
-    # pairs are placed in the order given, and keys come in the order their
-    # first pair does
+    # keys come in the order their first pair does
     pairs = [
         (*B, ((0, 0, 1, q(1)), (1, 1, 1, q(3)))),
         (*A, ((1, 0, 1, q(2)),)),
         (*C, ((0, 0, 1, q(4)),)),
     ]
-    place, seen = recording({A: ("a", 1, None), B: ("b", 1, None), C: ("a", 1, None)})
-    out = raise_terms(pairs, place)
-    assert seen == [B, A, C]
+    placements = {A: ("a", 1, None), B: ("b", 1, None), C: ("a", 1, None)}
+    out = raise_terms(placed(pairs, placements))
     assert list(out) == ["b", "a"]
 
 
@@ -69,23 +62,25 @@ def test_runs_come_pair_by_pair():
     # pairs: in the order A, C, B it is (1e16 - 1e16) + 1, in the order A,
     # B, C it is (1e16 + 1) - 1e16 = 0
     one, big, minus = (((0, 0, 1, FloatComplex(v)),) for v in (1.0, 1e16, -1e16))
-    place, _ = recording({A: (0, 1, None), B: (0, 1, None), C: (0, 1, None)})
-    out = raise_terms([(*A, big), (*C, minus), (*B, one)], place)
+    placements = {A: (0, 1, None), B: (0, 1, None), C: (0, 1, None)}
+    out = raise_terms(placed([(*A, big), (*C, minus), (*B, one)], placements))
     assert [v.value for *_, v in out[0]] == [1.0]
-    assert raise_terms([(*A, big), (*B, one), (*C, minus)], place) == {0: ()}
+    assert raise_terms(placed([(*A, big), (*B, one), (*C, minus)], placements)) == {0: ()}
 
 
 def test_stripe_and_phase_give_the_run():
     terms = [term(q(2), A, 1, 0), term(q(3), B, 0, 2)]
-    place, _ = recording({A: ("k", 3, q(-1)), B: ("k", 2, None)})
-    assert raise_terms(pairs_of(terms), place) == {"k": ((0, 4, 2, q(3)), (3, 0, 3, q(-2)))}
+    placements = {A: ("k", 3, q(-1)), B: ("k", 2, None)}
+    assert raise_terms(placed(pairs_of(terms), placements)) == {
+        "k": ((0, 4, 2, q(3)), (3, 0, 3, q(-2)))
+    }
 
 
 def test_each_key_is_swept_on_its_own():
     # A and C overlap on key 0, B overlaps nothing on key 1
     terms = [term(q(1), A), term(q(1), B), term(q(2), C)]
-    place, _ = recording({A: (0, 4, None), B: (1, 4, None), C: (0, 2, None)})
-    assert raise_terms(pairs_of(terms), place) == {
+    placements = {A: (0, 4, None), B: (1, 4, None), C: (0, 2, None)}
+    assert raise_terms(placed(pairs_of(terms), placements)) == {
         0: ((0, 0, 2, q(3)), (2, 2, 2, q(1))),
         1: ((0, 0, 4, q(1)),),
     }
@@ -93,8 +88,11 @@ def test_each_key_is_swept_on_its_own():
 
 def test_cancelling_key_maps_to_empty_tuple():
     terms = [term(q(1, 2), A, 1, 1), term(q(5), B), term(q(-1, 2), C, 1, 1)]
-    place, _ = recording({A: ("gone", 2, None), B: ("kept", 1, None), C: ("gone", 2, None)})
-    assert raise_terms(pairs_of(terms), place) == {"gone": (), "kept": ((0, 0, 1, q(5)),)}
+    placements = {A: ("gone", 2, None), B: ("kept", 1, None), C: ("gone", 2, None)}
+    assert raise_terms(placed(pairs_of(terms), placements)) == {
+        "gone": (),
+        "kept": ((0, 0, 1, q(5)),),
+    }
 
 
 def test_float_sums_follow_term_order_bit_for_bit():
@@ -102,13 +100,13 @@ def test_float_sums_follow_term_order_bit_for_bit():
     # differs in the last bit from 0.1 + (0.2 + 0.3)
     values = [0.1, 0.2, 0.3]
     terms = [term(FloatComplex(v), A) for v in values]
-    place, _ = recording({A: (0, 1, None)})
-    (run,) = raise_terms(pairs_of(terms), place)[0]
+    placements = {A: (0, 1, None)}
+    (run,) = raise_terms(placed(pairs_of(terms), placements))[0]
     assert run[3].value == complex((0.1 + 0.2) + 0.3)
     assert run[3].value != complex(0.1 + (0.2 + 0.3))
     # with a phase each coefficient is scaled before the sum
-    place, _ = recording({A: (0, 1, FloatComplex(1j))})
-    (run,) = raise_terms(pairs_of(terms), place)[0]
+    placements = {A: (0, 1, FloatComplex(1j))}
+    (run,) = raise_terms(placed(pairs_of(terms), placements))[0]
     expected = (complex(0.1) * 1j + complex(0.2) * 1j) + complex(0.3) * 1j
     assert run[3].value == expected
 
@@ -119,10 +117,10 @@ def test_float_sums_follow_term_order_bit_for_bit():
     st.sampled_from([None, q(-1), RationalComplex(0, 1)]),
 )
 def test_a_run_raises_as_its_entries(i, j, length, stripe, phase):
-    place, _ = recording({C: ("k", stripe, phase)})
+    placements = {C: ("k", stripe, phase)}
     entries = [term(q(3), C, i + u, j + u) for u in range(length)]
-    (run,) = raise_terms(pairs_of([term(q(3), C, i, j, length)]), place)["k"]
-    assert (run,) == raise_terms(pairs_of(entries), place)["k"]
+    (run,) = raise_terms(placed(pairs_of([term(q(3), C, i, j, length)]), placements))["k"]
+    assert (run,) == raise_terms(placed(pairs_of(entries), placements))["k"]
     assert run == (i * stripe, j * stripe, length * stripe, q(3) if phase is None else q(3) * phase)
 
 
@@ -273,8 +271,8 @@ def swept_inputs(monkeypatch):
 def test_adjacent_equal_runs_merge_within_a_pair(monkeypatch):
     seen = swept_inputs(monkeypatch)
     terms = [term(q(3), C, 0, 0), term(q(3), C, 1, 1), term(q(3), C, 2, 2)]
-    place, _ = recording({C: ("k", 2, None)})
-    assert raise_terms(pairs_of(terms), place) == {"k": ((0, 0, 6, q(3)),)}
+    placements = {C: ("k", 2, None)}
+    assert raise_terms(placed(pairs_of(terms), placements)) == {"k": ((0, 0, 6, q(3)),)}
     assert seen == [[(0, 0, 6, q(3))]]
 
 
@@ -282,21 +280,25 @@ def test_adjacent_equal_runs_merge_across_pairs_of_a_key(monkeypatch):
     seen = swept_inputs(monkeypatch)
     # B's phase -1 makes its raised coefficient 1, equal to A's and C's
     terms = [term(q(1), A, 0, 0), term(q(-1), B, 1, 1), term(q(1), C, 2, 2)]
-    place, _ = recording({A: ("k", 3, None), B: ("k", 3, q(-1)), C: ("k", 3, None)})
-    assert raise_terms(pairs_of(terms), place) == {"k": ((0, 0, 9, q(1)),)}
+    placements = {A: ("k", 3, None), B: ("k", 3, q(-1)), C: ("k", 3, None)}
+    assert raise_terms(placed(pairs_of(terms), placements)) == {"k": ((0, 0, 9, q(1)),)}
     assert seen == [[(0, 0, 9, q(1))]]
 
 
 def test_gap_unequal_coefficient_or_interleaved_run_stops_the_merge(monkeypatch):
     seen = swept_inputs(monkeypatch)
-    place, _ = recording({C: ("k", 2, None)})
+    placements = {C: ("k", 2, None)}
     gap = [term(q(1), C, 0, 0), term(q(1), C, 2, 2)]
     unequal = [term(q(1), C, 0, 0), term(q(2), C, 1, 1)]
     interleaved = [term(q(1), C, 0, 0), term(q(1), C, 3, 3), term(q(1), C, 1, 1)]
-    assert raise_terms(pairs_of(gap), place) == {"k": ((0, 0, 2, q(1)), (4, 4, 2, q(1)))}
-    assert raise_terms(pairs_of(unequal), place) == {"k": ((0, 0, 2, q(1)), (2, 2, 2, q(2)))}
+    assert raise_terms(placed(pairs_of(gap), placements)) == {
+        "k": ((0, 0, 2, q(1)), (4, 4, 2, q(1)))
+    }
+    assert raise_terms(placed(pairs_of(unequal), placements)) == {
+        "k": ((0, 0, 2, q(1)), (2, 2, 2, q(2)))
+    }
     # the sweep still joins what the builder could not
-    assert raise_terms(pairs_of(interleaved), place) == {
+    assert raise_terms(placed(pairs_of(interleaved), placements)) == {
         "k": ((0, 0, 4, q(1)), (6, 6, 2, q(1)))
     }
     assert [len(given_runs) for given_runs in seen] == [2, 2, 3]
@@ -304,10 +306,10 @@ def test_gap_unequal_coefficient_or_interleaved_run_stops_the_merge(monkeypatch)
 
 def test_float_merges_only_identical_coefficients(monkeypatch):
     seen = swept_inputs(monkeypatch)
-    place, _ = recording({C: ("k", 2, None)})
+    placements = {C: ("k", 2, None)}
     # two objects with the same bits merge
     same = [term(FloatComplex(1.0), C, 0, 0), term(FloatComplex(1.0), C, 1, 1)]
-    assert [run[:3] for run in raise_terms(pairs_of(same), place)["k"]] == [(0, 0, 4)]
+    assert [run[:3] for run in raise_terms(placed(pairs_of(same), placements))["k"]] == [(0, 0, 4)]
     # equal only within the tolerance, or apart only in the sign bit of a
     # zero part: never merged
     near = [term(FloatComplex(1.0), C, 0, 0), term(FloatComplex(1.0 + 1e-15), C, 1, 1)]
@@ -316,7 +318,7 @@ def test_float_merges_only_identical_coefficients(monkeypatch):
         term(FloatComplex(complex(1, -0.0)), C, 1, 1),
     ]
     for terms in (near, signed):
-        assert [run[:3] for run in raise_terms(pairs_of(terms), place)["k"]] == [
+        assert [run[:3] for run in raise_terms(placed(pairs_of(terms), placements))["k"]] == [
             (0, 0, 2),
             (2, 2, 2),
         ]
@@ -386,15 +388,14 @@ def raising_cases(draw):
 @given(raising_cases())
 def test_builder_against_the_stepwise_builder(case):
     name, terms, placements = case
-    place, seen = recording(placements)
-    stepwise_place, stepwise_seen = recording(placements)
     swept, stepwise_swept = [], []
     with mock.patch.object(runs_module, "sweep", recorded_sweep(swept)), mock.patch.object(
         conftest, "sweep", recorded_sweep(stepwise_swept)
     ):
-        got = raise_terms(pairs_of(as_runs(terms)), place)
-        want = stepwise_raise_terms(terms, stepwise_place)
-    assert seen == stepwise_seen
+        got = raise_terms(placed(pairs_of(as_runs(terms)), placements))
+        want = stepwise_raise_terms(terms, placements)
+    # keys come in the same order, that of their first pairs
+    assert list(got) == list(want)
     if name == "float":
         assert repr(got) == repr(want)
         assert repr(swept) == repr(stepwise_swept)
@@ -483,10 +484,10 @@ def counted_raise(monkeypatch):
     counts = []
     real = runs_module.raise_terms
 
-    def spy(given_pairs, place):
-        given_pairs = list(given_pairs)
-        counts.append(sum(len(runs) for _, _, runs in given_pairs))
-        return real(given_pairs, place)
+    def spy(given):
+        given = list(given)
+        counts.append(sum(len(runs) for *_, runs in given))
+        return real(given)
 
     monkeypatch.setattr(runs_module, "raise_terms", spy)
     monkeypatch.setattr(algebra, "raise_terms", spy)

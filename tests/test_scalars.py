@@ -88,6 +88,11 @@ class TestCyclotomicPolynomial:
         for q, phi in enumerate(phis, start=1):
             assert len(cyclotomic_polynomial(q)) == phi + 1
 
+    def test_order_zero_rejected(self):
+        for build in (cyclotomic_polynomial, CyclotomicField):
+            with pytest.raises(ValueError, match="cyclotomic order must be >= 1"):
+                build(0)
+
 
 class TestCyclotomic:
     def test_gaussian_square(self):
@@ -193,6 +198,14 @@ class TestFieldLattice:
         assert k4.coerce(Fraction(1, 2)) == k4.from_fraction(Fraction(1, 2))
         k8 = cyclotomic_field(8)
         assert k8.coerce(k4.zeta_power(1)) == k8.zeta_power(2)
+
+    def test_non_scalars_rejected(self):
+        with pytest.raises(TypeError, match="not a scalar"):
+            field_of(1)
+        with pytest.raises(TypeError, match="cannot coerce 'x' into the float scalar field"):
+            FLOAT.coerce("x")
+        with pytest.raises(TypeError, match="cannot coerce .* into cyclotomic:8"):
+            cyclotomic_field(8).coerce(object())
 
     def test_coerce_down_rejected(self):
         k4 = cyclotomic_field(4)
