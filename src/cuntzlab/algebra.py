@@ -40,11 +40,12 @@ whether the cache was cold or warm.
 Zero and equality testing go through ``normal_form``, which raises the runs of
 each degree g to one bidegree (c, c - g) (see ``runs``): it places each
 fiber pair once c, the max of its degree's left fibers, is known, and
-hands ``runs.raise_terms`` the placements with the runs.  They vanish
-exactly when the element is zero: the monomials at one bidegree are
-linearly independent whenever the system admits a nontrivial Cuntz
-representation, as every twisted lexicographic system, the only kind the
-engine builds, does.
+hands ``runs.raise_terms`` the placements with the runs.  The result is
+the canonical element, one fiber pair (c, c - g) per nonzero degree g,
+with no pairs exactly when the element is zero: the monomials at one
+bidegree are linearly independent whenever the system admits a nontrivial
+Cuntz representation, as every twisted lexicographic system, the only
+kind the engine builds, does.
 
 ``equals(a, b)`` decides a = b in O_E, exactly on the exact fields, as
 ``normal_form(a - b)`` would; the relation checks of ``morphisms`` rest on it.
@@ -124,20 +125,16 @@ class AlgebraElement:
 
     # -- terms ------------------------------------------------------------
 
-    def _iter_terms(self):
-        """The terms of the runs in canonical order: by degree, left fiber
-        and (left index, right index).  A pair's cells come lazily from
-        ``runs.cells``, so ``repr`` reads the first terms without expanding
-        the rest."""
-        for fx, fy, runs in self.pairs:
-            for i, j, v in cells(runs):
-                yield Term(v, BasisMonomial(fx, i), BasisMonomial(fy, j))
-
     @property
     def terms(self) -> tuple:
         """The terms c * e(left) e(right)', one per entry of the runs, in
-        canonical order; it costs the entries, not the runs."""
-        return tuple(self._iter_terms())
+        canonical order: by degree, left fiber and (left index, right
+        index).  It costs the entries, not the runs."""
+        return tuple(
+            Term(v, BasisMonomial(fx, i), BasisMonomial(fy, j))
+            for fx, fy, runs in self.pairs
+            for i, j, v in cells(runs)
+        )
 
     # -- linear structure ---------------------------------------------------
 
@@ -197,7 +194,14 @@ class AlgebraElement:
     def __repr__(self):
         if not self.pairs:
             return "AlgebraElement<0>"
-        parts = [f"{t.coeff!r}*{t.left!r}{t.right!r}'" for t in islice(self._iter_terms(), 4)]
+        # a pair's cells come lazily from ``runs.cells``, so only the
+        # first four entries are expanded
+        entries = (
+            f"{v!r}*{BasisMonomial(fx, i)!r}{BasisMonomial(fy, j)!r}'"
+            for fx, fy, runs in self.pairs
+            for i, j, v in cells(runs)
+        )
+        parts = list(islice(entries, 4))
         count = sum(run[2] for _, _, runs in self.pairs for run in runs)
         more = "" if count <= 4 else f" ... ({count} terms)"
         return "AlgebraElement<" + " + ".join(parts) + more + ">"
@@ -488,36 +492,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-class NormalForm:
-    """Canonical run data of an element: per degree g a block (c, runs).
-
-    The runs are the sweep (see ``runs``) of the raised runs of the
-    element; a run ``(row0, col0, length, coeff)`` puts ``coeff`` on the
-    entries e(c;row0+f) e(c-g;col0+f)' for f < length.  Swept runs are
-    maximal, so on the exact fields a block holds the fewest runs its
-    matrix allows: a Cuntz sum is one run.  Blocks without runs are
-    dropped, so the element is zero exactly when ``blocks`` is empty.
-    ``expand_normal_form`` takes the swept runs of each block as they are.
-    """
-
-    __slots__ = ("spec", "blocks")
-
-    def __init__(self, spec: SystemSpec, blocks: dict):
-        self.spec = spec
-        self.blocks = blocks  # degree -> (c, tuple of runs)
-
-    def is_zero(self) -> bool:
-        return not self.blocks
-
-    def __repr__(self):
-        keys = ", ".join(str(k) for k in sorted(self.blocks))
-        return f"NormalForm<degrees: {keys or '0 (empty)'}>"
-
-
-def _raised_blocks(spec: SystemSpec, pairs) -> dict:
-    """The nonzero blocks {degree: (c, runs)} of the element pairs (fx, fy,
-    runs), in degree order: ``runs.raise_terms`` keyed by degree, each pair
-    placed once the max c of its degree's left fibers is known."""
+def _raised_blocks(spec: SystemSpec, pairs) -> list:
+    """The canonical pairs (c, c - g, runs) of the element pairs (fx, fy,
+    runs), one per nonzero degree g, in degree order: ``runs.raise_terms``
+    keyed by degree, each pair placed once the max c of its degree's left
+    fibers is known."""
     degrees = [sub_degree(fx, fy) for fx, fy, _ in pairs]
     tops: dict = {}  # degree -> c
     for (fx, _, _), g in zip(pairs, degrees):
@@ -533,21 +512,15 @@ def _raised_blocks(spec: SystemSpec, pairs) -> dict:
                 phase = None
         placed.append((g, spec._dim(r), phase, runs))
     raised = raise_terms(placed)
-    return {g: (tops[g], raised[g]) for g in sorted(raised) if raised[g]}
+    return [(tops[g], sub_degree(tops[g], g), raised[g]) for g in sorted(raised) if raised[g]]
 
 
-def normal_form(a: AlgebraElement) -> NormalForm:
-    """The degree blocks of ``a``: its runs raised and swept by
-    ``runs.raise_terms``, which makes the runs maximal."""
-    return NormalForm(a.spec, _raised_blocks(a.spec, a.pairs))
-
-
-def expand_normal_form(nf: NormalForm) -> AlgebraElement:
-    """Rebuild an element from its normal form: a block (c, runs) of degree
-    g holds the swept runs of the fiber pair (c, c - g), taken as they are.
-    It costs the blocks, not the runs."""
-    pairs = [(c, sub_degree(c, g), runs) for g, (c, runs) in sorted(nf.blocks.items())]
-    return AlgebraElement._canonical(nf.spec, pairs)
+def normal_form(a: AlgebraElement) -> AlgebraElement:
+    """The canonical form of ``a``: for each nonzero degree g, in degree
+    order, the one fiber pair (c, c - g) that holds its runs raised and
+    swept by ``runs.raise_terms``, which makes them maximal.  It has no
+    pairs exactly when ``a`` is zero."""
+    return AlgebraElement._canonical(a.spec, _raised_blocks(a.spec, a.pairs))
 
 
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:

@@ -7,6 +7,9 @@ parse, or configuration errors, and 3 for an unexpected failure such as
 running out of memory, reported in one line on stderr.  Output ordering
 is deterministic (elements print in their canonical degree-lexicographic
 term order), so runs on identical inputs are textually identical.
+``normalize`` prints the element ``algebra.normal_form`` returns, one fiber
+pair (c, c - g) per nonzero degree g.  An expression that starts with
+``-`` goes after ``--``, or argparse reads it as an option.
 
 ``selftest`` runs one battery in one loop.  On each builtin system it
 reads the range sums and the isometry relations off the report of
@@ -139,8 +142,7 @@ def _fiber_text(fiber) -> str:
 def _cmd_normalize(args, reporter: Reporter) -> int:
     spec = _load_spec(args.spec)
     element = _parse_element(spec, args.expression)
-    canonical = algebra.expand_normal_form(algebra.normal_form(element))
-    text = expr.format_element(canonical)
+    text = expr.format_element(algebra.normal_form(element))
     reporter.emit(text, element=text)
     return 0
 
@@ -419,7 +421,7 @@ def _spec_checks(spec: SystemSpec, rng: random.Random):
     def normal_form_roundtrip():
         for _ in range(5):
             a = random_element()
-            b = algebra.expand_normal_form(algebra.normal_form(a))
+            b = algebra.normal_form(a)
             if not algebra.equals(a, b):
                 return False
             if not spec.is_twisted:
@@ -510,7 +512,8 @@ def _cmd_selftest(args, reporter: Reporter) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls.
 
-    Each subcommand names its handler; ``main`` looks the name up when it
+    ``command`` states a subcommand: its ``--spec`` and ``--format``
+    options and the name of its handler, which ``main`` looks up when it
     runs, so a module-level handler replaced after the first call is used.
     """
     parser = argparse.ArgumentParser(
@@ -519,7 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
+    def command(name, help, handler, spec=True):
+        p = sub.add_parser(name, help=help)
         if spec:
             p.add_argument("--spec", required=True, help="path to a spec file")
         p.add_argument(
@@ -528,31 +532,24 @@ def _build_parser() -> argparse.ArgumentParser:
             default="text",
             help="output format (default: text)",
         )
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("normalize", help="canonical normal form of an expression")
-    common(p)
+    p = command("normalize", "canonical normal form of an expression", "_cmd_normalize")
     p.add_argument("expression")
-    p.set_defaults(handler="_cmd_normalize")
 
-    p = sub.add_parser("equals", help="decide equality of two expressions")
-    common(p)
+    p = command("equals", "decide equality of two expressions", "_cmd_equals")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler="_cmd_equals")
 
-    p = sub.add_parser("expect", help="gauge-invariant expectation of an expression")
-    common(p)
+    p = command("expect", "gauge-invariant expectation of an expression", "_cmd_expect")
     p.add_argument("expression")
-    p.set_defaults(handler="_cmd_expect")
 
-    p = sub.add_parser("alpha", help="apply the shift endomorphism for a fiber")
-    common(p)
+    p = command("alpha", "apply the shift endomorphism for a fiber", "_cmd_alpha")
     p.add_argument("fiber", help="comma-separated fiber, e.g. 1,0")
     p.add_argument("expression")
-    p.set_defaults(handler="_cmd_alpha")
 
-    p = sub.add_parser("eval", help="evaluate in the step representation")
-    common(p)
+    p = command("eval", "evaluate in the step representation", "_cmd_eval")
     p.add_argument("--level", type=int, default=None, help="base level")
     p.add_argument(
         "--lambda",
@@ -561,40 +558,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated modulus-one scalars twisting the generators",
     )
     p.add_argument("expression")
-    p.set_defaults(handler="_cmd_eval")
 
-    p = sub.add_parser("classify", help="simplicity classification of a spec")
-    common(p)
-    p.set_defaults(handler="_cmd_classify")
+    command("classify", "simplicity classification of a spec", "_cmd_classify")
+    command("witness", "nonsimplicity witness for a spec", "_cmd_witness")
 
-    p = sub.add_parser("witness", help="nonsimplicity witness for a spec")
-    common(p)
-    p.set_defaults(handler="_cmd_witness")
-
-    p = sub.add_parser("kill", help="annihilate a monomial pair by compression")
-    common(p)
+    p = command("kill", "annihilate a monomial pair by compression", "_cmd_kill")
     p.add_argument("x", help="left generator monomial, e.g. 'e(1,0;0)'")
     p.add_argument("y", help="right generator monomial")
     p.add_argument("--shift", default=None, help="shift fiber (default: as summed)")
-    p.set_defaults(handler="_cmd_kill")
 
-    p = sub.add_parser("iso", help="dimension-absorbing isomorphism round trip")
-    common(p, spec=False)
+    p = command("iso", "dimension-absorbing isomorphism round trip", "_cmd_iso", spec=False)
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.set_defaults(handler="_cmd_iso")
 
-    p = sub.add_parser("relations", help="check a generator assignment file")
-    common(p)
-    p.add_argument(
-        "--target", default=None, help="target spec path (default: --spec)"
-    )
+    p = command("relations", "check a generator assignment file", "_cmd_relations")
+    p.add_argument("--target", default=None, help="target spec path (default: --spec)")
     p.add_argument("assignment", help="file of '(a,i) = <expression>' lines")
-    p.set_defaults(handler="_cmd_relations")
 
-    p = sub.add_parser("selftest", help="run the built-in verification battery")
-    common(p, spec=False)
-    p.set_defaults(handler="_cmd_selftest")
+    command("selftest", "run the built-in verification battery", "_cmd_selftest", spec=False)
 
     return parser
 

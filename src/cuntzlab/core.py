@@ -87,8 +87,8 @@ def embed(spec: SystemSpec, s: CoreElement, t) -> CoreElement:
 
 
 def to_algebra(spec: SystemSpec, s: CoreElement) -> algebra.AlgebraElement:
-    blocks = {(0,) * spec.k: (s.fiber, s.runs)} if s.runs else {}
-    return algebra.expand_normal_form(algebra.NormalForm(spec, blocks))
+    pairs = [(s.fiber, s.fiber, s.runs)] if s.runs else []
+    return algebra.AlgebraElement._canonical(spec, pairs)
 
 
 def multiply_core(spec: SystemSpec, a: CoreElement, b: CoreElement) -> CoreElement:

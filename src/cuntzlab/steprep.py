@@ -83,7 +83,7 @@ class StepOperator:
     """A sparse matrix V_(level_in) -> V_(level_out) held as swept runs.
 
     ``StepOperator(level_in, level_out, entries)`` takes a dict
-    {(row, col): scalar}; the kernels pass ``runs=`` already swept.
+    {(row, col): scalar}, the benchmark's form; the package passes ``runs=``.
     Composition intersects runs pairwise, and two runs meet in at most one.
     """
 
@@ -141,7 +141,7 @@ class OperatorFamily:
     def single(self) -> StepOperator:
         nonzero = [op for op in self.blocks.values() if not op.is_zero()]
         if not nonzero:
-            return StepOperator(self.base_level, self.base_level, {})
+            return StepOperator(self.base_level, self.base_level, runs=())
         if len(nonzero) > 1:
             raise ValueError(
                 "element evaluates to blocks at several output levels: "

@@ -271,13 +271,19 @@ def piecewise_sweep(runs) -> tuple:
     return tuple(out)
 
 
+def blocks_of(nf) -> dict:
+    """The blocks {degree: (c, runs)} of a normal form, whose one fiber
+    pair (c, c - g) per degree g holds that degree's runs."""
+    return {sub_degree(fx, fy): (fx, runs) for fx, fy, runs in nf.pairs}
+
+
 def dense_block(nf, degree):
     """One normal-form block as a dense matrix expanded from its runs.
 
     Cells that no run covers are zero; overlapping runs fail the test.
     """
     spec = nf.spec
-    c, runs = nf.blocks[degree]
+    c, runs = blocks_of(nf)[degree]
     rows = [[None] * spec.dim(sub_degree(c, degree)) for _ in range(spec.dim(c))]
     for row0, col0, length, coeff in runs:
         for f in range(length):

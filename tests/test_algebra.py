@@ -12,7 +12,6 @@ from cuntzlab import algebra, scalars, steprep
 from cuntzlab.algebra import (
     AlgebraElement,
     equals,
-    expand_normal_form,
     gauge_expectation,
     identity,
     isometry,
@@ -24,12 +23,15 @@ from cuntzlab.algebra import (
     zero,
 )
 from cuntzlab.expr import parse_element
-from cuntzlab.system import BasisMonomial, SystemSpec
+from cuntzlab.system import BasisMonomial, SystemSpec, sub_degree
 
 from conftest import (
     PRODUCT_SPECS,
+    blocks_of,
     dense_block,
     dense_vector,
+    flat_runs,
+    identical,
     is_positive_semidefinite,
     random_coeff,
     random_element,
@@ -193,10 +195,29 @@ def test_sum_with_a_non_element_and_repr_of_zero(e23):
     assert repr(zero(e23)) == "AlgebraElement<0>"
 
 
+def test_repr_shows_four_entries_and_counts_the_rest(e23, tw23):
+    # pairs in canonical order, a run of length two counted as two terms
+    text = (
+        "(1/2-i)*e(1,0;1)*e(0,1;2)' + 3*I - 3*e(1,0;0)*e(1,0;0)' + 2i*e(0,1;2)*e(1,0;1)'"
+        " + e(1,1;4)*e(1,1;4)' + e(1,1;5)*e(1,1;5)'"
+    )
+    assert repr(parse_element(e23, text)) == (
+        "AlgebraElement<RationalComplex(0, 2)*e(0,1;2)e(1,0;1)' "
+        "+ RationalComplex(3, 0)*e(0,0;0)e(0,0;0)' "
+        "+ RationalComplex(-3, 0)*e(1,0;0)e(1,0;0)' "
+        "+ RationalComplex(1, 0)*e(1,1;4)e(1,1;4)' ... (6 terms)>"
+    )
+    a = parse_element(tw23, "(1/2-i)*e(1,0;1)*e(0,1;2)' + e(1,0;0)*e(1,0;1)'")
+    assert repr(a) == (
+        "AlgebraElement<Cyclotomic(q=4, [Fraction(1, 1), Fraction(0, 1)])*e(1,0;0)e(1,0;1)' "
+        "+ Cyclotomic(q=4, [Fraction(1, 2), Fraction(-1, 1)])*e(1,0;1)e(0,1;2)'>"
+    )
+
+
 class TestNormalForm:
     def test_cuntz_sum_is_zero(self, e23):
         diff = _cuntz_sum(e23, (0, 1)) - identity(e23)
-        assert normal_form(diff).is_zero()
+        assert not normal_form(diff).pairs
         assert equals(_cuntz_sum(e23, (0, 1)), identity(e23))
 
     def test_witness_blocks(self, e24):
@@ -205,9 +226,10 @@ class TestNormalForm:
             e24, e24.monomial((0, 1), 0)
         )
         nf = normal_form(a)
-        assert not nf.is_zero()
-        assert set(nf.blocks) == {(2, 0), (0, 1)}
-        c, runs = nf.blocks.get((2, 0))
+        assert nf.pairs
+        blocks = blocks_of(nf)
+        assert set(blocks) == {(2, 0), (0, 1)}
+        c, runs = blocks.get((2, 0))
         assert c == (2, 0)
         ((row0, col0, length, coeff),) = runs
         assert (row0, col0, length) == (0, 0, 1)
@@ -226,16 +248,40 @@ class TestNormalForm:
     def test_round_trip_random(self, e23, rng):
         for _ in range(10):
             a = random_element(e23, rng, nterms=4)
-            assert equals(expand_normal_form(normal_form(a)), a)
+            assert equals(normal_form(a), a)
 
     def test_round_trip_twisted(self, tw23, rng):
         for _ in range(6):
             a = random_element(tw23, rng, nterms=3)
-            assert equals(expand_normal_form(normal_form(a)), a)
+            assert equals(normal_form(a), a)
 
     def test_zero_iff_no_blocks(self, e23):
-        assert normal_form(zero(e23)).is_zero()
-        assert not normal_form(identity(e23)).is_zero()
+        assert not normal_form(zero(e23)).pairs
+        assert normal_form(identity(e23)).pairs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PRODUCT_SPECS)), st.integers(0, 10**6), st.booleans())
+def test_normal_form_is_the_canonical_element(name, seed, cancel):
+    # a - a * (a Cuntz sum) is zero in O_E, though not pair by pair
+    spec = PRODUCT_SPECS[name]
+    rng = random.Random(seed)
+    a = random_element(spec, rng, nterms=rng.randint(0, 4))
+    if cancel:
+        fiber = random_fiber(spec, rng)
+        ones = AlgebraElement.from_terms(spec, ((1, f, f) for f in spec.basis(fiber)))
+        a = a - multiply(a, ones)
+    nf = normal_form(a)
+    assert type(nf) is AlgebraElement and nf.spec is spec
+    degrees = [sub_degree(fx, fy) for fx, fy, _ in nf.pairs]
+    assert degrees == sorted(set(degrees))
+    assert equals(nf, a)
+    # idempotent, float coefficients to the bit
+    again = normal_form(nf)
+    assert again == nf
+    assert [r[:5] for r in flat_runs(again)] == [r[:5] for r in flat_runs(nf)]
+    assert all(identical(p[5], q[5]) for p, q in zip(flat_runs(again), flat_runs(nf)))
+    assert (not nf.pairs) == equals(a, zero(spec))
 
 
 class TestEquals:
@@ -272,9 +318,9 @@ class TestGaugeExpectation:
         for _ in range(5):
             a = random_element(e23, rng, nterms=3)
             nf = normal_form(gauge_expectation(multiply(a.adjoint(), a)))
-            if nf.is_zero():
+            if not nf.pairs:
                 continue
-            ((degree, _),) = nf.blocks.items()
+            ((degree, _),) = blocks_of(nf).items()
             assert degree == (0,) * e23.k
             assert is_positive_semidefinite(dense_block(nf, degree), e23.field)
 
@@ -340,7 +386,7 @@ class TestAgainstStepModel:
     def test_normal_form_preserves_evaluation(self, e23, rng):
         for _ in range(10):
             a = random_element(e23, rng, nterms=4)
-            b = expand_normal_form(normal_form(a))
+            b = normal_form(a)
             level = math.lcm(steprep.minimal_level(a), steprep.minimal_level(b))
             fam_a = steprep.evaluate(a, level)
             fam_b = steprep.evaluate(b, level)
@@ -615,7 +661,7 @@ def test_raising_skips_unit_phases(name, monkeypatch):
     monkeypatch.setattr(values, "__rmul__", counted)
     nf = normal_form(a)
     assert len(muls) == 3 + 1  # three fiber pairs, one term with a phase
-    c, runs = nf.blocks[(1, 0)]
+    c, runs = blocks_of(nf)[(1, 0)]
     assert c == (1, 1)
     assert (3, 0, 3, phase) in runs
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cuntzlab import analysis, cli, morphisms, scalars
+from cuntzlab import analysis, cli, expr, morphisms, scalars, steprep
 from cuntzlab.system import FiberVector, SystemSpec
 
 from conftest import format_assignment
@@ -683,6 +683,33 @@ def test_selftest_battery(capsys):
     assert code == 0
     assert out == SELFTEST_TEXT
     assert len(lines_of(out)) == 33
+
+
+def test_selftest_prints_failed_checks_and_exits_one(capsys, monkeypatch):
+    # step families that never agree fail the normal form round trip on the
+    # four untwisted builtins, and a printer that loses the element fails
+    # the printer round trip on all five
+    monkeypatch.setattr(steprep.OperatorFamily, "equal", lambda self, other: False)
+    monkeypatch.setattr(expr, "format_element", lambda a: "2*I")
+    untwisted = ("e23", "e24", "e48", "e15")
+    failed = {f"{name}: normal form round trip" for name in untwisted}
+    failed |= {f"{name}: printer round trip" for name in (*untwisted, "tw14")}
+    want = [
+        "FAIL " + line[3:] if line[3:] in failed else line
+        for line in lines_of(SELFTEST_TEXT)[:-1]
+    ]
+    code, out, err = run_cli(capsys, ["selftest"])
+    assert (code, err) == (1, "")
+    assert lines_of(out) == want + ["selftest: 23 of 32 checks passed"]
+
+
+def test_broken_pipe_exits_zero(capsys, spec_path, monkeypatch):
+    # a reader that closed the pipe early, as ``| head`` does, is no error
+    def closed(args, reporter):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "_cmd_normalize", closed)
+    assert run_cli(capsys, ["normalize", "--spec", spec_path("e23"), "I"]) == (0, "", "")
 
 
 def test_module_runs_the_cli():

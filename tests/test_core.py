@@ -18,7 +18,7 @@ from cuntzlab.core import (
     twisted_unit,
 )
 
-from conftest import random_coeff
+from conftest import blocks_of, random_coeff
 
 
 def _random_core(spec, rng, fiber):
@@ -40,7 +40,7 @@ def _identity(spec, fiber):
 
 def _from_algebra(spec, a):
     """The core of a degree-zero element: the runs of its one normal-form block."""
-    c, runs = algebra.normal_form(a).blocks.get((0,) * spec.k)
+    c, runs = blocks_of(algebra.normal_form(a)).get((0,) * spec.k)
     return CoreElement(c, dim=spec.dim(c), runs=runs, zero=spec.field.zero)
 
 
@@ -62,6 +62,9 @@ class TestConstruction:
         assert u.matrix[1][2].is_one()
         assert sum(1 for row in u.matrix for v in row if not v.is_zero()) == 1
         assert u.runs == ((1, 2, 1, e23.field.one),)
+
+    def test_repr(self, e23):
+        assert repr(_identity(e23, (1, 1))) == "CoreElement(fiber=(1, 1), 6x6)"
 
 
 class TestEmbedding:

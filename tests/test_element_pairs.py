@@ -5,7 +5,7 @@ pair order, each ``runs`` a non-empty tuple of runs that are sorted,
 disjoint and maximal (``test_run_elements_oracle.assert_canonical``).  On
 every product spec, float and twisted included, ``+``, ``-``, negation,
 ``multiply``, ``adjoint``, ``scaled``, ``shift_endomorphism``,
-``expand_normal_form`` and ``parse_element`` return that layout.  ``==``
+``normal_form`` and ``parse_element`` return that layout.  ``==``
 leaves a non-element to the other operand, is False across specs, and
 compares pair sets, then each fiber pair's runs by ``runs.equal``: on the
 exact fields that is ``==`` of the pairs.
@@ -43,7 +43,7 @@ def test_every_operation_returns_canonical_pairs(case, seed):
         (a + b).scaled(-1),
         algebra.shift_endomorphism(a, (1, 0)),
         algebra.shift_endomorphism(a - b, (0, 1)),
-        algebra.expand_normal_form(algebra.normal_form(a + b)),
+        algebra.normal_form(a + b),
         expr.parse_element(spec, expr.format_element(a - b)),
         expr.parse_element(spec, "e(1,0;0)*e(0,1;0)' - (e(0,1;0)*e(1,0;0)')' + 2*I"),
     ]

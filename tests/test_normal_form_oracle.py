@@ -15,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import algebra, scalars
-from cuntzlab.algebra import NormalForm
 from cuntzlab.system import SystemSpec, max_fiber, parse_spec_text, sub_degree
 
-from conftest import dense_block, random_element
+from conftest import blocks_of, dense_block, random_element
 
 SPECS = {
     "e23": SystemSpec((2, 3)),
@@ -30,7 +29,8 @@ SPECS = {
 }
 
 
-def dense_normal_form(a: algebra.AlgebraElement) -> NormalForm:
+def dense_normal_form(a: algebra.AlgebraElement) -> dict:
+    """The blocks {degree: (c, dense rows)}, the nonzero ones only."""
     spec = a.spec
     field = spec.field
     by_degree: dict = {}
@@ -60,7 +60,7 @@ def dense_normal_form(a: algebra.AlgebraElement) -> NormalForm:
                 matrix[row][col] = matrix[row][col] + coeff
         if any(not x.is_zero() for row in matrix for x in row):
             blocks[degree] = (c, tuple(tuple(row) for row in matrix))
-    return NormalForm(spec, blocks)
+    return blocks
 
 
 def _same_entry(run_value, dense_value):
@@ -73,10 +73,11 @@ def _same_entry(run_value, dense_value):
 
 def assert_matches_dense(a):
     runs, dense = algebra.normal_form(a), dense_normal_form(a)
-    assert runs.is_zero() == dense.is_zero()
-    assert set(runs.blocks) == set(dense.blocks)
-    for degree, (c, matrix) in dense.blocks.items():
-        c_runs, block_runs = runs.blocks[degree]
+    blocks = blocks_of(runs)
+    assert (not runs.pairs) == (not dense)
+    assert set(blocks) == set(dense)
+    for degree, (c, matrix) in dense.items():
+        c_runs, block_runs = blocks[degree]
         assert c_runs == c
         assert list(block_runs) == sorted(block_runs, key=lambda r: r[:2])
         assert all(length > 0 and not coeff.is_zero() for _, _, length, coeff in block_runs)
@@ -122,11 +123,11 @@ def test_cancelling_differences_match_dense(name, nterms, seed):
     a = random_element(SPECS[name], rng, nterms=nterms)
     b = raised(a, rng)
     assert a.terms != b.terms
-    assert assert_matches_dense(a - b).is_zero()
+    assert not assert_matches_dense(a - b).pairs
     # the same difference with one coefficient moved is not zero
     t = b.terms[rng.randrange(len(b.terms))]
     moved = b + algebra.monomial_pair(a.spec, t.left, t.right, 1)
-    assert not assert_matches_dense(a - moved).is_zero()
+    assert assert_matches_dense(a - moved).pairs
 
 
 @settings(EXAMPLES, max_examples=30)
@@ -142,7 +143,7 @@ def test_cuntz_sums_minus_identity_match_dense(name, fiber, seed, perturb):
     if perturb:
         f = spec.monomial(fiber, seed % spec.dim(fiber))
         residual = residual + algebra.monomial_pair(spec, f, f, Fraction(1, 3))
-    assert assert_matches_dense(residual).is_zero() is not perturb
+    assert (not assert_matches_dense(residual).pairs) is not perturb
 
 
 def test_run_layout_of_a_known_block():
@@ -157,6 +158,6 @@ def test_run_layout_of_a_known_block():
         + algebra.monomial_pair(spec, spec.monomial((0, 1), 2), spec.monomial((0, 1), 2), 3)
     )
     nf = assert_matches_dense(a)
-    ((degree, (c, runs)),) = nf.blocks.items()
+    ((degree, (c, runs)),) = blocks_of(nf).items()
     assert degree == (0, 0) and c == (1, 1)
     assert runs == ((3, 0, 3, 2), (3, 3, 1, 1), (4, 4, 2, 4))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cuntzlab import algebra, scalars
 from cuntzlab.runs import sweep
 from cuntzlab.steprep import evaluate, minimal_level
-from cuntzlab.system import SystemSpec, sub_degree
+from cuntzlab.system import SystemSpec
 
 from conftest import PRODUCT_SPECS, random_element
 
@@ -32,8 +32,8 @@ def levels_from_normal_form(a, base_level):
     """{output level: swept runs} rebuilt from ``normal_form(a)``."""
     spec = a.spec
     by_level: dict = {}
-    for degree, (c, runs) in algebra.normal_form(a).blocks.items():
-        scale = Fraction(base_level, spec.dim(sub_degree(c, degree)))
+    for c, d, runs in algebra.normal_form(a).pairs:
+        scale = Fraction(base_level, spec.dim(d))
         level = scale * spec.dim(c)
         assert level.denominator == 1, "the output level is not an integer"
         pieces = by_level.setdefault(int(level), [])

@@ -23,6 +23,7 @@ from cuntzlab.algebra import AlgebraElement
 from cuntzlab.system import BasisMonomial, sub_degree
 
 from conftest import (
+    blocks_of,
     PRODUCT_SPECS,
     TermElement,
     flat_runs,
@@ -140,7 +141,7 @@ def test_elements_match_the_term_list_algebra(case):
     assert (a == b) == (oa == ob)
     assert algebra.equals(a, b) == term_equals(oa, ob)
     assert algebra.equals(a - b, b.scaled(-1) + a)
-    blocks = algebra.normal_form(a + b).blocks
+    blocks = blocks_of(algebra.normal_form(a + b))
     assert repr(blocks) == repr(term_raised_blocks(spec, (oa + ob).terms))
 
 

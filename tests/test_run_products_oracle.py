@@ -13,6 +13,7 @@ its length, and a pair of fiber pairs one lookup of its fiber data.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -352,10 +353,10 @@ def test_sums_of_one_entry_runs_are_not_swept(monkeypatch):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_adjoints_and_expanded_normal_forms_are_not_rebuilt(name, data):
-    # ``adjoint`` only sorts the transposed runs and ``expand_normal_form``
-    # takes each block's swept runs as they are; both equal the rebuild
-    # through ``algebra._build`` that they were, run for run and bit for
-    # bit, on long runs and on products of them
+    # ``adjoint`` only sorts the transposed runs and ``normal_form`` takes
+    # each degree's swept runs as they are; both equal the rebuild through
+    # ``algebra._build`` that they were, run for run and bit for bit, on
+    # long runs and on products of them
     spec = PRODUCT_SPECS[name]
     a = data.draw(long_run_element(spec))
     for b in (a, algebra.multiply(a, data.draw(long_run_element(spec)))):
@@ -363,9 +364,16 @@ def test_adjoints_and_expanded_normal_forms_are_not_rebuilt(name, data):
             (fy, fx, [(c, r, n, v.conj()) for r, c, n, v in runs]) for fx, fy, runs in b.pairs
         ]
         assert _run_reprs(b.adjoint().pairs) == _run_reprs(algebra._build(transposed))
-        nf = algebra.normal_form(b)
-        blocks = [(c, sub_degree(c, g), list(runs)) for g, (c, runs) in nf.blocks.items()]
-        got = algebra.expand_normal_form(nf)
-        assert _run_reprs(got.pairs) == _run_reprs(algebra._build(blocks))
-        assert len(got.pairs) == len(nf.blocks)
-        assert all(runs is nf.blocks[g][1] for (_, _, runs), g in zip(got.pairs, sorted(nf.blocks)))
+        raised = []
+
+        def recorded(placed):
+            raised.append(runs.raise_terms(placed))
+            return raised[-1]
+
+        with mock.patch.object(algebra, "raise_terms", recorded):
+            nf = algebra.normal_form(b)
+        blocks = [(c, d, list(runs)) for c, d, runs in nf.pairs]
+        assert _run_reprs(nf.pairs) == _run_reprs(algebra._build(blocks))
+        (by_degree,) = raised
+        assert len(nf.pairs) == sum(1 for runs in by_degree.values() if runs)
+        assert all(runs is by_degree[sub_degree(c, d)] for c, d, runs in nf.pairs)

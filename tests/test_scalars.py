@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals with i, cyclotomic integers, floats."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuntzlab import scalars
 from cuntzlab.scalars import (
     FLOAT,
     RATIONAL,
@@ -377,3 +379,23 @@ def test_field_constants_are_properties():
     k = cyclotomic_field(4)
     assert k.one.is_one() and k.zero.is_zero()
     assert FLOAT.one.is_one() and FLOAT.zero.is_zero()
+
+
+@pytest.mark.parametrize(
+    "field", [RATIONAL, cyclotomic_field(8), cyclotomic_field(17), FLOAT], ids=repr
+)
+def test_non_scalar_operands_are_refused(field):
+    # cyclotomic:17 is past the straight-line kernels: its product loops
+    x, other = field.coerce(Fraction(1, 2)), object()
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    assert not x == other and x != other
+
+
+def test_exact_polynomial_division_refuses_a_remainder():
+    assert scalars._poly_div_exact([-1, 0, 1], (-1, 1)) == [1, 1]  # x^2 - 1 = (x - 1)(x + 1)
+    with pytest.raises(ArithmeticError, match="remainder"):
+        scalars._poly_div_exact([1, 0, 1], (1, 1))

@@ -239,7 +239,7 @@ class TestEvaluate:
         )
         for level in (4, 8, 16):
             assert evaluate(a, level).is_zero()
-        assert not algebra.normal_form(a).is_zero()
+        assert algebra.normal_form(a).pairs
 
 
 class TestLevelIndependence:
@@ -282,6 +282,10 @@ class TestCharacterTwist:
         assert tw.phase((0, 2)) == RationalComplex(1)
         assert tw.phase((-1, 0)) == RationalComplex(0, -1)
         assert tw.phase((0, 0)).is_one()
+
+    def test_repr(self):
+        tw = CharacterTwist([RationalComplex(0, 1), RationalComplex(-1)])
+        assert repr(tw) == "CharacterTwist([RationalComplex(0, 1), RationalComplex(-1, 0)])"
 
     def test_twisted_evaluation_separates_witness(self, e24):
         a = algebra.isometry(e24, e24.monomial((2, 0), 0)) - algebra.isometry(

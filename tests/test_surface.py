@@ -392,6 +392,7 @@ def test_every_definition_is_reached():
 BENCH_ONLY = [
     "algebra.AlgebraElement.from_terms",
     "algebra.AlgebraElement.terms",
+    "algebra.Term",
     "core.CoreElement.matrix",
     "core.core_equal",
     "core.multiply_core",

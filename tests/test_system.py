@@ -311,3 +311,10 @@ class TestSpecFiles:
         # and the cyclotomic order must accommodate the denominators
         with pytest.raises(ConfigurationError):
             SystemSpec((2, 3), theta=[[0, Fraction(1, 3)], [0, 0]], scalar_mode="cyclotomic:4")
+
+
+def test_spec_and_vector_are_not_equal_to_other_types():
+    spec = SystemSpec((2, 3))
+    v = dense_vector(spec, (1, 0), [1, 0])
+    assert not spec == 3 and spec != 3
+    assert not v == 3 and v != 3
