@@ -22,8 +22,8 @@ spanning family:
 (s the fiber of x', t the fiber of y'), which for basis monomials leaves at
 most dim(s) surviving terms along a stride.  Along a pair of runs the
 strides line up: a run of a times a run of b is the first run raised by s
-composed with the second raised by t, at most one run (``_piece``), so
-``multiply`` costs its run pairs and the sum of their pieces, never the
+composed with the second raised by t, at most one run (``_run_product``),
+so ``multiply`` costs its run pairs and the sum of their pieces, never the
 run lengths.  Everything but that interval arithmetic and the coefficient
 product belongs to the fiber quadruple (x fiber, s, y fiber, t) of a
 pair of fiber pairs: dim(s), dim(t), the product fibers and the phases.
@@ -319,7 +319,7 @@ def rewrite_pair(
 ) -> AlgebraElement:
     """Expand i(y')* i(x') in the spanning family: the product of the
     one-term elements i(y')* and i(x'), whose survivors are one run (see
-    ``_piece``).
+    ``_run_product``).
 
     When the fibers agree this collapses to <x'|y'> times the identity.
     Otherwise the surviving terms are exactly the basis pairs (x, y) with
@@ -360,10 +360,10 @@ def _fiber_data(spec: SystemSpec, xf, s, yf, t):
     return data
 
 
-def _piece(spec: SystemSpec, xf, t, a: tuple, s, yf, b: tuple):
-    """The product of a run a = (row0, col0, L, c) of the fiber pair (x, t)
-    and a run b of the pair (s, y) as (fiber pair, run (row0, col0, length,
-    coeff)), or None when no entry pair survives: the one product kernel.
+def _run_product(spec: SystemSpec, xf, t, a: tuple, s, yf, b: tuple) -> AlgebraElement:
+    """The product of two one-run elements, a run a = (row0, col0, L, c) of
+    the fiber pair (x, t) times a run b of the pair (s, y): at most one
+    run, made without enumerating it, by the one product kernel.
 
     An entry pair meets through i(y')* i(x') with y' = e(t;j) and x' =
     e(s;i).  When s = t that is <x'|y'>, so the pair is ``runs.compose``
@@ -378,8 +378,7 @@ def _piece(spec: SystemSpec, xf, t, a: tuple, s, yf, b: tuple):
     factors of the quadruple (x, s, y, t) (see ``_fiber_data``).  Both
     cases are ``runs.compose``'s interval arithmetic, inlined with dim(s) =
     dim(t) = 1 for the first: building the raised runs as tuples for it
-    made a product of one-entry runs measurably slower.  This is the
-    product of two one-run elements (``_run_product``); ``multiply`` runs
+    made a product of one-entry runs measurably slower.  ``multiply`` runs
     the same arithmetic inline, with the dimensions, the product pair and
     the factors found once per pair of fiber pairs.
     """
@@ -395,28 +394,19 @@ def _piece(spec: SystemSpec, xf, t, a: tuple, s, yf, b: tuple):
         lo = rb * dt
     if (rb + lb) * dt < hi:
         hi = (rb + lb) * dt
-    if lo >= hi:
-        return None
-    pair, factors = _fiber_data(spec, xf, s, yf, t)
-    coeff = va * vb
-    for f in factors:
-        coeff = coeff * f
-    return pair, (lo + (ra - ca) * ds, lo + (cb - rb) * dt, hi - lo, coeff)
-
-
-def _run_product(spec: SystemSpec, xf, t, a: tuple, s, yf, b: tuple) -> AlgebraElement:
-    """The product of two one-run elements, given by their pairs and runs
-    as ``_piece`` takes them: at most one run, made without enumerating
-    it."""
-    piece = _piece(spec, xf, t, a, s, yf, b)
-    if piece is None or piece[1][3].is_zero():
-        return zero(spec)
-    (fx, fy), run = piece
-    return AlgebraElement._canonical(spec, [(fx, fy, (run,))])
+    pairs = ()
+    if lo < hi:
+        (fx, fy), factors = _fiber_data(spec, xf, s, yf, t)
+        coeff = va * vb
+        for f in factors:
+            coeff = coeff * f
+        if not coeff.is_zero():
+            pairs = [(fx, fy, ((lo + (ra - ca) * ds, lo + (cb - rb) * dt, hi - lo, coeff),))]
+    return AlgebraElement._canonical(spec, pairs)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The product a*b: one piece (see ``_piece``) per pair of runs, so
+    """The product a*b: one piece (see ``_run_product``) per pair of runs, so
     it costs its run pairs plus the sum of their pieces, whatever the run
     lengths.
 
@@ -438,7 +428,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     outside a's runs would add the first pair's contribution to a cell
     before those of a's earlier runs in the row, which changes float sums
     once a row holds three runs.  A product of two one-run elements is one
-    piece (``_run_product``).
+    call of ``_run_product``.
     """
     a._require_same(b)
     spec = a.spec
@@ -451,7 +441,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     for xf, t, runs_a in a.pairs:
         # one slot per fiber pair of b: [dim(s), dim(t), runs, group,
         # factors, (s, yf, t)], s = t standing for the zero fiber e as in
-        # ``_piece``; group and factors are found at its first survivor
+        # ``_run_product``; group and factors are found at its first survivor
         slots = []
         for s, yf, runs_b in b.pairs:
             if s == t:
@@ -461,7 +451,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         for ra, ca, la, va in sorted(runs_a, key=diagonal_order) if len(runs_a) > 1 else runs_a:
             for slot in slots:
                 ds, dt, runs_b, group, factors, quad = slot
-                # ``_piece``'s interval arithmetic
+                # ``_run_product``'s interval arithmetic
                 a_lo = ca * ds
                 a_hi = a_lo + la * ds
                 row_off = (ra - ca) * ds

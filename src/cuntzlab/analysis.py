@@ -13,7 +13,10 @@ is always a perfect-power relation m = l^a, n = l^b and the algebra is a
 matrix-circle tensor.  The annihilation construction behind simplicity and
 pure infiniteness compresses x y* (p(x) != p(y)), and for nonzero x and y
 whether the compression vanishes depends on their fibers alone, so its
-instances hold pairs of basis monomials and read only their fibers.
+instances hold pairs of basis monomials and read only their fibers.  The
+construction's index arithmetic and the check read no twist: ``kill`` is
+the same computation on every spec with the same generator dimensions,
+and only the vector's coefficient carries the multiplier phases.
 """
 
 from __future__ import annotations
@@ -430,22 +433,20 @@ def verify_annihilation(
     |supp w|^2 window tests, whatever dim(w).
 
     On a twisted spec the generators of fiber r act as T = S (x) lambda_r,
-    lambda being the twisted regular representation of Z^k by unitaries,
     and T_u* T_v = S_u* S_v (x) lambda_p(u)* lambda_p(v) is zero exactly
-    when S_u* S_v is: only the multiplier phases of the pieces enter.
+    when S_u* S_v is.  The pieces of f1 w carry omega(a, r) and those of
+    g1 w omega(b, r), so the sweep is scaled by one unit, which the check
+    leaves out: it reads the schedule, dim(w) and w, and no twist.
     """
-    r = spec.check_fiber(w.fiber)
+    spec.check_fiber(w.fiber)
     support = sorted(w.entries.items())
     for a, b in instance.schedule:
         m = max_fiber(a, b)
         level_out, level_in = spec._dim(sub_degree(m, a)), spec._dim(sub_degree(m, b))
-        phase_out, phase_in = spec._phase(a, r), spec._phase(b, r)
-        # (difference of the pieces' starts past their blocks', left and
-        # right coefficient), right pieces outer
+        # (difference of the pieces' starts past their blocks', coefficient),
+        # right pieces outer
         pieces = [
-            (j * level_out - k * level_in, (phase_out * u).conj(), phase_in * v)
-            for k, v in support
-            for j, u in support
+            (j * level_out - k * level_in, u.conj() * v) for k, v in support for j, u in support
         ]
         # f1 w lies in the block [f1 L_out, (f1 + 1) L_out) in units of dim(w),
         # which meets the blocks of g1 w from first to last
@@ -464,9 +465,9 @@ def _block_product(shift: int, pieces, level_out: int, level_in: int) -> tuple:
     differ by d meet where -L_out < d < L_in, in the run that the
     composition of their step operators would hold."""
     runs = []
-    for offset, left, right in pieces:
+    for offset, coeff in pieces:
         d = shift + offset
         if -level_out < d < level_in:
             row, col = max(-d, 0), max(d, 0)
-            runs.append((row, col, min(level_out - row, level_in - col), left * right))
+            runs.append((row, col, min(level_out - row, level_in - col), coeff))
     return run_ops.sweep(runs) if runs else ()

@@ -109,13 +109,13 @@ def _parse_character(spec: SystemSpec, text: str) -> CharacterTwist:
     values = []
     for part in parts:
         try:
-            values.append(expr.parse_scalar(spec, part))
+            value = expr.parse_scalar(spec, part)
         except expr.ExpressionError as err:
             raise UsageError(f"bad character value {part!r}: {err}") from None
-    try:
-        return CharacterTwist(values)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+        if not (value * value.conj()).is_one():
+            raise UsageError(f"character value {part!r} is not of modulus one")
+        values.append(value)
+    return CharacterTwist(values)
 
 
 def _parse_generator(spec: SystemSpec, text: str):

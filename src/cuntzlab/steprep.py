@@ -262,9 +262,9 @@ class CharacterTwist:
         values = tuple(values)
         if not values:
             raise ValueError("a character needs one value per generator")
-        for v in values:
+        for i, v in enumerate(values):
             if not (v * v.conj()).is_one():
-                raise ValueError(f"character value {v!r} is not of modulus one")
+                raise ValueError(f"character value at index {i} is not of modulus one")
         self.values = values
 
     def phase(self, degree) -> object:

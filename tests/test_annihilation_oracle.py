@@ -582,6 +582,143 @@ def test_check_sums_pieces_that_cancel():
             assert composed_annihilation(spec, instance, w) is verdict
 
 
+def test_check_reads_no_multiplier_phase(monkeypatch):
+    # the unit conj(omega(a, r)) omega(b, r) scaling every run of a pair
+    # cannot change whether its sweep is empty, so the check never asks
+    calls = []
+
+    def spy(self, s, t):
+        calls.append((s, t))
+        return self.field.one
+
+    x, y = BasisMonomial((1, 0), 1), BasisMonomial((0, 1), 2)
+    for name in ("tw23", "tw23q8", "twf23"):
+        spec = PRODUCT_SPECS[name]
+        cases = []
+        for shift in (None, (2, 2), (3, 3)):
+            instance = analysis.annihilation_instance(spec, [(x, y), (y, x)], shift)
+            w = analysis.annihilating_vector(spec, instance)
+            cases.append((instance, w, True))
+            entries = dict(w.entries)
+            entries[0] = entries.get(0, spec.field.zero) + spec.field.one
+            cases.append((instance, FiberVector(w.fiber, w.dim, entries, spec.field.zero), False))
+        with monkeypatch.context() as patch:
+            patch.setattr(SystemSpec, "_phase", spy)
+            patch.setattr(SystemSpec, "multiplier", spy)
+            for instance, w, verdict in cases:
+                assert analysis.verify_annihilation(spec, instance, w) is verdict
+        assert calls == []
+
+
+TWISTED_SPECS = {name: spec for name, spec in PRODUCT_SPECS.items() if spec.is_twisted}
+
+
+def _root_coefficient(spec, data):
+    """+-1 or +-2 times a root of unity of the spec's field, order 4 on
+    float: exact on every field, Q(zeta_17) included, which holds no i."""
+    field = spec.field
+    order = getattr(field, "order", 4)
+    root = field.root_of_unity(Fraction(data.draw(st.integers(0, order - 1)), order))
+    return field.gaussian(data.draw(st.sampled_from([1, -1, 2, -2])), 0, 1) * root
+
+
+def _twist_free_w(spec, instance, built, kind, data):
+    """A vector of support 1-3: the built one, it with 1-2 entries added, one
+    whose first scheduled pair has two piece pairs that meet in one run
+    with cancelling coefficients, or a drawn one."""
+    field = spec.field
+    if kind in ("built", "perturbed") and built is not None:
+        entries = dict(built.entries)
+        if kind == "perturbed":
+            for _ in range(data.draw(st.integers(1, 2))):
+                near = data.draw(st.booleans())
+                j = (min(entries) if near else 0) + data.draw(st.integers(0, 2 if near else 10**6))
+                j %= built.dim
+                entries[j] = entries.get(j, field.zero) + _root_coefficient(spec, data)
+        return FiberVector(built.fiber, built.dim, entries, field.zero)
+    fibers = [f for f in FIBERS + [(0, 3), (3, 0), (2, 2)] if spec.dim(f) > 1]
+    if kind == "cancelling":
+        # pieces (0, 0) and (j, k) start at the same offset j L_out = k L_in;
+        # conj(u) u + conj(v) (-v) = 0 for units u and v
+        a, b = instance.schedule[0]
+        m = max_fiber(a, b)
+        level_out, level_in = spec.dim(sub_degree(m, a)), spec.dim(sub_degree(m, b))
+        g = math.gcd(level_out, level_in)
+        j, k = level_in // g, level_out // g
+        fibers = [f for f in fibers if spec.dim(f) > max(j, k)]
+        assume(j != k and fibers)
+        fiber = data.draw(st.sampled_from(fibers))
+        order = getattr(field, "order", 4)
+        u, v = (
+            field.root_of_unity(Fraction(data.draw(st.integers(0, order - 1)), order))
+            for _ in range(2)
+        )
+        return FiberVector(fiber, spec.dim(fiber), {0: u, j: v, k: -v}, field.zero)
+    fiber = data.draw(st.sampled_from(fibers or [(0, 0)]))
+    dim = spec.dim(fiber)
+    size = data.draw(st.integers(1, min(3, dim)))
+    indices = data.draw(st.sets(st.integers(0, min(dim, 8) - 1), min_size=size, max_size=size))
+    return FiberVector(fiber, dim, {j: _root_coefficient(spec, data) for j in indices}, field.zero)
+
+
+def test_twisted_annihilation_matches_the_untwisted_spec():
+    # the construction's index arithmetic and the check read no twist: on
+    # every twisted spec, the float one included, the vector has the fiber,
+    # dimension and support, and the check the verdict, of the untwisted
+    # spec of the same dims and field
+    seen, verdicts = set(), set()
+
+    @settings(ORACLE, max_examples=150)
+    @given(
+        st.sampled_from(sorted(TWISTED_SPECS)),
+        st.lists(
+            st.tuples(st.sampled_from(FIBERS), st.sampled_from(FIBERS)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(SHIFT_EXTRAS),
+        st.sampled_from(["built", "perturbed", "cancelling", "drawn"]),
+        st.data(),
+    )
+    def check(name, fibers, extra, kind, data):
+        spec = TWISTED_SPECS[name]
+        plain = SystemSpec(spec.gen_dims, scalar_mode=spec.scalar_mode)
+        assume(all(fx != fy for fx, fy in fibers))
+        index = st.integers(0, 10**6)
+        pairs = [
+            (_monomial(spec, fx, data.draw(index)), _monomial(spec, fy, data.draw(index)))
+            for fx, fy in fibers
+        ]
+        shift = None
+        if len(pairs) > 1 or extra != (0, 0):
+            shift = extra
+            for fx, fy in fibers:
+                shift = max_fiber(shift, max_fiber(fx, fy))
+        twisted = analysis.annihilation_instance(spec, pairs, shift)
+        untwisted = analysis.annihilation_instance(plain, pairs, shift)
+        assert twisted.schedule == untwisted.schedule
+        vectors, shapes = [], []
+        for s, instance in ((spec, twisted), (plain, untwisted)):
+            try:
+                w = analysis.annihilating_vector(s, instance)
+                shapes.append((w.fiber, w.dim, sorted(w.entries)))
+            except HypothesisViolationError as err:
+                w = None
+                shapes.append(str(err))
+            vectors.append(w)
+        assert shapes[0] == shapes[1]
+        # the twisted spec's vector, whose coefficient carries its phases
+        w = _twist_free_w(spec, twisted, vectors[0], kind, data)
+        verdict = analysis.verify_annihilation(spec, twisted, w)
+        assert verdict is analysis.verify_annihilation(plain, untwisted, w)
+        seen.add(name)
+        verdicts.add(verdict)
+
+    check()
+    assert seen == set(TWISTED_SPECS)
+    assert verdicts == {True, False}
+
+
 CHECK_SPECS = {
     "e23": SPECS["e23"],
     "e32": SPECS["e32"],

@@ -42,6 +42,7 @@ SPEC_TEXTS = {
     "tw23q8": "k = 2\ndims = 2 3\ntheta = 0 1/4 0 0\nscalars = cyclotomic:8\n",
     "tw23q17": "k = 2\ndims = 2 3\ntheta = 0 3/17 0 0\nscalars = cyclotomic:17\n",
     "c3": "k = 2\ndims = 2 3\nscalars = cyclotomic:3\n",
+    "c3e24": "k = 2\ndims = 2 4\nscalars = cyclotomic:3\n",
     "c4": "k = 2\ndims = 2 3\nscalars = cyclotomic:4\n",
     "c8": "k = 2\ndims = 2 3\nscalars = cyclotomic:8\n",
     "epq": f"k = 2\ndims = {PQ} 10000000000000000051\n",
@@ -306,6 +307,30 @@ def test_witness_report(capsys, spec_path):
         "distinguished representation: zero",
         "character-twisted: nonzero",
         "witness verified: true",
+    ]
+
+
+def test_witness_over_an_odd_order_cyclotomic_field(capsys, spec_path):
+    # -1 is not in Q(zeta_3), so the character takes its values in Q(zeta_2)
+    # and the twisted evaluation meets the two fields in Q(zeta_6)
+    path = spec_path("c3e24")
+    code, out, err = run_cli(capsys, ["witness", "--spec", path])
+    assert (code, err) == (0, "")
+    assert lines_of(out) == [
+        "witness fibers: (2,0) (0,1)",
+        "character: 1, -1",
+        "distinguished representation: zero",
+        "character-twisted: nonzero",
+        "witness verified: true",
+    ]
+    code, out, err = run_cli(capsys, ["witness", "--spec", path, "--format", "json-lines"])
+    assert (code, err) == (0, "")
+    assert [json.loads(line) for line in lines_of(out)] == [
+        {"command": "witness", "fibers": [[2, 0], [0, 1]]},
+        {"command": "witness", "character": ["1", "-1"]},
+        {"command": "witness", "plain_zero": True},
+        {"command": "witness", "twisted_zero": False},
+        {"command": "witness", "verified": True},
     ]
 
 
@@ -1232,7 +1257,7 @@ def test_refused_arguments_exit_two(capsys, spec_path, tmp_path):
     cases = [
         (
             ["eval", "--spec", e23, "--lambda", "2,1", "I"],
-            "error: character value RationalComplex(2, 0) is not of modulus one\n",
+            "error: character value '2' is not of modulus one\n",
         ),
         (
             ["kill", "--spec", e23, "e(1,0;0)+e(0,1;0)", "e(0,1;0)"],
@@ -1278,6 +1303,15 @@ def test_float_character_keeps_the_degree_zero_phase_exact(capsys, spec_path):
         "  [1,1] = 1.0",
         "nonzero",
     ]
+
+
+@pytest.mark.parametrize("name", ["e23", "c8", "f23"])
+@pytest.mark.parametrize("text", ["2", "1+i", "3/5"])
+def test_lambda_refused_off_the_unit_circle_names_the_text(capsys, spec_path, name, text):
+    # the refusal quotes the value as typed, never a scalar's repr
+    argv = ["eval", "--spec", spec_path(name), "--lambda", f"1,{text}", "I"]
+    message = f"error: character value {text!r} is not of modulus one\n"
+    assert run_cli(capsys, argv) == (2, "", message)
 
 
 def test_bad_lambda_count(capsys, spec_path):

@@ -208,14 +208,14 @@ def test_a_row_of_three_runs_keeps_the_order_of_its_entry_pairs():
 
 def _count_pieces(monkeypatch):
     pieces = []
-    piece = algebra._piece
+    run_product = algebra._run_product
 
     def counted(*args):
-        out = piece(*args)
+        out = run_product(*args)
         pieces.append(out)
         return out
 
-    monkeypatch.setattr(algebra, "_piece", counted)
+    monkeypatch.setattr(algebra, "_run_product", counted)
     return pieces
 
 
@@ -305,7 +305,11 @@ def test_a_pair_of_fiber_pairs_finds_its_fiber_data_once(monkeypatch):
             (i, j)
             for i, (xf, t, runs_x) in enumerate(x.pairs)
             for j, (s, yf, runs_y) in enumerate(y.pairs)
-            if any(algebra._piece(spec, xf, t, p, s, yf, q) for p in runs_x for q in runs_y)
+            if any(
+                algebra._run_product(spec, xf, t, p, s, yf, q).pairs
+                for p in runs_x
+                for q in runs_y
+            )
         }
         pieces = _count_summed_pieces(monkeypatch)
         quads = _count_fiber_data(monkeypatch)
